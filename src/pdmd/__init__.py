@@ -17,7 +17,7 @@ from pdmd.data import (
     split_train_test,
     write_dataset,
 )
-from pdmd.dmd import DmdModel, advance, exact_operator, fit_dmd, reconstruct
+from pdmd.dmd import DmdModel, advance, fit_dmd, reconstruct
 from pdmd.errors import (
     ConvergenceWarning,
     DataError,
@@ -48,7 +48,6 @@ from pdmd.optdmd import (
     OptDmdModel,
     SolverOptions,
     condense_ensemble,
-    ensemble_predict,
     fit_bopdmd,
     fit_optdmd,
     mean_omegas,
@@ -106,9 +105,7 @@ __all__ = [
     "advance",
     "condense_ensemble",
     "default_suite",
-    "ensemble_predict",
     "evaluate_model",
-    "exact_operator",
     "fit_bopdmd",
     "fit_dmd",
     "fit_global_basis",

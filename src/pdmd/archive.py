@@ -10,6 +10,7 @@ a save/load round trip reproduces every coefficient bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -51,12 +52,21 @@ def _encode_array(value: np.ndarray) -> bytes:
 
 
 def _decode_array(payload: bytes) -> np.ndarray:
+    if len(payload) < 2:
+        raise DataError("truncated array header")
     code, ndim = struct.unpack_from("<BB", payload, 0)
     if code not in _DTYPES:
         raise DataError(f"unknown array dtype code {code}")
+    if len(payload) < 2 + 4 * ndim:
+        raise DataError("truncated array shape")
     shape = struct.unpack_from(f"<{ndim}I", payload, 2)
     data = payload[2 + 4 * ndim :]
-    return np.frombuffer(data, dtype=_DTYPES[code]).reshape(shape).copy()
+    dtype = np.dtype(_DTYPES[code])
+    if len(data) != math.prod(shape) * dtype.itemsize:
+        raise DataError(
+            f"array payload of {len(data)} bytes does not match shape {shape}"
+        )
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
 
 def _encode_json(value) -> bytes:
@@ -128,27 +138,21 @@ def _read_regressor(prefix: str, sections: dict) -> FittedRegressor:
 
 
 def _basis_sections(basis: GlobalBasis) -> dict:
-    out = {
+    return {
         "basis.modes_u": basis.modes_u,
         "basis.singular_values": basis.singular_values,
-        "basis.spec": {
-            "energy_captured": basis.energy_captured,
-            "centered": basis.mean is not None,
-        },
+        "basis.spec": {"energy_captured": basis.energy_captured, "centered": False},
     }
-    if basis.mean is not None:
-        out["basis.mean"] = basis.mean
-    return out
 
 
 def _read_basis(sections: dict) -> GlobalBasis:
     meta = _section_value(sections, "basis.spec")
-    mean = _section_value(sections, "basis.mean") if meta["centered"] else None
+    if meta["centered"]:
+        raise DataError("centered bases are not supported")
     return GlobalBasis(
         _section_value(sections, "basis.modes_u"),
         _section_value(sections, "basis.singular_values"),
         float(meta["energy_captured"]),
-        mean,
     )
 
 
@@ -179,105 +183,107 @@ def _read_dmd(prefix: str, sections: dict) -> DmdModel:
     )
 
 
-def algorithm_tag(model) -> str:
-    """Short identifier for the model type, as used by the CLI."""
-    if isinstance(model, RoiModel):
-        return "roi"
-    if isinstance(model, RkoiModel):
-        return "rkoi"
-    if isinstance(model, MonolithicModel):
-        return "mono"
-    if isinstance(model, PartitionedModel):
-        return "part"
-    raise DataError(f"cannot archive object of type {type(model).__name__}")
+def _roi_sections(model: RoiModel) -> dict:
+    return {
+        "roi.spec": {"op_rank": model.op_rank, "dt": model.dt, "t0": model.t0},
+        "roi.op_modes": model.op_modes,
+        "roi.train_residuals": model.train_residuals,
+        **_regressor_sections("roi.coeff_reg", model.coeff_regressor),
+        **_regressor_sections("roi.init_reg", model.init_regressor),
+    }
 
 
-def _model_sections(model) -> dict:
-    sections = _basis_sections(model.basis)
-    if isinstance(model, RoiModel):
-        sections["roi.spec"] = {
-            "op_rank": model.op_rank,
-            "dt": model.dt,
-            "t0": model.t0,
-        }
-        sections["roi.op_modes"] = model.op_modes
-        sections["roi.train_residuals"] = model.train_residuals
-        sections.update(_regressor_sections("roi.coeff_reg", model.coeff_regressor))
-        sections.update(_regressor_sections("roi.init_reg", model.init_regressor))
-    elif isinstance(model, RkoiModel):
-        sections["rkoi.spec"] = {"t0": model.t0, "notes": list(model.notes)}
-        sections.update(_regressor_sections("rkoi.mode_reg", model.mode_regressor))
-        sections.update(_regressor_sections("rkoi.omega_reg", model.omega_regressor))
-        sections.update(_regressor_sections("rkoi.amp_reg", model.amp_regressor))
-    elif isinstance(model, MonolithicModel):
-        sections["mono.spec"] = {"dt": model.dt, "t0": model.t0}
-        sections["mono.params"] = model.params
-        sections["mono.block_map"] = np.asarray(model.block_map, dtype=np.int64)
-        sections.update(_dmd_sections("mono.stacked", model.stacked_dmd))
-    else:
-        sections["part.spec"] = {
-            "dt": model.dt,
-            "t0": model.t0,
-            "n_members": len(model.members),
-        }
-        sections["part.params"] = model.params
-        for i, member in enumerate(model.members):
-            sections.update(_dmd_sections(f"part.member{i}", member))
+def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
+    meta = _section_value(sections, "roi.spec")
+    return RoiModel(
+        basis=basis,
+        op_modes=_section_value(sections, "roi.op_modes"),
+        op_rank=int(meta["op_rank"]),
+        coeff_regressor=_read_regressor("roi.coeff_reg", sections),
+        init_regressor=_read_regressor("roi.init_reg", sections),
+        dt=float(meta["dt"]),
+        t0=float(meta["t0"]),
+        train_residuals=_section_value(sections, "roi.train_residuals"),
+    )
+
+
+def _rkoi_sections(model: RkoiModel) -> dict:
+    return {
+        "rkoi.spec": {"t0": model.t0, "notes": list(model.notes)},
+        **_regressor_sections("rkoi.mode_reg", model.mode_regressor),
+        **_regressor_sections("rkoi.omega_reg", model.omega_regressor),
+        **_regressor_sections("rkoi.amp_reg", model.amp_regressor),
+    }
+
+
+def _read_rkoi(sections: dict, basis: GlobalBasis) -> RkoiModel:
+    meta = _section_value(sections, "rkoi.spec")
+    return RkoiModel(
+        basis=basis,
+        mode_regressor=_read_regressor("rkoi.mode_reg", sections),
+        omega_regressor=_read_regressor("rkoi.omega_reg", sections),
+        amp_regressor=_read_regressor("rkoi.amp_reg", sections),
+        t0=float(meta["t0"]),
+        notes=tuple(meta["notes"]),
+    )
+
+
+def _mono_sections(model: MonolithicModel) -> dict:
+    return {
+        "mono.spec": {"dt": model.dt, "t0": model.t0},
+        "mono.params": model.params,
+        "mono.block_map": np.asarray(model.block_map, dtype=np.int64),
+        **_dmd_sections("mono.stacked", model.stacked_dmd),
+    }
+
+
+def _read_mono(sections: dict, basis: GlobalBasis) -> MonolithicModel:
+    meta = _section_value(sections, "mono.spec")
+    block_map = tuple(
+        (int(lo), int(hi)) for lo, hi in _section_value(sections, "mono.block_map")
+    )
+    return MonolithicModel(
+        basis=basis,
+        stacked_dmd=_read_dmd("mono.stacked", sections),
+        params=_section_value(sections, "mono.params"),
+        block_map=block_map,
+        dt=float(meta["dt"]),
+        t0=float(meta["t0"]),
+    )
+
+
+def _part_sections(model: PartitionedModel) -> dict:
+    sections = {
+        "part.spec": {"dt": model.dt, "t0": model.t0, "n_members": len(model.members)},
+        "part.params": model.params,
+    }
+    for i, member in enumerate(model.members):
+        sections.update(_dmd_sections(f"part.member{i}", member))
     return sections
 
 
-def _read_model(tag: str, sections: dict):
-    basis = _read_basis(sections)
-    if tag == "roi":
-        meta = _section_value(sections, "roi.spec")
-        return RoiModel(
-            basis=basis,
-            op_modes=_section_value(sections, "roi.op_modes"),
-            op_rank=int(meta["op_rank"]),
-            coeff_regressor=_read_regressor("roi.coeff_reg", sections),
-            init_regressor=_read_regressor("roi.init_reg", sections),
-            dt=float(meta["dt"]),
-            t0=float(meta["t0"]),
-            train_residuals=_section_value(sections, "roi.train_residuals"),
-        )
-    if tag == "rkoi":
-        meta = _section_value(sections, "rkoi.spec")
-        return RkoiModel(
-            basis=basis,
-            mode_regressor=_read_regressor("rkoi.mode_reg", sections),
-            omega_regressor=_read_regressor("rkoi.omega_reg", sections),
-            amp_regressor=_read_regressor("rkoi.amp_reg", sections),
-            t0=float(meta["t0"]),
-            notes=tuple(meta["notes"]),
-        )
-    if tag == "mono":
-        meta = _section_value(sections, "mono.spec")
-        block_map = tuple(
-            (int(lo), int(hi))
-            for lo, hi in _section_value(sections, "mono.block_map")
-        )
-        return MonolithicModel(
-            basis=basis,
-            stacked_dmd=_read_dmd("mono.stacked", sections),
-            params=_section_value(sections, "mono.params"),
-            block_map=block_map,
-            dt=float(meta["dt"]),
-            t0=float(meta["t0"]),
-        )
-    if tag == "part":
-        meta = _section_value(sections, "part.spec")
-        members = tuple(
-            _read_dmd(f"part.member{i}", sections)
-            for i in range(int(meta["n_members"]))
-        )
-        return PartitionedModel(
-            basis=basis,
-            members=members,
-            params=_section_value(sections, "part.params"),
-            dt=float(meta["dt"]),
-            t0=float(meta["t0"]),
-        )
-    raise DataError(f"unknown algorithm tag {tag!r}")
+def _read_part(sections: dict, basis: GlobalBasis) -> PartitionedModel:
+    meta = _section_value(sections, "part.spec")
+    members = tuple(
+        _read_dmd(f"part.member{i}", sections) for i in range(int(meta["n_members"]))
+    )
+    return PartitionedModel(
+        basis=basis,
+        members=members,
+        params=_section_value(sections, "part.params"),
+        dt=float(meta["dt"]),
+        t0=float(meta["t0"]),
+    )
+
+
+# Section layout of each algorithm, keyed by the tag its model class
+# carries: (model -> named sections, (sections, basis) -> model).
+_LAYOUTS = {
+    RoiModel.tag: (_roi_sections, _read_roi),
+    RkoiModel.tag: (_rkoi_sections, _read_rkoi),
+    MonolithicModel.tag: (_mono_sections, _read_mono),
+    PartitionedModel.tag: (_part_sections, _read_part),
+}
 
 
 def _write_prefixed(handle, data: bytes) -> None:
@@ -287,8 +293,11 @@ def _write_prefixed(handle, data: bytes) -> None:
 
 def save_model(model, path, metadata: dict | None = None) -> None:
     """Write a model (plus optional string/number metadata) to disk."""
-    tag = algorithm_tag(model)
-    sections = _pack_sections(_model_sections(model))
+    tag = getattr(model, "tag", None)
+    if tag not in _LAYOUTS:
+        raise DataError(f"cannot archive object of type {type(model).__name__}")
+    to_sections, _ = _LAYOUTS[tag]
+    sections = _pack_sections({**_basis_sections(model.basis), **to_sections(model)})
     sections["meta"] = _encode_json(dict(metadata or {}))
     with open(path, "wb") as handle:
         handle.write(MAGIC)
@@ -300,38 +309,56 @@ def save_model(model, path, metadata: dict | None = None) -> None:
             _write_prefixed(handle, sections[name])
 
 
-def _read_prefixed(handle, what: str) -> bytes:
-    raw = handle.read(4)
-    if len(raw) != 4:
-        raise DataError(f"truncated archive while reading {what}")
-    (length,) = struct.unpack("<I", raw)
-    data = handle.read(length)
-    if len(data) != length:
-        raise DataError(f"truncated archive while reading {what}")
-    return data
+class _Cursor:
+    """Sequential reads from the bytes of an archive file."""
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        self.offset = 0
+
+    def take(self, length: int, what: str) -> bytes:
+        if length > len(self.raw) - self.offset:
+            raise DataError(f"truncated archive while reading {what}")
+        self.offset += length
+        return self.raw[self.offset - length : self.offset]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def prefixed(self, what: str) -> bytes:
+        return self.take(self.u32(what), what)
 
 
 def load_model(path) -> ModelArchive:
-    """Read a model container; inverse of save_model."""
+    """Read a model container; inverse of save_model.  A file that is
+    not a well-formed archive is a DataError."""
     try:
-        handle = open(path, "rb")
+        with open(path, "rb") as handle:
+            cursor = _Cursor(handle.read())
     except OSError as exc:
         raise DataError(f"cannot read model from {path}: {exc}") from exc
-    with handle:
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise DataError(f"{path} is not a model archive")
-        (version,) = struct.unpack("<I", handle.read(4))
-        if version != VERSION:
-            raise DataError(f"unsupported archive version {version}")
-        tag = _read_prefixed(handle, "algorithm tag").decode("utf-8")
-        (count,) = struct.unpack("<I", handle.read(4))
+    if cursor.raw[: len(MAGIC)] != MAGIC:
+        raise DataError(f"{path} is not a model archive")
+    cursor.offset = len(MAGIC)
+    version = cursor.u32("version")
+    if version != VERSION:
+        raise DataError(f"unsupported archive version {version}")
+    try:
+        tag = cursor.prefixed("algorithm tag").decode("utf-8")
         sections = {}
-        for _ in range(count):
-            name = _read_prefixed(handle, "section name").decode("utf-8")
+        for _ in range(cursor.u32("section count")):
+            name = cursor.prefixed("section name").decode("utf-8")
             if name in sections:
                 raise DataError(f"duplicate archive section {name!r}")
-            sections[name] = _read_prefixed(handle, f"section {name!r}")
-        if handle.read(1):
+            sections[name] = cursor.prefixed(f"section {name!r}")
+        if cursor.offset != len(cursor.raw):
             raise DataError("trailing bytes after the last archive section")
-    metadata = _section_value(sections, "meta")
-    return ModelArchive(tag, _read_model(tag, sections), metadata)
+        if tag not in _LAYOUTS:
+            raise DataError(f"unknown algorithm tag {tag!r}")
+        _, from_sections = _LAYOUTS[tag]
+        model = from_sections(sections, _read_basis(sections))
+        metadata = _section_value(sections, "meta")
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        # undecodable UTF-8 or JSON, missing spec keys, mistyped values
+        raise DataError(f"malformed archive {path}: {exc!r}") from exc
+    return ModelArchive(tag, model, metadata)

@@ -11,16 +11,20 @@ and a tidy error-over-time series file.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import regression
-from .data import restrict_time, split_train_test
+from .algorithms import ALGORITHMS
+from .data import parse_key_values, restrict_time, split_train_test
 from .errors import DataError
-from .metrics import frobenius_rel_error, rmse, time_rel_error
-from .pipeline import ALGORITHMS, FitOptions, fit_surrogate, predict_surrogate
+from .metrics import (
+    frobenius_rel_error,
+    parameter_label,
+    rmse,
+    series_rows,
+    time_rel_error,
+    write_series,
+)
+from .pipeline import FitOptions, fit_surrogate, timed_query
 from .regression import RegressorSpec
 from .synth import FAMILIES, SynthSpec, generate
 
@@ -151,10 +155,7 @@ _SCENARIO_KEYS = {
     "test-idx",
     "train-window",
     "rank",
-    "rank.roi",
-    "rank.rkoi",
-    "rank.mono",
-    "rank.part",
+    *(f"rank.{algo}" for algo in ALGORITHMS),
     "op-rank",
     "regressor",
     "rbf-shape",
@@ -224,35 +225,14 @@ def _build_scenario(name: str, values: dict) -> Scenario:
 def parse_suite(text: str) -> BenchmarkSuite:
     """Read a suite description: ``[scenario <name>]`` sections holding
     key=value lines, ``#`` comments allowed."""
+    (_, loose), *sections = parse_key_values(text, "suite")
+    if loose:
+        raise DataError("suite: key=value before any [scenario] header")
     scenarios = []
-    current_name = None
-    current: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            header = line[1:-1].strip()
-            if not header.startswith("scenario "):
-                raise DataError(f"line {lineno}: expected [scenario <name>]")
-            if current_name is not None:
-                scenarios.append(_build_scenario(current_name, current))
-            current_name = header[len("scenario ") :].strip()
-            if not current_name:
-                raise DataError(f"line {lineno}: scenario needs a name")
-            current = {}
-            continue
-        if "=" not in line:
-            raise DataError(f"line {lineno}: expected key=value, got {raw!r}")
-        if current_name is None:
-            raise DataError(f"line {lineno}: key=value before any [scenario] header")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in current:
-            raise DataError(f"line {lineno}: duplicate key {key!r}")
-        current[key] = value
-    if current_name is not None:
-        scenarios.append(_build_scenario(current_name, current))
+    for header, values in sections:
+        if not header.startswith("scenario "):
+            raise DataError(f"suite: expected [scenario <name>], got [{header}]")
+        scenarios.append(_build_scenario(header[len("scenario ") :].strip(), values))
     return BenchmarkSuite(tuple(scenarios))
 
 
@@ -273,15 +253,15 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
     beyond = instants > window[1]
 
     rows = []
-    series = ["time,value,algorithm,parameter"]
+    series = []
     for algorithm in ALGORITHMS:
         options = FitOptions(
             algorithm=algorithm,
             rank=scenario.ranks[algorithm],
-            op_rank=scenario.op_rank if algorithm == "roi" else None,
+            op_rank=scenario.op_rank,
             regressor=scenario.regressor,
             seed=scenario.synth.seed,
-            bag_trials=scenario.bag_trials if algorithm == "rkoi" else 1,
+            bag_trials=scenario.bag_trials,
             bag_fraction=scenario.bag_fraction,
         )
         fitted = fit_surrogate(train_fit, options)
@@ -289,12 +269,7 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
         for idx in range(test_ds.n_params):
             truth = test_ds.trajectories[idx].state
             mu = test_ds.params[idx]
-            regression.reset_fit_count()
-            started = time.perf_counter()
-            pred = predict_surrogate(fitted.model, mu, instants, fitted.regressor)
-            online = time.perf_counter() - started
-            fits = regression.fit_count()
-            label = ";".join(f"{v:g}" for v in np.atleast_1d(mu))
+            pred, online, fits = timed_query(fitted.model, mu, instants, fitted.regressor)
             eps = time_rel_error(truth, pred)
             forecast = (
                 frobenius_rel_error(truth[:, beyond], pred[:, beyond])
@@ -303,7 +278,7 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
             )
             rows.append(
                 {
-                    "parameter": label,
+                    "parameter": parameter_label(mu),
                     "algorithm": algorithm,
                     "train_error": frobenius_rel_error(
                         truth[:, in_window], pred[:, in_window]
@@ -315,10 +290,10 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
                     "online_fits": fits,
                 }
             )
-            for t, value in zip(instants, eps):
-                series.append(f"{t:.17g},{value:.17g},{algorithm},{label}")
+            series.extend(series_rows(instants, eps, algorithm, mu))
 
-    rows.sort(key=lambda row: (row["parameter"], ALGORITHMS.index(row["algorithm"])))
+    order = list(ALGORITHMS)
+    rows.sort(key=lambda row: (row["parameter"], order.index(row["algorithm"])))
     table_path = os.path.join(out_dir, f"{scenario.name}_table.csv")
     series_path = os.path.join(out_dir, f"{scenario.name}_series.csv")
     with open(table_path, "w", encoding="utf-8") as handle:
@@ -334,8 +309,7 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
                 else:
                     cells.append(str(value))
             handle.write(",".join(cells) + "\n")
-    with open(series_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(series) + "\n")
+    write_series(series_path, series)
     return ScenarioResult(
         name=scenario.name,
         ok=True,

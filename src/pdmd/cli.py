@@ -3,7 +3,9 @@
 Subcommands: synth, fit, predict, eval, plotdata, bench.  Every flag
 has a config-file equivalent (plain ``key=value`` lines, ``#``
 comments); explicit flags override file values.  Exit codes: 0
-success, 2 usage, 3 data error, 4 numerical failure.
+success, 2 usage, 3 data error (including missing, unreadable or
+malformed input files and suite text), 4 numerical failure, 5 a
+benchmark scenario failed.
 """
 
 from __future__ import annotations
@@ -11,33 +13,34 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bench, regression
+from .algorithms import ALGORITHMS
 from .archive import load_model, save_model
 from .data import (
     ParametricDataset,
     SnapshotMatrix,
     TimeGrid,
+    parse_key_values,
     read_dataset,
+    read_text,
     restrict_time,
     write_dataset,
 )
 from .errors import DataError, NumericalError
-from .metrics import report_from_line, report_to_line
+from .metrics import report_from_line, report_to_line, series_rows, write_series
 from .pipeline import (
-    ALGORITHMS,
     FitOptions,
     evaluate_model,
     fit_surrogate,
-    predict_surrogate,
     spec_from_metadata,
     subset_params,
+    timed_query,
 )
-from .regression import RegressorSpec
+from .regression import EXTRAPOLATION_POLICIES, KINDS, RegressorSpec
 from .synth import FAMILIES, SynthSpec, generate, spec_to_json
 
 FAMILY_ALIASES = {
@@ -45,8 +48,7 @@ FAMILY_ALIASES = {
     "modes": "exp-modes",
     "oscillator": "lifted-oscillator",
 }
-REGRESSOR_KINDS = ("linear", "nearest", "rbf-gauss", "rbf-tps", "poly")
-EXTRAPOLATIONS = ("clamp", "allow", "error")
+EXIT_SCENARIO_FAILED = 5
 
 _THREAD_LIMIT_HANDLE = None
 
@@ -113,6 +115,8 @@ def _parse_family(text):
 
 
 def _parse_choice(choices, name):
+    choices = tuple(choices)
+
     def convert(text):
         if text not in choices:
             raise ValueError(f"{name} must be one of {choices}, got {text!r}")
@@ -172,15 +176,15 @@ SYNTH_OPTS = COMMON + [
 FIT_OPTS = COMMON + [
     Option("data", str, None, "training dataset path"),
     Option("algorithm", _parse_choice(ALGORITHMS, "algorithm"), None,
-           "surrogate algorithm (roi, rkoi, mono, part)"),
+           f"surrogate algorithm ({', '.join(ALGORITHMS)})"),
     _opt_uint("rank", 1, None, "latent rank (default: from --energy)"),
     _opt_float("energy", None, "energy fraction for automatic rank selection"),
     _opt_uint("op-rank", 1, None, "operator-space rank (roi only)"),
-    Option("regressor", _parse_choice(REGRESSOR_KINDS, "regressor"), None,
+    Option("regressor", _parse_choice(KINDS, "regressor"), None,
            "parameter-space regressor kind"),
     _opt_float("rbf-shape", None, "radial basis shape parameter"),
     _opt_uint("poly-degree", 1, 2, "polynomial regressor degree"),
-    Option("extrapolation", _parse_choice(EXTRAPOLATIONS, "extrapolation"),
+    Option("extrapolation", _parse_choice(EXTRAPOLATION_POLICIES, "extrapolation"),
            "clamp", "out-of-hull query policy"),
     Option("train-idx", _parse_int_list, None,
            "parameter indices used for training (default: all)"),
@@ -243,23 +247,12 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
 
 def _read_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in values:
-            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
+        sections = parse_key_values(read_text(path, "config file"), str(path))
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
+    if len(sections) > 1:
+        raise UsageError(f"{path}: a config file holds no [section] headers")
+    return sections[0][1]
 
 
 def _merge_config(args: argparse.Namespace, options) -> None:
@@ -420,12 +413,7 @@ def cmd_predict(args) -> int:
         )
     instants = _prediction_instants(args, archive.metadata)
     spec = spec_from_metadata(archive.metadata)
-
-    regression.reset_fit_count()
-    started = time.perf_counter()
-    states = predict_surrogate(archive.model, mu, instants, spec)
-    online = time.perf_counter() - started
-    fits = regression.fit_count()
+    states, online, fits = timed_query(archive.model, mu, instants, spec)
 
     grid = TimeGrid(instants)
     prediction = ParametricDataset(
@@ -486,26 +474,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    report_paths = args.report or []
-    lines = ["time,value,algorithm,parameter"]
-    for path in report_paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                report = report_from_line(raw)
-                times = report.extras.get(
-                    "times", list(range(len(report.time_errors)))
-                )
-                label = _format_parameter(report.parameter).replace(",", ";")
-                for t, value in zip(times, report.time_errors):
-                    lines.append(
-                        f"{t:.17g},{value:.17g},{report.algorithm},{label}"
-                    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(lines) - 1} rows)")
+    rows = []
+    for path in args.report or []:
+        for line in read_text(path, "report").splitlines():
+            if not line.strip():
+                continue
+            report = report_from_line(line)
+            times = report.extras.get("times", list(range(len(report.time_errors))))
+            rows.extend(
+                series_rows(times, report.time_errors, report.algorithm, report.parameter)
+            )
+    write_series(args.out, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
@@ -513,8 +493,7 @@ def cmd_bench(args) -> int:
     if args.suite is None:
         suite = bench.default_suite()
     else:
-        with open(args.suite, "r", encoding="utf-8") as handle:
-            suite = bench.parse_suite(handle.read())
+        suite = bench.parse_suite(read_text(args.suite, "suite file"))
     results = bench.run_suite(suite, args.out)
     failed = [r for r in results if not r.ok]
     for result in results:
@@ -524,7 +503,7 @@ def cmd_bench(args) -> int:
             print(f"  table:  {result.table_path}")
             print(f"  series: {result.series_path}")
     print(f"{len(results) - len(failed)}/{len(results)} scenarios succeeded")
-    return 1 if failed else 0
+    return EXIT_SCENARIO_FAILED if failed else 0
 
 
 COMMANDS = {

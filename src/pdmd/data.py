@@ -23,6 +23,7 @@ from .errors import DataError
 
 MAGIC = b"PDMD1\n"
 UNIFORM_REL_TOL = 1e-9
+LATTICE_REL_TOL = 1e-9
 
 
 def _finite_array(values, name, dtype=float):
@@ -65,6 +66,20 @@ class TimeGrid:
         if not self.is_uniform:
             raise DataError("time grid is not uniform; dt undefined")
         return float(np.diff(self.instants).mean())
+
+
+def lattice_steps(instants, t0: float, dt: float) -> np.ndarray:
+    """Integer steps k with instants = t0 + k dt, to 1e-9 relative
+    tolerance; instants off that lattice or before t0 are a DataError."""
+    instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    steps = (instants - t0) / dt
+    rounded = np.round(steps)
+    off = np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))
+    if np.any(off):
+        raise DataError(f"instant {instants[off][0]} is not on the lattice {t0} + k * {dt}")
+    if np.any(rounded < 0):
+        raise DataError(f"requested instants precede the initial instant {t0}")
+    return rounded.astype(int)
 
 
 @dataclass(frozen=True)
@@ -227,16 +242,47 @@ def _read_binary(path) -> ParametricDataset:
     return ParametricDataset(params, tuple(trajectories))
 
 
+def read_text(path, what: str) -> str:
+    """Contents of a UTF-8 text file; an unreadable file is a DataError
+    naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_key_values(text: str, source: str) -> list:
+    """``key=value`` lines grouped into sections opened by ``[header]``
+    lines: a list of (header, {key: value}) pairs whose first header is
+    None (the keys before any header).  ``#`` starts a comment; a
+    malformed line or a key repeated within a section is a DataError
+    naming ``source`` and the line number."""
+    sections = [(None, {})]
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            sections.append((line[1:-1].strip(), {}))
+            continue
+        if "=" not in line:
+            raise DataError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        values = sections[-1][1]
+        if key in values:
+            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
+        values[key] = value
+    return sections
+
+
 def _read_csv_table(path) -> tuple:
     """Parse one CSV trajectory file: time column first, state columns after.
 
     An initial non-numeric row is treated as a header and skipped.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except OSError as exc:
-        raise DataError(f"cannot read CSV file {path}: {exc}") from exc
+    lines = [line.strip() for line in read_text(path, "CSV file").splitlines()]
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -263,11 +309,7 @@ def _read_manifest(path) -> ParametricDataset:
     import os
 
     base = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    lines = read_text(path, "manifest").splitlines()
     params, tables = [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -329,33 +371,5 @@ def restrict_time(dataset: ParametricDataset, t_start: float, t_end: float) -> P
     grid = TimeGrid(instants[keep])
     trajectories = tuple(
         SnapshotMatrix(traj.state[:, keep], grid) for traj in dataset.trajectories
-    )
-    return ParametricDataset(dataset.params, trajectories)
-
-
-def rescale_unit(dataset: ParametricDataset) -> tuple:
-    """Map all state entries affinely onto [0, 1] with a single global
-    min/max; returns the rescaled dataset and ``(vmin, vmax)``."""
-    vmin = min(float(traj.state.min()) for traj in dataset.trajectories)
-    vmax = max(float(traj.state.max()) for traj in dataset.trajectories)
-    if vmax <= vmin:
-        raise DataError("constant dataset cannot be rescaled to [0, 1]")
-    span = vmax - vmin
-    trajectories = tuple(
-        SnapshotMatrix((traj.state - vmin) / span, traj.grid)
-        for traj in dataset.trajectories
-    )
-    return ParametricDataset(dataset.params, trajectories), (vmin, vmax)
-
-
-def invert_rescale(dataset: ParametricDataset, scale_info) -> ParametricDataset:
-    """Undo ``rescale_unit`` given its ``(vmin, vmax)`` scale info."""
-    vmin, vmax = float(scale_info[0]), float(scale_info[1])
-    if vmax <= vmin:
-        raise DataError(f"invalid scale info ({vmin}, {vmax})")
-    span = vmax - vmin
-    trajectories = tuple(
-        SnapshotMatrix(traj.state * span + vmin, traj.grid)
-        for traj in dataset.trajectories
     )
     return ParametricDataset(dataset.params, trajectories)

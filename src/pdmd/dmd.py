@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotMatrix, TimeGrid
+from .data import SnapshotMatrix, TimeGrid, lattice_steps
 from .errors import DataError, ImaginaryResidualWarning, NumericalError
 from .linalg import DEFAULT_PINV_CUTOFF, eig, truncated_svd
 
-EXACT_OPERATOR_MAX_DIM = 512
-LATTICE_REL_TOL = 1e-9
 IMAG_RESIDUAL_REL_TOL = 1e-6
 
 
@@ -110,29 +108,8 @@ def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:
     k >= 1; the lattice extends beyond the training window, so the same
     call handles reconstruction and forecasting.
     """
-    steps = (grid.instants - model.t0) / model.dt
-    rounded = np.round(steps)
-    if np.any(np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))):
-        worst = grid.instants[np.argmax(np.abs(steps - rounded))]
-        raise DataError(f"instant {worst} is not on the model lattice")
-    if np.any(rounded < 0):
-        raise DataError("grid starts before the model's initial instant")
-    powers = model.eigenvalues[None, :] ** rounded[:, None]
+    steps = lattice_steps(grid.instants, model.t0, model.dt)
+    powers = model.eigenvalues[None, :] ** steps[:, None]
     states = (model.modes * model.amplitudes) @ powers.T
     return SnapshotMatrix(_real_with_telemetry(states, "reconstruct"), grid)
 
-
-def exact_operator(x: SnapshotMatrix) -> np.ndarray:
-    """Full one-step operator ``after @ pinv(before)``.
-
-    Quadratic in the state dimension, so guarded to small problems; used
-    as an oracle against the reduced path.
-    """
-    if x.n_state > EXACT_OPERATOR_MAX_DIM:
-        raise DataError(
-            f"state dimension {x.n_state} exceeds the exact-operator guard "
-            f"({EXACT_OPERATOR_MAX_DIM})"
-        )
-    if x.n_instants < 3:
-        raise DataError("need at least three snapshots")
-    return x.state[:, 1:] @ np.linalg.pinv(x.state[:, :-1])

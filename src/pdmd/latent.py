@@ -14,21 +14,22 @@ triplet-interpolation strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import regression
-from .data import SnapshotMatrix
+from .data import SnapshotMatrix, lattice_steps
 from .dmd import DmdModel, advance, fit_dmd
 from .errors import DataError
 from .reduction import GlobalBasis, LatentDataset, lift
-
-LATTICE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class MonolithicModel:
     """One DMD over the vertically stacked latent trajectories."""
+
+    tag: ClassVar[str] = "mono"
 
     basis: GlobalBasis
     stacked_dmd: DmdModel
@@ -49,6 +50,8 @@ class MonolithicModel:
 @dataclass(frozen=True)
 class PartitionedModel:
     """One DMD per training parameter."""
+
+    tag: ClassVar[str] = "part"
 
     basis: GlobalBasis
     members: tuple
@@ -108,19 +111,6 @@ def fit_partitioned(latent: LatentDataset, member_rank: int | None = None) -> Pa
     )
 
 
-def _lattice_steps(times, t0: float, dt: float) -> np.ndarray:
-    steps = (np.atleast_1d(np.asarray(times, dtype=float)) - t0) / dt
-    rounded = np.round(steps)
-    off = np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))
-    if np.any(off):
-        raise DataError(
-            f"instant {np.atleast_1d(times)[off][0]} is not on the model lattice"
-        )
-    if np.any(rounded < 0):
-        raise DataError("requested instants precede the model's initial time")
-    return rounded.astype(int)
-
-
 def _latent_states_at(model, step: int) -> np.ndarray:
     """Per-parameter latent states at one lattice step (N_p x r)."""
     if isinstance(model, MonolithicModel):
@@ -139,7 +129,7 @@ def predict_latent(model, mu, times, spec: regression.RegressorSpec) -> np.ndarr
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
-    steps = _lattice_steps(times, model.t0, model.dt)
+    steps = lattice_steps(times, model.t0, model.dt)
     n_params = model.params.shape[0]
     effective = regression.effective_spec(spec, n_params)
     columns = []

@@ -68,11 +68,13 @@ def _fix_svd_signs(u, v):
     return u * signs, v * signs
 
 
-def truncated_svd(m, rank: int) -> TruncatedSvd:
+def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
     """Deterministic rank-``rank`` SVD of a real matrix.
 
     The returned factors are the Eckart-Young optimal rank-r approximation;
-    the discarded tail energy equals ``sqrt(sum(s[rank:] ** 2))``.
+    the discarded tail energy equals ``sqrt(sum(s[rank:] ** 2))``.  With
+    ``energy`` the rank kept is the smallest at most ``rank`` that
+    captures that fraction of the squared spectrum (``select_rank``).
     """
     m = _as_2d(m)
     if np.iscomplexobj(m):
@@ -84,6 +86,8 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if energy is not None:
+        rank = select_rank(s, energy, rank)
     u, v = _fix_svd_signs(u[:, :rank], vt[:rank].T)
     return TruncatedSvd(u, s[:rank].copy(), v)
 

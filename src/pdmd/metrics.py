@@ -1,9 +1,10 @@
-"""Evaluation metrics and phase timing.
+"""Evaluation metrics, phase timing and error-series rows.
 
 Errors are relative Frobenius norm over the whole window, per-instant
 relative column norms, and entrywise RMSE.  Timing uses a monotonic
 wall clock with named phases so offline training cost and online query
-cost can be reported separately.
+cost can be reported separately.  Per-instant errors are written as
+tidy ``time,value,algorithm,parameter`` rows.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algorithms import ALGORITHMS
 from .errors import DataError
 
-ALGORITHMS = ("roi", "rkoi", "mono", "part")
+SERIES_HEADER = "time,value,algorithm,parameter"
 
 
 def _check_shapes(truth, pred):
@@ -78,21 +80,9 @@ class PhaseTimer:
             with self._lock:
                 self._totals[label] = self._totals.get(label, 0.0) + elapsed
 
-    def timed(self, label: str, work, *args, **kwargs):
-        """Run ``work(*args, **kwargs)`` inside a phase; returns
-        (result, seconds for this call)."""
-        start = time.perf_counter()
-        with self.phase(label):
-            result = work(*args, **kwargs)
-        return result, time.perf_counter() - start
-
     def seconds(self, label: str) -> float:
         with self._lock:
             return self._totals.get(label, 0.0)
-
-    def labels(self) -> tuple:
-        with self._lock:
-            return tuple(sorted(self._totals))
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,9 @@ class EvalReport:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise DataError(f"unknown algorithm {self.algorithm!r}; use {ALGORITHMS}")
+            raise DataError(
+                f"unknown algorithm {self.algorithm!r}; use {tuple(ALGORITHMS)}"
+            )
         object.__setattr__(
             self, "parameter", np.atleast_1d(np.asarray(self.parameter, dtype=float))
         )
@@ -171,3 +163,21 @@ def report_from_line(line: str) -> EvalReport:
         online_seconds=float(payload["online_seconds"]),
         extras=extras,
     )
+
+
+def parameter_label(parameter) -> str:
+    """A parameter vector as one CSV cell: components joined by ';'."""
+    return ";".join(f"{v:g}" for v in np.atleast_1d(parameter))
+
+
+def series_rows(times, values, algorithm: str, parameter) -> list:
+    """The ``time,value,algorithm,parameter`` rows of one error series."""
+    label = parameter_label(parameter)
+    return [f"{t:.17g},{v:.17g},{algorithm},{label}" for t, v in zip(times, values)]
+
+
+def write_series(path, rows) -> None:
+    """Write series rows under the ``time,value,algorithm,parameter``
+    header."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join([SERIES_HEADER, *rows]) + "\n")

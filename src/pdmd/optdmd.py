@@ -15,7 +15,7 @@ data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -81,14 +81,18 @@ def canonical_omega_order(omegas):
     return np.lexsort((-omegas.imag, -omegas.real))
 
 
-def project_conjugate_closure(omegas):
+def project_conjugate_closure(omegas, modes=None, amplitudes=None):
     """Project omegas onto the nearest multiset closed under conjugation.
 
     Positive-imaginary entries are greedily matched with negative ones
     and each pair replaced by (m, conj(m)) around their mean; unmatched
     entries are forced real.  Keeps reconstructions of real data real.
+    Given the matching ``modes`` (columns) and ``amplitudes``, each pair
+    of those is averaged the same way and (omegas, modes, amplitudes) is
+    returned; otherwise the omegas alone.
     """
     om = np.asarray(omegas, dtype=complex).copy()
+    paired = [om] if modes is None else [om, modes.copy(), amplitudes.copy()]
     pos = [i for i in range(om.size) if om[i].imag > 0]
     neg = {i for i in range(om.size) if om[i].imag < 0}
     for i in pos:
@@ -97,12 +101,23 @@ def project_conjugate_closure(omegas):
             continue
         j = min(neg, key=lambda j: abs(om[i] - np.conj(om[j])))
         neg.discard(j)
-        mean = 0.5 * (om[i] + np.conj(om[j]))
-        om[i] = mean
-        om[j] = np.conj(mean)
+        for values in paired:
+            mean = 0.5 * (values[..., i] + np.conj(values[..., j]))
+            values[..., i], values[..., j] = mean, np.conj(mean)
     for j in neg:
         om[j] = om[j].real
-    return om
+    return om if modes is None else tuple(paired)
+
+
+def permute_triplets(model: OptDmdModel, perm) -> OptDmdModel:
+    """The same model with its triplets reordered: position j takes
+    triplet ``perm[j]``."""
+    return replace(
+        model,
+        omegas=model.omegas[perm],
+        modes=model.modes[:, perm],
+        amplitudes=model.amplitudes[perm],
+    )
 
 
 def _exponential_basis(tau, omegas):
@@ -371,18 +386,7 @@ def fit_bopdmd(
         rows, cols = linear_sum_assignment(cost)
         perm = np.empty(rank, dtype=int)
         perm[cols] = rows
-        aligned.append(
-            OptDmdModel(
-                rank=member.rank,
-                omegas=member.omegas[perm],
-                modes=member.modes[:, perm],
-                amplitudes=member.amplitudes[perm],
-                t0=member.t0,
-                objective=member.objective,
-                converged=member.converged,
-                n_iters=member.n_iters,
-            )
-        )
+        aligned.append(permute_triplets(member, perm))
     return BaggedOptDmd(tuple(aligned), subset_fraction, trials)
 
 
@@ -416,11 +420,3 @@ def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
         n_iters=max(member.n_iters for member in ensemble.members),
     )
 
-
-def ensemble_predict(ensemble: BaggedOptDmd, t) -> np.ndarray:
-    """Arithmetic mean of the member predictions at time ``t``."""
-    total = None
-    for member in ensemble.members:
-        pred = predict_optdmd(member, t)
-        total = pred if total is None else total + pred
-    return total / len(ensemble.members)

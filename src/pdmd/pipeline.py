@@ -12,24 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regression
-from .data import ParametricDataset, TimeGrid
+from .algorithms import ALGORITHMS
+from .data import ParametricDataset
 from .errors import DataError
-from .latent import (
-    MonolithicModel,
-    PartitionedModel,
-    fit_monolithic,
-    fit_partitioned,
-    predict_latent,
-)
-from .linalg import select_rank
 from .metrics import EvalReport, PhaseTimer, frobenius_rel_error, rmse, time_rel_error
-from .reduction import fit_global_basis, project, stack_snapshots
+from .reduction import DEFAULT_ENERGY, fit_global_basis, project
 from .regression import RegressorSpec
-from .rkoi import RkoiModel, fit_rkoi, predict_rkoi
-from .roi import RoiModel, fit_roi, predict_roi
-
-ALGORITHMS = ("roi", "rkoi", "mono", "part")
-DEFAULT_ENERGY = 0.9999
 
 
 @dataclass(frozen=True)
@@ -51,7 +39,7 @@ class FitOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(
-                f"unknown algorithm {self.algorithm!r}; use one of {ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}; use one of {tuple(ALGORITHMS)}"
             )
         if self.rank is not None and self.rank < 1:
             raise DataError(f"rank must be >= 1, got {self.rank}")
@@ -86,57 +74,29 @@ def subset_params(dataset: ParametricDataset, indices) -> ParametricDataset:
     )
 
 
-def resolve_rank(dataset: ParametricDataset, options: FitOptions) -> int:
-    """Explicit rank wins; otherwise the smallest rank capturing the
-    requested (or default) energy fraction of the stacked snapshots."""
-    stacked = stack_snapshots(dataset)
-    max_rank = min(stacked.shape)
-    if options.rank is not None:
-        if options.rank > max_rank:
-            raise DataError(
-                f"rank {options.rank} exceeds the data limit {max_rank}"
-            )
-        return options.rank
-    singular_values = np.linalg.svd(stacked, compute_uv=False)
-    energy = DEFAULT_ENERGY if options.energy is None else options.energy
-    return select_rank(singular_values, energy, max_rank)
-
-
 def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurrogate:
-    """Run the full offline pipeline: basis, projection, algorithm fit."""
+    """Run the full offline pipeline: basis, projection, algorithm fit.
+
+    An explicit rank wins; otherwise the basis keeps the smallest rank
+    capturing the requested (or default) energy fraction of the stacked
+    snapshots."""
     spec = options.regressor
     if spec is None:
         spec = regression.default_spec(dataset.param_dim)
     timer = PhaseTimer()
     with timer.phase("basis"):
-        rank = resolve_rank(dataset, options)
         basis = fit_global_basis(
             dataset,
-            rank,
+            options.rank,
             randomized=options.randomized,
             seed=options.seed,
             oversample=options.oversample,
             power_iters=options.power_iters,
+            energy=DEFAULT_ENERGY if options.energy is None else options.energy,
         )
         latent = project(dataset, basis)
     with timer.phase("train"):
-        if options.algorithm == "roi":
-            op_rank = options.op_rank
-            if op_rank is None:
-                op_rank = min(rank * rank, dataset.n_params)
-            model = fit_roi(latent, op_rank=op_rank, spec=spec)
-        elif options.algorithm == "rkoi":
-            model = fit_rkoi(
-                latent,
-                spec=spec,
-                bag_trials=options.bag_trials,
-                bag_fraction=options.bag_fraction,
-                bag_seed=options.seed,
-            )
-        elif options.algorithm == "mono":
-            model = fit_monolithic(latent)
-        else:
-            model = fit_partitioned(latent)
+        model = ALGORITHMS[options.algorithm].fit(latent, options, spec)
 
     train_errors = np.array(
         [
@@ -151,7 +111,7 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     )
     metadata = {
         "algorithm": options.algorithm,
-        "rank": rank,
+        "rank": basis.rank,
         "dt": float(dataset.grid.dt) if dataset.grid.is_uniform else 0.0,
         "t0": float(dataset.grid.t0),
         "n_t": len(dataset.grid),
@@ -181,15 +141,20 @@ def spec_from_metadata(metadata: dict) -> RegressorSpec:
 
 
 def predict_surrogate(model, mu, instants, spec: RegressorSpec) -> np.ndarray:
-    """Dispatch a query to the right algorithm; always an N_h x N_t array."""
+    """Dispatch a query to the model's algorithm; always an N_h x N_t array."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
-    if isinstance(model, RoiModel):
-        return predict_roi(model, mu, TimeGrid(instants))
-    if isinstance(model, RkoiModel):
-        return predict_rkoi(model, mu, instants)
-    if isinstance(model, (MonolithicModel, PartitionedModel)):
-        return predict_latent(model, mu, instants, spec)
-    raise DataError(f"cannot predict with object of type {type(model).__name__}")
+    algorithm = ALGORITHMS.get(getattr(model, "tag", None))
+    if algorithm is None:
+        raise DataError(f"cannot predict with object of type {type(model).__name__}")
+    return algorithm.predict(model, mu, instants, spec)
+
+
+def timed_query(model, mu, instants, spec: RegressorSpec) -> tuple:
+    """One query: (states, wall seconds, regressor fits it ran)."""
+    regression.reset_fit_count()
+    started = time.perf_counter()
+    states = predict_surrogate(model, mu, instants, spec)
+    return states, time.perf_counter() - started, regression.fit_count()
 
 
 def evaluate_model(
@@ -210,12 +175,9 @@ def evaluate_model(
                 f"test index {i} outside the dataset range [0, {dataset.n_params})"
             )
         truth = dataset.trajectories[i].state
-        started = time.perf_counter()
-        regression.reset_fit_count()
-        pred = predict_surrogate(
+        pred, online, fits = timed_query(
             model, dataset.params[i], dataset.grid.instants, spec
         )
-        online = time.perf_counter() - started
         reports.append(
             EvalReport(
                 algorithm=algorithm,
@@ -228,7 +190,7 @@ def evaluate_model(
                 online_seconds=online,
                 extras={
                     "times": [float(t) for t in dataset.grid.instants],
-                    "online_fits": regression.fit_count(),
+                    "online_fits": fits,
                 },
             )
         )

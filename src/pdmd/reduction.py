@@ -18,10 +18,12 @@ from .linalg import (
     DEFAULT_OVERSAMPLE,
     DEFAULT_POWER_ITERS,
     randomized_svd,
+    select_rank,
     truncated_svd,
 )
 
 ORTHONORMALITY_TOL = 1e-10
+DEFAULT_ENERGY = 0.9999
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,12 @@ class GlobalBasis:
     """Orthonormal spatial modes shared by all parameters.
 
     ``energy_captured`` is the cumulative squared-singular-value ratio
-    at the truncation rank.  ``mean`` holds the subtracted column mean
-    when centering was requested, else None.
+    at the truncation rank.
     """
 
     modes_u: np.ndarray
     singular_values: np.ndarray
     energy_captured: float
-    mean: np.ndarray | None = None
 
     def __post_init__(self):
         gram = self.modes_u.T @ self.modes_u
@@ -94,39 +94,42 @@ def stack_snapshots(dataset: ParametricDataset) -> np.ndarray:
 
 def fit_global_basis(
     dataset: ParametricDataset,
-    rank: int,
+    rank: int | None,
     randomized: bool = False,
     seed: int = 0,
     oversample: int = DEFAULT_OVERSAMPLE,
     power_iters: int = DEFAULT_POWER_ITERS,
-    center: bool = False,
+    energy: float = DEFAULT_ENERGY,
 ) -> GlobalBasis:
     """Truncated SVD of the stacked snapshots.
 
-    The deterministic path is exact; the randomized path trades a small
-    spectral error for speed on wide stacks and is reproducible for a
-    fixed seed.  ``center`` subtracts the global column mean first
-    (default off: the leading mode then captures the mean field).
+    An explicit ``rank`` wins; with ``rank`` None the basis keeps the
+    smallest rank capturing ``energy`` of the squared spectrum.  The
+    deterministic path is exact and reads that spectrum off the one thin
+    SVD it truncates; the randomized path trades a small spectral error
+    for speed on wide stacks, is reproducible for a fixed seed, and takes
+    the spectrum from a values-only SVD first.
     """
     stacked = stack_snapshots(dataset)
-    mean = None
-    if center:
-        mean = stacked.mean(axis=1, keepdims=True)
-        stacked = stacked - mean
     max_rank = min(stacked.shape)
-    if not 1 <= rank <= max_rank:
-        raise DataError(f"rank {rank} out of range [1, {max_rank}]")
+    if rank is not None and rank > max_rank:
+        raise DataError(f"rank {rank} exceeds the data limit {max_rank}")
     if randomized:
+        if rank is None:
+            spectrum = np.linalg.svd(stacked, compute_uv=False)
+            rank = select_rank(spectrum, energy, max_rank)
         svd = randomized_svd(
             stacked, rank, oversample=oversample, power_iters=power_iters, seed=seed
         )
+    elif rank is None:
+        svd = truncated_svd(stacked, max_rank, energy=energy)
     else:
         svd = truncated_svd(stacked, rank)
     total = float(np.linalg.norm(stacked) ** 2)
     if total == 0:
         raise DataError("cannot build a basis from all-zero snapshots")
-    energy = min(float(np.sum(svd.singular_values**2) / total), 1.0)
-    return GlobalBasis(svd.modes_u, svd.singular_values, energy, mean)
+    energy_captured = min(float(np.sum(svd.singular_values**2) / total), 1.0)
+    return GlobalBasis(svd.modes_u, svd.singular_values, energy_captured)
 
 
 def project(dataset: ParametricDataset, basis: GlobalBasis) -> LatentDataset:
@@ -136,22 +139,16 @@ def project(dataset: ParametricDataset, basis: GlobalBasis) -> LatentDataset:
             f"basis rows ({basis.n_state}) do not match state "
             f"dimension ({dataset.n_state})"
         )
-    mean = basis.mean if basis.mean is not None else 0.0
-    latents = tuple(
-        basis.modes_u.T @ (traj.state - mean) for traj in dataset.trajectories
-    )
+    latents = tuple(basis.modes_u.T @ traj.state for traj in dataset.trajectories)
     return LatentDataset(basis, dataset.params, latents, dataset.grid)
 
 
 def lift(latent: np.ndarray, basis: GlobalBasis) -> np.ndarray:
-    """Back to state space: modes times latent (plus the mean if centered)."""
+    """Back to state space: modes times latent."""
     latent = np.asarray(latent)
     if latent.ndim != 2 or latent.shape[0] != basis.rank:
         raise DataError(
             f"latent rows ({latent.shape[0] if latent.ndim == 2 else latent.ndim}) "
             f"do not match basis rank ({basis.rank})"
         )
-    lifted = basis.modes_u @ latent
-    if basis.mean is not None:
-        lifted = lifted + basis.mean
-    return lifted
+    return basis.modes_u @ latent

@@ -13,7 +13,8 @@ requested time.  Continuous in time and free of online training.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .optdmd import (
     condense_ensemble,
     fit_bopdmd,
     fit_optdmd,
+    permute_triplets,
+    project_conjugate_closure,
 )
 from .reduction import GlobalBasis, LatentDataset, lift
 
@@ -37,6 +40,8 @@ class RkoiModel:
     ``notes`` carries fit telemetry (non-converged members, ambiguous
     alignments) that callers may want to surface.
     """
+
+    tag: ClassVar[str] = "rkoi"
 
     basis: GlobalBasis
     mode_regressor: regression.FittedRegressor
@@ -70,19 +75,6 @@ def _greedy_align(reference: np.ndarray, candidate: np.ndarray) -> tuple:
     return perm, matched
 
 
-def _permute(member: OptDmdModel, perm: np.ndarray) -> OptDmdModel:
-    return OptDmdModel(
-        rank=member.rank,
-        omegas=member.omegas[perm],
-        modes=member.modes[:, perm],
-        amplitudes=member.amplitudes[perm],
-        t0=member.t0,
-        objective=member.objective,
-        converged=member.converged,
-        n_iters=member.n_iters,
-    )
-
-
 def _rephase(member: OptDmdModel, lead_rows: np.ndarray) -> OptDmdModel:
     """Rotate each mode so the shared reference row is real positive,
     compensating the amplitude; keeps channels comparable across
@@ -97,41 +89,7 @@ def _rephase(member: OptDmdModel, lead_rows: np.ndarray) -> OptDmdModel:
         phase = pivot / abs(pivot)
         modes[:, j] /= phase
         amps[j] *= phase
-    return OptDmdModel(
-        rank=member.rank,
-        omegas=member.omegas,
-        modes=modes,
-        amplitudes=amps,
-        t0=member.t0,
-        objective=member.objective,
-        converged=member.converged,
-        n_iters=member.n_iters,
-    )
-
-
-def _symmetrize_triplets(omegas, modes, amps):
-    """Average detected conjugate pairs so the triplet set is exactly
-    closed under conjugation; unmatched frequencies are forced real."""
-    omegas = omegas.copy()
-    modes = modes.copy()
-    amps = amps.copy()
-    pos = [j for j in range(omegas.size) if omegas[j].imag > 0]
-    neg = {j for j in range(omegas.size) if omegas[j].imag < 0}
-    for i in pos:
-        if not neg:
-            omegas[i] = omegas[i].real
-            continue
-        j = min(neg, key=lambda j: abs(omegas[i] - np.conj(omegas[j])))
-        neg.discard(j)
-        omega = 0.5 * (omegas[i] + np.conj(omegas[j]))
-        omegas[i], omegas[j] = omega, np.conj(omega)
-        mode = 0.5 * (modes[:, i] + np.conj(modes[:, j]))
-        modes[:, i], modes[:, j] = mode, np.conj(mode)
-        amp = 0.5 * (amps[i] + np.conj(amps[j]))
-        amps[i], amps[j] = amp, np.conj(amp)
-    for j in neg:
-        omegas[j] = omegas[j].real
-    return omegas, modes, amps
+    return replace(member, modes=modes, amplitudes=amps)
 
 
 def fit_rkoi(
@@ -192,7 +150,7 @@ def fit_rkoi(
             )
             notes.append(note)
             warnings.warn(note, ConvergenceWarning, stacklevel=2)
-        aligned.append(_permute(members[i], perm))
+        aligned.append(permute_triplets(members[i], perm))
     lead_rows = np.argmax(np.abs(aligned[0].modes), axis=0)
     aligned = [_rephase(member, lead_rows) for member in aligned]
 
@@ -219,7 +177,7 @@ def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
         (rank, rank), order="F"
     )
     amps = regression.predict(model.amp_regressor, mu)
-    omegas, modes, amps = _symmetrize_triplets(omegas, modes, amps)
+    omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
 
     scalar = np.isscalar(times) or np.ndim(times) == 0
     times = np.atleast_1d(np.asarray(times, dtype=float))

@@ -13,17 +13,16 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import regression
-from .data import TimeGrid
-from .dmd import _real_with_telemetry, fit_dmd, reconstruct
+from .data import TimeGrid, lattice_steps
+from .dmd import fit_dmd, reconstruct
 from .errors import DataError
-from .linalg import eig, truncated_svd
+from .linalg import truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
-
-LATTICE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,8 @@ class RoiModel:
     each training parameter's latent DMD reconstruction error so
     downstream error bounds can be checked against fit quality.
     """
+
+    tag: ClassVar[str] = "roi"
 
     basis: GlobalBasis
     op_modes: np.ndarray
@@ -113,50 +114,17 @@ def synthesize_operator(model: RoiModel, mu) -> np.ndarray:
     return fold_operator(model.op_modes @ coeffs)
 
 
-def _lattice_steps(instants, t0: float, dt: float) -> np.ndarray:
-    steps = (np.asarray(instants, dtype=float) - t0) / dt
-    rounded = np.round(steps)
-    off = np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))
-    if np.any(off):
-        raise DataError(
-            f"instant {np.asarray(instants)[off][0]} is not on the model lattice"
-        )
-    if np.any(rounded < 0):
-        raise DataError("requested instants precede the model's initial time")
-    return rounded.astype(int)
-
-
-def predict_roi(
-    model: RoiModel,
-    mu,
-    grid: TimeGrid,
-    spectral: bool = False,
-) -> np.ndarray:
-    """Predicted state trajectory at mu over the given lattice instants.
-
-    Default stepping is repeated multiplication of the synthesized
-    operator; ``spectral`` switches to eigendecomposition powers, which
-    is cheaper for long horizons but assumes a diagonalizable operator.
-    """
-    steps = _lattice_steps(grid.instants, model.t0, model.dt)
+def predict_roi(model: RoiModel, mu, grid: TimeGrid) -> np.ndarray:
+    """Predicted state trajectory at mu over the given lattice instants,
+    stepped by repeated multiplication with the synthesized operator."""
+    steps = lattice_steps(grid.instants, model.t0, model.dt)
     operator = synthesize_operator(model, mu)
-    v0 = regression.predict(model.init_regressor, mu)
-    rank = v0.shape[0]
-
-    if spectral:
-        decomp = eig(operator)
-        weights = np.linalg.solve(decomp.eigenvectors, v0.astype(complex))
-        powers = decomp.eigenvalues[None, :] ** steps[:, None]
-        latent = _real_with_telemetry(
-            (decomp.eigenvectors * weights) @ powers.T, "predict_roi"
-        )
-    else:
-        latent = np.empty((rank, steps.size))
-        state = v0
-        current = 0
-        for position in np.argsort(steps):
-            while current < steps[position]:
-                state = operator @ state
-                current += 1
-            latent[:, position] = state
+    state = regression.predict(model.init_regressor, mu)
+    latent = np.empty((state.shape[0], steps.size))
+    current = 0
+    for position in np.argsort(steps):
+        while current < steps[position]:
+            state = operator @ state
+            current += 1
+        latent[:, position] = state
     return lift(latent, model.basis)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .data import ParametricDataset, SnapshotMatrix, TimeGrid
+from .data import ParametricDataset, SnapshotMatrix, TimeGrid, lattice_steps
 from .errors import DataError
 
 FAMILIES = ("linear-operator", "exp-modes", "lifted-oscillator")
-LATTICE_REL_TOL = 1e-9
 STABILITY_GRID = 201
 
 
@@ -101,10 +100,7 @@ class OracleHandle:
         mu = float(np.atleast_1d(np.asarray(mu, dtype=float))[0])
         tau = float(t) - self.t0
         if self.family == "linear-operator":
-            steps = tau / self.dt
-            k = int(round(steps))
-            if k < 0 or abs(steps - k) > LATTICE_REL_TOL * max(1.0, abs(k)):
-                raise DataError(f"instant {t} is off the discrete lattice")
+            k = int(lattice_steps(t, self.t0, self.dt)[0])
             op = self.op_base + mu * self.op_slope
             return np.linalg.matrix_power(op, k) @ self.init_state
         if self.family == "exp-modes":

@@ -1,17 +1,23 @@
 """Tests for the binary model container."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pdmd.algorithms import ALGORITHMS
 from pdmd.archive import MAGIC, ModelArchive, load_model, save_model
-from pdmd.data import TimeGrid
+from pdmd.dmd import DmdModel
 from pdmd.errors import DataError
-from pdmd.latent import fit_monolithic, fit_partitioned, predict_latent
-from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
-from pdmd.regression import RegressorSpec
-from pdmd.rkoi import fit_rkoi, predict_rkoi
-from pdmd.roi import fit_roi, predict_roi
+from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
+from pdmd.pipeline import FitOptions
+from pdmd.reduction import GlobalBasis, fit_global_basis, project
+from pdmd.regression import FittedRegressor, RegressorSpec
+from pdmd.rkoi import RkoiModel
+from pdmd.roi import RoiModel, fit_roi
 from pdmd.synth import SynthSpec, generate
 
 
@@ -30,69 +36,166 @@ def make_latent(seed=0, n_params=4, rank=3):
     return dataset, project(dataset, basis)
 
 
-def identity_basis(rank):
-    return GlobalBasis(np.eye(rank), np.ones(rank), 1.0)
+def fixed_regressor(table):
+    table = np.asarray(table, dtype=float)
+    return FittedRegressor(
+        RegressorSpec("linear"),
+        np.array([[0.25], [0.75]]),
+        {"xs": np.array([0.25, 0.75]), "table": table},
+        table.shape[1],
+        False,
+    )
+
+
+def fixed_complex_regressor(table):
+    table = np.asarray(table)
+    return FittedRegressor(
+        RegressorSpec("nearest", extrapolation="allow"),
+        np.array([[0.25], [0.75]]),
+        {"table": np.hstack([table.real, table.imag])},
+        table.shape[1],
+        True,
+    )
+
+
+def fixed_dmd(scale):
+    return DmdModel(
+        rank=2,
+        reduced_op=scale * np.array([[0.5, -0.25], [0.25, 0.5]]),
+        eigenvalues=scale * np.array([0.5 + 0.25j, 0.5 - 0.25j]),
+        modes=np.array([[1.0, 1.0], [0.5j, -0.5j]]),
+        amplitudes=np.array([0.5 - 0.5j, 0.5 + 0.5j]),
+        dt=0.5,
+        t0=1.0,
+        proj_basis=np.eye(2),
+        reduced_eigvecs=np.array([[1.0, 1.0], [1j, -1j]]),
+    )
+
+
+def fixed_models():
+    """One model of each kind built from fixed arrays: no fitting, so no
+    LAPACK result reaches the archive bytes."""
+    basis = GlobalBasis(
+        np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]), np.array([3.0, 0.5]), 0.875
+    )
+    params = np.array([[0.25], [0.75]])
+    stacked = DmdModel(
+        rank=2,
+        reduced_op=np.array([[0.5, 0.0], [0.0, 0.25]]),
+        eigenvalues=np.array([0.5 + 0j, 0.25 + 0j]),
+        modes=np.arange(8.0).reshape(4, 2) + 0j,
+        amplitudes=np.array([1.0 + 0j, -1.0 + 0j]),
+        dt=0.5,
+        t0=1.0,
+        proj_basis=np.eye(4)[:, :2],
+        reduced_eigvecs=np.eye(2) + 0j,
+    )
+    return {
+        "roi": RoiModel(
+            basis=basis,
+            op_modes=np.arange(8.0).reshape(4, 2) / 8,
+            op_rank=2,
+            coeff_regressor=fixed_regressor([[1.0, 0.5], [0.75, 0.25]]),
+            init_regressor=fixed_regressor([[1.0, 0.0], [0.5, 0.5]]),
+            dt=0.5,
+            t0=1.0,
+            train_residuals=np.array([1e-3, 2e-3]),
+        ),
+        "rkoi": RkoiModel(
+            basis=basis,
+            mode_regressor=fixed_complex_regressor(
+                [[1, 0.5j, 0.25, -1j], [1, 0.25j, 0.5, -0.5j]]
+            ),
+            omega_regressor=fixed_complex_regressor(
+                [[-0.1 + 1j, -0.1 - 1j], [-0.2 + 2j, -0.2 - 2j]]
+            ),
+            amp_regressor=fixed_complex_regressor([[1 + 1j, 1 - 1j], [0.5j, -0.5j]]),
+            t0=1.0,
+            notes=("parameter 1: fixed note",),
+        ),
+        "mono": MonolithicModel(
+            basis=basis,
+            stacked_dmd=stacked,
+            params=params,
+            block_map=((0, 2), (2, 4)),
+            dt=0.5,
+            t0=1.0,
+        ),
+        "part": PartitionedModel(
+            basis=basis,
+            members=(fixed_dmd(1.0), fixed_dmd(0.5)),
+            params=params,
+            dt=0.5,
+            t0=1.0,
+        ),
+    }
+
+
+FIXED_METADATA = {"offline_seconds": 0.25, "rank": 2}
+
+# SHA-256 of save_model(fixed_models()[tag], path, FIXED_METADATA), taken
+# before the per-algorithm dispatch moved into the algorithm table.
+GOLDEN_SHA256 = {
+    "roi": "172019a6066ba60b4bb0300c91d59e93d49cbad30632113384cccc65a5365bc5",
+    "rkoi": "c1181850852089623aac1cbebd7b8cdbda2cae1900dbbcc8aa928628ba915246",
+    "mono": "c0f154941894dab89085b59f1b02397ad1f1debafdaf23dfd4fbfc4820155b39",
+    "part": "2ccf4babd01c85c962f9a84db4d6215d005d9ff572f75c7860d3776d57c64658",
+}
+
+
+@pytest.fixture(scope="module")
+def fixed_archives(tmp_path_factory):
+    """Archive bytes of each fixed model, keyed by tag."""
+    folder = tmp_path_factory.mktemp("fixed")
+    archives = {}
+    for tag, model in fixed_models().items():
+        path = folder / f"{tag}.pdmdm"
+        save_model(model, path, metadata=FIXED_METADATA)
+        archives[tag] = path.read_bytes()
+    return archives
+
+
+class TestFormat:
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_bytes_match_golden_hash(self, tag, fixed_archives):
+        assert hashlib.sha256(fixed_archives[tag]).hexdigest() == GOLDEN_SHA256[tag]
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_resaving_a_loaded_archive_reproduces_it(self, tag, fixed_archives, tmp_path):
+        path = tmp_path / "model.pdmdm"
+        path.write_bytes(fixed_archives[tag])
+        loaded = load_model(path)
+        assert loaded.algorithm == tag
+        again = tmp_path / "again.pdmdm"
+        save_model(loaded.model, again, metadata=loaded.metadata)
+        assert again.read_bytes() == fixed_archives[tag]
+
+    def test_centered_basis_rejected(self, fixed_archives, tmp_path):
+        raw = fixed_archives["roi"]
+        flag = b'"centered": false'
+        assert raw.count(flag) == 1
+        path = tmp_path / "centered.pdmdm"
+        path.write_bytes(raw.replace(flag, b'"centered":  true'))
+        with pytest.raises(DataError, match="centered"):
+            load_model(path)
 
 
 class TestRoundTrips:
-    def test_roi_predictions_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_predictions_bit_identical(self, tag, tmp_path):
         dataset, latent = make_latent(seed=1)
-        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        spec = RegressorSpec("linear")
+        algorithm = ALGORITHMS[tag]
+        model = algorithm.fit(latent, FitOptions(tag), spec)
         path = tmp_path / "model.pdmdm"
         save_model(model, path, metadata={"offline_seconds": 0.5})
         loaded = load_model(path)
-        assert loaded.algorithm == "roi"
+        assert loaded.algorithm == tag
         assert loaded.metadata == {"offline_seconds": 0.5}
-        mu = [0.45]
-        direct = predict_roi(model, mu, dataset.grid)
-        reloaded = predict_roi(loaded.model, mu, dataset.grid)
-        assert np.array_equal(direct, reloaded)
-
-    def test_rkoi_predictions_bit_identical(self, tmp_path):
-        grid = TimeGrid(0.2 * np.arange(50))
-        latents = tuple(
-            np.exp(-mu * grid.instants)[None, :] for mu in (0.1, 0.2, 0.3)
-        )
-        latent = LatentDataset(
-            identity_basis(1), np.array([[0.1], [0.2], [0.3]]), latents, grid
-        )
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        path = tmp_path / "model.pdmdm"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.algorithm == "rkoi"
-        times = np.linspace(0.0, 12.0, 31)
+        mu, instants = [0.45], dataset.grid.instants[:7]
         assert np.array_equal(
-            predict_rkoi(model, [0.25], times),
-            predict_rkoi(loaded.model, [0.25], times),
-        )
-
-    def test_mono_predictions_bit_identical(self, tmp_path):
-        _, latent = make_latent(seed=2, n_params=3)
-        model = fit_monolithic(latent)
-        path = tmp_path / "model.pdmdm"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.algorithm == "mono"
-        spec = RegressorSpec("linear")
-        times = latent.grid.instants[:7]
-        assert np.array_equal(
-            predict_latent(model, [0.5], times, spec),
-            predict_latent(loaded.model, [0.5], times, spec),
-        )
-
-    def test_part_predictions_bit_identical(self, tmp_path):
-        _, latent = make_latent(seed=3, n_params=3)
-        model = fit_partitioned(latent)
-        path = tmp_path / "model.pdmdm"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.algorithm == "part"
-        spec = RegressorSpec("linear")
-        times = latent.grid.instants[:7]
-        assert np.array_equal(
-            predict_latent(model, [0.5], times, spec),
-            predict_latent(loaded.model, [0.5], times, spec),
+            algorithm.predict(model, mu, instants, spec),
+            algorithm.predict(loaded.model, mu, instants, spec),
         )
 
     def test_saved_file_is_deterministic(self, tmp_path):
@@ -151,3 +254,42 @@ class TestValidation:
     def test_unarchivable_object_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot archive"):
             save_model(object(), tmp_path / "nope.pdmdm")
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_every_truncation_rejected(self, tag, fixed_archives, tmp_path):
+        raw = fixed_archives[tag]
+        path = tmp_path / "cut.pdmdm"
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(DataError):
+                load_model(path)
+
+    def test_altered_array_shape_rejected(self, fixed_archives, tmp_path):
+        raw = bytearray(fixed_archives["roi"])
+        # basis.modes_u is the first array: kind, dtype code, ndim, dims
+        start = raw.index(b"A\x00\x02\x03\x00\x00\x00\x02\x00\x00\x00")
+        raw[start + 3] = 4
+        path = tmp_path / "reshaped.pdmdm"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="does not match shape"):
+            load_model(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tag=st.sampled_from(list(ALGORITHMS)),
+        flips=st.lists(st.integers(min_value=0), min_size=1, max_size=8),
+    )
+    def test_flipped_bits_load_or_raise_data_error(
+        self, fixed_archives, tmp_path_factory, tag, flips
+    ):
+        raw = bytearray(fixed_archives[tag])
+        for bit in flips:
+            bit %= 8 * len(raw)
+            raw[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path_factory.mktemp("flipped") / "model.pdmdm"
+        path.write_bytes(bytes(raw))
+        try:
+            archive = load_model(path)
+        except DataError:
+            return
+        assert isinstance(archive, ModelArchive)

@@ -94,6 +94,20 @@ class TestExitCodes:
         assert run_cli("predict", "--model", str(tmp_path / "absent.pdmdm"),
                        "--mu", "0.5") == 3
 
+    def test_truncated_model_file_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "cut.pdmdm"
+        model.write_bytes(b"PDMDMODEL1\n\x01\x00")  # 13 bytes: half a version
+        assert run_cli("predict", "--model", str(model), "--mu", "0.5") == 3
+        assert "truncated" in capsys.readouterr().err
+
+    def test_missing_report_file_is_data_error(self, tmp_path):
+        assert run_cli("plotdata", "--report", str(tmp_path / "absent.jsonl"),
+                       "--out", str(tmp_path / "plot.csv")) == 3
+
+    def test_missing_suite_file_is_data_error(self, tmp_path):
+        assert run_cli("bench", "--suite", str(tmp_path / "absent.cfg"),
+                       "--out", str(tmp_path / "bench")) == 3
+
     def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PDMD_THREADS", "lots")
         assert run_cli("synth", "--out", str(tmp_path / "ds.pdmd1")) == 2
@@ -315,3 +329,12 @@ class TestBenchCommand:
         suite.write_text("[scenario tiny]\nwat=1\n")
         assert run_cli("bench", "--suite", str(suite),
                        "--out", str(tmp_path / "bench")) == 3
+
+    def test_failed_scenario_exits_5(self, tmp_path, capsys):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(self.SUITE.replace("rank=4", "rank=9"))
+        out_dir = tmp_path / "bench"
+        assert run_cli("bench", "--suite", str(suite), "--threads", "1",
+                       "--out", str(out_dir)) == 5
+        assert "scenario tiny: FAILED" in capsys.readouterr().out
+        assert (out_dir / "failures.txt").exists()

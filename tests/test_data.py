@@ -8,10 +8,8 @@ from pdmd.data import (
     ParametricDataset,
     SnapshotMatrix,
     TimeGrid,
-    invert_rescale,
     pdmd1_file_size,
     read_dataset,
-    rescale_unit,
     restrict_time,
     split_train_test,
     write_dataset,
@@ -242,28 +240,3 @@ class TestRestrictTime:
         out = restrict_time(ds, 1400.0, 2800.0)
         assert len(out.grid) == 141
 
-
-class TestRescale:
-    def test_affine_map(self):
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        traj = SnapshotMatrix(np.array([[300.0, 350.0], [400.0, 325.0]]), grid)
-        ds = ParametricDataset(np.array([[1.0]]), (traj,))
-        scaled, (vmin, vmax) = rescale_unit(ds)
-        assert (vmin, vmax) == (300.0, 400.0)
-        assert_allclose(
-            scaled.trajectories[0].state, [[0.0, 0.5], [1.0, 0.25]]
-        )
-
-    def test_constant_dataset_rejected(self):
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        traj = SnapshotMatrix(np.full((2, 2), 5.0), grid)
-        ds = ParametricDataset(np.array([[1.0]]), (traj,))
-        with pytest.raises(DataError, match="constant"):
-            rescale_unit(ds)
-
-    def test_round_trip_identity(self):
-        ds = make_dataset(seed=9)
-        scaled, info = rescale_unit(ds)
-        back = invert_rescale(scaled, info)
-        for a, b in zip(back.trajectories, ds.trajectories):
-            assert_allclose(a.state, b.state, atol=1e-12)

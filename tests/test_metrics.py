@@ -128,13 +128,6 @@ class TestPhaseTimer:
                 time.sleep(0.002)
         assert timer.seconds("work") >= 0.006 * 0.5
 
-    def test_timed_returns_result_and_duration(self):
-        timer = PhaseTimer()
-        result, seconds = timer.timed("square", lambda v: v * v, 7)
-        assert result == 49
-        assert seconds >= 0.0
-        assert "square" in timer.labels()
-
 
 class TestEvalReport:
     def make_report(self):

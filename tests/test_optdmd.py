@@ -8,7 +8,6 @@ from pdmd.data import SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
 from pdmd.optdmd import (
     condense_ensemble,
-    ensemble_predict,
     fit_bopdmd,
     fit_optdmd,
     mean_omegas,
@@ -188,22 +187,19 @@ class TestBagging:
         assert err < 0.05
 
 
-class TestEnsemblePredict:
-    def test_single_member_equals_member(self):
-        x = two_tone(np.linspace(0, 5, 41))
-        bagged = fit_bopdmd(x, rank=2, trials=1, subset_fraction=1.0, seed=0)
-        t = 2.5
-        assert_allclose(
-            ensemble_predict(bagged, t),
-            predict_optdmd(bagged.members[0], t),
-        )
+def ensemble_mean(bagged, t):
+    """Mean of the member predictions: the bagged prediction oracle."""
+    return np.mean([predict_optdmd(member, t) for member in bagged.members], axis=0)
 
+
+class TestEnsemblePredict:
     def test_identical_members_equal_either(self):
+        # with the full time grid every member fits the same data
         x = two_tone(np.linspace(0, 5, 41))
         bagged = fit_bopdmd(x, rank=2, trials=2, subset_fraction=1.0, seed=0)
         t = np.array([0.5, 1.5])
         assert_allclose(
-            ensemble_predict(bagged, t),
+            ensemble_mean(bagged, t),
             predict_optdmd(bagged.members[0], t),
             atol=1e-12,
         )
@@ -214,7 +210,7 @@ class TestEnsemblePredict:
         bagged = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=2)
         t = 3.3
         truth = 2.0 * np.cos(2.0 * t) * np.exp(-0.1 * t)
-        assert_allclose(ensemble_predict(bagged, t), [truth], atol=1e-4)
+        assert_allclose(ensemble_mean(bagged, t), [truth], atol=1e-4)
 
 
 class TestCondense:

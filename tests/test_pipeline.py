@@ -13,10 +13,10 @@ from pdmd.pipeline import (
     evaluate_model,
     fit_surrogate,
     predict_surrogate,
-    resolve_rank,
     spec_from_metadata,
     subset_params,
 )
+from pdmd.reduction import fit_global_basis
 from pdmd.synth import SynthSpec, generate
 
 
@@ -64,26 +64,39 @@ class TestSubsetParams:
 
 
 class TestResolveRank:
+    """Rank selection of the basis, deterministic and randomized."""
+
     def test_explicit_rank_wins_over_energy(self):
-        dataset = diagonal_dataset()
-        options = FitOptions("roi", rank=2, energy=0.5)
-        assert resolve_rank(dataset, options) == 2
+        for randomized in (False, True):
+            basis = fit_global_basis(
+                diagonal_dataset(), 2, energy=0.5, randomized=randomized, oversample=0
+            )
+            assert basis.rank == 2
 
     def test_rank_beyond_data_limit_rejected(self):
         dataset = diagonal_dataset()
         with pytest.raises(DataError, match="exceeds"):
-            resolve_rank(dataset, FitOptions("roi", rank=3))
+            fit_global_basis(dataset, 3)
 
     def test_energy_threshold_selects_rank(self):
         # Squared singular values 4 and 1: the leading direction carries
         # exactly 80% of the energy.
         dataset = diagonal_dataset()
-        assert resolve_rank(dataset, FitOptions("mono", energy=0.75)) == 1
-        assert resolve_rank(dataset, FitOptions("mono", energy=0.85)) == 2
+        for randomized in (False, True):
+            for energy, rank in ((0.75, 1), (0.85, 2)):
+                basis = fit_global_basis(
+                    dataset, None, energy=energy, randomized=randomized, oversample=0
+                )
+                assert basis.rank == rank
 
     def test_default_energy_keeps_nearly_everything(self):
-        dataset = diagonal_dataset()
-        assert resolve_rank(dataset, FitOptions("mono")) == 2
+        assert fit_global_basis(diagonal_dataset(), None).rank == 2
+
+    def test_fit_without_rank_takes_the_energy_rank(self):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions("mono", energy=0.9))
+        expected = fit_global_basis(dataset, None, energy=0.9).rank
+        assert surrogate.metadata["rank"] == expected < dataset.n_state
 
     def test_bad_options_rejected(self):
         with pytest.raises(DataError, match="algorithm"):

@@ -202,13 +202,3 @@ class TestProjectLift:
         with pytest.raises(DataError):
             lift(np.zeros((3, 4)), basis)
 
-    def test_centered_round_trip(self):
-        ds = make_dataset(n_params=2, n_state=4, n_t=6, seed=13)
-        basis = fit_global_basis(ds, rank=4, center=True)
-        latent = project(ds, basis)
-        for i in range(2):
-            assert_allclose(
-                lift(latent.latents[i], basis),
-                ds.trajectories[i].state,
-                atol=1e-10,
-            )

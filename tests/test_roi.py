@@ -8,8 +8,8 @@ from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.dmd import fit_dmd
 from pdmd.errors import DataError
 from pdmd.metrics import frobenius_rel_error
-from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
-from pdmd.regression import RegressorSpec, fit_count, reset_fit_count
+from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
+from pdmd.regression import RegressorSpec, fit_count, predict, reset_fit_count
 from pdmd.roi import (
     fit_roi,
     fold_operator,
@@ -169,8 +169,14 @@ class TestPredictRoi:
         latent = scaled_rotation_latents([0.5, 0.7, 0.9], base, [1.0, 0.0], 25)
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         grid = TimeGrid(np.arange(40.0))
+        # oracle: eigendecomposition powers of the synthesized operator
+        operator = synthesize_operator(model, [0.8])
+        values, vectors = np.linalg.eig(operator)
+        weights = np.linalg.solve(vectors, predict(model.init_regressor, [0.8]))
+        powers = values[None, :] ** np.arange(40)[:, None]
+        spectral = ((vectors * weights) @ powers.T).real
         assert_allclose(
-            predict_roi(model, [0.8], grid, spectral=True),
+            lift(spectral, model.basis),
             predict_roi(model, [0.8], grid),
             atol=1e-9,
         )
