@@ -17,7 +17,7 @@ from pdmd.data import (
     split_train_test,
     write_dataset,
 )
-from pdmd.dmd import DmdModel, advance, fit_dmd, reconstruct
+from pdmd.dmd import DmdModel, fit_dmd, reconstruct
 from pdmd.errors import (
     ConvergenceWarning,
     DataError,
@@ -102,7 +102,6 @@ __all__ = [
     "SolverOptions",
     "SynthSpec",
     "TimeGrid",
-    "advance",
     "condense_ensemble",
     "default_suite",
     "evaluate_model",

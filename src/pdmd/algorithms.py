@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .data import TimeGrid
 from .latent import (
     MonolithicModel,
     PartitionedModel,
@@ -57,9 +56,7 @@ def _predict_latent(model, mu, instants, spec):
 ALGORITHMS = {
     RoiModel.tag: Algorithm(
         fit=_fit_roi,
-        predict=lambda model, mu, instants, spec: predict_roi(
-            model, mu, TimeGrid(instants)
-        ),
+        predict=lambda model, mu, instants, spec: predict_roi(model, mu, instants),
     ),
     RkoiModel.tag: Algorithm(
         fit=_fit_rkoi,

@@ -169,56 +169,66 @@ _SCENARIO_KEYS = {
 def _pair(text: str) -> tuple:
     parts = [float(p) for p in text.split(",") if p.strip() != ""]
     if len(parts) != 2:
-        raise DataError(f"expected two comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
     return (parts[0], parts[1])
+
+
+def _indices(text: str) -> tuple:
+    return tuple(int(i) for i in text.split(","))
 
 
 def _build_scenario(name: str, values: dict) -> Scenario:
     unknown = sorted(set(values) - _SCENARIO_KEYS)
     if unknown:
         raise DataError(f"scenario {name!r}: unknown keys {unknown}")
+
+    def get(key, convert, default=None):
+        if key not in values:
+            return default
+        try:
+            return convert(values[key])
+        except ValueError as exc:
+            raise DataError(f"scenario {name!r}: bad {key} {values[key]!r}: {exc}") from None
+
     family = values.get("family", "linear-operator")
     if family not in FAMILIES:
         raise DataError(f"scenario {name!r}: unknown family {family!r}")
     synth = SynthSpec(
         family,
-        n_h=int(values.get("nh", 8)),
-        n_params=int(values.get("np", 5)),
-        param_range=_pair(values["param-range"]) if "param-range" in values else (0.0, 1.0),
-        n_t=int(values.get("nt", 100)),
-        dt=float(values.get("dt", 0.1)),
-        t0=float(values.get("t0", 0.0)),
-        noise_std=float(values.get("noise", 0.0)),
-        seed=int(values.get("seed", 0)),
+        n_h=get("nh", int, 8),
+        n_params=get("np", int, 5),
+        param_range=get("param-range", _pair, (0.0, 1.0)),
+        n_t=get("nt", int, 100),
+        dt=get("dt", float, 0.1),
+        t0=get("t0", float, 0.0),
+        noise_std=get("noise", float, 0.0),
+        seed=get("seed", int, 0),
     )
     if "test-idx" not in values:
         raise DataError(f"scenario {name!r} must set test-idx")
-    test_indices = tuple(int(i) for i in values["test-idx"].split(","))
     ranks = {}
     if "rank" in values:
-        ranks = {algo: int(values["rank"]) for algo in ALGORITHMS}
+        ranks = {algo: get("rank", int) for algo in ALGORITHMS}
     for algo in ALGORITHMS:
         key = f"rank.{algo}"
         if key in values:
-            ranks[algo] = int(values[key])
-    kind = values.get("regressor", "linear")
-    shape = float(values["rbf-shape"]) if "rbf-shape" in values else None
+            ranks[algo] = get(key, int)
     regressor = RegressorSpec(
-        kind=kind,
-        shape=shape,
-        degree=int(values.get("poly-degree", 2)),
+        kind=values.get("regressor", "linear"),
+        shape=get("rbf-shape", float),
+        degree=get("poly-degree", int, 2),
         extrapolation=values.get("extrapolation", "clamp"),
     )
     return Scenario(
         name=name,
         synth=synth,
-        test_indices=test_indices,
+        test_indices=get("test-idx", _indices),
         ranks=ranks,
-        train_window=_pair(values["train-window"]) if "train-window" in values else None,
-        op_rank=int(values["op-rank"]) if "op-rank" in values else None,
+        train_window=get("train-window", _pair),
+        op_rank=get("op-rank", int),
         regressor=regressor,
-        bag_trials=int(values.get("bag-trials", 1)),
-        bag_fraction=float(values.get("bag-fraction", 0.8)),
+        bag_trials=get("bag-trials", int, 1),
+        bag_fraction=get("bag-fraction", float, 0.8),
     )
 
 

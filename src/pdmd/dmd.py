@@ -4,8 +4,8 @@ The fit projects the one-step advancement operator onto the leading
 left-singular subspace of the first N_t - 1 snapshots, takes its
 eigendecomposition, lifts the eigenvectors back to state space and
 solves a small least-squares problem for the mode amplitudes.  A fitted
-model advances in time spectrally: state(t1 + (k-1) dt) ~= sum_j
-phi_j lambda_j^(k-1) b_j.
+model is evaluated spectrally at lattice step k: state(t0 + k dt) ~=
+sum_j phi_j lambda_j^k b_j.
 """
 
 from __future__ import annotations
@@ -93,23 +93,26 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
     )
 
 
-def advance(model: DmdModel, k: int) -> np.ndarray:
-    """State at lattice step ``k`` (k = 1 is the initial instant)."""
-    if k < 1:
-        raise DataError(f"step index must be >= 1, got {k}")
-    state = model.modes @ (model.eigenvalues ** (k - 1) * model.amplitudes)
-    return _real_with_telemetry(state, "advance")
+def evaluate(model: DmdModel, steps) -> np.ndarray:
+    """States at 0-based lattice steps (instants t0 + k dt), one column
+    per entry of ``steps`` in the order given; steps may repeat and
+    extend beyond the training window."""
+    steps = np.atleast_1d(np.asarray(steps))
+    if not np.issubdtype(steps.dtype, np.integer):
+        raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
+    if np.any(steps < 0):
+        raise DataError(f"lattice steps must be >= 0, got {steps.min()}")
+    powers = model.eigenvalues[None, :] ** steps[:, None]
+    states = (model.modes * model.amplitudes) @ powers.T
+    return _real_with_telemetry(states, "evaluate")
 
 
 def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:
     """Evaluate the model on every instant of ``grid``.
 
-    Instants must sit on the model's lattice t0 + (k-1) dt for integer
-    k >= 1; the lattice extends beyond the training window, so the same
+    Instants must sit on the model's lattice t0 + k dt for integer
+    k >= 0; the lattice extends beyond the training window, so the same
     call handles reconstruction and forecasting.
     """
     steps = lattice_steps(grid.instants, model.t0, model.dt)
-    powers = model.eigenvalues[None, :] ** steps[:, None]
-    states = (model.modes * model.amplitudes) @ powers.T
-    return SnapshotMatrix(_real_with_telemetry(states, "reconstruct"), grid)
-
+    return SnapshotMatrix(evaluate(model, steps), grid)

@@ -3,12 +3,12 @@
 Both variants learn discrete dynamics offline: the monolithic variant
 stacks every parameter's latent trajectory into one tall state and fits
 a single DMD; the partitioned variant fits one DMD per parameter.  The
-parameter dependence, however, is resolved online: for each requested
-instant the models are advanced, a fresh regressor is trained on the
-per-parameter latent states at that instant, and the queried mu is
-evaluated.  Online cost therefore grows with the number of training
-parameters and requested instants, in contrast to the operator- and
-triplet-interpolation strategies.
+parameter dependence, however, is resolved online: the models are
+evaluated at the requested instants, and for each instant a fresh
+regressor is trained on the per-parameter latent states there and
+evaluated at the queried mu.  Online cost therefore grows with the
+number of training parameters and requested instants, in contrast to
+the operator- and triplet-interpolation strategies.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import regression
 from .data import SnapshotMatrix, lattice_steps
-from .dmd import DmdModel, advance, fit_dmd
+from .dmd import DmdModel, evaluate, fit_dmd
 from .errors import DataError
 from .reduction import GlobalBasis, LatentDataset, lift
 
@@ -111,30 +111,27 @@ def fit_partitioned(latent: LatentDataset, member_rank: int | None = None) -> Pa
     )
 
 
-def _latent_states_at(model, step: int) -> np.ndarray:
-    """Per-parameter latent states at one lattice step (N_p x r)."""
-    if isinstance(model, MonolithicModel):
-        stacked = advance(model.stacked_dmd, step + 1)
-        return np.vstack([stacked[a:b] for a, b in model.block_map])
-    return np.vstack([advance(member, step + 1) for member in model.members])
-
-
 def predict_latent(model, mu, times, spec: regression.RegressorSpec) -> np.ndarray:
     """Predicted state trajectory at mu over lattice instants.
 
-    For every requested instant the per-parameter latent states are
-    computed and a regressor is trained on them before evaluation at
-    mu.  This online training is the contract of the strategy; see the
-    regression fit counter for cost accounting.
+    Each DMD is evaluated once at all requested instants; then, for
+    every instant, a regressor is trained on the per-parameter latent
+    states there and evaluated at mu.  This online training is the
+    contract of the strategy; see the regression fit counter for cost
+    accounting.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     steps = lattice_steps(times, model.t0, model.dt)
-    n_params = model.params.shape[0]
-    effective = regression.effective_spec(spec, n_params)
+    if isinstance(model, MonolithicModel):
+        stacked = evaluate(model.stacked_dmd, steps)
+        blocks = [stacked[a:b] for a, b in model.block_map]
+    else:
+        blocks = [evaluate(member, steps) for member in model.members]
+    trajectories = np.stack(blocks)  # N_p x r x N_t
+    effective = regression.effective_spec(spec, model.params.shape[0])
     columns = []
-    for step in steps:
-        states = _latent_states_at(model, int(step))
-        regressor = regression.fit(effective, model.params, states)
+    for k in range(steps.size):
+        regressor = regression.fit(effective, model.params, trajectories[:, :, k])
         columns.append(regression.predict(regressor, mu))
     return lift(np.column_stack(columns), model.basis)

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: truncated/randomized SVD, eigendecomposition,
-pseudo-inverse and energy-based rank selection.
+"""Dense matrix kernels: truncated/randomized SVD, eigendecomposition
+and energy-based rank selection.
 
 Conventions fixed here and relied on by every model module:
 
@@ -158,20 +158,6 @@ def canonical_eig_order(values, vectors):
     mags[mags == 0] = 1.0
     vectors *= (mags / phases)
     return values, vectors
-
-
-def pseudo_inverse(svd: TruncatedSvd, rel_cutoff: float = DEFAULT_PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse from truncated factors.
-
-    Singular values below ``rel_cutoff * s_max`` are treated as zero.
-    """
-    if not 0 < rel_cutoff < 1:
-        raise DataError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
-    s = svd.singular_values
-    if s.shape[0] == 0 or s[0] <= 0:
-        raise NumericalError("all singular values fall below the cutoff")
-    inv = np.where(s >= rel_cutoff * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (svd.right_v * inv) @ svd.modes_u.T
 
 
 def select_rank(singular_values, energy: float, max_rank: int) -> int:

@@ -322,20 +322,27 @@ def _canonical_triplet(omegas, coeffs, rank):
     return omegas, modes, amplitudes
 
 
-def predict_optdmd(model: OptDmdModel, instants) -> np.ndarray:
-    """Evaluate the model at the given instants.
+def exponential_sum(omegas, modes, amplitudes, t0: float, instants) -> np.ndarray:
+    """Phi exp(omega (t - t0)) b at the given instants.
 
     A scalar time yields a state vector, a vector of times an
     N_h x N_t matrix (real part, with imaginary-residual telemetry).
     """
     scalar = np.isscalar(instants) or np.ndim(instants) == 0
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
-    basis = _exponential_basis(instants - model.t0, model.omegas)
+    basis = _exponential_basis(instants - t0, omegas)
     if basis is None:
         raise NumericalError("prediction instants overflow the exponentials")
-    states = (model.modes * model.amplitudes) @ basis.T
-    states = _real_with_telemetry(states, "predict_optdmd")
+    states = (modes * amplitudes) @ basis.T
+    states = _real_with_telemetry(states, "exponential sum")
     return states[:, 0] if scalar else states
+
+
+def predict_optdmd(model: OptDmdModel, instants) -> np.ndarray:
+    """Evaluate the model at the given instants (see exponential_sum)."""
+    return exponential_sum(
+        model.omegas, model.modes, model.amplitudes, model.t0, instants
+    )
 
 
 def fit_bopdmd(

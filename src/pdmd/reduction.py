@@ -144,11 +144,10 @@ def project(dataset: ParametricDataset, basis: GlobalBasis) -> LatentDataset:
 
 
 def lift(latent: np.ndarray, basis: GlobalBasis) -> np.ndarray:
-    """Back to state space: modes times latent."""
+    """Back to state space: modes times a latent vector or matrix."""
     latent = np.asarray(latent)
-    if latent.ndim != 2 or latent.shape[0] != basis.rank:
+    if latent.ndim not in (1, 2) or latent.shape[0] != basis.rank:
         raise DataError(
-            f"latent rows ({latent.shape[0] if latent.ndim == 2 else latent.ndim}) "
-            f"do not match basis rank ({basis.rank})"
+            f"latent of shape {latent.shape} does not match basis rank ({basis.rank})"
         )
     return basis.modes_u @ latent

@@ -19,12 +19,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import regression
-from .dmd import _real_with_telemetry
 from .errors import ConvergenceWarning, NumericalError
 from .optdmd import (
     OptDmdModel,
     SolverOptions,
     condense_ensemble,
+    exponential_sum,
     fit_bopdmd,
     fit_optdmd,
     permute_triplets,
@@ -178,15 +178,4 @@ def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
     )
     amps = regression.predict(model.amp_regressor, mu)
     omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
-
-    scalar = np.isscalar(times) or np.ndim(times) == 0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    with np.errstate(over="ignore"):
-        exponentials = np.exp(np.outer(omegas, times - model.t0))
-    if not np.all(np.isfinite(exponentials)):
-        raise NumericalError("requested times overflow the exponentials")
-    latent = _real_with_telemetry(
-        (modes * amps) @ exponentials, "predict_rkoi"
-    )
-    states = lift(latent, model.basis)
-    return states[:, 0] if scalar else states
+    return lift(exponential_sum(omegas, modes, amps, model.t0, times), model.basis)

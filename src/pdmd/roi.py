@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import regression
-from .data import TimeGrid, lattice_steps
+from .data import lattice_steps
 from .dmd import fit_dmd, reconstruct
 from .errors import DataError
 from .linalg import truncated_svd
@@ -114,10 +114,11 @@ def synthesize_operator(model: RoiModel, mu) -> np.ndarray:
     return fold_operator(model.op_modes @ coeffs)
 
 
-def predict_roi(model: RoiModel, mu, grid: TimeGrid) -> np.ndarray:
-    """Predicted state trajectory at mu over the given lattice instants,
-    stepped by repeated multiplication with the synthesized operator."""
-    steps = lattice_steps(grid.instants, model.t0, model.dt)
+def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
+    """Predicted state trajectory at mu over the given lattice instants
+    (any order, repeats allowed), stepped by repeated multiplication
+    with the synthesized operator."""
+    steps = lattice_steps(instants, model.t0, model.dt)
     operator = synthesize_operator(model, mu)
     state = regression.predict(model.init_regressor, mu)
     latent = np.empty((state.shape[0], steps.size))

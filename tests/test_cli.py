@@ -330,6 +330,17 @@ class TestBenchCommand:
         assert run_cli("bench", "--suite", str(suite),
                        "--out", str(tmp_path / "bench")) == 3
 
+    @pytest.mark.parametrize(
+        "key, bad", [("nh", "abc"), ("test-idx", "1,,2"), ("bag-trials", "x")]
+    )
+    def test_malformed_suite_value_is_data_error(self, tmp_path, capsys, key, bad):
+        kept = [line for line in self.SUITE.splitlines() if not line.startswith(f"{key}=")]
+        suite = tmp_path / "suite.cfg"
+        suite.write_text("\n".join(kept) + f"\n{key} = {bad}\n")
+        assert run_cli("bench", "--suite", str(suite),
+                       "--out", str(tmp_path / "bench")) == 3
+        assert f"scenario 'tiny': bad {key} {bad!r}" in capsys.readouterr().err
+
     def test_failed_scenario_exits_5(self, tmp_path, capsys):
         suite = tmp_path / "suite.cfg"
         suite.write_text(self.SUITE.replace("rank=4", "rank=9"))

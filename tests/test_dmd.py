@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.dmd import DmdModel, advance, fit_dmd, reconstruct
+from pdmd.dmd import DmdModel, evaluate, fit_dmd, reconstruct
 from pdmd.errors import DataError, NumericalError
 from pdmd.linalg import eig
 
@@ -90,10 +90,12 @@ class TestFit:
 
 
 class TestAdvance:
+    """Advancing a fitted model along its lattice with ``evaluate``."""
+
     def test_first_step_matches_initial_condition(self):
         x = linear_trajectory(np.diag([0.9, 0.5]), [1.0, 1.0], 20)
         model = fit_dmd(x, rank=2)
-        assert_allclose(advance(model, 1), x.state[:, 0], atol=1e-10)
+        assert_allclose(evaluate(model, [0])[:, 0], x.state[:, 0], atol=1e-10)
 
     def test_fixed_point(self):
         model = DmdModel(
@@ -107,28 +109,39 @@ class TestAdvance:
             proj_basis=np.array([[1.0], [0.0]]),
             reduced_eigvecs=np.array([[1.0 + 0.0j]]),
         )
-        for k in (1, 5, 50):
-            assert_allclose(advance(model, k), [1.0, 0.0], atol=1e-14)
+        states = evaluate(model, [0, 4, 49])
+        assert_allclose(states, np.tile([[1.0], [0.0]], 3), atol=1e-14)
 
     def test_matches_matrix_power(self):
         op = np.diag([0.9, 0.5])
         x = linear_trajectory(op, [1.0, 1.0], 20)
         model = fit_dmd(x, rank=2)
         expected = np.linalg.matrix_power(op, 20) @ x.state[:, 0]
-        assert_allclose(advance(model, 21), expected, atol=1e-8)
+        assert_allclose(evaluate(model, [20])[:, 0], expected, atol=1e-8)
 
     def test_semigroup_on_lattice(self):
         op = rotation_decay(0.97, 0.4)
         x = linear_trajectory(op, [1.0, -0.5], 40)
         model = fit_dmd(x, rank=2)
-        for k in (1, 3, 10):
-            assert_allclose(advance(model, k + 1), op @ advance(model, k), atol=1e-8)
+        for k in (0, 2, 9):
+            now, after = evaluate(model, [k, k + 1]).T
+            assert_allclose(after, op @ now, atol=1e-8)
 
     def test_step_index_guard(self):
         x = linear_trajectory(np.diag([0.9, 0.5]), [1.0, 1.0], 10)
         model = fit_dmd(x, rank=2)
-        with pytest.raises(DataError):
-            advance(model, 0)
+        with pytest.raises(DataError, match=">= 0"):
+            evaluate(model, [3, -1])
+        with pytest.raises(DataError, match="integers"):
+            evaluate(model, [0.5])
+
+    def test_any_order_and_count(self):
+        op = rotation_decay(0.97, 0.4)
+        x = linear_trajectory(op, [1.0, -0.5], 40)
+        model = fit_dmd(x, rank=2)
+        full = evaluate(model, np.arange(50))
+        assert_allclose(evaluate(model, [45, 3, 3, 0]), full[:, [45, 3, 3, 0]], rtol=1e-13)
+        assert_allclose(evaluate(model, 7), full[:, [7]], rtol=1e-13)
 
 
 class TestReconstruct:

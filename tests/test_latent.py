@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmd.data import TimeGrid
-from pdmd.dmd import advance, fit_dmd, reconstruct
+from pdmd import dmd, latent as latent_module, regression
+from pdmd.bench import default_suite
+from pdmd.data import TimeGrid, lattice_steps, split_train_test
+from pdmd.dmd import fit_dmd, reconstruct
 from pdmd.errors import DataError
 from pdmd.latent import (
+    MonolithicModel,
     fit_monolithic,
     fit_partitioned,
     predict_latent,
 )
 from pdmd.metrics import frobenius_rel_error
+from pdmd.pipeline import FitOptions, fit_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
 from pdmd.regression import RegressorSpec, fit_count, reset_fit_count
+from pdmd.synth import generate
 
 
 def rotation(radius, angle):
@@ -51,6 +56,29 @@ def scaled_family(mus, n_t=30):
     latents = tuple(mu * base for mu in mus)
     params = np.asarray(mus, dtype=float)[:, None]
     return LatentDataset(identity_basis(2), params, latents, grid), base
+
+
+def advance(model, step):
+    """State of one DMD at 0-based lattice step ``step``, evaluated on its
+    own: modes @ (eigenvalues ** step * amplitudes)."""
+    return (model.modes @ (model.eigenvalues**step * model.amplitudes)).real
+
+
+def per_step_prediction(model, mu, times, spec):
+    """Reference oracle for predict_latent: every DMD advanced separately
+    to each requested instant, then one regressor fit per instant."""
+    steps = lattice_steps(times, model.t0, model.dt)
+    effective = regression.effective_spec(spec, model.params.shape[0])
+    columns = []
+    for step in steps:
+        if isinstance(model, MonolithicModel):
+            stacked = advance(model.stacked_dmd, step)
+            states = np.vstack([stacked[a:b] for a, b in model.block_map])
+        else:
+            states = np.vstack([advance(member, step) for member in model.members])
+        regressor = regression.fit(effective, model.params, states)
+        columns.append(regression.predict(regressor, mu))
+    return lift(np.column_stack(columns), model.basis)
 
 
 class TestFitMonolithic:
@@ -191,3 +219,37 @@ class TestPredictLatent:
         member = fit_dmd(latent.trajectory(0), 2)
         reference = lift(reconstruct(member, latent.grid).state, latent.basis)
         assert_allclose(pred, reference, atol=1e-10)
+
+    def test_each_dmd_evaluated_once_per_query(self, monkeypatch):
+        latent, _ = scaled_family([0.5, 1.0, 1.5])
+        evaluated = []
+
+        def counting_evaluate(model, steps):
+            evaluated.append(model)
+            return dmd.evaluate(model, steps)
+
+        monkeypatch.setattr(latent_module, "evaluate", counting_evaluate)
+        times = latent.grid.instants[:7]
+        spec = RegressorSpec("linear")
+        part = fit_partitioned(latent)
+        mono = fit_monolithic(latent)
+        for model, expected in ((part, part.members), (mono, [mono.stacked_dmd])):
+            evaluated.clear()
+            predict_latent(model, [0.8], times, spec)
+            assert [id(m) for m in evaluated] == [id(m) for m in expected]
+
+
+@pytest.mark.parametrize("scenario", default_suite().scenarios, ids=lambda s: s.name)
+def test_matches_per_step_oracle_on_default_suite(scenario):
+    dataset, _ = generate(scenario.synth)
+    train, test = split_train_test(dataset, scenario.test_indices)
+    # the training lattice and a forecast half as long again
+    grid = dataset.grid
+    times = grid.t0 + grid.dt * np.arange(3 * len(grid) // 2)
+    for algorithm in ("mono", "part"):
+        options = FitOptions(algorithm, rank=scenario.ranks[algorithm])
+        fitted = fit_surrogate(train, options)
+        for mu in test.params:
+            pred = predict_latent(fitted.model, mu, times, fitted.regressor)
+            oracle = per_step_prediction(fitted.model, mu, times, fitted.regressor)
+            assert frobenius_rel_error(oracle, pred) <= 1e-12

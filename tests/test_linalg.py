@@ -9,7 +9,6 @@ from pdmd.linalg import (
     EigenDecomposition,
     canonical_eig_order,
     eig,
-    pseudo_inverse,
     randomized_svd,
     select_rank,
     truncated_svd,
@@ -139,27 +138,6 @@ class TestEig:
         v2, w2 = canonical_eig_order(v1, w1)
         assert_allclose(v1, v2)
         assert_allclose(w1, w2)
-
-
-class TestPseudoInverse:
-    def test_left_inverse_of_tall_full_rank(self):
-        rng = np.random.default_rng(21)
-        m = rng.standard_normal((12, 5))
-        pinv = pseudo_inverse(truncated_svd(m, rank=5))
-        assert_allclose(pinv @ m, np.eye(5), atol=1e-10)
-        assert_allclose(pinv, np.linalg.pinv(m), atol=1e-10)
-
-    def test_cutoff_drops_tiny_directions(self):
-        u = np.eye(3)
-        m = u @ np.diag([1.0, 1e-6, 1e-14]) @ u
-        pinv = pseudo_inverse(truncated_svd(m, rank=3), rel_cutoff=1e-10)
-        # the 1e-14 direction is zeroed rather than amplified to 1e14
-        assert np.max(np.abs(pinv)) <= 1e6 * 1.001
-
-    def test_cutoff_range_guard(self):
-        svd = truncated_svd(np.eye(2), rank=2)
-        with pytest.raises(DataError):
-            pseudo_inverse(svd, rel_cutoff=0.0)
 
 
 class TestSelectRank:

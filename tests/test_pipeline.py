@@ -162,6 +162,21 @@ class TestPredictSurrogate:
             assert pred.shape == (dataset.n_state, 10)
             assert np.all(np.isfinite(pred))
 
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_single_and_reversed_instants_match_full_grid(self, algorithm):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        mu = dataset.params[1:3].mean(axis=0)
+        instants = dataset.grid.instants
+        full = predict_surrogate(surrogate.model, mu, instants, surrogate.regressor)
+        for columns in ([7], [12, 3]):
+            pred = predict_surrogate(
+                surrogate.model, mu, instants[columns], surrogate.regressor
+            )
+            assert pred.shape == (dataset.n_state, len(columns))
+            scale = np.abs(full).max()
+            assert_allclose(pred, full[:, columns], rtol=1e-12, atol=1e-12 * scale)
+
     def test_unknown_model_object_rejected(self):
         from pdmd.regression import RegressorSpec
 
