@@ -70,9 +70,11 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
     svd = truncated_svd(before, rank)
     s = svd.singular_values
     if s[-1] < DEFAULT_PINV_CUTOFF * s[0]:
+        supported = int(np.count_nonzero(s >= DEFAULT_PINV_CUTOFF * s[0]))
         raise NumericalError(
             f"singular value {s[-1]:.3e} below cutoff at rank {rank}; "
-            "reduce the rank"
+            f"reduce the rank to {supported}, the largest whose singular "
+            "values clear the cutoff"
         )
     # after @ V / Sigma appears in both the reduced operator and the modes
     propagated = after @ (svd.right_v / s)

@@ -5,9 +5,11 @@ The fit solves
 
     min_{omega, Psi}  || X - Psi exp(t omega') ||_F
 
-by variable projection: the linear coefficients Psi = Phi diag(b) are
-eliminated through an inner least-squares solve at fixed omega, and a
-Levenberg-Marquardt outer iteration updates omega.  Works on non-uniform
+by variable projection (Golub-Pereyra; Askham & Kutz 2018): the linear
+coefficients Psi = Phi diag(b) are eliminated through an inner
+least-squares solve at fixed omega, and a Levenberg-Marquardt outer
+iteration updates omega on the projected residual (I - P(omega)) X^T,
+with Kaufman's approximation of its Jacobian.  Works on non-uniform
 time grids, which bagging over time indices produces even from uniform
 data.
 """
@@ -136,6 +138,35 @@ def _inner_solve(basis, data_t):
     return coeffs, residual, float(np.linalg.norm(residual) ** 2)
 
 
+def _kaufman_jacobian(tau, basis, coeffs):
+    """Kaufman's Jacobian of the projected residual (I - P(omega)) Y.
+
+    Column j of the complex Jacobian is (I - Q Q^H) D_j with
+    D_j = -(tau * Phi_j) b_j^T, Q a thin QR factor of the exponential
+    basis Phi and b_j row j of the inner-solve coefficients; the
+    Golub-Pereyra term that Kaufman drops vanishes at an exact fit.
+    Returned in the 2r real coordinates of omega: rows are the real
+    then the imaginary parts of the raveled N_t x n residual, column
+    2j is d/dRe(omega_j) (J_j) and column 2j + 1 is d/dIm(omega_j)
+    (i J_j).
+    """
+    n_t, rank = basis.shape
+    q, _ = np.linalg.qr(basis)
+    # N_t x r x n tensor of all D_j, projected along the time axis at once
+    deriv = -(tau[:, None] * basis)[:, :, None] * coeffs[None, :, :]
+    flat = deriv.reshape(n_t, -1)
+    projected = (flat - q @ (q.conj().T @ flat)).reshape(deriv.shape)
+    # rows (k, l) in the residual's raveled order, one column per j
+    cols = projected.transpose(0, 2, 1).reshape(-1, rank)
+    size = cols.shape[0]
+    jac = np.empty((2 * size, 2 * rank))
+    jac[:size, 0::2] = cols.real
+    jac[size:, 0::2] = cols.imag
+    jac[:size, 1::2] = -cols.imag
+    jac[size:, 1::2] = cols.real
+    return jac
+
+
 def _hankel_embed(state, delays):
     cols = state.shape[1] - delays + 1
     return np.vstack([state[:, d:d + cols] for d in range(delays)])
@@ -239,13 +270,7 @@ def fit_optdmd(
     n_iters = 0
     iterations = () if converged else range(1, opts.max_iters + 1)
     for n_iters in iterations:
-        # Jacobian of the residual in the 2r real coordinates (Re, Im) of
-        # omega, holding the linear coefficients fixed
-        jac = np.empty((2 * residual.size, 2 * rank))
-        for j in range(rank):
-            deriv = -np.outer(tau * basis[:, j], coeffs[j]).ravel()
-            jac[:, 2 * j] = np.concatenate([deriv.real, deriv.imag])
-            jac[:, 2 * j + 1] = np.concatenate([-deriv.imag, deriv.real])
+        jac = _kaufman_jacobian(tau, basis, coeffs)
         grad = jac.T @ np.concatenate([residual.real.ravel(), residual.imag.ravel()])
         hessian = jac.T @ jac
         scale = np.diag(hessian) + 1e-14

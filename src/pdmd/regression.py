@@ -131,6 +131,13 @@ def _poly_features(params: np.ndarray, powers: list) -> np.ndarray:
     )
 
 
+def _has_duplicate_rows(params: np.ndarray) -> bool:
+    """Whether two rows are equal; a lexicographic sort makes equal rows
+    adjacent."""
+    ordered = params[np.lexsort(params.T)]
+    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
+
+
 def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
     if kind == "rbf-gauss":
         return np.exp(-(distances**2))
@@ -152,7 +159,6 @@ def fit(spec: RegressorSpec, params, values) -> FittedRegressor:
             f"{params.shape[0]} parameters but {table.shape[0]} value rows"
         )
     n_points, p = params.shape
-    duplicates = len(np.unique(params, axis=0)) != n_points
     coefficients: dict
 
     if spec.kind == "linear":
@@ -160,16 +166,17 @@ def fit(spec: RegressorSpec, params, values) -> FittedRegressor:
             raise DataError("linear interpolation supports scalar parameters only")
         if n_points < 2:
             raise DataError("linear interpolation needs at least two points")
-        if duplicates:
-            raise DataError("duplicate parameters for an interpolating regressor")
         order = np.argsort(params[:, 0])
-        coefficients = {"xs": params[order, 0], "table": table[order]}
+        xs = params[order, 0]
+        if np.any(xs[1:] == xs[:-1]):
+            raise DataError("duplicate parameters for an interpolating regressor")
+        coefficients = {"xs": xs, "table": table[order]}
     elif spec.kind == "nearest":
-        if duplicates:
+        if _has_duplicate_rows(params):
             raise DataError("duplicate parameters for an interpolating regressor")
         coefficients = {"table": table}
     elif spec.kind in ("rbf-gauss", "rbf-tps"):
-        if duplicates:
+        if _has_duplicate_rows(params):
             raise DataError("duplicate parameters for an interpolating regressor")
         distances = cdist(params, params)
         if spec.shape is not None:

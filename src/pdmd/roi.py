@@ -20,7 +20,7 @@ import numpy as np
 from . import regression
 from .data import lattice_steps
 from .dmd import fit_dmd, reconstruct
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .linalg import truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
 
@@ -80,7 +80,12 @@ def fit_roi(
     residuals = []
     for i in range(latent.n_params):
         trajectory = latent.trajectory(i)
-        model = fit_dmd(trajectory, rank)
+        try:
+            model = fit_dmd(trajectory, rank)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"training parameter {i} (mu = {latent.params[i].tolist()}): {exc}"
+            ) from exc
         # rotate the reduced operator into shared latent coordinates; the
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from pdmd.data import SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
 from pdmd.optdmd import (
+    _kaufman_jacobian,
     condense_ensemble,
     fit_bopdmd,
     fit_optdmd,
@@ -14,6 +15,8 @@ from pdmd.optdmd import (
     predict_optdmd,
     project_conjugate_closure,
 )
+from pdmd.reduction import fit_global_basis, project
+from pdmd.synth import SynthSpec, generate
 
 
 def scalar_signal(fn, instants):
@@ -123,6 +126,39 @@ class TestFitOptDmd:
             fit_optdmd(x, rank=1, init=np.array([1.0 + 0j, 2.0]))
 
 
+def projected_residual(tau, omegas, data_t):
+    """(I - P(omega)) Y in the Jacobian's real layout, P by pseudo-inverse."""
+    basis = np.exp(tau[:, None] * omegas[None, :])
+    residual = (data_t - basis @ (np.linalg.pinv(basis) @ data_t)).ravel()
+    return np.concatenate([residual.real, residual.imag])
+
+
+class TestKaufmanJacobian:
+    def test_matches_finite_differences_at_exact_fit(self):
+        # at an exact fit the Golub-Pereyra term Kaufman drops vanishes,
+        # so the projected Jacobian is the true one
+        rng = np.random.default_rng(4)
+        instants = np.sort(np.concatenate([[0.0, 4.0], 4.0 * rng.random(30)]))
+        tau = instants - instants[0]
+        omegas = np.array([-0.2 + 1.5j, -0.2 - 1.5j, -0.5, 0.1 + 0.7j])
+        coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        basis = np.exp(tau[:, None] * omegas[None, :])
+        data_t = basis @ coeffs
+        jac = _kaufman_jacobian(tau, basis, coeffs)
+        assert jac.shape == (2 * data_t.size, 2 * omegas.size)
+        step = 1e-6
+        for j in range(omegas.size):
+            for column, direction in ((2 * j, 1.0), (2 * j + 1, 1j)):
+                shift = np.zeros(omegas.size, dtype=complex)
+                shift[j] = step * direction
+                central = (
+                    projected_residual(tau, omegas + shift, data_t)
+                    - projected_residual(tau, omegas - shift, data_t)
+                ) / (2 * step)
+                error = np.linalg.norm(jac[:, column] - central)
+                assert error <= 1e-6 * np.linalg.norm(central), (j, direction)
+
+
 class TestConjugateClosure:
     def test_pairs_projected_to_means(self):
         om = np.array([-0.1 + 2.0j, -0.2 - 2.1j])
@@ -185,6 +221,45 @@ class TestBagging:
         mean = mean_omegas(bagged)
         err = np.max(np.abs(np.sort_complex(mean) - np.sort_complex(truth)))
         assert err < 0.05
+
+
+# Member objectives of the noisy case below under the earlier solver,
+# whose Jacobian held the linear coefficients fixed without projecting:
+# every member stopped at max_iters (200) without converging.
+UNPROJECTED_OBJECTIVES = (
+    (0.1894711747888352, 0.1886578069726557, 0.18544014239868814),
+    (0.17941737852049047, 0.18218425345611974, 0.17961676725358727),
+    (0.17511046092576368, 0.175413415028496, 0.17420134848241994),
+    (0.18552641221450752, 0.19163192894291484, 0.18667071614290157),
+    (0.19742853977738276, 0.19329353123897478, 0.18938675030609417),
+    (0.18722347689739466, 0.18305789959283156, 0.18420708699236024),
+    (0.18789906914377225, 0.18089402494748208, 0.19051987028933745),
+    (0.17363743816213967, 0.1758527306000361, 0.17323640126878476),
+    (0.1701360982603762, 0.1748695690010989, 0.1698278902734054),
+)
+
+
+class TestNoisyBaggedConvergence:
+    def test_members_converge_and_objectives_no_worse(self):
+        spec = SynthSpec(
+            "exp-modes",
+            n_h=200,
+            n_params=9,
+            param_range=(0.2, 0.8),
+            n_t=80,
+            dt=0.08,
+            noise_std=0.01,
+            seed=23,
+        )
+        dataset, _ = generate(spec)
+        latent = project(dataset, fit_global_basis(dataset, 6))
+        for i, before in enumerate(UNPROJECTED_OBJECTIVES):
+            bagged = fit_bopdmd(
+                latent.trajectory(i), 6, trials=3, subset_fraction=0.8, seed=i
+            )
+            for member, objective in zip(bagged.members, before):
+                assert member.converged and member.n_iters <= 20, (i, member.n_iters)
+                assert member.objective <= objective * (1 + 1e-9), i
 
 
 def ensemble_mean(bagged, t):

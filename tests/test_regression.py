@@ -125,6 +125,28 @@ class TestRbf:
             RegressorSpec("rbf-gauss", shape=-1.0)
 
 
+INTERPOLATING_VECTOR_KINDS = ("nearest", "rbf-gauss", "rbf-tps")
+
+
+class TestDuplicates:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("kind", INTERPOLATING_VECTOR_KINDS)
+    def test_rejected(self, kind, p):
+        # the repeated row is not adjacent to its twin in input order
+        params = np.array([[0.3, 1.0], [0.0, 2.0], [0.7, 0.5], [0.3, 1.0]])[:, :p]
+        values = np.arange(4.0)[:, None]
+        with pytest.raises(DataError, match="duplicate parameters"):
+            fit(RegressorSpec(kind), params, values)
+
+    @pytest.mark.parametrize("kind", INTERPOLATING_VECTOR_KINDS)
+    def test_rows_sharing_a_coordinate_accepted(self, kind):
+        params = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 1.0], [0.5, 2.0]])
+        values = np.arange(4.0)[:, None]
+        reg = fit(RegressorSpec(kind), params, values)
+        for mu, val in zip(params, values):
+            assert_allclose(predict(reg, mu), val, atol=1e-8)
+
+
 class TestPolynomial:
     def test_exact_quadratic(self):
         xs = np.linspace(-1, 2, 5)[:, None]

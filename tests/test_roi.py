@@ -1,12 +1,14 @@
 """Tests for operator interpolation."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.dmd import fit_dmd
-from pdmd.errors import DataError
+from pdmd.errors import DataError, NumericalError
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
 from pdmd.regression import RegressorSpec, fit_count, predict, reset_fit_count
@@ -108,6 +110,25 @@ class TestFitRoi:
             reference = latent_operator(latent, i)
             rebuilt = synthesize_operator(model, latent.params[i])
             assert np.linalg.norm(rebuilt - reference) <= 1e-10
+
+    def test_rank_deficient_error_names_parameter_and_supported_rank(self):
+        # three complex modes span six real dimensions, so rank 8 is
+        # rank-deficient for every training parameter
+        spec = SynthSpec(
+            "exp-modes", n_h=200, n_params=9, param_range=(0.2, 0.8), n_t=80,
+            dt=0.08, seed=23,
+        )
+        dataset, _ = generate(spec)
+        latent = project(dataset, fit_global_basis(dataset, rank=8))
+        with pytest.raises(NumericalError, match="cutoff") as info:
+            fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        message = str(info.value)
+        assert message.startswith("training parameter 0 (mu = [0.2])")
+        supported = int(re.search(r"reduce the rank to (\d+)", message).group(1))
+        assert supported == 6
+        latent = project(dataset, fit_global_basis(dataset, rank=supported))
+        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        assert np.max(model.train_residuals) <= 1e-8
 
     def test_op_rank_bounds(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
