@@ -27,6 +27,7 @@ from pdmd.errors import (
     NumericalError,
     PdmdError,
     PdmdWarning,
+    RankDeficientError,
 )
 from pdmd.latent import (
     MonolithicModel,
@@ -93,6 +94,7 @@ __all__ = [
     "PartitionedModel",
     "PdmdError",
     "PdmdWarning",
+    "RankDeficientError",
     "RegressorSpec",
     "RkoiModel",
     "RoiModel",

@@ -219,6 +219,8 @@ def _read_binary(path) -> ParametricDataset:
         raise DataError(f"truncated PDMD1 header in {path}")
     param_dim, n_params, n_state, n_instants = struct.unpack_from("<4I", raw, offset)
     offset += 16
+    if n_state == 0:
+        raise DataError(f"PDMD1 file {path} has no state rows (N_h = 0)")
     expected = pdmd1_file_size(param_dim, n_params, n_state, n_instants)
     if len(raw) != expected:
         raise DataError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SnapshotMatrix, TimeGrid, lattice_steps
-from .errors import DataError, ImaginaryResidualWarning, NumericalError
+from .errors import DataError, ImaginaryResidualWarning, RankDeficientError
 from .linalg import DEFAULT_PINV_CUTOFF, eig, truncated_svd
 
 IMAG_RESIDUAL_REL_TOL = 1e-6
@@ -71,10 +71,11 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
     s = svd.singular_values
     if s[-1] < DEFAULT_PINV_CUTOFF * s[0]:
         supported = int(np.count_nonzero(s >= DEFAULT_PINV_CUTOFF * s[0]))
-        raise NumericalError(
+        raise RankDeficientError(
             f"singular value {s[-1]:.3e} below cutoff at rank {rank}; "
             f"reduce the rank to {supported}, the largest whose singular "
-            "values clear the cutoff"
+            "values clear the cutoff",
+            supported,
         )
     # after @ V / Sigma appears in both the reduced operator and the modes
     propagated = after @ (svd.right_v / s)

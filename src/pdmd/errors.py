@@ -19,6 +19,15 @@ class NumericalError(PdmdError):
     """Numerical failure: non-convergence, singularity, instability."""
 
 
+class RankDeficientError(NumericalError):
+    """The data support a lower rank than the one requested; the largest
+    rank they support is ``supported_rank``."""
+
+    def __init__(self, message: str, supported_rank: int):
+        super().__init__(message)
+        self.supported_rank = supported_rank
+
+
 class PdmdWarning(UserWarning):
     """Base class for telemetry warnings."""
 

@@ -1,9 +1,13 @@
 """Shared spatial compression for parametric snapshot sets.
 
-All trajectories are stacked side by side, one truncated SVD yields a
-single basis of dominant spatial structures, and each trajectory is
-projected onto it.  Every parametric surrogate in the package works in
-these latent coordinates and lifts back through the same basis.
+One truncated SVD of all trajectories side by side yields a single basis
+of dominant spatial structures, and each trajectory is projected onto
+it.  The deterministic basis is a two-level SVD: each trajectory is
+first reduced to a factor with the same Gram matrix, and the SVD of the
+concatenated factors gives the stacked matrix's left singular vectors
+and values to rounding without forming the stack.  Every parametric
+surrogate in the package works in these latent coordinates and lifts
+back through the same basis.
 """
 
 from __future__ import annotations
@@ -92,6 +96,30 @@ def stack_snapshots(dataset: ParametricDataset) -> np.ndarray:
     return np.hstack(dataset.states())
 
 
+def _gram_factors(states: list, min_columns: int) -> np.ndarray:
+    """``[F_1 | ... | F_Np]`` with ``F_i @ F_i.T == A_i @ A_i.T`` to
+    rounding for each trajectory ``A_i``, so the concatenation has the
+    stacked matrix's left singular vectors and values.
+
+    A wide block gives the transposed R of ``qr(A_i.T)`` (exact, N_h
+    columns).  A tall block gives ``A_i @ V_k`` with V from the SVD of
+    its R factor, keeping the singular values above rounding and never
+    fewer than ``min_columns`` of them, so that any rank up to the data
+    limit can still be served.
+    """
+    factors = []
+    for block in states:
+        n_state, n_instants = block.shape
+        if n_state <= n_instants:
+            factors.append(np.linalg.qr(block.T, mode="r").T)
+            continue
+        _, s, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
+        cutoff = s[0] * max(block.shape) * np.finfo(float).eps
+        keep = max(int(np.count_nonzero(s > cutoff)), min_columns)
+        factors.append(block @ vt[:keep].T)
+    return np.hstack(factors)
+
+
 def fit_global_basis(
     dataset: ParametricDataset,
     rank: int | None,
@@ -105,29 +133,37 @@ def fit_global_basis(
 
     An explicit ``rank`` wins; with ``rank`` None the basis keeps the
     smallest rank capturing ``energy`` of the squared spectrum.  The
-    deterministic path is exact and reads that spectrum off the one thin
-    SVD it truncates; the randomized path trades a small spectral error
-    for speed on wide stacks, is reproducible for a fixed seed, and takes
-    the spectrum from a values-only SVD first.
+    deterministic path is a two-level SVD: a rounding-level factor of
+    each trajectory, then one thin SVD of ``[F_1 | ... | F_Np]``, whose
+    spectrum also sets the energy rank; the N_h x N_t*N_p stack is never
+    built.  The randomized path trades a small spectral error for speed
+    on wide stacks and is reproducible for a fixed seed; its energy rank
+    is read off the same factor spectrum.  ``energy_captured`` is
+    relative to the sum of the trajectories' squared Frobenius norms.
     """
-    stacked = stack_snapshots(dataset)
-    max_rank = min(stacked.shape)
+    states = dataset.states()
+    max_rank = min(dataset.n_state, dataset.n_params * len(dataset.grid))
     if rank is not None and rank > max_rank:
         raise DataError(f"rank {rank} exceeds the data limit {max_rank}")
-    if randomized:
-        if rank is None:
-            spectrum = np.linalg.svd(stacked, compute_uv=False)
-            rank = select_rank(spectrum, energy, max_rank)
-        svd = randomized_svd(
-            stacked, rank, oversample=oversample, power_iters=power_iters, seed=seed
-        )
-    elif rank is None:
-        svd = truncated_svd(stacked, max_rank, energy=energy)
-    else:
-        svd = truncated_svd(stacked, rank)
-    total = float(np.linalg.norm(stacked) ** 2)
+    total = float(sum(np.linalg.norm(state) ** 2 for state in states))
     if total == 0:
         raise DataError("cannot build a basis from all-zero snapshots")
+    if randomized:
+        if rank is None:
+            spectrum = np.linalg.svd(_gram_factors(states, 1), compute_uv=False)
+            rank = select_rank(spectrum, energy, max_rank)
+        svd = randomized_svd(
+            stack_snapshots(dataset),
+            rank,
+            oversample=oversample,
+            power_iters=power_iters,
+            seed=seed,
+        )
+    elif rank is None:
+        factors = _gram_factors(states, 1)
+        svd = truncated_svd(factors, min(factors.shape), energy=energy)
+    else:
+        svd = truncated_svd(_gram_factors(states, rank), rank)
     energy_captured = min(float(np.sum(svd.singular_values**2) / total), 1.0)
     return GlobalBasis(svd.modes_u, svd.singular_values, energy_captured)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import regression
 from .data import lattice_steps
 from .dmd import fit_dmd, reconstruct
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, RankDeficientError
 from .linalg import truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
 
@@ -63,6 +63,10 @@ def fold_operator(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((side, side), order="F")
 
 
+def _parameter_label(latent: LatentDataset, index: int) -> str:
+    return f"training parameter {index} (mu = {latent.params[index].tolist()})"
+
+
 def fit_roi(
     latent: LatentDataset,
     op_rank: int,
@@ -78,20 +82,31 @@ def fit_roi(
 
     operators = []
     residuals = []
+    deficient = []  # (supported rank, parameter index, error)
     for i in range(latent.n_params):
         trajectory = latent.trajectory(i)
         try:
             model = fit_dmd(trajectory, rank)
+        except RankDeficientError as exc:
+            deficient.append((exc.supported_rank, i, exc))
+            continue
         except NumericalError as exc:
-            raise NumericalError(
-                f"training parameter {i} (mu = {latent.params[i].tolist()}): {exc}"
-            ) from exc
+            raise NumericalError(f"{_parameter_label(latent, i)}: {exc}") from exc
         # rotate the reduced operator into shared latent coordinates; the
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T
         operators.append(unfold_operator(operator))
         rebuilt = reconstruct(model, latent.grid)
         residuals.append(float(np.linalg.norm(rebuilt.state - trajectory.state)))
+
+    if deficient:
+        supported, i, exc = min(deficient, key=lambda entry: entry[:2])
+        raise RankDeficientError(
+            f"{_parameter_label(latent, i)}: {exc} (the smallest supported "
+            f"rank over all {latent.n_params} training parameters; "
+            f"{len(deficient)} of them are rank-deficient)",
+            supported,
+        ) from exc
 
     stacked = np.column_stack(operators)
     svd = truncated_svd(stacked, op_rank)

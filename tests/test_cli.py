@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.cli import main
-from pdmd.data import read_dataset
+from pdmd.data import (
+    ParametricDataset,
+    SnapshotMatrix,
+    TimeGrid,
+    read_dataset,
+    write_dataset,
+)
 from pdmd.metrics import report_from_line
 
 
@@ -179,6 +185,26 @@ class TestFit:
             "fit", "--data", str(path), "--algorithm", "roi", "--rank", "99",
             "--threads", "1", "--out", str(tmp_path / "m.pdmdm"),
         ) == 3
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--rank", "1"], ["--randomized-svd"]],
+        ids=["energy", "explicit-rank", "randomized"],
+    )
+    def test_all_zero_snapshots_are_data_error(self, tmp_path, capsys, extra):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 12))
+        dataset = ParametricDataset(
+            np.arange(3.0)[:, None],
+            tuple(SnapshotMatrix(np.zeros((6, 12)), grid) for _ in range(3)),
+        )
+        path = tmp_path / "zeros.pdmd1"
+        write_dataset(dataset, path)
+        code = run_cli(
+            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
+            "--out", str(tmp_path / "m.pdmdm"), *extra,
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cannot build a basis from all-zero snapshots" in err
 
 
 class TestPredict:

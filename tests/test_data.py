@@ -1,5 +1,7 @@
 """Tests for the dataset model and disk formats."""
 
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,6 +113,16 @@ class TestBinaryFormat:
         path = tmp_path / "bad.pdmd"
         path.write_bytes(b"NOTPDMD1 garbage")
         with pytest.raises(DataError):
+            read_dataset(path)
+
+    def test_zero_state_rows_rejected(self, tmp_path):
+        # header p = 1, N_p = 1, N_h = 0, N_t = 3, then the grid and the
+        # parameter: a size-consistent file with no state rows
+        path = tmp_path / "empty.pdmd"
+        payload = np.array([0.0, 1.0, 2.0, 0.5], dtype="<f8").tobytes()
+        path.write_bytes(b"PDMD1\n" + struct.pack("<4I", 1, 1, 0, 3) + payload)
+        assert path.stat().st_size == pdmd1_file_size(1, 1, 0, 3)
+        with pytest.raises(DataError, match="no state rows"):
             read_dataset(path)
 
     def test_truncated_payload(self, tmp_path):

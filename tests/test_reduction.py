@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdmd.reduction
+from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
-from pdmd.reduction import fit_global_basis, lift, project, stack_snapshots
+from pdmd.linalg import select_rank
+from pdmd.reduction import (
+    DEFAULT_ENERGY,
+    fit_global_basis,
+    lift,
+    project,
+    stack_snapshots,
+)
+from pdmd.synth import SynthSpec, generate
 
 
 def make_dataset(n_params=3, n_state=8, n_t=5, seed=0):
@@ -103,6 +113,98 @@ class TestFitGlobalBasis:
         ds = make_dataset(n_params=2, n_state=4, n_t=3)
         with pytest.raises(DataError):
             fit_global_basis(ds, rank=7)
+
+
+def stacked_svd(dataset):
+    """Reference: thin SVD of the explicit N_h x N_t*N_p stack."""
+    return np.linalg.svd(np.hstack(dataset.states()), full_matrices=False)
+
+
+def exp_modes_dataset():
+    """Tall blocks (60 x 30) spanning six real dimensions in all."""
+    spec = SynthSpec(
+        "exp-modes", n_h=60, n_params=5, param_range=(0.2, 0.8), n_t=30,
+        dt=0.08, seed=23,
+    )
+    return generate(spec)[0]
+
+
+TWO_LEVEL_CASES = {
+    "tall": lambda: make_dataset(n_params=4, n_state=40, n_t=8, seed=6),
+    "wide": lambda: make_dataset(n_params=3, n_state=8, n_t=20, seed=7),
+    "exp-modes": exp_modes_dataset,
+}
+
+
+class TestTwoLevelBasis:
+    """The basis built from per-trajectory factors against the stacked SVD."""
+
+    @pytest.mark.parametrize(
+        "case, rank",
+        [("tall", 3), ("tall", 32), ("wide", 3), ("wide", 8),
+         ("exp-modes", 2), ("exp-modes", 6)],
+    )
+    def test_matches_stacked_svd(self, case, rank):
+        dataset = TWO_LEVEL_CASES[case]()
+        u, s, _ = stacked_svd(dataset)
+        basis = fit_global_basis(dataset, rank)
+        assert_allclose(basis.singular_values, s[:rank], rtol=1e-12)
+        cosines = np.linalg.svd(basis.modes_u.T @ u[:, :rank], compute_uv=False)
+        assert np.min(cosines) >= 1 - 1e-12
+        energy = np.sum(s[:rank] ** 2) / np.sum(s**2)
+        assert basis.energy_captured == pytest.approx(energy, abs=1e-14)
+
+    @pytest.mark.parametrize("case", list(TWO_LEVEL_CASES))
+    def test_energy_rank_matches_stacked(self, case):
+        dataset = TWO_LEVEL_CASES[case]()
+        s = stacked_svd(dataset)[1]
+        for energy in (0.9, 0.99, DEFAULT_ENERGY, 1.0):
+            basis = fit_global_basis(dataset, None, energy=energy)
+            assert basis.rank == select_rank(s, energy, s.size)
+
+    def test_rank_above_numerical_rank_is_orthonormal(self):
+        # one 60 x 30 trajectory of numerical rank 6: rank 10 is within
+        # the data limit but needs columns below rounding level
+        full = exp_modes_dataset()
+        dataset = ParametricDataset(full.params[:1], full.trajectories[:1])
+        basis = fit_global_basis(dataset, 10)
+        assert basis.rank == 10
+        assert_allclose(basis.modes_u.T @ basis.modes_u, np.eye(10), atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [None, 3])
+    def test_deterministic_path_never_stacks(self, rank, monkeypatch):
+        calls = []
+
+        def counting_stack(dataset):
+            calls.append(dataset)
+            return stack_snapshots(dataset)
+
+        monkeypatch.setattr(pdmd.reduction, "stack_snapshots", counting_stack)
+        fit_global_basis(TWO_LEVEL_CASES["tall"](), rank)
+        fit_global_basis(TWO_LEVEL_CASES["wide"](), rank)
+        assert calls == []
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_energy_rank_on_default_suite(self, randomized):
+        for scenario in default_suite().scenarios:
+            dataset = generate(scenario.synth)[0]
+            s = np.linalg.svd(np.hstack(dataset.states()), compute_uv=False)
+            # no oversampling: linear-smooth keeps all 12 of its state rows
+            basis = fit_global_basis(
+                dataset, None, randomized=randomized, oversample=0
+            )
+            assert basis.rank == select_rank(s, DEFAULT_ENERGY, s.size), scenario.name
+
+    @pytest.mark.parametrize("rank", [None, 1])
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_all_zero_snapshots_rejected(self, rank, randomized):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 12))
+        dataset = ParametricDataset(
+            np.arange(3.0)[:, None],
+            tuple(SnapshotMatrix(np.zeros((6, 12)), grid) for _ in range(3)),
+        )
+        with pytest.raises(DataError, match="all-zero"):
+            fit_global_basis(dataset, rank, randomized=randomized)
 
 
 class TestProjectLift:

@@ -130,6 +130,26 @@ class TestFitRoi:
         model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
         assert np.max(model.train_residuals) <= 1e-8
 
+    def test_rank_deficient_error_names_smallest_supported_rank(self):
+        # x_k = diag(d)^k x0 spans as many directions as x0 has nonzero
+        # entries: 3, 4 and 2 for the three parameters, so parameter 2
+        # sets the supported rank although parameter 0 fails first
+        grid = TimeGrid(np.arange(20.0))
+        decay = np.array([0.9, 0.8, 0.7, 0.6])
+        starts = ([1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0])
+        latents = tuple(
+            decay[:, None] ** np.arange(20.0) * np.asarray(x0)[:, None]
+            for x0 in starts
+        )
+        params = np.array([[0.1], [0.2], [0.3]])
+        latent = LatentDataset(identity_basis(4), params, latents, grid)
+        with pytest.raises(NumericalError, match="cutoff") as info:
+            fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        message = str(info.value)
+        assert message.startswith("training parameter 2 (mu = [0.3])")
+        assert re.search(r"reduce the rank to (\d+)", message).group(1) == "2"
+        assert info.value.supported_rank == 2
+
     def test_op_rank_bounds(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
         with pytest.raises(DataError):
