@@ -28,6 +28,7 @@ from .data import (
     read_dataset,
     read_text,
     restrict_time,
+    subset_params,
     write_dataset,
 )
 from .errors import DataError, NumericalError
@@ -37,7 +38,6 @@ from .pipeline import (
     evaluate_model,
     fit_surrogate,
     spec_from_metadata,
-    subset_params,
     timed_query,
 )
 from .regression import EXTRAPOLATION_POLICIES, KINDS, RegressorSpec
@@ -190,9 +190,7 @@ FIT_OPTS = COMMON + [
            "parameter indices used for training (default: all)"),
     Option("time-window", _parse_pair, None, "training window lo,hi"),
     Option("randomized-svd", _parse_bool, False,
-           "randomized range finder for the basis", flag=True),
-    _opt_uint("oversample", 0, 10, "randomized SVD oversampling"),
-    _opt_uint("power-iters", 0, 2, "randomized SVD power iterations"),
+           "randomized range finder for an explicit --rank basis", flag=True),
     _opt_uint("bag-trials", 1, 1, "bagging trials for rkoi members"),
     _opt_float("bag-fraction", 0.8, "time-subset fraction per bagging trial"),
     Option("out", str, "model.pdmdm", "output model path"),
@@ -365,8 +363,6 @@ def cmd_fit(args) -> int:
         op_rank=args.op_rank,
         regressor=spec,
         randomized=args.randomized_svd,
-        oversample=args.oversample,
-        power_iters=args.power_iters,
         seed=args.seed,
         bag_trials=args.bag_trials,
         bag_fraction=args.bag_fraction,

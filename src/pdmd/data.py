@@ -126,6 +126,8 @@ class ParametricDataset:
             )
         if len(trajectories) < 1:
             raise DataError("dataset needs at least one parameter")
+        if params.shape[1] < 1:
+            raise DataError("parameter vectors need at least one component")
         if len(np.unique(params, axis=0)) != params.shape[0]:
             raise DataError("parameter vectors must be pairwise distinct")
         grid = trajectories[0].grid
@@ -340,6 +342,21 @@ def _read_manifest(path) -> ParametricDataset:
     return ParametricDataset(np.asarray(params, dtype=float), trajectories)
 
 
+def subset_params(dataset: ParametricDataset, indices) -> ParametricDataset:
+    """Keep only the listed parameter values, in the given order."""
+    indices = [int(i) for i in indices]
+    if len(set(indices)) != len(indices):
+        raise DataError("duplicate parameter indices")
+    if any(i < 0 or i >= dataset.n_params for i in indices):
+        raise DataError(
+            f"parameter indices outside the dataset range [0, {dataset.n_params})"
+        )
+    return ParametricDataset(
+        dataset.params[indices],
+        tuple(dataset.trajectories[i] for i in indices),
+    )
+
+
 def split_train_test(dataset: ParametricDataset, test_indices) -> tuple:
     """Partition parameters into (train, test) preserving order."""
     test = sorted(set(int(i) for i in test_indices))
@@ -350,14 +367,7 @@ def split_train_test(dataset: ParametricDataset, test_indices) -> tuple:
         raise DataError("train side of the split is empty")
     if not test:
         raise DataError("test side of the split is empty")
-
-    def subset(indices):
-        return ParametricDataset(
-            dataset.params[indices],
-            tuple(dataset.trajectories[i] for i in indices),
-        )
-
-    return subset(train), subset(test)
+    return subset_params(dataset, train), subset_params(dataset, test)
 
 
 def restrict_time(dataset: ParametricDataset, t_start: float, t_end: float) -> ParametricDataset:

@@ -1,18 +1,14 @@
-"""Evaluation metrics, phase timing and error-series rows.
+"""Evaluation metrics, evaluation records and error-series rows.
 
 Errors are relative Frobenius norm over the whole window, per-instant
-relative column norms, and entrywise RMSE.  Timing uses a monotonic
-wall clock with named phases so offline training cost and online query
-cost can be reported separately.  Per-instant errors are written as
-tidy ``time,value,algorithm,parameter`` rows.
+relative column norms, and entrywise RMSE.  An evaluation record keeps
+the offline training cost and the online query cost apart.  Per-instant
+errors are written as tidy ``time,value,algorithm,parameter`` rows.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,33 +52,6 @@ def rmse(truth, pred) -> float:
     """Entrywise root-mean-square difference."""
     truth, pred = _check_shapes(truth, pred)
     return float(np.sqrt(np.mean((truth - pred) ** 2)))
-
-
-class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase.
-
-    Phases may nest; each label accumulates its own wall time, so a
-    nested phase's duration is counted in both its label and the
-    enclosing one.  Accumulation is thread-safe and merged by label.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._totals: dict = {}
-
-    @contextmanager
-    def phase(self, label: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._totals[label] = self._totals.get(label, 0.0) + elapsed
-
-    def seconds(self, label: str) -> float:
-        with self._lock:
-            return self._totals.get(label, 0.0)
 
 
 @dataclass(frozen=True)

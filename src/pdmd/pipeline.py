@@ -13,9 +13,9 @@ import numpy as np
 
 from . import regression
 from .algorithms import ALGORITHMS
-from .data import ParametricDataset
+from .data import ParametricDataset, subset_params  # noqa: F401  (importable from here too)
 from .errors import DataError
-from .metrics import EvalReport, PhaseTimer, frobenius_rel_error, rmse, time_rel_error
+from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
 from .reduction import DEFAULT_ENERGY, fit_global_basis, project
 from .regression import RegressorSpec
 
@@ -30,8 +30,6 @@ class FitOptions:
     op_rank: int | None = None
     regressor: RegressorSpec | None = None
     randomized: bool = False
-    oversample: int = 10
-    power_iters: int = 2
     seed: int = 0
     bag_trials: int = 1
     bag_fraction: float = 0.8
@@ -54,24 +52,8 @@ class FittedSurrogate:
     model: object
     algorithm: str
     regressor: RegressorSpec
-    timer: PhaseTimer
     train_errors: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-
-def subset_params(dataset: ParametricDataset, indices) -> ParametricDataset:
-    """Keep only the listed parameter values, in the given order."""
-    indices = [int(i) for i in indices]
-    if len(set(indices)) != len(indices):
-        raise DataError("duplicate parameter indices")
-    if any(i < 0 or i >= dataset.n_params for i in indices):
-        raise DataError(
-            f"parameter indices outside the dataset range [0, {dataset.n_params})"
-        )
-    return ParametricDataset(
-        dataset.params[indices],
-        tuple(dataset.trajectories[i] for i in indices),
-    )
 
 
 def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurrogate:
@@ -83,20 +65,19 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     spec = options.regressor
     if spec is None:
         spec = regression.default_spec(dataset.param_dim)
-    timer = PhaseTimer()
-    with timer.phase("basis"):
-        basis = fit_global_basis(
-            dataset,
-            options.rank,
-            randomized=options.randomized,
-            seed=options.seed,
-            oversample=options.oversample,
-            power_iters=options.power_iters,
-            energy=DEFAULT_ENERGY if options.energy is None else options.energy,
-        )
-        latent = project(dataset, basis)
-    with timer.phase("train"):
-        model = ALGORITHMS[options.algorithm].fit(latent, options, spec)
+    started = time.perf_counter()
+    basis = fit_global_basis(
+        dataset,
+        options.rank,
+        randomized=options.randomized,
+        seed=options.seed,
+        energy=DEFAULT_ENERGY if options.energy is None else options.energy,
+    )
+    latent = project(dataset, basis)
+    basis_done = time.perf_counter()
+    model = ALGORITHMS[options.algorithm].fit(latent, options, spec)
+    basis_seconds = basis_done - started
+    train_seconds = time.perf_counter() - basis_done
 
     train_errors = np.array(
         [
@@ -121,12 +102,12 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
         "poly_degree": spec.degree,
         "ridge": spec.ridge,
         "extrapolation": spec.extrapolation,
-        "offline_seconds": timer.seconds("basis") + timer.seconds("train"),
-        "basis_seconds": timer.seconds("basis"),
-        "train_seconds": timer.seconds("train"),
+        "offline_seconds": basis_seconds + train_seconds,
+        "basis_seconds": basis_seconds,
+        "train_seconds": train_seconds,
         "mean_train_error": float(train_errors.mean()),
     }
-    return FittedSurrogate(model, options.algorithm, spec, timer, train_errors, metadata)
+    return FittedSurrogate(model, options.algorithm, spec, train_errors, metadata)
 
 
 def spec_from_metadata(metadata: dict) -> RegressorSpec:

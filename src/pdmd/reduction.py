@@ -2,12 +2,14 @@
 
 One truncated SVD of all trajectories side by side yields a single basis
 of dominant spatial structures, and each trajectory is projected onto
-it.  The deterministic basis is a two-level SVD: each trajectory is
-first reduced to a factor with the same Gram matrix, and the SVD of the
-concatenated factors gives the stacked matrix's left singular vectors
-and values to rounding without forming the stack.  Every parametric
-surrogate in the package works in these latent coordinates and lifts
-back through the same basis.
+it.  Both ways of computing it read the data one trajectory at a time
+and never form the N_h x N_t*N_p stack.  The exact basis is a two-level
+SVD: each trajectory is first reduced to a factor with the same Gram
+matrix, and the SVD of the concatenated factors gives the stacked
+matrix's left singular vectors and values to rounding.  The randomized
+basis, for an explicit rank only, sketches the range blockwise.  Every
+parametric surrogate in the package works in these latent coordinates
+and lifts back through the same basis.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ import numpy as np
 
 from .data import ParametricDataset, SnapshotMatrix, TimeGrid
 from .errors import DataError
-from .linalg import (
-    DEFAULT_OVERSAMPLE,
-    DEFAULT_POWER_ITERS,
-    randomized_svd,
-    select_rank,
-    truncated_svd,
-)
+from .linalg import randomized_svd, truncated_svd
 
 ORTHONORMALITY_TOL = 1e-10
 DEFAULT_ENERGY = 0.9999
@@ -90,12 +86,6 @@ class LatentDataset:
         return SnapshotMatrix(self.latents[index], self.grid)
 
 
-def stack_snapshots(dataset: ParametricDataset) -> np.ndarray:
-    """All trajectories side by side: N_h x (N_t * N_p), parameter blocks
-    in dataset order, time-ordered within each block."""
-    return np.hstack(dataset.states())
-
-
 def _gram_factors(states: list, min_columns: int) -> np.ndarray:
     """``[F_1 | ... | F_Np]`` with ``F_i @ F_i.T == A_i @ A_i.T`` to
     rounding for each trajectory ``A_i``, so the concatenation has the
@@ -125,21 +115,20 @@ def fit_global_basis(
     rank: int | None,
     randomized: bool = False,
     seed: int = 0,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    power_iters: int = DEFAULT_POWER_ITERS,
     energy: float = DEFAULT_ENERGY,
 ) -> GlobalBasis:
-    """Truncated SVD of the stacked snapshots.
+    """Truncated SVD of the trajectories side by side.
 
     An explicit ``rank`` wins; with ``rank`` None the basis keeps the
     smallest rank capturing ``energy`` of the squared spectrum.  The
-    deterministic path is a two-level SVD: a rounding-level factor of
-    each trajectory, then one thin SVD of ``[F_1 | ... | F_Np]``, whose
-    spectrum also sets the energy rank; the N_h x N_t*N_p stack is never
-    built.  The randomized path trades a small spectral error for speed
-    on wide stacks and is reproducible for a fixed seed; its energy rank
-    is read off the same factor spectrum.  ``energy_captured`` is
-    relative to the sum of the trajectories' squared Frobenius norms.
+    exact path is a two-level SVD: a rounding-level factor of each
+    trajectory, then one thin SVD of ``[F_1 | ... | F_Np]``, whose
+    spectrum also sets the energy rank.  ``randomized`` applies to an
+    explicit rank only: a blockwise randomized range finder, reproducible
+    for a fixed ``seed``, that trades a small spectral error for speed
+    on large states.  The energy rank always takes the exact path.
+    ``energy_captured`` is relative to the sum of the trajectories'
+    squared Frobenius norms.
     """
     states = dataset.states()
     max_rank = min(dataset.n_state, dataset.n_params * len(dataset.grid))
@@ -148,20 +137,11 @@ def fit_global_basis(
     total = float(sum(np.linalg.norm(state) ** 2 for state in states))
     if total == 0:
         raise DataError("cannot build a basis from all-zero snapshots")
-    if randomized:
-        if rank is None:
-            spectrum = np.linalg.svd(_gram_factors(states, 1), compute_uv=False)
-            rank = select_rank(spectrum, energy, max_rank)
-        svd = randomized_svd(
-            stack_snapshots(dataset),
-            rank,
-            oversample=oversample,
-            power_iters=power_iters,
-            seed=seed,
-        )
-    elif rank is None:
+    if rank is None:
         factors = _gram_factors(states, 1)
         svd = truncated_svd(factors, min(factors.shape), energy=energy)
+    elif randomized:
+        svd = randomized_svd(states, rank, seed=seed)
     else:
         svd = truncated_svd(_gram_factors(states, rank), rank)
     energy_captured = min(float(np.sum(svd.singular_values**2) / total), 1.0)

@@ -2,6 +2,7 @@
 and the file formats the subcommands exchange."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -205,6 +206,51 @@ class TestFit:
         assert code == 3
         err = capsys.readouterr().err
         assert "cannot build a basis from all-zero snapshots" in err
+
+    @pytest.mark.parametrize("flag", ["oversample", "power-iters"])
+    def test_removed_sketch_knobs_are_usage_errors(self, tmp_path, flag):
+        path = make_dataset(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("fit", "--data", str(path), "--algorithm", "roi",
+                    f"--{flag}", "5")
+        assert excinfo.value.code == 2
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{flag}=5\n")
+        assert run_cli(
+            "fit", "--config", str(config), "--data", str(path),
+            "--algorithm", "roi", "--threads", "1",
+        ) == 2
+
+    @pytest.mark.parametrize("rank", [["--rank", "8"], ["--rank", "12"], []],
+                             ids=["rank-8", "rank-12", "energy"])
+    def test_randomized_basis_up_to_the_state_dimension(self, tmp_path, rank):
+        # the default suite's linear-smooth family: 12 state rows, fewer
+        # than rank + the sketch's oversampling
+        path = tmp_path / "smooth.pdmd1"
+        assert run_cli(
+            "synth", "--family", "linear", "--nh", "12", "--np", "18",
+            "--nt", "120", "--dt", "0.15", "--param-range", "0.3,0.7",
+            "--seed", "11", "--threads", "1", "--out", str(path),
+        ) == 0
+        assert run_cli(
+            "fit", "--data", str(path), "--algorithm", "roi",
+            "--randomized-svd", "--threads", "1",
+            "--out", str(tmp_path / "m.pdmdm"), *rank,
+        ) == 0
+
+    def test_parameterless_dataset_is_data_error(self, tmp_path, capsys):
+        # a PDMD1 header declaring p = 0: one trajectory of 4 x 12
+        path = tmp_path / "p0.pdmd1"
+        path.write_bytes(
+            b"PDMD1\n" + struct.pack("<4I", 0, 1, 4, 12)
+            + np.arange(12.0).astype("<f8").tobytes()
+            + np.ones(4 * 12).astype("<f8").tobytes()
+        )
+        assert run_cli(
+            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
+            "--out", str(tmp_path / "m.pdmdm"),
+        ) == 3
+        assert "at least one component" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdmd.data import (
+    MAGIC,
     ParametricDataset,
     SnapshotMatrix,
     TimeGrid,
@@ -14,6 +17,7 @@ from pdmd.data import (
     read_dataset,
     restrict_time,
     split_train_test,
+    subset_params,
     write_dataset,
 )
 from pdmd.errors import DataError
@@ -75,6 +79,11 @@ class TestDatasetInvariants:
     def test_single_parameter_allowed(self):
         ds = make_dataset(n_params=1)
         assert ds.n_params == 1
+
+    def test_parameter_vectors_need_a_component(self):
+        traj = SnapshotMatrix(np.zeros((2, 2)), TimeGrid(np.array([0.0, 1.0])))
+        with pytest.raises(DataError, match="at least one component"):
+            ParametricDataset(np.zeros((1, 0)), (traj,))
 
 
 class TestBinaryFormat:
@@ -155,6 +164,56 @@ class TestBinaryFormat:
             write_dataset(ds, target)
 
 
+@st.composite
+def pdmd1_bytes(draw):
+    """A PDMD1 file with header values in 0..3.  The payload is either
+    well formed (increasing instants, distinct parameter rows, finite
+    states) or arbitrary float64 values, and its size is either the one
+    the header declares or off by a few bytes."""
+    dims = [draw(st.integers(0, 3)) for _ in range(4)]
+    param_dim, n_params, n_state, n_instants = dims
+    n_values = n_instants + n_params * param_dim + n_params * n_state * n_instants
+    if draw(st.booleans()):
+        params = np.arange(n_params * param_dim, dtype=float)
+        states = draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=n_values - n_instants - params.size,
+            max_size=n_values - n_instants - params.size,
+        ))
+        values = np.concatenate([np.arange(n_instants, dtype=float), params, states])
+    else:
+        values = draw(st.lists(
+            st.floats(width=64), min_size=n_values, max_size=n_values,
+        ))
+    payload = np.asarray(values, dtype="<f8").tobytes()
+    delta = draw(st.sampled_from([0, 0, -1, 1, -8, 8]))
+    payload = payload[:len(payload) + delta] if delta < 0 else payload + bytes(delta)
+    return MAGIC + struct.pack("<4I", *dims) + payload
+
+
+class TestBinaryFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=pdmd1_bytes())
+    def test_reader_loads_or_raises_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "data.pdmd1"
+        path.write_bytes(raw)
+        try:
+            dataset = read_dataset(path)
+        except DataError:
+            return
+        assert len(raw) == pdmd1_file_size(
+            dataset.param_dim, dataset.n_params, dataset.n_state, len(dataset.grid)
+        )
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "data.pdmd1"
+        write_dataset(make_dataset(n_params=2, n_state=2, n_t=3), path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                read_dataset(path)
+
+
 class TestCsvIngestion:
     def test_header_fixture(self, tmp_path):
         (tmp_path / "traj.csv").write_text(
@@ -227,6 +286,14 @@ class TestSplit:
         ds = make_dataset(n_params=3)
         with pytest.raises(DataError, match="out of range"):
             split_train_test(ds, [5])
+
+    def test_sides_are_parameter_subsets(self):
+        ds = make_dataset(n_params=5)
+        train, test = split_train_test(ds, [3, 1])
+        for side, indices in ((train, [0, 2, 4]), (test, [1, 3])):
+            expected = subset_params(ds, indices)
+            assert np.array_equal(side.params, expected.params)
+            assert side.trajectories == expected.trajectories
 
 
 class TestRestrictTime:

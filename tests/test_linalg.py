@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pdmd.errors import DataError
 from pdmd.linalg import (
@@ -13,6 +13,7 @@ from pdmd.linalg import (
     select_rank,
     truncated_svd,
 )
+from pdmd.synth import SynthSpec, generate
 
 
 class TestTruncatedSvd:
@@ -71,29 +72,92 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3) + 0j, rank=2)
 
 
+def stacked_randomized_svd(m, rank, seed):
+    """Oracle: the same range finder run on the explicit matrix, with a
+    sketch of rank + 10 columns clamped to the data limit and two power
+    steps.  Returns the leading left vectors and singular values."""
+    n_sketch = min(rank + 10, *m.shape)
+    omega = np.random.default_rng(seed).standard_normal((m.shape[1], n_sketch))
+    q, _ = np.linalg.qr(m @ omega)
+    for _ in range(2):
+        q, _ = np.linalg.qr(m.T @ q)
+        q, _ = np.linalg.qr(m @ q)
+    ub, s, _ = np.linalg.svd(q.T @ m, full_matrices=False)
+    return (q @ ub)[:, :rank], s[:rank]
+
+
+def decaying_blocks(floor=1e-29, widths=(30, 17, 33), seed=0):
+    """Column blocks of a 120-row matrix with 30 singular values spaced
+    geometrically from 1 down to ``floor``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((120, 30)))
+    v, _ = np.linalg.qr(rng.standard_normal((sum(widths), 30)))
+    m = (u * np.geomspace(1.0, floor, 30)) @ v.T
+    return np.split(m, np.cumsum(widths)[:-1], axis=1)
+
+
+def noisy_modes_blocks():
+    """Sixteen noisy 200 x 40 exp-modes trajectories."""
+    spec = SynthSpec(
+        "exp-modes", n_h=200, n_params=16, param_range=(0.2, 0.8), n_t=40,
+        dt=0.08, noise_std=0.01, seed=3,
+    )
+    return generate(spec)[0].states()
+
+
 class TestRandomizedSvd:
     def test_matches_deterministic_on_decaying_spectrum(self):
-        rng = np.random.default_rng(0)
-        u, _ = np.linalg.qr(rng.standard_normal((120, 30)))
-        v, _ = np.linalg.qr(rng.standard_normal((80, 30)))
-        s = 10.0 ** -np.arange(30, dtype=float)
-        m = (u * s) @ v.T
-        det = truncated_svd(m, rank=8)
-        rnd = randomized_svd(m, rank=8, seed=42)
+        blocks = decaying_blocks()
+        det = truncated_svd(np.hstack(blocks), rank=8)
+        rnd = randomized_svd(blocks, rank=8, seed=42)
         assert_allclose(rnd.singular_values, det.singular_values, rtol=1e-2)
         assert_allclose(rnd.reconstruct(), det.reconstruct(), atol=1e-8)
 
-    def test_seed_reproducibility(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((60, 40))
-        a = randomized_svd(m, rank=5, seed=9)
-        b = randomized_svd(m, rank=5, seed=9)
-        assert_allclose(a.modes_u, b.modes_u)
-        assert_allclose(a.singular_values, b.singular_values)
+    @pytest.mark.parametrize(
+        "make_blocks, rank, seed",
+        [(lambda: decaying_blocks(1e-3), 8, 42), (noisy_modes_blocks, 6, 0),
+         (noisy_modes_blocks, 20, 5)],
+        ids=["graded", "noisy-modes-6", "noisy-modes-20"],
+    )
+    def test_matches_stacked_oracle(self, make_blocks, rank, seed):
+        blocks = make_blocks()
+        u, s = stacked_randomized_svd(np.hstack(blocks), rank, seed)
+        rnd = randomized_svd(blocks, rank, seed=seed)
+        assert_allclose(rnd.singular_values, s, rtol=1e-12)
+        cosines = np.linalg.svd(rnd.modes_u.T @ u, compute_uv=False)
+        assert np.min(cosines) >= 1 - 1e-12
 
-    def test_sketch_size_guard(self):
-        with pytest.raises(DataError):
-            randomized_svd(np.eye(8), rank=4, oversample=10)
+    def test_seed_reproducibility(self):
+        blocks = noisy_modes_blocks()
+        a = randomized_svd(blocks, rank=5, seed=9)
+        b = randomized_svd([block.copy() for block in blocks], rank=5, seed=9)
+        assert_array_equal(a.modes_u, b.modes_u)
+        assert_array_equal(a.singular_values, b.singular_values)
+        assert_array_equal(a.right_v, b.right_v)
+
+    def test_sketch_clamped_to_data_limit(self):
+        # rank 4 + 10 oversampling exceeds the 6 columns: the sketch is
+        # clamped to the full column space, so the result is exact
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((8, 2)), rng.standard_normal((8, 4))]
+        exact = truncated_svd(np.hstack(blocks), rank=4)
+        rnd = randomized_svd(blocks, rank=4, seed=1)
+        assert_allclose(rnd.singular_values, exact.singular_values, rtol=1e-12)
+        assert_allclose(rnd.modes_u, exact.modes_u, atol=1e-12)
+
+    def test_rank_above_data_limit_rejected(self):
+        with pytest.raises(DataError, match="out of range"):
+            randomized_svd([np.eye(8)], rank=9)
+        with pytest.raises(DataError, match="out of range"):
+            randomized_svd([np.eye(8)], rank=0)
+
+    def test_malformed_blocks_rejected(self):
+        with pytest.raises(DataError, match="at least one block"):
+            randomized_svd([], rank=1)
+        with pytest.raises(DataError, match="row count"):
+            randomized_svd([np.eye(4), np.eye(5)], rank=1)
+        with pytest.raises(DataError, match="real"):
+            randomized_svd([np.eye(4) + 0j], rank=1)
 
 
 class TestEig:

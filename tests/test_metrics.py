@@ -1,6 +1,4 @@
-"""Tests for error metrics and phase timing."""
-
-import time
+"""Tests for error metrics and evaluation records."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from numpy.testing import assert_allclose
 from pdmd.errors import DataError
 from pdmd.metrics import (
     EvalReport,
-    PhaseTimer,
     frobenius_rel_error,
     report_from_line,
     report_to_line,
@@ -102,31 +99,6 @@ class TestRmse:
             for j in range(5):
                 total += (truth[i, j] - pred[i, j]) ** 2
         assert rmse(truth, pred) == pytest.approx(np.sqrt(total / 15), abs=1e-12)
-
-
-class TestPhaseTimer:
-    def test_noop_non_negative(self):
-        timer = PhaseTimer()
-        with timer.phase("idle"):
-            pass
-        assert timer.seconds("idle") >= 0.0
-
-    def test_sequential_phases_sum(self):
-        timer = PhaseTimer()
-        with timer.phase("total"):
-            with timer.phase("a"):
-                time.sleep(0.01)
-            with timer.phase("b"):
-                time.sleep(0.01)
-        total = timer.seconds("total")
-        assert timer.seconds("a") + timer.seconds("b") <= total + 5e-3
-
-    def test_accumulation_across_scopes(self):
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.phase("work"):
-                time.sleep(0.002)
-        assert timer.seconds("work") >= 0.006 * 0.5
 
 
 class TestEvalReport:

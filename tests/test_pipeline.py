@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdmd.data
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
 from pdmd.metrics import frobenius_rel_error
@@ -62,6 +63,9 @@ class TestSubsetParams:
         with pytest.raises(DataError, match="range"):
             subset_params(dataset, [-1])
 
+    def test_pipeline_name_is_the_data_helper(self):
+        assert subset_params is pdmd.data.subset_params
+
 
 class TestResolveRank:
     """Rank selection of the basis, deterministic and randomized."""
@@ -69,7 +73,7 @@ class TestResolveRank:
     def test_explicit_rank_wins_over_energy(self):
         for randomized in (False, True):
             basis = fit_global_basis(
-                diagonal_dataset(), 2, energy=0.5, randomized=randomized, oversample=0
+                diagonal_dataset(), 2, energy=0.5, randomized=randomized
             )
             assert basis.rank == 2
 
@@ -85,7 +89,7 @@ class TestResolveRank:
         for randomized in (False, True):
             for energy, rank in ((0.75, 1), (0.85, 2)):
                 basis = fit_global_basis(
-                    dataset, None, energy=energy, randomized=randomized, oversample=0
+                    dataset, None, energy=energy, randomized=randomized
                 )
                 assert basis.rank == rank
 

@@ -1,21 +1,14 @@
-"""Tests for parametric stacking and the shared spatial basis."""
+"""Tests for the shared spatial basis, projection and lift."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-import pdmd.reduction
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
-from pdmd.linalg import select_rank
-from pdmd.reduction import (
-    DEFAULT_ENERGY,
-    fit_global_basis,
-    lift,
-    project,
-    stack_snapshots,
-)
+from pdmd.linalg import randomized_svd, select_rank
+from pdmd.reduction import DEFAULT_ENERGY, fit_global_basis, lift, project
 from pdmd.synth import SynthSpec, generate
 
 
@@ -43,33 +36,11 @@ def subspace_dataset(n_params=4, n_state=10, n_t=6, dim=3, seed=1):
     return ParametricDataset(params, trajectories), span
 
 
-class TestStack:
-    def test_block_order(self):
-        ds = make_dataset(n_params=2, n_t=3)
-        stacked = stack_snapshots(ds)
-        assert stacked.shape == (8, 6)
-        assert_allclose(stacked[:, :3], ds.trajectories[0].state)
-        assert_allclose(stacked[:, 3:], ds.trajectories[1].state)
-
-    def test_single_parameter(self):
-        ds = make_dataset(n_params=1)
-        assert_allclose(stack_snapshots(ds), ds.trajectories[0].state)
-
-    def test_column_index_oracle(self):
-        ds = make_dataset(n_params=3, n_t=5, seed=7)
-        stacked = stack_snapshots(ds)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            i = rng.integers(3)
-            k = rng.integers(5)
-            assert_allclose(stacked[:, i * 5 + k], ds.trajectories[i].state[:, k])
-
-
 class TestFitGlobalBasis:
     def test_subspace_captured(self):
         ds, span = subspace_dataset()
         basis = fit_global_basis(ds, rank=3)
-        stacked = stack_snapshots(ds)
+        stacked = np.hstack(ds.states())
         residual = stacked - basis.modes_u @ (basis.modes_u.T @ stacked)
         assert np.linalg.norm(residual) <= 1e-10
         assert basis.energy_captured == pytest.approx(1.0, abs=1e-12)
@@ -86,7 +57,7 @@ class TestFitGlobalBasis:
 
     def test_truncation_residual_equals_tail(self):
         ds = make_dataset(n_params=3, n_state=6, n_t=4, seed=3)
-        stacked = stack_snapshots(ds)
+        stacked = np.hstack(ds.states())
         s = np.linalg.svd(stacked, compute_uv=False)
         basis = fit_global_basis(ds, rank=3)
         residual = np.linalg.norm(stacked - basis.modes_u @ (basis.modes_u.T @ stacked)) ** 2
@@ -171,28 +142,12 @@ class TestTwoLevelBasis:
         assert basis.rank == 10
         assert_allclose(basis.modes_u.T @ basis.modes_u, np.eye(10), atol=1e-12)
 
-    @pytest.mark.parametrize("rank", [None, 3])
-    def test_deterministic_path_never_stacks(self, rank, monkeypatch):
-        calls = []
-
-        def counting_stack(dataset):
-            calls.append(dataset)
-            return stack_snapshots(dataset)
-
-        monkeypatch.setattr(pdmd.reduction, "stack_snapshots", counting_stack)
-        fit_global_basis(TWO_LEVEL_CASES["tall"](), rank)
-        fit_global_basis(TWO_LEVEL_CASES["wide"](), rank)
-        assert calls == []
-
     @pytest.mark.parametrize("randomized", [False, True])
     def test_energy_rank_on_default_suite(self, randomized):
         for scenario in default_suite().scenarios:
             dataset = generate(scenario.synth)[0]
             s = np.linalg.svd(np.hstack(dataset.states()), compute_uv=False)
-            # no oversampling: linear-smooth keeps all 12 of its state rows
-            basis = fit_global_basis(
-                dataset, None, randomized=randomized, oversample=0
-            )
+            basis = fit_global_basis(dataset, None, randomized=randomized)
             assert basis.rank == select_rank(s, DEFAULT_ENERGY, s.size), scenario.name
 
     @pytest.mark.parametrize("rank", [None, 1])
@@ -205,6 +160,42 @@ class TestTwoLevelBasis:
         )
         with pytest.raises(DataError, match="all-zero"):
             fit_global_basis(dataset, rank, randomized=randomized)
+
+
+def linear_smooth_dataset():
+    """The default suite's linear-smooth family: 18 trajectories of 12 x 120."""
+    return generate(default_suite().scenarios[0].synth)[0]
+
+
+class TestRandomizedBasis:
+    """``randomized`` at an explicit rank runs the blockwise sketch; the
+    energy rank always takes the exact path."""
+
+    @pytest.mark.parametrize("case", list(TWO_LEVEL_CASES))
+    def test_energy_path_is_the_exact_basis(self, case):
+        dataset = TWO_LEVEL_CASES[case]()
+        exact = fit_global_basis(dataset, None)
+        rnd = fit_global_basis(dataset, None, randomized=True, seed=3)
+        assert_array_equal(rnd.modes_u, exact.modes_u)
+        assert_array_equal(rnd.singular_values, exact.singular_values)
+        assert rnd.energy_captured == exact.energy_captured
+
+    def test_explicit_rank_is_the_blockwise_sketch(self):
+        dataset = exp_modes_dataset()
+        basis = fit_global_basis(dataset, 4, randomized=True, seed=8)
+        svd = randomized_svd(dataset.states(), 4, seed=8)
+        assert_array_equal(basis.modes_u, svd.modes_u)
+        assert_array_equal(basis.singular_values, svd.singular_values)
+
+    @pytest.mark.parametrize("rank", [8, 12, None])
+    def test_linear_smooth_fits_up_to_the_state_dimension(self, rank):
+        # rank + oversampling exceeds the 12 state rows: the sketch is
+        # clamped to them and so spans the exact range
+        dataset = linear_smooth_dataset()
+        basis = fit_global_basis(dataset, rank, randomized=True)
+        exact = fit_global_basis(dataset, rank)
+        assert basis.rank == exact.rank
+        assert_allclose(basis.singular_values, exact.singular_values, rtol=1e-10)
 
 
 class TestProjectLift:
@@ -239,7 +230,7 @@ class TestProjectLift:
 
     def test_reconstruction_error_equals_tail_energy(self):
         ds = make_dataset(n_params=3, n_state=7, n_t=5, seed=9)
-        stacked = stack_snapshots(ds)
+        stacked = np.hstack(ds.states())
         s = np.linalg.svd(stacked, compute_uv=False)
         basis = fit_global_basis(ds, rank=4)
         latent = project(ds, basis)
