@@ -19,6 +19,7 @@ from .latent import (
     fit_partitioned,
     predict_latent,
 )
+from .reduction import lift
 from .rkoi import RkoiModel, fit_rkoi, predict_rkoi
 from .roi import RoiModel, fit_roi, predict_roi
 
@@ -26,7 +27,8 @@ from .roi import RoiModel, fit_roi, predict_roi
 @dataclass(frozen=True)
 class Algorithm:
     """``fit(latent, options, spec)`` returns a model; ``predict(model,
-    mu, instants, spec)`` returns its N_h x N_t states at mu."""
+    mu_rows, instants, spec)`` yields its N_h x N_t states at each row of
+    the n x p block ``mu_rows``, in row order."""
 
     fit: Callable
     predict: Callable
@@ -49,18 +51,25 @@ def _fit_rkoi(latent, options, spec):
     )
 
 
-def _predict_latent(model, mu, instants, spec):
-    return predict_latent(model, mu, instants, spec)
+def _predict_latent(model, mu_rows, instants, spec):
+    """One set of online fits serves every row; each row is lifted on
+    its own, so one N_h x N_t block is held at a time."""
+    for latent in predict_latent(model, mu_rows, instants, spec):
+        yield lift(latent, model.basis)
 
 
 ALGORITHMS = {
     RoiModel.tag: Algorithm(
         fit=_fit_roi,
-        predict=lambda model, mu, instants, spec: predict_roi(model, mu, instants),
+        predict=lambda model, mu_rows, instants, spec: (
+            predict_roi(model, mu, instants) for mu in mu_rows
+        ),
     ),
     RkoiModel.tag: Algorithm(
         fit=_fit_rkoi,
-        predict=lambda model, mu, instants, spec: predict_rkoi(model, mu, instants),
+        predict=lambda model, mu_rows, instants, spec: (
+            predict_rkoi(model, mu, instants) for mu in mu_rows
+        ),
     ),
     MonolithicModel.tag: Algorithm(
         fit=lambda latent, options, spec: fit_monolithic(latent),

@@ -252,7 +252,7 @@ def read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -328,6 +328,11 @@ def _read_manifest(path) -> ParametricDataset:
             params.append([float(tok) for tok in tokens[1:]])
         except ValueError:
             raise DataError(f"non-numeric parameter on manifest line {lineno}")
+        if len(params[-1]) != len(params[0]):
+            raise DataError(
+                f"manifest line {lineno} has {len(params[-1])} parameter values "
+                f"but the first trajectory has {len(params[0])}"
+            )
         tables.append(_read_csv_table(os.path.join(base, tokens[0])))
     if not tables:
         raise DataError(f"manifest {path} lists no trajectories")

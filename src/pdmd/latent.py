@@ -9,6 +9,11 @@ regressor is trained on the per-parameter latent states there and
 evaluated at the queried mu.  Online cost therefore grows with the
 number of training parameters and requested instants, in contrast to
 the operator- and triplet-interpolation strategies.
+
+``predict_latent`` answers a block of mu rows with that one set of
+N_t regressor fits, so scoring a model at all N_p training parameters
+costs N_t fits, not N_p * N_t; a query passes its mu as one row and
+runs N_t fits.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import regression
 from .data import SnapshotMatrix, lattice_steps
 from .dmd import DmdModel, evaluate, fit_dmd
 from .errors import DataError
-from .reduction import GlobalBasis, LatentDataset, lift
+from .reduction import GlobalBasis, LatentDataset
 
 
 @dataclass(frozen=True)
@@ -111,17 +116,21 @@ def fit_partitioned(latent: LatentDataset, member_rank: int | None = None) -> Pa
     )
 
 
-def predict_latent(model, mu, times, spec: regression.RegressorSpec) -> np.ndarray:
-    """Predicted state trajectory at mu over lattice instants.
+def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.ndarray:
+    """Predicted latent trajectories over lattice instants, n x r x N_t
+    for an n x p block of parameter rows.
 
     Each DMD is evaluated once at all requested instants; then, for
-    every instant, a regressor is trained on the per-parameter latent
-    states there and evaluated at mu.  This online training is the
-    contract of the strategy; see the regression fit counter for cost
-    accounting.
+    every instant, one regressor is trained on the per-parameter latent
+    states there and evaluated at every row.  This online training, N_t
+    fits per call whatever n is, is the contract of the strategy; count
+    it with ``regression.FitCount``.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
+    rows = np.asarray(mu_rows, dtype=float)
+    if rows.ndim != 2:
+        raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
     steps = lattice_steps(times, model.t0, model.dt)
     if isinstance(model, MonolithicModel):
         stacked = evaluate(model.stacked_dmd, steps)
@@ -130,8 +139,9 @@ def predict_latent(model, mu, times, spec: regression.RegressorSpec) -> np.ndarr
         blocks = [evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)  # N_p x r x N_t
     effective = regression.effective_spec(spec, model.params.shape[0])
-    columns = []
+    latents = np.empty((rows.shape[0],) + trajectories.shape[1:])
     for k in range(steps.size):
         regressor = regression.fit(effective, model.params, trajectories[:, :, k])
-        columns.append(regression.predict(regressor, mu))
-    return lift(np.column_stack(columns), model.basis)
+        for i, mu in enumerate(rows):
+            latents[i, :, k] = regression.predict(regressor, mu)
+    return latents

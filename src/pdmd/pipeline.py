@@ -79,15 +79,11 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     basis_seconds = basis_done - started
     train_seconds = time.perf_counter() - basis_done
 
+    predictions = _predict_rows(model, dataset.params, dataset.grid.instants, spec)
     train_errors = np.array(
         [
-            frobenius_rel_error(
-                dataset.trajectories[i].state,
-                predict_surrogate(
-                    model, dataset.params[i], dataset.grid.instants, spec
-                ),
-            )
-            for i in range(dataset.n_params)
+            frobenius_rel_error(trajectory.state, prediction)
+            for trajectory, prediction in zip(dataset.trajectories, predictions)
         ]
     )
     metadata = {
@@ -121,21 +117,30 @@ def spec_from_metadata(metadata: dict) -> RegressorSpec:
     )
 
 
-def predict_surrogate(model, mu, instants, spec: RegressorSpec) -> np.ndarray:
-    """Dispatch a query to the model's algorithm; always an N_h x N_t array."""
+def _predict_rows(model, mu_rows, instants, spec: RegressorSpec):
+    """Dispatch to the model's algorithm: one N_h x N_t array per row of
+    the n x p block ``mu_rows``, yielded in row order."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
     algorithm = ALGORITHMS.get(getattr(model, "tag", None))
     if algorithm is None:
         raise DataError(f"cannot predict with object of type {type(model).__name__}")
-    return algorithm.predict(model, mu, instants, spec)
+    return algorithm.predict(model, mu_rows, instants, spec)
+
+
+def predict_surrogate(model, mu, instants, spec: RegressorSpec) -> np.ndarray:
+    """The model's N_h x N_t states at one parameter vector mu."""
+    row = np.atleast_1d(np.asarray(mu, dtype=float))
+    return next(_predict_rows(model, row[None], instants, spec))
 
 
 def timed_query(model, mu, instants, spec: RegressorSpec) -> tuple:
-    """One query: (states, wall seconds, regressor fits it ran)."""
-    regression.reset_fit_count()
-    started = time.perf_counter()
-    states = predict_surrogate(model, mu, instants, spec)
-    return states, time.perf_counter() - started, regression.fit_count()
+    """One query: (states, wall seconds, regressor fits it ran).  The
+    count covers this call only, whatever other threads do meanwhile."""
+    with regression.FitCount() as fits:
+        started = time.perf_counter()
+        states = predict_surrogate(model, mu, instants, spec)
+        seconds = time.perf_counter() - started
+    return states, seconds, fits.count
 
 
 def evaluate_model(

@@ -6,15 +6,18 @@ basis functions (gaussian or thin-plate kernel), or ridge-regularized
 polynomials.  Complex-valued targets are regressed as separate real and
 imaginary channels and reassembled on prediction.
 
-The module keeps a thread-safe counter of fit() calls so benchmarks can
-verify which algorithms train regressors online and which do not.
+``FitCount`` counts the fit() calls made inside a ``with`` block, in
+that thread or task only, so a timed query can report how many
+regressors it trained online (N_t for the latent-interpolation
+variants, none for operator and triplet interpolation) while other
+queries run concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,25 +30,30 @@ KINDS = ("linear", "nearest", "rbf-gauss", "rbf-tps", "poly")
 EXTRAPOLATION_POLICIES = ("clamp", "allow", "error")
 CONDITION_TELEMETRY_THRESHOLD = 1e12
 
-_COUNTER_LOCK = threading.Lock()
-_FIT_COUNT = 0
+# the FitCount blocks open in the current thread or task, innermost last
+_OPEN_COUNTS: ContextVar[tuple] = ContextVar("pdmd_open_fit_counts", default=())
 
 
-def fit_count() -> int:
-    """Number of regressor fits since the last reset."""
-    return _FIT_COUNT
+class FitCount:
+    """``with FitCount() as fits:`` counts in ``fits.count`` the fit()
+    calls made inside the block by this thread or task; nested blocks
+    each count the calls made inside them."""
 
+    def __init__(self):
+        self.count = 0
+        self._token = None
 
-def reset_fit_count() -> None:
-    global _FIT_COUNT
-    with _COUNTER_LOCK:
-        _FIT_COUNT = 0
+    def __enter__(self) -> "FitCount":
+        self._token = _OPEN_COUNTS.set(_OPEN_COUNTS.get() + (self,))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _OPEN_COUNTS.reset(self._token)
 
 
 def _record_fit() -> None:
-    global _FIT_COUNT
-    with _COUNTER_LOCK:
-        _FIT_COUNT += 1
+    for counter in _OPEN_COUNTS.get():
+        counter.count += 1
 
 
 @dataclass(frozen=True)

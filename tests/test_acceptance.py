@@ -276,7 +276,7 @@ def test_latent_variant_consistency():
         for i in range(latent.n_params):
             member = fit_dmd(latent.trajectory(i), 2)
             reference = lift(reconstruct(member, grid).state, basis)
-            pred = predict_latent(model, latent.params[i], grid.instants, spec)
+            pred = lift(predict_latent(model, latent.params[i : i + 1], grid.instants, spec)[0], basis)
             train_err = max(train_err, frobenius_rel_error(reference, pred))
 
     _verdict(

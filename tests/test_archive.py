@@ -192,10 +192,10 @@ class TestRoundTrips:
         loaded = load_model(path)
         assert loaded.algorithm == tag
         assert loaded.metadata == {"offline_seconds": 0.5}
-        mu, instants = [0.45], dataset.grid.instants[:7]
+        rows, instants = [[0.45]], dataset.grid.instants[:7]
         assert np.array_equal(
-            algorithm.predict(model, mu, instants, spec),
-            algorithm.predict(loaded.model, mu, instants, spec),
+            next(algorithm.predict(model, rows, instants, spec)),
+            next(algorithm.predict(loaded.model, rows, instants, spec)),
         )
 
     def test_saved_file_is_deterministic(self, tmp_path):

@@ -213,6 +213,62 @@ class TestBinaryFuzz:
             with pytest.raises(DataError):
                 read_dataset(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_flipped_bit_loads_or_raises_data_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flip") / "data.pdmd1"
+        write_dataset(make_dataset(n_params=2, n_state=2, n_t=3), path)
+        raw = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            dataset = read_dataset(path)
+        except DataError:
+            return
+        assert dataset.n_state * len(dataset.grid) >= 1
+
+
+def write_manifest(directory) -> bytes:
+    """A valid two-trajectory CSV dataset; returns the manifest bytes."""
+    (directory / "a.csv").write_text("t,x1,x2\n0.0,1.0,2.0\n0.5,3.0,4.0\n1.0,5.0,6.0\n")
+    (directory / "b.csv").write_text("t,x1,x2\n0.0,2.0,1.0\n0.5,4.0,3.0\n1.0,6.0,5.0\n")
+    text = b"# two cases\na.csv 0.25 1.5\nb.csv 0.75 2.5\n"
+    (directory / "cases.txt").write_bytes(text)
+    return text
+
+
+class TestManifestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_mutated_byte_loads_or_raises_data_error(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("manifest")
+        raw = bytearray(write_manifest(directory))
+        position = data.draw(st.integers(0, len(raw) - 1), label="position")
+        raw[position] = data.draw(st.integers(0, 255), label="byte")
+        (directory / "cases.txt").write_bytes(bytes(raw))
+        try:
+            dataset = read_dataset(directory / "cases.txt")
+        except DataError:
+            return
+        assert dataset.n_params >= 1
+
+    def test_unmutated_manifest_loads(self, tmp_path):
+        write_manifest(tmp_path)
+        dataset = read_dataset(tmp_path / "cases.txt")
+        assert dataset.params.tolist() == [[0.25, 1.5], [0.75, 2.5]]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a.csv 0.25 1.5\nb.csv 0.75\n", "a\x00.csv 0.25\n"],
+        ids=["ragged-parameters", "nul-in-path"],
+    )
+    def test_known_mutations_are_data_errors(self, tmp_path, text):
+        write_manifest(tmp_path)
+        (tmp_path / "cases.txt").write_text(text)
+        with pytest.raises(DataError):
+            read_dataset(tmp_path / "cases.txt")
+
 
 class TestCsvIngestion:
     def test_header_fixture(self, tmp_path):

@@ -18,7 +18,7 @@ from pdmd.latent import (
 from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import FitOptions, fit_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
-from pdmd.regression import RegressorSpec, fit_count, reset_fit_count
+from pdmd.regression import FitCount, RegressorSpec
 from pdmd.synth import generate
 
 
@@ -79,6 +79,12 @@ def per_step_prediction(model, mu, times, spec):
         regressor = regression.fit(effective, model.params, states)
         columns.append(regression.predict(regressor, mu))
     return lift(np.column_stack(columns), model.basis)
+
+
+def predict_one(model, mu, times, spec):
+    """State trajectory at one parameter vector: predict_latent on a
+    one-row block, lifted."""
+    return lift(predict_latent(model, [mu], times, spec)[0], model.basis)
 
 
 class TestFitMonolithic:
@@ -151,7 +157,7 @@ class TestPredictLatent:
         ):
             member = fit_dmd(latent.trajectory(1), 2)
             reference = lift(reconstruct(member, latent.grid).state, latent.basis)
-            pred = predict_latent(model, latent.params[1], latent.grid.instants, spec)
+            pred = predict_one(model, latent.params[1], latent.grid.instants, spec)
             assert frobenius_rel_error(reference, pred) <= 1e-9
 
     def test_amplitude_family_exact_at_unseen_parameter(self):
@@ -160,7 +166,7 @@ class TestPredictLatent:
         target = 0.75
         truth = target * base
         for model in (fit_monolithic(latent), fit_partitioned(latent)):
-            pred = predict_latent(
+            pred = predict_one(
                 model, [target], latent.grid.instants, spec
             )
             assert frobenius_rel_error(truth, pred) <= 1e-8
@@ -169,23 +175,23 @@ class TestPredictLatent:
         latent, _ = scaled_family([0.5, 1.0, 1.5])
         spec = RegressorSpec("linear")
         times = latent.grid.instants[:10]
-        mono = predict_latent(fit_monolithic(latent), [0.8], times, spec)
-        part = predict_latent(fit_partitioned(latent), [0.8], times, spec)
+        mono = predict_one(fit_monolithic(latent), [0.8], times, spec)
+        part = predict_one(fit_partitioned(latent), [0.8], times, spec)
         assert_allclose(mono, part, atol=1e-7)
 
     def test_single_instant_single_column(self):
         latent, _ = scaled_family([0.5, 1.0])
         model = fit_partitioned(latent)
-        out = predict_latent(model, [0.7], latent.grid.instants[3:4], RegressorSpec("linear"))
+        out = predict_one(model, [0.7], latent.grid.instants[3:4], RegressorSpec("linear"))
         assert out.shape == (2, 1)
 
     def test_regressor_fit_per_requested_instant(self):
         latent, _ = scaled_family([0.5, 1.0, 1.5])
         spec = RegressorSpec("linear")
         for model in (fit_monolithic(latent), fit_partitioned(latent)):
-            reset_fit_count()
-            predict_latent(model, [0.8], latent.grid.instants[:5], spec)
-            assert fit_count() == 5
+            with FitCount() as fits:
+                predict_one(model, [0.8], latent.grid.instants[:5], spec)
+            assert fits.count == 5
 
     def test_member_order_invariance(self):
         latent, _ = scaled_family([0.5, 1.0, 1.5])
@@ -198,8 +204,8 @@ class TestPredictLatent:
         spec = RegressorSpec("linear")
         times = latent.grid.instants[:8]
         assert_allclose(
-            predict_latent(fit_partitioned(latent), [0.9], times, spec),
-            predict_latent(fit_partitioned(flipped), [0.9], times, spec),
+            predict_one(fit_partitioned(latent), [0.9], times, spec),
+            predict_one(fit_partitioned(flipped), [0.9], times, spec),
             atol=1e-10,
         )
 
@@ -207,13 +213,13 @@ class TestPredictLatent:
         latent, _ = scaled_family([0.5, 1.0])
         model = fit_partitioned(latent)
         with pytest.raises(DataError, match="lattice"):
-            predict_latent(model, [0.7], np.array([0.5]), RegressorSpec("linear"))
+            predict_one(model, [0.7], np.array([0.5]), RegressorSpec("linear"))
 
     def test_single_parameter_degrades_to_nearest(self):
         latent, base = scaled_family([1.0])
         model = fit_partitioned(latent)
         with pytest.warns(Warning, match="clamped"):
-            pred = predict_latent(
+            pred = predict_one(
                 model, [3.0], latent.grid.instants, RegressorSpec("linear")
             )
         member = fit_dmd(latent.trajectory(0), 2)
@@ -235,7 +241,7 @@ class TestPredictLatent:
         mono = fit_monolithic(latent)
         for model, expected in ((part, part.members), (mono, [mono.stacked_dmd])):
             evaluated.clear()
-            predict_latent(model, [0.8], times, spec)
+            predict_one(model, [0.8], times, spec)
             assert [id(m) for m in evaluated] == [id(m) for m in expected]
 
 
@@ -250,6 +256,6 @@ def test_matches_per_step_oracle_on_default_suite(scenario):
         options = FitOptions(algorithm, rank=scenario.ranks[algorithm])
         fitted = fit_surrogate(train, options)
         for mu in test.params:
-            pred = predict_latent(fitted.model, mu, times, fitted.regressor)
+            pred = predict_one(fitted.model, mu, times, fitted.regressor)
             oracle = per_step_prediction(fitted.model, mu, times, fitted.regressor)
             assert frobenius_rel_error(oracle, pred) <= 1e-12

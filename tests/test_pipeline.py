@@ -1,12 +1,19 @@
 """End-to-end fit/predict/evaluate plumbing shared by the CLI and benchmarks."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pdmd.data
+from pdmd import algorithms, dmd, latent as latent_module, regression
+from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError
+from pdmd.latent import predict_latent
 from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import (
     ALGORITHMS,
@@ -16,8 +23,10 @@ from pdmd.pipeline import (
     predict_surrogate,
     spec_from_metadata,
     subset_params,
+    timed_query,
 )
 from pdmd.reduction import fit_global_basis
+from pdmd.regression import FitCount, RegressorSpec
 from pdmd.synth import SynthSpec, generate
 
 
@@ -239,3 +248,178 @@ class TestEvaluateModel:
             surrogate.model, "mono", surrogate.regressor, 6, dataset, [2]
         )
         assert reports[0].extras["online_fits"] == 25
+
+
+def per_mu_train_errors(surrogate, dataset):
+    """Oracle of the training errors: one predict_surrogate query per
+    training parameter."""
+    return np.array(
+        [
+            frobenius_rel_error(
+                dataset.trajectories[i].state,
+                predict_surrogate(
+                    surrogate.model,
+                    dataset.params[i],
+                    dataset.grid.instants,
+                    surrogate.regressor,
+                ),
+            )
+            for i in range(dataset.n_params)
+        ]
+    )
+
+
+def grid_params_dataset():
+    """Nine exp-modes trajectories placed on a 3 x 3 grid of 2-vectors."""
+    dataset, _ = generate(
+        SynthSpec("exp-modes", n_h=10, n_params=9, param_range=(0.2, 0.8), n_t=50, dt=0.08, seed=5)
+    )
+    axis = np.array([0.2, 0.5, 0.8])
+    params = np.array([[a, b] for a in axis for b in axis])
+    return ParametricDataset(params, dataset.trajectories)
+
+
+def exp_modes_scenario():
+    return next(s for s in default_suite().scenarios if s.name == "exp-modes")
+
+
+class TestTrainErrorPass:
+    """fit_surrogate scores every training parameter with one batched
+    prediction; the bits must be those of one query per parameter."""
+
+    CASES = {
+        "linear-p1": (linear_dataset, None, 6),
+        "rbf-gauss-p2": (grid_params_dataset, RegressorSpec("rbf-gauss"), 4),
+        "poly-p1": (linear_dataset, RegressorSpec("poly", degree=2), 6),
+    }
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_train_errors_match_per_mu_queries(self, case, algorithm):
+        make, spec, rank = self.CASES[case]
+        dataset = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=rank, regressor=spec))
+            oracle = per_mu_train_errors(surrogate, dataset)
+        assert surrogate.train_errors.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["mono", "part"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_row_block_equals_one_row_calls(self, case, algorithm):
+        make, spec, rank = self.CASES[case]
+        dataset = make()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=rank, regressor=spec))
+        rows = np.vstack([dataset.params, dataset.params.mean(axis=0)])
+        times = dataset.grid.instants[::3]
+        block = predict_latent(surrogate.model, rows, times, surrogate.regressor)
+        assert block.shape == (rows.shape[0], surrogate.metadata["rank"], times.size)
+        for i, row in enumerate(rows):
+            single = predict_latent(surrogate.model, row[None], times, surrogate.regressor)
+            assert block[i].tobytes() == single[0].tobytes()
+
+    def test_rows_must_form_a_matrix(self):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions("mono", rank=6))
+        with pytest.raises(DataError, match="n x p"):
+            predict_latent(surrogate.model, [0.5], dataset.grid.instants, surrogate.regressor)
+
+    @pytest.mark.parametrize("algorithm", ["mono", "part"])
+    def test_fit_costs_one_regressor_per_instant(self, algorithm, monkeypatch):
+        scenario = exp_modes_scenario()
+        dataset, _ = generate(scenario.synth)
+        evaluated = []
+
+        def counting_evaluate(model, steps):
+            evaluated.append(id(model))
+            return dmd.evaluate(model, steps)
+
+        monkeypatch.setattr(latent_module, "evaluate", counting_evaluate)
+        with FitCount() as fits:
+            surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=scenario.ranks[algorithm]))
+        model = surrogate.model
+        dmds = [model.stacked_dmd] if algorithm == "mono" else list(model.members)
+        n_t = len(dataset.grid)
+        assert fits.count == n_t
+        assert sorted(evaluated) == sorted(id(m) for m in dmds)
+        _, _, online = timed_query(model, dataset.params[3], dataset.grid.instants, surrogate.regressor)
+        assert online == n_t
+
+
+class TestConcurrentQueries:
+    def test_each_query_counts_its_own_fits(self, monkeypatch):
+        """Two threads query at once, mono and roi, so that each one's
+        fits fall between the other's start and end; each must report
+        its own count."""
+        scenario = exp_modes_scenario()
+        dataset, _ = generate(scenario.synth)
+        mono = fit_surrogate(dataset, FitOptions("mono", rank=6))
+        roi = fit_surrogate(dataset, FitOptions("roi", rank=6))
+        roi_started, mono_done = threading.Event(), threading.Event()
+        original_fit = regression.fit
+        waited = []
+
+        def fit_after_roi_starts(*args, **kwargs):
+            result = original_fit(*args, **kwargs)
+            if not waited:
+                waited.append(roi_started.wait(timeout=30))
+            return result
+
+        original_roi = algorithms.predict_roi
+
+        def roi_while_mono_fits(model, mu, instants):
+            roi_started.set()
+            mono_done.wait(timeout=30)
+            return original_roi(model, mu, instants)
+
+        monkeypatch.setattr(regression, "fit", fit_after_roi_starts)
+        monkeypatch.setattr(algorithms, "predict_roi", roi_while_mono_fits)
+        counts = {}
+        mu, instants = dataset.params[4], dataset.grid.instants
+
+        def query_mono():
+            try:
+                counts["mono"] = timed_query(mono.model, mu, instants, mono.regressor)[2]
+            finally:
+                mono_done.set()
+
+        def query_roi():
+            counts["roi"] = timed_query(roi.model, mu, instants, roi.regressor)[2]
+
+        threads = [threading.Thread(target=query_mono), threading.Thread(target=query_roi)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert waited == [True]
+        assert counts == {"mono": len(instants), "roi": 0}
+
+    def test_counts_hold_under_thread_switching(self):
+        """More query threads than cores, switching every microsecond."""
+        dataset = linear_dataset(n_t=20)
+        models = {a: fit_surrogate(dataset, FitOptions(a, rank=6)) for a in ("mono", "roi")}
+        expected = {"mono": 20, "roi": 0}
+        reported = []
+
+        def queries(algorithm):
+            surrogate = models[algorithm]
+            for i in range(dataset.n_params):
+                fits = timed_query(
+                    surrogate.model, dataset.params[i], dataset.grid.instants, surrogate.regressor
+                )[2]
+                reported.append((algorithm, fits))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=queries, args=(a,)) for a in ("mono", "roi") * 3]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reported) == 6 * dataset.n_params
+        assert all(fits == expected[algorithm] for algorithm, fits in reported)

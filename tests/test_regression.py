@@ -1,5 +1,6 @@
 """Tests for the parameter-space regressors."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -8,12 +9,11 @@ from numpy.testing import assert_allclose
 
 from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.regression import (
+    FitCount,
     RegressorSpec,
     default_spec,
     fit,
-    fit_count,
     predict,
-    reset_fit_count,
 )
 
 
@@ -204,20 +204,42 @@ class TestComplexTargets:
 
 class TestFitCounter:
     def test_counts_and_resets(self):
-        reset_fit_count()
         xs = [[0.0], [1.0]]
-        fit(RegressorSpec("linear"), xs, [[1.0], [2.0]])
-        fit(RegressorSpec("nearest"), xs, [[1.0], [2.0]])
-        assert fit_count() == 2
-        reset_fit_count()
-        assert fit_count() == 0
+        with FitCount() as fits:
+            fit(RegressorSpec("linear"), xs, [[1.0], [2.0]])
+            fit(RegressorSpec("nearest"), xs, [[1.0], [2.0]])
+        assert fits.count == 2
+        with FitCount() as fresh:
+            pass
+        assert fresh.count == 0
 
     def test_predict_does_not_count(self):
-        reset_fit_count()
-        reg = fit(RegressorSpec("linear"), [[0.0], [1.0]], [[1.0], [2.0]])
-        before = fit_count()
-        predict(reg, [0.5])
-        assert fit_count() == before
+        with FitCount() as fits:
+            reg = fit(RegressorSpec("linear"), [[0.0], [1.0]], [[1.0], [2.0]])
+            before = fits.count
+            predict(reg, [0.5])
+        assert fits.count == before
+
+    def test_nested_blocks_and_fits_outside(self):
+        xs, ys = [[0.0], [1.0]], [[1.0], [2.0]]
+        with FitCount() as outer:
+            fit(RegressorSpec("linear"), xs, ys)
+            with FitCount() as inner:
+                fit(RegressorSpec("linear"), xs, ys)
+            fit(RegressorSpec("linear"), xs, ys)
+        fit(RegressorSpec("linear"), xs, ys)
+        assert (outer.count, inner.count) == (3, 1)
+
+    def test_other_threads_not_counted(self):
+        xs, ys = [[0.0], [1.0]], [[1.0], [2.0]]
+        worker = threading.Thread(
+            target=lambda: [fit(RegressorSpec("linear"), xs, ys) for _ in range(5)]
+        )
+        with FitCount() as fits:
+            fit(RegressorSpec("linear"), xs, ys)
+            worker.start()
+            worker.join()
+        assert fits.count == 1
 
 
 class TestSpecValidation:

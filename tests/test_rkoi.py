@@ -11,7 +11,7 @@ from pdmd.errors import DataError
 from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import fit_optdmd, predict_optdmd
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
-from pdmd.regression import RegressorSpec, fit_count, predict, reset_fit_count
+from pdmd.regression import FitCount, RegressorSpec, predict
 from pdmd.rkoi import fit_rkoi, predict_rkoi
 from pdmd.synth import SynthSpec, generate
 
@@ -137,6 +137,6 @@ class TestPredictRkoi:
     def test_online_phase_fits_no_regressor(self):
         latent = tone_family([0.0, 0.1, 0.2])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        reset_fit_count()
-        predict_rkoi(model, [0.15], latent.grid.instants)
-        assert fit_count() == 0
+        with FitCount() as fits:
+            predict_rkoi(model, [0.15], latent.grid.instants)
+        assert fits.count == 0

@@ -11,7 +11,7 @@ from pdmd.dmd import fit_dmd
 from pdmd.errors import DataError, NumericalError
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
-from pdmd.regression import RegressorSpec, fit_count, predict, reset_fit_count
+from pdmd.regression import FitCount, RegressorSpec, predict
 from pdmd.roi import (
     fit_roi,
     fold_operator,
@@ -242,9 +242,9 @@ class TestPredictRoi:
     def test_online_phase_fits_no_regressor(self):
         _, _, latent = pipeline_latent(seed=7, n_params=4)
         model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
-        reset_fit_count()
-        predict_roi(model, [0.5], np.arange(0.0, 10.0, 0.5))
-        assert fit_count() == 0
+        with FitCount() as fits:
+            predict_roi(model, [0.5], np.arange(0.0, 10.0, 0.5))
+        assert fits.count == 0
 
     def test_off_lattice_rejected(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
