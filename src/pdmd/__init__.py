@@ -47,7 +47,6 @@ from pdmd.metrics import (
 from pdmd.optdmd import (
     BaggedOptDmd,
     OptDmdModel,
-    SolverOptions,
     condense_ensemble,
     fit_bopdmd,
     fit_optdmd,
@@ -101,7 +100,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SnapshotMatrix",
-    "SolverOptions",
     "SynthSpec",
     "TimeGrid",
     "condense_ensemble",

@@ -72,19 +72,17 @@ class PartitionedModel:
             raise DataError("members must share rank and time lattice")
 
 
-def fit_monolithic(latent: LatentDataset, stacked_rank: int | None = None) -> MonolithicModel:
+def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
     """Single DMD on the r*N_p stacked latent state.
 
-    Default rank keeps the full stacked dimension, clipped only when the
+    The rank keeps the full stacked dimension, clipped only when the
     trajectory cannot support it (too few instants or rank-deficient
-    stacked data); an explicit rank is honored strictly.
+    stacked data).
     """
     stacked = np.vstack(latent.latents)
-    if stacked_rank is None:
-        stacked_rank = min(stacked.shape[0], len(latent.grid) - 1)
-        spectrum = np.linalg.svd(stacked[:, :-1], compute_uv=False)
-        supported = int(np.sum(spectrum > 1e-10 * spectrum[0]))
-        stacked_rank = min(stacked_rank, supported)
+    spectrum = np.linalg.svd(stacked[:, :-1], compute_uv=False)
+    supported = int(np.sum(spectrum > 1e-10 * spectrum[0]))
+    stacked_rank = min(stacked.shape[0], len(latent.grid) - 1, supported)
     model = fit_dmd(SnapshotMatrix(stacked, latent.grid), stacked_rank)
     rank = latent.rank
     block_map = tuple(
@@ -100,12 +98,10 @@ def fit_monolithic(latent: LatentDataset, stacked_rank: int | None = None) -> Mo
     )
 
 
-def fit_partitioned(latent: LatentDataset, member_rank: int | None = None) -> PartitionedModel:
-    """Independent DMD per parameter at ``member_rank`` (default: full
-    latent rank)."""
-    rank = member_rank if member_rank is not None else latent.rank
+def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
+    """Independent DMD per parameter at the full latent rank."""
     members = tuple(
-        fit_dmd(latent.trajectory(i), rank) for i in range(latent.n_params)
+        fit_dmd(latent.trajectory(i), latent.rank) for i in range(latent.n_params)
     )
     return PartitionedModel(
         basis=latent.basis,

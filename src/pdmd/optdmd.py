@@ -30,18 +30,14 @@ from .linalg import truncated_svd
 # residuals below this fraction of the data norm count as an exact fit
 ZERO_RESIDUAL_REL = 1e-12
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Levenberg-Marquardt controls for the variable-projection solver."""
-
-    tol_obj: float = 1e-10
-    tol_step: float = 1e-12
-    max_iters: int = 200
-    damping_init: float = 1e-2
-    damping_grow: float = 2.0
-    damping_shrink: float = 3.0
-    max_stall: int = 25
+# Levenberg-Marquardt controls of the variable-projection solver
+_TOL_OBJ = 1e-10
+_TOL_STEP = 1e-12
+_MAX_ITERS = 200
+_DAMPING_INIT = 1e-2
+_DAMPING_GROW = 2.0
+_DAMPING_SHRINK = 3.0
+_MAX_STALL = 25
 
 
 @dataclass(frozen=True)
@@ -120,6 +116,23 @@ def permute_triplets(model: OptDmdModel, perm) -> OptDmdModel:
         modes=model.modes[:, perm],
         amplitudes=model.amplitudes[perm],
     )
+
+
+def match_frequencies(reference, candidate) -> tuple:
+    """Pair each candidate frequency with one reference frequency at the
+    least total distance |omega_cand - omega_ref| (Kuhn's assignment).
+
+    Returns (perm, matched): ``permute_triplets(model, perm)`` moves the
+    candidate triplet matched to reference[j] to position j, and
+    matched[j] is that pair's distance.
+    """
+    if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(candidate))):
+        raise NumericalError("alignment failed: non-finite frequencies")
+    cost = np.abs(candidate[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(cols.size, dtype=int)
+    perm[cols] = rows
+    return perm, cost[perm, np.arange(perm.size)]
 
 
 def _exponential_basis(tau, omegas):
@@ -225,12 +238,7 @@ def _trapezoid_warm_start(x: SnapshotMatrix, rank: int):
     return values
 
 
-def fit_optdmd(
-    x: SnapshotMatrix,
-    rank: int,
-    init=None,
-    opts: SolverOptions = SolverOptions(),
-) -> OptDmdModel:
+def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
     """Fit the best rank-``rank`` exponential model to a trajectory.
 
     ``init`` optionally supplies starting continuous frequencies;
@@ -264,11 +272,11 @@ def fit_optdmd(
     # a residual at rounding level cannot be strictly decreased, so the
     # stall logic below would flag an already-perfect fit
     zero_floor = (ZERO_RESIDUAL_REL * float(np.linalg.norm(data_t))) ** 2
-    damping = opts.damping_init
+    damping = _DAMPING_INIT
     converged = objective <= zero_floor
     stall = 0
     n_iters = 0
-    iterations = () if converged else range(1, opts.max_iters + 1)
+    iterations = () if converged else range(1, _MAX_ITERS + 1)
     for n_iters in iterations:
         jac = _kaufman_jacobian(tau, basis, coeffs)
         grad = jac.T @ np.concatenate([residual.real.ravel(), residual.imag.ravel()])
@@ -293,9 +301,9 @@ def fit_optdmd(
                     if t_objective < objective:
                         accepted = True
                         break
-            damping *= opts.damping_grow
+            damping *= _DAMPING_GROW
             stall += 1
-            if stall >= opts.max_stall:
+            if stall >= _MAX_STALL:
                 break
         if not accepted:
             break
@@ -304,9 +312,9 @@ def fit_optdmd(
         decrease = (objective - t_objective) / max(objective, 1e-300)
         omegas, basis = trial, trial_basis
         coeffs, residual, objective = t_coeffs, t_residual, t_objective
-        damping /= opts.damping_shrink
+        damping /= _DAMPING_SHRINK
         stall = 0
-        if decrease < opts.tol_obj or step < opts.tol_step or objective <= zero_floor:
+        if decrease < _TOL_OBJ or step < _TOL_STEP or objective <= zero_floor:
             converged = True
             break
 
@@ -376,13 +384,12 @@ def fit_bopdmd(
     trials: int = 20,
     subset_fraction: float = 0.8,
     seed: int = 0,
-    opts: SolverOptions = SolverOptions(),
 ) -> BaggedOptDmd:
     """Bag optimized DMD over random time-index subsets.
 
     Each member sees a sorted, uniformly random subset (no replacement)
-    of the time instants.  Member spectra are aligned to the first
-    member's by nearest-frequency assignment so that position j means
+    of the time instants.  Each member's spectrum is aligned to the
+    first member's with ``match_frequencies``, so that position j means
     the same mode across the ensemble.
     """
     if trials < 1:
@@ -408,17 +415,13 @@ def fit_bopdmd(
         subset = SnapshotMatrix(
             x.state[:, indices], TimeGrid(x.grid.instants[indices])
         )
-        member = fit_optdmd(subset, rank, init=shared_init, opts=opts)
+        member = fit_optdmd(subset, rank, init=shared_init)
         members.append(member)
 
-    aligned = [members[0]]
-    reference = members[0].omegas
-    for member in members[1:]:
-        cost = np.abs(member.omegas[:, None] - reference[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        perm = np.empty(rank, dtype=int)
-        perm[cols] = rows
-        aligned.append(permute_triplets(member, perm))
+    aligned = [members[0]] + [
+        permute_triplets(member, match_frequencies(members[0].omegas, member.omegas)[0])
+        for member in members[1:]
+    ]
     return BaggedOptDmd(tuple(aligned), subset_fraction, trials)
 
 

@@ -2,12 +2,14 @@
 
 Offline: one optimized-DMD fit per training parameter in latent
 coordinates, giving triplets (modes, continuous frequencies,
-amplitudes).  Triplets are aligned across neighbouring parameters by
-nearest frequency, phase-referenced consistently, then every channel
-(real and imaginary parts of vec(modes), frequencies, amplitudes) is
-regressed over mu.  Online: evaluate the three regressors at the
-queried mu, symmetrize conjugate pairs, and sum exponentials at any
-requested time.  Continuous in time and free of online training.
+amplitudes).  Each member is aligned to its parent in a minimum
+spanning tree over the training parameters by least-total-distance
+frequency matching and phased to the tree's root, so the model does
+not depend on the row order; then every channel (real and imaginary
+parts of vec(modes), frequencies, amplitudes) is regressed over mu.
+Online: evaluate the three regressors at the queried mu, symmetrize
+conjugate pairs, and sum exponentials at any requested time.
+Continuous in time and free of online training.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+from scipy.spatial.distance import cdist
 
 from . import regression
-from .errors import ConvergenceWarning, NumericalError
+from .errors import ConvergenceWarning
 from .optdmd import (
     OptDmdModel,
-    SolverOptions,
     condense_ensemble,
     exponential_sum,
     fit_bopdmd,
     fit_optdmd,
+    match_frequencies,
     permute_triplets,
     project_conjugate_closure,
 )
@@ -51,28 +55,23 @@ class RkoiModel:
     notes: tuple = ()
 
 
-def _greedy_align(reference: np.ndarray, candidate: np.ndarray) -> tuple:
-    """Permutation mapping candidate frequencies onto the reference by
-    repeatedly pairing the globally closest remaining frequencies.
-    Returns (permutation, matched distances in reference order)."""
-    if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(candidate))):
-        raise NumericalError("alignment failed: non-finite frequencies")
-    rank = reference.shape[0]
-    distance = np.abs(candidate[:, None] - reference[None, :])
-    perm = np.empty(rank, dtype=int)
-    matched = np.empty(rank)
-    free_rows = set(range(rank))
-    free_cols = set(range(rank))
-    for _ in range(rank):
-        best = min(
-            ((r, c) for r in free_rows for c in free_cols),
-            key=lambda rc: distance[rc],
-        )
-        perm[best[1]] = best[0]
-        matched[best[1]] = distance[best]
-        free_rows.discard(best[0])
-        free_cols.discard(best[1])
-    return perm, matched
+def alignment_tree(params) -> tuple:
+    """Minimum spanning tree over the Euclidean distances between
+    parameter rows: (ranked, order, parents) in dataset row indices.
+
+    ``ranked`` is lexicographic order; building the tree on the rows in
+    that order breaks ties between equal edges (an equally spaced grid
+    has many) the same way for any row order.  ``order`` is breadth
+    first from the root, the smallest row; ``parents[i]`` is row i's
+    parent (-1 at the root).  For scalar mu the tree is the sorted chain.
+    """
+    params = np.asarray(params, dtype=float)
+    ranked = np.lexsort(params.T[::-1])
+    tree = minimum_spanning_tree(cdist(params[ranked], params[ranked]))
+    nodes, predecessors = breadth_first_order(tree, 0, directed=False)
+    parents = np.full(ranked.size, -1)
+    parents[ranked[nodes[1:]]] = ranked[predecessors[nodes[1:]]]
+    return ranked, ranked[nodes], parents
 
 
 def _rephase(member: OptDmdModel, lead_rows: np.ndarray) -> OptDmdModel:
@@ -95,7 +94,6 @@ def _rephase(member: OptDmdModel, lead_rows: np.ndarray) -> OptDmdModel:
 def fit_rkoi(
     latent: LatentDataset,
     spec: regression.RegressorSpec,
-    opt_opts: SolverOptions = SolverOptions(),
     bag_trials: int = 1,
     bag_fraction: float = 0.8,
     bag_seed: int = 0,
@@ -105,9 +103,13 @@ def fit_rkoi(
     With ``bag_trials`` > 1 each member is fit as a bagged ensemble
     (frequencies averaged over random time subsets, modes and
     amplitudes refit on the full trajectory), which stabilizes the
-    spectra on noisy data.
+    spectra on noisy data.  The k-th row in lexicographic order draws its
+    subsets from seed ``bag_seed + k``, and members are aligned along
+    ``alignment_tree``, so the model does not depend on the row order.
     """
     rank = latent.rank
+    ranked, order, parents = alignment_tree(latent.params)
+    positions = np.argsort(ranked)
     notes = []
     members = []
     for i in range(latent.n_params):
@@ -119,12 +121,11 @@ def fit_rkoi(
                     rank,
                     trials=bag_trials,
                     subset_fraction=bag_fraction,
-                    seed=bag_seed + i,
-                    opts=opt_opts,
+                    seed=bag_seed + int(positions[i]),
                 )
                 member = condense_ensemble(ensemble, latent.trajectory(i))
             else:
-                member = fit_optdmd(latent.trajectory(i), rank, opts=opt_opts)
+                member = fit_optdmd(latent.trajectory(i), rank)
         for item in caught:
             if issubclass(item.category, ConvergenceWarning):
                 note = f"parameter {i}: {item.message}"
@@ -132,26 +133,25 @@ def fit_rkoi(
                 warnings.warn(note, ConvergenceWarning, stacklevel=2)
         members.append(member)
 
-    # align each member to its predecessor so channel j means the same
-    # mode for every parameter, then propagate a shared phase reference
-    aligned = [members[0]]
-    for i in range(1, len(members)):
-        perm, matched = _greedy_align(aligned[i - 1].omegas, members[i].omegas)
-        spacing = np.abs(
-            aligned[i - 1].omegas[:, None] - aligned[i - 1].omegas[None, :]
-        )
+    # align each member to its tree parent so that channel j means the
+    # same mode for every parameter, then share the root's phase reference
+    aligned = list(members)
+    for i in order[1:]:
+        parent = aligned[parents[i]]
+        perm, matched = match_frequencies(parent.omegas, members[i].omegas)
+        spacing = np.abs(parent.omegas[:, None] - parent.omegas[None, :])
         np.fill_diagonal(spacing, np.inf)
         ambiguous = matched > spacing.min()
         if np.any(ambiguous):
             note = (
-                f"ambiguous frequency alignment between parameters {i - 1} and "
+                f"ambiguous frequency alignment between parameters {parents[i]} and "
                 f"{i}: distances {np.round(matched, 6).tolist()} vs member "
                 f"spacing {spacing.min():.6g}"
             )
             notes.append(note)
             warnings.warn(note, ConvergenceWarning, stacklevel=2)
-        aligned.append(permute_triplets(members[i], perm))
-    lead_rows = np.argmax(np.abs(aligned[0].modes), axis=0)
+        aligned[i] = permute_triplets(members[i], perm)
+    lead_rows = np.argmax(np.abs(aligned[order[0]].modes), axis=0)
     aligned = [_rephase(member, lead_rows) for member in aligned]
 
     mode_table = np.vstack([m.modes.flatten(order="F") for m in aligned])

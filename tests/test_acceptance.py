@@ -262,7 +262,8 @@ def test_latent_variant_consistency():
         grid,
     )
 
-    mono = fit_monolithic(latent, stacked_rank=4)
+    mono = fit_monolithic(latent)
+    assert mono.stacked_dmd.rank == 4
     rebuilt = reconstruct(mono.stacked_dmd, grid).state
     slice_err = 0.0
     for i in range(latent.n_params):

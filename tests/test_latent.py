@@ -101,21 +101,21 @@ class TestFitMonolithic:
 
     def test_decoupled_blocks_give_union_spectrum(self):
         latent, ops = two_block_family()
-        model = fit_monolithic(latent, stacked_rank=4)
+        model = fit_monolithic(latent)
         expected = np.concatenate([np.linalg.eigvals(op) for op in ops])
         got = np.sort_complex(model.stacked_dmd.eigenvalues)
         assert_allclose(got, np.sort_complex(expected), atol=1e-8)
 
     def test_full_rank_training_reconstruction(self):
         latent, _ = two_block_family()
-        model = fit_monolithic(latent, stacked_rank=4)
+        model = fit_monolithic(latent)
         stacked = np.vstack(latent.latents)
         rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
         assert frobenius_rel_error(stacked, rebuilt) <= 1e-8
 
     def test_block_slices_match_standalone_fits(self):
         latent, _ = two_block_family()
-        model = fit_monolithic(latent, stacked_rank=4)
+        model = fit_monolithic(latent)
         rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
         for i in range(latent.n_params):
             lo, hi = model.block_map[i]
@@ -141,18 +141,13 @@ class TestFitPartitioned:
                 atol=1e-8,
             )
 
-    def test_member_rank_validation(self):
-        latent, _ = two_block_family()
-        with pytest.raises(DataError):
-            fit_partitioned(latent, member_rank=3)
-
 
 class TestPredictLatent:
     def test_training_parameter_matches_member(self):
         latent, _ = two_block_family()
         spec = RegressorSpec("linear")
         for model in (
-            fit_monolithic(latent, stacked_rank=4),
+            fit_monolithic(latent),
             fit_partitioned(latent),
         ):
             member = fit_dmd(latent.trajectory(1), 2)

@@ -1,16 +1,19 @@
 """Tests for optimized DMD and bagged ensembling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.errors import DataError
+from pdmd.errors import DataError, NumericalError
 from pdmd.optdmd import (
     _kaufman_jacobian,
     condense_ensemble,
     fit_bopdmd,
     fit_optdmd,
+    match_frequencies,
     mean_omegas,
     predict_optdmd,
     project_conjugate_closure,
@@ -173,6 +176,41 @@ class TestConjugateClosure:
     def test_closed_set_unchanged(self):
         om = np.array([-0.1 + 2j, -0.1 - 2j, -0.4 + 0j])
         assert_allclose(project_conjugate_closure(om), om)
+
+
+class TestMatchFrequencies:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_least_total_cost_of_every_permutation(self, rank):
+        rng = np.random.default_rng(rank)
+        columns = np.arange(rank)
+        for _ in range(20):
+            reference = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+            candidate = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+            perm, matched = match_frequencies(reference, candidate)
+            cost = np.abs(candidate[:, None] - reference[None, :])
+            best = min(
+                cost[list(order), columns].sum()
+                for order in itertools.permutations(range(rank))
+            )
+            assert sorted(perm) == list(range(rank))
+            assert np.array_equal(matched, cost[perm, columns])
+            assert matched.sum() == pytest.approx(best, rel=1e-12)
+
+    def test_shuffled_reference_is_put_back(self):
+        reference = np.array([-0.1 + 2j, -0.1 - 2j, -0.5 + 0j, -0.2 + 0.7j, -0.2 - 0.7j])
+        shuffle = np.array([3, 0, 4, 2, 1])
+        perm, matched = match_frequencies(reference, reference[shuffle])
+        assert np.array_equal(reference[shuffle][perm], reference)
+        assert np.all(matched == 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_frequencies_rejected(self, bad):
+        good = np.array([-0.1 + 2j, -0.1 - 2j, -0.5 + 0j])
+        broken = good.copy()
+        broken[1] = bad
+        for reference, candidate in ((broken, good), (good, broken)):
+            with pytest.raises(NumericalError, match="non-finite"):
+                match_frequencies(reference, candidate)
 
 
 class TestBagging:

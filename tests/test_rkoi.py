@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmd.data import TimeGrid
+from pdmd.data import ParametricDataset, TimeGrid, subset_params
 from pdmd.errors import DataError
 from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import fit_optdmd, predict_optdmd
+from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
 from pdmd.regression import FitCount, RegressorSpec, predict
-from pdmd.rkoi import fit_rkoi, predict_rkoi
+from pdmd.rkoi import alignment_tree, fit_rkoi, predict_rkoi
 from pdmd.synth import SynthSpec, generate
 
 
@@ -140,3 +141,90 @@ class TestPredictRkoi:
         with FitCount() as fits:
             predict_rkoi(model, [0.15], latent.grid.instants)
         assert fits.count == 0
+
+
+def linear_operator_example():
+    """Nine trajectories whose spectra cross between neighbouring
+    parameters, so that rkoi's alignment notes fire."""
+    dataset, _ = generate(SynthSpec("linear-operator", n_h=12, n_params=9, n_t=80, seed=7))
+    return dataset
+
+
+def grid_rows():
+    """An equally spaced 3 x 3 grid of parameter 2-vectors."""
+    axis = np.array([0.2, 0.5, 0.8])
+    return np.array([[a, b] for a in axis for b in axis])
+
+
+@pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+class TestRowOrder:
+    """A fitted rkoi model depends on its training rows, not their order."""
+
+    def assert_order_free(self, dataset, options, orders, mu):
+        predictions = []
+        for order in orders:
+            rows = subset_params(dataset, order)
+            fitted = fit_surrogate(rows, options)
+            predictions.append(
+                predict_surrogate(fitted.model, mu, rows.grid.instants, fitted.regressor)
+            )
+        for prediction in predictions[1:]:
+            assert frobenius_rel_error(predictions[0], prediction) <= 1e-12
+
+    def test_crossing_spectra(self):
+        self.assert_order_free(
+            linear_operator_example(),
+            FitOptions("rkoi", rank=6),
+            [range(9), [4, 0, 8, 2, 6, 1, 7, 3, 5]],
+            [0.52],
+        )
+
+    def test_bagged_members(self):
+        dataset, _ = generate(
+            SynthSpec(
+                "exp-modes", n_h=10, n_params=5, param_range=(0.2, 0.8),
+                n_t=60, dt=0.1, noise_std=0.01, seed=1,
+            )
+        )
+        self.assert_order_free(
+            dataset,
+            FitOptions("rkoi", rank=4, bag_trials=3),
+            [range(5), [4, 3, 2, 1, 0]],
+            [0.45],
+        )
+
+    def test_parameter_grid(self):
+        dataset = ParametricDataset(grid_rows(), linear_operator_example().trajectories)
+        rng = np.random.default_rng(0)
+        self.assert_order_free(
+            dataset,
+            FitOptions("rkoi", rank=6, regressor=RegressorSpec("rbf-gauss")),
+            [range(9)] + [rng.permutation(9) for _ in range(3)],
+            [0.35, 0.65],
+        )
+
+
+class TestAlignmentTree:
+    @staticmethod
+    def edges(params):
+        _, order, parents = alignment_tree(params)
+        return {
+            frozenset((tuple(params[i]), tuple(params[parents[i]]))) for i in order[1:]
+        }
+
+    def test_grid_edges_ignore_row_order(self):
+        # a sample of the 9! row orders: ties between the grid's 12 equal
+        # edges must break the same way in each
+        params = grid_rows()
+        reference = self.edges(params)
+        assert len(reference) == 8
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            assert self.edges(params[rng.permutation(9)]) == reference
+
+    def test_scalar_rows_form_the_sorted_chain(self):
+        params = np.array([[0.7], [0.1], [0.4], [0.9], [0.2]])
+        ranked, order, parents = alignment_tree(params)
+        assert ranked.tolist() == [1, 4, 2, 0, 3]
+        assert order.tolist() == ranked.tolist()
+        assert parents.tolist() == [2, -1, 4, 0, 1]
