@@ -24,9 +24,19 @@ from .metrics import (
     time_rel_error,
     write_series,
 )
+from .options import (
+    DATASET,
+    MODEL,
+    RANK,
+    SEED,
+    Option,
+    fit_keywords,
+    keywords,
+    parse_indices,
+    parse_pair,
+)
 from .pipeline import FitOptions, fit_surrogate, timed_query
-from .regression import RegressorSpec
-from .synth import FAMILIES, SynthSpec, generate
+from .synth import SynthSpec, generate
 
 DEFAULT_TRAIN_FRACTION = 0.7
 
@@ -46,17 +56,16 @@ _TIMING_COLUMNS = ("offline_seconds", "online_seconds")
 
 @dataclass(frozen=True)
 class Scenario:
-    """One benchmark case: a dataset recipe plus a fixed protocol."""
+    """One benchmark case: a dataset recipe plus a fixed protocol.
+    ``fit_options`` holds the ``FitOptions`` keywords the scenario sets;
+    every other field keeps its class default."""
 
     name: str
     synth: SynthSpec
     test_indices: tuple
     ranks: dict
     train_window: tuple | None = None
-    op_rank: int | None = None
-    regressor: RegressorSpec = field(default_factory=lambda: RegressorSpec("linear"))
-    bag_trials: int = 1
-    bag_fraction: float = 0.8
+    fit_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         missing = [algo for algo in ALGORITHMS if algo not in self.ranks]
@@ -142,93 +151,46 @@ def default_suite() -> BenchmarkSuite:
     return BenchmarkSuite((linear, modes, oscillator))
 
 
-_SCENARIO_KEYS = {
-    "family",
-    "nh",
-    "np",
-    "nt",
-    "dt",
-    "t0",
-    "noise",
-    "seed",
-    "param-range",
-    "test-idx",
-    "train-window",
-    "rank",
-    *(f"rank.{algo}" for algo in ALGORITHMS),
-    "op-rank",
-    "regressor",
-    "rbf-shape",
-    "poly-degree",
-    "extrapolation",
-    "bag-trials",
-    "bag-fraction",
+SUITE_OPTIONS = {
+    opt.name: opt
+    for opt in [
+        SEED,
+        *DATASET,
+        Option("test-idx", parse_indices),
+        Option("train-window", parse_pair),
+        RANK,
+        *(Option(f"rank.{algo}", RANK.parse) for algo in ALGORITHMS),
+        *MODEL,
+    ]
 }
 
 
-def _pair(text: str) -> tuple:
-    parts = [float(p) for p in text.split(",") if p.strip() != ""]
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return (parts[0], parts[1])
-
-
-def _indices(text: str) -> tuple:
-    return tuple(int(i) for i in text.split(","))
-
-
-def _build_scenario(name: str, values: dict) -> Scenario:
-    unknown = sorted(set(values) - _SCENARIO_KEYS)
+def _build_scenario(name: str, text: dict) -> Scenario:
+    unknown = sorted(set(text) - set(SUITE_OPTIONS))
     if unknown:
         raise DataError(f"scenario {name!r}: unknown keys {unknown}")
-
-    def get(key, convert, default=None):
-        if key not in values:
-            return default
+    values = {opt.dest: opt.default for opt in SUITE_OPTIONS.values()}
+    for key, value in text.items():
+        opt = SUITE_OPTIONS[key]
         try:
-            return convert(values[key])
+            values[opt.dest] = opt.parse(value)
         except ValueError as exc:
-            raise DataError(f"scenario {name!r}: bad {key} {values[key]!r}: {exc}") from None
-
-    family = values.get("family", "linear-operator")
-    if family not in FAMILIES:
-        raise DataError(f"scenario {name!r}: unknown family {family!r}")
-    synth = SynthSpec(
-        family,
-        n_h=get("nh", int, 8),
-        n_params=get("np", int, 5),
-        param_range=get("param-range", _pair, (0.0, 1.0)),
-        n_t=get("nt", int, 100),
-        dt=get("dt", float, 0.1),
-        t0=get("t0", float, 0.0),
-        noise_std=get("noise", float, 0.0),
-        seed=get("seed", int, 0),
-    )
-    if "test-idx" not in values:
+            raise DataError(f"scenario {name!r}: bad {key} {value!r}: {exc}") from None
+    if values["test_idx"] is None:
         raise DataError(f"scenario {name!r} must set test-idx")
     ranks = {}
-    if "rank" in values:
-        ranks = {algo: get("rank", int) for algo in ALGORITHMS}
     for algo in ALGORITHMS:
-        key = f"rank.{algo}"
-        if key in values:
-            ranks[algo] = get(key, int)
-    regressor = RegressorSpec(
-        kind=values.get("regressor", "linear"),
-        shape=get("rbf-shape", float),
-        degree=get("poly-degree", int, 2),
-        extrapolation=values.get("extrapolation", "clamp"),
-    )
+        rank = values[f"rank.{algo}"] or values["rank"]
+        if rank is not None:
+            ranks[algo] = rank
     return Scenario(
         name=name,
-        synth=synth,
-        test_indices=get("test-idx", _indices),
+        synth=SynthSpec(**keywords(SynthSpec, SUITE_OPTIONS.values(), values)),
+        test_indices=tuple(values["test_idx"]),
         ranks=ranks,
-        train_window=get("train-window", _pair),
-        op_rank=get("op-rank", int),
-        regressor=regressor,
-        bag_trials=get("bag-trials", int, 1),
-        bag_fraction=get("bag-fraction", float, 0.8),
+        train_window=values["train_window"],
+        # the synthetic families have a scalar parameter
+        fit_options=fit_keywords(MODEL, values, param_dim=1),
     )
 
 
@@ -268,11 +230,8 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
         options = FitOptions(
             algorithm=algorithm,
             rank=scenario.ranks[algorithm],
-            op_rank=scenario.op_rank,
-            regressor=scenario.regressor,
             seed=scenario.synth.seed,
-            bag_trials=scenario.bag_trials,
-            bag_fraction=scenario.bag_fraction,
+            **scenario.fit_options,
         )
         fitted = fit_surrogate(train_fit, options)
         offline = fitted.metadata["offline_seconds"]

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import bench, regression
+from . import bench
 from .algorithms import ALGORITHMS
 from .archive import load_model, save_model
 from .data import (
@@ -33,6 +32,24 @@ from .data import (
 )
 from .errors import DataError, NumericalError
 from .metrics import report_from_line, report_to_line, series_rows, write_series
+from .options import (
+    DATASET,
+    MODEL,
+    RANK,
+    SEED,
+    Option,
+    choice,
+    fit_keywords,
+    float_option,
+    keywords,
+    parse_bool,
+    parse_floats,
+    parse_indices,
+    parse_list,
+    parse_pair,
+    parse_uint,
+    uint_option,
+)
 from .pipeline import (
     FitOptions,
     evaluate_model,
@@ -40,14 +57,8 @@ from .pipeline import (
     spec_from_metadata,
     timed_query,
 )
-from .regression import EXTRAPOLATION_POLICIES, KINDS, RegressorSpec
-from .synth import FAMILIES, SynthSpec, generate, spec_to_json
+from .synth import SynthSpec, generate, spec_to_json
 
-FAMILY_ALIASES = {
-    "linear": "linear-operator",
-    "modes": "exp-modes",
-    "oscillator": "lifted-oscillator",
-}
 EXIT_SCENARIO_FAILED = 5
 
 _THREAD_LIMIT_HANDLE = None
@@ -57,174 +68,69 @@ class UsageError(Exception):
     """Bad flags, config keys, or option combinations."""
 
 
-def _parse_uint(text, minimum=0, name="value"):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from exc
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_float(text, name="value"):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a number, got {text!r}") from exc
-
-
-def _parse_float_list(text):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [_parse_float(p) for p in parts]
-
-
-def _parse_int_list(text):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of indices")
-    return [_parse_uint(p, name="index") for p in parts]
-
-
-def _parse_pair(text):
-    values = _parse_float_list(text)
-    if len(values) != 2:
-        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return (values[0], values[1])
-
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_family(text):
-    name = FAMILY_ALIASES.get(text, text)
-    if name not in FAMILIES:
-        raise ValueError(
-            f"unknown family {text!r}; use one of {FAMILIES} "
-            f"(aliases: {sorted(FAMILY_ALIASES)})"
-        )
-    return name
-
-
-def _parse_choice(choices, name):
-    choices = tuple(choices)
-
-    def convert(text):
-        if text not in choices:
-            raise ValueError(f"{name} must be one of {choices}, got {text!r}")
-        return text
-
-    return convert
-
-
-def _parse_paths(text):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    return parts
-
-
-@dataclass(frozen=True)
-class Option:
-    """One CLI option with its config-file twin."""
-
-    name: str
-    parse: object
-    default: object = None
-    help: str = ""
-    flag: bool = False
-    repeat: bool = False
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-
-def _opt_uint(name, minimum, default=None, help=""):
-    return Option(name, lambda t: _parse_uint(t, minimum, name), default, help)
-
-
-def _opt_float(name, default=None, help=""):
-    return Option(name, lambda t: _parse_float(t, name), default, help)
-
-
 COMMON = [
-    Option("threads", lambda t: _parse_uint(t, 1, "threads"), None,
-           "BLAS thread cap (env PDMD_THREADS, then core count)"),
-    Option("seed", lambda t: _parse_uint(t, 0, "seed"), 0, "random seed"),
+    uint_option("threads", 1, "BLAS thread cap (env PDMD_THREADS, then core count)"),
+    SEED,
 ]
 
-SYNTH_OPTS = COMMON + [
-    Option("family", _parse_family, "linear-operator",
-           "dataset family (linear-operator, exp-modes, lifted-oscillator)"),
-    _opt_uint("nh", 1, 8, "state dimension"),
-    _opt_uint("np", 1, 5, "number of parameter values"),
-    _opt_uint("nt", 2, 100, "number of time instants"),
-    _opt_float("dt", 0.1, "time step"),
-    _opt_float("t0", 0.0, "first instant"),
-    _opt_float("noise", 0.0, "gaussian noise standard deviation"),
-    Option("param-range", _parse_pair, (0.0, 1.0), "lo,hi parameter interval"),
-    Option("out", str, "synth.pdmd1", "output dataset path"),
+SYNTH_OPTS = COMMON + DATASET + [
+    Option("out", str, "output dataset path", default="synth.pdmd1"),
 ]
 
 FIT_OPTS = COMMON + [
-    Option("data", str, None, "training dataset path"),
-    Option("algorithm", _parse_choice(ALGORITHMS, "algorithm"), None,
-           f"surrogate algorithm ({', '.join(ALGORITHMS)})"),
-    _opt_uint("rank", 1, None, "latent rank (default: from --energy)"),
-    _opt_float("energy", None, "energy fraction for automatic rank selection"),
-    _opt_uint("op-rank", 1, None, "operator-space rank (roi only)"),
-    Option("regressor", _parse_choice(KINDS, "regressor"), None,
-           "parameter-space regressor kind"),
-    _opt_float("rbf-shape", None, "radial basis shape parameter"),
-    _opt_uint("poly-degree", 1, 2, "polynomial regressor degree"),
-    Option("extrapolation", _parse_choice(EXTRAPOLATION_POLICIES, "extrapolation"),
-           "clamp", "out-of-hull query policy"),
-    Option("train-idx", _parse_int_list, None,
+    Option("data", str, "training dataset path"),
+    Option("algorithm", choice(ALGORITHMS, "algorithm"),
+           f"surrogate algorithm ({', '.join(ALGORITHMS)})", "algorithm"),
+    RANK,
+    float_option("energy", "energy fraction for automatic rank selection", "energy"),
+    *MODEL,
+    Option("train-idx", parse_indices,
            "parameter indices used for training (default: all)"),
-    Option("time-window", _parse_pair, None, "training window lo,hi"),
-    Option("randomized-svd", _parse_bool, False,
-           "randomized range finder for an explicit --rank basis", flag=True),
-    _opt_uint("bag-trials", 1, 1, "bagging trials for rkoi members"),
-    _opt_float("bag-fraction", 0.8, "time-subset fraction per bagging trial"),
-    Option("out", str, "model.pdmdm", "output model path"),
+    Option("time-window", parse_pair, "training window lo,hi"),
+    Option("randomized-svd", parse_bool,
+           "randomized range finder for an explicit --rank basis", "randomized",
+           flag=True),
+    Option("out", str, "output model path", default="model.pdmdm"),
 ]
 
 PREDICT_OPTS = COMMON + [
-    Option("model", str, None, "model archive path"),
-    Option("mu", _parse_float_list, None, "query parameter (comma-separated)"),
-    Option("time-window", _parse_pair, None,
+    Option("model", str, "model archive path"),
+    Option("mu", parse_floats, "query parameter (comma-separated)"),
+    Option("time-window", parse_pair,
            "prediction window lo,hi (default: training window)"),
-    _opt_uint("nt", 2, None,
-              "number of evenly spaced instants (default: model lattice)"),
-    Option("out", str, "prediction.pdmd1", "output dataset path"),
+    uint_option("nt", 2, "number of evenly spaced instants (default: model lattice)"),
+    Option("out", str, "output dataset path", default="prediction.pdmd1"),
 ]
 
 EVAL_OPTS = COMMON + [
-    Option("model", str, None, "model archive path (repeatable)", repeat=True),
-    Option("data", str, None, "truth dataset path"),
-    Option("test-idx", _parse_int_list, None,
-           "parameter indices to evaluate (default: all)"),
-    Option("time-window", _parse_pair, None, "evaluation window lo,hi"),
-    Option("out", str, "report.jsonl", "evaluation report path"),
+    Option("model", str, "model archive path (repeatable)", repeat=True),
+    Option("data", str, "truth dataset path"),
+    Option("test-idx", parse_indices, "parameter indices to evaluate (default: all)"),
+    Option("time-window", parse_pair, "evaluation window lo,hi"),
+    Option("out", str, "evaluation report path", default="report.jsonl"),
 ]
 
 PLOTDATA_OPTS = [
-    Option("report", str, None, "evaluation report path (repeatable)",
-           repeat=True),
-    Option("out", str, "plot.csv", "output series path"),
+    Option("report", str, "evaluation report path (repeatable)", repeat=True),
+    Option("out", str, "output series path", default="plot.csv"),
 ]
 
 BENCH_OPTS = COMMON + [
-    Option("suite", str, None, "suite description file (default: built-in)"),
-    Option("out", str, "bench_out", "report directory"),
+    Option("suite", str, "suite description file (default: built-in)"),
+    Option("out", str, "report directory", default="bench_out"),
 ]
+
+
+def _argument_type(parse):
+    """An argparse type that reports the parser's own message."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
 
 
 def _add_options(parser: argparse.ArgumentParser, options) -> None:
@@ -235,12 +141,11 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
             parser.add_argument(f"--{opt.name}", dest=opt.dest,
                                 action="store_const", const=True,
                                 default=None, help=opt.help)
-        elif opt.repeat:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.parse,
-                                action="append", default=None, help=opt.help)
         else:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.parse,
-                                default=None, help=opt.help)
+            parser.add_argument(f"--{opt.name}", dest=opt.dest,
+                                type=_argument_type(opt.parse), default=None,
+                                action="append" if opt.repeat else "store",
+                                help=opt.help)
 
 
 def _read_config(path) -> dict:
@@ -266,10 +171,8 @@ def _merge_config(args: argparse.Namespace, options) -> None:
             continue
         if opt.name in file_values:
             try:
-                if opt.flag:
-                    value = _parse_bool(file_values[opt.name])
-                elif opt.repeat:
-                    value = [opt.parse(p) for p in _parse_paths(file_values[opt.name])]
+                if opt.repeat:
+                    value = parse_list(file_values[opt.name], opt.parse)
                 else:
                     value = opt.parse(file_values[opt.name])
             except ValueError as exc:
@@ -294,7 +197,7 @@ def _apply_threads(requested) -> int:
         env = os.environ.get("PDMD_THREADS")
         if env is not None:
             try:
-                requested = _parse_uint(env, 1, "PDMD_THREADS")
+                requested = parse_uint(env, 1, "PDMD_THREADS")
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         else:
@@ -310,29 +213,8 @@ def _apply_threads(requested) -> int:
     return requested
 
 
-def _build_regressor_spec(args, param_dim: int) -> RegressorSpec:
-    if args.regressor is None:
-        return regression.default_spec(param_dim, extrapolation=args.extrapolation)
-    return RegressorSpec(
-        kind=args.regressor,
-        shape=args.rbf_shape,
-        degree=args.poly_degree,
-        extrapolation=args.extrapolation,
-    )
-
-
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        family=args.family,
-        n_h=args.nh,
-        n_params=args.np,
-        param_range=args.param_range,
-        n_t=args.nt,
-        dt=args.dt,
-        t0=args.t0,
-        noise_std=args.noise,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**keywords(SynthSpec, SYNTH_OPTS, vars(args)))
     dataset, _ = generate(spec)
     write_dataset(dataset, args.out)
     sidecar = args.out + ".spec.json"
@@ -346,7 +228,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     data_path = _require(args, "data", "data")
-    algorithm = _require(args, "algorithm", "algorithm")
+    _require(args, "algorithm", "algorithm")
     dataset = read_dataset(data_path)
     if args.train_idx is not None:
         dataset = subset_params(dataset, args.train_idx)
@@ -355,18 +237,7 @@ def cmd_fit(args) -> int:
     print(f"training parameters: {dataset.n_params}")
     print(f"training columns: {len(dataset.grid)}")
 
-    spec = _build_regressor_spec(args, dataset.param_dim)
-    options = FitOptions(
-        algorithm=algorithm,
-        rank=args.rank,
-        energy=args.energy,
-        op_rank=args.op_rank,
-        regressor=spec,
-        randomized=args.randomized_svd,
-        seed=args.seed,
-        bag_trials=args.bag_trials,
-        bag_fraction=args.bag_fraction,
-    )
+    options = FitOptions(**fit_keywords(FIT_OPTS, vars(args), dataset.param_dim))
     fitted = fit_surrogate(dataset, options)
     save_model(fitted.model, args.out, metadata=fitted.metadata)
     print(f"basis rank: {fitted.metadata['rank']}")

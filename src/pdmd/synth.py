@@ -26,6 +26,10 @@ from .data import ParametricDataset, SnapshotMatrix, TimeGrid, lattice_steps
 from .errors import DataError
 
 FAMILIES = ("linear-operator", "exp-modes", "lifted-oscillator")
+# the SynthSpec fields that determine a seeded dataset: the keys of its sidecar
+SEEDED_FIELDS = (
+    "family", "n_h", "n_params", "param_range", "n_t", "dt", "t0", "noise_std", "seed"
+)
 STABILITY_GRID = 201
 
 
@@ -238,37 +242,5 @@ def spec_to_json(spec: SynthSpec) -> str:
     if spec.modes is not None or spec.op_base is not None:
         raise DataError("only seeded specs are serializable")
     return json.dumps(
-        {
-            "family": spec.family,
-            "n_h": spec.n_h,
-            "n_params": spec.n_params,
-            "param_range": list(spec.param_range),
-            "n_t": spec.n_t,
-            "dt": spec.dt,
-            "t0": spec.t0,
-            "noise_std": spec.noise_std,
-            "seed": spec.seed,
-        },
-        sort_keys=True,
+        {name: getattr(spec, name) for name in SEEDED_FIELDS}, sort_keys=True
     )
-
-
-def spec_from_json(text: str) -> SynthSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed synthesis spec: {exc}") from exc
-    try:
-        return SynthSpec(
-            family=payload["family"],
-            n_h=int(payload["n_h"]),
-            n_params=int(payload["n_params"]),
-            param_range=tuple(payload["param_range"]),
-            n_t=int(payload["n_t"]),
-            dt=float(payload["dt"]),
-            t0=float(payload["t0"]),
-            noise_std=float(payload["noise_std"]),
-            seed=int(payload["seed"]),
-        )
-    except KeyError as exc:
-        raise DataError(f"synthesis spec missing field {exc}") from exc

@@ -13,7 +13,9 @@ from pdmd.bench import (
     parse_suite,
     run_suite,
 )
+from pdmd import bench
 from pdmd.errors import DataError
+from pdmd.pipeline import FitOptions
 from pdmd.synth import SynthSpec
 
 TINY = """
@@ -62,12 +64,12 @@ class TestParseSuite:
         assert one.test_indices == (2, 5)
         assert one.train_window == (2.0, 3.5)
         assert one.ranks == {"roi": 5, "rkoi": 4, "mono": 4, "part": 4}
-        assert one.op_rank == 3
-        assert one.regressor.kind == "rbf-gauss"
-        assert one.regressor.shape == 1.5
-        assert one.regressor.extrapolation == "allow"
-        assert one.bag_trials == 4
-        assert one.bag_fraction == 0.6
+        assert one.fit_options["op_rank"] == 3
+        assert one.fit_options["regressor"].kind == "rbf-gauss"
+        assert one.fit_options["regressor"].shape == 1.5
+        assert one.fit_options["regressor"].extrapolation == "allow"
+        assert one.fit_options["bag_trials"] == 4
+        assert one.fit_options["bag_fraction"] == 0.6
         two = suite.scenarios[1]
         assert two.synth.family == "linear-operator"
         assert two.ranks == {algo: 2 for algo in ALGORITHMS}
@@ -104,6 +106,20 @@ class TestParseSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(DataError, match="no scenarios"):
             parse_suite("# nothing here\n")
+
+    @pytest.mark.parametrize(
+        "alias, family",
+        [("linear", "linear-operator"), ("modes", "exp-modes"),
+         ("oscillator", "lifted-oscillator")],
+    )
+    def test_family_alias_accepted(self, alias, family):
+        suite = parse_suite(f"[scenario s]\nfamily = {alias}\ntest-idx=0\nrank=2\n")
+        assert suite.scenarios[0].synth.family == family
+
+    def test_unset_settings_are_left_out(self):
+        scenario = parse_suite("[scenario s]\ntest-idx=0\nrank=2\n").scenarios[0]
+        assert scenario.fit_options == {}
+        assert scenario.synth == SynthSpec("linear-operator")
 
 
 class TestDefaultSuite:
@@ -182,6 +198,19 @@ class TestRunSuite:
                 if key in timing:
                     continue
                 assert row_a[key] == row_b[key]
+
+    def test_unset_fit_settings_take_the_class_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_fit(dataset, options):
+            seen.append(options)
+            return fit_surrogate(dataset, options)
+
+        fit_surrogate = bench.fit_surrogate
+        monkeypatch.setattr(bench, "fit_surrogate", recording_fit)
+        results = run_suite(parse_suite(TINY), str(tmp_path))
+        assert results[0].ok
+        assert seen == [FitOptions(algo, rank=4, seed=5) for algo in ALGORITHMS]
 
     def test_scenario_requires_all_four_ranks(self):
         with pytest.raises(DataError, match="every algorithm"):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pdmd.archive import load_model
+from pdmd.bench import parse_suite
 from pdmd.cli import main
 from pdmd.data import (
     ParametricDataset,
@@ -17,6 +19,7 @@ from pdmd.data import (
     write_dataset,
 )
 from pdmd.metrics import report_from_line
+from pdmd.synth import generate
 
 
 def run_cli(*argv):
@@ -82,6 +85,21 @@ class TestConfigMerge:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run_cli("synth", "--config", str(tmp_path / "absent.cfg")) == 2
 
+    def test_config_file_and_suite_section_give_the_same_dataset(self, tmp_path):
+        text = (
+            "family = modes\nnh = 6\nnp = 4\nnt = 20\ndt = 0.05\nt0 = 0.5\n"
+            "noise = 0.01\nseed = 3\nparam-range = 0.2,0.8\n"
+        )
+        config = tmp_path / "synth.cfg"
+        config.write_text(text + "out = %s\n" % (tmp_path / "cli.pdmd1"))
+        assert run_cli("synth", "--config", str(config), "--threads", "1") == 0
+        suite = parse_suite("[scenario s]\n" + text + "test-idx = 1\nrank = 2\n")
+        dataset, _ = generate(suite.scenarios[0].synth)
+        write_dataset(dataset, tmp_path / "suite.pdmd1")
+        assert (tmp_path / "cli.pdmd1").read_bytes() == (
+            tmp_path / "suite.pdmd1"
+        ).read_bytes()
+
 
 class TestExitCodes:
     def test_missing_required_flag(self, tmp_path, capsys):
@@ -114,6 +132,28 @@ class TestExitCodes:
     def test_missing_suite_file_is_data_error(self, tmp_path):
         assert run_cli("bench", "--suite", str(tmp_path / "absent.cfg"),
                        "--out", str(tmp_path / "bench")) == 3
+
+    @pytest.mark.parametrize(
+        "command, key, bad",
+        [
+            ("fit", "train-idx", "0,,1"),
+            ("fit", "time-window", "0,"),
+            ("predict", "mu", "0.5,"),
+            ("eval", "test-idx", "1,,2"),
+            ("synth", "param-range", ",0.7"),
+            ("synth", "nh", "abc"),
+            ("fit", "bag-trials", "x"),
+        ],
+    )
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, command, key, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, f"--{key}", bad)
+        assert excinfo.value.code == 2
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {bad}\n")
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(config)) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
 
     def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PDMD_THREADS", "lots")
@@ -237,6 +277,35 @@ class TestFit:
             "--randomized-svd", "--threads", "1",
             "--out", str(tmp_path / "m.pdmdm"), *rank,
         ) == 0
+
+    @pytest.mark.parametrize(
+        "flags, field, value",
+        [
+            (["--rbf-shape", "2"], "rbf_shape", 2.0),
+            (["--rbf-shape", "2", "--regressor", "rbf-gauss"], "rbf_shape", 2.0),
+            (["--poly-degree", "3"], "poly_degree", 3),
+            (["--extrapolation", "allow"], "extrapolation", "allow"),
+        ],
+        ids=["rbf-shape", "rbf-shape-and-kind", "poly-degree", "extrapolation"],
+    )
+    def test_regressor_fields_kept_without_a_kind(self, tmp_path, flags, field,
+                                                  value):
+        # p = 2, so the kind defaults to rbf-gauss
+        grid = TimeGrid(0.1 * np.arange(12))
+        params = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        rates = 0.2 + params @ np.array([0.3, 0.5])
+        dataset = ParametricDataset(params, tuple(
+            SnapshotMatrix(np.outer([1.0, 2.0, -1.0], np.exp(-rate * grid.instants)), grid)
+            for rate in rates
+        ))
+        path = tmp_path / "p2.pdmd1"
+        write_dataset(dataset, path)
+        model = tmp_path / "m.pdmdm"
+        assert run_cli("fit", "--data", str(path), "--algorithm", "roi",
+                       "--rank", "1", "--threads", "1", "--out", str(model),
+                       *flags) == 0
+        meta = load_model(model).metadata
+        assert (meta["regressor"], meta[field]) == ("rbf-gauss", value)
 
     def test_parameterless_dataset_is_data_error(self, tmp_path, capsys):
         # a PDMD1 header declaring p = 0: one trajectory of 4 x 12
@@ -403,7 +472,9 @@ class TestBenchCommand:
                        "--out", str(tmp_path / "bench")) == 3
 
     @pytest.mark.parametrize(
-        "key, bad", [("nh", "abc"), ("test-idx", "1,,2"), ("bag-trials", "x")]
+        "key, bad",
+        [("nh", "abc"), ("test-idx", "1,,2"), ("bag-trials", "x"),
+         ("param-range", "0.3,")],
     )
     def test_malformed_suite_value_is_data_error(self, tmp_path, capsys, key, bad):
         kept = [line for line in self.SUITE.splitlines() if not line.startswith(f"{key}=")]

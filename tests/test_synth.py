@@ -1,5 +1,7 @@
 """Tests for the synthetic ground-truth generator."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,6 @@ from pdmd.synth import (
     ExpMode,
     SynthSpec,
     generate,
-    spec_from_json,
     spec_to_json,
 )
 
@@ -198,17 +199,12 @@ class TestSpecValidation:
             noise_std=0.01,
             seed=123,
         )
-        back = spec_from_json(spec_to_json(spec))
-        assert back == spec
+        payload = json.loads(spec_to_json(spec))
+        payload["param_range"] = tuple(payload["param_range"])
+        assert SynthSpec(**payload) == spec
 
     def test_explicit_spec_not_serializable(self):
         mode = ExpMode(np.ones(2, dtype=complex), np.array([1.0 + 0j]), 0j)
         spec = SynthSpec("exp-modes", n_h=2, modes=(mode,))
         with pytest.raises(DataError):
             spec_to_json(spec)
-
-    def test_malformed_json(self):
-        with pytest.raises(DataError):
-            spec_from_json("{oops")
-        with pytest.raises(DataError, match="missing"):
-            spec_from_json("{}")
