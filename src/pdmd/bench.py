@@ -11,7 +11,7 @@ and a tidy error-over-time series file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .algorithms import ALGORITHMS
 from .data import parse_key_values, restrict_time, split_train_test
@@ -36,6 +36,7 @@ from .options import (
     parse_pair,
 )
 from .pipeline import FitOptions, fit_surrogate, timed_query
+from .regression import RegressorSpec
 from .synth import SynthSpec, generate
 
 DEFAULT_TRAIN_FRACTION = 0.7
@@ -165,6 +166,23 @@ SUITE_OPTIONS = {
 }
 
 
+# the dataclasses whose fields suite settings set, with the arguments
+# each needs besides its defaults
+_FIELD_OWNERS = (
+    (SynthSpec, {"family": SUITE_OPTIONS["family"].default}),
+    (FitOptions, {"algorithm": next(iter(ALGORITHMS))}),
+    (RegressorSpec, {}),
+)
+
+
+def _check_field(opt: Option, value) -> None:
+    """Raise ``DataError`` when a dataclass field that ``opt`` sets
+    rejects ``value`` with every other field at its default."""
+    for cls, required in _FIELD_OWNERS:
+        if opt.field in {f.name for f in fields(cls)}:
+            cls(**{**required, opt.field: value})
+
+
 def _build_scenario(name: str, text: dict) -> Scenario:
     unknown = sorted(set(text) - set(SUITE_OPTIONS))
     if unknown:
@@ -174,7 +192,8 @@ def _build_scenario(name: str, text: dict) -> Scenario:
         opt = SUITE_OPTIONS[key]
         try:
             values[opt.dest] = opt.parse(value)
-        except ValueError as exc:
+            _check_field(opt, values[opt.dest])
+        except (ValueError, DataError) as exc:
             raise DataError(f"scenario {name!r}: bad {key} {value!r}: {exc}") from None
     if values["test_idx"] is None:
         raise DataError(f"scenario {name!r} must set test-idx")

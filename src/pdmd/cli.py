@@ -70,14 +70,16 @@ class UsageError(Exception):
 
 COMMON = [
     uint_option("threads", 1, "BLAS thread cap (env PDMD_THREADS, then core count)"),
-    SEED,
 ]
 
-SYNTH_OPTS = COMMON + DATASET + [
+SYNTH_OPTS = COMMON + [
+    SEED,
+    *DATASET,
     Option("out", str, "output dataset path", default="synth.pdmd1"),
 ]
 
 FIT_OPTS = COMMON + [
+    SEED,
     Option("data", str, "training dataset path"),
     Option("algorithm", choice(ALGORITHMS, "algorithm"),
            f"surrogate algorithm ({', '.join(ALGORITHMS)})", "algorithm"),

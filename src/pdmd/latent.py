@@ -13,7 +13,12 @@ the operator- and triplet-interpolation strategies.
 ``predict_latent`` answers a block of mu rows with that one set of
 N_t regressor fits, so scoring a model at all N_p training parameters
 costs N_t fits, not N_p * N_t; a query passes its mu as one row and
-runs N_t fits.
+runs N_t fits.  What the fits share is done once per call: the training
+parameters are prepared once (``regression.prepare``) and each row is
+checked, clamped and located once (``regression.stencil``), so an
+instant costs one ``regression.fit`` plus one ``regression.combine``
+per row, and a clamped query or an ill-conditioned rbf system warns
+once, not once per instant.
 """
 
 from __future__ import annotations
@@ -116,11 +121,12 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     """Predicted latent trajectories over lattice instants, n x r x N_t
     for an n x p block of parameter rows.
 
-    Each DMD is evaluated once at all requested instants; then, for
-    every instant, one regressor is trained on the per-parameter latent
-    states there and evaluated at every row.  This online training, N_t
-    fits per call whatever n is, is the contract of the strategy; count
-    it with ``regression.FitCount``.
+    Each DMD is evaluated once at all requested instants, the training
+    parameters are prepared once and every row gets one stencil; then,
+    for every instant, one regressor is trained on the per-parameter
+    latent states there and read at every row's stencil.  This online
+    training, N_t fits per call whatever n is, is the contract of the
+    strategy; count it with ``regression.FitCount``.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
@@ -135,9 +141,11 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
         blocks = [evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)  # N_p x r x N_t
     effective = regression.effective_spec(spec, model.params.shape[0])
+    sites = regression.prepare(effective, model.params)
+    stencils = [regression.stencil(sites, mu) for mu in rows]
     latents = np.empty((rows.shape[0],) + trajectories.shape[1:])
     for k in range(steps.size):
-        regressor = regression.fit(effective, model.params, trajectories[:, :, k])
-        for i, mu in enumerate(rows):
-            latents[i, :, k] = regression.predict(regressor, mu)
+        regressor = regression.fit(sites, trajectories[:, :, k])
+        for i, query in enumerate(stencils):
+            latents[i, :, k] = regression.combine(query, regressor)
     return latents

@@ -41,6 +41,13 @@ def parse_float(text, name="value") -> float:
         raise ValueError(f"{name} must be a number, got {text!r}") from exc
 
 
+def parse_fraction(text, name="value") -> float:
+    value = parse_float(text, name)
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
 def parse_list(text, convert) -> list:
     """Comma-separated items, each converted; an empty item is an error."""
     items = [item.strip() for item in text.split(",")]
@@ -149,8 +156,8 @@ MODEL = [
     Option("extrapolation", choice(EXTRAPOLATION_POLICIES, "extrapolation"),
            "out-of-hull query policy", "extrapolation"),
     uint_option("bag-trials", 1, "bagging trials for rkoi members", "bag_trials"),
-    float_option("bag-fraction", "time-subset fraction per bagging trial",
-                 "bag_fraction"),
+    Option("bag-fraction", lambda t: parse_fraction(t, "bag-fraction"),
+           "time-subset fraction per bagging trial, in (0, 1]", "bag_fraction"),
 ]
 
 

@@ -43,6 +43,12 @@ class FitOptions:
             raise DataError(f"rank must be >= 1, got {self.rank}")
         if self.energy is not None and not 0 < self.energy <= 1:
             raise DataError(f"energy must lie in (0, 1], got {self.energy}")
+        if self.op_rank is not None and self.op_rank < 1:
+            raise DataError(f"op_rank must be >= 1, got {self.op_rank}")
+        if self.bag_trials < 1:
+            raise DataError(f"bag_trials must be >= 1, got {self.bag_trials}")
+        if not 0 < self.bag_fraction <= 1:
+            raise DataError(f"bag_fraction must lie in (0, 1], got {self.bag_fraction}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,24 @@ basis functions (gaussian or thin-plate kernel), or ridge-regularized
 polynomials.  Complex-valued targets are regressed as separate real and
 imaginary channels and reassembled on prediction.
 
+The work is split in three stages by what each one depends on, so that
+many regressors on the same training parameters share it:
+
+- ``prepare(spec, params)`` depends on the training parameters only.
+  It validates them, rejects duplicates and builds the hull box and the
+  kind's value-independent work: the linear sort order, the rbf kernel
+  system with its Cholesky factor and condition number, the polynomial
+  features and Gram matrix.
+- ``fit(sites, values)`` trains one regressor on prepared sites: it
+  validates the values and runs the kind's reorder or solve.
+- ``stencil(sites, mu)`` depends on the query only.  It checks mu,
+  applies the extrapolation policy and builds what reading any
+  regressor on those sites needs: the bracketing pair and weight, the
+  nearest row, the rbf kernel row or the polynomial feature row.
+  ``combine(stencil, regressor)`` applies it to one fitted regressor.
+
+``predict(regressor, mu)`` runs the last two stages for one regressor.
+
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
 regressors it trained online (N_t for the latent-interpolation
@@ -98,6 +116,46 @@ class FittedRegressor:
     complex_output: bool = False
 
 
+@dataclass(frozen=True)
+class Sites:
+    """Training parameters prepared for every fit and query on them.
+
+    ``lo``/``hi`` bound the hull box.  The kind's fields: ``order`` and
+    ``xs`` (linear: ascending row order and sorted abscissae),
+    ``shape``, ``system`` and ``factor`` (rbf: distance scale, kernel
+    plus ridge, and its Cholesky factor or None when that fails),
+    ``powers``, ``features`` and ``gram`` (poly: monomial exponents,
+    feature matrix, and the ridge Gram matrix or None at zero ridge).
+    Sites rebuilt from a fitted regressor by ``_sites_of`` carry only
+    what a stencil reads."""
+
+    spec: RegressorSpec
+    params: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    order: np.ndarray | None = None
+    xs: np.ndarray | None = None
+    shape: float | None = None
+    system: np.ndarray | None = None
+    factor: tuple | None = None
+    powers: list | None = None
+    features: np.ndarray | None = None
+    gram: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """How one query reads any regressor fitted on the same sites.
+    linear: table rows ``left`` and ``right`` blended by ``weight``;
+    nearest: table row ``left``; rbf and poly: the kernel or feature
+    ``row`` dotted with the coefficients."""
+
+    left: int = 0
+    right: int = 0
+    weight: float = 0.0
+    row: np.ndarray | None = None
+
+
 def _normalize_params(params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.ndim == 1:
@@ -115,7 +173,7 @@ def _normalize_values(values) -> tuple:
         values = values[:, None]
     if values.ndim != 2:
         raise DataError("values must form an N_p x d array")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DataError("values contain non-finite entries")
     if np.iscomplexobj(values):
         return np.hstack([values.real, values.imag]).astype(float), True
@@ -153,21 +211,13 @@ def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
     return np.where(distances > 0, distances**2 * np.log(scaled), 0.0)
 
 
-def fit(spec: RegressorSpec, params, values) -> FittedRegressor:
-    """Train a regressor on (params, values) pairs.
-
-    Interpolating kinds (linear, nearest, rbf with zero ridge) reproduce
-    their training values on prediction; the polynomial kind solves a
-    ridge-regularized least-squares problem.
-    """
+def prepare(spec: RegressorSpec, params) -> Sites:
+    """Validate the training parameters and do the kind's work that no
+    fitted value enters; every ``fit`` and ``stencil`` on the result
+    shares it."""
     params = _normalize_params(params)
-    table, complex_output = _normalize_values(values)
-    if table.shape[0] != params.shape[0]:
-        raise DataError(
-            f"{params.shape[0]} parameters but {table.shape[0]} value rows"
-        )
     n_points, p = params.shape
-    coefficients: dict
+    box = (params.min(axis=0), params.max(axis=0))
 
     if spec.kind == "linear":
         if p != 1:
@@ -178,37 +228,9 @@ def fit(spec: RegressorSpec, params, values) -> FittedRegressor:
         xs = params[order, 0]
         if np.any(xs[1:] == xs[:-1]):
             raise DataError("duplicate parameters for an interpolating regressor")
-        coefficients = {"xs": xs, "table": table[order]}
-    elif spec.kind == "nearest":
-        if _has_duplicate_rows(params):
-            raise DataError("duplicate parameters for an interpolating regressor")
-        coefficients = {"table": table}
-    elif spec.kind in ("rbf-gauss", "rbf-tps"):
-        if _has_duplicate_rows(params):
-            raise DataError("duplicate parameters for an interpolating regressor")
-        distances = cdist(params, params)
-        if spec.shape is not None:
-            shape = spec.shape
-        else:
-            off_diag = distances[~np.eye(n_points, dtype=bool)]
-            shape = float(np.median(off_diag)) if off_diag.size else 1.0
-            if shape <= 0:
-                shape = 1.0
-        kernel = _rbf_kernel(distances / shape, spec.kind)
-        system = kernel + spec.ridge * np.eye(n_points)
-        cond = np.linalg.cond(system)
-        if cond > CONDITION_TELEMETRY_THRESHOLD:
-            warnings.warn(
-                f"rbf system condition number {cond:.3e}",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
-        try:
-            weights = cho_solve(cho_factor(system), table)
-        except np.linalg.LinAlgError:
-            weights = np.linalg.lstsq(system, table, rcond=None)[0]
-        coefficients = {"weights": weights, "shape": np.array(shape)}
-    else:  # poly
+        return Sites(spec, params, *box, order=order, xs=xs)
+
+    if spec.kind == "poly":
         powers = _poly_powers(p, spec.degree)
         features = _poly_features(params, powers)
         if spec.ridge == 0 and n_points < len(powers):
@@ -216,24 +238,102 @@ def fit(spec: RegressorSpec, params, values) -> FittedRegressor:
                 f"degree-{spec.degree} polynomial has {len(powers)} coefficients "
                 f"but only {n_points} samples; add ridge or samples"
             )
+        gram = None
         if spec.ridge > 0:
             gram = features.T @ features + spec.ridge * np.eye(len(powers))
-            beta = np.linalg.solve(gram, features.T @ table)
+        return Sites(spec, params, *box, powers=powers, features=features, gram=gram)
+
+    if _has_duplicate_rows(params):
+        raise DataError("duplicate parameters for an interpolating regressor")
+    if spec.kind == "nearest":
+        return Sites(spec, params, *box)
+
+    distances = cdist(params, params)
+    if spec.shape is not None:
+        shape = spec.shape
+    else:
+        off_diag = distances[~np.eye(n_points, dtype=bool)]
+        shape = float(np.median(off_diag)) if off_diag.size else 1.0
+        if shape <= 0:
+            shape = 1.0
+    kernel = _rbf_kernel(distances / shape, spec.kind)
+    system = kernel + spec.ridge * np.eye(n_points)
+    cond = np.linalg.cond(system)
+    if cond > CONDITION_TELEMETRY_THRESHOLD:
+        warnings.warn(
+            f"rbf system condition number {cond:.3e}",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    try:
+        factor = cho_factor(system)
+    except np.linalg.LinAlgError:
+        factor = None
+    return Sites(spec, params, *box, shape=shape, system=system, factor=factor)
+
+
+def fit(sites: Sites, values) -> FittedRegressor:
+    """Train a regressor on the values at prepared sites, one value row
+    per training parameter.
+
+    Interpolating kinds (linear, nearest, rbf with zero ridge) reproduce
+    their training values on prediction; the polynomial kind solves a
+    ridge-regularized least-squares problem.
+    """
+    table, complex_output = _normalize_values(values)
+    if table.shape[0] != sites.params.shape[0]:
+        raise DataError(
+            f"{sites.params.shape[0]} parameters but {table.shape[0]} value rows"
+        )
+    kind = sites.spec.kind
+    if kind == "linear":
+        coefficients = {"xs": sites.xs, "table": table[sites.order]}
+    elif kind == "nearest":
+        coefficients = {"table": table}
+    elif kind in ("rbf-gauss", "rbf-tps"):
+        if sites.factor is not None:
+            weights = cho_solve(sites.factor, table)
         else:
-            beta = np.linalg.lstsq(features, table, rcond=None)[0]
-        coefficients = {"beta": beta, "degree": np.array(spec.degree)}
+            weights = np.linalg.lstsq(sites.system, table, rcond=None)[0]
+        coefficients = {"weights": weights, "shape": np.array(sites.shape)}
+    else:  # poly
+        if sites.gram is not None:
+            beta = np.linalg.solve(sites.gram, sites.features.T @ table)
+        else:
+            beta = np.linalg.lstsq(sites.features, table, rcond=None)[0]
+        coefficients = {"beta": beta, "degree": np.array(sites.spec.degree)}
 
     _record_fit()
     dim = table.shape[1] // 2 if complex_output else table.shape[1]
-    return FittedRegressor(spec, params, coefficients, dim, complex_output)
+    return FittedRegressor(sites.spec, sites.params, coefficients, dim, complex_output)
 
 
-def _apply_policy(regressor: FittedRegressor, mu: np.ndarray) -> np.ndarray:
-    lo = regressor.training_params.min(axis=0)
-    hi = regressor.training_params.max(axis=0)
-    if np.all((mu >= lo) & (mu <= hi)):
+def _sites_of(regressor: FittedRegressor) -> Sites:
+    """The sites a fitted or loaded regressor was trained on, carrying
+    what a stencil reads: the hull box, the sorted abscissae, the rbf
+    shape or the polynomial exponents."""
+    params = regressor.training_params
+    coeff = regressor.coefficients
+    return Sites(
+        regressor.spec,
+        params,
+        params.min(axis=0),
+        params.max(axis=0),
+        xs=coeff.get("xs"),
+        shape=float(coeff["shape"]) if "shape" in coeff else None,
+        powers=(
+            _poly_powers(params.shape[1], int(coeff["degree"]))
+            if "degree" in coeff
+            else None
+        ),
+    )
+
+
+def _apply_policy(sites: Sites, mu: np.ndarray) -> np.ndarray:
+    lo, hi = sites.lo, sites.hi
+    if ((mu >= lo) & (mu <= hi)).all():
         return mu
-    policy = regressor.spec.extrapolation
+    policy = sites.spec.extrapolation
     if policy == "allow":
         return mu
     if policy == "error":
@@ -250,20 +350,20 @@ def _apply_policy(regressor: FittedRegressor, mu: np.ndarray) -> np.ndarray:
     return clamped
 
 
-def predict(regressor: FittedRegressor, mu) -> np.ndarray:
-    """Evaluate the trained map at one parameter vector."""
+def stencil(sites: Sites, mu) -> Stencil:
+    """Check one parameter vector, apply the extrapolation policy and
+    locate it among the sites, once for every regressor on them."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    p = regressor.training_params.shape[1]
+    p = sites.params.shape[1]
     if mu.shape != (p,):
         raise DataError(f"query must be a {p}-vector, got shape {mu.shape}")
-    if not np.all(np.isfinite(mu)):
+    if not np.isfinite(mu).all():
         raise DataError("query contains non-finite entries")
-    mu = _apply_policy(regressor, mu)
-    spec = regressor.spec
-    coeff = regressor.coefficients
+    mu = _apply_policy(sites, mu)
+    kind = sites.spec.kind
 
-    if spec.kind == "linear":
-        xs, table = coeff["xs"], coeff["table"]
+    if kind == "linear":
+        xs = sites.xs
         x = mu[0]
         if x <= xs[0]:
             # the allow policy may pass x < xs[0]: extend the first segment
@@ -271,24 +371,41 @@ def predict(regressor: FittedRegressor, mu) -> np.ndarray:
         elif x >= xs[-1]:
             left, right = len(xs) - 2, len(xs) - 1
         else:
-            right = int(np.searchsorted(xs, x, side="right"))
+            right = int(xs.searchsorted(x, side="right"))
             left = right - 1
-        weight = (x - xs[left]) / (xs[right] - xs[left])
-        row = (1 - weight) * table[left] + weight * table[right]
-    elif spec.kind == "nearest":
-        distances = np.linalg.norm(regressor.training_params - mu, axis=1)
-        row = coeff["table"][int(np.argmin(distances))]
-    elif spec.kind in ("rbf-gauss", "rbf-tps"):
-        distances = cdist(mu[None, :], regressor.training_params)[0]
-        kernel = _rbf_kernel(distances / float(coeff["shape"]), spec.kind)
-        row = kernel @ coeff["weights"]
+        return Stencil(left, right, (x - xs[left]) / (xs[right] - xs[left]))
+    if kind == "nearest":
+        distances = np.linalg.norm(sites.params - mu, axis=1)
+        return Stencil(left=int(np.argmin(distances)))
+    if kind in ("rbf-gauss", "rbf-tps"):
+        distances = cdist(mu[None, :], sites.params)[0]
+        return Stencil(row=_rbf_kernel(distances / sites.shape, kind))
+    return Stencil(row=_poly_features(mu[None, :], sites.powers)[0])
+
+
+def combine(query: Stencil, regressor: FittedRegressor) -> np.ndarray:
+    """The regressor's value at the stencil's query; the regressor must
+    be fitted on the sites the stencil was built from."""
+    kind = regressor.spec.kind
+    coeff = regressor.coefficients
+    if kind == "linear":
+        table = coeff["table"]
+        row = (1 - query.weight) * table[query.left] + query.weight * table[query.right]
+    elif kind == "nearest":
+        row = coeff["table"][query.left]
+    elif kind in ("rbf-gauss", "rbf-tps"):
+        row = query.row @ coeff["weights"]
     else:  # poly
-        powers = _poly_powers(p, int(coeff["degree"]))
-        row = _poly_features(mu[None, :], powers)[0] @ coeff["beta"]
+        row = query.row @ coeff["beta"]
 
     if regressor.complex_output:
         return row[: regressor.output_dim] + 1j * row[regressor.output_dim :]
     return row
+
+
+def predict(regressor: FittedRegressor, mu) -> np.ndarray:
+    """Evaluate the trained map at one parameter vector."""
+    return combine(stencil(_sites_of(regressor), mu), regressor)
 
 
 def default_spec(param_dim: int, extrapolation: str = "clamp") -> RegressorSpec:

@@ -158,12 +158,14 @@ def fit_rkoi(
     omega_table = np.vstack([m.omegas for m in aligned])
     amp_table = np.vstack([m.amplitudes for m in aligned])
 
-    effective = regression.effective_spec(spec, latent.n_params)
+    sites = regression.prepare(
+        regression.effective_spec(spec, latent.n_params), latent.params
+    )
     return RkoiModel(
         basis=latent.basis,
-        mode_regressor=regression.fit(effective, latent.params, mode_table),
-        omega_regressor=regression.fit(effective, latent.params, omega_table),
-        amp_regressor=regression.fit(effective, latent.params, amp_table),
+        mode_regressor=regression.fit(sites, mode_table),
+        omega_regressor=regression.fit(sites, omega_table),
+        amp_regressor=regression.fit(sites, amp_table),
         t0=latent.grid.t0,
         notes=tuple(notes),
     )

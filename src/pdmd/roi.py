@@ -113,9 +113,11 @@ def fit_roi(
     coefficients = (svd.modes_u.T @ stacked).T  # N_p x r_a
     initial_states = np.vstack([lat[:, 0] for lat in latent.latents])
 
-    effective = regression.effective_spec(spec, latent.n_params)
-    coeff_regressor = regression.fit(effective, latent.params, coefficients)
-    init_regressor = regression.fit(effective, latent.params, initial_states)
+    sites = regression.prepare(
+        regression.effective_spec(spec, latent.n_params), latent.params
+    )
+    coeff_regressor = regression.fit(sites, coefficients)
+    init_regressor = regression.fit(sites, initial_states)
     return RoiModel(
         basis=latent.basis,
         op_modes=svd.modes_u,

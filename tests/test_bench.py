@@ -116,6 +116,22 @@ class TestParseSuite:
         suite = parse_suite(f"[scenario s]\nfamily = {alias}\ntest-idx=0\nrank=2\n")
         assert suite.scenarios[0].synth.family == family
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("param-range", "0.7,0.3", "param_range must satisfy lo < hi"),
+            ("dt", "-1", "dt must be > 0"),
+            ("rbf-shape", "-1", "rbf shape must be > 0"),
+            ("bag-fraction", "2", "bag-fraction must lie in (0, 1]"),
+        ],
+    )
+    def test_rejected_value_names_scenario_and_key(self, key, value, reason):
+        with pytest.raises(DataError) as excinfo:
+            parse_suite(f"[scenario s]\n{key} = {value}\ntest-idx=0\nrank=2\n")
+        message = str(excinfo.value)
+        assert message.startswith(f"scenario 's': bad {key} '{value}': ")
+        assert reason in message
+
     def test_unset_settings_are_left_out(self):
         scenario = parse_suite("[scenario s]\ntest-idx=0\nrank=2\n").scenarios[0]
         assert scenario.fit_options == {}

@@ -143,6 +143,8 @@ class TestExitCodes:
             ("synth", "param-range", ",0.7"),
             ("synth", "nh", "abc"),
             ("fit", "bag-trials", "x"),
+            ("fit", "bag-fraction", "2"),
+            ("fit", "bag-fraction", "0"),
         ],
     )
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, command, key, bad):
@@ -154,6 +156,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli(command, "--config", str(config)) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "bench"])
+    def test_seed_is_not_an_option_where_nothing_reads_it(
+        self, tmp_path, capsys, command
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--seed", "7")
+        assert excinfo.value.code == 2
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = 7\n")
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(config)) == 2
+        assert "unknown config keys: seed" in capsys.readouterr().err
 
     def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PDMD_THREADS", "lots")

@@ -1,5 +1,7 @@
 """Tests for latent-trajectory interpolation surrogates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from pdmd import dmd, latent as latent_module, regression
 from pdmd.bench import default_suite
 from pdmd.data import TimeGrid, lattice_steps, split_train_test
 from pdmd.dmd import fit_dmd, reconstruct
-from pdmd.errors import DataError
+from pdmd.errors import DataError, ExtrapolationWarning, IllConditionedWarning
 from pdmd.latent import (
     MonolithicModel,
     fit_monolithic,
@@ -76,7 +78,7 @@ def per_step_prediction(model, mu, times, spec):
             states = np.vstack([stacked[a:b] for a, b in model.block_map])
         else:
             states = np.vstack([advance(member, step) for member in model.members])
-        regressor = regression.fit(effective, model.params, states)
+        regressor = regression.fit(regression.prepare(effective, model.params), states)
         columns.append(regression.predict(regressor, mu))
     return lift(np.column_stack(columns), model.basis)
 
@@ -254,3 +256,126 @@ def test_matches_per_step_oracle_on_default_suite(scenario):
             pred = predict_one(fitted.model, mu, times, fitted.regressor)
             oracle = per_step_prediction(fitted.model, mu, times, fitted.regressor)
             assert frobenius_rel_error(oracle, pred) <= 1e-12
+
+
+def swept_family(params, n_t=24):
+    """Latent orbits whose speed follows the first parameter and whose
+    decay follows the last, so that every regressor kind interpolates
+    something non-trivial."""
+    grid = TimeGrid(np.arange(float(n_t)))
+    params = np.asarray(params, dtype=float)
+    latents = tuple(
+        orbit(rotation(0.9 + 0.05 * row[-1], 0.3 + 0.4 * row[0]), [1.0, 0.4], n_t)
+        for row in params
+    )
+    return LatentDataset(identity_basis(2), params, latents, grid)
+
+
+def per_instant_loop(model, rows, times, spec):
+    """Reference oracle for predict_latent: each instant prepares its
+    training parameters afresh, fits one regressor and predicts every
+    row with regression.predict."""
+    steps = lattice_steps(times, model.t0, model.dt)
+    if isinstance(model, MonolithicModel):
+        stacked = dmd.evaluate(model.stacked_dmd, steps)
+        blocks = [stacked[a:b] for a, b in model.block_map]
+    else:
+        blocks = [dmd.evaluate(member, steps) for member in model.members]
+    trajectories = np.stack(blocks)
+    effective = regression.effective_spec(spec, model.params.shape[0])
+    latents = np.empty((len(rows),) + trajectories.shape[1:])
+    for k in range(steps.size):
+        sites = regression.prepare(effective, model.params)
+        regressor = regression.fit(sites, trajectories[:, :, k])
+        for i, mu in enumerate(rows):
+            latents[i, :, k] = regression.predict(regressor, mu)
+    return latents
+
+
+ORACLE_SPECS = {
+    "linear": RegressorSpec("linear"),
+    "nearest": RegressorSpec("nearest"),
+    "rbf-gauss": RegressorSpec("rbf-gauss"),
+    "rbf-tps": RegressorSpec("rbf-tps"),
+    "poly": RegressorSpec("poly", degree=2),
+    "poly-ridge": RegressorSpec("poly", degree=2, ridge=1e-3),
+}
+ORACLE_PARAMS = {
+    1: [[0.2], [0.35], [0.5], [0.65], [0.8], [0.95]],
+    2: [[0.2, 0.1], [0.8, 0.3], [0.5, 0.9], [0.3, 0.6], [0.7, 0.7], [0.45, 0.2]],
+}
+ORACLE_CASES = [
+    (name, p) for name in ORACLE_SPECS for p in (1, 2) if (name, p) != ("linear", 2)
+]
+
+
+def oracle_rows(params, where, n_rows):
+    """n_rows query rows: inside, spread over the hull box shrunk by 5 %
+    on each side; outside, spread over the box widened by half its size
+    on each side, so that the first and last rows (or the one row) leave
+    the hull."""
+    lo, hi = params.min(axis=0), params.max(axis=0)
+    margin = 0.5 * (hi - lo) if where == "outside" else -0.05 * (hi - lo)
+    if n_rows == 1:
+        row = hi + margin if where == "outside" else 0.43 * lo + 0.57 * hi
+        return row[None, :]
+    fractions = np.linspace(0.0, 1.0, n_rows)[:, None]
+    return (lo - margin) + fractions * (hi - lo + 2 * margin)
+
+
+@pytest.mark.parametrize("block", ["one-row", "all-rows"])
+@pytest.mark.parametrize("where", ["inside", "outside"])
+@pytest.mark.parametrize("policy", ["clamp", "allow", "error"])
+@pytest.mark.parametrize("kind,p", ORACLE_CASES, ids=lambda v: str(v))
+def test_matches_per_instant_loop_bit_for_bit(kind, p, policy, where, block):
+    latent = swept_family(ORACLE_PARAMS[p])
+    spec = RegressorSpec(**{**vars(ORACLE_SPECS[kind]), "extrapolation": policy})
+    n_rows = 1 if block == "one-row" else latent.n_params
+    rows = oracle_rows(latent.params, where, n_rows)
+    times = latent.grid.instants[::3]
+    for model in (fit_monolithic(latent), fit_partitioned(latent)):
+        if policy == "error" and where == "outside":
+            with pytest.raises(DataError, match="hull"):
+                predict_latent(model, rows, times, spec)
+            with pytest.raises(DataError, match="hull"):
+                per_instant_loop(model, rows, times, spec)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            got = predict_latent(model, rows, times, spec)
+            want = per_instant_loop(model, rows, times, spec)
+        assert got.shape == want.shape == (len(rows), 2, len(times))
+        assert got.tobytes() == want.tobytes()
+
+
+def count_warnings(category, call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return sum(issubclass(w.category, category) for w in caught)
+
+
+@pytest.mark.parametrize(
+    "fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"]
+)
+class TestWarningsOncePerQuery:
+    def test_clamped_query(self, fit_model):
+        latent = swept_family([[0.2], [0.5], [0.8]])
+        model = fit_model(latent)
+        times = latent.grid.instants
+        n_warnings = count_warnings(
+            ExtrapolationWarning,
+            lambda: predict_latent(model, [[5.0]], times, RegressorSpec("linear")),
+        )
+        assert len(times) > 1
+        assert n_warnings == 1
+
+    def test_ill_conditioned_rbf_system(self, fit_model):
+        latent = swept_family([[0.0], [1e-9], [1.0]])
+        model = fit_model(latent)
+        spec = RegressorSpec("rbf-gauss", shape=100.0)
+        n_warnings = count_warnings(
+            IllConditionedWarning,
+            lambda: predict_latent(model, [[0.5]], latent.grid.instants, spec),
+        )
+        assert n_warnings == 1

@@ -119,6 +119,16 @@ class TestResolveRank:
         with pytest.raises(DataError, match="energy"):
             FitOptions("roi", energy=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bag_fraction", 0.0), ("bag_fraction", 2.0), ("bag_fraction", -0.5),
+         ("bag_trials", 0), ("op_rank", 0)],
+    )
+    def test_bagging_and_operator_settings_bounded(self, field, value):
+        with pytest.raises(DataError, match=field):
+            FitOptions("rkoi", **{field: value})
+        FitOptions("rkoi", bag_fraction=1.0, bag_trials=1, op_rank=1)
+
 
 class TestFitSurrogate:
     def test_metadata_records_the_fit(self):

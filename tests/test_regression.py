@@ -14,34 +14,35 @@ from pdmd.regression import (
     default_spec,
     fit,
     predict,
+    prepare,
 )
 
 
 class TestLinearInterp:
     def test_midpoint(self):
-        reg = fit(RegressorSpec("linear"), [[0.0], [1.0]], [[0.0], [2.0]])
+        reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
         assert_allclose(predict(reg, [0.5]), [1.0])
 
     def test_training_points_reproduced(self):
         xs = np.array([[0.0], [0.3], [1.0], [2.5]])
         ys = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0], [-2.0, 4.0]])
-        reg = fit(RegressorSpec("linear"), xs, ys)
+        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
         for x, y in zip(xs, ys):
             assert_allclose(predict(reg, x), y, atol=1e-12)
 
     def test_unsorted_input_handled(self):
-        reg = fit(RegressorSpec("linear"), [[2.0], [0.0], [1.0]], [[4.0], [0.0], [2.0]])
+        sites = prepare(RegressorSpec("linear"), [[2.0], [0.0], [1.0]])
+        reg = fit(sites, [[4.0], [0.0], [2.0]])
         assert_allclose(predict(reg, [1.5]), [3.0])
 
     def test_clamp_beyond_hull(self):
-        reg = fit(RegressorSpec("linear"), [[0.0], [1.0]], [[0.0], [2.0]])
+        reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
         with pytest.warns(ExtrapolationWarning):
             assert_allclose(predict(reg, [3.0]), [2.0])
 
     def test_error_policy(self):
         reg = fit(
-            RegressorSpec("linear", extrapolation="error"),
-            [[0.0], [1.0]],
+            prepare(RegressorSpec("linear", extrapolation="error"), [[0.0], [1.0]]),
             [[0.0], [2.0]],
         )
         with pytest.raises(DataError, match="hull"):
@@ -49,8 +50,7 @@ class TestLinearInterp:
 
     def test_allow_policy_extends_segments(self):
         reg = fit(
-            RegressorSpec("linear", extrapolation="allow"),
-            [[0.0], [1.0]],
+            prepare(RegressorSpec("linear", extrapolation="allow"), [[0.0], [1.0]]),
             [[0.0], [2.0]],
         )
         assert_allclose(predict(reg, [2.0]), [4.0])
@@ -59,8 +59,8 @@ class TestLinearInterp:
     def test_affine_input_equivariance(self):
         xs = np.array([[0.1], [0.4], [0.9], [1.7]])
         ys = np.random.default_rng(0).standard_normal((4, 3))
-        reg = fit(RegressorSpec("linear"), xs, ys)
-        scaled = fit(RegressorSpec("linear"), 2.0 * xs + 5.0, ys)
+        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
+        scaled = fit(prepare(RegressorSpec("linear"), 2.0 * xs + 5.0), ys)
         for q in (0.2, 0.55, 1.3):
             assert_allclose(
                 predict(reg, [q]), predict(scaled, [2.0 * q + 5.0]), atol=1e-12
@@ -68,23 +68,26 @@ class TestLinearInterp:
 
     def test_vector_params_rejected(self):
         with pytest.raises(DataError, match="scalar"):
-            fit(RegressorSpec("linear"), [[0.0, 1.0], [1.0, 2.0]], [[1.0], [2.0]])
+            fit(
+                prepare(RegressorSpec("linear"), [[0.0, 1.0], [1.0, 2.0]]),
+                [[1.0], [2.0]],
+            )
 
     def test_duplicates_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            fit(RegressorSpec("linear"), [[1.0], [1.0]], [[0.0], [1.0]])
+            fit(prepare(RegressorSpec("linear"), [[1.0], [1.0]]), [[0.0], [1.0]])
 
 
 class TestNearest:
     def test_closest_sample_wins(self):
-        reg = fit(RegressorSpec("nearest"), [[0.0], [1.0]], [[10.0], [20.0]])
+        reg = fit(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[10.0], [20.0]])
         assert_allclose(predict(reg, [0.4]), [10.0])
         assert_allclose(predict(reg, [0.6]), [20.0])
 
     def test_training_point_exact(self):
         params = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         values = np.array([[1.0], [2.0], [3.0]])
-        reg = fit(RegressorSpec("nearest"), params, values)
+        reg = fit(prepare(RegressorSpec("nearest"), params), values)
         for mu, val in zip(params, values):
             assert_allclose(predict(reg, mu), val)
 
@@ -92,7 +95,7 @@ class TestNearest:
 class TestRbf:
     def test_sine_samples(self):
         xs = np.linspace(0.0, np.pi, 5)[:, None]
-        reg = fit(RegressorSpec("rbf-gauss"), xs, np.sin(xs))
+        reg = fit(prepare(RegressorSpec("rbf-gauss"), xs), np.sin(xs))
         mids = 0.5 * (xs[:-1] + xs[1:])
         for mid in mids:
             assert abs(predict(reg, mid)[0] - np.sin(mid[0])) <= 1e-2
@@ -102,15 +105,15 @@ class TestRbf:
         params = rng.random((6, 2))
         values = rng.standard_normal((6, 3))
         for kind in ("rbf-gauss", "rbf-tps"):
-            reg = fit(RegressorSpec(kind), params, values)
+            reg = fit(prepare(RegressorSpec(kind), params), values)
             for mu, val in zip(params, values):
                 assert_allclose(predict(reg, mu), val, atol=1e-8)
 
     def test_explicit_shape_honored(self):
         xs = np.linspace(0, 1, 4)[:, None]
         ys = np.cos(xs)
-        wide = fit(RegressorSpec("rbf-gauss", shape=10.0), xs, ys)
-        narrow = fit(RegressorSpec("rbf-gauss", shape=0.1), xs, ys)
+        wide = fit(prepare(RegressorSpec("rbf-gauss", shape=10.0), xs), ys)
+        narrow = fit(prepare(RegressorSpec("rbf-gauss", shape=0.1), xs), ys)
         q = np.array([0.35])
         assert predict(wide, q)[0] != pytest.approx(predict(narrow, q)[0], abs=1e-12)
 
@@ -118,7 +121,7 @@ class TestRbf:
         xs = np.array([[0.0], [1e-9], [1.0]])
         ys = np.array([[0.0], [0.0], [1.0]])
         with pytest.warns(Warning, match="condition"):
-            fit(RegressorSpec("rbf-gauss", shape=100.0), xs, ys)
+            fit(prepare(RegressorSpec("rbf-gauss", shape=100.0), xs), ys)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(DataError):
@@ -136,13 +139,13 @@ class TestDuplicates:
         params = np.array([[0.3, 1.0], [0.0, 2.0], [0.7, 0.5], [0.3, 1.0]])[:, :p]
         values = np.arange(4.0)[:, None]
         with pytest.raises(DataError, match="duplicate parameters"):
-            fit(RegressorSpec(kind), params, values)
+            fit(prepare(RegressorSpec(kind), params), values)
 
     @pytest.mark.parametrize("kind", INTERPOLATING_VECTOR_KINDS)
     def test_rows_sharing_a_coordinate_accepted(self, kind):
         params = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 1.0], [0.5, 2.0]])
         values = np.arange(4.0)[:, None]
-        reg = fit(RegressorSpec(kind), params, values)
+        reg = fit(prepare(RegressorSpec(kind), params), values)
         for mu, val in zip(params, values):
             assert_allclose(predict(reg, mu), val, atol=1e-8)
 
@@ -151,7 +154,8 @@ class TestPolynomial:
     def test_exact_quadratic(self):
         xs = np.linspace(-1, 2, 5)[:, None]
         ys = 3.0 * xs**2 - 2.0 * xs + 0.5
-        reg = fit(RegressorSpec("poly", degree=2, extrapolation="allow"), xs, ys)
+        spec = RegressorSpec("poly", degree=2, extrapolation="allow")
+        reg = fit(prepare(spec, xs), ys)
         for q in (-0.7, 0.33, 1.9, 2.0):
             assert_allclose(predict(reg, [q]), [3 * q**2 - 2 * q + 0.5], atol=1e-10)
 
@@ -165,19 +169,21 @@ class TestPolynomial:
             + 0.5 * params[:, 0] * params[:, 1]
             + params[:, 1] ** 2
         )[:, None]
-        reg = fit(RegressorSpec("poly", degree=2), params, target)
+        reg = fit(prepare(RegressorSpec("poly", degree=2), params), target)
         q = np.array([0.4, 0.6])
         expected = 1.0 + 2.0 * 0.4 - 0.6 + 0.5 * 0.4 * 0.6 + 0.36
         assert_allclose(predict(reg, q), [expected], atol=1e-10)
 
     def test_underdetermined_without_ridge(self):
         with pytest.raises(DataError, match="ridge"):
-            fit(RegressorSpec("poly", degree=3), [[0.0], [1.0]], [[1.0], [2.0]])
+            fit(
+                prepare(RegressorSpec("poly", degree=3), [[0.0], [1.0]]),
+                [[1.0], [2.0]],
+            )
 
     def test_underdetermined_with_ridge_allowed(self):
         reg = fit(
-            RegressorSpec("poly", degree=3, ridge=1e-6),
-            [[0.0], [1.0]],
+            prepare(RegressorSpec("poly", degree=3, ridge=1e-6), [[0.0], [1.0]]),
             [[1.0], [2.0]],
         )
         assert np.isfinite(predict(reg, [0.5])).all()
@@ -187,7 +193,7 @@ class TestComplexTargets:
     def test_round_trip(self):
         xs = np.linspace(0, 1, 4)[:, None]
         ys = np.exp(1j * np.pi * xs) * (1.0 + xs)
-        reg = fit(RegressorSpec("linear"), xs, ys)
+        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
         assert reg.complex_output
         assert reg.output_dim == 1
         for x, y in zip(xs, ys):
@@ -198,7 +204,7 @@ class TestComplexTargets:
     def test_linearity_of_channels(self):
         xs = np.array([[0.0], [1.0]])
         ys = np.array([[1.0 + 2.0j], [3.0 - 4.0j]])
-        reg = fit(RegressorSpec("linear"), xs, ys)
+        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
         assert_allclose(predict(reg, [0.5]), [2.0 - 1.0j])
 
 
@@ -206,8 +212,8 @@ class TestFitCounter:
     def test_counts_and_resets(self):
         xs = [[0.0], [1.0]]
         with FitCount() as fits:
-            fit(RegressorSpec("linear"), xs, [[1.0], [2.0]])
-            fit(RegressorSpec("nearest"), xs, [[1.0], [2.0]])
+            fit(prepare(RegressorSpec("linear"), xs), [[1.0], [2.0]])
+            fit(prepare(RegressorSpec("nearest"), xs), [[1.0], [2.0]])
         assert fits.count == 2
         with FitCount() as fresh:
             pass
@@ -215,7 +221,7 @@ class TestFitCounter:
 
     def test_predict_does_not_count(self):
         with FitCount() as fits:
-            reg = fit(RegressorSpec("linear"), [[0.0], [1.0]], [[1.0], [2.0]])
+            reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[1.0], [2.0]])
             before = fits.count
             predict(reg, [0.5])
         assert fits.count == before
@@ -223,20 +229,22 @@ class TestFitCounter:
     def test_nested_blocks_and_fits_outside(self):
         xs, ys = [[0.0], [1.0]], [[1.0], [2.0]]
         with FitCount() as outer:
-            fit(RegressorSpec("linear"), xs, ys)
+            fit(prepare(RegressorSpec("linear"), xs), ys)
             with FitCount() as inner:
-                fit(RegressorSpec("linear"), xs, ys)
-            fit(RegressorSpec("linear"), xs, ys)
-        fit(RegressorSpec("linear"), xs, ys)
+                fit(prepare(RegressorSpec("linear"), xs), ys)
+            fit(prepare(RegressorSpec("linear"), xs), ys)
+        fit(prepare(RegressorSpec("linear"), xs), ys)
         assert (outer.count, inner.count) == (3, 1)
 
     def test_other_threads_not_counted(self):
         xs, ys = [[0.0], [1.0]], [[1.0], [2.0]]
         worker = threading.Thread(
-            target=lambda: [fit(RegressorSpec("linear"), xs, ys) for _ in range(5)]
+            target=lambda: [
+                fit(prepare(RegressorSpec("linear"), xs), ys) for _ in range(5)
+            ]
         )
         with FitCount() as fits:
-            fit(RegressorSpec("linear"), xs, ys)
+            fit(prepare(RegressorSpec("linear"), xs), ys)
             worker.start()
             worker.join()
         assert fits.count == 1
@@ -257,4 +265,4 @@ class TestSpecValidation:
 
     def test_value_row_mismatch(self):
         with pytest.raises(DataError):
-            fit(RegressorSpec("nearest"), [[0.0], [1.0]], [[1.0]])
+            fit(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[1.0]])
