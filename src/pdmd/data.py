@@ -9,11 +9,12 @@ vector.  Two interchange formats are supported:
   together by a plain-text manifest ("path value1 value2 ..." per line).
 
 Datasets are immutable after construction and safe to share across
-threads.
+threads; the state matrices both readers return are read-only.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -214,26 +215,38 @@ def read_dataset(path) -> ParametricDataset:
 
 
 def _read_binary(path) -> ParametricDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    offset = len(MAGIC)
-    if len(raw) < offset + 16:
-        raise DataError(f"truncated PDMD1 header in {path}")
-    param_dim, n_params, n_state, n_instants = struct.unpack_from("<4I", raw, offset)
-    offset += 16
-    if n_state == 0:
-        raise DataError(f"PDMD1 file {path} has no state rows (N_h = 0)")
-    expected = pdmd1_file_size(param_dim, n_params, n_state, n_instants)
-    if len(raw) != expected:
-        raise DataError(
-            f"PDMD1 payload size mismatch in {path}: "
-            f"expected {expected} bytes, found {len(raw)}"
-        )
+    head_size = len(MAGIC) + 16
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(head_size)
+            if len(head) < head_size:
+                raise DataError(f"truncated PDMD1 header in {path}")
+            param_dim, n_params, n_state, n_instants = struct.unpack_from(
+                "<4I", head, len(MAGIC)
+            )
+            if n_state == 0:
+                raise DataError(f"PDMD1 file {path} has no state rows (N_h = 0)")
+            expected = pdmd1_file_size(param_dim, n_params, n_state, n_instants)
+            found = os.fstat(fh.fileno()).st_size
+            if found != expected:
+                raise DataError(
+                    f"PDMD1 payload size mismatch in {path}: "
+                    f"expected {expected} bytes, found {found}"
+                )
+            # one owned, 8-byte aligned buffer: a view at the file's byte
+            # 22 would be unaligned, and NumPy takes slow paths on it
+            payload = np.empty((expected - head_size) // 8, dtype="<f8")
+            if fh.readinto(payload) != payload.nbytes:
+                raise DataError(f"short read of the PDMD1 payload in {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset from {path}: {exc}") from exc
+    payload.flags.writeable = False
+    offset = 0
 
     def take(count, shape, order="C"):
         nonlocal offset
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
+        flat = payload[offset:offset + count]
+        offset += count
         return np.asarray(flat.reshape(shape, order=order), dtype=float)
 
     instants = take(n_instants, (n_instants,))
@@ -306,12 +319,14 @@ def _read_csv_table(path) -> tuple:
     if widths == {1}:
         raise DataError(f"CSV file {path} has no state columns")
     table = np.asarray(rows, dtype=float)
-    return table[:, 0], table[:, 1:].T
+    # an F-ordered copy of its own: the transposed view would be strided,
+    # and BLAS would copy it on every product
+    state = np.array(table[:, 1:].T, order="F")
+    state.flags.writeable = False
+    return table[:, 0], state
 
 
 def _read_manifest(path) -> ParametricDataset:
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     lines = read_text(path, "manifest").splitlines()
     params, tables = [], []

@@ -4,12 +4,14 @@ One truncated SVD of all trajectories side by side yields a single basis
 of dominant spatial structures, and each trajectory is projected onto
 it.  Both ways of computing it read the data one trajectory at a time
 and never form the N_h x N_t*N_p stack.  The exact basis is a two-level
-SVD: each trajectory is first reduced to a factor with the same Gram
-matrix, and the SVD of the concatenated factors gives the stacked
-matrix's left singular vectors and values to rounding.  The randomized
-basis, for an explicit rank only, sketches the range blockwise.  Every
-parametric surrogate in the package works in these latent coordinates
-and lifts back through the same basis.
+SVD: each trajectory A is first reduced to a factor F with
+F F^T = A A^T to rounding (a tall A rotated by the eigenvectors of its
+small Gram matrix A^T A, a wide A by the QR of A^T), and the SVD of the
+concatenated factors gives the stacked matrix's left singular vectors
+and values to rounding.  The randomized basis, for an explicit rank
+only, sketches the range blockwise.  Every parametric surrogate in the
+package works in these latent coordinates and lifts back through the
+same basis.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ParametricDataset, SnapshotMatrix, TimeGrid
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .linalg import randomized_svd, truncated_svd
 
 ORTHONORMALITY_TOL = 1e-10
 DEFAULT_ENERGY = 0.9999
+# largest |entry| for which the snapshots are used unscaled: their Gram
+# matrices and squared norms then stay far inside the normal range (and
+# inside LAPACK's own rescaling thresholds), so scaling would only cost a
+# copy of every trajectory
+SCALE_FREE = (2.0**-128, 2.0**128)
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,20 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
     stacked matrix's left singular vectors and values.
 
     A wide block gives the transposed R of ``qr(A_i.T)`` (exact, N_h
-    columns).  A tall block gives ``A_i @ V_k`` with V from the SVD of
-    its R factor, keeping the singular values above rounding and never
-    fewer than ``min_columns`` of them, so that any rank up to the data
-    limit can still be served.
+    columns).  A tall block is rotated by the eigenvectors V of its Gram
+    matrix ``A_i.T @ A_i`` (the method of snapshots, Sirovich, Q. Appl.
+    Math. 45 (1987)): V is orthogonal to rounding, so ``B = A_i @ V``
+    has ``B @ B.T == A_i @ A_i.T`` however inaccurate the small
+    eigenvectors are.  The columns of B whose measured norm exceeds the
+    largest one times ``max(shape) * eps`` are kept, never fewer than
+    ``min_columns`` so that any rank up to the data limit can still be
+    served, in descending-norm order.  Only columns below that cutoff are
+    dropped, so the error bound is the one of a cutoff on the block's
+    singular values.  The Gram squares the spectrum, so eigenvectors of
+    singular values below about 1e-8 of the largest come out mixed: on a
+    spectrum spanning more than that, more columns may clear the cutoff
+    than a QR of the block would keep (still exact, with a wider
+    second-level SVD).
     """
     factors = []
     for block in states:
@@ -103,10 +120,12 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
         if n_state <= n_instants:
             factors.append(np.linalg.qr(block.T, mode="r").T)
             continue
-        _, s, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
-        cutoff = s[0] * max(block.shape) * np.finfo(float).eps
-        keep = max(int(np.count_nonzero(s > cutoff)), min_columns)
-        factors.append(block @ vt[:keep].T)
+        rotated = block @ np.linalg.eigh(block.T @ block)[1]
+        norms = np.linalg.norm(rotated, axis=0)
+        order = np.argsort(-norms, kind="stable")
+        cutoff = norms[order[0]] * max(block.shape) * np.finfo(float).eps
+        keep = max(int(np.count_nonzero(norms > cutoff)), min_columns)
+        factors.append(rotated[:, order[:keep]])
     return np.hstack(factors)
 
 
@@ -129,23 +148,40 @@ def fit_global_basis(
     on large states.  The energy rank always takes the exact path.
     ``energy_captured`` is relative to the sum of the trajectories'
     squared Frobenius norms.
+
+    Snapshots whose largest entry lies outside ``SCALE_FREE`` are first
+    scaled by the power of two that brings it into [0.5, 1), which is
+    exact, so that the Gram matrices and squared norms neither overflow
+    nor underflow; the rank and energy come from the scaled spectrum and
+    the stored singular values are scaled back.
     """
     states = dataset.states()
     max_rank = min(dataset.n_state, dataset.n_params * len(dataset.grid))
     if rank is not None and rank > max_rank:
         raise DataError(f"rank {rank} exceeds the data limit {max_rank}")
-    total = float(sum(np.linalg.norm(state) ** 2 for state in states))
-    if total == 0:
+    peak = max(float(max(state.max(), -state.min())) for state in states)
+    if peak == 0:
         raise DataError("cannot build a basis from all-zero snapshots")
-    if rank is None:
-        factors = _gram_factors(states, 1)
-        svd = truncated_svd(factors, min(factors.shape), energy=energy)
-    elif randomized:
-        svd = randomized_svd(states, rank, seed=seed)
-    else:
-        svd = truncated_svd(_gram_factors(states, rank), rank)
+    exponent = 0 if SCALE_FREE[0] <= peak < SCALE_FREE[1] else int(np.frexp(peak)[1])
+    if exponent:
+        states = [np.ldexp(state, -exponent) for state in states]
+    total = float(sum(np.linalg.norm(state) ** 2 for state in states))
+    try:
+        if rank is None:
+            factors = _gram_factors(states, 1)
+            svd = truncated_svd(factors, min(factors.shape), energy=energy)
+        elif randomized:
+            svd = randomized_svd(states, rank, seed=seed)
+        else:
+            svd = truncated_svd(_gram_factors(states, rank), rank)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"basis factorization failed: {exc}") from exc
     energy_captured = min(float(np.sum(svd.singular_values**2) / total), 1.0)
-    return GlobalBasis(svd.modes_u, svd.singular_values, energy_captured)
+    with np.errstate(over="ignore"):
+        singular_values = np.ldexp(svd.singular_values, exponent)
+    if not np.all(np.isfinite(singular_values)):
+        raise NumericalError("the snapshots' singular values overflow float64")
+    return GlobalBasis(svd.modes_u, singular_values, energy_captured)
 
 
 def project(dataset: ParametricDataset, basis: GlobalBasis) -> LatentDataset:

@@ -12,19 +12,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.archive import load_model, save_model
-from pdmd.bench import default_suite, run_suite
+from pdmd.bench import _default_window, default_suite, run_suite
 from pdmd.cli import _apply_threads
-from pdmd.data import SnapshotMatrix, TimeGrid, read_dataset, write_dataset
+from pdmd.data import (
+    SnapshotMatrix,
+    TimeGrid,
+    read_dataset,
+    restrict_time,
+    split_train_test,
+    write_dataset,
+)
 from pdmd.dmd import fit_dmd, reconstruct
 from pdmd.latent import fit_monolithic, fit_partitioned, predict_latent
-from pdmd.metrics import frobenius_rel_error, time_rel_error
+from pdmd.metrics import frobenius_rel_error, parameter_label, time_rel_error
 from pdmd.optdmd import (
     fit_bopdmd,
     fit_optdmd,
     mean_omegas,
     project_conjugate_closure,
 )
-from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
+from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, timed_query
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
 from pdmd.regression import RegressorSpec
 from pdmd.roi import synthesize_operator
@@ -310,33 +317,59 @@ def test_metric_identities():
     _verdict(6, "metric identities", worst <= 1e-12, f"worst deviation {worst:.1e}")
 
 
+QUERY_REPEATS = 7
+
+
+def median_query_seconds(scenario) -> dict:
+    """(parameter label, algorithm) -> median wall time of QUERY_REPEATS
+    ``timed_query`` calls on the scenario's fitted surrogates, with the
+    protocol of ``run_suite``.  A median, because a single ~0.3 ms
+    roi/rkoi query slowed by the scheduler could flip the ordering."""
+    dataset, _ = generate(scenario.synth)
+    train, test = split_train_test(dataset, scenario.test_indices)
+    window = scenario.train_window or _default_window(dataset.grid)
+    train = restrict_time(train, *window)
+    seconds = {}
+    for algorithm, rank in scenario.ranks.items():
+        options = FitOptions(
+            algorithm=algorithm, rank=rank, seed=scenario.synth.seed,
+            **scenario.fit_options,
+        )
+        fitted = fit_surrogate(train, options)
+        for mu in test.params:
+            times = [
+                timed_query(fitted.model, mu, dataset.grid.instants, fitted.regressor)[1]
+                for _ in range(QUERY_REPEATS)
+            ]
+            seconds[parameter_label(mu), algorithm] = float(np.median(times))
+    return seconds
+
+
 def test_online_cost_ordering(suite_outcome):
     ok = True
     details = []
-    for result in suite_outcome.a:
+    margins = []
+    for scenario, result in zip(default_suite().scenarios, suite_outcome.a):
         ok = ok and result.ok
         if not result.ok:
             details.append(f"{result.name} failed: {result.error}")
             continue
+        seconds = median_query_seconds(scenario)
         by_param = {}
         for row in result.rows:
             by_param.setdefault(row["parameter"], {})[row["algorithm"]] = row
         for param, rows in by_param.items():
-            fast = max(rows["roi"]["online_seconds"], rows["rkoi"]["online_seconds"])
-            slow = min(rows["mono"]["online_seconds"], rows["part"]["online_seconds"])
+            fast = max(seconds[param, "roi"], seconds[param, "rkoi"])
+            slow = min(seconds[param, "mono"], seconds[param, "part"])
             fits_ok = (
                 rows["roi"]["online_fits"] == 0 and rows["rkoi"]["online_fits"] == 0
             )
             ok = ok and fast < slow and fits_ok
+            margins.append(slow / fast)
             if not (fast < slow and fits_ok):
                 details.append(f"{result.name}/{param}: {fast:.4f}s !< {slow:.4f}s")
     if not details:
-        margins = [
-            min(r["online_seconds"] for r in res.rows if r["algorithm"] in ("mono", "part"))
-            / max(r["online_seconds"] for r in res.rows if r["algorithm"] in ("roi", "rkoi"))
-            for res in suite_outcome.a
-        ]
-        details.append(f"min mono-part/roi-rkoi time ratio {min(margins):.1f}x")
+        details.append(f"min mono-part/roi-rkoi median time ratio {min(margins):.1f}x")
     _verdict(7, "online-cost ordering with zero online fits", ok, "; ".join(details))
 
 

@@ -157,6 +157,21 @@ class TestBinaryFormat:
         with pytest.raises(DataError, match="not increasing"):
             read_dataset(path)
 
+    def test_trajectories_are_aligned_read_only_views(self, tmp_path):
+        # the payload starts at byte 22 of the file; the reader copies it
+        # into one aligned buffer that every trajectory views
+        ds = make_dataset(n_params=3, n_state=5, n_t=4, seed=2)
+        path = tmp_path / "aligned.pdmd"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        for traj, original in zip(back.trajectories, ds.trajectories):
+            state = traj.state
+            assert state.flags.aligned and state.flags.f_contiguous
+            assert not state.flags.writeable
+            assert np.array_equal(state, original.state)
+        with pytest.raises(ValueError):
+            back.trajectories[0].state[0, 0] = 1.0
+
     def test_unwritable_path(self, tmp_path):
         ds = make_dataset()
         target = tmp_path / "missing" / "dir" / "x.pdmd"
@@ -284,6 +299,18 @@ class TestCsvIngestion:
         assert ds.trajectories[0].state.shape == (2, 3)
         assert_allclose(ds.grid.instants, [0.0, 1.0, 2.0])
         assert_allclose(ds.trajectories[0].state, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_trajectories_are_contiguous_copies(self, tmp_path):
+        rng = np.random.default_rng(4)
+        table = np.column_stack([np.arange(6.0), rng.standard_normal((6, 3))])
+        (tmp_path / "traj.csv").write_text(
+            "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+        )
+        (tmp_path / "m.txt").write_text("traj.csv 1\n")
+        state = read_dataset(tmp_path / "m.txt").trajectories[0].state
+        assert state.flags.f_contiguous and state.flags.owndata
+        assert not state.flags.writeable
+        assert np.array_equal(state, table[:, 1:].T)
 
     def test_multi_file_manifest(self, tmp_path):
         for k in range(2):

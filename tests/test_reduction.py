@@ -6,9 +6,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
-from pdmd.errors import DataError
+from pdmd.errors import DataError, NumericalError
 from pdmd.linalg import randomized_svd, select_rank
-from pdmd.reduction import DEFAULT_ENERGY, fit_global_basis, lift, project
+from pdmd.reduction import (
+    DEFAULT_ENERGY,
+    _gram_factors,
+    fit_global_basis,
+    lift,
+    project,
+)
 from pdmd.synth import SynthSpec, generate
 
 
@@ -160,6 +166,139 @@ class TestTwoLevelBasis:
         )
         with pytest.raises(DataError, match="all-zero"):
             fit_global_basis(dataset, rank, randomized=randomized)
+
+
+def graded_block(singular_values, n_state=200, n_t=30, seed=0):
+    """An n_state x n_t block with the given leading singular values."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((n_state, n_t)))
+    right, _ = np.linalg.qr(rng.standard_normal((n_t, n_t)))
+    s = np.zeros(n_t)
+    s[: len(singular_values)] = singular_values
+    return (left * s) @ right.T
+
+
+def noisy_block():
+    rng = np.random.default_rng(3)
+    return graded_block(np.geomspace(1.0, 1e-2, 6)) + 1e-3 * rng.standard_normal((200, 30))
+
+
+FACTOR_BLOCKS = {
+    "rank-6": lambda: graded_block(np.geomspace(1.0, 1e-2, 6)),
+    "graded-1e-14": lambda: graded_block(np.geomspace(1.0, 1e-14, 30)),
+    "noisy-full-rank": noisy_block,
+    "zeros": lambda: np.zeros((200, 30)),
+}
+
+
+class TestGramFactors:
+    """Per-trajectory factors F with F F^T = A A^T to rounding."""
+
+    @pytest.mark.parametrize("case", list(FACTOR_BLOCKS))
+    def test_factor_reproduces_the_block_gram(self, case):
+        block = FACTOR_BLOCKS[case]()
+        factor = _gram_factors([block], 1)
+        error = np.linalg.norm(factor @ factor.T - block @ block.T, 2)
+        assert error <= 1e-13 * np.linalg.norm(block, 2) ** 2
+
+    @pytest.mark.parametrize("case", list(FACTOR_BLOCKS))
+    def test_factor_matches_the_block_svd(self, case):
+        block = FACTOR_BLOCKS[case]()
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        uf, sf, _ = np.linalg.svd(_gram_factors([block], 1), full_matrices=False)
+        assert np.max(np.abs(sf[:6] - s[:6])) <= 1e-14 * s[0]
+        if s[0] > 0:
+            cosines = np.linalg.svd(uf[:, :6].T @ u[:, :6], compute_uv=False)
+            assert np.min(cosines) >= 1 - 1e-14
+
+    def test_concatenated_factors_match_the_stacked_svd(self):
+        blocks = [FACTOR_BLOCKS[case]() for case in FACTOR_BLOCKS]
+        u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+        uf, sf, _ = np.linalg.svd(_gram_factors(blocks, 1), full_matrices=False)
+        assert np.max(np.abs(sf[:6] - s[:6])) <= 1e-14 * s[0]
+        cosines = np.linalg.svd(uf[:, :6].T @ u[:, :6], compute_uv=False)
+        assert np.min(cosines) >= 1 - 1e-14
+
+    def test_min_columns_above_the_numerical_rank(self):
+        block = FACTOR_BLOCKS["rank-6"]()
+        assert _gram_factors([block], 1).shape[1] == 6
+        factor = _gram_factors([block], 10)
+        assert factor.shape[1] == 10
+        norms = np.linalg.norm(factor, axis=0)
+        assert np.all(np.diff(norms) <= 0)
+        error = np.linalg.norm(factor @ factor.T - block @ block.T, 2)
+        assert error <= 1e-13 * np.linalg.norm(block, 2) ** 2
+
+    def test_basis_independent_of_array_layout(self):
+        dataset = exp_modes_dataset()
+        aligned = fit_global_basis(dataset, None)
+
+        def unaligned(state):
+            raw = np.zeros(state.size * 8 + 1, dtype=np.uint8)
+            copy = raw[1:].view(np.float64).reshape(state.shape, order="F")
+            copy[...] = state
+            assert not copy.flags.aligned
+            return copy
+
+        def strided(state):
+            wide = np.zeros((state.shape[0], 2 * state.shape[1]))
+            wide[:, ::2] = state
+            return wide[:, ::2]
+
+        for layout in (unaligned, strided):
+            copy = ParametricDataset(
+                dataset.params,
+                tuple(SnapshotMatrix(layout(t.state), t.grid) for t in dataset.trajectories),
+            )
+            basis = fit_global_basis(copy, None)
+            assert basis.rank == aligned.rank
+            assert_allclose(basis.modes_u, aligned.modes_u, atol=1e-14)
+            assert_allclose(basis.singular_values, aligned.singular_values, rtol=1e-14)
+
+
+def scaled_dataset(dataset, exponent):
+    return ParametricDataset(
+        dataset.params,
+        tuple(
+            SnapshotMatrix(np.ldexp(t.state, exponent), t.grid)
+            for t in dataset.trajectories
+        ),
+    )
+
+
+class TestScaleSafeBasis:
+    """The basis of the snapshots times a power of two is the same basis."""
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    @pytest.mark.parametrize("rank", [None, 4])
+    def test_power_of_two_scaling(self, exponent, rank):
+        dataset = exp_modes_dataset()
+        reference = fit_global_basis(dataset, rank)
+        basis = fit_global_basis(scaled_dataset(dataset, exponent), rank)
+        assert basis.rank == reference.rank
+        assert basis.energy_captured == pytest.approx(reference.energy_captured, abs=1e-15)
+        assert_allclose(basis.modes_u, reference.modes_u, atol=1e-14)
+        assert_allclose(
+            basis.singular_values, np.ldexp(reference.singular_values, exponent), rtol=1e-14
+        )
+
+    @pytest.mark.parametrize("rank", [None, 2])
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_extreme_magnitudes_fit_or_raise_pdmd_errors(self, rank, randomized):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 5))
+        rng = np.random.default_rng(2)
+        for magnitudes in ([1e300, 1e300], [1e-300, 1e-300], [1e300, 1e-300],
+                           [5e-324, 0.0], [1.7e308, 1.0]):
+            trajectories = tuple(
+                SnapshotMatrix(m * rng.uniform(-1, 1, (8, 5)), grid) for m in magnitudes
+            )
+            dataset = ParametricDataset(np.arange(2.0)[:, None], trajectories)
+            try:
+                basis = fit_global_basis(dataset, rank, randomized=randomized)
+            except (DataError, NumericalError):
+                continue
+            assert np.all(np.isfinite(basis.modes_u))
+            assert np.all(np.isfinite(basis.singular_values))
 
 
 def linear_smooth_dataset():
