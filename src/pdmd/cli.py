@@ -42,7 +42,6 @@ from .options import (
     fit_keywords,
     float_option,
     keywords,
-    parse_bool,
     parse_floats,
     parse_indices,
     parse_list,
@@ -89,9 +88,6 @@ FIT_OPTS = COMMON + [
     Option("train-idx", parse_indices,
            "parameter indices used for training (default: all)"),
     Option("time-window", parse_pair, "training window lo,hi"),
-    Option("randomized-svd", parse_bool,
-           "randomized range finder for an explicit --rank basis", "randomized",
-           flag=True),
     Option("out", str, "output model path", default="model.pdmdm"),
 ]
 
@@ -139,15 +135,10 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
     parser.add_argument("--config", type=str, default=None,
                         help="key=value config file; flags override")
     for opt in options:
-        if opt.flag:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest,
-                                action="store_const", const=True,
-                                default=None, help=opt.help)
-        else:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest,
-                                type=_argument_type(opt.parse), default=None,
-                                action="append" if opt.repeat else "store",
-                                help=opt.help)
+        parser.add_argument(f"--{opt.name}", dest=opt.dest,
+                            type=_argument_type(opt.parse), default=None,
+                            action="append" if opt.repeat else "store",
+                            help=opt.help)
 
 
 def _read_config(path) -> dict:

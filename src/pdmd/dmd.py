@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import SnapshotMatrix, TimeGrid, lattice_steps
 from .errors import DataError, ImaginaryResidualWarning, RankDeficientError
-from .linalg import DEFAULT_PINV_CUTOFF, eig, truncated_svd
+from .linalg import DEFAULT_PINV_CUTOFF, SUBNORMAL_NORM, eig, scale_exponent, truncated_svd
 
 IMAG_RESIDUAL_REL_TOL = 1e-6
 
@@ -44,8 +44,15 @@ class DmdModel:
 
 def _real_with_telemetry(values, context):
     values = np.asarray(values)
-    scale = np.linalg.norm(values.real)
-    imag = np.linalg.norm(values.imag)
+    real, imag = values.real, values.imag
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(real)
+    if not SUBNORMAL_NORM <= scale < np.inf:
+        # extreme units: compare the parts scaled by one power of two
+        exponent = scale_exponent(real, imag)
+        scale = np.linalg.norm(np.ldexp(real, -exponent))
+        imag = np.ldexp(imag, -exponent)
+    imag = np.linalg.norm(imag)
     if imag > IMAG_RESIDUAL_REL_TOL * max(scale, 1e-300):
         warnings.warn(
             f"{context}: imaginary residual {imag:.3e} vs magnitude {scale:.3e}",

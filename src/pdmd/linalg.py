@@ -1,6 +1,6 @@
-"""Dense matrix kernels: truncated SVD, a randomized SVD that reads a
-matrix as a list of column blocks, eigendecomposition and energy-based
-rank selection.
+"""Dense matrix kernels: truncated SVD, eigendecomposition, energy-based
+rank selection, and the power-of-two scaling that keeps squared norms
+of data in extreme units inside the float64 range.
 
 Conventions fixed here and relied on by every model module:
 
@@ -23,8 +23,12 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 DEFAULT_PINV_CUTOFF = 1e-12
-_OVERSAMPLE = 10
-_POWER_ITERS = 2
+# largest |entry| for which data are used unscaled: their Gram matrices
+# and squared norms then stay far inside the normal range (and inside
+# LAPACK's own rescaling thresholds), so scaling would only cost a copy
+SCALE_FREE = (2.0**-128, 2.0**128)
+# norms below this have subnormal squares, so their sums lose digits
+SUBNORMAL_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -93,47 +97,22 @@ def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
     return TruncatedSvd(u, s[:rank].copy(), v)
 
 
-def randomized_svd(blocks, rank: int, seed: int = 0) -> TruncatedSvd:
-    """Randomized SVD of the column blocks ``[A_1 | ... | A_k]``, read one
-    block at a time (Halko, Martinsson & Tropp, SIAM Review 53 (2011),
-    Alg. 4.4: Gaussian sketch, subspace iteration).
+def scale_exponent(*arrays) -> int:
+    """The exponent e for which the real ``arrays`` times 2**-e, an exact
+    scaling, have their largest |entry| in [0.5, 1), so that squares and
+    their sums neither overflow nor go subnormal.  0 (no scaling) when
+    that entry lies inside ``SCALE_FREE``, and for all-zero or non-finite
+    data."""
+    peak = max(float(max(a.max(), -a.min())) for a in arrays)
+    return 0 if SCALE_FREE[0] <= peak < SCALE_FREE[1] else int(np.frexp(peak)[1])
 
-    The sketch keeps ``_OVERSAMPLE`` columns beyond ``rank``, clamped to
-    the data limit, and runs ``_POWER_ITERS`` power steps.  The Gaussian
-    test matrix is drawn whole and split by rows, so a fixed ``seed``
-    gives the sketch of the side-by-side matrix up to rounding, and the
-    same bits on every run.
-    """
-    blocks = [_as_2d(block, "block") for block in blocks]
-    if not blocks:
-        raise DataError("randomized_svd needs at least one block")
-    if any(np.iscomplexobj(block) for block in blocks):
-        raise DataError("randomized_svd expects real blocks")
-    n_rows = blocks[0].shape[0]
-    if any(block.shape[0] != n_rows for block in blocks):
-        raise DataError("blocks must share the row count")
-    splits = np.cumsum([block.shape[1] for block in blocks])
-    max_rank = min(n_rows, int(splits[-1]))
-    if not 1 <= rank <= max_rank:
-        raise DataError(f"rank {rank} out of range [1, {max_rank}]")
-    n_sketch = min(rank + _OVERSAMPLE, max_rank)
-    omega = np.random.default_rng(seed).standard_normal((splits[-1], n_sketch))
 
-    def range_basis(tests):
-        y = blocks[0] @ tests[0]
-        for block, test in zip(blocks[1:], tests[1:]):
-            y += block @ test
-        return np.linalg.qr(y)[0]
-
-    q = range_basis(np.split(omega, splits[:-1]))
-    for _ in range(_POWER_ITERS):
-        z, _ = np.linalg.qr(np.vstack([block.T @ q for block in blocks]))
-        q = range_basis(np.split(z, splits[:-1]))
-    ub, s, vt = np.linalg.svd(
-        np.hstack([q.T @ block for block in blocks]), full_matrices=False
-    )
-    u, v = _fix_svd_signs((q @ ub)[:, :rank], vt[:rank].T)
-    return TruncatedSvd(u, s[:rank].copy(), v)
+def ldexp(values, exponent: int) -> np.ndarray:
+    """``values`` times 2**exponent, exact barring overflow and underflow,
+    complex values part by part."""
+    if np.iscomplexobj(values):
+        return np.ldexp(values.real, exponent) + 1j * np.ldexp(values.imag, exponent)
+    return np.ldexp(values, exponent)
 
 
 def eig(m) -> EigenDecomposition:

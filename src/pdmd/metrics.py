@@ -1,7 +1,9 @@
 """Evaluation metrics, evaluation records and error-series rows.
 
 Errors are relative Frobenius norm over the whole window, per-instant
-relative column norms, and entrywise RMSE.  An evaluation record keeps
+relative column norms, and entrywise RMSE, each recomputed on data
+scaled by a power of two where the plain squares overflow or go
+subnormal, so that data in any units score.  An evaluation record keeps
 the offline training cost and the online query cost apart.  Per-instant
 errors are written as tidy ``time,value,algorithm,parameter`` rows.
 """
@@ -15,6 +17,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS
 from .errors import DataError
+from .linalg import SUBNORMAL_NORM, scale_exponent
 
 SERIES_HEADER = "time,value,algorithm,parameter"
 
@@ -27,13 +30,30 @@ def _check_shapes(truth, pred):
     return truth, pred
 
 
+def _scale_safe(norms, truth, pred, degree=0):
+    """``norms(truth, pred)``, recomputed on both arrays scaled by 2**-e
+    (``linalg.scale_exponent``) when a norm is zero, non-finite or below
+    ``SUBNORMAL_NORM``, and then scaled back by 2**(degree * e)."""
+    with np.errstate(over="ignore"):
+        result = norms(truth, pred)
+    values = np.asarray(result)
+    if np.all((values >= SUBNORMAL_NORM) & np.isfinite(values)):
+        return result
+    exponent = scale_exponent(truth, pred)
+    if not exponent:
+        return result
+    scaled = norms(np.ldexp(truth, -exponent), np.ldexp(pred, -exponent))
+    return np.ldexp(scaled, degree * exponent)
+
+
 def frobenius_rel_error(truth, pred) -> float:
     """Whole-window relative error ||truth - pred||_F / ||truth||_F."""
     truth, pred = _check_shapes(truth, pred)
-    denom = np.linalg.norm(truth)
+    norm = np.linalg.norm
+    error, denom = _scale_safe(lambda a, b: (norm(a - b), norm(a)), truth, pred)
     if denom == 0:
         raise DataError("truth has zero Frobenius norm")
-    return float(np.linalg.norm(truth - pred) / denom)
+    return float(error / denom)
 
 
 def time_rel_error(truth, pred) -> np.ndarray:
@@ -41,17 +61,20 @@ def time_rel_error(truth, pred) -> np.ndarray:
     truth, pred = _check_shapes(truth, pred)
     if truth.ndim != 2:
         raise DataError("time-resolved error expects 2-D snapshot matrices")
-    denom = np.linalg.norm(truth, axis=0)
+    norm = np.linalg.norm
+    error, denom = _scale_safe(
+        lambda a, b: (norm(a - b, axis=0), norm(a, axis=0)), truth, pred
+    )
     zero = np.flatnonzero(denom == 0)
     if zero.size:
         raise DataError(f"truth column {zero[0]} has zero norm")
-    return np.linalg.norm(truth - pred, axis=0) / denom
+    return error / denom
 
 
 def rmse(truth, pred) -> float:
     """Entrywise root-mean-square difference."""
     truth, pred = _check_shapes(truth, pred)
-    return float(np.sqrt(np.mean((truth - pred) ** 2)))
+    return float(_scale_safe(lambda a, b: np.sqrt(np.mean((a - b) ** 2)), truth, pred, 1))
 
 
 @dataclass(frozen=True)

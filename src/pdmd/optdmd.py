@@ -11,7 +11,9 @@ least-squares solve at fixed omega, and a Levenberg-Marquardt outer
 iteration updates omega on the projected residual (I - P(omega)) X^T,
 with Kaufman's approximation of its Jacobian.  Works on non-uniform
 time grids, which bagging over time indices produces even from uniform
-data.
+data.  Data in extreme units are fit scaled by a power of two
+(``linalg.scale_exponent``) and the amplitudes and objective scaled
+back, so a fit is equivariant to the data's units.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from .data import SnapshotMatrix, TimeGrid
 from .dmd import _real_with_telemetry, fit_dmd
 from .errors import ConvergenceWarning, DataError, NumericalError
-from .linalg import truncated_svd
+from .linalg import ldexp, scale_exponent, truncated_svd
 
 # residuals below this fraction of the data norm count as an exact fit
 ZERO_RESIDUAL_REL = 1e-12
@@ -133,6 +135,15 @@ def match_frequencies(reference, candidate) -> tuple:
     perm = np.empty(cols.size, dtype=int)
     perm[cols] = rows
     return perm, cost[perm, np.arange(perm.size)]
+
+
+def _scaled(x: SnapshotMatrix):
+    """(x times 2**-e, e) with e from ``linalg.scale_exponent``; x itself
+    when e is 0."""
+    exponent = scale_exponent(x.state)
+    if exponent:
+        x = SnapshotMatrix(np.ldexp(x.state, -exponent), x.grid)
+    return x, exponent
 
 
 def _exponential_basis(tau, omegas):
@@ -252,6 +263,7 @@ def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
         )
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
+    x, exponent = _scaled(x)
     if init is not None:
         omegas = np.asarray(init, dtype=complex)
         if omegas.shape != (rank,):
@@ -319,9 +331,11 @@ def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
             break
 
     if not converged:
+        with np.errstate(over="ignore"):
+            squared = np.ldexp(objective, 2 * exponent)
         warnings.warn(
             f"optimized DMD stopped after {n_iters} iterations without "
-            f"meeting tolerances (objective {objective:.3e})",
+            f"meeting tolerances (objective {squared:.3e})",
             ConvergenceWarning,
             stacklevel=2,
         )
@@ -331,9 +345,9 @@ def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
         rank=rank,
         omegas=omegas,
         modes=modes,
-        amplitudes=amplitudes,
+        amplitudes=ldexp(amplitudes, exponent),
         t0=x.grid.t0,
-        objective=float(np.sqrt(objective)),
+        objective=float(np.ldexp(np.sqrt(objective), exponent)),
         converged=converged,
         n_iters=n_iters,
     )
@@ -404,7 +418,7 @@ def fit_bopdmd(
     shared_init = None
     if x.grid.is_uniform:
         try:
-            shared_init = _uniform_warm_start(x, rank)
+            shared_init = _uniform_warm_start(_scaled(x)[0], rank)
         except (DataError, NumericalError):
             shared_init = None
 
@@ -439,6 +453,7 @@ def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
     """
     omegas = project_conjugate_closure(mean_omegas(ensemble))
     rank = omegas.shape[0]
+    x, exponent = _scaled(x)
     basis = _exponential_basis(x.grid.instants - x.grid.t0, omegas)
     if basis is None:
         raise NumericalError("ensemble-mean frequencies overflow the exponentials")
@@ -448,9 +463,9 @@ def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
         rank=rank,
         omegas=omegas,
         modes=modes,
-        amplitudes=amplitudes,
+        amplitudes=ldexp(amplitudes, exponent),
         t0=x.grid.t0,
-        objective=float(np.sqrt(objective)),
+        objective=float(np.ldexp(np.sqrt(objective), exponent)),
         converged=all(member.converged for member in ensemble.members),
         n_iters=max(member.n_iters for member in ensemble.members),
     )

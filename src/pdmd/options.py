@@ -71,15 +71,6 @@ def parse_pair(text) -> tuple:
     return (values[0], values[1])
 
 
-def parse_bool(text) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def parse_family(text) -> str:
     name = FAMILY_ALIASES.get(text, text)
     if name not in FAMILIES:
@@ -112,7 +103,6 @@ class Option:
     help: str = ""
     field: str | None = None
     default: object = None
-    flag: bool = False
     repeat: bool = False
 
     @property

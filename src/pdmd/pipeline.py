@@ -29,7 +29,6 @@ class FitOptions:
     energy: float | None = None
     op_rank: int | None = None
     regressor: RegressorSpec | None = None
-    randomized: bool = False
     seed: int = 0
     bag_trials: int = 1
     bag_fraction: float = 0.8
@@ -75,8 +74,6 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     basis = fit_global_basis(
         dataset,
         options.rank,
-        randomized=options.randomized,
-        seed=options.seed,
         energy=DEFAULT_ENERGY if options.energy is None else options.energy,
     )
     latent = project(dataset, basis)

@@ -2,16 +2,15 @@
 
 One truncated SVD of all trajectories side by side yields a single basis
 of dominant spatial structures, and each trajectory is projected onto
-it.  Both ways of computing it read the data one trajectory at a time
-and never form the N_h x N_t*N_p stack.  The exact basis is a two-level
-SVD: each trajectory A is first reduced to a factor F with
-F F^T = A A^T to rounding (a tall A rotated by the eigenvectors of its
-small Gram matrix A^T A, a wide A by the QR of A^T), and the SVD of the
-concatenated factors gives the stacked matrix's left singular vectors
-and values to rounding.  The randomized basis, for an explicit rank
-only, sketches the range blockwise.  Every parametric surrogate in the
-package works in these latent coordinates and lifts back through the
-same basis.
+it.  The basis is exact and reads the data one trajectory at a time,
+never forming the N_h x N_t*N_p stack: a two-level SVD first reduces
+each trajectory A to a factor F with F F^T = A A^T to rounding (a tall
+A rotated by the eigenvectors of its small Gram matrix A^T A, a wide A
+by the QR of A^T), and the SVD of the concatenated factors gives the
+stacked matrix's left singular vectors and values to rounding.  The
+rank is either explicit or the smallest that captures an energy
+fraction.  Every parametric surrogate in the package works in these
+latent coordinates and lifts back through the same basis.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ import numpy as np
 
 from .data import ParametricDataset, SnapshotMatrix, TimeGrid
 from .errors import DataError, NumericalError
-from .linalg import randomized_svd, truncated_svd
+from .linalg import scale_exponent, truncated_svd
 
 ORTHONORMALITY_TOL = 1e-10
 DEFAULT_ENERGY = 0.9999
-# largest |entry| for which the snapshots are used unscaled: their Gram
-# matrices and squared norms then stay far inside the normal range (and
-# inside LAPACK's own rescaling thresholds), so scaling would only cost a
-# copy of every trajectory
-SCALE_FREE = (2.0**-128, 2.0**128)
 
 
 @dataclass(frozen=True)
@@ -132,46 +126,37 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
 def fit_global_basis(
     dataset: ParametricDataset,
     rank: int | None,
-    randomized: bool = False,
-    seed: int = 0,
     energy: float = DEFAULT_ENERGY,
 ) -> GlobalBasis:
     """Truncated SVD of the trajectories side by side.
 
     An explicit ``rank`` wins; with ``rank`` None the basis keeps the
     smallest rank capturing ``energy`` of the squared spectrum.  The
-    exact path is a two-level SVD: a rounding-level factor of each
+    basis is a two-level SVD: a rounding-level factor of each
     trajectory, then one thin SVD of ``[F_1 | ... | F_Np]``, whose
-    spectrum also sets the energy rank.  ``randomized`` applies to an
-    explicit rank only: a blockwise randomized range finder, reproducible
-    for a fixed ``seed``, that trades a small spectral error for speed
-    on large states.  The energy rank always takes the exact path.
-    ``energy_captured`` is relative to the sum of the trajectories'
-    squared Frobenius norms.
+    spectrum also sets the energy rank.  ``energy_captured`` is relative
+    to the sum of the trajectories' squared Frobenius norms.
 
-    Snapshots whose largest entry lies outside ``SCALE_FREE`` are first
-    scaled by the power of two that brings it into [0.5, 1), which is
-    exact, so that the Gram matrices and squared norms neither overflow
-    nor underflow; the rank and energy come from the scaled spectrum and
-    the stored singular values are scaled back.
+    Snapshots in extreme units are first scaled by a power of two
+    (``linalg.scale_exponent``), which is exact, so that the Gram
+    matrices and squared norms neither overflow nor underflow; the rank
+    and energy come from the scaled spectrum and the stored singular
+    values are scaled back.
     """
     states = dataset.states()
     max_rank = min(dataset.n_state, dataset.n_params * len(dataset.grid))
     if rank is not None and rank > max_rank:
         raise DataError(f"rank {rank} exceeds the data limit {max_rank}")
-    peak = max(float(max(state.max(), -state.min())) for state in states)
-    if peak == 0:
-        raise DataError("cannot build a basis from all-zero snapshots")
-    exponent = 0 if SCALE_FREE[0] <= peak < SCALE_FREE[1] else int(np.frexp(peak)[1])
+    exponent = scale_exponent(*states)
     if exponent:
         states = [np.ldexp(state, -exponent) for state in states]
     total = float(sum(np.linalg.norm(state) ** 2 for state in states))
+    if total == 0:
+        raise DataError("cannot build a basis from all-zero snapshots")
     try:
         if rank is None:
             factors = _gram_factors(states, 1)
             svd = truncated_svd(factors, min(factors.shape), energy=energy)
-        elif randomized:
-            svd = randomized_svd(states, rank, seed=seed)
         else:
             svd = truncated_svd(_gram_factors(states, rank), rank)
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,8 @@
 """Benchmark suite parsing, execution, reports, and failure tolerance."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,6 +154,49 @@ class TestDefaultSuite:
             assert set(scenario.ranks) == set(ALGORITHMS)
 
 
+SUITE_REFERENCE = Path(__file__).with_name("default_suite_reference.csv")
+# every table column that does not depend on timing, after the scenario name
+SUITE_COLUMNS = ("scenario",) + tuple(
+    c for c in TABLE_COLUMNS if c not in bench._TIMING_COLUMNS
+)
+SUITE_TEXT_COLUMNS = ("scenario", "parameter", "algorithm", "online_fits")
+# BLAS threading and hardware move the errors in their last few digits;
+# errors at rounding level (an exact family) only in absolute terms
+SUITE_RTOL = 1e-8
+SUITE_ATOL = 1e-12
+
+
+def default_suite_lines(out_dir) -> list:
+    """The default suite's non-timing table as CSV lines, header first,
+    floats written with all 17 significant digits."""
+    lines = [",".join(SUITE_COLUMNS)]
+    for result in run_suite(default_suite(), str(out_dir)):
+        assert result.ok, f"{result.name}: {result.error}"
+        for row in result.rows:
+            cells = [{"scenario": result.name, **row}[c] for c in SUITE_COLUMNS]
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
+    return lines
+
+
+class TestDefaultSuiteReference:
+    """The built-in suite's non-timing columns are pinned, so a change
+    that should keep behaviour is checked against committed numbers.
+    ``python tests/test_bench.py`` rewrites the reference, for a change
+    meant to move them."""
+
+    def test_non_timing_columns_match_the_reference(self, tmp_path):
+        expected = SUITE_REFERENCE.read_text().splitlines()
+        got = default_suite_lines(tmp_path)
+        assert got[0] == expected[0] and len(got) == len(expected)
+        for line, want in zip(got[1:], expected[1:]):
+            for column, cell, wanted in zip(SUITE_COLUMNS, line.split(","), want.split(",")):
+                if column in SUITE_TEXT_COLUMNS:
+                    assert cell == wanted, (want, column)
+                else:
+                    assert_allclose(float(cell), float(wanted), rtol=SUITE_RTOL,
+                                    atol=SUITE_ATOL, err_msg=f"{want} {column}")
+
+
 class TestRunSuite:
     def test_reports_written_with_expected_shape(self, tmp_path):
         results = run_suite(parse_suite(TINY), str(tmp_path))
@@ -246,3 +292,8 @@ class TestRunSuite:
         )
         with pytest.raises(DataError, match="duplicate"):
             BenchmarkSuite((scenario, scenario))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        SUITE_REFERENCE.write_text("\n".join(default_suite_lines(scratch)) + "\n")

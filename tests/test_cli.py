@@ -243,8 +243,7 @@ class TestFit:
         ) == 3
 
     @pytest.mark.parametrize(
-        "extra", [[], ["--rank", "1"], ["--randomized-svd"]],
-        ids=["energy", "explicit-rank", "randomized"],
+        "extra", [[], ["--rank", "1"]], ids=["energy", "explicit-rank"],
     )
     def test_all_zero_snapshots_are_data_error(self, tmp_path, capsys, extra):
         grid = TimeGrid(np.linspace(0.0, 1.0, 12))
@@ -262,15 +261,19 @@ class TestFit:
         err = capsys.readouterr().err
         assert "cannot build a basis from all-zero snapshots" in err
 
-    @pytest.mark.parametrize("flag", ["oversample", "power-iters"])
-    def test_removed_sketch_knobs_are_usage_errors(self, tmp_path, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("oversample", "5"), ("power-iters", "5"), ("randomized-svd", None)],
+        ids=["oversample", "power-iters", "randomized-svd"],
+    )
+    def test_removed_sketch_knobs_are_usage_errors(self, tmp_path, flag, value):
         path = make_dataset(tmp_path)
+        given = [f"--{flag}"] if value is None else [f"--{flag}", value]
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("fit", "--data", str(path), "--algorithm", "roi",
-                    f"--{flag}", "5")
+            run_cli("fit", "--data", str(path), "--algorithm", "roi", *given)
         assert excinfo.value.code == 2
         config = tmp_path / "fit.cfg"
-        config.write_text(f"{flag}=5\n")
+        config.write_text(f"{flag}={value or 1}\n")
         assert run_cli(
             "fit", "--config", str(config), "--data", str(path),
             "--algorithm", "roi", "--threads", "1",
@@ -278,9 +281,9 @@ class TestFit:
 
     @pytest.mark.parametrize("rank", [["--rank", "8"], ["--rank", "12"], []],
                              ids=["rank-8", "rank-12", "energy"])
-    def test_randomized_basis_up_to_the_state_dimension(self, tmp_path, rank):
-        # the default suite's linear-smooth family: 12 state rows, fewer
-        # than rank + the sketch's oversampling
+    def test_basis_up_to_the_state_dimension(self, tmp_path, capsys, rank):
+        # the default suite's linear-smooth family: 12 state rows, so an
+        # explicit rank 12 keeps the whole state space
         path = tmp_path / "smooth.pdmd1"
         assert run_cli(
             "synth", "--family", "linear", "--nh", "12", "--np", "18",
@@ -288,10 +291,11 @@ class TestFit:
             "--seed", "11", "--threads", "1", "--out", str(path),
         ) == 0
         assert run_cli(
-            "fit", "--data", str(path), "--algorithm", "roi",
-            "--randomized-svd", "--threads", "1",
+            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
             "--out", str(tmp_path / "m.pdmdm"), *rank,
         ) == 0
+        if rank:
+            assert f"basis rank: {rank[1]}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags, field, value",

@@ -1,12 +1,14 @@
 """Tests for basic dynamic mode decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.dmd import DmdModel, evaluate, fit_dmd, reconstruct
-from pdmd.errors import DataError, NumericalError
+from pdmd.dmd import DmdModel, _real_with_telemetry, evaluate, fit_dmd, reconstruct
+from pdmd.errors import DataError, ImaginaryResidualWarning, NumericalError
 from pdmd.linalg import eig
 
 
@@ -211,3 +213,23 @@ class TestExactOperator:
         reduced = np.sort_complex(model.eigenvalues)
         assert_allclose(full, reduced, atol=1e-8)
 
+
+class TestImaginaryTelemetry:
+    """The imaginary-residual check compares norms that would overflow or
+    underflow in extreme units, so it scales them first."""
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_residual_reported_at_any_scale(self, exponent):
+        values = np.ldexp(np.arange(1.0, 13.0).reshape(3, 4), exponent) * (1 + 1e-3j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(ImaginaryResidualWarning):
+                real = _real_with_telemetry(values, "test")
+        assert_array_equal(real, values.real)
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_real_values_pass_silently(self, exponent):
+        values = np.ldexp(np.arange(1.0, 13.0).reshape(3, 4), exponent) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(_real_with_telemetry(values, "test"), values.real)

@@ -9,11 +9,11 @@ from pdmd.linalg import (
     EigenDecomposition,
     canonical_eig_order,
     eig,
-    randomized_svd,
+    ldexp,
+    scale_exponent,
     select_rank,
     truncated_svd,
 )
-from pdmd.synth import SynthSpec, generate
 
 
 class TestTruncatedSvd:
@@ -72,92 +72,28 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3) + 0j, rank=2)
 
 
-def stacked_randomized_svd(m, rank, seed):
-    """Oracle: the same range finder run on the explicit matrix, with a
-    sketch of rank + 10 columns clamped to the data limit and two power
-    steps.  Returns the leading left vectors and singular values."""
-    n_sketch = min(rank + 10, *m.shape)
-    omega = np.random.default_rng(seed).standard_normal((m.shape[1], n_sketch))
-    q, _ = np.linalg.qr(m @ omega)
-    for _ in range(2):
-        q, _ = np.linalg.qr(m.T @ q)
-        q, _ = np.linalg.qr(m @ q)
-    ub, s, _ = np.linalg.svd(q.T @ m, full_matrices=False)
-    return (q @ ub)[:, :rank], s[:rank]
+class TestScaleExponent:
+    @pytest.mark.parametrize("peak", [2.0**-128, 1.0, 3.0, 2.0**128 * (1 - 2**-53)])
+    def test_no_scaling_inside_the_free_range(self, peak):
+        assert scale_exponent(np.array([[-peak, 0.5 * peak]])) == 0
 
+    @pytest.mark.parametrize("peak", [5e-324, 1e-200, 2.0**-129, 2.0**128, 1e200, 1.7e308])
+    def test_scaled_peak_lands_in_half_open_unit_octave(self, peak):
+        exponent = scale_exponent(np.array([0.25 * peak]), np.array([-peak]))
+        assert exponent != 0
+        assert 0.5 <= np.ldexp(peak, -exponent) < 1
 
-def decaying_blocks(floor=1e-29, widths=(30, 17, 33), seed=0):
-    """Column blocks of a 120-row matrix with 30 singular values spaced
-    geometrically from 1 down to ``floor``."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((120, 30)))
-    v, _ = np.linalg.qr(rng.standard_normal((sum(widths), 30)))
-    m = (u * np.geomspace(1.0, floor, 30)) @ v.T
-    return np.split(m, np.cumsum(widths)[:-1], axis=1)
+    def test_zero_and_non_finite_data_are_not_scaled(self):
+        assert scale_exponent(np.zeros((3, 2))) == 0
+        assert scale_exponent(np.array([1e300, np.inf])) == 0
 
-
-def noisy_modes_blocks():
-    """Sixteen noisy 200 x 40 exp-modes trajectories."""
-    spec = SynthSpec(
-        "exp-modes", n_h=200, n_params=16, param_range=(0.2, 0.8), n_t=40,
-        dt=0.08, noise_std=0.01, seed=3,
-    )
-    return generate(spec)[0].states()
-
-
-class TestRandomizedSvd:
-    def test_matches_deterministic_on_decaying_spectrum(self):
-        blocks = decaying_blocks()
-        det = truncated_svd(np.hstack(blocks), rank=8)
-        rnd = randomized_svd(blocks, rank=8, seed=42)
-        assert_allclose(rnd.singular_values, det.singular_values, rtol=1e-2)
-        assert_allclose(rnd.reconstruct(), det.reconstruct(), atol=1e-8)
-
-    @pytest.mark.parametrize(
-        "make_blocks, rank, seed",
-        [(lambda: decaying_blocks(1e-3), 8, 42), (noisy_modes_blocks, 6, 0),
-         (noisy_modes_blocks, 20, 5)],
-        ids=["graded", "noisy-modes-6", "noisy-modes-20"],
-    )
-    def test_matches_stacked_oracle(self, make_blocks, rank, seed):
-        blocks = make_blocks()
-        u, s = stacked_randomized_svd(np.hstack(blocks), rank, seed)
-        rnd = randomized_svd(blocks, rank, seed=seed)
-        assert_allclose(rnd.singular_values, s, rtol=1e-12)
-        cosines = np.linalg.svd(rnd.modes_u.T @ u, compute_uv=False)
-        assert np.min(cosines) >= 1 - 1e-12
-
-    def test_seed_reproducibility(self):
-        blocks = noisy_modes_blocks()
-        a = randomized_svd(blocks, rank=5, seed=9)
-        b = randomized_svd([block.copy() for block in blocks], rank=5, seed=9)
-        assert_array_equal(a.modes_u, b.modes_u)
-        assert_array_equal(a.singular_values, b.singular_values)
-        assert_array_equal(a.right_v, b.right_v)
-
-    def test_sketch_clamped_to_data_limit(self):
-        # rank 4 + 10 oversampling exceeds the 6 columns: the sketch is
-        # clamped to the full column space, so the result is exact
-        rng = np.random.default_rng(5)
-        blocks = [rng.standard_normal((8, 2)), rng.standard_normal((8, 4))]
-        exact = truncated_svd(np.hstack(blocks), rank=4)
-        rnd = randomized_svd(blocks, rank=4, seed=1)
-        assert_allclose(rnd.singular_values, exact.singular_values, rtol=1e-12)
-        assert_allclose(rnd.modes_u, exact.modes_u, atol=1e-12)
-
-    def test_rank_above_data_limit_rejected(self):
-        with pytest.raises(DataError, match="out of range"):
-            randomized_svd([np.eye(8)], rank=9)
-        with pytest.raises(DataError, match="out of range"):
-            randomized_svd([np.eye(8)], rank=0)
-
-    def test_malformed_blocks_rejected(self):
-        with pytest.raises(DataError, match="at least one block"):
-            randomized_svd([], rank=1)
-        with pytest.raises(DataError, match="row count"):
-            randomized_svd([np.eye(4), np.eye(5)], rank=1)
-        with pytest.raises(DataError, match="real"):
-            randomized_svd([np.eye(4) + 0j], rank=1)
+    def test_ldexp_is_exact_for_real_and_complex_values(self):
+        values = np.array([0.75 - 0.5j, -3.0 + 1e-300j])
+        scaled = ldexp(values, 1000)
+        assert_array_equal(ldexp(scaled, -1000), values)
+        assert_array_equal(scaled.real, np.ldexp(values.real, 1000))
+        assert_array_equal(scaled.imag, np.ldexp(values.imag, 1000))
+        assert_array_equal(ldexp(values.real, -3), values.real / 8)
 
 
 class TestEig:

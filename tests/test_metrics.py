@@ -101,6 +101,50 @@ class TestRmse:
         assert rmse(truth, pred) == pytest.approx(np.sqrt(total / 15), abs=1e-12)
 
 
+class TestExtremeUnits:
+    """Data times a power of two score the same relative errors and a
+    scaled RMSE; data in the normal range give the plain formulas' bits."""
+
+    @staticmethod
+    def pair():
+        rng = np.random.default_rng(3)
+        truth = rng.standard_normal((20, 15))
+        return truth, truth + 1e-3 * rng.standard_normal(truth.shape)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [600, -600, 900, -1000])
+    def test_power_of_two_scaling(self, exponent):
+        truth, pred = self.pair()
+        scaled = np.ldexp(truth, exponent), np.ldexp(pred, exponent)
+        assert frobenius_rel_error(*scaled) == frobenius_rel_error(truth, pred)
+        assert np.array_equal(time_rel_error(*scaled), time_rel_error(truth, pred))
+        assert rmse(*scaled) == pytest.approx(np.ldexp(rmse(truth, pred), exponent),
+                                              rel=1e-15)
+
+    def test_normal_range_bits_are_the_plain_formulas(self):
+        truth, pred = self.pair()
+        assert frobenius_rel_error(truth, pred) == float(
+            np.linalg.norm(truth - pred) / np.linalg.norm(truth)
+        )
+        assert np.array_equal(
+            time_rel_error(truth, pred),
+            np.linalg.norm(truth - pred, axis=0) / np.linalg.norm(truth, axis=0),
+        )
+        assert rmse(truth, pred) == float(np.sqrt(np.mean((truth - pred) ** 2)))
+
+    def test_zero_truth_still_rejected_at_any_scale(self):
+        pred = np.full((3, 4), 1e-300)
+        with pytest.raises(DataError, match="zero Frobenius norm"):
+            frobenius_rel_error(np.zeros((3, 4)), pred)
+        with pytest.raises(DataError, match="column 0"):
+            time_rel_error(np.zeros((3, 4)), pred)
+
+    def test_exact_prediction_scores_zero(self):
+        truth = np.ldexp(self.pair()[0], -1000)
+        assert frobenius_rel_error(truth, truth) == 0.0
+        assert rmse(truth, truth) == 0.0
+
+
 class TestEvalReport:
     def make_report(self):
         return EvalReport(

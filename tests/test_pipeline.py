@@ -77,14 +77,10 @@ class TestSubsetParams:
 
 
 class TestResolveRank:
-    """Rank selection of the basis, deterministic and randomized."""
+    """Rank selection of the basis."""
 
     def test_explicit_rank_wins_over_energy(self):
-        for randomized in (False, True):
-            basis = fit_global_basis(
-                diagonal_dataset(), 2, energy=0.5, randomized=randomized
-            )
-            assert basis.rank == 2
+        assert fit_global_basis(diagonal_dataset(), 2, energy=0.5).rank == 2
 
     def test_rank_beyond_data_limit_rejected(self):
         dataset = diagonal_dataset()
@@ -95,12 +91,8 @@ class TestResolveRank:
         # Squared singular values 4 and 1: the leading direction carries
         # exactly 80% of the energy.
         dataset = diagonal_dataset()
-        for randomized in (False, True):
-            for energy, rank in ((0.75, 1), (0.85, 2)):
-                basis = fit_global_basis(
-                    dataset, None, energy=energy, randomized=randomized
-                )
-                assert basis.rank == rank
+        for energy, rank in ((0.75, 1), (0.85, 2)):
+            assert fit_global_basis(dataset, None, energy=energy).rank == rank
 
     def test_default_energy_keeps_nearly_everything(self):
         assert fit_global_basis(diagonal_dataset(), None).rank == 2

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
+from pdmd.algorithms import ALGORITHMS
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError, NumericalError
-from pdmd.linalg import randomized_svd, select_rank
+from pdmd.linalg import select_rank
+from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import (
     DEFAULT_ENERGY,
     _gram_factors,
@@ -68,23 +70,6 @@ class TestFitGlobalBasis:
         basis = fit_global_basis(ds, rank=3)
         residual = np.linalg.norm(stacked - basis.modes_u @ (basis.modes_u.T @ stacked)) ** 2
         assert_allclose(residual, np.sum(s[3:] ** 2), rtol=1e-9)
-
-    def test_randomized_close_to_deterministic(self):
-        rng = np.random.default_rng(0)
-        n_state, n_t, n_params = 60, 30, 3
-        grid = TimeGrid(np.linspace(0, 1, n_t))
-        u, _ = np.linalg.qr(rng.standard_normal((n_state, 20)))
-        trajectories = tuple(
-            SnapshotMatrix(
-                u @ (np.geomspace(1, 1e-8, 20)[:, None] * rng.standard_normal((20, n_t))),
-                grid,
-            )
-            for _ in range(n_params)
-        )
-        ds = ParametricDataset(np.arange(3.0)[:, None], trajectories)
-        det = fit_global_basis(ds, rank=5)
-        rnd = fit_global_basis(ds, rank=5, randomized=True, seed=4)
-        assert_allclose(rnd.singular_values, det.singular_values, rtol=1e-2)
 
     def test_rank_out_of_range(self):
         ds = make_dataset(n_params=2, n_state=4, n_t=3)
@@ -148,24 +133,22 @@ class TestTwoLevelBasis:
         assert basis.rank == 10
         assert_allclose(basis.modes_u.T @ basis.modes_u, np.eye(10), atol=1e-12)
 
-    @pytest.mark.parametrize("randomized", [False, True])
-    def test_energy_rank_on_default_suite(self, randomized):
+    def test_energy_rank_on_default_suite(self):
         for scenario in default_suite().scenarios:
             dataset = generate(scenario.synth)[0]
             s = np.linalg.svd(np.hstack(dataset.states()), compute_uv=False)
-            basis = fit_global_basis(dataset, None, randomized=randomized)
+            basis = fit_global_basis(dataset, None)
             assert basis.rank == select_rank(s, DEFAULT_ENERGY, s.size), scenario.name
 
     @pytest.mark.parametrize("rank", [None, 1])
-    @pytest.mark.parametrize("randomized", [False, True])
-    def test_all_zero_snapshots_rejected(self, rank, randomized):
+    def test_all_zero_snapshots_rejected(self, rank):
         grid = TimeGrid(np.linspace(0.0, 1.0, 12))
         dataset = ParametricDataset(
             np.arange(3.0)[:, None],
             tuple(SnapshotMatrix(np.zeros((6, 12)), grid) for _ in range(3)),
         )
         with pytest.raises(DataError, match="all-zero"):
-            fit_global_basis(dataset, rank, randomized=randomized)
+            fit_global_basis(dataset, rank)
 
 
 def graded_block(singular_values, n_state=200, n_t=30, seed=0):
@@ -267,7 +250,8 @@ def scaled_dataset(dataset, exponent):
 
 
 class TestScaleSafeBasis:
-    """The basis of the snapshots times a power of two is the same basis."""
+    """The basis of the snapshots times a power of two is the same basis,
+    and every surrogate fitted on it predicts the same scaled states."""
 
     @pytest.mark.parametrize("exponent", [600, -600])
     @pytest.mark.parametrize("rank", [None, 4])
@@ -282,9 +266,27 @@ class TestScaleSafeBasis:
             basis.singular_values, np.ldexp(reference.singular_values, exponent), rtol=1e-14
         )
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_every_algorithm_fits_scaled_data(self, algorithm, exponent):
+        # the surrogates on top of the basis are equivariant too: the train
+        # errors match and the predictions are the unscaled ones scaled
+        dataset = exp_modes_dataset()
+        options = FitOptions(algorithm, rank=6, bag_trials=3)
+        mu = 0.5 * (dataset.params[1] + dataset.params[2])
+        reference = fit_surrogate(dataset, options)
+        fitted = fit_surrogate(scaled_dataset(dataset, exponent), options)
+        assert np.isfinite(fitted.metadata["mean_train_error"])
+        assert_allclose(fitted.train_errors, reference.train_errors, rtol=0, atol=1e-10)
+        expected = predict_surrogate(reference.model, mu, dataset.grid.instants,
+                                     reference.regressor)
+        predicted = predict_surrogate(fitted.model, mu, dataset.grid.instants,
+                                      fitted.regressor)
+        assert_allclose(np.ldexp(predicted, -exponent), expected, rtol=0,
+                        atol=1e-10 * np.max(np.abs(expected)))
+
     @pytest.mark.parametrize("rank", [None, 2])
-    @pytest.mark.parametrize("randomized", [False, True])
-    def test_extreme_magnitudes_fit_or_raise_pdmd_errors(self, rank, randomized):
+    def test_extreme_magnitudes_fit_or_raise_pdmd_errors(self, rank):
         grid = TimeGrid(np.linspace(0.0, 1.0, 5))
         rng = np.random.default_rng(2)
         for magnitudes in ([1e300, 1e300], [1e-300, 1e-300], [1e300, 1e-300],
@@ -294,47 +296,11 @@ class TestScaleSafeBasis:
             )
             dataset = ParametricDataset(np.arange(2.0)[:, None], trajectories)
             try:
-                basis = fit_global_basis(dataset, rank, randomized=randomized)
+                basis = fit_global_basis(dataset, rank)
             except (DataError, NumericalError):
                 continue
             assert np.all(np.isfinite(basis.modes_u))
             assert np.all(np.isfinite(basis.singular_values))
-
-
-def linear_smooth_dataset():
-    """The default suite's linear-smooth family: 18 trajectories of 12 x 120."""
-    return generate(default_suite().scenarios[0].synth)[0]
-
-
-class TestRandomizedBasis:
-    """``randomized`` at an explicit rank runs the blockwise sketch; the
-    energy rank always takes the exact path."""
-
-    @pytest.mark.parametrize("case", list(TWO_LEVEL_CASES))
-    def test_energy_path_is_the_exact_basis(self, case):
-        dataset = TWO_LEVEL_CASES[case]()
-        exact = fit_global_basis(dataset, None)
-        rnd = fit_global_basis(dataset, None, randomized=True, seed=3)
-        assert_array_equal(rnd.modes_u, exact.modes_u)
-        assert_array_equal(rnd.singular_values, exact.singular_values)
-        assert rnd.energy_captured == exact.energy_captured
-
-    def test_explicit_rank_is_the_blockwise_sketch(self):
-        dataset = exp_modes_dataset()
-        basis = fit_global_basis(dataset, 4, randomized=True, seed=8)
-        svd = randomized_svd(dataset.states(), 4, seed=8)
-        assert_array_equal(basis.modes_u, svd.modes_u)
-        assert_array_equal(basis.singular_values, svd.singular_values)
-
-    @pytest.mark.parametrize("rank", [8, 12, None])
-    def test_linear_smooth_fits_up_to_the_state_dimension(self, rank):
-        # rank + oversampling exceeds the 12 state rows: the sketch is
-        # clamped to them and so spans the exact range
-        dataset = linear_smooth_dataset()
-        basis = fit_global_basis(dataset, rank, randomized=True)
-        exact = fit_global_basis(dataset, rank)
-        assert basis.rank == exact.rank
-        assert_allclose(basis.singular_values, exact.singular_values, rtol=1e-10)
 
 
 class TestProjectLift:
