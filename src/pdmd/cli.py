@@ -11,7 +11,6 @@ benchmark scenario failed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -46,7 +45,6 @@ from .options import (
     parse_indices,
     parse_list,
     parse_pair,
-    parse_uint,
     uint_option,
 )
 from .pipeline import (
@@ -60,24 +58,18 @@ from .synth import SynthSpec, generate, spec_to_json
 
 EXIT_SCENARIO_FAILED = 5
 
-_THREAD_LIMIT_HANDLE = None
-
 
 class UsageError(Exception):
     """Bad flags, config keys, or option combinations."""
 
 
-COMMON = [
-    uint_option("threads", 1, "BLAS thread cap (env PDMD_THREADS, then core count)"),
-]
-
-SYNTH_OPTS = COMMON + [
+SYNTH_OPTS = [
     SEED,
     *DATASET,
     Option("out", str, "output dataset path", default="synth.pdmd1"),
 ]
 
-FIT_OPTS = COMMON + [
+FIT_OPTS = [
     SEED,
     Option("data", str, "training dataset path"),
     Option("algorithm", choice(ALGORITHMS, "algorithm"),
@@ -91,7 +83,7 @@ FIT_OPTS = COMMON + [
     Option("out", str, "output model path", default="model.pdmdm"),
 ]
 
-PREDICT_OPTS = COMMON + [
+PREDICT_OPTS = [
     Option("model", str, "model archive path"),
     Option("mu", parse_floats, "query parameter (comma-separated)"),
     Option("time-window", parse_pair,
@@ -100,7 +92,7 @@ PREDICT_OPTS = COMMON + [
     Option("out", str, "output dataset path", default="prediction.pdmd1"),
 ]
 
-EVAL_OPTS = COMMON + [
+EVAL_OPTS = [
     Option("model", str, "model archive path (repeatable)", repeat=True),
     Option("data", str, "truth dataset path"),
     Option("test-idx", parse_indices, "parameter indices to evaluate (default: all)"),
@@ -113,7 +105,7 @@ PLOTDATA_OPTS = [
     Option("out", str, "output series path", default="plot.csv"),
 ]
 
-BENCH_OPTS = COMMON + [
+BENCH_OPTS = [
     Option("suite", str, "suite description file (default: built-in)"),
     Option("out", str, "report directory", default="bench_out"),
 ]
@@ -182,28 +174,19 @@ def _require(args, dest, flag):
     return value
 
 
-def _apply_threads(requested) -> int:
-    """Resolve the thread cap (flag, env, cores) and apply it to the
-    numeric libraries; 1 gives bit-reproducible runs."""
-    global _THREAD_LIMIT_HANDLE
-    if requested is None:
-        env = os.environ.get("PDMD_THREADS")
-        if env is not None:
-            try:
-                requested = parse_uint(env, 1, "PDMD_THREADS")
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        else:
-            requested = os.cpu_count() or 1
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(requested)
-    try:
-        import threadpoolctl
+# the fit metadata (written by pipeline.fit_surrogate) that predict and eval read
+_FIT_METADATA = ("t0", "dt", "n_t", "param_dim", "rank", "offline_seconds", "regressor",
+                 "rbf_shape", "poly_degree", "ridge", "extrapolation")
 
-        _THREAD_LIMIT_HANDLE = threadpoolctl.threadpool_limits(limits=requested)
-    except ImportError:
-        pass
-    return requested
+
+def _load_fitted(path):
+    """A model archive holding the fit metadata; one saved without it is
+    a data error naming the missing keys."""
+    archive = load_model(path)
+    missing = ", ".join(repr(key) for key in _FIT_METADATA if key not in archive.metadata)
+    if missing:
+        raise DataError(f"{path}: archive metadata lacks {missing}; write it with pdmd fit")
+    return archive
 
 
 def cmd_synth(args) -> int:
@@ -265,8 +248,8 @@ def _prediction_instants(args, metadata) -> np.ndarray:
 def cmd_predict(args) -> int:
     model_path = _require(args, "model", "model")
     mu = _require(args, "mu", "mu")
-    archive = load_model(model_path)
-    if len(mu) != int(archive.metadata.get("param_dim", len(mu))):
+    archive = _load_fitted(model_path)
+    if len(mu) != int(archive.metadata["param_dim"]):
         raise DataError(
             f"query parameter has {len(mu)} components; the model expects "
             f"{archive.metadata['param_dim']}"
@@ -303,7 +286,7 @@ def cmd_eval(args) -> int:
 
     reports = []
     for path in model_paths:
-        archive = load_model(path)
+        archive = _load_fitted(path)
         spec = spec_from_metadata(archive.metadata)
         reports.extend(
             evaluate_model(
@@ -394,8 +377,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, args.options)
-        if hasattr(args, "threads"):
-            _apply_threads(args.threads)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

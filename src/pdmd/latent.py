@@ -140,8 +140,7 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     else:
         blocks = [evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)  # N_p x r x N_t
-    effective = regression.effective_spec(spec, model.params.shape[0])
-    sites = regression.prepare(effective, model.params)
+    sites = regression.prepare(spec, model.params)
     stencils = [regression.stencil(sites, mu) for mu in rows]
     latents = np.empty((rows.shape[0],) + trajectories.shape[1:])
     for k in range(steps.size):

@@ -6,23 +6,22 @@ basis functions (gaussian or thin-plate kernel), or ridge-regularized
 polynomials.  Complex-valued targets are regressed as separate real and
 imaginary channels and reassembled on prediction.
 
-The work is split in three stages by what each one depends on, so that
-many regressors on the same training parameters share it:
+The work is split in stages by what each one depends on, so that many
+regressors on the same training parameters share it:
 
-- ``prepare(spec, params)`` depends on the training parameters only.
-  It validates them, rejects duplicates and builds the hull box and the
-  kind's value-independent work: the linear sort order, the rbf kernel
-  system with its Cholesky factor and condition number, the polynomial
-  features and Gram matrix.
-- ``fit(sites, values)`` trains one regressor on prepared sites: it
-  validates the values and runs the kind's reorder or solve.
+- ``locate(spec, params)`` depends on the training parameters only.  It
+  validates them, falls back to nearest for a single point, rejects
+  duplicates and builds what a stencil reads: the hull box, the linear
+  sort order, the rbf shape or the polynomial powers.  ``prepare`` adds
+  the fit-only work: the rbf kernel system with its Cholesky factor and
+  condition number, the polynomial features and Gram matrix.
+- ``fit(sites, values)`` trains one regressor on prepared sites.
 - ``stencil(sites, mu)`` depends on the query only.  It checks mu,
-  applies the extrapolation policy and builds what reading any
-  regressor on those sites needs: the bracketing pair and weight, the
-  nearest row, the rbf kernel row or the polynomial feature row.
-  ``combine(stencil, regressor)`` applies it to one fitted regressor.
-
-``predict(regressor, mu)`` runs the last two stages for one regressor.
+  applies the extrapolation policy and builds the bracketing pair and
+  weight, the nearest row, the rbf kernel row or the polynomial feature
+  row; ``combine(stencil, regressor)`` reads one regressor with it.
+- ``sites_of(*regressors)`` locates the sites fitted or loaded
+  regressors share and checks that their value tables fit them.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -36,7 +35,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -107,7 +106,12 @@ class RegressorSpec:
 
 @dataclass(frozen=True)
 class FittedRegressor:
-    """Trained map from p-vectors to d-vectors; immutable and reentrant."""
+    """Trained map from p-vectors to d-vectors; immutable and reentrant.
+
+    ``coefficients`` holds the value table the kind reads (``table``,
+    ``weights`` or ``beta``).  Its linear ``xs``, rbf ``shape`` and poly
+    ``degree`` entries only keep the archive format: nothing reads them,
+    a query reads the sites ``sites_of`` locates."""
 
     spec: RegressorSpec
     training_params: np.ndarray
@@ -118,16 +122,16 @@ class FittedRegressor:
 
 @dataclass(frozen=True)
 class Sites:
-    """Training parameters prepared for every fit and query on them.
+    """Training parameters located (and, by ``prepare``, prepared) for
+    every fit and query on them.
 
     ``lo``/``hi`` bound the hull box.  The kind's fields: ``order`` and
     ``xs`` (linear: ascending row order and sorted abscissae),
     ``shape``, ``system`` and ``factor`` (rbf: distance scale, kernel
     plus ridge, and its Cholesky factor or None when that fails),
     ``powers``, ``features`` and ``gram`` (poly: monomial exponents,
-    feature matrix, and the ridge Gram matrix or None at zero ridge).
-    Sites rebuilt from a fitted regressor by ``_sites_of`` carry only
-    what a stencil reads."""
+    feature matrix, and the ridge Gram matrix or None at zero ridge);
+    ``system``, ``factor``, ``features`` and ``gram`` are fit-only."""
 
     spec: RegressorSpec
     params: np.ndarray
@@ -211,53 +215,59 @@ def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
     return np.where(distances > 0, distances**2 * np.log(scaled), 0.0)
 
 
-def prepare(spec: RegressorSpec, params) -> Sites:
-    """Validate the training parameters and do the kind's work that no
-    fitted value enters; every ``fit`` and ``stencil`` on the result
-    shares it."""
+def locate(spec: RegressorSpec, params) -> Sites:
+    """Validate the training parameters and build what a stencil on them
+    reads.  A single point supports only a constant map, so every kind
+    falls back to nearest there; the returned sites carry the spec in
+    effect."""
     params = _normalize_params(params)
     n_points, p = params.shape
+    if n_points == 1 and spec.kind != "nearest":
+        spec = RegressorSpec(kind="nearest", extrapolation=spec.extrapolation)
     box = (params.min(axis=0), params.max(axis=0))
 
-    if spec.kind == "linear":
-        if p != 1:
-            raise DataError("linear interpolation supports scalar parameters only")
-        if n_points < 2:
-            raise DataError("linear interpolation needs at least two points")
-        order = np.argsort(params[:, 0])
-        xs = params[order, 0]
-        if np.any(xs[1:] == xs[:-1]):
-            raise DataError("duplicate parameters for an interpolating regressor")
-        return Sites(spec, params, *box, order=order, xs=xs)
-
+    if spec.kind == "linear" and p != 1:
+        raise DataError("linear interpolation supports scalar parameters only")
     if spec.kind == "poly":
         powers = _poly_powers(p, spec.degree)
-        features = _poly_features(params, powers)
         if spec.ridge == 0 and n_points < len(powers):
             raise DataError(
                 f"degree-{spec.degree} polynomial has {len(powers)} coefficients "
                 f"but only {n_points} samples; add ridge or samples"
             )
-        gram = None
-        if spec.ridge > 0:
-            gram = features.T @ features + spec.ridge * np.eye(len(powers))
-        return Sites(spec, params, *box, powers=powers, features=features, gram=gram)
+        return Sites(spec, params, *box, powers=powers)
 
     if _has_duplicate_rows(params):
         raise DataError("duplicate parameters for an interpolating regressor")
+    if spec.kind == "linear":
+        order = np.argsort(params[:, 0])
+        return Sites(spec, params, *box, order=order, xs=params[order, 0])
     if spec.kind == "nearest":
         return Sites(spec, params, *box)
 
-    distances = cdist(params, params)
-    if spec.shape is not None:
-        shape = spec.shape
-    else:
-        off_diag = distances[~np.eye(n_points, dtype=bool)]
-        shape = float(np.median(off_diag)) if off_diag.size else 1.0
-        if shape <= 0:
-            shape = 1.0
-    kernel = _rbf_kernel(distances / shape, spec.kind)
-    system = kernel + spec.ridge * np.eye(n_points)
+    shape = spec.shape
+    if shape is None:
+        distances = cdist(params, params)
+        shape = float(np.median(distances[~np.eye(n_points, dtype=bool)])) or 1.0
+    return Sites(spec, params, *box, shape=shape)
+
+
+def prepare(spec: RegressorSpec, params) -> Sites:
+    """Located sites plus the fit-only work, which no fitted value
+    enters; every ``fit`` and ``stencil`` on the result shares it."""
+    sites = locate(spec, params)
+    spec = sites.spec
+    if spec.kind == "poly":
+        features = _poly_features(sites.params, sites.powers)
+        gram = None
+        if spec.ridge > 0:
+            gram = features.T @ features + spec.ridge * np.eye(len(sites.powers))
+        return replace(sites, features=features, gram=gram)
+    if spec.kind not in ("rbf-gauss", "rbf-tps"):
+        return sites
+
+    kernel = _rbf_kernel(cdist(sites.params, sites.params) / sites.shape, spec.kind)
+    system = kernel + spec.ridge * np.eye(sites.params.shape[0])
     cond = np.linalg.cond(system)
     if cond > CONDITION_TELEMETRY_THRESHOLD:
         warnings.warn(
@@ -269,7 +279,7 @@ def prepare(spec: RegressorSpec, params) -> Sites:
         factor = cho_factor(system)
     except np.linalg.LinAlgError:
         factor = None
-    return Sites(spec, params, *box, shape=shape, system=system, factor=factor)
+    return replace(sites, system=system, factor=factor)
 
 
 def fit(sites: Sites, values) -> FittedRegressor:
@@ -292,7 +302,9 @@ def fit(sites: Sites, values) -> FittedRegressor:
         coefficients = {"table": table}
     elif kind in ("rbf-gauss", "rbf-tps"):
         if sites.factor is not None:
-            weights = cho_solve(sites.factor, table)
+            # C order, as the archive stores it: a loaded regressor then
+            # reads its rows in the same summation order
+            weights = np.ascontiguousarray(cho_solve(sites.factor, table))
         else:
             weights = np.linalg.lstsq(sites.system, table, rcond=None)[0]
         coefficients = {"weights": weights, "shape": np.array(sites.shape)}
@@ -308,25 +320,31 @@ def fit(sites: Sites, values) -> FittedRegressor:
     return FittedRegressor(sites.spec, sites.params, coefficients, dim, complex_output)
 
 
-def _sites_of(regressor: FittedRegressor) -> Sites:
-    """The sites a fitted or loaded regressor was trained on, carrying
-    what a stencil reads: the hull box, the sorted abscissae, the rbf
-    shape or the polynomial exponents."""
-    params = regressor.training_params
-    coeff = regressor.coefficients
-    return Sites(
-        regressor.spec,
-        params,
-        params.min(axis=0),
-        params.max(axis=0),
-        xs=coeff.get("xs"),
-        shape=float(coeff["shape"]) if "shape" in coeff else None,
-        powers=(
-            _poly_powers(params.shape[1], int(coeff["degree"]))
-            if "degree" in coeff
-            else None
-        ),
-    )
+# the coefficient each kind reads a query's value from
+_VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
+
+
+def sites_of(*regressors: FittedRegressor) -> Sites:
+    """The sites the regressors were fitted on, located from their spec
+    and training parameters; a DataError unless they share both and
+    every value table has a row per site (per monomial for poly) and a
+    column per output channel."""
+    sites = locate(regressors[0].spec, regressors[0].training_params)
+    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
+    for regressor in regressors:
+        if regressor.spec != sites.spec or not np.array_equal(
+            regressor.training_params, sites.params
+        ):
+            raise DataError("regressors differ in spec or training parameters")
+        key = _VALUE_KEYS.get(sites.spec.kind, "weights")
+        width = regressor.output_dim * (2 if regressor.complex_output else 1)
+        shape = np.shape(regressor.coefficients.get(key))
+        if shape != (rows, width):
+            raise DataError(
+                f"regressor {key} of shape {shape} does not fit {rows} sites "
+                f"and {width} output channels"
+            )
+    return sites
 
 
 def _apply_policy(sites: Sites, mu: np.ndarray) -> np.ndarray:
@@ -393,30 +411,15 @@ def combine(query: Stencil, regressor: FittedRegressor) -> np.ndarray:
         row = (1 - query.weight) * table[query.left] + query.weight * table[query.right]
     elif kind == "nearest":
         row = coeff["table"][query.left]
-    elif kind in ("rbf-gauss", "rbf-tps"):
-        row = query.row @ coeff["weights"]
-    else:  # poly
-        row = query.row @ coeff["beta"]
+    else:
+        row = query.row @ coeff[_VALUE_KEYS.get(kind, "weights")]
 
     if regressor.complex_output:
         return row[: regressor.output_dim] + 1j * row[regressor.output_dim :]
     return row
 
 
-def predict(regressor: FittedRegressor, mu) -> np.ndarray:
-    """Evaluate the trained map at one parameter vector."""
-    return combine(stencil(_sites_of(regressor), mu), regressor)
-
-
 def default_spec(param_dim: int, extrapolation: str = "clamp") -> RegressorSpec:
     """Package default: 1-D linear interpolation, gaussian rbf otherwise."""
     kind = "linear" if param_dim == 1 else "rbf-gauss"
     return RegressorSpec(kind=kind, extrapolation=extrapolation)
-
-
-def effective_spec(spec: RegressorSpec, n_points: int) -> RegressorSpec:
-    """Degrade to nearest (a constant map) when a single training point
-    cannot support the requested kind."""
-    if n_points == 1 and spec.kind != "nearest":
-        return RegressorSpec(kind="nearest", extrapolation=spec.extrapolation)
-    return spec

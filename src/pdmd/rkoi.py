@@ -7,15 +7,16 @@ spanning tree over the training parameters by least-total-distance
 frequency matching and phased to the tree's root, so the model does
 not depend on the row order; then every channel (real and imaginary
 parts of vec(modes), frequencies, amplitudes) is regressed over mu.
-Online: evaluate the three regressors at the queried mu, symmetrize
-conjugate pairs, and sum exponentials at any requested time.
+Online: locate the queried mu once (one stencil), read the three
+regressors there, symmetrize conjugate pairs, and sum exponentials at
+any requested time.
 Continuous in time and free of online training.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -42,7 +43,8 @@ class RkoiModel:
     """Regressed spectral triplets plus the shared spatial basis.
 
     ``notes`` carries fit telemetry (non-converged members, ambiguous
-    alignments) that callers may want to surface.
+    alignments) that callers may want to surface.  ``sites``, located
+    once from the regressors when the model is built, is not archived.
     """
 
     tag: ClassVar[str] = "rkoi"
@@ -53,6 +55,11 @@ class RkoiModel:
     amp_regressor: regression.FittedRegressor
     t0: float
     notes: tuple = ()
+    sites: regression.Sites = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        regressors = (self.mode_regressor, self.omega_regressor, self.amp_regressor)
+        object.__setattr__(self, "sites", regression.sites_of(*regressors))
 
 
 def alignment_tree(params) -> tuple:
@@ -158,9 +165,7 @@ def fit_rkoi(
     omega_table = np.vstack([m.omegas for m in aligned])
     amp_table = np.vstack([m.amplitudes for m in aligned])
 
-    sites = regression.prepare(
-        regression.effective_spec(spec, latent.n_params), latent.params
-    )
+    sites = regression.prepare(spec, latent.params)
     return RkoiModel(
         basis=latent.basis,
         mode_regressor=regression.fit(sites, mode_table),
@@ -174,10 +179,11 @@ def fit_rkoi(
 def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
     """Predicted state trajectory at mu for arbitrary (continuous) times."""
     rank = model.basis.rank
-    omegas = regression.predict(model.omega_regressor, mu)
-    modes = regression.predict(model.mode_regressor, mu).reshape(
+    query = regression.stencil(model.sites, mu)
+    omegas = regression.combine(query, model.omega_regressor)
+    modes = regression.combine(query, model.mode_regressor).reshape(
         (rank, rank), order="F"
     )
-    amps = regression.predict(model.amp_regressor, mu)
+    amps = regression.combine(query, model.amp_regressor)
     omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
     return lift(exponential_sum(omegas, modes, amps, model.t0, times), model.basis)

@@ -4,15 +4,16 @@ Offline: one full-rank DMD per training parameter in latent
 coordinates, the operators flattened into columns of a matrix whose
 truncated SVD yields operator modes and per-parameter coefficients;
 the coefficients and the initial latent states are regressed over mu.
-Online: synthesize the operator at the queried mu from the regressed
-coefficients, step the latent state, lift.  No regressor is fitted
-online, so query cost does not grow with the number of training
-parameters.
+Online: locate the queried mu once among the training parameters
+(one stencil, shared by both regressors), synthesize the operator from
+the regressed coefficients, step the latent state, lift.  No regressor
+is fitted online, so query cost does not grow with the number of
+training parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import regression
 from .data import lattice_steps
 from .dmd import fit_dmd, reconstruct
 from .errors import DataError, NumericalError, RankDeficientError
-from .linalg import truncated_svd
+from .linalg import scale_exponent, truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
 
 
@@ -33,6 +34,7 @@ class RoiModel:
     (column-major flattened r x r operators); ``train_residuals`` records
     each training parameter's latent DMD reconstruction error so
     downstream error bounds can be checked against fit quality.
+    ``sites``, located once from the regressors, is not archived.
     """
 
     tag: ClassVar[str] = "roi"
@@ -45,6 +47,11 @@ class RoiModel:
     dt: float
     t0: float
     train_residuals: np.ndarray
+    sites: regression.Sites = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sites = regression.sites_of(self.coeff_regressor, self.init_regressor)
+        object.__setattr__(self, "sites", sites)
 
 
 def unfold_operator(op: np.ndarray) -> np.ndarray:
@@ -96,8 +103,11 @@ def fit_roi(
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T
         operators.append(unfold_operator(operator))
-        rebuilt = reconstruct(model, latent.grid)
-        residuals.append(float(np.linalg.norm(rebuilt.state - trajectory.state)))
+        # an exact power-of-two scaling keeps the norm finite and normal
+        error = reconstruct(model, latent.grid).state - trajectory.state
+        exponent = scale_exponent(error)
+        norm = np.linalg.norm(np.ldexp(error, -exponent))
+        residuals.append(float(np.ldexp(norm, exponent)))
 
     if deficient:
         supported, i, exc = min(deficient, key=lambda entry: entry[:2])
@@ -113,9 +123,7 @@ def fit_roi(
     coefficients = (svd.modes_u.T @ stacked).T  # N_p x r_a
     initial_states = np.vstack([lat[:, 0] for lat in latent.latents])
 
-    sites = regression.prepare(
-        regression.effective_spec(spec, latent.n_params), latent.params
-    )
+    sites = regression.prepare(spec, latent.params)
     coeff_regressor = regression.fit(sites, coefficients)
     init_regressor = regression.fit(sites, initial_states)
     return RoiModel(
@@ -130,9 +138,10 @@ def fit_roi(
     )
 
 
-def synthesize_operator(model: RoiModel, mu) -> np.ndarray:
-    """Latent one-step operator at mu from the regressed coefficients."""
-    coeffs = regression.predict(model.coeff_regressor, mu)
+def synthesize_operator(model: RoiModel, query: regression.Stencil) -> np.ndarray:
+    """Latent one-step operator at a query located among the model's
+    sites, from the regressed coefficients."""
+    coeffs = regression.combine(query, model.coeff_regressor)
     return fold_operator(model.op_modes @ coeffs)
 
 
@@ -141,8 +150,9 @@ def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
     (any order, repeats allowed), stepped by repeated multiplication
     with the synthesized operator."""
     steps = lattice_steps(instants, model.t0, model.dt)
-    operator = synthesize_operator(model, mu)
-    state = regression.predict(model.init_regressor, mu)
+    query = regression.stencil(model.sites, mu)
+    operator = synthesize_operator(model, query)
+    state = regression.combine(query, model.init_regressor)
     latent = np.empty((state.shape[0], steps.size))
     current = 0
     for position in np.argsort(steps):

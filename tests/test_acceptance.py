@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from pdmd.archive import load_model, save_model
 from pdmd.bench import _default_window, default_suite, run_suite
-from pdmd.cli import _apply_threads
 from pdmd.data import (
     SnapshotMatrix,
     TimeGrid,
@@ -33,7 +32,7 @@ from pdmd.optdmd import (
 )
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, timed_query
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
-from pdmd.regression import RegressorSpec
+from pdmd.regression import RegressorSpec, stencil
 from pdmd.roi import synthesize_operator
 from pdmd.synth import ExpMode, SynthSpec, generate
 
@@ -82,8 +81,7 @@ def affine_rotation_family():
 
 @pytest.fixture(scope="module")
 def suite_outcome(tmp_path_factory):
-    """Two seeded single-thread runs of the default benchmark suite."""
-    _apply_threads(1)
+    """Two seeded runs of the default benchmark suite."""
     dir_a = tmp_path_factory.mktemp("suite_a")
     dir_b = tmp_path_factory.mktemp("suite_b")
     started = time.perf_counter()
@@ -182,7 +180,8 @@ def test_operator_family_exactness():
     op_err = 0.0
     pred_err = 0.0
     for mu in np.linspace(0.1, 0.9, 5):
-        lifted = u @ synthesize_operator(surrogate.model, [mu]) @ u.T
+        query = stencil(surrogate.model.sites, [mu])
+        lifted = u @ synthesize_operator(surrogate.model, query) @ u.T
         true_op = a0 + mu * a1
         op_err = max(
             op_err, np.linalg.norm(lifted - true_op) / np.linalg.norm(true_op)

@@ -10,12 +10,13 @@ from numpy.testing import assert_allclose
 
 from pdmd.algorithms import ALGORITHMS
 from pdmd.archive import MAGIC, ModelArchive, load_model, save_model
+from pdmd.cli import main
 from pdmd.dmd import DmdModel
 from pdmd.errors import DataError
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
-from pdmd.pipeline import FitOptions
+from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
 from pdmd.reduction import GlobalBasis, fit_global_basis, project
-from pdmd.regression import FittedRegressor, RegressorSpec
+from pdmd.regression import KINDS, FittedRegressor, RegressorSpec
 from pdmd.rkoi import RkoiModel
 from pdmd.roi import RoiModel, fit_roi
 from pdmd.synth import SynthSpec, generate
@@ -180,23 +181,36 @@ class TestFormat:
             load_model(path)
 
 
+# every algorithm with every regressor kind; the plain tag names the
+# linear regressor, the default for a scalar mu
+ROUND_TRIP_CASES = [
+    pytest.param(tag, kind, id=tag if kind == "linear" else f"{tag}-{kind}")
+    for tag in ALGORITHMS
+    for kind in KINDS
+]
+
+
 class TestRoundTrips:
-    @pytest.mark.parametrize("tag", list(ALGORITHMS))
-    def test_predictions_bit_identical(self, tag, tmp_path):
-        dataset, latent = make_latent(seed=1)
-        spec = RegressorSpec("linear")
-        algorithm = ALGORITHMS[tag]
-        model = algorithm.fit(latent, FitOptions(tag), spec)
+    @pytest.mark.parametrize("tag, kind", ROUND_TRIP_CASES)
+    def test_predictions_bit_identical(self, tag, kind, tmp_path):
+        dataset, _ = make_latent(seed=1)
+        options = FitOptions(tag, rank=3, regressor=RegressorSpec(kind))
+        fitted = fit_surrogate(dataset, options)
         path = tmp_path / "model.pdmdm"
-        save_model(model, path, metadata={"offline_seconds": 0.5})
+        save_model(fitted.model, path, metadata=fitted.metadata)
         loaded = load_model(path)
         assert loaded.algorithm == tag
-        assert loaded.metadata == {"offline_seconds": 0.5}
-        rows, instants = [[0.45]], dataset.grid.instants[:7]
+        assert loaded.metadata == fitted.metadata
+        mu, instants = [0.45], dataset.grid.instants[:7]
         assert np.array_equal(
-            next(algorithm.predict(model, rows, instants, spec)),
-            next(algorithm.predict(loaded.model, rows, instants, spec)),
+            predict_surrogate(fitted.model, mu, instants, fitted.regressor),
+            predict_surrogate(
+                loaded.model, mu, instants, spec_from_metadata(loaded.metadata)
+            ),
         )
+        again = tmp_path / "again.pdmdm"
+        save_model(loaded.model, again, metadata=loaded.metadata)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_saved_file_is_deterministic(self, tmp_path):
         _, latent = make_latent(seed=4)
@@ -273,6 +287,38 @@ class TestValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="does not match shape"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "init_regressor, message",
+        [
+            (fixed_regressor([[1.0, 0.0]]), "does not fit 2 sites"),
+            (
+                FittedRegressor(
+                    RegressorSpec("linear"),
+                    np.array([[0.25], [0.5]]),
+                    {"xs": np.array([0.25, 0.5]), "table": np.eye(2)},
+                    2,
+                    False,
+                ),
+                "differ in spec or training parameters",
+            ),
+        ],
+        ids=["short-table", "other-params"],
+    )
+    def test_regressors_off_their_sites_rejected(
+        self, tmp_path, capsys, init_regressor, message
+    ):
+        model = fixed_models()["roi"]
+        # swap the regressor in after the model checked its sites, as an
+        # edited file would
+        object.__setattr__(model, "init_regressor", init_regressor)
+        path = tmp_path / "tampered.pdmdm"
+        save_model(model, path, metadata=FIXED_METADATA)
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--mu", "0.5",
+                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
+        assert message in capsys.readouterr().err
 
     @settings(max_examples=200, deadline=None)
     @given(

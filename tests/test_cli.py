@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmd.archive import load_model
+from pdmd.archive import load_model, save_model
 from pdmd.bench import parse_suite
 from pdmd.cli import main
 from pdmd.data import (
@@ -31,7 +31,7 @@ def make_dataset(tmp_path, *extra, name="data.pdmd1"):
     code = run_cli(
         "synth", "--family", "linear", "--nh", "6", "--np", "6",
         "--nt", "40", "--dt", "0.1", "--param-range", "0.3,0.7",
-        "--seed", "3", "--threads", "1", "--out", str(path), *extra,
+        "--seed", "3", "--out", str(path), *extra,
     )
     assert code == 0
     return path
@@ -48,8 +48,7 @@ class TestConfigMerge:
             "nt = 12\n"
             "out = %s\n" % (tmp_path / "ds.pdmd1")
         )
-        code = run_cli("synth", "--config", str(config), "--nh", "5",
-                       "--threads", "1")
+        code = run_cli("synth", "--config", str(config), "--nh", "5")
         assert code == 0
         dataset = read_dataset(tmp_path / "ds.pdmd1")
         assert dataset.n_state == 5
@@ -61,7 +60,7 @@ class TestConfigMerge:
         config = tmp_path / "synth.cfg"
         config.write_text("family=oscillator\nnh=6\nnp=3\nnt=16\nout=%s\n"
                           % (tmp_path / "ds.pdmd1"))
-        assert run_cli("synth", "--config", str(config), "--threads", "1") == 0
+        assert run_cli("synth", "--config", str(config)) == 0
         sidecar = json.loads((tmp_path / "ds.pdmd1.spec.json").read_text())
         assert sidecar["family"] == "lifted-oscillator"
 
@@ -92,7 +91,7 @@ class TestConfigMerge:
         )
         config = tmp_path / "synth.cfg"
         config.write_text(text + "out = %s\n" % (tmp_path / "cli.pdmd1"))
-        assert run_cli("synth", "--config", str(config), "--threads", "1") == 0
+        assert run_cli("synth", "--config", str(config)) == 0
         suite = parse_suite("[scenario s]\n" + text + "test-idx = 1\nrank = 2\n")
         dataset, _ = generate(suite.scenarios[0].synth)
         write_dataset(dataset, tmp_path / "suite.pdmd1")
@@ -170,9 +169,16 @@ class TestExitCodes:
         assert run_cli(command, "--config", str(config)) == 2
         assert "unknown config keys: seed" in capsys.readouterr().err
 
-    def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDMD_THREADS", "lots")
-        assert run_cli("synth", "--out", str(tmp_path / "ds.pdmd1")) == 2
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        # set OPENBLAS/OMP/MKL_NUM_THREADS before launch instead
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("synth", "--threads", "1")
+        assert excinfo.value.code == 2
+        config = tmp_path / "threads.cfg"
+        config.write_text("threads=1\n")
+        capsys.readouterr()
+        assert run_cli("synth", "--config", str(config)) == 2
+        assert "unknown config keys: threads" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -197,13 +203,13 @@ class TestFit:
         assert run_cli(
             "synth", "--family", "linear", "--nh", "4", "--np", "4",
             "--nt", "161", "--dt", "10", "--t0", "1400",
-            "--param-range", "0.3,0.7", "--seed", "3", "--threads", "1",
+            "--param-range", "0.3,0.7", "--seed", "3",
             "--out", str(path),
         ) == 0
         capsys.readouterr()
         code = run_cli(
             "fit", "--data", str(path), "--algorithm", "roi", "--rank", "4",
-            "--time-window", "1400,2800", "--threads", "1",
+            "--time-window", "1400,2800",
             "--out", str(tmp_path / "m.pdmdm"),
         )
         assert code == 0
@@ -216,7 +222,7 @@ class TestFit:
         capsys.readouterr()
         code = run_cli(
             "fit", "--data", str(path), "--algorithm", "roi", "--rank", "6",
-            "--threads", "1", "--out", str(tmp_path / "m.pdmdm"),
+            "--out", str(tmp_path / "m.pdmdm"),
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -229,7 +235,7 @@ class TestFit:
         capsys.readouterr()
         code = run_cli(
             "fit", "--data", str(path), "--algorithm", "mono", "--rank", "6",
-            "--train-idx", "0,2,4", "--threads", "1",
+            "--train-idx", "0,2,4",
             "--out", str(tmp_path / "m.pdmdm"),
         )
         assert code == 0
@@ -239,7 +245,7 @@ class TestFit:
         path = make_dataset(tmp_path)
         assert run_cli(
             "fit", "--data", str(path), "--algorithm", "roi", "--rank", "99",
-            "--threads", "1", "--out", str(tmp_path / "m.pdmdm"),
+            "--out", str(tmp_path / "m.pdmdm"),
         ) == 3
 
     @pytest.mark.parametrize(
@@ -254,7 +260,7 @@ class TestFit:
         path = tmp_path / "zeros.pdmd1"
         write_dataset(dataset, path)
         code = run_cli(
-            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
+            "fit", "--data", str(path), "--algorithm", "roi",
             "--out", str(tmp_path / "m.pdmdm"), *extra,
         )
         assert code == 3
@@ -276,7 +282,7 @@ class TestFit:
         config.write_text(f"{flag}={value or 1}\n")
         assert run_cli(
             "fit", "--config", str(config), "--data", str(path),
-            "--algorithm", "roi", "--threads", "1",
+            "--algorithm", "roi",
         ) == 2
 
     @pytest.mark.parametrize("rank", [["--rank", "8"], ["--rank", "12"], []],
@@ -288,10 +294,10 @@ class TestFit:
         assert run_cli(
             "synth", "--family", "linear", "--nh", "12", "--np", "18",
             "--nt", "120", "--dt", "0.15", "--param-range", "0.3,0.7",
-            "--seed", "11", "--threads", "1", "--out", str(path),
+            "--seed", "11", "--out", str(path),
         ) == 0
         assert run_cli(
-            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
+            "fit", "--data", str(path), "--algorithm", "roi",
             "--out", str(tmp_path / "m.pdmdm"), *rank,
         ) == 0
         if rank:
@@ -321,7 +327,7 @@ class TestFit:
         write_dataset(dataset, path)
         model = tmp_path / "m.pdmdm"
         assert run_cli("fit", "--data", str(path), "--algorithm", "roi",
-                       "--rank", "1", "--threads", "1", "--out", str(model),
+                       "--rank", "1", "--out", str(model),
                        *flags) == 0
         meta = load_model(model).metadata
         assert (meta["regressor"], meta[field]) == ("rbf-gauss", value)
@@ -335,7 +341,7 @@ class TestFit:
             + np.ones(4 * 12).astype("<f8").tobytes()
         )
         assert run_cli(
-            "fit", "--data", str(path), "--algorithm", "roi", "--threads", "1",
+            "fit", "--data", str(path), "--algorithm", "roi",
             "--out", str(tmp_path / "m.pdmdm"),
         ) == 3
         assert "at least one component" in capsys.readouterr().err
@@ -347,7 +353,7 @@ class TestPredict:
         model = tmp_path / f"{algorithm}.pdmdm"
         assert run_cli(
             "fit", "--data", str(data), "--algorithm", algorithm,
-            "--rank", "6", "--threads", "1", "--out", str(model),
+            "--rank", "6", "--out", str(model),
         ) == 0
         return data, model
 
@@ -358,7 +364,7 @@ class TestPredict:
         capsys.readouterr()
         out_path = tmp_path / "pred.pdmd1"
         code = run_cli("predict", "--model", str(model), "--mu", repr(mu),
-                       "--threads", "1", "--out", str(out_path))
+                       "--out", str(out_path))
         assert code == 0
         console = capsys.readouterr().out
         assert "regressor fits: 0" in console
@@ -373,7 +379,7 @@ class TestPredict:
         data, model = self.fit_model(tmp_path)
         out_path = tmp_path / "pred.pdmd1"
         assert run_cli("predict", "--model", str(model), "--mu", "0.5",
-                       "--threads", "1", "--out", str(out_path)) == 0
+                       "--out", str(out_path)) == 0
         prediction = read_dataset(out_path)
         assert len(prediction.grid) == 40
         assert_allclose(prediction.grid.dt, 0.1)
@@ -385,7 +391,7 @@ class TestPredict:
         out_path = tmp_path / "pred.pdmd1"
         assert run_cli("predict", "--model", str(model), "--mu", "0.5",
                        "--time-window", "0,6", "--nt", "61",
-                       "--threads", "1", "--out", str(out_path)) == 0
+                       "--out", str(out_path)) == 0
         prediction = read_dataset(out_path)
         assert len(prediction.grid) == 61
         assert_allclose(prediction.grid.instants[-1], 6.0)
@@ -395,16 +401,39 @@ class TestPredict:
         out_path = tmp_path / "pred.pdmd1"
         assert run_cli("predict", "--model", str(model), "--mu", "0.5",
                        "--time-window", "0,6", "--nt", "25",
-                       "--threads", "1", "--out", str(out_path)) == 0
+                       "--out", str(out_path)) == 0
         prediction = read_dataset(out_path)
         assert len(prediction.grid) == 25
         assert_allclose(prediction.grid.instants[-1], 6.0)
 
+    @pytest.mark.parametrize("algorithm, regressor", [("roi", "rbf-gauss"), ("rkoi", "poly")])
+    def test_loaded_regressors_answer_queries(self, tmp_path, algorithm, regressor):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "model.pdmdm"
+        assert run_cli("fit", "--data", str(data), "--algorithm", algorithm,
+                       "--rank", "4", "--regressor", regressor, "--out", str(model)) == 0
+        assert run_cli("predict", "--model", str(model), "--mu", "0.45",
+                       "--out", str(tmp_path / "pred.pdmd1")) == 0
+
     def test_wrong_parameter_dimension_is_data_error(self, tmp_path):
         data, model = self.fit_model(tmp_path)
         assert run_cli("predict", "--model", str(model), "--mu", "0.5,0.5",
-                       "--threads", "1",
                        "--out", str(tmp_path / "pred.pdmd1")) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["predict", "--mu", "0.5"],
+                    ["predict", "--mu", "0.5", "--time-window", "0,1", "--nt", "3"],
+                    ["eval", "--data", "DATA"]],
+        ids=["predict", "predict-window", "eval"],
+    )
+    def test_archive_without_fit_metadata_is_data_error(self, tmp_path, capsys, command):
+        data, model = self.fit_model(tmp_path)
+        bare = tmp_path / "bare.pdmdm"
+        save_model(load_model(model).model, bare)
+        capsys.readouterr()
+        argv = [str(data) if arg == "DATA" else arg for arg in command]
+        assert run_cli(*argv, "--model", str(bare), "--out", str(tmp_path / "out")) == 3
+        assert "archive metadata lacks 't0'" in capsys.readouterr().err
 
 
 class TestEvalAndPlotdata:
@@ -415,14 +444,14 @@ class TestEvalAndPlotdata:
             model = tmp_path / f"{algorithm}.pdmdm"
             assert run_cli(
                 "fit", "--data", str(data), "--algorithm", algorithm,
-                "--rank", "6", "--threads", "1", "--out", str(model),
+                "--rank", "6", "--out", str(model),
             ) == 0
             models.append(model)
         report = tmp_path / "report.jsonl"
         capsys.readouterr()
         code = run_cli(
             "eval", "--model", str(models[0]), "--model", str(models[1]),
-            "--data", str(data), "--test-idx", "1,3", "--threads", "1",
+            "--data", str(data), "--test-idx", "1,3",
             "--out", str(report),
         )
         assert code == 0
@@ -476,8 +505,7 @@ class TestBenchCommand:
         suite = tmp_path / "suite.cfg"
         suite.write_text(self.SUITE)
         out_dir = tmp_path / "bench"
-        code = run_cli("bench", "--suite", str(suite), "--threads", "1",
-                       "--out", str(out_dir))
+        code = run_cli("bench", "--suite", str(suite), "--out", str(out_dir))
         assert code == 0
         console = capsys.readouterr().out
         assert "scenario tiny: ok" in console
@@ -507,7 +535,6 @@ class TestBenchCommand:
         suite = tmp_path / "suite.cfg"
         suite.write_text(self.SUITE.replace("rank=4", "rank=9"))
         out_dir = tmp_path / "bench"
-        assert run_cli("bench", "--suite", str(suite), "--threads", "1",
-                       "--out", str(out_dir)) == 5
+        assert run_cli("bench", "--suite", str(suite), "--out", str(out_dir)) == 5
         assert "scenario tiny: FAILED" in capsys.readouterr().out
         assert (out_dir / "failures.txt").exists()

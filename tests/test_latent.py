@@ -70,7 +70,6 @@ def per_step_prediction(model, mu, times, spec):
     """Reference oracle for predict_latent: every DMD advanced separately
     to each requested instant, then one regressor fit per instant."""
     steps = lattice_steps(times, model.t0, model.dt)
-    effective = regression.effective_spec(spec, model.params.shape[0])
     columns = []
     for step in steps:
         if isinstance(model, MonolithicModel):
@@ -78,8 +77,9 @@ def per_step_prediction(model, mu, times, spec):
             states = np.vstack([stacked[a:b] for a, b in model.block_map])
         else:
             states = np.vstack([advance(member, step) for member in model.members])
-        regressor = regression.fit(regression.prepare(effective, model.params), states)
-        columns.append(regression.predict(regressor, mu))
+        sites = regression.prepare(spec, model.params)
+        regressor = regression.fit(sites, states)
+        columns.append(regression.combine(regression.stencil(sites, mu), regressor))
     return lift(np.column_stack(columns), model.basis)
 
 
@@ -273,8 +273,8 @@ def swept_family(params, n_t=24):
 
 def per_instant_loop(model, rows, times, spec):
     """Reference oracle for predict_latent: each instant prepares its
-    training parameters afresh, fits one regressor and predicts every
-    row with regression.predict."""
+    training parameters afresh, fits one regressor and reads every row
+    through a stencil of its own."""
     steps = lattice_steps(times, model.t0, model.dt)
     if isinstance(model, MonolithicModel):
         stacked = dmd.evaluate(model.stacked_dmd, steps)
@@ -282,13 +282,12 @@ def per_instant_loop(model, rows, times, spec):
     else:
         blocks = [dmd.evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)
-    effective = regression.effective_spec(spec, model.params.shape[0])
     latents = np.empty((len(rows),) + trajectories.shape[1:])
     for k in range(steps.size):
-        sites = regression.prepare(effective, model.params)
+        sites = regression.prepare(spec, model.params)
         regressor = regression.fit(sites, trajectories[:, :, k])
         for i, mu in enumerate(rows):
-            latents[i, :, k] = regression.predict(regressor, mu)
+            latents[i, :, k] = regression.combine(regression.stencil(sites, mu), regressor)
     return latents
 
 

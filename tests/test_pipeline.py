@@ -12,7 +12,7 @@ import pdmd.data
 from pdmd import algorithms, dmd, latent as latent_module, regression
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
-from pdmd.errors import DataError
+from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.latent import predict_latent
 from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import (
@@ -191,6 +191,18 @@ class TestPredictSurrogate:
             assert pred.shape == (dataset.n_state, len(columns))
             scale = np.abs(full).max()
             assert_allclose(pred, full[:, columns], rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_clamped_query_warns_once(self, algorithm):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predict_surrogate(
+                surrogate.model, [5.0], dataset.grid.instants[:5], surrogate.regressor
+            )
+        clamped = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
+        assert len(clamped) == 1
 
     def test_unknown_model_object_rejected(self):
         from pdmd.regression import RegressorSpec

@@ -1,5 +1,7 @@
 """Tests for the shared spatial basis, projection and lift."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -275,15 +277,23 @@ class TestScaleSafeBasis:
         options = FitOptions(algorithm, rank=6, bag_trials=3)
         mu = 0.5 * (dataset.params[1] + dataset.params[2])
         reference = fit_surrogate(dataset, options)
-        fitted = fit_surrogate(scaled_dataset(dataset, exponent), options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit_surrogate(scaled_dataset(dataset, exponent), options)
+            predicted = predict_surrogate(fitted.model, mu, dataset.grid.instants,
+                                          fitted.regressor)
         assert np.isfinite(fitted.metadata["mean_train_error"])
         assert_allclose(fitted.train_errors, reference.train_errors, rtol=0, atol=1e-10)
         expected = predict_surrogate(reference.model, mu, dataset.grid.instants,
                                      reference.regressor)
-        predicted = predict_surrogate(fitted.model, mu, dataset.grid.instants,
-                                      fitted.regressor)
         assert_allclose(np.ldexp(predicted, -exponent), expected, rtol=0,
                         atol=1e-10 * np.max(np.abs(expected)))
+        if algorithm == "roi":
+            residuals = fitted.model.train_residuals
+            assert np.all(np.isfinite(residuals))
+            data_norm = np.linalg.norm(np.hstack(dataset.states()))
+            assert_allclose(np.ldexp(residuals, -exponent),
+                            reference.model.train_residuals, rtol=0, atol=1e-10 * data_norm)
 
     @pytest.mark.parametrize("rank", [None, 2])
     def test_extreme_magnitudes_fit_or_raise_pdmd_errors(self, rank):

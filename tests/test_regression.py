@@ -11,11 +11,18 @@ from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.regression import (
     FitCount,
     RegressorSpec,
+    combine,
     default_spec,
     fit,
-    predict,
     prepare,
+    sites_of,
+    stencil,
 )
+
+
+def predict(regressor, mu):
+    """The regressor's value at mu, read through the sites it locates."""
+    return combine(stencil(sites_of(regressor), mu), regressor)
 
 
 class TestLinearInterp:

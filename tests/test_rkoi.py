@@ -12,7 +12,7 @@ from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
-from pdmd.regression import FitCount, RegressorSpec, predict
+from pdmd.regression import FitCount, RegressorSpec, combine, stencil
 from pdmd.rkoi import alignment_tree, fit_rkoi, predict_rkoi
 from pdmd.synth import SynthSpec, generate
 
@@ -62,19 +62,19 @@ class TestFitRkoi:
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
         member = fit_optdmd(latent.trajectory(0), 1)
         for mu in ([0.2], [0.05], [0.9]):
-            omega = predict(model.omega_regressor, mu)
+            omega = combine(stencil(model.sites, mu), model.omega_regressor)
             assert_allclose(omega, member.omegas, atol=1e-10)
 
     def test_decay_rate_interpolates(self):
         latent = decay_family([0.1, 0.2, 0.3])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        omega = predict(model.omega_regressor, [0.25])
+        omega = combine(stencil(model.sites, [0.25]), model.omega_regressor)
         assert_allclose(omega.real, [-0.25], atol=1e-4)
 
     def test_tone_frequency_interpolates(self):
         latent = tone_family([0.0, 0.2])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        omegas = predict(model.omega_regressor, [0.1])
+        omegas = combine(stencil(model.sites, [0.1]), model.omega_regressor)
         assert_allclose(np.sort(omegas.imag), [-1.1, 1.1], atol=1e-3)
         assert_allclose(omegas.real, 0.0, atol=1e-3)
 

@@ -11,7 +11,7 @@ from pdmd.dmd import fit_dmd
 from pdmd.errors import DataError, NumericalError
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
-from pdmd.regression import FitCount, RegressorSpec, predict
+from pdmd.regression import FitCount, RegressorSpec, combine, stencil
 from pdmd.roi import (
     fit_roi,
     fold_operator,
@@ -68,6 +68,11 @@ def pipeline_latent(seed=0, n_params=5, rank=4):
     return dataset, oracle, project(dataset, basis)
 
 
+def operator_at(model, mu):
+    """The synthesized operator at mu, located among the model's sites."""
+    return synthesize_operator(model, stencil(model.sites, mu))
+
+
 class TestFoldUnfold:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
@@ -90,7 +95,7 @@ class TestFitRoi:
         latent = scaled_rotation_latents([0.9], rotation(1.0, 0.4), [1.0, 0.0], 30)
         model = fit_roi(latent, op_rank=1, spec=RegressorSpec("linear"))
         assert model.op_rank == 1
-        rebuilt = synthesize_operator(model, [0.9])
+        rebuilt = operator_at(model, [0.9])
         assert_allclose(rebuilt, latent_operator(latent, 0), atol=1e-12)
 
     def test_linear_family_interpolates(self):
@@ -100,7 +105,7 @@ class TestFitRoi:
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         target = 0.65
         assert_allclose(
-            synthesize_operator(model, [target]), target * base, atol=1e-8
+            operator_at(model, [target]), target * base, atol=1e-8
         )
 
     def test_full_op_rank_reproduces_training_operators(self):
@@ -108,7 +113,7 @@ class TestFitRoi:
         model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
         for i in range(latent.n_params):
             reference = latent_operator(latent, i)
-            rebuilt = synthesize_operator(model, latent.params[i])
+            rebuilt = operator_at(model, latent.params[i])
             assert np.linalg.norm(rebuilt - reference) <= 1e-10
 
     def test_rank_deficient_error_names_parameter_and_supported_rank(self):
@@ -172,8 +177,8 @@ class TestSynthesize:
         latent = scaled_rotation_latents(mus, base, [1.0, 0.0], 25)
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         with pytest.warns(Warning, match="clamped"):
-            beyond = synthesize_operator(model, [1.5])
-        assert_allclose(beyond, synthesize_operator(model, [0.9]), atol=1e-12)
+            beyond = operator_at(model, [1.5])
+        assert_allclose(beyond, operator_at(model, [0.9]), atol=1e-12)
 
 
 class TestPredictRoi:
@@ -211,9 +216,10 @@ class TestPredictRoi:
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         grid = TimeGrid(np.arange(40.0))
         # oracle: eigendecomposition powers of the synthesized operator
-        operator = synthesize_operator(model, [0.8])
+        query = stencil(model.sites, [0.8])
+        operator = synthesize_operator(model, query)
         values, vectors = np.linalg.eig(operator)
-        weights = np.linalg.solve(vectors, predict(model.init_regressor, [0.8]))
+        weights = np.linalg.solve(vectors, combine(query, model.init_regressor))
         powers = values[None, :] ** np.arange(40)[:, None]
         spectral = ((vectors * weights) @ powers.T).real
         assert_allclose(
