@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError
 
@@ -80,6 +81,12 @@ def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
     the discarded tail energy equals ``sqrt(sum(s[rank:] ** 2))``.  With
     ``energy`` the rank kept is the smallest at most ``rank`` that
     captures that fraction of the squared spectrum (``select_rank``).
+
+    A tall matrix (more rows than columns) is first reduced by a
+    Householder QR, ``m = Q R``; the SVD of the small R gives the singular
+    values and right vectors, and Q is applied to the kept left vectors
+    of R only (Chan, ACM TOMS 8 (1982)), so the discarded left vectors
+    are never formed.  Other shapes take one thin SVD.
     """
     m = _as_2d(m)
     if np.iscomplexobj(m):
@@ -87,14 +94,46 @@ def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
     max_rank = min(m.shape)
     if not 1 <= rank <= max_rank:
         raise DataError(f"rank {rank} out of range [1, {max_rank}]")
+    tall = m.shape[0] > m.shape[1]
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        if tall:
+            reflectors, tau = _householder_qr(m)
+            u, s, vt = np.linalg.svd(np.triu(reflectors[: m.shape[1]]))
+        else:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     if energy is not None:
         rank = select_rank(s, energy, rank)
-    u, v = _fix_svd_signs(u[:, :rank], vt[:rank].T)
-    return TruncatedSvd(u, s[:rank].copy(), v)
+    u = u[:, :rank]
+    if tall:
+        u = _apply_q(reflectors, tau, u)
+    u, v = _fix_svd_signs(u, vt[:rank].T)
+    return TruncatedSvd(np.ascontiguousarray(u), s[:rank].copy(), v)
+
+
+def _householder_qr(m):
+    """LAPACK ``dgeqrf`` of a tall real matrix: R in the upper triangle,
+    Q as Householder reflectors below it and in ``tau``."""
+    lwork = lapack.dgeqrf_lwork(*m.shape)[0]
+    reflectors, tau, _, info = lapack.dgeqrf(m, lwork=int(lwork))
+    if info != 0:  # pragma: no cover - only on invalid arguments
+        raise NumericalError(f"QR factorization failed (LAPACK info {info})")
+    return reflectors, tau
+
+
+def _apply_q(reflectors, tau, block):
+    """``Q @ [block; 0]`` for the Q of ``_householder_qr`` (``dormqr``):
+    one column of Q's span per column of ``block``."""
+    padded = np.zeros((reflectors.shape[0], block.shape[1]), order="F")
+    padded[: block.shape[0]] = block
+    lwork = lapack.dormqr("L", "N", reflectors, tau, padded, -1)[1][0]
+    product, _, info = lapack.dormqr(
+        "L", "N", reflectors, tau, padded, int(lwork), overwrite_c=1
+    )
+    if info != 0:  # pragma: no cover - only on invalid arguments
+        raise NumericalError(f"applying Q failed (LAPACK info {info})")
+    return product
 
 
 def scale_exponent(*arrays) -> int:

@@ -7,10 +7,13 @@ never forming the N_h x N_t*N_p stack: a two-level SVD first reduces
 each trajectory A to a factor F with F F^T = A A^T to rounding (a tall
 A rotated by the eigenvectors of its small Gram matrix A^T A, a wide A
 by the QR of A^T), and the SVD of the concatenated factors gives the
-stacked matrix's left singular vectors and values to rounding.  The
-rank is either explicit or the smallest that captures an energy
-fraction.  Every parametric surrogate in the package works in these
-latent coordinates and lifts back through the same basis.
+stacked matrix's left singular vectors and values to rounding.  When
+the concatenation is tall, that SVD is a Householder QR followed by the
+SVD of the small R, and only the kept left singular vectors are formed
+(``linalg.truncated_svd``).  The rank is either explicit or the
+smallest that captures an energy fraction.  Every parametric surrogate
+in the package works in these latent coordinates and lifts back
+through the same basis.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
             factors.append(np.linalg.qr(block.T, mode="r").T)
             continue
         rotated = block @ np.linalg.eigh(block.T @ block)[1]
-        norms = np.linalg.norm(rotated, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", rotated, rotated))
         order = np.argsort(-norms, kind="stable")
         cutoff = norms[order[0]] * max(block.shape) * np.finfo(float).eps
         keep = max(int(np.count_nonzero(norms > cutoff)), min_columns)
@@ -133,9 +136,11 @@ def fit_global_basis(
     An explicit ``rank`` wins; with ``rank`` None the basis keeps the
     smallest rank capturing ``energy`` of the squared spectrum.  The
     basis is a two-level SVD: a rounding-level factor of each
-    trajectory, then one thin SVD of ``[F_1 | ... | F_Np]``, whose
-    spectrum also sets the energy rank.  ``energy_captured`` is relative
-    to the sum of the trajectories' squared Frobenius norms.
+    trajectory, then the truncated SVD of ``[F_1 | ... | F_Np]`` (for a
+    tall concatenation the QR, the SVD of R, and Q applied to the kept
+    left vectors of R only), whose spectrum also sets the energy rank.
+    ``energy_captured`` is relative to the sum of the trajectories'
+    squared Frobenius norms.
 
     Snapshots in extreme units are first scaled by a power of two
     (``linalg.scale_exponent``), which is exact, so that the Gram

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from . import regression
-from .errors import ConvergenceWarning
+from .errors import ConvergenceWarning, DataError
 from .optdmd import (
     OptDmdModel,
     condense_ensemble,
@@ -59,7 +59,16 @@ class RkoiModel:
 
     def __post_init__(self):
         regressors = (self.mode_regressor, self.omega_regressor, self.amp_regressor)
-        object.__setattr__(self, "sites", regression.sites_of(*regressors))
+        sites = regression.sites_of(*regressors)
+        rank = self.basis.rank
+        widths = {"mode": rank * rank, "frequency": rank, "amplitude": rank}
+        for (name, width), regressor in zip(widths.items(), regressors):
+            if regressor.output_dim != width:
+                raise DataError(
+                    f"{name} regressor has {regressor.output_dim} output channels, "
+                    f"basis rank {rank} needs {width}"
+                )
+        object.__setattr__(self, "sites", sites)
 
 
 def alignment_tree(params) -> tuple:

@@ -51,6 +51,18 @@ class RoiModel:
 
     def __post_init__(self):
         sites = regression.sites_of(self.coeff_regressor, self.init_regressor)
+        rank = self.basis.rank
+        width = self.coeff_regressor.output_dim
+        if np.shape(self.op_modes) != (rank * rank, width) or self.op_rank != width:
+            raise DataError(
+                f"op_modes of shape {np.shape(self.op_modes)} (op_rank {self.op_rank}) "
+                f"does not fit basis rank {rank} and {width} coefficient channels"
+            )
+        if self.init_regressor.output_dim != rank:
+            raise DataError(
+                f"initial-state regressor has {self.init_regressor.output_dim} "
+                f"output channels, not the basis rank {rank}"
+            )
         object.__setattr__(self, "sites", sites)
 
 

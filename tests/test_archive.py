@@ -1,6 +1,7 @@
 """Tests for the binary model container."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pdmd.dmd import DmdModel
 from pdmd.errors import DataError
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
-from pdmd.reduction import GlobalBasis, fit_global_basis, project
+from pdmd.reduction import GlobalBasis, _gram_factors, fit_global_basis, project
 from pdmd.regression import KINDS, FittedRegressor, RegressorSpec
 from pdmd.rkoi import RkoiModel
 from pdmd.roi import RoiModel, fit_roi
@@ -181,20 +182,38 @@ class TestFormat:
             load_model(path)
 
 
-# every algorithm with every regressor kind; the plain tag names the
-# linear regressor, the default for a scalar mu
+def tall_dataset():
+    """N_h = 300 rows against ~100 kept factor columns, so the basis takes
+    truncated_svd's QR-first path for tall matrices."""
+    spec = SynthSpec("exp-modes", n_h=300, n_params=5, param_range=(0.2, 0.8),
+                     n_t=30, dt=0.08, seed=23)
+    dataset, _ = generate(spec)
+    rows, columns = _gram_factors(dataset.states(), 1).shape
+    assert rows > 2 * columns
+    return dataset
+
+
+# (dataset, basis rank): None takes the energy rule, as the benchmark does
+ROUND_TRIP_DATASETS = {
+    "desk": (lambda: make_latent(seed=1)[0], 3),
+    "tall": (tall_dataset, None),
+}
+# every algorithm with every regressor kind on the desk case, and with the
+# linear regressor on the tall case; the plain tag names the linear
+# regressor, the default for a scalar mu
 ROUND_TRIP_CASES = [
-    pytest.param(tag, kind, id=tag if kind == "linear" else f"{tag}-{kind}")
+    pytest.param(tag, kind, "desk", id=tag if kind == "linear" else f"{tag}-{kind}")
     for tag in ALGORITHMS
     for kind in KINDS
-]
+] + [pytest.param(tag, "linear", "tall", id=f"{tag}-tall") for tag in ALGORITHMS]
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("tag, kind", ROUND_TRIP_CASES)
-    def test_predictions_bit_identical(self, tag, kind, tmp_path):
-        dataset, _ = make_latent(seed=1)
-        options = FitOptions(tag, rank=3, regressor=RegressorSpec(kind))
+    @pytest.mark.parametrize("tag, kind, data", ROUND_TRIP_CASES)
+    def test_predictions_bit_identical(self, tag, kind, data, tmp_path):
+        build, rank = ROUND_TRIP_DATASETS[data]
+        dataset = build()
+        options = FitOptions(tag, rank=rank, regressor=RegressorSpec(kind))
         fitted = fit_surrogate(dataset, options)
         path = tmp_path / "model.pdmdm"
         save_model(fitted.model, path, metadata=fitted.metadata)
@@ -315,6 +334,61 @@ class TestValidation:
         path = tmp_path / "tampered.pdmdm"
         save_model(model, path, metadata=FIXED_METADATA)
         with pytest.raises(DataError, match=message):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--mu", "0.5",
+                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tag, name, value, message",
+        [
+            ("roi", "op_modes", np.ones((4, 3)), "op_modes of shape (4, 3)"),
+            ("roi", "op_modes", np.ones((9, 2)), "op_modes of shape (9, 2)"),
+            ("roi", "op_rank", 3, "(op_rank 3)"),
+            (
+                "roi",
+                "init_regressor",
+                fixed_regressor([[1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+                "initial-state regressor has 3 output channels",
+            ),
+            (
+                "rkoi",
+                "mode_regressor",
+                fixed_complex_regressor([[1, 0.5j], [1, 0.25j]]),
+                "mode regressor has 2 output channels, basis rank 2 needs 4",
+            ),
+            (
+                "rkoi",
+                "omega_regressor",
+                fixed_complex_regressor([[-0.1 + 1j], [-0.2 + 2j]]),
+                "frequency regressor has 1 output channels",
+            ),
+            (
+                "rkoi",
+                "amp_regressor",
+                fixed_complex_regressor([[1, 1j, 0.5], [0.5j, -0.5j, 1]]),
+                "amplitude regressor has 3 output channels",
+            ),
+        ],
+        ids=[
+            "roi-op-modes-columns",
+            "roi-op-modes-rows",
+            "roi-op-rank",
+            "roi-init-width",
+            "rkoi-mode-width",
+            "rkoi-omega-width",
+            "rkoi-amp-width",
+        ],
+    )
+    def test_widths_off_the_basis_rank_rejected(
+        self, tmp_path, capsys, tag, name, value, message
+    ):
+        model = fixed_models()[tag]
+        # swap the field in after the model checked it, as an edited file would
+        object.__setattr__(model, name, value)
+        path = tmp_path / "tampered.pdmdm"
+        save_model(model, path, metadata=FIXED_METADATA)
+        with pytest.raises(DataError, match=re.escape(message)):
             load_model(path)
         assert main(["predict", "--model", str(path), "--mu", "0.5",
                      "--out", str(tmp_path / "pred.pdmd1")]) == 3

@@ -16,6 +16,32 @@ from pdmd.linalg import (
 )
 
 
+def _rank_deficient(kind):
+    m = np.random.default_rng(17).standard_normal((40, 6))
+    if kind == "zero":
+        m[:, [1, 4]] = 0.0
+    else:
+        m[:, 4:] = m[:, :2]
+    return m
+
+
+# (matrix, count of leading singular values that are nonzero and distinct)
+SVD_SHAPES = {
+    "tall": (np.random.default_rng(1).standard_normal((60, 8)), 8),
+    "square": (np.random.default_rng(2).standard_normal((9, 9)), 9),
+    "wide": (np.random.default_rng(3).standard_normal((7, 30)), 7),
+    "single-column": (np.random.default_rng(4).standard_normal((25, 1)), 1),
+    "tall-zero-columns": (_rank_deficient("zero"), 4),
+    "tall-duplicated-columns": (_rank_deficient("duplicate"), 4),
+}
+
+
+def _signed(u, v):
+    """Reference factors under truncated_svd's sign convention."""
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    return u * signs, v * signs
+
+
 class TestTruncatedSvd:
     def test_identity_full_rank(self):
         svd = truncated_svd(np.eye(4), rank=4)
@@ -70,6 +96,33 @@ class TestTruncatedSvd:
     def test_rejects_complex(self):
         with pytest.raises(DataError):
             truncated_svd(np.eye(3) + 0j, rank=2)
+
+    @pytest.mark.parametrize("case", list(SVD_SHAPES))
+    @pytest.mark.parametrize("how", ["full-rank", "defined-rank", "energy"])
+    def test_factors_match_the_thin_svd(self, case, how):
+        """The QR-first path for tall matrices and the thin SVD for the
+        rest give a full thin SVD's factors, in C order."""
+        m, defined = SVD_SHAPES[case]
+        u_ref, s_ref, vt_ref = np.linalg.svd(m, full_matrices=False)
+        max_rank = min(m.shape)
+        if how == "energy":
+            svd = truncated_svd(m, max_rank, energy=0.9)
+            assert svd.rank == select_rank(s_ref, 0.9, max_rank)
+        else:
+            svd = truncated_svd(m, max_rank if how == "full-rank" else defined)
+        rank = svd.rank
+        assert_allclose(svd.singular_values, s_ref[:rank], rtol=1e-13, atol=1e-13 * s_ref[0])
+        assert_allclose(svd.modes_u.T @ svd.modes_u, np.eye(rank), rtol=0, atol=1e-12)
+        compared = min(rank, defined)
+        u_ref, v_ref = _signed(u_ref[:, :compared], vt_ref[:compared].T)
+        assert_allclose(svd.modes_u[:, :compared], u_ref, rtol=0, atol=1e-10)
+        assert_allclose(svd.right_v[:, :compared], v_ref, rtol=0, atol=1e-10)
+        tail = np.sqrt(np.sum(s_ref[rank:] ** 2))
+        error = np.linalg.norm(m - svd.reconstruct())
+        assert_allclose(error, tail, rtol=1e-10, atol=1e-12 * s_ref[0])
+        assert svd.modes_u.flags.c_contiguous
+        assert svd.modes_u.shape == (m.shape[0], rank)
+        assert svd.right_v.shape == (m.shape[1], rank)
 
 
 class TestScaleExponent:

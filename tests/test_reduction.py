@@ -19,7 +19,7 @@ from pdmd.reduction import (
     lift,
     project,
 )
-from pdmd.synth import SynthSpec, generate
+from pdmd.synth import ExpMode, SynthSpec, generate
 
 
 def make_dataset(n_params=3, n_state=8, n_t=5, seed=0):
@@ -213,6 +213,27 @@ class TestGramFactors:
         assert np.all(np.diff(norms) <= 0)
         error = np.linalg.norm(factor @ factor.T - block @ block.T, 2)
         assert error <= 1e-13 * np.linalg.norm(block, 2) ** 2
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_exact_rank_family_keeps_k_columns_per_block(self, k):
+        # k/2 complex modes with orthonormal real and imaginary parts give
+        # tall 200 x 40 blocks of exact rank k and a spectrum spanning less
+        # than one decade, so every dropped column lies at rounding level
+        shapes, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((200, k)))
+        modes = tuple(
+            ExpMode(shapes[:, 2 * j] + 1j * shapes[:, 2 * j + 1], np.array([1.0, 0.5]),
+                    -0.05 + (1.0 + j) * 1j, 0.3j)
+            for j in range(k // 2)
+        )
+        spec = SynthSpec("exp-modes", n_h=200, n_params=5, param_range=(0.2, 0.8),
+                         n_t=40, dt=0.2, modes=modes)
+        states = generate(spec)[0].states()
+        for block in states:
+            factor = _gram_factors([block], 1)
+            assert factor.shape == (200, k)
+            error = np.linalg.norm(factor @ factor.T - block @ block.T, 2)
+            assert error <= 1e-13 * np.linalg.norm(block, 2) ** 2
+        assert _gram_factors(states, 1).shape == (200, k * len(states))
 
     def test_basis_independent_of_array_layout(self):
         dataset = exp_modes_dataset()
