@@ -20,7 +20,7 @@ from .dmd import DmdModel
 from .errors import DataError
 from .latent import MonolithicModel, PartitionedModel
 from .reduction import GlobalBasis
-from .regression import FittedRegressor, RegressorSpec
+from .regression import FittedRegressor, RegressorSpec, prepare
 from .rkoi import RkoiModel
 from .roi import RoiModel
 
@@ -95,8 +95,21 @@ def _section_value(sections: dict, name: str):
     raise DataError(f"unknown payload kind {kind!r} in section {name!r}")
 
 
+# the name of the value table each kind's query reads; rbf kinds: "weights"
+_VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
+
+
 def _regressor_sections(prefix: str, reg: FittedRegressor) -> dict:
-    spec = reg.spec
+    # besides the value table, v1 keeps entries written from the sites that
+    # a load does not read: linear xs, rbf shape, poly degree
+    sites, spec = reg.sites, reg.sites.spec
+    coefficients = {_VALUE_KEYS.get(spec.kind, "weights"): reg.values}
+    if spec.kind == "linear":
+        coefficients["xs"] = sites.xs
+    elif spec.kind == "poly":
+        coefficients["degree"] = np.array(spec.degree)
+    elif spec.kind != "nearest":
+        coefficients["shape"] = np.array(sites.shape)
     out = {
         f"{prefix}.spec": {
             "kind": spec.kind,
@@ -106,16 +119,18 @@ def _regressor_sections(prefix: str, reg: FittedRegressor) -> dict:
             "extrapolation": spec.extrapolation,
             "output_dim": reg.output_dim,
             "complex_output": reg.complex_output,
-            "coeff_keys": sorted(reg.coefficients),
+            "coeff_keys": sorted(coefficients),
         },
-        f"{prefix}.training_params": reg.training_params,
+        f"{prefix}.training_params": sites.params,
     }
-    for key in sorted(reg.coefficients):
-        out[f"{prefix}.coeff.{key}"] = np.asarray(reg.coefficients[key])
+    for key in sorted(coefficients):
+        out[f"{prefix}.coeff.{key}"] = np.asarray(coefficients[key])
     return out
 
 
 def _read_regressor(prefix: str, sections: dict) -> FittedRegressor:
+    """The regressor on sites prepared from the stored spec and training
+    parameters; its value table must fit them and the stored width."""
     meta = _section_value(sections, f"{prefix}.spec")
     spec = RegressorSpec(
         kind=meta["kind"],
@@ -124,17 +139,18 @@ def _read_regressor(prefix: str, sections: dict) -> FittedRegressor:
         ridge=float(meta["ridge"]),
         extrapolation=meta["extrapolation"],
     )
-    coefficients = {
-        key: _section_value(sections, f"{prefix}.coeff.{key}")
-        for key in meta["coeff_keys"]
-    }
-    return FittedRegressor(
-        spec,
-        _section_value(sections, f"{prefix}.training_params"),
-        coefficients,
-        int(meta["output_dim"]),
-        bool(meta["complex_output"]),
-    )
+    sites = prepare(spec, _section_value(sections, f"{prefix}.training_params"))
+    key = _VALUE_KEYS.get(sites.spec.kind, "weights")
+    values = _section_value(sections, f"{prefix}.coeff.{key}")
+    complex_output = bool(meta["complex_output"])
+    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
+    width = int(meta["output_dim"]) * (2 if complex_output else 1)
+    if values.shape != (rows, width):
+        raise DataError(
+            f"{prefix} {key} of shape {values.shape} does not fit {rows} sites "
+            f"and {width} output channels"
+        )
+    return FittedRegressor(sites, values, complex_output)
 
 
 def _basis_sections(basis: GlobalBasis) -> dict:
@@ -292,21 +308,25 @@ def _write_prefixed(handle, data: bytes) -> None:
 
 
 def save_model(model, path, metadata: dict | None = None) -> None:
-    """Write a model (plus optional string/number metadata) to disk."""
+    """Write a model (plus optional string/number metadata) to disk; a
+    path that cannot be written is a DataError."""
     tag = getattr(model, "tag", None)
     if tag not in _LAYOUTS:
         raise DataError(f"cannot archive object of type {type(model).__name__}")
     to_sections, _ = _LAYOUTS[tag]
     sections = _pack_sections({**_basis_sections(model.basis), **to_sections(model)})
     sections["meta"] = _encode_json(dict(metadata or {}))
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", VERSION))
-        _write_prefixed(handle, tag.encode("utf-8"))
-        handle.write(struct.pack("<I", len(sections)))
-        for name in sorted(sections):
-            _write_prefixed(handle, name.encode("utf-8"))
-            _write_prefixed(handle, sections[name])
+    try:
+        with open(path, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(struct.pack("<I", VERSION))
+            _write_prefixed(handle, tag.encode("utf-8"))
+            handle.write(struct.pack("<I", len(sections)))
+            for name in sorted(sections):
+                _write_prefixed(handle, name.encode("utf-8"))
+                _write_prefixed(handle, sections[name])
+    except OSError as exc:
+        raise DataError(f"cannot write model to {path}: {exc}") from exc
 
 
 class _Cursor:

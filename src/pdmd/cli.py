@@ -4,8 +4,8 @@ Subcommands: synth, fit, predict, eval, plotdata, bench.  Every flag
 has a config-file equivalent (plain ``key=value`` lines, ``#``
 comments); explicit flags override file values.  Exit codes: 0
 success, 2 usage, 3 data error (including missing, unreadable or
-malformed input files and suite text), 4 numerical failure, 5 a
-benchmark scenario failed.
+malformed input files and suite text, and outputs that cannot be
+written), 4 numerical failure, 5 a benchmark scenario failed.
 """
 
 from __future__ import annotations
@@ -174,18 +174,33 @@ def _require(args, dest, flag):
     return value
 
 
-# the fit metadata (written by pipeline.fit_surrogate) that predict and eval read
-_FIT_METADATA = ("t0", "dt", "n_t", "param_dim", "rank", "offline_seconds", "regressor",
-                 "rbf_shape", "poly_degree", "ridge", "extrapolation")
+# the fit metadata (written by pipeline.fit_surrogate) that predict and
+# eval read, with the types they read it as
+_NUMBER = (int, float)
+_FIT_METADATA = {"t0": _NUMBER, "dt": _NUMBER, "offline_seconds": _NUMBER, "ridge": _NUMBER,
+                 "n_t": int, "param_dim": int, "rank": int, "poly_degree": int,
+                 "regressor": str, "extrapolation": str, "rbf_shape": (*_NUMBER, type(None))}
 
 
 def _load_fitted(path):
-    """A model archive holding the fit metadata; one saved without it is
-    a data error naming the missing keys."""
+    """A model archive holding the fit metadata; one saved without it,
+    or with a value of another type, is a data error naming the keys."""
     archive = load_model(path)
-    missing = ", ".join(repr(key) for key in _FIT_METADATA if key not in archive.metadata)
+    metadata = archive.metadata
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: archive metadata is not a JSON object")
+    missing = ", ".join(repr(key) for key in _FIT_METADATA if key not in metadata)
     if missing:
         raise DataError(f"{path}: archive metadata lacks {missing}; write it with pdmd fit")
+    for key, types in _FIT_METADATA.items():
+        value = metadata[key]
+        # bool is an int subclass; JSON true is no number here
+        if isinstance(value, bool) or not isinstance(value, types) or (
+            isinstance(value, float) and not np.isfinite(value)
+        ):
+            raise DataError(
+                f"{path}: archive metadata {key!r} has the invalid value {value!r}"
+            )
     return archive
 
 
@@ -381,7 +396,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -9,19 +9,20 @@ imaginary channels and reassembled on prediction.
 The work is split in stages by what each one depends on, so that many
 regressors on the same training parameters share it:
 
-- ``locate(spec, params)`` depends on the training parameters only.  It
-  validates them, falls back to nearest for a single point, rejects
-  duplicates and builds what a stencil reads: the hull box, the linear
-  sort order, the rbf shape or the polynomial powers.  ``prepare`` adds
-  the fit-only work: the rbf kernel system with its Cholesky factor and
-  condition number, the polynomial features and Gram matrix.
-- ``fit(sites, values)`` trains one regressor on prepared sites.
+- ``prepare(spec, params)`` depends on the training parameters only.
+  It validates them, falls back to nearest for a single point, rejects
+  duplicates and builds what a stencil reads (the hull box, the linear
+  sort order, the rbf shape or the polynomial powers) and what a fit
+  reads (the rbf kernel system with its Cholesky factor and condition
+  number, the polynomial features and Gram matrix).
+- ``fit(sites, values)`` trains one regressor on prepared sites, which
+  it keeps as ``regressor.sites`` for the queries on it.
 - ``stencil(sites, mu)`` depends on the query only.  It checks mu,
   applies the extrapolation policy and builds the bracketing pair and
   weight, the nearest row, the rbf kernel row or the polynomial feature
   row; ``combine(stencil, regressor)`` reads one regressor with it.
-- ``sites_of(*regressors)`` locates the sites fitted or loaded
-  regressors share and checks that their value tables fit them.
+- ``sites_of(*regressors)`` checks that regressors share their spec and
+  training parameters, so that one stencil reads them all.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -105,25 +106,8 @@ class RegressorSpec:
 
 
 @dataclass(frozen=True)
-class FittedRegressor:
-    """Trained map from p-vectors to d-vectors; immutable and reentrant.
-
-    ``coefficients`` holds the value table the kind reads (``table``,
-    ``weights`` or ``beta``).  Its linear ``xs``, rbf ``shape`` and poly
-    ``degree`` entries only keep the archive format: nothing reads them,
-    a query reads the sites ``sites_of`` locates."""
-
-    spec: RegressorSpec
-    training_params: np.ndarray
-    coefficients: dict = field(default_factory=dict)
-    output_dim: int = 0
-    complex_output: bool = False
-
-
-@dataclass(frozen=True)
 class Sites:
-    """Training parameters located (and, by ``prepare``, prepared) for
-    every fit and query on them.
+    """Training parameters prepared for every fit and query on them.
 
     ``lo``/``hi`` bound the hull box.  The kind's fields: ``order`` and
     ``xs`` (linear: ascending row order and sorted abscissae),
@@ -145,6 +129,24 @@ class Sites:
     powers: list | None = None
     features: np.ndarray | None = None
     gram: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class FittedRegressor:
+    """Trained map from p-vectors to d-vectors; immutable and reentrant.
+
+    ``values`` is the one table a query reads: the value rows (linear:
+    sorted), the rbf weights or the polynomial coefficients, imaginary
+    channels after the real ones when ``complex_output``."""
+
+    sites: Sites
+    values: np.ndarray
+    complex_output: bool = False
+
+    @property
+    def output_dim(self) -> int:
+        width = self.values.shape[1]
+        return width // 2 if self.complex_output else width
 
 
 @dataclass(frozen=True)
@@ -215,11 +217,11 @@ def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
     return np.where(distances > 0, distances**2 * np.log(scaled), 0.0)
 
 
-def locate(spec: RegressorSpec, params) -> Sites:
-    """Validate the training parameters and build what a stencil on them
-    reads.  A single point supports only a constant map, so every kind
-    falls back to nearest there; the returned sites carry the spec in
-    effect."""
+def prepare(spec: RegressorSpec, params) -> Sites:
+    """Validate the training parameters and build what every ``fit``
+    and ``stencil`` on them reads; no fitted value enters.  A single
+    point supports only a constant map, so every kind falls back to
+    nearest there; the returned sites carry the spec in effect."""
     params = _normalize_params(params)
     n_points, p = params.shape
     if n_points == 1 and spec.kind != "nearest":
@@ -233,9 +235,14 @@ def locate(spec: RegressorSpec, params) -> Sites:
         if spec.ridge == 0 and n_points < len(powers):
             raise DataError(
                 f"degree-{spec.degree} polynomial has {len(powers)} coefficients "
-                f"but only {n_points} samples; add ridge or samples"
+                f"but only {n_points} training parameters; lower --poly-degree "
+                "or add training parameters"
             )
-        return Sites(spec, params, *box, powers=powers)
+        features = _poly_features(params, powers)
+        gram = None
+        if spec.ridge > 0:
+            gram = features.T @ features + spec.ridge * np.eye(len(powers))
+        return Sites(spec, params, *box, powers=powers, features=features, gram=gram)
 
     if _has_duplicate_rows(params):
         raise DataError("duplicate parameters for an interpolating regressor")
@@ -246,28 +253,10 @@ def locate(spec: RegressorSpec, params) -> Sites:
         return Sites(spec, params, *box)
 
     shape = spec.shape
+    distances = cdist(params, params)
     if shape is None:
-        distances = cdist(params, params)
         shape = float(np.median(distances[~np.eye(n_points, dtype=bool)])) or 1.0
-    return Sites(spec, params, *box, shape=shape)
-
-
-def prepare(spec: RegressorSpec, params) -> Sites:
-    """Located sites plus the fit-only work, which no fitted value
-    enters; every ``fit`` and ``stencil`` on the result shares it."""
-    sites = locate(spec, params)
-    spec = sites.spec
-    if spec.kind == "poly":
-        features = _poly_features(sites.params, sites.powers)
-        gram = None
-        if spec.ridge > 0:
-            gram = features.T @ features + spec.ridge * np.eye(len(sites.powers))
-        return replace(sites, features=features, gram=gram)
-    if spec.kind not in ("rbf-gauss", "rbf-tps"):
-        return sites
-
-    kernel = _rbf_kernel(cdist(sites.params, sites.params) / sites.shape, spec.kind)
-    system = kernel + spec.ridge * np.eye(sites.params.shape[0])
+    system = _rbf_kernel(distances / shape, spec.kind) + spec.ridge * np.eye(n_points)
     cond = np.linalg.cond(system)
     if cond > CONDITION_TELEMETRY_THRESHOLD:
         warnings.warn(
@@ -279,7 +268,7 @@ def prepare(spec: RegressorSpec, params) -> Sites:
         factor = cho_factor(system)
     except np.linalg.LinAlgError:
         factor = None
-    return replace(sites, system=system, factor=factor)
+    return Sites(spec, params, *box, shape=shape, system=system, factor=factor)
 
 
 def fit(sites: Sites, values) -> FittedRegressor:
@@ -297,53 +286,35 @@ def fit(sites: Sites, values) -> FittedRegressor:
         )
     kind = sites.spec.kind
     if kind == "linear":
-        coefficients = {"xs": sites.xs, "table": table[sites.order]}
+        values = table[sites.order]
     elif kind == "nearest":
-        coefficients = {"table": table}
+        values = table
     elif kind in ("rbf-gauss", "rbf-tps"):
         if sites.factor is not None:
             # C order, as the archive stores it: a loaded regressor then
             # reads its rows in the same summation order
-            weights = np.ascontiguousarray(cho_solve(sites.factor, table))
+            values = np.ascontiguousarray(cho_solve(sites.factor, table))
         else:
-            weights = np.linalg.lstsq(sites.system, table, rcond=None)[0]
-        coefficients = {"weights": weights, "shape": np.array(sites.shape)}
+            values = np.linalg.lstsq(sites.system, table, rcond=None)[0]
     else:  # poly
         if sites.gram is not None:
-            beta = np.linalg.solve(sites.gram, sites.features.T @ table)
+            values = np.linalg.solve(sites.gram, sites.features.T @ table)
         else:
-            beta = np.linalg.lstsq(sites.features, table, rcond=None)[0]
-        coefficients = {"beta": beta, "degree": np.array(sites.spec.degree)}
+            values = np.linalg.lstsq(sites.features, table, rcond=None)[0]
 
     _record_fit()
-    dim = table.shape[1] // 2 if complex_output else table.shape[1]
-    return FittedRegressor(sites.spec, sites.params, coefficients, dim, complex_output)
-
-
-# the coefficient each kind reads a query's value from
-_VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
+    return FittedRegressor(sites, values, complex_output)
 
 
 def sites_of(*regressors: FittedRegressor) -> Sites:
-    """The sites the regressors were fitted on, located from their spec
-    and training parameters; a DataError unless they share both and
-    every value table has a row per site (per monomial for poly) and a
-    column per output channel."""
-    sites = locate(regressors[0].spec, regressors[0].training_params)
-    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
-    for regressor in regressors:
-        if regressor.spec != sites.spec or not np.array_equal(
-            regressor.training_params, sites.params
+    """The sites the regressors were fitted on; a DataError unless they
+    share the spec and the training parameters."""
+    sites = regressors[0].sites
+    for regressor in regressors[1:]:
+        if regressor.sites.spec != sites.spec or not np.array_equal(
+            regressor.sites.params, sites.params
         ):
             raise DataError("regressors differ in spec or training parameters")
-        key = _VALUE_KEYS.get(sites.spec.kind, "weights")
-        width = regressor.output_dim * (2 if regressor.complex_output else 1)
-        shape = np.shape(regressor.coefficients.get(key))
-        if shape != (rows, width):
-            raise DataError(
-                f"regressor {key} of shape {shape} does not fit {rows} sites "
-                f"and {width} output channels"
-            )
     return sites
 
 
@@ -404,15 +375,14 @@ def stencil(sites: Sites, mu) -> Stencil:
 def combine(query: Stencil, regressor: FittedRegressor) -> np.ndarray:
     """The regressor's value at the stencil's query; the regressor must
     be fitted on the sites the stencil was built from."""
-    kind = regressor.spec.kind
-    coeff = regressor.coefficients
+    kind = regressor.sites.spec.kind
+    values = regressor.values
     if kind == "linear":
-        table = coeff["table"]
-        row = (1 - query.weight) * table[query.left] + query.weight * table[query.right]
+        row = (1 - query.weight) * values[query.left] + query.weight * values[query.right]
     elif kind == "nearest":
-        row = coeff["table"][query.left]
+        row = values[query.left]
     else:
-        row = query.row @ coeff[_VALUE_KEYS.get(kind, "weights")]
+        row = query.row @ values
 
     if regressor.complex_output:
         return row[: regressor.output_dim] + 1j * row[regressor.output_dim :]

@@ -16,7 +16,7 @@ Continuous in time and free of online training.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -43,8 +43,7 @@ class RkoiModel:
     """Regressed spectral triplets plus the shared spatial basis.
 
     ``notes`` carries fit telemetry (non-converged members, ambiguous
-    alignments) that callers may want to surface.  ``sites``, located
-    once from the regressors when the model is built, is not archived.
+    alignments) that callers may want to surface.
     """
 
     tag: ClassVar[str] = "rkoi"
@@ -55,11 +54,10 @@ class RkoiModel:
     amp_regressor: regression.FittedRegressor
     t0: float
     notes: tuple = ()
-    sites: regression.Sites = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regressors = (self.mode_regressor, self.omega_regressor, self.amp_regressor)
-        sites = regression.sites_of(*regressors)
+        regression.sites_of(*regressors)
         rank = self.basis.rank
         widths = {"mode": rank * rank, "frequency": rank, "amplitude": rank}
         for (name, width), regressor in zip(widths.items(), regressors):
@@ -68,7 +66,6 @@ class RkoiModel:
                     f"{name} regressor has {regressor.output_dim} output channels, "
                     f"basis rank {rank} needs {width}"
                 )
-        object.__setattr__(self, "sites", sites)
 
 
 def alignment_tree(params) -> tuple:
@@ -188,7 +185,7 @@ def fit_rkoi(
 def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
     """Predicted state trajectory at mu for arbitrary (continuous) times."""
     rank = model.basis.rank
-    query = regression.stencil(model.sites, mu)
+    query = regression.stencil(model.mode_regressor.sites, mu)
     omegas = regression.combine(query, model.omega_regressor)
     modes = regression.combine(query, model.mode_regressor).reshape(
         (rank, rank), order="F"

@@ -13,7 +13,7 @@ training parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -34,7 +34,6 @@ class RoiModel:
     (column-major flattened r x r operators); ``train_residuals`` records
     each training parameter's latent DMD reconstruction error so
     downstream error bounds can be checked against fit quality.
-    ``sites``, located once from the regressors, is not archived.
     """
 
     tag: ClassVar[str] = "roi"
@@ -47,10 +46,9 @@ class RoiModel:
     dt: float
     t0: float
     train_residuals: np.ndarray
-    sites: regression.Sites = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sites = regression.sites_of(self.coeff_regressor, self.init_regressor)
+        regression.sites_of(self.coeff_regressor, self.init_regressor)
         rank = self.basis.rank
         width = self.coeff_regressor.output_dim
         if np.shape(self.op_modes) != (rank * rank, width) or self.op_rank != width:
@@ -63,7 +61,6 @@ class RoiModel:
                 f"initial-state regressor has {self.init_regressor.output_dim} "
                 f"output channels, not the basis rank {rank}"
             )
-        object.__setattr__(self, "sites", sites)
 
 
 def unfold_operator(op: np.ndarray) -> np.ndarray:
@@ -162,7 +159,7 @@ def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
     (any order, repeats allowed), stepped by repeated multiplication
     with the synthesized operator."""
     steps = lattice_steps(instants, model.t0, model.dt)
-    query = regression.stencil(model.sites, mu)
+    query = regression.stencil(model.coeff_regressor.sites, mu)
     operator = synthesize_operator(model, query)
     state = regression.combine(query, model.init_regressor)
     latent = np.empty((state.shape[0], steps.size))

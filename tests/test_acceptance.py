@@ -180,7 +180,7 @@ def test_operator_family_exactness():
     op_err = 0.0
     pred_err = 0.0
     for mu in np.linspace(0.1, 0.9, 5):
-        query = stencil(surrogate.model.sites, [mu])
+        query = stencil(surrogate.model.coeff_regressor.sites, [mu])
         lifted = u @ synthesize_operator(surrogate.model, query) @ u.T
         true_op = a0 + mu * a1
         op_err = max(

@@ -17,7 +17,7 @@ from pdmd.errors import DataError
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
 from pdmd.reduction import GlobalBasis, _gram_factors, fit_global_basis, project
-from pdmd.regression import KINDS, FittedRegressor, RegressorSpec
+from pdmd.regression import KINDS, FittedRegressor, RegressorSpec, prepare
 from pdmd.rkoi import RkoiModel
 from pdmd.roi import RoiModel, fit_roi
 from pdmd.synth import SynthSpec, generate
@@ -38,25 +38,17 @@ def make_latent(seed=0, n_params=4, rank=3):
     return dataset, project(dataset, basis)
 
 
-def fixed_regressor(table):
-    table = np.asarray(table, dtype=float)
-    return FittedRegressor(
-        RegressorSpec("linear"),
-        np.array([[0.25], [0.75]]),
-        {"xs": np.array([0.25, 0.75]), "table": table},
-        table.shape[1],
-        False,
-    )
+FIXED_PARAMS = np.array([[0.25], [0.75]])
 
 
-def fixed_complex_regressor(table):
+def fixed_regressor(table, spec=RegressorSpec("linear")):
+    return FittedRegressor(prepare(spec, FIXED_PARAMS), np.asarray(table, dtype=float))
+
+
+def fixed_complex_regressor(table, spec=RegressorSpec("nearest", extrapolation="allow")):
     table = np.asarray(table)
     return FittedRegressor(
-        RegressorSpec("nearest", extrapolation="allow"),
-        np.array([[0.25], [0.75]]),
-        {"table": np.hstack([table.real, table.imag])},
-        table.shape[1],
-        True,
+        prepare(spec, FIXED_PARAMS), np.hstack([table.real, table.imag]), True
     )
 
 
@@ -74,13 +66,15 @@ def fixed_dmd(scale):
     )
 
 
-def fixed_models():
+def fixed_models(spec=None):
     """One model of each kind built from fixed arrays: no fitting, so no
-    LAPACK result reaches the archive bytes."""
+    LAPACK result reaches the archive bytes.  ``roi`` and ``rkoi`` read
+    regressors of ``spec`` if given, else linear and nearest ones."""
     basis = GlobalBasis(
         np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]), np.array([3.0, 0.5]), 0.875
     )
-    params = np.array([[0.25], [0.75]])
+    roi_spec = spec or RegressorSpec("linear")
+    rkoi_spec = spec or RegressorSpec("nearest", extrapolation="allow")
     stacked = DmdModel(
         rank=2,
         reduced_op=np.array([[0.5, 0.0], [0.0, 0.25]]),
@@ -97,8 +91,8 @@ def fixed_models():
             basis=basis,
             op_modes=np.arange(8.0).reshape(4, 2) / 8,
             op_rank=2,
-            coeff_regressor=fixed_regressor([[1.0, 0.5], [0.75, 0.25]]),
-            init_regressor=fixed_regressor([[1.0, 0.0], [0.5, 0.5]]),
+            coeff_regressor=fixed_regressor([[1.0, 0.5], [0.75, 0.25]], roi_spec),
+            init_regressor=fixed_regressor([[1.0, 0.0], [0.5, 0.5]], roi_spec),
             dt=0.5,
             t0=1.0,
             train_residuals=np.array([1e-3, 2e-3]),
@@ -106,19 +100,21 @@ def fixed_models():
         "rkoi": RkoiModel(
             basis=basis,
             mode_regressor=fixed_complex_regressor(
-                [[1, 0.5j, 0.25, -1j], [1, 0.25j, 0.5, -0.5j]]
+                [[1, 0.5j, 0.25, -1j], [1, 0.25j, 0.5, -0.5j]], rkoi_spec
             ),
             omega_regressor=fixed_complex_regressor(
-                [[-0.1 + 1j, -0.1 - 1j], [-0.2 + 2j, -0.2 - 2j]]
+                [[-0.1 + 1j, -0.1 - 1j], [-0.2 + 2j, -0.2 - 2j]], rkoi_spec
             ),
-            amp_regressor=fixed_complex_regressor([[1 + 1j, 1 - 1j], [0.5j, -0.5j]]),
+            amp_regressor=fixed_complex_regressor(
+                [[1 + 1j, 1 - 1j], [0.5j, -0.5j]], rkoi_spec
+            ),
             t0=1.0,
             notes=("parameter 1: fixed note",),
         ),
         "mono": MonolithicModel(
             basis=basis,
             stacked_dmd=stacked,
-            params=params,
+            params=FIXED_PARAMS,
             block_map=((0, 2), (2, 4)),
             dt=0.5,
             t0=1.0,
@@ -126,7 +122,7 @@ def fixed_models():
         "part": PartitionedModel(
             basis=basis,
             members=(fixed_dmd(1.0), fixed_dmd(0.5)),
-            params=params,
+            params=FIXED_PARAMS,
             dt=0.5,
             t0=1.0,
         ),
@@ -142,6 +138,25 @@ GOLDEN_SHA256 = {
     "rkoi": "c1181850852089623aac1cbebd7b8cdbda2cae1900dbbcc8aa928628ba915246",
     "mono": "c0f154941894dab89085b59f1b02397ad1f1debafdaf23dfd4fbfc4820155b39",
     "part": "2ccf4babd01c85c962f9a84db4d6215d005d9ff572f75c7860d3776d57c64658",
+}
+
+# regressors whose archive entries the hashes above do not reach: the rbf
+# shape, taken from the median site distance or given, and the poly degree
+KIND_SPECS = {
+    "rbf-gauss": RegressorSpec("rbf-gauss"),
+    "rbf-tps": RegressorSpec("rbf-tps", shape=0.75),
+    "poly": RegressorSpec("poly", degree=1),
+}
+# SHA-256 of save_model(fixed_models(KIND_SPECS[kind])[tag], path,
+# FIXED_METADATA), taken while a fitted regressor still kept these entries
+# in its own coefficients
+GOLDEN_KIND_SHA256 = {
+    ("roi", "rbf-gauss"): "4595386cb74250e364dd875f24639e022c4648a00f1aca48fbc77aa4a183af8e",
+    ("rkoi", "rbf-gauss"): "9016ffdae346736960cb868b30b9d0390ba6b181a946c31d5155450115614770",
+    ("roi", "rbf-tps"): "28a63e3749a329f6232fa36d4a04de68fb6cd9ffe7b6d06e178014634f2ca2d4",
+    ("rkoi", "rbf-tps"): "dbde0d5b398cfbfdd4b7131edbea67fdddc1f83546faaedaa1f385428f819c63",
+    ("roi", "poly"): "e92255ecdacceab024838ab1fba3fce9d09f7046d7011e0f7809dcc432c86566",
+    ("rkoi", "poly"): "3f9c2de81b7e4a84162c13821b01e74fce91efdff092a6f98f15196fa1efbaec",
 }
 
 
@@ -171,6 +186,16 @@ class TestFormat:
         again = tmp_path / "again.pdmdm"
         save_model(loaded.model, again, metadata=loaded.metadata)
         assert again.read_bytes() == fixed_archives[tag]
+
+    @pytest.mark.parametrize("tag, kind", list(GOLDEN_KIND_SHA256))
+    def test_regressor_kind_bytes_match_golden_hash(self, tag, kind, tmp_path):
+        path = tmp_path / "model.pdmdm"
+        save_model(fixed_models(KIND_SPECS[kind])[tag], path, metadata=FIXED_METADATA)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_KIND_SHA256[(tag, kind)]
+        again = tmp_path / "again.pdmdm"
+        save_model(load_model(path).model, again, metadata=FIXED_METADATA)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_centered_basis_rejected(self, fixed_archives, tmp_path):
         raw = fixed_archives["roi"]
@@ -209,6 +234,7 @@ ROUND_TRIP_CASES = [
 
 
 class TestRoundTrips:
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("tag, kind, data", ROUND_TRIP_CASES)
     def test_predictions_bit_identical(self, tag, kind, data, tmp_path):
         build, rank = ROUND_TRIP_DATASETS[data]
@@ -246,10 +272,10 @@ class TestRoundTrips:
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         loaded = load_model(path).model
-        assert loaded.coeff_regressor.spec == spec
+        assert loaded.coeff_regressor.sites.spec == spec
         assert_allclose(
-            loaded.coeff_regressor.coefficients["weights"],
-            model.coeff_regressor.coefficients["weights"],
+            loaded.coeff_regressor.values,
+            model.coeff_regressor.values,
             atol=0,
             rtol=0,
         )
@@ -313,11 +339,8 @@ class TestValidation:
             (fixed_regressor([[1.0, 0.0]]), "does not fit 2 sites"),
             (
                 FittedRegressor(
-                    RegressorSpec("linear"),
-                    np.array([[0.25], [0.5]]),
-                    {"xs": np.array([0.25, 0.5]), "table": np.eye(2)},
-                    2,
-                    False,
+                    prepare(RegressorSpec("linear"), np.array([[0.25], [0.5]])),
+                    np.eye(2),
                 ),
                 "differ in spec or training parameters",
             ),
@@ -334,6 +357,21 @@ class TestValidation:
         path = tmp_path / "tampered.pdmdm"
         save_model(model, path, metadata=FIXED_METADATA)
         with pytest.raises(DataError, match=message):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--mu", "0.5",
+                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_stored_output_dim_off_the_table_rejected(
+        self, fixed_archives, tmp_path, capsys
+    ):
+        raw = fixed_archives["roi"]
+        stored = b'"output_dim": 2'
+        assert raw.count(stored) == 2
+        path = tmp_path / "tampered.pdmdm"
+        path.write_bytes(raw.replace(stored, b'"output_dim": 3', 1))
+        message = "table of shape (2, 2) does not fit 2 sites and 3 output channels"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_model(path)
         assert main(["predict", "--model", str(path), "--mu", "0.5",
                      "--out", str(tmp_path / "pred.pdmd1")]) == 3

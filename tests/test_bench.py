@@ -198,6 +198,7 @@ class TestDefaultSuiteReference:
 
 
 class TestRunSuite:
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_reports_written_with_expected_shape(self, tmp_path):
         results = run_suite(parse_suite(TINY), str(tmp_path))
         assert len(results) == 1
@@ -217,6 +218,7 @@ class TestRunSuite:
         assert series[0] == "time,value,algorithm,parameter"
         assert len(series) == 1 + 4 * 30
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_rows_match_result_objects(self, tmp_path):
         results = run_suite(parse_suite(TINY), str(tmp_path))
         _, rows = read_table(tmp_path / "tiny_table.csv")
@@ -233,6 +235,7 @@ class TestRunSuite:
         for row in results[0].rows:
             assert np.isfinite(row["forecast_error"])
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_failing_scenario_recorded_not_fatal(self, tmp_path):
         text = TINY + "\n[scenario broken]\ntest-idx=1\nrank=40\nnh=4\nnp=4\n"
         results = run_suite(parse_suite(text), str(tmp_path))
@@ -244,6 +247,7 @@ class TestRunSuite:
         failures = (tmp_path / "failures.txt").read_text()
         assert "broken" in failures
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_non_timing_output_is_deterministic(self, tmp_path):
         run_a = tmp_path / "a"
         run_b = tmp_path / "b"
@@ -261,6 +265,7 @@ class TestRunSuite:
                     continue
                 assert row_a[key] == row_b[key]
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_unset_fit_settings_take_the_class_defaults(self, tmp_path, monkeypatch):
         seen = []
 

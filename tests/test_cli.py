@@ -132,6 +132,29 @@ class TestExitCodes:
         assert run_cli("bench", "--suite", str(tmp_path / "absent.cfg"),
                        "--out", str(tmp_path / "bench")) == 3
 
+    @pytest.mark.parametrize("command", ["fit", "eval", "plotdata", "bench"])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command):
+        # a regular file where the output's folder should be: no command
+        # can create that folder
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        data = make_dataset(tmp_path)
+        model = tmp_path / "m.pdmdm"
+        assert run_cli("fit", "--data", str(data), "--algorithm", "roi",
+                       "--rank", "2", "--out", str(model)) == 0
+        argv = {
+            "fit": ["--data", str(data), "--algorithm", "roi", "--rank", "2"],
+            "eval": ["--model", str(model), "--data", str(data), "--test-idx", "0"],
+            "plotdata": [],
+            "bench": [],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, *argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "blocker" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, key, bad",
         [
@@ -247,6 +270,18 @@ class TestFit:
             "fit", "--data", str(path), "--algorithm", "roi", "--rank", "99",
             "--out", str(tmp_path / "m.pdmdm"),
         ) == 3
+
+    def test_underdetermined_polynomial_names_its_flag(self, tmp_path, capsys):
+        path = make_dataset(tmp_path)
+        capsys.readouterr()
+        assert run_cli(
+            "fit", "--data", str(path), "--algorithm", "roi", "--rank", "2",
+            "--regressor", "poly", "--poly-degree", "6",
+            "--out", str(tmp_path / "m.pdmdm"),
+        ) == 3
+        err = capsys.readouterr().err
+        assert "degree-6 polynomial has 7 coefficients but only 6 training" in err
+        assert "lower --poly-degree or add training parameters" in err
 
     @pytest.mark.parametrize(
         "extra", [[], ["--rank", "1"]], ids=["energy", "explicit-rank"],
@@ -396,6 +431,7 @@ class TestPredict:
         assert len(prediction.grid) == 61
         assert_allclose(prediction.grid.instants[-1], 6.0)
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_off_lattice_instants_with_continuous_model(self, tmp_path):
         data, model = self.fit_model(tmp_path, algorithm="rkoi")
         out_path = tmp_path / "pred.pdmd1"
@@ -434,6 +470,50 @@ class TestPredict:
         argv = [str(data) if arg == "DATA" else arg for arg in command]
         assert run_cli(*argv, "--model", str(bare), "--out", str(tmp_path / "out")) == 3
         assert "archive metadata lacks 't0'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("predict", "dt", "0.1"),
+            ("predict", "t0", None),
+            ("predict", "n_t", 40.5),
+            ("predict", "param_dim", True),
+            ("predict", "regressor", 3),
+            ("predict", "rbf_shape", "wide"),
+            ("predict", "poly_degree", 2.0),
+            ("eval", "rank", "six"),
+            ("eval", "offline_seconds", [1.0]),
+            ("eval", "ridge", float("nan")),
+            ("eval", "extrapolation", None),
+        ],
+    )
+    def test_mistyped_fit_metadata_is_data_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        data, model = self.fit_model(tmp_path)
+        loaded = load_model(model)
+        edited = tmp_path / "edited.pdmdm"
+        save_model(loaded.model, edited, {**loaded.metadata, key: value})
+        argv = ["--mu", "0.5"] if command == "predict" else ["--data", str(data)]
+        capsys.readouterr()
+        assert run_cli(command, "--model", str(edited), *argv,
+                       "--out", str(tmp_path / "out")) == 3
+        assert f"archive metadata {key!r} has the invalid value" in capsys.readouterr().err
+
+    def test_metadata_that_is_no_object_is_data_error(self, tmp_path, capsys):
+        data, model = self.fit_model(tmp_path)
+        bare = tmp_path / "bare.pdmdm"
+        save_model(load_model(model).model, bare)
+        raw = bare.read_bytes()
+        meta = b"meta\x03\x00\x00\x00J{}"  # name, payload length, JSON payload
+        assert raw.count(meta) == 1
+        listed = tmp_path / "listed.pdmdm"
+        listed.write_bytes(raw.replace(meta, meta[:-2] + b"[]"))
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(listed), "--mu", "0.5",
+                       "--out", str(tmp_path / "out")) == 3
+        assert "archive metadata is not a JSON object" in capsys.readouterr().err
 
 
 class TestEvalAndPlotdata:
@@ -501,6 +581,7 @@ class TestBenchCommand:
         "param-range=0.3,0.7\ntest-idx=1\nrank=4\n"
     )
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_suite_file_runs_and_writes_reports(self, tmp_path, capsys):
         suite = tmp_path / "suite.cfg"
         suite.write_text(self.SUITE)

@@ -123,6 +123,7 @@ class TestResolveRank:
 
 
 class TestFitSurrogate:
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_metadata_records_the_fit(self):
         dataset = linear_dataset()
         for algorithm in ALGORITHMS:
@@ -166,6 +167,7 @@ class TestFitSurrogate:
 
 
 class TestPredictSurrogate:
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_every_algorithm_returns_state_by_time(self):
         dataset = linear_dataset()
         times = dataset.grid.instants[:10]
@@ -177,6 +179,7 @@ class TestPredictSurrogate:
             assert pred.shape == (dataset.n_state, 10)
             assert np.all(np.isfinite(pred))
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_single_and_reversed_instants_match_full_grid(self, algorithm):
         dataset = linear_dataset()
@@ -192,6 +195,7 @@ class TestPredictSurrogate:
             scale = np.abs(full).max()
             assert_allclose(pred, full[:, columns], rtol=1e-12, atol=1e-12 * scale)
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_clamped_query_warns_once(self, algorithm):
         dataset = linear_dataset()

@@ -289,6 +289,7 @@ class TestScaleSafeBasis:
             basis.singular_values, np.ldexp(reference.singular_values, exponent), rtol=1e-14
         )
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("exponent", [600, -600])
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_every_algorithm_fits_scaled_data(self, algorithm, exponent):

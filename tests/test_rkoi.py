@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.data import ParametricDataset, TimeGrid, subset_params
-from pdmd.errors import DataError
+from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
@@ -61,20 +61,24 @@ class TestFitRkoi:
         latent = decay_family([0.2])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
         member = fit_optdmd(latent.trajectory(0), 1)
-        for mu in ([0.2], [0.05], [0.9]):
-            omega = combine(stencil(model.sites, mu), model.omega_regressor)
+        sites = model.omega_regressor.sites
+        assert_allclose(combine(stencil(sites, [0.2]), model.omega_regressor),
+                        member.omegas, atol=1e-10)
+        for mu in ([0.05], [0.9]):
+            with pytest.warns(ExtrapolationWarning, match="clamped"):
+                omega = combine(stencil(sites, mu), model.omega_regressor)
             assert_allclose(omega, member.omegas, atol=1e-10)
 
     def test_decay_rate_interpolates(self):
         latent = decay_family([0.1, 0.2, 0.3])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        omega = combine(stencil(model.sites, [0.25]), model.omega_regressor)
+        omega = combine(stencil(model.omega_regressor.sites, [0.25]), model.omega_regressor)
         assert_allclose(omega.real, [-0.25], atol=1e-4)
 
     def test_tone_frequency_interpolates(self):
         latent = tone_family([0.0, 0.2])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        omegas = combine(stencil(model.sites, [0.1]), model.omega_regressor)
+        omegas = combine(stencil(model.omega_regressor.sites, [0.1]), model.omega_regressor)
         assert_allclose(np.sort(omegas.imag), [-1.1, 1.1], atol=1e-3)
         assert_allclose(omegas.real, 0.0, atol=1e-3)
 

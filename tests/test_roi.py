@@ -70,7 +70,7 @@ def pipeline_latent(seed=0, n_params=5, rank=4):
 
 def operator_at(model, mu):
     """The synthesized operator at mu, located among the model's sites."""
-    return synthesize_operator(model, stencil(model.sites, mu))
+    return synthesize_operator(model, stencil(model.coeff_regressor.sites, mu))
 
 
 class TestFoldUnfold:
@@ -216,7 +216,7 @@ class TestPredictRoi:
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         grid = TimeGrid(np.arange(40.0))
         # oracle: eigendecomposition powers of the synthesized operator
-        query = stencil(model.sites, [0.8])
+        query = stencil(model.coeff_regressor.sites, [0.8])
         operator = synthesize_operator(model, query)
         values, vectors = np.linalg.eig(operator)
         weights = np.linalg.solve(vectors, combine(query, model.init_regressor))
