@@ -89,7 +89,10 @@ def _section_value(sections: dict, name: str):
     payload = sections[name]
     kind, body = payload[:1], payload[1:]
     if kind == b"A":
-        return _decode_array(body)
+        value = _decode_array(body)
+        if value.dtype.kind in "fc" and not np.isfinite(value).all():
+            raise DataError(f"archive section {name!r} holds non-finite entries")
+        return value
     if kind == b"J":
         return json.loads(body.decode("utf-8"))
     raise DataError(f"unknown payload kind {kind!r} in section {name!r}")
@@ -128,29 +131,37 @@ def _regressor_sections(prefix: str, reg: FittedRegressor) -> dict:
     return out
 
 
-def _read_regressor(prefix: str, sections: dict) -> FittedRegressor:
-    """The regressor on sites prepared from the stored spec and training
-    parameters; its value table must fit them and the stored width."""
-    meta = _section_value(sections, f"{prefix}.spec")
-    spec = RegressorSpec(
-        kind=meta["kind"],
-        shape=meta["shape"],
-        degree=int(meta["degree"]),
-        ridge=float(meta["ridge"]),
-        extrapolation=meta["extrapolation"],
-    )
-    sites = prepare(spec, _section_value(sections, f"{prefix}.training_params"))
-    key = _VALUE_KEYS.get(sites.spec.kind, "weights")
-    values = _section_value(sections, f"{prefix}.coeff.{key}")
-    complex_output = bool(meta["complex_output"])
-    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
-    width = int(meta["output_dim"]) * (2 if complex_output else 1)
-    if values.shape != (rows, width):
-        raise DataError(
-            f"{prefix} {key} of shape {values.shape} does not fit {rows} sites "
-            f"and {width} output channels"
+def _read_regressors(sections: dict, *prefixes: str) -> tuple:
+    """The regressors stored under the prefixes, on the sites prepared
+    from the first one's stored spec and training parameters, which the
+    others must match; each value table must fit the sites and its width."""
+    regressors = []
+    for prefix in prefixes:
+        meta = _section_value(sections, f"{prefix}.spec")
+        spec = RegressorSpec(
+            kind=meta["kind"],
+            shape=meta["shape"],
+            degree=int(meta["degree"]),
+            ridge=float(meta["ridge"]),
+            extrapolation=meta["extrapolation"],
         )
-    return FittedRegressor(sites, values, complex_output)
+        params = _section_value(sections, f"{prefix}.training_params")
+        if not regressors:
+            first, sites = (spec, params), prepare(spec, params)
+        elif spec != first[0] or not np.array_equal(params, first[1]):
+            raise DataError("regressors differ in spec or training parameters")
+        key = _VALUE_KEYS.get(sites.spec.kind, "weights")
+        values = _section_value(sections, f"{prefix}.coeff.{key}")
+        complex_output = bool(meta["complex_output"])
+        rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
+        width = int(meta["output_dim"]) * (2 if complex_output else 1)
+        if values.shape != (rows, width):
+            raise DataError(
+                f"{prefix} {key} of shape {values.shape} does not fit {rows} sites "
+                f"and {width} output channels"
+            )
+        regressors.append(FittedRegressor(sites, values, complex_output))
+    return tuple(regressors)
 
 
 def _basis_sections(basis: GlobalBasis) -> dict:
@@ -212,11 +223,10 @@ def _roi_sections(model: RoiModel) -> dict:
 def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
     meta = _section_value(sections, "roi.spec")
     return RoiModel(
-        basis=basis,
-        op_modes=_section_value(sections, "roi.op_modes"),
-        op_rank=int(meta["op_rank"]),
-        coeff_regressor=_read_regressor("roi.coeff_reg", sections),
-        init_regressor=_read_regressor("roi.init_reg", sections),
+        basis,
+        _section_value(sections, "roi.op_modes"),
+        int(meta["op_rank"]),
+        *_read_regressors(sections, "roi.coeff_reg", "roi.init_reg"),
         dt=float(meta["dt"]),
         t0=float(meta["t0"]),
         train_residuals=_section_value(sections, "roi.train_residuals"),
@@ -235,10 +245,8 @@ def _rkoi_sections(model: RkoiModel) -> dict:
 def _read_rkoi(sections: dict, basis: GlobalBasis) -> RkoiModel:
     meta = _section_value(sections, "rkoi.spec")
     return RkoiModel(
-        basis=basis,
-        mode_regressor=_read_regressor("rkoi.mode_reg", sections),
-        omega_regressor=_read_regressor("rkoi.omega_reg", sections),
-        amp_regressor=_read_regressor("rkoi.amp_reg", sections),
+        basis,
+        *_read_regressors(sections, "rkoi.mode_reg", "rkoi.omega_reg", "rkoi.amp_reg"),
         t0=float(meta["t0"]),
         notes=tuple(meta["notes"]),
     )

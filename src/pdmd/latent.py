@@ -14,11 +14,11 @@ the operator- and triplet-interpolation strategies.
 N_t regressor fits, so scoring a model at all N_p training parameters
 costs N_t fits, not N_p * N_t; a query passes its mu as one row and
 runs N_t fits.  What the fits share is done once per call: the training
-parameters are prepared once (``regression.prepare``) and each row is
-checked, clamped and located once (``regression.stencil``), so an
-instant costs one ``regression.fit`` plus one ``regression.combine``
-per row, and a clamped query or an ill-conditioned rbf system warns
-once, not once per instant.
+parameters are prepared once (``regression.prepare``) and the whole
+block is checked, clamped and located once (``regression.stencil``, one
+weight matrix), so an instant costs one ``regression.fit`` plus one
+``regression.combine`` for all rows, and a clamped row or an
+ill-conditioned rbf system warns once, not once per instant.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     for an n x p block of parameter rows.
 
     Each DMD is evaluated once at all requested instants, the training
-    parameters are prepared once and every row gets one stencil; then,
-    for every instant, one regressor is trained on the per-parameter
-    latent states there and read at every row's stencil.  This online
+    parameters are prepared once and the block gets one weight matrix;
+    then, for every instant, one regressor is trained on the
+    per-parameter latent states there and read at all rows.  This online
     training, N_t fits per call whatever n is, is the contract of the
     strategy; count it with ``regression.FitCount``.
     """
@@ -141,10 +141,9 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
         blocks = [evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)  # N_p x r x N_t
     sites = regression.prepare(spec, model.params)
-    stencils = [regression.stencil(sites, mu) for mu in rows]
+    weights = regression.stencil(sites, rows)
     latents = np.empty((rows.shape[0],) + trajectories.shape[1:])
     for k in range(steps.size):
         regressor = regression.fit(sites, trajectories[:, :, k])
-        for i, query in enumerate(stencils):
-            latents[i, :, k] = regression.combine(query, regressor)
+        latents[:, :, k] = regression.combine(weights, regressor)
     return latents

@@ -44,8 +44,11 @@ class GlobalBasis:
 
     def __post_init__(self):
         gram = self.modes_u.T @ self.modes_u
-        if np.max(np.abs(gram - np.eye(self.rank))) > ORTHONORMALITY_TOL:
+        # written so that a NaN fails the test
+        if not np.max(np.abs(gram - np.eye(self.rank))) <= ORTHONORMALITY_TOL:
             raise DataError("basis columns are not orthonormal")
+        if not np.isfinite(self.singular_values).all():
+            raise DataError("basis singular values contain non-finite entries")
         if not 0 < self.energy_captured <= 1 + 1e-12:
             raise DataError(f"energy captured {self.energy_captured} out of (0, 1]")
 

@@ -17,10 +17,11 @@ regressors on the same training parameters share it:
   number, the polynomial features and Gram matrix).
 - ``fit(sites, values)`` trains one regressor on prepared sites, which
   it keeps as ``regressor.sites`` for the queries on it.
-- ``stencil(sites, mu)`` depends on the query only.  It checks mu,
-  applies the extrapolation policy and builds the bracketing pair and
-  weight, the nearest row, the rbf kernel row or the polynomial feature
-  row; ``combine(stencil, regressor)`` reads one regressor with it.
+- ``stencil(sites, mu)`` depends on the query only.  It checks mu (a
+  p-vector or an n x p block), applies the extrapolation policy and
+  weighs the rows of any value table fitted on the sites: ``1 - w`` and
+  ``w`` at the bracketing rows, a single 1, the rbf kernel row or the
+  polynomial feature row; ``combine(weights, regressor)`` sums them.
 - ``sites_of(*regressors)`` checks that regressors share their spec and
   training parameters, so that one stencil reads them all.
 
@@ -147,19 +148,6 @@ class FittedRegressor:
     def output_dim(self) -> int:
         width = self.values.shape[1]
         return width // 2 if self.complex_output else width
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """How one query reads any regressor fitted on the same sites.
-    linear: table rows ``left`` and ``right`` blended by ``weight``;
-    nearest: table row ``left``; rbf and poly: the kernel or feature
-    ``row`` dotted with the coefficients."""
-
-    left: int = 0
-    right: int = 0
-    weight: float = 0.0
-    row: np.ndarray | None = None
 
 
 def _normalize_params(params) -> np.ndarray:
@@ -318,74 +306,75 @@ def sites_of(*regressors: FittedRegressor) -> Sites:
     return sites
 
 
-def _apply_policy(sites: Sites, mu: np.ndarray) -> np.ndarray:
+def _apply_policy(sites: Sites, rows: np.ndarray) -> np.ndarray:
+    """The rows after the extrapolation policy, for a block with a row
+    outside the hull box (a non-finite row fails the hull test too); one
+    warning per clamped row."""
+    if not np.isfinite(rows).all():
+        raise DataError("query contains non-finite entries")
     lo, hi = sites.lo, sites.hi
-    if ((mu >= lo) & (mu <= hi)).all():
-        return mu
+    outside = ~((rows >= lo) & (rows <= hi)).all(axis=1)
     policy = sites.spec.extrapolation
     if policy == "allow":
-        return mu
+        return rows
     if policy == "error":
         raise DataError(
-            f"query {mu.tolist()} outside the training hull "
+            f"query {rows[outside][0].tolist()} outside the training hull "
             f"[{lo.tolist()}, {hi.tolist()}]"
         )
-    clamped = np.clip(mu, lo, hi)
-    warnings.warn(
-        f"query {mu.tolist()} clamped to hull box {clamped.tolist()}",
-        ExtrapolationWarning,
-        stacklevel=3,
-    )
+    clamped = np.clip(rows, lo, hi)
+    for mu, row in zip(rows[outside], clamped[outside]):
+        warnings.warn(
+            f"query {mu.tolist()} clamped to hull box {row.tolist()}",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
     return clamped
 
 
-def stencil(sites: Sites, mu) -> Stencil:
-    """Check one parameter vector, apply the extrapolation policy and
-    locate it among the sites, once for every regressor on them."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+def stencil(sites: Sites, mu) -> np.ndarray:
+    """Weights over the rows of any value table fitted on the sites: a
+    length-m row for one p-vector mu, an n x m matrix for an n x p block.
+    Checks mu, applies the extrapolation policy and locates every row,
+    once for every regressor on the sites."""
+    mu = np.asarray(mu, dtype=float)
+    rows = mu if mu.ndim == 2 else mu.reshape(1, -1)
     p = sites.params.shape[1]
-    if mu.shape != (p,):
-        raise DataError(f"query must be a {p}-vector, got shape {mu.shape}")
-    if not np.isfinite(mu).all():
-        raise DataError("query contains non-finite entries")
-    mu = _apply_policy(sites, mu)
+    if mu.ndim > 2 or rows.shape[1] != p:
+        raise DataError(
+            f"query must be a {p}-vector or an n x {p} block, got shape {mu.shape}"
+        )
+    if not ((rows >= sites.lo) & (rows <= sites.hi)).all():
+        rows = _apply_policy(sites, rows)
     kind = sites.spec.kind
 
     if kind == "linear":
-        xs = sites.xs
-        x = mu[0]
-        if x <= xs[0]:
-            # the allow policy may pass x < xs[0]: extend the first segment
-            left, right = 0, 1
-        elif x >= xs[-1]:
-            left, right = len(xs) - 2, len(xs) - 1
-        else:
-            right = int(xs.searchsorted(x, side="right"))
-            left = right - 1
-        return Stencil(left, right, (x - xs[left]) / (xs[right] - xs[left]))
-    if kind == "nearest":
-        distances = np.linalg.norm(sites.params - mu, axis=1)
-        return Stencil(left=int(np.argmin(distances)))
-    if kind in ("rbf-gauss", "rbf-tps"):
-        distances = cdist(mu[None, :], sites.params)[0]
-        return Stencil(row=_rbf_kernel(distances / sites.shape, kind))
-    return Stencil(row=_poly_features(mu[None, :], sites.powers)[0])
-
-
-def combine(query: Stencil, regressor: FittedRegressor) -> np.ndarray:
-    """The regressor's value at the stencil's query; the regressor must
-    be fitted on the sites the stencil was built from."""
-    kind = regressor.sites.spec.kind
-    values = regressor.values
-    if kind == "linear":
-        row = (1 - query.weight) * values[query.left] + query.weight * values[query.right]
+        xs, x = sites.xs, rows[:, 0]
+        # the sorted rows bracketing x; the end segments extend past the hull
+        left = xs[1:-1].searchsorted(x, side="right")
+        weight = (x - xs[left]) / (xs[1:][left] - xs[left])
+        weights = np.zeros((len(x), len(xs)))
+        flat = weights.reshape(-1)  # a view: (row, left) is at row * m + left
+        at = np.arange(0, flat.size, len(xs)) + left
+        flat[at] = 1 - weight
+        flat[1:][at] = weight
     elif kind == "nearest":
-        row = values[query.left]
+        distances = np.linalg.norm(sites.params - rows[:, None, :], axis=2)
+        weights = np.eye(len(sites.params))[np.argmin(distances, axis=1)]
+    elif kind in ("rbf-gauss", "rbf-tps"):
+        weights = _rbf_kernel(cdist(rows, sites.params) / sites.shape, kind)
     else:
-        row = query.row @ values
+        weights = _poly_features(rows, sites.powers)
+    return weights if mu.ndim == 2 else weights[0]
 
+
+def combine(weights: np.ndarray, regressor: FittedRegressor) -> np.ndarray:
+    """The regressor's value at the stencil's query, d or n x d; it must
+    be fitted on the stencil's sites.  Summed by einsum, not BLAS, so a
+    row reads the same bits alone as in a block."""
+    row = np.einsum("...m,md->...d", weights, regressor.values)
     if regressor.complex_output:
-        return row[: regressor.output_dim] + 1j * row[regressor.output_dim :]
+        return row[..., : regressor.output_dim] + 1j * row[..., regressor.output_dim :]
     return row
 
 

@@ -185,11 +185,11 @@ def fit_rkoi(
 def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
     """Predicted state trajectory at mu for arbitrary (continuous) times."""
     rank = model.basis.rank
-    query = regression.stencil(model.mode_regressor.sites, mu)
-    omegas = regression.combine(query, model.omega_regressor)
-    modes = regression.combine(query, model.mode_regressor).reshape(
+    weights = regression.stencil(model.mode_regressor.sites, np.ravel(mu))
+    omegas = regression.combine(weights, model.omega_regressor)
+    modes = regression.combine(weights, model.mode_regressor).reshape(
         (rank, rank), order="F"
     )
-    amps = regression.combine(query, model.amp_regressor)
+    amps = regression.combine(weights, model.amp_regressor)
     omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
     return lift(exponential_sum(omegas, modes, amps, model.t0, times), model.basis)

@@ -147,10 +147,10 @@ def fit_roi(
     )
 
 
-def synthesize_operator(model: RoiModel, query: regression.Stencil) -> np.ndarray:
-    """Latent one-step operator at a query located among the model's
-    sites, from the regressed coefficients."""
-    coeffs = regression.combine(query, model.coeff_regressor)
+def synthesize_operator(model: RoiModel, weights: np.ndarray) -> np.ndarray:
+    """Latent one-step operator at a query's stencil weights over the
+    model's sites, from the regressed coefficients."""
+    coeffs = regression.combine(weights, model.coeff_regressor)
     return fold_operator(model.op_modes @ coeffs)
 
 
@@ -159,9 +159,9 @@ def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
     (any order, repeats allowed), stepped by repeated multiplication
     with the synthesized operator."""
     steps = lattice_steps(instants, model.t0, model.dt)
-    query = regression.stencil(model.coeff_regressor.sites, mu)
-    operator = synthesize_operator(model, query)
-    state = regression.combine(query, model.init_regressor)
+    weights = regression.stencil(model.coeff_regressor.sites, np.ravel(mu))
+    operator = synthesize_operator(model, weights)
+    state = regression.combine(weights, model.init_regressor)
     latent = np.empty((state.shape[0], steps.size))
     current = 0
     for position in np.argsort(steps):

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pdmd.algorithms import ALGORITHMS
 from pdmd.archive import MAGIC, ModelArchive, load_model, save_model
 from pdmd.cli import main
 from pdmd.dmd import DmdModel
-from pdmd.errors import DataError
+from pdmd.errors import DataError, IllConditionedWarning
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
 from pdmd.reduction import GlobalBasis, _gram_factors, fit_global_basis, project
@@ -332,6 +333,41 @@ class TestValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="does not match shape"):
             load_model(path)
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_non_finite_basis_rejected(self, tag, fixed_archives, tmp_path, capsys):
+        raw = bytearray(fixed_archives[tag])
+        # basis.modes_u is the first array: its first entry follows the
+        # kind, dtype code, ndim and dims
+        start = raw.index(b"A\x00\x02\x03\x00\x00\x00\x02\x00\x00\x00")
+        raw[start + 11 : start + 19] = np.array(np.nan).tobytes()
+        path = tmp_path / "nan.pdmdm"
+        path.write_bytes(bytes(raw))
+        message = "archive section 'basis.modes_u' holds non-finite entries"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--mu", "0.5",
+                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag, n_regressors", [("roi", 2), ("rkoi", 3)])
+    def test_regressors_load_on_one_set_of_sites(self, tag, n_regressors, tmp_path):
+        # sites a millionth of the rbf shape apart: condition number ~8e12
+        spec = RegressorSpec("rbf-gauss", shape=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            model = fixed_models(spec)[tag]
+        path = tmp_path / "ill.pdmdm"
+        save_model(model, path, metadata=FIXED_METADATA)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_model(path).model
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        regressors = [
+            value for value in vars(loaded).values() if isinstance(value, FittedRegressor)
+        ]
+        assert len(regressors) == n_regressors
+        assert all(regressor.sites is regressors[0].sites for regressor in regressors)
 
     @pytest.mark.parametrize(
         "init_regressor, message",

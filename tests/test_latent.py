@@ -378,3 +378,46 @@ class TestWarningsOncePerQuery:
             lambda: predict_latent(model, [[0.5]], latent.grid.instants, spec),
         )
         assert n_warnings == 1
+
+    def test_one_warning_per_clamped_row_from_predict_latent(self, fit_model):
+        latent = swept_family([[0.2], [0.5], [0.8]])
+        model = fit_model(latent)
+        rows = [[5.0], [0.5], [-1.0]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predict_latent(model, rows, latent.grid.instants, RegressorSpec("linear"))
+        assert [str(w.message) for w in caught] == [
+            "query [5.0] clamped to hull box [0.8]",
+            "query [-1.0] clamped to hull box [0.2]",
+        ]
+        assert all(w.category is ExtrapolationWarning for w in caught)
+        assert all(w.filename == latent_module.__file__ for w in caught)
+
+
+@pytest.mark.parametrize("fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"])
+@pytest.mark.parametrize("n_rows", [1, 2, 6])
+def test_block_read_fits_and_combines_once_per_instant(fit_model, n_rows, monkeypatch):
+    """One regression.fit and one regression.combine per instant, for
+    all rows of the block at once; FitCount still reads N_t."""
+    latent = swept_family(ORACLE_PARAMS[1])
+    model = fit_model(latent)
+    calls = {"fit": 0, "combine": 0}
+
+    def counted(name):
+        original = getattr(regression, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(regression, name, counted(name))
+    times = latent.grid.instants[::2]
+    rows = oracle_rows(latent.params, "inside", n_rows)
+    with FitCount() as fits:
+        out = predict_latent(model, rows, times, RegressorSpec("linear"))
+    assert out.shape == (n_rows, 2, len(times))
+    assert calls == {"fit": len(times), "combine": len(times)}
+    assert fits.count == len(times)

@@ -14,6 +14,7 @@ from pdmd.linalg import select_rank
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import (
     DEFAULT_ENERGY,
+    GlobalBasis,
     _gram_factors,
     fit_global_basis,
     lift,
@@ -422,6 +423,19 @@ class TestProjectLift:
             assert_allclose(
                 lift(original, basis), lift(mixed, rotated), atol=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "modes_u, singular_values, message",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), "not orthonormal"),
+            (np.eye(2), np.array([1.0, np.inf]), "singular values contain non-finite"),
+            (np.eye(2), np.array([np.nan, 1.0]), "singular values contain non-finite"),
+        ],
+        ids=["nan-mode", "inf-singular-value", "nan-singular-value"],
+    )
+    def test_non_finite_basis_rejected(self, modes_u, singular_values, message):
+        with pytest.raises(DataError, match=message):
+            GlobalBasis(modes_u, singular_values, 1.0)
 
     def test_dimension_mismatch(self):
         ds = make_dataset(n_state=8)

@@ -146,6 +146,12 @@ class TestPredictRkoi:
             predict_rkoi(model, [0.15], latent.grid.instants)
         assert fits.count == 0
 
+    def test_one_row_block_reads_as_its_row(self):
+        latent = decay_family([0.1, 0.3])
+        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        block = predict_rkoi(model, [[0.2]], latent.grid.instants)
+        assert block.tobytes() == predict_rkoi(model, [0.2], latent.grid.instants).tobytes()
+
 
 def linear_operator_example():
     """Nine trajectories whose spectra cross between neighbouring

@@ -252,6 +252,13 @@ class TestPredictRoi:
             predict_roi(model, [0.5], np.arange(0.0, 10.0, 0.5))
         assert fits.count == 0
 
+    def test_one_row_block_reads_as_its_row(self):
+        _, _, latent = pipeline_latent(seed=7, n_params=4)
+        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        instants = np.arange(0.0, 10.0, 0.5)
+        block = predict_roi(model, [[0.5]], instants)
+        assert block.tobytes() == predict_roi(model, [0.5], instants).tobytes()
+
     def test_off_lattice_rejected(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
