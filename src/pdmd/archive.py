@@ -86,7 +86,10 @@ def _pack_sections(sections: dict) -> dict:
 def _section_value(sections: dict, name: str):
     if name not in sections:
         raise DataError(f"archive is missing section {name!r}")
-    payload = sections[name]
+    return sections[name]
+
+
+def _decode_section(name: str, payload: bytes):
     kind, body = payload[:1], payload[1:]
     if kind == b"A":
         value = _decode_array(body)
@@ -102,66 +105,75 @@ def _section_value(sections: dict, name: str):
 _VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
 
 
-def _regressor_sections(prefix: str, reg: FittedRegressor) -> dict:
-    # besides the value table, v1 keeps entries written from the sites that
-    # a load does not read: linear xs, rbf shape, poly degree
-    sites, spec = reg.sites, reg.sites.spec
-    coefficients = {_VALUE_KEYS.get(spec.kind, "weights"): reg.values}
+def _regressor_sections(regressor: FittedRegressor, groups: dict) -> dict:
+    """v1 keeps one regressor per column group, under the group's prefix:
+    its channels (real, then imaginary) and entries written from the
+    sites that a load does not read: linear xs, rbf shape, poly degree."""
+    sites, spec = regressor.sites, regressor.sites.spec
+    key = _VALUE_KEYS.get(spec.kind, "weights")
+    extra = {}
     if spec.kind == "linear":
-        coefficients["xs"] = sites.xs
+        extra["xs"] = sites.xs
     elif spec.kind == "poly":
-        coefficients["degree"] = np.array(spec.degree)
+        extra["degree"] = np.array(spec.degree)
     elif spec.kind != "nearest":
-        coefficients["shape"] = np.array(sites.shape)
-    out = {
-        f"{prefix}.spec": {
+        extra["shape"] = np.array(sites.shape)
+    out, start = {}, 0
+    for prefix, width in groups.items():
+        columns = np.arange(start, start + width)
+        if regressor.complex_output:
+            columns = np.concatenate([columns, regressor.output_dim + columns])
+        coefficients = {key: regressor.values[:, columns], **extra}
+        out[f"{prefix}.spec"] = {
             "kind": spec.kind,
             "shape": spec.shape,
             "degree": spec.degree,
             "ridge": spec.ridge,
             "extrapolation": spec.extrapolation,
-            "output_dim": reg.output_dim,
-            "complex_output": reg.complex_output,
+            "output_dim": width,
+            "complex_output": regressor.complex_output,
             "coeff_keys": sorted(coefficients),
-        },
-        f"{prefix}.training_params": sites.params,
-    }
-    for key in sorted(coefficients):
-        out[f"{prefix}.coeff.{key}"] = np.asarray(coefficients[key])
+        }
+        out[f"{prefix}.training_params"] = sites.params
+        for name in sorted(coefficients):
+            out[f"{prefix}.coeff.{name}"] = np.asarray(coefficients[name])
+        start += width
     return out
 
 
-def _read_regressors(sections: dict, *prefixes: str) -> tuple:
-    """The regressors stored under the prefixes, on the sites prepared
-    from the first one's stored spec and training parameters, which the
-    others must match; each value table must fit the sites and its width."""
-    regressors = []
+def _read_regressor(sections: dict, *prefixes: str) -> FittedRegressor:
+    """The one regressor stored as column groups under the prefixes, on
+    the sites prepared from the first group's spec and training
+    parameters (``_check_copies`` then holds every group to them); each
+    value table must fit the sites and its group's stored channel count."""
+    meta = _section_value(sections, f"{prefixes[0]}.spec")
+    spec = RegressorSpec(
+        kind=meta["kind"],
+        shape=meta["shape"],
+        degree=int(meta["degree"]),
+        ridge=float(meta["ridge"]),
+        extrapolation=meta["extrapolation"],
+    )
+    sites = prepare(spec, _section_value(sections, f"{prefixes[0]}.training_params"))
+    complex_output = bool(meta["complex_output"])
+    key = _VALUE_KEYS.get(sites.spec.kind, "weights")
+    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
+    tables = []
     for prefix in prefixes:
-        meta = _section_value(sections, f"{prefix}.spec")
-        spec = RegressorSpec(
-            kind=meta["kind"],
-            shape=meta["shape"],
-            degree=int(meta["degree"]),
-            ridge=float(meta["ridge"]),
-            extrapolation=meta["extrapolation"],
-        )
-        params = _section_value(sections, f"{prefix}.training_params")
-        if not regressors:
-            first, sites = (spec, params), prepare(spec, params)
-        elif spec != first[0] or not np.array_equal(params, first[1]):
-            raise DataError("regressors differ in spec or training parameters")
-        key = _VALUE_KEYS.get(sites.spec.kind, "weights")
         values = _section_value(sections, f"{prefix}.coeff.{key}")
-        complex_output = bool(meta["complex_output"])
-        rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
-        width = int(meta["output_dim"]) * (2 if complex_output else 1)
+        stored = int(_section_value(sections, f"{prefix}.spec")["output_dim"])
+        width = stored * (2 if complex_output else 1)
         if values.shape != (rows, width):
             raise DataError(
                 f"{prefix} {key} of shape {values.shape} does not fit {rows} sites "
                 f"and {width} output channels"
             )
-        regressors.append(FittedRegressor(sites, values, complex_output))
-    return tuple(regressors)
+        tables.append(values)
+    if complex_output:  # the real channels of every group, then the imaginary ones
+        tables = [t[:, : t.shape[1] // 2] for t in tables] + [
+            t[:, t.shape[1] // 2 :] for t in tables
+        ]
+    return FittedRegressor(sites, np.hstack(tables), complex_output)
 
 
 def _basis_sections(basis: GlobalBasis) -> dict:
@@ -211,12 +223,12 @@ def _read_dmd(prefix: str, sections: dict) -> DmdModel:
 
 
 def _roi_sections(model: RoiModel) -> dict:
+    groups = {"roi.coeff_reg": model.op_rank, "roi.init_reg": model.basis.rank}
     return {
         "roi.spec": {"op_rank": model.op_rank, "dt": model.dt, "t0": model.t0},
         "roi.op_modes": model.op_modes,
         "roi.train_residuals": model.train_residuals,
-        **_regressor_sections("roi.coeff_reg", model.coeff_regressor),
-        **_regressor_sections("roi.init_reg", model.init_regressor),
+        **_regressor_sections(model.regressor, groups),
     }
 
 
@@ -225,8 +237,7 @@ def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
     return RoiModel(
         basis,
         _section_value(sections, "roi.op_modes"),
-        int(meta["op_rank"]),
-        *_read_regressors(sections, "roi.coeff_reg", "roi.init_reg"),
+        _read_regressor(sections, "roi.coeff_reg", "roi.init_reg"),
         dt=float(meta["dt"]),
         t0=float(meta["t0"]),
         train_residuals=_section_value(sections, "roi.train_residuals"),
@@ -234,11 +245,11 @@ def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
 
 
 def _rkoi_sections(model: RkoiModel) -> dict:
+    rank = model.basis.rank
+    groups = {"rkoi.mode_reg": rank * rank, "rkoi.omega_reg": rank, "rkoi.amp_reg": rank}
     return {
         "rkoi.spec": {"t0": model.t0, "notes": list(model.notes)},
-        **_regressor_sections("rkoi.mode_reg", model.mode_regressor),
-        **_regressor_sections("rkoi.omega_reg", model.omega_regressor),
-        **_regressor_sections("rkoi.amp_reg", model.amp_regressor),
+        **_regressor_sections(model.regressor, groups),
     }
 
 
@@ -246,39 +257,34 @@ def _read_rkoi(sections: dict, basis: GlobalBasis) -> RkoiModel:
     meta = _section_value(sections, "rkoi.spec")
     return RkoiModel(
         basis,
-        *_read_regressors(sections, "rkoi.mode_reg", "rkoi.omega_reg", "rkoi.amp_reg"),
+        _read_regressor(sections, "rkoi.mode_reg", "rkoi.omega_reg", "rkoi.amp_reg"),
         t0=float(meta["t0"]),
         notes=tuple(meta["notes"]),
     )
 
 
 def _mono_sections(model: MonolithicModel) -> dict:
+    dmd, rank = model.stacked_dmd, model.basis.rank
     return {
-        "mono.spec": {"dt": model.dt, "t0": model.t0},
+        "mono.spec": {"dt": dmd.dt, "t0": dmd.t0},
         "mono.params": model.params,
-        "mono.block_map": np.asarray(model.block_map, dtype=np.int64),
-        **_dmd_sections("mono.stacked", model.stacked_dmd),
+        "mono.block_map": rank * np.add.outer(np.arange(len(model.params)), [0, 1]),
+        **_dmd_sections("mono.stacked", dmd),
     }
 
 
 def _read_mono(sections: dict, basis: GlobalBasis) -> MonolithicModel:
-    meta = _section_value(sections, "mono.spec")
-    block_map = tuple(
-        (int(lo), int(hi)) for lo, hi in _section_value(sections, "mono.block_map")
-    )
     return MonolithicModel(
         basis=basis,
         stacked_dmd=_read_dmd("mono.stacked", sections),
         params=_section_value(sections, "mono.params"),
-        block_map=block_map,
-        dt=float(meta["dt"]),
-        t0=float(meta["t0"]),
     )
 
 
 def _part_sections(model: PartitionedModel) -> dict:
+    lattice = model.members[0]
     sections = {
-        "part.spec": {"dt": model.dt, "t0": model.t0, "n_members": len(model.members)},
+        "part.spec": {"dt": lattice.dt, "t0": lattice.t0, "n_members": len(model.members)},
         "part.params": model.params,
     }
     for i, member in enumerate(model.members):
@@ -292,11 +298,7 @@ def _read_part(sections: dict, basis: GlobalBasis) -> PartitionedModel:
         _read_dmd(f"part.member{i}", sections) for i in range(int(meta["n_members"]))
     )
     return PartitionedModel(
-        basis=basis,
-        members=members,
-        params=_section_value(sections, "part.params"),
-        dt=float(meta["dt"]),
-        t0=float(meta["t0"]),
+        basis=basis, members=members, params=_section_value(sections, "part.params")
     )
 
 
@@ -315,14 +317,34 @@ def _write_prefixed(handle, data: bytes) -> None:
     handle.write(data)
 
 
+def _model_sections(tag: str, model) -> dict:
+    to_sections, _ = _LAYOUTS[tag]
+    return {**_basis_sections(model.basis), **to_sections(model)}
+
+
+def _check_copies(sections: dict, tag: str, model) -> None:
+    """Every section the model would be written as must hold what the
+    archive holds: a stored copy of a fact the arrays fix (a lattice, a
+    block map, a channel count) that disagrees with them is a DataError."""
+    for name, value in _model_sections(tag, model).items():
+        stored = _section_value(sections, name)
+        if value is stored:  # the model keeps the array as it was read
+            continue
+        if isinstance(value, np.ndarray):  # written with at least one axis
+            agrees = np.array_equal(stored, np.atleast_1d(value))
+        else:
+            agrees = stored == value
+        if not agrees:
+            raise DataError(f"archive section {name!r} disagrees with the model's arrays")
+
+
 def save_model(model, path, metadata: dict | None = None) -> None:
     """Write a model (plus optional string/number metadata) to disk; a
     path that cannot be written is a DataError."""
     tag = getattr(model, "tag", None)
     if tag not in _LAYOUTS:
         raise DataError(f"cannot archive object of type {type(model).__name__}")
-    to_sections, _ = _LAYOUTS[tag]
-    sections = _pack_sections({**_basis_sections(model.basis), **to_sections(model)})
+    sections = _pack_sections(_model_sections(tag, model))
     sections["meta"] = _encode_json(dict(metadata or {}))
     try:
         with open(path, "wb") as handle:
@@ -378,13 +400,14 @@ def load_model(path) -> ModelArchive:
             name = cursor.prefixed("section name").decode("utf-8")
             if name in sections:
                 raise DataError(f"duplicate archive section {name!r}")
-            sections[name] = cursor.prefixed(f"section {name!r}")
+            sections[name] = _decode_section(name, cursor.prefixed(f"section {name!r}"))
         if cursor.offset != len(cursor.raw):
             raise DataError("trailing bytes after the last archive section")
         if tag not in _LAYOUTS:
             raise DataError(f"unknown algorithm tag {tag!r}")
         _, from_sections = _LAYOUTS[tag]
         model = from_sections(sections, _read_basis(sections))
+        _check_copies(sections, tag, model)
         metadata = _section_value(sections, "meta")
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         # undecodable UTF-8 or JSON, missing spec keys, mistyped values

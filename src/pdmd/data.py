@@ -71,16 +71,23 @@ class TimeGrid:
 
 def lattice_steps(instants, t0: float, dt: float) -> np.ndarray:
     """Integer steps k with instants = t0 + k dt, to 1e-9 relative
-    tolerance; instants off that lattice or before t0 are a DataError."""
+    tolerance; instants off that lattice, before t0 or more steps away
+    than an int64 holds are a DataError."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
     steps = (instants - t0) / dt
     rounded = np.round(steps)
+    if np.min(rounded, initial=0) < 0:
+        raise DataError(f"requested instants precede the initial instant {t0}")
+    if not np.max(rounded, initial=0) < 2.0**63:  # also an inf or NaN step
+        far = ~(rounded < 2.0**63)
+        raise DataError(
+            f"instant {instants[far][0]} is {steps[far][0]:g} steps from {t0} "
+            f"on the lattice {t0} + k * {dt}, beyond the int64 range"
+        )
     off = np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))
     if np.any(off):
         raise DataError(f"instant {instants[off][0]} is not on the lattice {t0} + k * {dt}")
-    if np.any(rounded < 0):
-        raise DataError(f"requested instants precede the initial instant {t0}")
-    return rounded.astype(int)
+    return rounded.astype(np.int64)
 
 
 @dataclass(frozen=True)

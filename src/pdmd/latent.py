@@ -37,37 +37,34 @@ from .reduction import GlobalBasis, LatentDataset
 
 @dataclass(frozen=True)
 class MonolithicModel:
-    """One DMD over the vertically stacked latent trajectories."""
+    """One DMD over the vertically stacked latent trajectories: rows
+    i r to (i + 1) r of its state are training parameter i's latent
+    state, and its lattice is the model's."""
 
     tag: ClassVar[str] = "mono"
 
     basis: GlobalBasis
     stacked_dmd: DmdModel
     params: np.ndarray
-    block_map: tuple
-    dt: float
-    t0: float
 
     def __post_init__(self):
-        stops = [stop for _, stop in self.block_map]
-        starts = [start for start, _ in self.block_map]
-        if starts[0] != 0 or any(
-            a != b for a, b in zip(stops[:-1], starts[1:])
-        ) or stops[-1] != self.stacked_dmd.modes.shape[0]:
-            raise DataError("block map does not partition the stacked rows")
+        rows = self.stacked_dmd.modes.shape[0]
+        if rows != len(self.params) * self.basis.rank:
+            raise DataError(
+                f"stacked DMD has {rows} state rows, not {len(self.params)} "
+                f"parameters times basis rank {self.basis.rank}"
+            )
 
 
 @dataclass(frozen=True)
 class PartitionedModel:
-    """One DMD per training parameter."""
+    """One DMD per training parameter, on one shared time lattice."""
 
     tag: ClassVar[str] = "part"
 
     basis: GlobalBasis
     members: tuple
     params: np.ndarray
-    dt: float
-    t0: float
 
     def __post_init__(self):
         ranks = {member.rank for member in self.members}
@@ -75,6 +72,12 @@ class PartitionedModel:
         starts = {member.t0 for member in self.members}
         if len(ranks) != 1 or len(steps) != 1 or len(starts) != 1:
             raise DataError("members must share rank and time lattice")
+        rows = {member.modes.shape[0] for member in self.members}
+        if len(self.members) != len(self.params) or rows != {self.basis.rank}:
+            raise DataError(
+                f"{len(self.members)} members of state rows {sorted(rows)} do not "
+                f"fit {len(self.params)} parameters at basis rank {self.basis.rank}"
+            )
 
 
 def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
@@ -89,18 +92,7 @@ def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
     supported = int(np.sum(spectrum > 1e-10 * spectrum[0]))
     stacked_rank = min(stacked.shape[0], len(latent.grid) - 1, supported)
     model = fit_dmd(SnapshotMatrix(stacked, latent.grid), stacked_rank)
-    rank = latent.rank
-    block_map = tuple(
-        (i * rank, (i + 1) * rank) for i in range(latent.n_params)
-    )
-    return MonolithicModel(
-        basis=latent.basis,
-        stacked_dmd=model,
-        params=latent.params,
-        block_map=block_map,
-        dt=latent.grid.dt,
-        t0=latent.grid.t0,
-    )
+    return MonolithicModel(basis=latent.basis, stacked_dmd=model, params=latent.params)
 
 
 def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
@@ -108,13 +100,7 @@ def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
     members = tuple(
         fit_dmd(latent.trajectory(i), latent.rank) for i in range(latent.n_params)
     )
-    return PartitionedModel(
-        basis=latent.basis,
-        members=members,
-        params=latent.params,
-        dt=latent.grid.dt,
-        t0=latent.grid.t0,
-    )
+    return PartitionedModel(basis=latent.basis, members=members, params=latent.params)
 
 
 def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.ndarray:
@@ -133,13 +119,12 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     rows = np.asarray(mu_rows, dtype=float)
     if rows.ndim != 2:
         raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
-    steps = lattice_steps(times, model.t0, model.dt)
-    if isinstance(model, MonolithicModel):
-        stacked = evaluate(model.stacked_dmd, steps)
-        blocks = [stacked[a:b] for a, b in model.block_map]
-    else:
-        blocks = [evaluate(member, steps) for member in model.members]
-    trajectories = np.stack(blocks)  # N_p x r x N_t
+    dmds = (model.stacked_dmd,) if isinstance(model, MonolithicModel) else model.members
+    steps = lattice_steps(times, dmds[0].t0, dmds[0].dt)
+    # N_p x r x N_t; a stacked state holds the parameters' r rows in turn
+    trajectories = np.stack([evaluate(dmd, steps) for dmd in dmds]).reshape(
+        len(model.params), model.basis.rank, steps.size
+    )
     sites = regression.prepare(spec, model.params)
     weights = regression.stencil(sites, rows)
     latents = np.empty((rows.shape[0],) + trajectories.shape[1:])

@@ -22,8 +22,9 @@ regressors on the same training parameters share it:
   weighs the rows of any value table fitted on the sites: ``1 - w`` and
   ``w`` at the bracketing rows, a single 1, the rbf kernel row or the
   polynomial feature row; ``combine(weights, regressor)`` sums them.
-- ``sites_of(*regressors)`` checks that regressors share their spec and
-  training parameters, so that one stencil reads them all.
+
+A surrogate that regresses several quantities over mu joins them into
+one value table, so one fit trains them and one ``combine`` reads them.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -244,7 +245,12 @@ def prepare(spec: RegressorSpec, params) -> Sites:
     distances = cdist(params, params)
     if shape is None:
         shape = float(np.median(distances[~np.eye(n_points, dtype=bool)])) or 1.0
-    system = _rbf_kernel(distances / shape, spec.kind) + spec.ridge * np.eye(n_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = _rbf_kernel(distances / shape, spec.kind) + spec.ridge * np.eye(n_points)
+    if not np.isfinite(system).all():
+        raise DataError(
+            f"rbf kernel system overflows at shape {shape:g}; raise --rbf-shape"
+        )
     cond = np.linalg.cond(system)
     if cond > CONDITION_TELEMETRY_THRESHOLD:
         warnings.warn(
@@ -292,18 +298,6 @@ def fit(sites: Sites, values) -> FittedRegressor:
 
     _record_fit()
     return FittedRegressor(sites, values, complex_output)
-
-
-def sites_of(*regressors: FittedRegressor) -> Sites:
-    """The sites the regressors were fitted on; a DataError unless they
-    share the spec and the training parameters."""
-    sites = regressors[0].sites
-    for regressor in regressors[1:]:
-        if regressor.sites.spec != sites.spec or not np.array_equal(
-            regressor.sites.params, sites.params
-        ):
-            raise DataError("regressors differ in spec or training parameters")
-    return sites
 
 
 def _apply_policy(sites: Sites, rows: np.ndarray) -> np.ndarray:

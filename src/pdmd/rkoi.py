@@ -6,10 +6,10 @@ amplitudes).  Each member is aligned to its parent in a minimum
 spanning tree over the training parameters by least-total-distance
 frequency matching and phased to the tree's root, so the model does
 not depend on the row order; then every channel (real and imaginary
-parts of vec(modes), frequencies, amplitudes) is regressed over mu.
-Online: locate the queried mu once (one stencil), read the three
-regressors there, symmetrize conjugate pairs, and sum exponentials at
-any requested time.
+parts of vec(modes), frequencies, amplitudes) is regressed over mu as
+one value table.  Online: read that table once at the queried mu (one
+stencil, one combine), symmetrize conjugate pairs, and sum exponentials
+at any requested time.
 Continuous in time and free of online training.
 """
 
@@ -42,30 +42,26 @@ from .reduction import GlobalBasis, LatentDataset, lift
 class RkoiModel:
     """Regressed spectral triplets plus the shared spatial basis.
 
-    ``notes`` carries fit telemetry (non-converged members, ambiguous
-    alignments) that callers may want to surface.
+    ``regressor`` maps mu to r^2 + 2r complex channels: vec(modes),
+    column-major, then the r continuous frequencies, then the r
+    amplitudes.  ``notes`` carries fit telemetry (non-converged members,
+    ambiguous alignments) that callers may want to surface.
     """
 
     tag: ClassVar[str] = "rkoi"
 
     basis: GlobalBasis
-    mode_regressor: regression.FittedRegressor
-    omega_regressor: regression.FittedRegressor
-    amp_regressor: regression.FittedRegressor
+    regressor: regression.FittedRegressor
     t0: float
     notes: tuple = ()
 
     def __post_init__(self):
-        regressors = (self.mode_regressor, self.omega_regressor, self.amp_regressor)
-        regression.sites_of(*regressors)
-        rank = self.basis.rank
-        widths = {"mode": rank * rank, "frequency": rank, "amplitude": rank}
-        for (name, width), regressor in zip(widths.items(), regressors):
-            if regressor.output_dim != width:
-                raise DataError(
-                    f"{name} regressor has {regressor.output_dim} output channels, "
-                    f"basis rank {rank} needs {width}"
-                )
+        rank, width = self.basis.rank, self.regressor.output_dim
+        if width != rank * (rank + 2):
+            raise DataError(
+                f"triplet regressor has {width} output channels, "
+                f"basis rank {rank} needs {rank * (rank + 2)}"
+            )
 
 
 def alignment_tree(params) -> tuple:
@@ -167,16 +163,15 @@ def fit_rkoi(
     lead_rows = np.argmax(np.abs(aligned[order[0]].modes), axis=0)
     aligned = [_rephase(member, lead_rows) for member in aligned]
 
-    mode_table = np.vstack([m.modes.flatten(order="F") for m in aligned])
-    omega_table = np.vstack([m.omegas for m in aligned])
-    amp_table = np.vstack([m.amplitudes for m in aligned])
+    table = np.vstack(
+        [np.concatenate([m.modes.flatten(order="F"), m.omegas, m.amplitudes])
+         for m in aligned]
+    )
 
     sites = regression.prepare(spec, latent.params)
     return RkoiModel(
         basis=latent.basis,
-        mode_regressor=regression.fit(sites, mode_table),
-        omega_regressor=regression.fit(sites, omega_table),
-        amp_regressor=regression.fit(sites, amp_table),
+        regressor=regression.fit(sites, table),
         t0=latent.grid.t0,
         notes=tuple(notes),
     )
@@ -185,11 +180,9 @@ def fit_rkoi(
 def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
     """Predicted state trajectory at mu for arbitrary (continuous) times."""
     rank = model.basis.rank
-    weights = regression.stencil(model.mode_regressor.sites, np.ravel(mu))
-    omegas = regression.combine(weights, model.omega_regressor)
-    modes = regression.combine(weights, model.mode_regressor).reshape(
-        (rank, rank), order="F"
-    )
-    amps = regression.combine(weights, model.amp_regressor)
+    weights = regression.stencil(model.regressor.sites, np.ravel(mu))
+    triplets = regression.combine(weights, model.regressor)
+    modes = triplets[: rank * rank].reshape((rank, rank), order="F")
+    omegas, amps = triplets[rank * rank :].reshape(2, rank)
     omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
     return lift(exponential_sum(omegas, modes, amps, model.t0, times), model.basis)

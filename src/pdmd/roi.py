@@ -3,12 +3,11 @@
 Offline: one full-rank DMD per training parameter in latent
 coordinates, the operators flattened into columns of a matrix whose
 truncated SVD yields operator modes and per-parameter coefficients;
-the coefficients and the initial latent states are regressed over mu.
-Online: locate the queried mu once among the training parameters
-(one stencil, shared by both regressors), synthesize the operator from
-the regressed coefficients, step the latent state, lift.  No regressor
-is fitted online, so query cost does not grow with the number of
-training parameters.
+the coefficients and the initial latent states are regressed over mu as
+one value table.  Online: read that table once at the queried mu (one
+stencil, one combine), synthesize the operator from the coefficients,
+step the latent state, lift.  No regressor is fitted online, so query
+cost does not grow with the number of training parameters.
 """
 
 from __future__ import annotations
@@ -31,36 +30,35 @@ class RoiModel:
     """Interpolatable family of latent one-step operators.
 
     ``op_modes`` holds the orthonormal operator modes as columns
-    (column-major flattened r x r operators); ``train_residuals`` records
-    each training parameter's latent DMD reconstruction error so
-    downstream error bounds can be checked against fit quality.
+    (column-major flattened r x r operators), one per coefficient.
+    ``regressor`` maps mu to op_rank + r channels: the op_rank
+    operator-mode coefficients, then the r entries of the initial latent
+    state.  ``train_residuals`` records each training parameter's latent
+    DMD reconstruction error so downstream error bounds can be checked
+    against fit quality.
     """
 
     tag: ClassVar[str] = "roi"
 
     basis: GlobalBasis
     op_modes: np.ndarray
-    op_rank: int
-    coeff_regressor: regression.FittedRegressor
-    init_regressor: regression.FittedRegressor
+    regressor: regression.FittedRegressor
     dt: float
     t0: float
     train_residuals: np.ndarray
 
     def __post_init__(self):
-        regression.sites_of(self.coeff_regressor, self.init_regressor)
-        rank = self.basis.rank
-        width = self.coeff_regressor.output_dim
-        if np.shape(self.op_modes) != (rank * rank, width) or self.op_rank != width:
+        rank, shape = self.basis.rank, np.shape(self.op_modes)
+        width = self.regressor.output_dim
+        if len(shape) != 2 or shape[0] != rank * rank or width != shape[1] + rank:
             raise DataError(
-                f"op_modes of shape {np.shape(self.op_modes)} (op_rank {self.op_rank}) "
-                f"does not fit basis rank {rank} and {width} coefficient channels"
+                f"op_modes of shape {shape} and {width} regressor channels "
+                f"do not fit basis rank {rank}"
             )
-        if self.init_regressor.output_dim != rank:
-            raise DataError(
-                f"initial-state regressor has {self.init_regressor.output_dim} "
-                f"output channels, not the basis rank {rank}"
-            )
+
+    @property
+    def op_rank(self) -> int:
+        return self.op_modes.shape[1]
 
 
 def unfold_operator(op: np.ndarray) -> np.ndarray:
@@ -133,24 +131,19 @@ def fit_roi(
     initial_states = np.vstack([lat[:, 0] for lat in latent.latents])
 
     sites = regression.prepare(spec, latent.params)
-    coeff_regressor = regression.fit(sites, coefficients)
-    init_regressor = regression.fit(sites, initial_states)
     return RoiModel(
         basis=latent.basis,
         op_modes=svd.modes_u,
-        op_rank=op_rank,
-        coeff_regressor=coeff_regressor,
-        init_regressor=init_regressor,
+        regressor=regression.fit(sites, np.hstack([coefficients, initial_states])),
         dt=latent.grid.dt,
         t0=latent.grid.t0,
         train_residuals=np.asarray(residuals),
     )
 
 
-def synthesize_operator(model: RoiModel, weights: np.ndarray) -> np.ndarray:
-    """Latent one-step operator at a query's stencil weights over the
-    model's sites, from the regressed coefficients."""
-    coeffs = regression.combine(weights, model.coeff_regressor)
+def synthesize_operator(model: RoiModel, coeffs: np.ndarray) -> np.ndarray:
+    """Latent one-step operator from op_rank operator-mode coefficients,
+    the leading channels of the model's regressor read at a query."""
     return fold_operator(model.op_modes @ coeffs)
 
 
@@ -159,9 +152,10 @@ def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
     (any order, repeats allowed), stepped by repeated multiplication
     with the synthesized operator."""
     steps = lattice_steps(instants, model.t0, model.dt)
-    weights = regression.stencil(model.coeff_regressor.sites, np.ravel(mu))
-    operator = synthesize_operator(model, weights)
-    state = regression.combine(weights, model.init_regressor)
+    weights = regression.stencil(model.regressor.sites, np.ravel(mu))
+    values = regression.combine(weights, model.regressor)
+    operator = synthesize_operator(model, values[: model.op_rank])
+    state = values[model.op_rank :]
     latent = np.empty((state.shape[0], steps.size))
     current = 0
     for position in np.argsort(steps):

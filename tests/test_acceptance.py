@@ -32,7 +32,7 @@ from pdmd.optdmd import (
 )
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, timed_query
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
-from pdmd.regression import RegressorSpec, stencil
+from pdmd.regression import RegressorSpec, combine, stencil
 from pdmd.roi import synthesize_operator
 from pdmd.synth import ExpMode, SynthSpec, generate
 
@@ -180,8 +180,9 @@ def test_operator_family_exactness():
     op_err = 0.0
     pred_err = 0.0
     for mu in np.linspace(0.1, 0.9, 5):
-        query = stencil(surrogate.model.coeff_regressor.sites, [mu])
-        lifted = u @ synthesize_operator(surrogate.model, query) @ u.T
+        model = surrogate.model
+        coeffs = combine(stencil(model.regressor.sites, [mu]), model.regressor)
+        lifted = u @ synthesize_operator(model, coeffs[: model.op_rank]) @ u.T
         true_op = a0 + mu * a1
         op_err = max(
             op_err, np.linalg.norm(lifted - true_op) / np.linalg.norm(true_op)
@@ -273,7 +274,7 @@ def test_latent_variant_consistency():
     rebuilt = reconstruct(mono.stacked_dmd, grid).state
     slice_err = 0.0
     for i in range(latent.n_params):
-        lo, hi = mono.block_map[i]
+        lo, hi = 2 * i, 2 * (i + 1)
         standalone = reconstruct(fit_dmd(latent.trajectory(i), 2), grid).state
         slice_err = max(slice_err, frobenius_rel_error(standalone, rebuilt[lo:hi]))
 

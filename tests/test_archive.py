@@ -1,7 +1,9 @@
 """Tests for the binary model container."""
 
 import hashlib
+import json
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdmd.algorithms import ALGORITHMS
-from pdmd.archive import MAGIC, ModelArchive, load_model, save_model
+from pdmd.archive import MAGIC, ModelArchive, _encode_array, load_model, save_model
 from pdmd.cli import main
 from pdmd.dmd import DmdModel
-from pdmd.errors import DataError, IllConditionedWarning
+from pdmd.errors import DataError, IllConditionedWarning, PdmdError, PdmdWarning
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
 from pdmd.reduction import GlobalBasis, _gram_factors, fit_global_basis, project
@@ -69,8 +71,8 @@ def fixed_dmd(scale):
 
 def fixed_models(spec=None):
     """One model of each kind built from fixed arrays: no fitting, so no
-    LAPACK result reaches the archive bytes.  ``roi`` and ``rkoi`` read
-    regressors of ``spec`` if given, else linear and nearest ones."""
+    LAPACK result reaches the archive bytes.  ``roi`` and ``rkoi`` read a
+    regressor of ``spec`` if given, else a linear and a nearest one."""
     basis = GlobalBasis(
         np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]), np.array([3.0, 0.5]), 0.875
     )
@@ -91,23 +93,23 @@ def fixed_models(spec=None):
         "roi": RoiModel(
             basis=basis,
             op_modes=np.arange(8.0).reshape(4, 2) / 8,
-            op_rank=2,
-            coeff_regressor=fixed_regressor([[1.0, 0.5], [0.75, 0.25]], roi_spec),
-            init_regressor=fixed_regressor([[1.0, 0.0], [0.5, 0.5]], roi_spec),
+            # two operator-mode coefficients, then the initial state
+            regressor=fixed_regressor(
+                [[1.0, 0.5, 1.0, 0.0], [0.75, 0.25, 0.5, 0.5]], roi_spec
+            ),
             dt=0.5,
             t0=1.0,
             train_residuals=np.array([1e-3, 2e-3]),
         ),
         "rkoi": RkoiModel(
             basis=basis,
-            mode_regressor=fixed_complex_regressor(
-                [[1, 0.5j, 0.25, -1j], [1, 0.25j, 0.5, -0.5j]], rkoi_spec
-            ),
-            omega_regressor=fixed_complex_regressor(
-                [[-0.1 + 1j, -0.1 - 1j], [-0.2 + 2j, -0.2 - 2j]], rkoi_spec
-            ),
-            amp_regressor=fixed_complex_regressor(
-                [[1 + 1j, 1 - 1j], [0.5j, -0.5j]], rkoi_spec
+            # vec(modes), then the frequencies, then the amplitudes
+            regressor=fixed_complex_regressor(
+                [
+                    [1, 0.5j, 0.25, -1j, -0.1 + 1j, -0.1 - 1j, 1 + 1j, 1 - 1j],
+                    [1, 0.25j, 0.5, -0.5j, -0.2 + 2j, -0.2 - 2j, 0.5j, -0.5j],
+                ],
+                rkoi_spec,
             ),
             t0=1.0,
             notes=("parameter 1: fixed note",),
@@ -116,16 +118,11 @@ def fixed_models(spec=None):
             basis=basis,
             stacked_dmd=stacked,
             params=FIXED_PARAMS,
-            block_map=((0, 2), (2, 4)),
-            dt=0.5,
-            t0=1.0,
         ),
         "part": PartitionedModel(
             basis=basis,
             members=(fixed_dmd(1.0), fixed_dmd(0.5)),
             params=FIXED_PARAMS,
-            dt=0.5,
-            t0=1.0,
         ),
     }
 
@@ -159,6 +156,45 @@ GOLDEN_KIND_SHA256 = {
     ("roi", "poly"): "e92255ecdacceab024838ab1fba3fce9d09f7046d7011e0f7809dcc432c86566",
     ("rkoi", "poly"): "3f9c2de81b7e4a84162c13821b01e74fce91efdff092a6f98f15196fa1efbaec",
 }
+
+
+def edit_sections(raw: bytes, changes: dict) -> bytes:
+    """The archive bytes with named sections rewritten: an array replaces
+    the stored one, a dict updates the keys of the stored JSON object."""
+    offset = len(MAGIC) + 4  # magic, version
+    offset += 4 + struct.unpack_from("<I", raw, offset)[0]  # algorithm tag
+    (count,) = struct.unpack_from("<I", raw, offset)
+    offset += 4
+    pieces = [raw[:offset]]
+    for _ in range(count):
+        fields = []
+        for _ in range(2):  # name, payload
+            length = struct.unpack_from("<I", raw, offset)[0]
+            fields.append(raw[offset + 4 : offset + 4 + length])
+            offset += 4 + length
+        name, payload = fields
+        change = changes.get(name.decode())
+        if isinstance(change, dict):
+            stored = json.loads(payload[1:])
+            payload = b"J" + json.dumps({**stored, **change}, sort_keys=True).encode()
+        elif change is not None:
+            payload = _encode_array(change)
+        for field in (name, payload):
+            pieces += [struct.pack("<I", len(field)), field]
+    assert offset == len(raw)
+    return b"".join(pieces)
+
+
+def assert_tamper_rejected(raw, changes, message, tmp_path, capsys):
+    """The edited archive fails to load with the message, and ``pdmd
+    predict`` on it exits 3 with the message."""
+    path = tmp_path / "tampered.pdmdm"
+    path.write_bytes(edit_sections(raw, changes))
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--mu", "0.5",
+                 "--out", str(tmp_path / "pred.pdmd1")]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -226,21 +262,33 @@ ROUND_TRIP_DATASETS = {
 }
 # every algorithm with every regressor kind on the desk case, and with the
 # linear regressor on the tall case; the plain tag names the linear
-# regressor, the default for a scalar mu
-ROUND_TRIP_CASES = [
-    pytest.param(tag, kind, "desk", id=tag if kind == "linear" else f"{tag}-{kind}")
-    for tag in ALGORITHMS
-    for kind in KINDS
-] + [pytest.param(tag, "linear", "tall", id=f"{tag}-tall") for tag in ALGORITHMS]
+# regressor, the default for a scalar mu.  roi also runs every kind with
+# a one-channel column group: at basis rank 1 (one initial-state entry)
+# and at op_rank 1 (one operator-mode coefficient)
+ROUND_TRIP_CASES = (
+    [
+        pytest.param(tag, kind, "desk", {}, id=tag if kind == "linear" else f"{tag}-{kind}")
+        for tag in ALGORITHMS
+        for kind in KINDS
+    ]
+    + [pytest.param(tag, "linear", "tall", {}, id=f"{tag}-tall") for tag in ALGORITHMS]
+    + [
+        pytest.param("roi", kind, "desk", extra, id=f"roi-{kind}-{name}")
+        for kind in KINDS
+        for name, extra in (("rank-1", {"rank": 1}), ("op-rank-1", {"op_rank": 1}))
+    ]
+)
 
 
 class TestRoundTrips:
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
-    @pytest.mark.parametrize("tag, kind, data", ROUND_TRIP_CASES)
-    def test_predictions_bit_identical(self, tag, kind, data, tmp_path):
+    @pytest.mark.parametrize("tag, kind, data, extra", ROUND_TRIP_CASES)
+    def test_predictions_bit_identical(self, tag, kind, data, extra, tmp_path):
         build, rank = ROUND_TRIP_DATASETS[data]
         dataset = build()
-        options = FitOptions(tag, rank=rank, regressor=RegressorSpec(kind))
+        options = FitOptions(
+            tag, **{"rank": rank, **extra}, regressor=RegressorSpec(kind)
+        )
         fitted = fit_surrogate(dataset, options)
         path = tmp_path / "model.pdmdm"
         save_model(fitted.model, path, metadata=fitted.metadata)
@@ -273,10 +321,10 @@ class TestRoundTrips:
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         loaded = load_model(path).model
-        assert loaded.coeff_regressor.sites.spec == spec
+        assert loaded.regressor.sites.spec == spec
         assert_allclose(
-            loaded.coeff_regressor.values,
-            model.coeff_regressor.values,
+            loaded.regressor.values,
+            model.regressor.values,
             atol=0,
             rtol=0,
         )
@@ -350,8 +398,8 @@ class TestValidation:
                      "--out", str(tmp_path / "pred.pdmd1")]) == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tag, n_regressors", [("roi", 2), ("rkoi", 3)])
-    def test_regressors_load_on_one_set_of_sites(self, tag, n_regressors, tmp_path):
+    @pytest.mark.parametrize("tag, n_groups", [("roi", 2), ("rkoi", 3)])
+    def test_regressors_load_on_one_set_of_sites(self, tag, n_groups, tmp_path):
         # sites a millionth of the rbf shape apart: condition number ~8e12
         spec = RegressorSpec("rbf-gauss", shape=1e6)
         with warnings.catch_warnings():
@@ -359,6 +407,8 @@ class TestValidation:
             model = fixed_models(spec)[tag]
         path = tmp_path / "ill.pdmdm"
         save_model(model, path, metadata=FIXED_METADATA)
+        # the file keeps one regressor section group per quantity
+        assert path.read_bytes().count(b'"coeff_keys"') == n_groups
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             loaded = load_model(path).model
@@ -366,37 +416,36 @@ class TestValidation:
         regressors = [
             value for value in vars(loaded).values() if isinstance(value, FittedRegressor)
         ]
-        assert len(regressors) == n_regressors
-        assert all(regressor.sites is regressors[0].sites for regressor in regressors)
+        assert len(regressors) == 1
+        assert np.array_equal(regressors[0].values, model.regressor.values)
 
     @pytest.mark.parametrize(
-        "init_regressor, message",
+        "changes, message",
         [
-            (fixed_regressor([[1.0, 0.0]]), "does not fit 2 sites"),
             (
-                FittedRegressor(
-                    prepare(RegressorSpec("linear"), np.array([[0.25], [0.5]])),
-                    np.eye(2),
-                ),
-                "differ in spec or training parameters",
+                {"roi.init_reg.coeff.table": np.array([[1.0, 0.0]])},
+                "roi.init_reg table of shape (1, 2) does not fit 2 sites",
+            ),
+            (
+                {"roi.init_reg.training_params": np.array([[0.25], [0.5]])},
+                "archive section 'roi.init_reg.training_params' disagrees",
+            ),
+            (
+                {"rkoi.amp_reg.spec": {"ridge": 0.5}},
+                "archive section 'rkoi.amp_reg.spec' disagrees",
+            ),
+            (
+                {"rkoi.omega_reg.spec": {"complex_output": False}},
+                "archive section 'rkoi.omega_reg.spec' disagrees",
             ),
         ],
-        ids=["short-table", "other-params"],
+        ids=["short-table", "other-params", "other-spec", "other-complex-flag"],
     )
     def test_regressors_off_their_sites_rejected(
-        self, tmp_path, capsys, init_regressor, message
+        self, fixed_archives, tmp_path, capsys, changes, message
     ):
-        model = fixed_models()["roi"]
-        # swap the regressor in after the model checked its sites, as an
-        # edited file would
-        object.__setattr__(model, "init_regressor", init_regressor)
-        path = tmp_path / "tampered.pdmdm"
-        save_model(model, path, metadata=FIXED_METADATA)
-        with pytest.raises(DataError, match=message):
-            load_model(path)
-        assert main(["predict", "--model", str(path), "--mu", "0.5",
-                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
-        assert message in capsys.readouterr().err
+        tag = next(iter(changes)).split(".")[0]
+        assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     def test_stored_output_dim_off_the_table_rejected(
         self, fixed_archives, tmp_path, capsys
@@ -414,34 +463,52 @@ class TestValidation:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tag, name, value, message",
+        "tag, changes, message",
         [
-            ("roi", "op_modes", np.ones((4, 3)), "op_modes of shape (4, 3)"),
-            ("roi", "op_modes", np.ones((9, 2)), "op_modes of shape (9, 2)"),
-            ("roi", "op_rank", 3, "(op_rank 3)"),
+            ("roi", {"roi.op_modes": np.ones((4, 3))}, "op_modes of shape (4, 3)"),
+            ("roi", {"roi.op_modes": np.ones((9, 2))}, "op_modes of shape (9, 2)"),
+            ("roi", {"roi.spec": {"op_rank": 3}}, "section 'roi.spec' disagrees"),
             (
                 "roi",
-                "init_regressor",
-                fixed_regressor([[1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
-                "initial-state regressor has 3 output channels",
+                {
+                    "roi.init_reg.spec": {"output_dim": 3},
+                    "roi.init_reg.coeff.table": np.array([[1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+                },
+                "op_modes of shape (4, 2) and 5 regressor channels",
             ),
             (
                 "rkoi",
-                "mode_regressor",
-                fixed_complex_regressor([[1, 0.5j], [1, 0.25j]]),
-                "mode regressor has 2 output channels, basis rank 2 needs 4",
+                {
+                    "rkoi.mode_reg.spec": {"output_dim": 2},
+                    "rkoi.mode_reg.coeff.table": np.array([[1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.25]]),
+                },
+                "triplet regressor has 6 output channels, basis rank 2 needs 8",
             ),
             (
                 "rkoi",
-                "omega_regressor",
-                fixed_complex_regressor([[-0.1 + 1j], [-0.2 + 2j]]),
-                "frequency regressor has 1 output channels",
+                {
+                    "rkoi.omega_reg.spec": {"output_dim": 1},
+                    "rkoi.omega_reg.coeff.table": np.array([[-0.1, 1.0], [-0.2, 2.0]]),
+                },
+                "triplet regressor has 7 output channels",
             ),
             (
                 "rkoi",
-                "amp_regressor",
-                fixed_complex_regressor([[1, 1j, 0.5], [0.5j, -0.5j, 1]]),
-                "amplitude regressor has 3 output channels",
+                {
+                    "rkoi.amp_reg.spec": {"output_dim": 3},
+                    "rkoi.amp_reg.coeff.table": np.ones((2, 6)),
+                },
+                "triplet regressor has 9 output channels",
+            ),
+            (
+                "mono",
+                {"mono.params": np.array([[0.25], [0.5], [0.75]])},
+                "stacked DMD has 4 state rows, not 3 parameters times basis rank 2",
+            ),
+            (
+                "part",
+                {"part.params": np.array([[0.25], [0.5], [0.75]])},
+                "2 members of state rows [2] do not fit 3 parameters at basis rank 2",
             ),
         ],
         ids=[
@@ -452,21 +519,38 @@ class TestValidation:
             "rkoi-mode-width",
             "rkoi-omega-width",
             "rkoi-amp-width",
+            "mono-params",
+            "part-params",
         ],
     )
     def test_widths_off_the_basis_rank_rejected(
-        self, tmp_path, capsys, tag, name, value, message
+        self, fixed_archives, tmp_path, capsys, tag, changes, message
     ):
-        model = fixed_models()[tag]
-        # swap the field in after the model checked it, as an edited file would
-        object.__setattr__(model, name, value)
-        path = tmp_path / "tampered.pdmdm"
-        save_model(model, path, metadata=FIXED_METADATA)
-        with pytest.raises(DataError, match=re.escape(message)):
-            load_model(path)
-        assert main(["predict", "--model", str(path), "--mu", "0.5",
-                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
-        assert message in capsys.readouterr().err
+        assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "tag, changes, section",
+        [
+            ("mono", {"mono.spec": {"dt": 0.25}}, "mono.spec"),
+            ("mono", {"mono.spec": {"t0": 0.0}}, "mono.spec"),
+            ("mono", {"mono.block_map": np.array([[0, 1], [1, 4]])}, "mono.block_map"),
+            ("part", {"part.spec": {"dt": 0.25}}, "part.spec"),
+            ("part", {"part.spec": {"t0": 0.0}}, "part.spec"),
+            ("roi", {"roi.coeff_reg.spec": {"output_dim": 1},
+                     "roi.init_reg.spec": {"output_dim": 3},
+                     "roi.coeff_reg.coeff.table": np.array([[1.0], [0.75]]),
+                     "roi.init_reg.coeff.table": np.array([[0.5, 1.0, 0.0], [0.25, 0.5, 0.5]])},
+             "roi.coeff_reg.spec"),
+            ("roi", {"roi.init_reg.coeff.xs": np.array([0.25, 0.5])}, "roi.init_reg.coeff.xs"),
+        ],
+        ids=["mono-dt", "mono-t0", "mono-block-map", "part-dt", "part-t0",
+             "roi-groups-shifted", "roi-xs"],
+    )
+    def test_stored_copies_off_the_arrays_rejected(
+        self, fixed_archives, tmp_path, capsys, tag, changes, section
+    ):
+        message = f"archive section {section!r} disagrees with the model's arrays"
+        assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -487,3 +571,11 @@ class TestValidation:
         except DataError:
             return
         assert isinstance(archive, ModelArchive)
+        # a loaded archive answers a query on the fixed lattice or says why
+        # not; a flipped exponent bit may overflow the answer to inf
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", PdmdWarning)
+            try:
+                predict_surrogate(archive.model, [0.5], [1.0, 1.5, 2.0], RegressorSpec())
+            except PdmdError:
+                pass

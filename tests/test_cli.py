@@ -451,6 +451,24 @@ class TestPredict:
         assert run_cli("predict", "--model", str(model), "--mu", "0.45",
                        "--out", str(tmp_path / "pred.pdmd1")) == 0
 
+    @pytest.mark.parametrize("algorithm", ["roi", "mono", "part"])
+    def test_instants_beyond_int64_steps_are_data_error(self, tmp_path, capsys, algorithm):
+        data, model = self.fit_model(tmp_path, algorithm)
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model), "--mu", "0.5",
+                       "--time-window", "0,1e20", "--nt", "3",
+                       "--out", str(tmp_path / "pred.pdmd1")) == 3
+        assert "instant 5e+19 is 5e+20 steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["roi", "rkoi", "mono", "part"])
+    def test_overflowing_rbf_shape_is_data_error(self, tmp_path, capsys, algorithm):
+        data = make_dataset(tmp_path)
+        capsys.readouterr()
+        assert run_cli("fit", "--data", str(data), "--algorithm", algorithm,
+                       "--rank", "4", "--regressor", "rbf-tps", "--rbf-shape", "1e-300",
+                       "--out", str(tmp_path / "model.pdmdm")) == 3
+        assert "raise --rbf-shape" in capsys.readouterr().err
+
     def test_wrong_parameter_dimension_is_data_error(self, tmp_path):
         data, model = self.fit_model(tmp_path)
         assert run_cli("predict", "--model", str(model), "--mu", "0.5,0.5",

@@ -1,5 +1,6 @@
 """Tests for the dataset model and disk formats."""
 
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from pdmd.data import (
     SnapshotMatrix,
     TimeGrid,
     pdmd1_file_size,
+    lattice_steps,
     read_dataset,
     restrict_time,
     split_train_test,
@@ -32,6 +34,19 @@ def make_dataset(n_params=3, n_state=4, n_t=6, seed=0):
         for _ in range(n_params)
     )
     return ParametricDataset(params, trajectories)
+
+
+class TestLatticeSteps:
+    def test_steps_of_lattice_instants(self):
+        steps = lattice_steps([1.0, 2.5, 1.5], 1.0, 0.5)
+        assert steps.dtype == np.int64
+        assert steps.tolist() == [0, 3, 1]
+
+    @pytest.mark.parametrize("instant", [1e20, np.inf, np.nan])
+    def test_steps_beyond_int64_rejected(self, instant):
+        message = f"instant {re.escape(str(instant))} .* beyond the int64 range"
+        with pytest.raises(DataError, match=message):
+            lattice_steps([0.0, instant], 0.0, 0.1)
 
 
 class TestTimeGrid:

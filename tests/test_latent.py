@@ -69,12 +69,13 @@ def advance(model, step):
 def per_step_prediction(model, mu, times, spec):
     """Reference oracle for predict_latent: every DMD advanced separately
     to each requested instant, then one regressor fit per instant."""
-    steps = lattice_steps(times, model.t0, model.dt)
+    lattice = model.stacked_dmd if isinstance(model, MonolithicModel) else model.members[0]
+    steps = lattice_steps(times, lattice.t0, lattice.dt)
     columns = []
     for step in steps:
         if isinstance(model, MonolithicModel):
-            stacked = advance(model.stacked_dmd, step)
-            states = np.vstack([stacked[a:b] for a, b in model.block_map])
+            # the stacked state holds each parameter's rows in turn
+            states = advance(model.stacked_dmd, step).reshape(len(model.params), -1)
         else:
             states = np.vstack([advance(member, step) for member in model.members])
         sites = regression.prepare(spec, model.params)
@@ -120,7 +121,7 @@ class TestFitMonolithic:
         model = fit_monolithic(latent)
         rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
         for i in range(latent.n_params):
-            lo, hi = model.block_map[i]
+            lo, hi = 2 * i, 2 * (i + 1)
             standalone = reconstruct(
                 fit_dmd(latent.trajectory(i), 2), latent.grid
             ).state
@@ -275,10 +276,12 @@ def per_instant_loop(model, rows, times, spec):
     """Reference oracle for predict_latent: each instant prepares its
     training parameters afresh, fits one regressor and reads every row
     through a stencil of its own."""
-    steps = lattice_steps(times, model.t0, model.dt)
+    lattice = model.stacked_dmd if isinstance(model, MonolithicModel) else model.members[0]
+    steps = lattice_steps(times, lattice.t0, lattice.dt)
     if isinstance(model, MonolithicModel):
         stacked = dmd.evaluate(model.stacked_dmd, steps)
-        blocks = [stacked[a:b] for a, b in model.block_map]
+        rank = model.basis.rank
+        blocks = [stacked[i * rank : (i + 1) * rank] for i in range(len(model.params))]
     else:
         blocks = [dmd.evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)

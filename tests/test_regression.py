@@ -133,6 +133,14 @@ class TestRbf:
         with pytest.raises(DataError):
             RegressorSpec("rbf-gauss", shape=-1.0)
 
+    def test_overflowing_kernel_rejected(self):
+        # the scaled distances square to inf in the thin-plate kernel
+        xs = np.linspace(0, 1, 4)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="raise --rbf-shape"):
+                prepare(RegressorSpec("rbf-tps", shape=1e-300), xs)
+
 
 INTERPOLATING_VECTOR_KINDS = ("nearest", "rbf-gauss", "rbf-tps")
 

@@ -68,9 +68,16 @@ def pipeline_latent(seed=0, n_params=5, rank=4):
     return dataset, oracle, project(dataset, basis)
 
 
+def read_at(model, mu):
+    """The regressor's channels at mu: the operator-mode coefficients,
+    then the initial latent state."""
+    values = combine(stencil(model.regressor.sites, mu), model.regressor)
+    return values[: model.op_rank], values[model.op_rank :]
+
+
 def operator_at(model, mu):
     """The synthesized operator at mu, located among the model's sites."""
-    return synthesize_operator(model, stencil(model.coeff_regressor.sites, mu))
+    return synthesize_operator(model, read_at(model, mu)[0])
 
 
 class TestFoldUnfold:
@@ -216,10 +223,9 @@ class TestPredictRoi:
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         grid = TimeGrid(np.arange(40.0))
         # oracle: eigendecomposition powers of the synthesized operator
-        query = stencil(model.coeff_regressor.sites, [0.8])
-        operator = synthesize_operator(model, query)
-        values, vectors = np.linalg.eig(operator)
-        weights = np.linalg.solve(vectors, combine(query, model.init_regressor))
+        coeffs, state = read_at(model, [0.8])
+        values, vectors = np.linalg.eig(synthesize_operator(model, coeffs))
+        weights = np.linalg.solve(vectors, state)
         powers = values[None, :] ** np.arange(40)[:, None]
         spectral = ((vectors * weights) @ powers.T).real
         assert_allclose(
