@@ -10,13 +10,14 @@ sum_j phi_j lambda_j^k b_j.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SnapshotMatrix, TimeGrid, lattice_steps
-from .errors import DataError, ImaginaryResidualWarning, RankDeficientError
+from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDeficientError
 from .linalg import DEFAULT_PINV_CUTOFF, SUBNORMAL_NORM, eig, scale_exponent, truncated_svd
 
 IMAG_RESIDUAL_REL_TOL = 1e-6
@@ -53,6 +54,8 @@ def _real_with_telemetry(values, context):
         scale = np.linalg.norm(np.ldexp(real, -exponent))
         imag = np.ldexp(imag, -exponent)
     imag = np.linalg.norm(imag)
+    if not (math.isfinite(scale) and math.isfinite(imag)):
+        raise NumericalError(f"{context}: non-finite values")
     if imag > IMAG_RESIDUAL_REL_TOL * max(scale, 1e-300):
         warnings.warn(
             f"{context}: imaginary residual {imag:.3e} vs magnitude {scale:.3e}",
@@ -106,15 +109,24 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
 def evaluate(model: DmdModel, steps) -> np.ndarray:
     """States at 0-based lattice steps (instants t0 + k dt), one column
     per entry of ``steps`` in the order given; steps may repeat and
-    extend beyond the training window."""
+    extend beyond the training window.  States that overflow raise
+    ``NumericalError``."""
     steps = np.atleast_1d(np.asarray(steps))
     if not np.issubdtype(steps.dtype, np.integer):
         raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
     if np.any(steps < 0):
         raise DataError(f"lattice steps must be >= 0, got {steps.min()}")
-    powers = model.eigenvalues[None, :] ** steps[:, None]
-    states = (model.modes * model.amplitudes) @ powers.T
-    return _real_with_telemetry(states, "evaluate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = model.eigenvalues[None, :] ** steps[:, None]
+        states = (model.modes * model.amplitudes) @ powers.T
+    try:
+        return _real_with_telemetry(states, "evaluate")
+    except NumericalError:
+        first = steps[~np.isfinite(states).all(axis=0)].min()
+        raise NumericalError(
+            f"DMD states overflow at lattice step {first} (largest eigenvalue "
+            f"modulus {np.abs(model.eigenvalues).max():.6g})"
+        ) from None
 
 
 def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:

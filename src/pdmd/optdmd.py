@@ -14,6 +14,20 @@ time grids, which bagging over time indices produces even from uniform
 data.  Data in extreme units are fit scaled by a power of two
 (``linalg.scale_exponent``) and the amplitudes and objective scaled
 back, so a fit is equivariant to the data's units.
+
+One solver serves every fit.  It runs over a stack of B members of
+equal length: the B bagged trials of ``fit_bopdmd`` (whose subsets all
+keep the same number of instants), or one trajectory (``fit_optdmd``,
+``condense_ensemble``).  Each trial point takes one thin QR per member,
+basis = Q R, which gives both the inner coefficients R^-1 Q^H Y and the
+projector of the next Jacobian.  Kaufman's step is formed in Gram form
+from r x r products (``_gauss_newton``), so the 2 N_t n x 2r real
+Jacobian is never built.  Each member keeps its own damping, stall
+count, acceptance and stop, and a member whose exponentials overflow or
+whose damped system is singular fails that trial alone.  NumPy's fixed
+cost per call, not the arithmetic, dominates problems of this size
+(N_t ~ 100, r ~ 6), so one stacked call per step for all B members
+costs little more than one call for a single member.
 """
 
 from __future__ import annotations
@@ -146,49 +160,163 @@ def _scaled(x: SnapshotMatrix):
     return x, exponent
 
 
-def _exponential_basis(tau, omegas):
-    """N_t x r matrix exp(tau_k omega_j); None when the entries overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = np.exp(tau[:, None] * omegas[None, :])
-    if not np.all(np.isfinite(basis)):
-        return None
-    return basis
+def _solve_each(systems, rhs):
+    """(x, solved) with systems[i] @ x[i] = rhs[i] over a stack; a
+    singular system leaves its x zero and its ``solved`` False instead of
+    failing the whole stack."""
+    try:
+        return np.linalg.solve(systems, rhs), np.ones(len(systems), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros(rhs.shape, dtype=np.result_type(systems, rhs))
+        solved = np.zeros(len(systems), dtype=bool)
+        for i, (system, b) in enumerate(zip(systems, rhs)):
+            try:
+                x[i] = np.linalg.solve(system, b)
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
 
 
-def _inner_solve(basis, data_t):
-    """Least-squares coefficients and residual for fixed exponentials."""
-    coeffs, *_ = np.linalg.lstsq(basis, data_t, rcond=None)
-    residual = data_t - basis @ coeffs
-    return coeffs, residual, float(np.linalg.norm(residual) ** 2)
+def _project(tau, omegas, data_t):
+    """Variable projection of a stack of B members at frequencies
+    ``omegas`` (B x r), with ``tau`` B x N_t and ``data_t`` B x N_t x n:
+    (basis, q, coeffs, residual, objective).
 
-
-def _kaufman_jacobian(tau, basis, coeffs):
-    """Kaufman's Jacobian of the projected residual (I - P(omega)) Y.
-
-    Column j of the complex Jacobian is (I - Q Q^H) D_j with
-    D_j = -(tau * Phi_j) b_j^T, Q a thin QR factor of the exponential
-    basis Phi and b_j row j of the inner-solve coefficients; the
-    Golub-Pereyra term that Kaufman drops vanishes at an exact fit.
-    Returned in the 2r real coordinates of omega: rows are the real
-    then the imaginary parts of the raveled N_t x n residual, column
-    2j is d/dRe(omega_j) (J_j) and column 2j + 1 is d/dIm(omega_j)
-    (i J_j).
+    One thin QR, basis = Q R, per member gives the least-squares
+    coefficients R^-1 Q^H Y and the Q that projects the next Jacobian.
+    A member whose R is rank-deficient at ``lstsq``'s default cutoff
+    (repeated frequencies) takes the minimum-norm coefficients instead,
+    as ``lstsq`` does.  ``objective`` is the squared Frobenius norm of
+    Y - basis coeffs; it is inf for a member whose exponentials overflow
+    (their squared norm is not finite) or whose solve fails, so such a
+    trial point is rejected without touching the other members.
     """
-    n_t, rank = basis.shape
-    q, _ = np.linalg.qr(basis)
-    # N_t x r x n tensor of all D_j, projected along the time axis at once
-    deriv = -(tau[:, None] * basis)[:, :, None] * coeffs[None, :, :]
-    flat = deriv.reshape(n_t, -1)
-    projected = (flat - q @ (q.conj().T @ flat)).reshape(deriv.shape)
-    # rows (k, l) in the residual's raveled order, one column per j
-    cols = projected.transpose(0, 2, 1).reshape(-1, rank)
-    size = cols.shape[0]
-    jac = np.empty((2 * size, 2 * rank))
-    jac[:size, 0::2] = cols.real
-    jac[size:, 0::2] = cols.imag
-    jac[:size, 1::2] = -cols.imag
-    jac[size:, 1::2] = cols.real
-    return jac
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = np.exp(tau[:, :, None] * omegas[:, None, :])
+        finite = np.isfinite(np.sum(basis.real**2 + basis.imag**2, axis=(1, 2)))
+        n_t, rank = basis.shape[1:]
+        if not finite.all():
+            # an orthonormal stand-in keeps the stacked QR finite
+            basis[~finite] = np.eye(n_t, rank)
+        q, r = np.linalg.qr(basis)
+        qty = q.conj().transpose(0, 2, 1) @ data_t
+        coeffs, solved = _solve_each(r, qty)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        rcond = np.finfo(float).eps * max(n_t, rank)
+        deficient = diag.min(axis=1) <= rcond * diag.max(axis=1)
+        if deficient.any():
+            coeffs[deficient] = np.linalg.pinv(r[deficient], rcond) @ qty[deficient]
+            solved |= deficient
+        residual = data_t - basis @ coeffs
+        objective = np.sum(residual.real**2 + residual.imag**2, axis=(1, 2))
+    objective[~(finite & solved & np.isfinite(objective))] = np.inf
+    return basis, q, coeffs, residual, objective
+
+
+def _gauss_newton(tau, basis, q, coeffs, residual):
+    """Kaufman's Gauss-Newton Hessian J^T J and gradient J^T r of the
+    projected residual (I - P(omega)) Y, for a stack of members, without
+    forming J.
+
+    Column j of the complex Jacobian is J_j = -U_j c_j^T, with
+    U = (I - Q Q^H)(tau * basis) and c_j row j of the coefficients; the
+    Golub-Pereyra term that Kaufman drops vanishes at an exact fit and
+    does not change the gradient.  So <J_j, J_k> = G_jk with
+    G = (U^H U) o (conj(C) C^T), and <J_j, R> = h_j with
+    h = -sum_t conj(U) o (R C^H).  In the 2r real coordinates of omega
+    (2j the real part of omega_j, 2j + 1 the imaginary part) the Hessian
+    holds Re G on both diagonal blocks, -Im G at (2j, 2k + 1) and Im G at
+    (2j + 1, 2k), and the gradient is (Re h, Im h).
+    """
+    deriv = tau[:, :, None] * basis
+    u = deriv - q @ (q.conj().transpose(0, 2, 1) @ deriv)
+    gram = (u.conj().transpose(0, 2, 1) @ u) * (coeffs.conj() @ coeffs.transpose(0, 2, 1))
+    h = -np.sum(u.conj() * (residual @ coeffs.conj().transpose(0, 2, 1)), axis=1)
+    n_members, rank = h.shape
+    hessian = np.empty((n_members, 2 * rank, 2 * rank))
+    hessian[:, 0::2, 0::2] = gram.real
+    hessian[:, 1::2, 1::2] = gram.real
+    hessian[:, 0::2, 1::2] = -gram.imag
+    hessian[:, 1::2, 0::2] = gram.imag
+    grad = np.empty((n_members, 2 * rank))
+    grad[:, 0::2] = h.real
+    grad[:, 1::2] = h.imag
+    return hessian, grad
+
+
+def _levenberg_marquardt(tau, data_t, omegas):
+    """Variable-projection Levenberg-Marquardt over a stack of B
+    independent members (see ``_project`` for the shapes), from starting
+    frequencies closed under conjugation.
+
+    Each member keeps its own damping, stall count, acceptance and stop:
+    the members share the arithmetic of one stacked call per step and
+    nothing else.  Returns (omegas, coeffs, objective, converged,
+    n_iters), one entry per member; an objective is non-increasing across
+    that member's accepted iterations.
+    """
+    omegas = np.array(omegas, dtype=complex)
+    basis, q, coeffs, residual, objective = _project(tau, omegas, data_t)
+    if not np.all(np.isfinite(objective)):
+        raise NumericalError("initial frequencies overflow the exponentials")
+    # a residual at rounding level cannot be strictly decreased, so the
+    # stall logic below would flag an already-perfect fit
+    zero_floor = (ZERO_RESIDUAL_REL * np.linalg.norm(data_t, axis=(1, 2))) ** 2
+    converged = objective <= zero_floor
+    active = ~converged
+    damping = np.full(len(omegas), _DAMPING_INIT)
+    n_iters = np.zeros(len(omegas), dtype=int)
+    diagonal = np.arange(2 * omegas.shape[1])
+    for iteration in range(1, _MAX_ITERS + 1):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        n_iters[live] = iteration
+        hessian, grad = _gauss_newton(
+            tau[live], basis[live], q[live], coeffs[live], residual[live]
+        )
+        scale = hessian[:, diagonal, diagonal] + 1e-14
+        stall = np.zeros(live.size, dtype=int)
+        pending = np.arange(live.size)  # members of ``live`` still seeking a step
+        while pending.size:
+            members = live[pending]
+            systems = hessian[pending]
+            systems[:, diagonal, diagonal] += damping[members, None] * scale[pending]
+            delta, solved = _solve_each(systems, -grad[pending, :, None])
+            delta = delta[:, :, 0]
+            trial = np.array([
+                project_conjugate_closure(row)
+                for row in omegas[members] + delta[:, 0::2] + 1j * delta[:, 1::2]
+            ])
+            t_basis, t_q, t_coeffs, t_residual, t_objective = _project(
+                tau[members], trial, data_t[members]
+            )
+            better = solved & (t_objective < objective[members])
+
+            accepted = members[better]
+            step = np.linalg.norm(delta[better], axis=1)
+            decrease = (objective[accepted] - t_objective[better]) / np.maximum(
+                objective[accepted], 1e-300
+            )
+            omegas[accepted] = trial[better]
+            basis[accepted], q[accepted] = t_basis[better], t_q[better]
+            coeffs[accepted], residual[accepted] = t_coeffs[better], t_residual[better]
+            objective[accepted] = t_objective[better]
+            damping[accepted] /= _DAMPING_SHRINK
+            done = (decrease < _TOL_OBJ) | (step < _TOL_STEP) | (
+                objective[accepted] <= zero_floor[accepted]
+            )
+            converged[accepted[done]] = True
+            active[accepted[done]] = False
+
+            rejected = pending[~better]
+            damping[live[rejected]] *= _DAMPING_GROW
+            stall[rejected] += 1
+            gave_up = stall[rejected] >= _MAX_STALL
+            active[live[rejected[gave_up]]] = False
+            pending = rejected[~gave_up]
+    return omegas, coeffs, objective, converged, n_iters
 
 
 def _hankel_embed(state, delays):
@@ -249,6 +377,66 @@ def _trapezoid_warm_start(x: SnapshotMatrix, rank: int):
     return values
 
 
+def _initial_omegas(x: SnapshotMatrix, rank: int, init) -> np.ndarray:
+    """Starting frequencies of a fit to the scaled trajectory ``x``:
+    ``init`` when given, else a spectral warm start; closed under
+    conjugation."""
+    if init is not None:
+        omegas = np.asarray(init, dtype=complex)
+        if omegas.shape != (rank,):
+            raise DataError(f"init must hold {rank} frequencies")
+    elif x.grid.is_uniform:
+        omegas = _uniform_warm_start(x, rank)
+    else:
+        omegas = _trapezoid_warm_start(x, rank)
+    return project_conjugate_closure(omegas)
+
+
+def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDmdModel:
+    """The model of a fit to data scaled by 2**-exponent, in the data's
+    units and canonical triplet order."""
+    rank = omegas.shape[0]
+    omegas, modes, amplitudes = _canonical_triplet(omegas, coeffs, rank)
+    return OptDmdModel(
+        rank=rank,
+        omegas=omegas,
+        modes=modes,
+        amplitudes=ldexp(amplitudes, exponent),
+        t0=t0,
+        objective=float(np.ldexp(np.sqrt(objective), exponent)),
+        converged=converged,
+        n_iters=n_iters,
+    )
+
+
+def _fit_stack(trajectories, rank: int, init) -> list:
+    """One optimized-DMD model per trajectory, all trajectories holding
+    the same number of instants, fitted by one stacked solve.  Each
+    non-converged member warns once, in member order."""
+    scaled = [_scaled(x) for x in trajectories]
+    omegas, coeffs, objective, converged, n_iters = _levenberg_marquardt(
+        np.array([x.grid.instants - x.grid.t0 for x, _ in scaled]),
+        np.array([x.state.T.astype(complex) for x, _ in scaled]),
+        np.array([_initial_omegas(x, rank, init) for x, _ in scaled]),
+    )
+    models = []
+    for i, (x, exponent) in enumerate(scaled):
+        if not converged[i]:
+            with np.errstate(over="ignore"):
+                squared = np.ldexp(objective[i], 2 * exponent)
+            warnings.warn(
+                f"optimized DMD stopped after {n_iters[i]} iterations without "
+                f"meeting tolerances (objective {squared:.3e})",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
+        models.append(_model(
+            omegas[i], coeffs[i], objective[i], exponent, x.grid.t0,
+            bool(converged[i]), int(n_iters[i]),
+        ))
+    return models
+
+
 def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
     """Fit the best rank-``rank`` exponential model to a trajectory.
 
@@ -263,94 +451,7 @@ def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
         )
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
-    x, exponent = _scaled(x)
-    if init is not None:
-        omegas = np.asarray(init, dtype=complex)
-        if omegas.shape != (rank,):
-            raise DataError(f"init must hold {rank} frequencies")
-    elif x.grid.is_uniform:
-        omegas = _uniform_warm_start(x, rank)
-    else:
-        omegas = _trapezoid_warm_start(x, rank)
-    omegas = project_conjugate_closure(omegas)
-
-    tau = x.grid.instants - x.grid.t0
-    data_t = x.state.T.astype(complex)
-    basis = _exponential_basis(tau, omegas)
-    if basis is None:
-        raise NumericalError("initial frequencies overflow the exponentials")
-    coeffs, residual, objective = _inner_solve(basis, data_t)
-
-    # a residual at rounding level cannot be strictly decreased, so the
-    # stall logic below would flag an already-perfect fit
-    zero_floor = (ZERO_RESIDUAL_REL * float(np.linalg.norm(data_t))) ** 2
-    damping = _DAMPING_INIT
-    converged = objective <= zero_floor
-    stall = 0
-    n_iters = 0
-    iterations = () if converged else range(1, _MAX_ITERS + 1)
-    for n_iters in iterations:
-        jac = _kaufman_jacobian(tau, basis, coeffs)
-        grad = jac.T @ np.concatenate([residual.real.ravel(), residual.imag.ravel()])
-        hessian = jac.T @ jac
-        scale = np.diag(hessian) + 1e-14
-
-        accepted = False
-        while True:
-            try:
-                delta = np.linalg.solve(hessian + damping * np.diag(scale), -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                trial = project_conjugate_closure(
-                    omegas + delta[0::2] + 1j * delta[1::2]
-                )
-                trial_basis = _exponential_basis(tau, trial)
-                if trial_basis is not None:
-                    t_coeffs, t_residual, t_objective = _inner_solve(
-                        trial_basis, data_t
-                    )
-                    if t_objective < objective:
-                        accepted = True
-                        break
-            damping *= _DAMPING_GROW
-            stall += 1
-            if stall >= _MAX_STALL:
-                break
-        if not accepted:
-            break
-
-        step = float(np.linalg.norm(delta))
-        decrease = (objective - t_objective) / max(objective, 1e-300)
-        omegas, basis = trial, trial_basis
-        coeffs, residual, objective = t_coeffs, t_residual, t_objective
-        damping /= _DAMPING_SHRINK
-        stall = 0
-        if decrease < _TOL_OBJ or step < _TOL_STEP or objective <= zero_floor:
-            converged = True
-            break
-
-    if not converged:
-        with np.errstate(over="ignore"):
-            squared = np.ldexp(objective, 2 * exponent)
-        warnings.warn(
-            f"optimized DMD stopped after {n_iters} iterations without "
-            f"meeting tolerances (objective {squared:.3e})",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-
-    omegas, modes, amplitudes = _canonical_triplet(omegas, coeffs, rank)
-    return OptDmdModel(
-        rank=rank,
-        omegas=omegas,
-        modes=modes,
-        amplitudes=ldexp(amplitudes, exponent),
-        t0=x.grid.t0,
-        objective=float(np.ldexp(np.sqrt(objective), exponent)),
-        converged=converged,
-        n_iters=n_iters,
-    )
+    return _fit_stack([x], rank, init)[0]
 
 
 def _canonical_triplet(omegas, coeffs, rank):
@@ -377,8 +478,9 @@ def exponential_sum(omegas, modes, amplitudes, t0: float, instants) -> np.ndarra
     """
     scalar = np.isscalar(instants) or np.ndim(instants) == 0
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
-    basis = _exponential_basis(instants - t0, omegas)
-    if basis is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = np.exp((instants - t0)[:, None] * omegas[None, :])
+    if not np.all(np.isfinite(basis)):
         raise NumericalError("prediction instants overflow the exponentials")
     states = (modes * amplitudes) @ basis.T
     states = _real_with_telemetry(states, "exponential sum")
@@ -423,14 +525,15 @@ def fit_bopdmd(
             shared_init = None
 
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(trials):
-        indices = np.sort(rng.choice(x.n_instants, size=n_keep, replace=False))
-        subset = SnapshotMatrix(
-            x.state[:, indices], TimeGrid(x.grid.instants[indices])
-        )
-        member = fit_optdmd(subset, rank, init=shared_init)
-        members.append(member)
+    subsets = [
+        np.sort(rng.choice(x.n_instants, size=n_keep, replace=False))
+        for _ in range(trials)
+    ]
+    members = _fit_stack(
+        [SnapshotMatrix(x.state[:, i], TimeGrid(x.grid.instants[i])) for i in subsets],
+        rank,
+        shared_init,
+    )
 
     aligned = [members[0]] + [
         permute_triplets(member, match_frequencies(members[0].omegas, member.omegas)[0])
@@ -452,21 +555,20 @@ def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
     has the same shape contract as fit_optdmd.
     """
     omegas = project_conjugate_closure(mean_omegas(ensemble))
-    rank = omegas.shape[0]
     x, exponent = _scaled(x)
-    basis = _exponential_basis(x.grid.instants - x.grid.t0, omegas)
-    if basis is None:
-        raise NumericalError("ensemble-mean frequencies overflow the exponentials")
-    coeffs, _, objective = _inner_solve(basis, x.state.T.astype(complex))
-    omegas, modes, amplitudes = _canonical_triplet(omegas, coeffs, rank)
-    return OptDmdModel(
-        rank=rank,
-        omegas=omegas,
-        modes=modes,
-        amplitudes=ldexp(amplitudes, exponent),
-        t0=x.grid.t0,
-        objective=float(np.ldexp(np.sqrt(objective), exponent)),
-        converged=all(member.converged for member in ensemble.members),
-        n_iters=max(member.n_iters for member in ensemble.members),
+    _, _, coeffs, _, objective = _project(
+        (x.grid.instants - x.grid.t0)[None],
+        omegas[None],
+        x.state.T.astype(complex)[None],
     )
-
+    if not np.isfinite(objective[0]):
+        raise NumericalError("ensemble-mean frequencies overflow the exponentials")
+    return _model(
+        omegas,
+        coeffs[0],
+        objective[0],
+        exponent,
+        x.grid.t0,
+        all(member.converged for member in ensemble.members),
+        max(member.n_iters for member in ensemble.members),
+    )

@@ -149,18 +149,31 @@ def synthesize_operator(model: RoiModel, coeffs: np.ndarray) -> np.ndarray:
 
 def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
     """Predicted state trajectory at mu over the given lattice instants
-    (any order, repeats allowed), stepped by repeated multiplication
-    with the synthesized operator."""
+    (any order, repeats allowed), stepped with the synthesized operator
+    in time order: one product per lattice step between consecutive
+    instants, and the operator's matrix power (O(log g) products) across
+    a gap of g > 1 steps.  A latent state that overflows raises
+    ``NumericalError`` naming the instant."""
     steps = lattice_steps(instants, model.t0, model.dt)
     weights = regression.stencil(model.regressor.sites, np.ravel(mu))
     values = regression.combine(weights, model.regressor)
     operator = synthesize_operator(model, values[: model.op_rank])
     state = values[model.op_rank :]
     latent = np.empty((state.shape[0], steps.size))
+    order = np.argsort(steps)
     current = 0
-    for position in np.argsort(steps):
-        while current < steps[position]:
-            state = operator @ state
-            current += 1
-        latent[:, position] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for position, step in zip(order.tolist(), steps[order].tolist()):
+            if step == current + 1:
+                state = operator @ state
+            elif step > current:
+                state = np.linalg.matrix_power(operator, step - current) @ state
+            current = step
+            latent[:, position] = state
+    if not np.isfinite(latent).all():
+        step = steps[order[~np.isfinite(latent[:, order]).all(axis=0)][0]]
+        raise NumericalError(
+            f"latent state overflows at instant {model.t0 + step * model.dt:g} "
+            f"(lattice step {step})"
+        )
     return lift(latent, model.basis)

@@ -146,6 +146,25 @@ class TestAdvance:
         assert_allclose(evaluate(model, 7), full[:, [7]], rtol=1e-13)
 
 
+    def test_overflowing_powers_raise(self):
+        model = DmdModel(
+            rank=2,
+            reduced_op=np.diag([1e3, 0.5]),
+            eigenvalues=np.array([1e3 + 0j, 0.5 + 0j]),
+            modes=np.eye(2, dtype=complex),
+            amplitudes=np.array([1.0 + 0j, 1.0 + 0j]),
+            dt=1.0,
+            t0=0.0,
+            proj_basis=np.eye(2),
+            reduced_eigvecs=np.eye(2, dtype=complex),
+        )
+        assert_allclose(evaluate(model, [100])[:, 0], [1e300, 0.5**100], rtol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow at lattice step 103"):
+                evaluate(model, [5, 200, 103, 0])
+
+
 class TestReconstruct:
     def test_training_grid_exact_on_linear_data(self):
         op = rotation_decay(0.95, 0.3)

@@ -1,6 +1,7 @@
 """Tests for latent-trajectory interpolation surrogates."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from pdmd import dmd, latent as latent_module, regression
 from pdmd.bench import default_suite
 from pdmd.data import TimeGrid, lattice_steps, split_train_test
 from pdmd.dmd import fit_dmd, reconstruct
-from pdmd.errors import DataError, ExtrapolationWarning, IllConditionedWarning
+from pdmd.errors import (
+    DataError,
+    ExtrapolationWarning,
+    IllConditionedWarning,
+    NumericalError,
+)
 from pdmd.latent import (
     MonolithicModel,
     fit_monolithic,
@@ -146,6 +152,18 @@ class TestFitPartitioned:
 
 
 class TestPredictLatent:
+    def test_overflowing_member_raises(self):
+        latent, _ = two_block_family()
+        model = fit_partitioned(latent)
+        grown = replace(model.members[1], eigenvalues=np.array([1e3 + 0j, 0.5 + 0j]))
+        model = replace(model, members=(model.members[0], grown))
+        spec = RegressorSpec("linear")
+        times = latent.grid.instants[0] + latent.grid.dt * np.array([0.0, 50.0, 150.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow at lattice step 150"):
+                predict_latent(model, [[0.5]], times, spec)
+
     def test_training_parameter_matches_member(self):
         latent, _ = two_block_family()
         spec = RegressorSpec("linear")

@@ -1,15 +1,19 @@
 """Tests for optimized DMD and bagged ensembling."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pdmd import optdmd
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.errors import DataError, NumericalError
+from pdmd.errors import ConvergenceWarning, DataError, NumericalError
 from pdmd.optdmd import (
-    _kaufman_jacobian,
+    _gauss_newton,
+    _project,
+    _solve_each,
     condense_ensemble,
     fit_bopdmd,
     fit_optdmd,
@@ -19,6 +23,8 @@ from pdmd.optdmd import (
     project_conjugate_closure,
 )
 from pdmd.reduction import fit_global_basis, project
+from pdmd.regression import RegressorSpec
+from pdmd.rkoi import fit_rkoi
 from pdmd.synth import SynthSpec, generate
 
 
@@ -130,36 +136,192 @@ class TestFitOptDmd:
 
 
 def projected_residual(tau, omegas, data_t):
-    """(I - P(omega)) Y in the Jacobian's real layout, P by pseudo-inverse."""
+    """(I - P(omega)) Y in the real layout (real then imaginary parts of
+    the raveled residual), P by pseudo-inverse."""
     basis = np.exp(tau[:, None] * omegas[None, :])
     residual = (data_t - basis @ (np.linalg.pinv(basis) @ data_t)).ravel()
     return np.concatenate([residual.real, residual.imag])
 
 
-class TestKaufmanJacobian:
+def finite_difference_jacobian(tau, omegas, data_t, step=1e-6):
+    """Central differences of the projected residual in the 2r real
+    coordinates of omega: column 2j along Re(omega_j), 2j + 1 along
+    Im(omega_j)."""
+    columns = []
+    for j in range(omegas.size):
+        for direction in (1.0, 1j):
+            shift = np.zeros(omegas.size, dtype=complex)
+            shift[j] = step * direction
+            columns.append(
+                (projected_residual(tau, omegas + shift, data_t)
+                 - projected_residual(tau, omegas - shift, data_t)) / (2 * step)
+            )
+    return np.column_stack(columns)
+
+
+def gauss_newton_at(tau, omegas, data_t):
+    """The solver's Gram-form Hessian and gradient for one member."""
+    state = _project(tau[None], omegas[None], data_t[None])
+    basis, q, coeffs, residual, _ = state
+    hessian, grad = _gauss_newton(tau[None], basis, q, coeffs, residual)
+    return hessian[0], grad[0], residual[0]
+
+
+class TestGaussNewton:
+    """Kaufman's Hessian J^T J and gradient J^T r in Gram form, against a
+    finite-difference Jacobian of the projected residual."""
+
+    rng = np.random.default_rng(4)
+    instants = np.sort(np.concatenate([[0.0, 4.0], 4.0 * rng.random(30)]))
+    tau = instants - instants[0]
+    omegas = np.array([-0.2 + 1.5j, -0.2 - 1.5j, -0.5, 0.1 + 0.7j])
+    coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    exact = np.exp(tau[:, None] * omegas[None, :]) @ coeffs
+
     def test_matches_finite_differences_at_exact_fit(self):
         # at an exact fit the Golub-Pereyra term Kaufman drops vanishes,
-        # so the projected Jacobian is the true one
-        rng = np.random.default_rng(4)
-        instants = np.sort(np.concatenate([[0.0, 4.0], 4.0 * rng.random(30)]))
-        tau = instants - instants[0]
-        omegas = np.array([-0.2 + 1.5j, -0.2 - 1.5j, -0.5, 0.1 + 0.7j])
-        coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        basis = np.exp(tau[:, None] * omegas[None, :])
-        data_t = basis @ coeffs
-        jac = _kaufman_jacobian(tau, basis, coeffs)
-        assert jac.shape == (2 * data_t.size, 2 * omegas.size)
-        step = 1e-6
-        for j in range(omegas.size):
-            for column, direction in ((2 * j, 1.0), (2 * j + 1, 1j)):
-                shift = np.zeros(omegas.size, dtype=complex)
-                shift[j] = step * direction
-                central = (
-                    projected_residual(tau, omegas + shift, data_t)
-                    - projected_residual(tau, omegas - shift, data_t)
-                ) / (2 * step)
-                error = np.linalg.norm(jac[:, column] - central)
-                assert error <= 1e-6 * np.linalg.norm(central), (j, direction)
+        # so J^T J is the true one
+        hessian, grad, residual = gauss_newton_at(self.tau, self.omegas, self.exact)
+        jac = finite_difference_jacobian(self.tau, self.omegas, self.exact)
+        r = np.concatenate([residual.real.ravel(), residual.imag.ravel()])
+        assert hessian.shape == (2 * self.omegas.size,) * 2
+        assert np.linalg.norm(hessian - jac.T @ jac) <= 1e-6 * np.linalg.norm(jac.T @ jac)
+        # r is at rounding level here, and so is J^T r
+        scale = np.linalg.norm(jac) * np.linalg.norm(r)
+        assert np.linalg.norm(grad - jac.T @ r) <= 1e-6 * scale + 1e-12
+
+    def test_gradient_is_exact_off_the_fit(self):
+        # the dropped term is orthogonal to the residual, so Kaufman's
+        # gradient is the true gradient even where the fit is not exact
+        rng = np.random.default_rng(5)
+        noisy = self.exact + 0.05 * (
+            rng.standard_normal(self.exact.shape) + 1j * rng.standard_normal(self.exact.shape)
+        )
+        _, grad, residual = gauss_newton_at(self.tau, self.omegas, noisy)
+        jac = finite_difference_jacobian(self.tau, self.omegas, noisy)
+        r = np.concatenate([residual.real.ravel(), residual.imag.ravel()])
+        assert np.linalg.norm(r) > 0.1
+        assert np.linalg.norm(grad - jac.T @ r) <= 1e-6 * np.linalg.norm(jac.T @ r)
+
+
+class TestStackedMembers:
+    def test_overflowing_member_fails_alone(self):
+        tau = np.linspace(0.0, 5.0, 21)
+        data_t = np.exp(-0.3 * tau)[:, None] * np.array([[1.0, 2.0]]) + 0j
+        good = np.array([-0.3 + 0j, -1.0])
+        alone = _project(tau[None], good[None], data_t[None])
+        stacked = _project(
+            np.array([tau, tau]), np.array([[200.0, -1.0], good]), np.array([data_t, data_t])
+        )
+        assert stacked[4][0] == np.inf
+        for single, both in zip(alone, stacked):
+            assert np.array_equal(single[0], both[1])
+
+    def test_repeated_frequencies_take_the_minimum_norm_split(self):
+        tau = np.linspace(0.0, 5.0, 21)
+        data_t = np.exp(-0.3 * tau)[:, None] * np.array([[1.0, 2.0]]) + 0j
+        *_, coeffs, residual, objective = _project(
+            tau[None], np.array([[-0.3 + 0j, -0.3]]), data_t[None]
+        )
+        assert_allclose(coeffs[0], [[0.5, 1.0], [0.5, 1.0]], rtol=1e-12)
+        assert objective[0] < 1e-28
+
+    def test_singular_system_fails_alone(self):
+        systems = np.array([np.eye(2), np.ones((2, 2)), [[2.0, 1.0], [0.0, 4.0]]])
+        rhs = np.array([[[1.0], [2.0]]] * 3)
+        x, solved = _solve_each(systems, rhs)
+        assert solved.tolist() == [True, False, True]
+        assert np.array_equal(x[1], np.zeros((2, 1)))
+        for i in (0, 2):
+            assert np.array_equal(x[i], np.linalg.solve(systems[i], rhs[i]))
+
+    def test_members_do_not_depend_on_the_stack(self):
+        # the first three subsets of a 10-trial fit are those of a 3-trial
+        # fit at the same seed, and each member is solved on its own
+        rng = np.random.default_rng(17)
+        instants = np.linspace(0, 5, 81)
+        clean = 2.0 * np.cos(2.0 * instants) * np.exp(-0.1 * instants)
+        noisy = clean + 0.05 * rng.standard_normal(clean.shape)
+        x = SnapshotMatrix(noisy[None, :], TimeGrid(instants))
+        ten = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=5)
+        three = fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=5)
+        for a, b in zip(ten.members[:3], three.members):
+            assert a.n_iters == b.n_iters and a.n_iters > 1
+            assert a.converged == b.converged and a.objective == b.objective
+            for field in ("omegas", "modes", "amplitudes"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+# A repeated-frequency init, pinned under the earlier solver, whose inner
+# solve was ``lstsq``: the minimum-norm split of a rank-deficient basis.
+REPEATED_INIT = np.array([-0.3 + 0j, -0.3])
+
+
+def rank_one_decay(noise):
+    instants = np.linspace(0, 4, 33)
+    state = np.outer([1.0, -2.0, 0.5], np.exp(-0.3 * instants))
+    state = state + noise * np.random.default_rng(0).standard_normal(state.shape)
+    return SnapshotMatrix(state, TimeGrid(instants))
+
+
+class TestRepeatedFrequencyInit:
+    def test_exact_fit_keeps_the_minimum_norm_split(self):
+        model = fit_optdmd(rank_one_decay(0.0), 2, init=REPEATED_INIT)
+        assert model.converged and model.n_iters == 0
+        assert np.array_equal(model.omegas, REPEATED_INIT)
+        assert model.objective < 1e-14
+        lead = np.array([-0.4364357804719848, 0.8728715609439696, -0.2182178902359924])
+        assert_allclose(model.modes, np.column_stack([lead, lead]), rtol=1e-12)
+        assert_allclose(model.amplitudes, [-1.1456439237389602] * 2, rtol=1e-12)
+
+    def test_noisy_fit_moves_the_pair_as_before(self):
+        with pytest.warns(ConvergenceWarning, match="after 2 iterations") as caught:
+            model = fit_optdmd(rank_one_decay(0.01), 2, init=REPEATED_INIT)
+        assert len(caught) == 1
+        assert not model.converged and model.n_iters == 2
+        assert_allclose(model.omegas, [-0.3001901504355006] * 2, rtol=1e-12)
+        assert model.objective == pytest.approx(0.09264826200043182, rel=1e-12)
+
+
+# ``fit_rkoi``'s notes under a 2-iteration cap (bag_trials 3, seed 1), as
+# the one-member-per-call solver wrote them.
+CAPPED_NOTES = [
+    (0, "3.776e-02"), (0, "3.520e-02"), (0, "3.702e-02"),
+    (1, "3.316e-02"), (1, "3.669e-02"), (1, "3.357e-02"),
+    (2, "3.523e-02"), (2, "3.436e-02"), (2, "3.817e-02"),
+    (3, "3.893e-02"), (3, "4.590e-02"), (3, "4.451e-02"),
+    (4, "5.797e-02"), (4, "5.954e-02"), (4, "5.826e-02"),
+]
+
+
+class TestIterationCap:
+    def test_each_unconverged_member_warns_once(self, monkeypatch):
+        monkeypatch.setattr(optdmd, "_MAX_ITERS", 1)
+        x = two_tone(np.linspace(0, 5, 61))
+        x = SnapshotMatrix(x.state + 0.05 * np.sin(7.3 * x.grid.instants), x.grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bagged = fit_bopdmd(x, rank=2, trials=4, subset_fraction=0.8, seed=2)
+        stopped = [m for m in bagged.members if not m.converged]
+        assert stopped and all(m.n_iters == 1 for m in bagged.members)
+        assert len(caught) == len(stopped)
+        assert all("stopped after 1 iterations" in str(w.message) for w in caught)
+
+    def test_rkoi_notes_read_as_before(self, monkeypatch):
+        monkeypatch.setattr(optdmd, "_MAX_ITERS", 2)
+        spec = SynthSpec(
+            "exp-modes", n_h=40, n_params=5, param_range=(0.2, 0.8),
+            n_t=60, dt=0.08, noise_std=0.01, seed=23,
+        )
+        dataset, _ = generate(spec)
+        latent = project(dataset, fit_global_basis(dataset, 4))
+        with pytest.warns(ConvergenceWarning):
+            model = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=3, bag_seed=1)
+        assert list(model.notes) == [
+            f"parameter {i}: optimized DMD stopped after 2 iterations without "
+            f"meeting tolerances (objective {objective})"
+            for i, objective in CAPPED_NOTES
+        ]
 
 
 class TestConjugateClosure:

@@ -234,6 +234,38 @@ class TestPredictRoi:
             atol=1e-9,
         )
 
+    def test_far_lattice_query_matches_eigen_powers(self):
+        # gaps of one step and of up to 1e9 steps, in any order
+        latent = scaled_rotation_latents([0.5, 0.7, 0.9], rotation(1.0, 0.5), [1.0, 0.0], 25)
+        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        steps = np.array([60, 0, 1, 2, 7, 10**9, 8, 3])
+        coeffs, state = read_at(model, [0.8])
+        values, vectors = np.linalg.eig(synthesize_operator(model, coeffs))
+        weights = np.linalg.solve(vectors, state)
+        powers = values[None, :] ** steps[:, None]
+        spectral = lift(((vectors * weights) @ powers.T).real, model.basis)
+        pred = predict_roi(model, [0.8], steps.astype(float))
+        assert_allclose(pred, spectral, rtol=1e-9, atol=1e-9 * np.linalg.norm(state))
+
+    def test_consecutive_instants_take_one_product_per_step(self):
+        latent = scaled_rotation_latents([0.5, 0.7, 0.9], rotation(1.0, 0.5), [1.0, 0.0], 25)
+        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        coeffs, state = read_at(model, [0.8])
+        operator = synthesize_operator(model, coeffs)
+        latent_states = [state]
+        for _ in range(39):
+            latent_states.append(operator @ latent_states[-1])
+        expected = lift(np.column_stack(latent_states), model.basis)
+        pred = predict_roi(model, [0.8], np.arange(40.0))
+        assert pred.tobytes() == expected.tobytes()
+
+    def test_overflowing_state_names_the_instant(self):
+        latent = scaled_rotation_latents([1.5, 2.0], rotation(1.0, 0.3), [1.0, 0.0], 20)
+        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        # 1.8**1000 is about 1e255, 1.8**2000 beyond the double range
+        with pytest.raises(NumericalError, match="instant 2000 "):
+            predict_roi(model, [1.8], np.array([1000.0, 0.0, 1.0, 2000.0]))
+
     def test_zero_interpolated_initial_state(self):
         base = rotation(0.95, 0.4)
         grid = TimeGrid(np.arange(20.0))
