@@ -34,6 +34,12 @@ def _finite_array(values, name, dtype=float):
     return arr
 
 
+def has_duplicate_rows(rows: np.ndarray) -> bool:
+    """Whether two rows are equal (0.0 equals -0.0); sorting makes them adjacent."""
+    ordered = rows[np.lexsort(rows.T)]
+    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing sampling instants shared by a trajectory."""
@@ -136,7 +142,7 @@ class ParametricDataset:
             raise DataError("dataset needs at least one parameter")
         if params.shape[1] < 1:
             raise DataError("parameter vectors need at least one component")
-        if len(np.unique(params, axis=0)) != params.shape[0]:
+        if has_duplicate_rows(params):
             raise DataError("parameter vectors must be pairwise distinct")
         grid = trajectories[0].grid
         n_state = trajectories[0].n_state

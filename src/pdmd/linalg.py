@@ -140,9 +140,9 @@ def scale_exponent(*arrays) -> int:
     """The exponent e for which the real ``arrays`` times 2**-e, an exact
     scaling, have their largest |entry| in [0.5, 1), so that squares and
     their sums neither overflow nor go subnormal.  0 (no scaling) when
-    that entry lies inside ``SCALE_FREE``, and for all-zero or non-finite
-    data."""
-    peak = max(float(max(a.max(), -a.min())) for a in arrays)
+    that entry lies inside ``SCALE_FREE``, and for empty, all-zero or
+    non-finite data."""
+    peak = max(float(max(a.max(initial=0), -a.min(initial=0))) for a in arrays)
     return 0 if SCALE_FREE[0] <= peak < SCALE_FREE[1] else int(np.frexp(peak)[1])
 
 

@@ -404,8 +404,8 @@ def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDm
         amplitudes=ldexp(amplitudes, exponent),
         t0=t0,
         objective=float(np.ldexp(np.sqrt(objective), exponent)),
-        converged=converged,
-        n_iters=n_iters,
+        converged=bool(converged),
+        n_iters=int(n_iters),
     )
 
 
@@ -419,22 +419,25 @@ def _fit_stack(trajectories, rank: int, init) -> list:
         np.array([x.state.T.astype(complex) for x, _ in scaled]),
         np.array([_initial_omegas(x, rank, init) for x, _ in scaled]),
     )
-    models = []
-    for i, (x, exponent) in enumerate(scaled):
-        if not converged[i]:
-            with np.errstate(over="ignore"):
-                squared = np.ldexp(objective[i], 2 * exponent)
-            warnings.warn(
-                f"optimized DMD stopped after {n_iters[i]} iterations without "
-                f"meeting tolerances (objective {squared:.3e})",
-                ConvergenceWarning,
-                stacklevel=3,
-            )
-        models.append(_model(
-            omegas[i], coeffs[i], objective[i], exponent, x.grid.t0,
-            bool(converged[i]), int(n_iters[i]),
-        ))
+    models = [
+        _model(omegas[i], coeffs[i], objective[i], exponent, x.grid.t0, converged[i], n_iters[i])
+        for i, (x, exponent) in enumerate(scaled)
+    ]
+    for model in models:
+        if not model.converged:
+            warnings.warn(convergence_report(model), ConvergenceWarning, stacklevel=3)
     return models
+
+
+def convergence_report(model: OptDmdModel) -> str:
+    """What a fit that stopped before meeting its tolerances reports:
+    its iteration count and squared residual in the data's units."""
+    with np.errstate(over="ignore"):
+        squared = np.square(model.objective)
+    return (
+        f"optimized DMD stopped after {model.n_iters} iterations without "
+        f"meeting tolerances (objective {squared:.3e})"
+    )
 
 
 def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
+from .data import has_duplicate_rows
 from .errors import DataError, ExtrapolationWarning, IllConditionedWarning
 
 KINDS = ("linear", "nearest", "rbf-gauss", "rbf-tps", "poly")
@@ -192,13 +193,6 @@ def _poly_features(params: np.ndarray, powers: list) -> np.ndarray:
     )
 
 
-def _has_duplicate_rows(params: np.ndarray) -> bool:
-    """Whether two rows are equal; a lexicographic sort makes equal rows
-    adjacent."""
-    ordered = params[np.lexsort(params.T)]
-    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
-
-
 def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
     if kind == "rbf-gauss":
         return np.exp(-(distances**2))
@@ -233,7 +227,7 @@ def prepare(spec: RegressorSpec, params) -> Sites:
             gram = features.T @ features + spec.ridge * np.eye(len(powers))
         return Sites(spec, params, *box, powers=powers, features=features, gram=gram)
 
-    if _has_duplicate_rows(params):
+    if has_duplicate_rows(params):
         raise DataError("duplicate parameters for an interpolating regressor")
     if spec.kind == "linear":
         order = np.argsort(params[:, 0])

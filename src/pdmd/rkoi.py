@@ -28,6 +28,7 @@ from .errors import ConvergenceWarning, DataError
 from .optdmd import (
     OptDmdModel,
     condense_ensemble,
+    convergence_report,
     exponential_sum,
     fit_bopdmd,
     fit_optdmd,
@@ -44,8 +45,8 @@ class RkoiModel:
 
     ``regressor`` maps mu to r^2 + 2r complex channels: vec(modes),
     column-major, then the r continuous frequencies, then the r
-    amplitudes.  ``notes`` carries fit telemetry (non-converged members,
-    ambiguous alignments) that callers may want to surface.
+    amplitudes.  ``notes`` names each fitted member (each bagged trial)
+    whose ``converged`` flag is False, and each ambiguous alignment.
     """
 
     tag: ClassVar[str] = "rkoi"
@@ -122,24 +123,20 @@ def fit_rkoi(
     notes = []
     members = []
     for i in range(latent.n_params):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConvergenceWarning)
-            if bag_trials > 1:
-                ensemble = fit_bopdmd(
-                    latent.trajectory(i),
-                    rank,
-                    trials=bag_trials,
-                    subset_fraction=bag_fraction,
-                    seed=bag_seed + int(positions[i]),
-                )
-                member = condense_ensemble(ensemble, latent.trajectory(i))
-            else:
-                member = fit_optdmd(latent.trajectory(i), rank)
-        for item in caught:
-            if issubclass(item.category, ConvergenceWarning):
-                note = f"parameter {i}: {item.message}"
-                notes.append(note)
-                warnings.warn(note, ConvergenceWarning, stacklevel=2)
+        if bag_trials > 1:
+            ensemble = fit_bopdmd(
+                latent.trajectory(i),
+                rank,
+                trials=bag_trials,
+                subset_fraction=bag_fraction,
+                seed=bag_seed + int(positions[i]),
+            )
+            fits = ensemble.members
+            member = condense_ensemble(ensemble, latent.trajectory(i))
+        else:
+            member = fit_optdmd(latent.trajectory(i), rank)
+            fits = (member,)
+        notes += [f"parameter {i}: {convergence_report(f)}" for f in fits if not f.converged]
         members.append(member)
 
     # align each member to its tree parent so that channel j means the

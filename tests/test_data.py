@@ -85,6 +85,12 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="distinct"):
             ParametricDataset(np.array([[1.0], [1.0]]), (traj, traj))
 
+    def test_signed_zero_params_are_duplicates(self):
+        grid = TimeGrid(np.array([0.0, 1.0]))
+        traj = SnapshotMatrix(np.zeros((2, 2)), grid)
+        with pytest.raises(DataError, match="distinct"):
+            ParametricDataset(np.array([[0.0, 1.0], [-0.0, 1.0]]), (traj, traj))
+
     def test_mismatched_grids_rejected(self):
         a = SnapshotMatrix(np.zeros((2, 2)), TimeGrid(np.array([0.0, 1.0])))
         b = SnapshotMatrix(np.zeros((2, 2)), TimeGrid(np.array([0.0, 2.0])))

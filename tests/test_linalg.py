@@ -140,6 +140,12 @@ class TestScaleExponent:
         assert scale_exponent(np.zeros((3, 2))) == 0
         assert scale_exponent(np.array([1e300, np.inf])) == 0
 
+    def test_empty_data_are_not_scaled(self):
+        assert scale_exponent(np.zeros((3, 0))) == 0
+        assert scale_exponent(np.zeros(0), np.array([-1e200])) == scale_exponent(
+            np.array([-1e200])
+        )
+
     def test_ldexp_is_exact_for_real_and_complex_values(self):
         values = np.array([0.75 - 0.5j, -3.0 + 1e-300j])
         scaled = ldexp(values, 1000)

@@ -283,6 +283,60 @@ class TestRepeatedFrequencyInit:
         assert model.objective == pytest.approx(0.09264826200043182, rel=1e-12)
 
 
+class TestThinDataWarmStarts:
+    """Warm starts for a one-row trajectory, which carries fewer
+    frequencies than the rank asks for."""
+
+    @staticmethod
+    def spy_trapezoid(monkeypatch):
+        starts = []
+        original = optdmd._trapezoid_warm_start
+
+        def recording(x, rank):
+            starts.append(original(x, rank))
+            return starts[-1]
+
+        monkeypatch.setattr(optdmd, "_trapezoid_warm_start", recording)
+        return starts
+
+    def test_bagged_members_fall_back_to_a_zero_padded_trapezoid(self, monkeypatch):
+        # the delay-embedded DMD of a single decay is rank-deficient, so the
+        # shared warm start fails and each member starts on its own subset
+        starts = self.spy_trapezoid(monkeypatch)
+        x = scalar_signal(lambda t: np.exp(-0.3 * t), np.linspace(0, 4, 41))
+        bagged = fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=0)
+        assert len(starts) == 3 and all(start[1] == 0 for start in starts)
+        assert [(m.converged, m.n_iters) for m in bagged.members] == [(True, 7)] * 3
+        assert_allclose(
+            [m.omegas for m in bagged.members],
+            [
+                [-0.21227941384098326, -0.2999999999999944],
+                [-0.21692678926584769, -0.29999999999999216],
+                [-0.20725528977363125, -0.2999999999999949],
+            ],
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_non_uniform_fit_pads_with_a_harmonic_pair(self, monkeypatch):
+        starts = self.spy_trapezoid(monkeypatch)
+        instants = 6 * np.linspace(0, 1, 40) ** 1.5
+        model = fit_optdmd(scalar_signal(lambda t: np.cos(1.3 * t), instants), rank=3)
+        assert len(starts) == 1
+        assert_allclose(starts[0][1:], [1j * np.pi / 6, -1j * np.pi / 6], rtol=1e-15)
+        assert model.converged and model.n_iters == 6
+        assert_allclose(
+            model.omegas,
+            [
+                -2.5889389862214222e-14 + 1.299999999999999j,
+                -2.5889389862214222e-14 - 1.299999999999999j,
+                -0.50358688232203,
+            ],
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 # ``fit_rkoi``'s notes under a 2-iteration cap (bag_trials 3, seed 1), as
 # the one-member-per-call solver wrote them.
 CAPPED_NOTES = [
@@ -292,6 +346,8 @@ CAPPED_NOTES = [
     (3, "3.893e-02"), (3, "4.590e-02"), (3, "4.451e-02"),
     (4, "5.797e-02"), (4, "5.954e-02"), (4, "5.826e-02"),
 ]
+# the same fit with bag_trials 1: one optimized DMD per parameter
+CAPPED_UNBAGGED_OBJECTIVES = ["4.430e-02", "4.698e-02", "4.512e-02", "5.403e-02", "7.249e-02"]
 
 
 class TestIterationCap:
@@ -322,6 +378,26 @@ class TestIterationCap:
             f"meeting tolerances (objective {objective})"
             for i, objective in CAPPED_NOTES
         ]
+
+    def test_unbagged_rkoi_notes_read_as_before(self, monkeypatch):
+        """One note per parameter, and one warning each: optDMD's own, the
+        note without its ``parameter i:`` prefix."""
+        monkeypatch.setattr(optdmd, "_MAX_ITERS", 2)
+        spec = SynthSpec(
+            "exp-modes", n_h=40, n_params=5, param_range=(0.2, 0.8),
+            n_t=60, dt=0.08, noise_std=0.01, seed=23,
+        )
+        dataset, _ = generate(spec)
+        latent = project(dataset, fit_global_basis(dataset, 4))
+        with pytest.warns(ConvergenceWarning) as caught:
+            model = fit_rkoi(latent, RegressorSpec("linear"))
+        reports = [
+            f"optimized DMD stopped after 2 iterations without "
+            f"meeting tolerances (objective {objective})"
+            for objective in CAPPED_UNBAGGED_OBJECTIVES
+        ]
+        assert list(model.notes) == [f"parameter {i}: {r}" for i, r in enumerate(reports)]
+        assert [str(w.message) for w in caught] == reports
 
 
 class TestConjugateClosure:

@@ -196,6 +196,16 @@ class TestPredictSurrogate:
             assert_allclose(pred, full[:, columns], rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("kind", ["linear", "rbf-gauss", "poly"])
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_empty_instant_list_gives_an_empty_trajectory(self, algorithm, kind):
+        dataset = linear_dataset()
+        options = FitOptions(algorithm, rank=6, regressor=RegressorSpec(kind))
+        surrogate = fit_surrogate(dataset, options)
+        pred = predict_surrogate(surrogate.model, dataset.params[1], [], surrogate.regressor)
+        assert pred.shape == (dataset.n_state, 0)
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_clamped_query_warns_once(self, algorithm):
         dataset = linear_dataset()

@@ -156,6 +156,12 @@ class TestDuplicates:
             fit(prepare(RegressorSpec(kind), params), values)
 
     @pytest.mark.parametrize("kind", INTERPOLATING_VECTOR_KINDS)
+    def test_signed_zero_rows_rejected(self, kind):
+        params = np.array([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]])
+        with pytest.raises(DataError, match="duplicate parameters"):
+            fit(prepare(RegressorSpec(kind), params), np.arange(3.0)[:, None])
+
+    @pytest.mark.parametrize("kind", INTERPOLATING_VECTOR_KINDS)
     def test_rows_sharing_a_coordinate_accepted(self, kind):
         params = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 1.0], [0.5, 2.0]])
         values = np.arange(4.0)[:, None]

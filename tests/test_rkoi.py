@@ -1,13 +1,16 @@
 """Tests for continuous-spectrum surrogate interpolation."""
 
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmd.data import ParametricDataset, TimeGrid, subset_params
-from pdmd.errors import DataError, ExtrapolationWarning
+from pdmd import optdmd, regression
+from pdmd import rkoi as rkoi_module
+from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid, subset_params
+from pdmd.errors import ConvergenceWarning, DataError, ExtrapolationWarning
 from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
@@ -244,3 +247,77 @@ class TestAlignmentTree:
         assert ranked.tolist() == [1, 4, 2, 0, 3]
         assert order.tolist() == ranked.tolist()
         assert parents.tolist() == [2, -1, 4, 0, 1]
+
+
+def fit_rkoi_beside(monkeypatch, latent, other):
+    """Fit rkoi on ``latent`` while a second thread runs ``other`` inside
+    the first member's fit.  Returns (model, [(thread name, category,
+    message)] for every warning shown)."""
+    member_fitting, other_done = threading.Event(), threading.Event()
+    original_fit = rkoi_module.fit_optdmd
+    waited = []
+
+    def fit_after_other(*args, **kwargs):
+        if not waited:
+            member_fitting.set()
+            waited.append(other_done.wait(timeout=30))
+        return original_fit(*args, **kwargs)
+
+    def run_other():
+        try:
+            member_fitting.wait(timeout=30)
+            other()
+        finally:
+            other_done.set()
+
+    shown = []
+
+    def record(message, category, filename, lineno, file=None, line=None):
+        shown.append((threading.current_thread().name, category, str(message)))
+
+    monkeypatch.setattr(rkoi_module, "fit_optdmd", fit_after_other)
+    worker = threading.Thread(target=run_other, name="other")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = record
+        worker.start()
+        model = fit_rkoi(latent, RegressorSpec("linear"))
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert waited == [True]
+    return model, shown
+
+
+class TestWarningsStayInTheirThread:
+    """A fit's notes hold its own members' reports, and every thread sees
+    its own warnings, whatever runs beside the fit."""
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    def test_notes_take_nothing_from_another_threads_fit(self, monkeypatch):
+        monkeypatch.setattr(optdmd, "_MAX_ITERS", 1)
+        _, _, latent = pipeline_latent()
+        alone = fit_rkoi(latent, RegressorSpec("linear")).notes
+        instants = np.linspace(0, 5, 61)
+        signal = np.cos(2.0 * instants) + 0.05 * np.sin(7.3 * instants)
+        stopped = []
+
+        def fit_stopping_early():
+            x = SnapshotMatrix(signal[None, :], TimeGrid(instants))
+            stopped.append(not optdmd.fit_optdmd(x, rank=2).converged)
+
+        model, shown = fit_rkoi_beside(monkeypatch, latent, fit_stopping_early)
+        assert model.notes == alone
+        assert stopped == [True]
+        theirs = [(category, message) for name, category, message in shown if name == "other"]
+        assert len(theirs) == 1
+        assert theirs[0][0] is ConvergenceWarning
+        assert "stopped after 1 iterations" in theirs[0][1]
+
+    def test_clamped_query_warns_its_own_thread(self, monkeypatch):
+        latent = tone_family([0.0, 0.1, 0.2])
+        sites = regression.prepare(RegressorSpec("linear"), [[0.0], [1.0]])
+        model, shown = fit_rkoi_beside(monkeypatch, latent, lambda: stencil(sites, [5.0]))
+        assert model.notes == ()
+        assert [(name, category) for name, category, _ in shown] == [
+            ("other", ExtrapolationWarning)
+        ]
