@@ -210,7 +210,6 @@ def _dmd_sections(prefix: str, model: DmdModel) -> dict:
 def _read_dmd(prefix: str, sections: dict) -> DmdModel:
     meta = _section_value(sections, f"{prefix}.spec")
     return DmdModel(
-        rank=int(meta["rank"]),
         reduced_op=_section_value(sections, f"{prefix}.reduced_op"),
         eigenvalues=_section_value(sections, f"{prefix}.eigenvalues"),
         modes=_section_value(sections, f"{prefix}.modes"),

@@ -306,9 +306,7 @@ def cmd_eval(args) -> int:
         reports.extend(
             evaluate_model(
                 archive.model,
-                archive.algorithm,
                 spec,
-                int(archive.metadata["rank"]),
                 dataset,
                 indices,
                 offline_seconds=float(archive.metadata["offline_seconds"]),

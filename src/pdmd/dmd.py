@@ -32,7 +32,6 @@ class DmdModel:
     ``modes`` live in the fit space (full state or latent coordinates).
     """
 
-    rank: int
     reduced_op: np.ndarray
     eigenvalues: np.ndarray
     modes: np.ndarray
@@ -41,6 +40,10 @@ class DmdModel:
     t0: float
     proj_basis: np.ndarray
     reduced_eigvecs: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
 
 
 def _real_with_telemetry(values, context):
@@ -94,7 +97,6 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
     modes = propagated.astype(complex) @ decomp.eigenvectors
     amplitudes = np.linalg.lstsq(modes, x.state[:, 0].astype(complex), rcond=None)[0]
     return DmdModel(
-        rank=rank,
         reduced_op=reduced_op,
         eigenvalues=decomp.eigenvalues,
         modes=modes,

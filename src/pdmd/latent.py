@@ -31,7 +31,7 @@ import numpy as np
 from . import regression
 from .data import SnapshotMatrix, lattice_steps
 from .dmd import DmdModel, evaluate, fit_dmd
-from .errors import DataError
+from .errors import DataError, NumericalError, RankDeficientError
 from .reduction import GlobalBasis, LatentDataset
 
 
@@ -95,12 +95,34 @@ def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
     return MonolithicModel(basis=latent.basis, stacked_dmd=model, params=latent.params)
 
 
+def _parameter_label(latent: LatentDataset, index: int) -> str:
+    return f"training parameter {index} (mu = {latent.params[index].tolist()})"
+
+
 def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
-    """Independent DMD per parameter at the full latent rank."""
-    members = tuple(
-        fit_dmd(latent.trajectory(i), latent.rank) for i in range(latent.n_params)
-    )
-    return PartitionedModel(basis=latent.basis, members=members, params=latent.params)
+    """Independent DMD per parameter at the full latent rank; ``roi``
+    interpolates these members' operators.  A ``NumericalError`` names its
+    parameter at once; rank deficiency is reported after the loop, naming
+    the parameter with the smallest supported rank."""
+    members = []
+    deficient = []  # (supported rank, parameter index, error)
+    for i in range(latent.n_params):
+        try:
+            members.append(fit_dmd(latent.trajectory(i), latent.rank))
+        except RankDeficientError as exc:
+            deficient.append((exc.supported_rank, i, exc))
+        except NumericalError as exc:
+            raise NumericalError(f"{_parameter_label(latent, i)}: {exc}") from exc
+
+    if deficient:
+        supported, i, exc = min(deficient, key=lambda entry: entry[:2])
+        raise RankDeficientError(
+            f"{_parameter_label(latent, i)}: {exc} (the smallest supported "
+            f"rank over all {latent.n_params} training parameters; "
+            f"{len(deficient)} of them are rank-deficient)",
+            supported,
+        ) from exc
+    return PartitionedModel(latent.basis, tuple(members), latent.params)
 
 
 def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.ndarray:

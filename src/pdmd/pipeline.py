@@ -148,14 +148,13 @@ def timed_query(model, mu, instants, spec: RegressorSpec) -> tuple:
 
 def evaluate_model(
     model,
-    algorithm: str,
     spec: RegressorSpec,
-    rank: int,
     dataset: ParametricDataset,
     indices,
     offline_seconds: float = 0.0,
 ) -> list:
-    """One EvalReport per requested parameter, online time measured."""
+    """One EvalReport per requested parameter, online time measured; the
+    algorithm and rank are the model's own."""
     reports = []
     for i in indices:
         i = int(i)
@@ -169,8 +168,8 @@ def evaluate_model(
         )
         reports.append(
             EvalReport(
-                algorithm=algorithm,
-                rank=rank,
+                algorithm=model.tag,
+                rank=model.basis.rank,
                 parameter=dataset.params[i],
                 frobenius_error=frobenius_rel_error(truth, pred),
                 time_errors=time_rel_error(truth, pred),

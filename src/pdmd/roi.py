@@ -1,13 +1,15 @@
 """Operator interpolation over the parameter space.
 
-Offline: one full-rank DMD per training parameter in latent
-coordinates, the operators flattened into columns of a matrix whose
-truncated SVD yields operator modes and per-parameter coefficients;
-the coefficients and the initial latent states are regressed over mu as
-one value table.  Online: read that table once at the queried mu (one
-stencil, one combine), synthesize the operator from the coefficients,
-step the latent state, lift.  No regressor is fitted online, so query
-cost does not grow with the number of training parameters.
+Offline: the partitioned strategy's full-rank DMDs, one per training
+parameter in latent coordinates (``latent.fit_partitioned``, which also
+reports a rank-deficient training set), their operators flattened into
+columns of a matrix whose truncated SVD yields operator modes and
+per-parameter coefficients; the coefficients and the initial latent
+states are regressed over mu as one value table.  Online: read that
+table once at the queried mu (one stencil, one combine), synthesize the
+operator from the coefficients, step the latent state, lift.  No
+regressor is fitted online, so query cost does not grow with the number
+of training parameters.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from . import regression
 from .data import lattice_steps
-from .dmd import fit_dmd, reconstruct
-from .errors import DataError, NumericalError, RankDeficientError
+from .dmd import reconstruct
+from .errors import DataError, NumericalError
+from .latent import fit_partitioned
 from .linalg import scale_exponent, truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
 
@@ -77,10 +80,6 @@ def fold_operator(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((side, side), order="F")
 
 
-def _parameter_label(latent: LatentDataset, index: int) -> str:
-    return f"training parameter {index} (mu = {latent.params[index].tolist()})"
-
-
 def fit_roi(
     latent: LatentDataset,
     op_rank: int,
@@ -89,41 +88,22 @@ def fit_roi(
     """Train the operator-interpolation surrogate on latent trajectories."""
     if not latent.grid.is_uniform:
         raise DataError("operator interpolation requires a uniform time grid")
-    rank = latent.rank
-    max_op_rank = min(rank * rank, latent.n_params)
+    max_op_rank = min(latent.rank**2, latent.n_params)
     if not 1 <= op_rank <= max_op_rank:
         raise DataError(f"op_rank {op_rank} out of range [1, {max_op_rank}]")
 
     operators = []
     residuals = []
-    deficient = []  # (supported rank, parameter index, error)
-    for i in range(latent.n_params):
-        trajectory = latent.trajectory(i)
-        try:
-            model = fit_dmd(trajectory, rank)
-        except RankDeficientError as exc:
-            deficient.append((exc.supported_rank, i, exc))
-            continue
-        except NumericalError as exc:
-            raise NumericalError(f"{_parameter_label(latent, i)}: {exc}") from exc
+    for model, states in zip(fit_partitioned(latent).members, latent.latents):
         # rotate the reduced operator into shared latent coordinates; the
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T
         operators.append(unfold_operator(operator))
         # an exact power-of-two scaling keeps the norm finite and normal
-        error = reconstruct(model, latent.grid).state - trajectory.state
+        error = reconstruct(model, latent.grid).state - states
         exponent = scale_exponent(error)
         norm = np.linalg.norm(np.ldexp(error, -exponent))
         residuals.append(float(np.ldexp(norm, exponent)))
-
-    if deficient:
-        supported, i, exc = min(deficient, key=lambda entry: entry[:2])
-        raise RankDeficientError(
-            f"{_parameter_label(latent, i)}: {exc} (the smallest supported "
-            f"rank over all {latent.n_params} training parameters; "
-            f"{len(deficient)} of them are rank-deficient)",
-            supported,
-        ) from exc
 
     stacked = np.column_stack(operators)
     svd = truncated_svd(stacked, op_rank)

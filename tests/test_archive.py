@@ -57,7 +57,6 @@ def fixed_complex_regressor(table, spec=RegressorSpec("nearest", extrapolation="
 
 def fixed_dmd(scale):
     return DmdModel(
-        rank=2,
         reduced_op=scale * np.array([[0.5, -0.25], [0.25, 0.5]]),
         eigenvalues=scale * np.array([0.5 + 0.25j, 0.5 - 0.25j]),
         modes=np.array([[1.0, 1.0], [0.5j, -0.5j]]),
@@ -79,7 +78,6 @@ def fixed_models(spec=None):
     roi_spec = spec or RegressorSpec("linear")
     rkoi_spec = spec or RegressorSpec("nearest", extrapolation="allow")
     stacked = DmdModel(
-        rank=2,
         reduced_op=np.array([[0.5, 0.0], [0.0, 0.25]]),
         eigenvalues=np.array([0.5 + 0j, 0.25 + 0j]),
         modes=np.arange(8.0).reshape(4, 2) + 0j,
@@ -536,6 +534,9 @@ class TestValidation:
             ("mono", {"mono.block_map": np.array([[0, 1], [1, 4]])}, "mono.block_map"),
             ("part", {"part.spec": {"dt": 0.25}}, "part.spec"),
             ("part", {"part.spec": {"t0": 0.0}}, "part.spec"),
+            ("mono", {"mono.stacked.spec": {"rank": 7}}, "mono.stacked.spec"),
+            ("part", {"part.member0.spec": {"rank": 7}, "part.member1.spec": {"rank": 7}},
+             "part.member0.spec"),
             ("roi", {"roi.coeff_reg.spec": {"output_dim": 1},
                      "roi.init_reg.spec": {"output_dim": 3},
                      "roi.coeff_reg.coeff.table": np.array([[1.0], [0.75]]),
@@ -544,7 +545,7 @@ class TestValidation:
             ("roi", {"roi.init_reg.coeff.xs": np.array([0.25, 0.5])}, "roi.init_reg.coeff.xs"),
         ],
         ids=["mono-dt", "mono-t0", "mono-block-map", "part-dt", "part-t0",
-             "roi-groups-shifted", "roi-xs"],
+             "mono-dmd-rank", "part-member-ranks", "roi-groups-shifted", "roi-xs"],
     )
     def test_stored_copies_off_the_arrays_rejected(
         self, fixed_archives, tmp_path, capsys, tag, changes, section

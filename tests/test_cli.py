@@ -132,6 +132,24 @@ class TestExitCodes:
         assert run_cli("bench", "--suite", str(tmp_path / "absent.cfg"),
                        "--out", str(tmp_path / "bench")) == 3
 
+    @pytest.mark.parametrize("algorithm", ["roi", "part"])
+    def test_rank_deficient_training_set_is_numerical_error(
+        self, tmp_path, capsys, algorithm
+    ):
+        data = tmp_path / "modes.pdmd1"
+        assert run_cli(
+            "synth", "--family", "exp-modes", "--nh", "200", "--np", "9",
+            "--nt", "80", "--dt", "0.08", "--param-range", "0.2,0.8",
+            "--seed", "23", "--out", str(data),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("fit", "--data", str(data), "--algorithm", algorithm,
+                       "--rank", "8", "--out", str(tmp_path / "m.pdmdm")) == 4
+        err = capsys.readouterr().err
+        assert "training parameter 0 (mu = [0.2])" in err
+        assert "reduce the rank to 6" in err
+        assert "the smallest supported rank over all 9 training parameters" in err
+
     @pytest.mark.parametrize("command", ["fit", "eval", "plotdata", "bench"])
     def test_unwritable_output_is_data_error(self, tmp_path, capsys, command):
         # a regular file where the output's folder should be: no command
@@ -570,6 +588,20 @@ class TestEvalAndPlotdata:
             assert r.extras["online_fits"] == (0 if r.algorithm == "roi" else 40)
         assert "parameter" in console and "algorithm" in console
         assert console.count("roi") >= 2 and console.count("mono") >= 2
+
+    def test_eval_reads_rank_and_algorithm_from_the_model(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        model = tmp_path / "roi.pdmdm"
+        assert run_cli("fit", "--data", str(data), "--algorithm", "roi",
+                       "--rank", "4", "--out", str(model)) == 0
+        loaded = load_model(model)
+        edited = tmp_path / "edited.pdmdm"
+        save_model(loaded.model, edited, {**loaded.metadata, "rank": 9})
+        report = tmp_path / "report.jsonl"
+        assert run_cli("eval", "--model", str(edited), "--data", str(data),
+                       "--test-idx", "2", "--out", str(report)) == 0
+        (parsed,) = [report_from_line(l) for l in report.read_text().splitlines()]
+        assert (parsed.algorithm, parsed.rank) == ("roi", 4)
 
     def test_plotdata_emits_tidy_rows(self, tmp_path, capsys):
         data, report = self.make_reports(tmp_path, capsys)

@@ -101,7 +101,6 @@ class TestAdvance:
 
     def test_fixed_point(self):
         model = DmdModel(
-            rank=1,
             reduced_op=np.array([[1.0]]),
             eigenvalues=np.array([1.0 + 0.0j]),
             modes=np.array([[1.0], [0.0]], dtype=complex),
@@ -148,7 +147,6 @@ class TestAdvance:
 
     def test_overflowing_powers_raise(self):
         model = DmdModel(
-            rank=2,
             reduced_op=np.diag([1e3, 0.5]),
             eigenvalues=np.array([1e3 + 0j, 0.5 + 0j]),
             modes=np.eye(2, dtype=complex),

@@ -232,9 +232,7 @@ class TestEvaluateModel:
         with pytest.raises(DataError, match="range"):
             evaluate_model(
                 surrogate.model,
-                "roi",
                 surrogate.regressor,
-                6,
                 dataset,
                 [dataset.n_params],
             )
@@ -244,9 +242,7 @@ class TestEvaluateModel:
         surrogate = fit_surrogate(dataset, FitOptions("roi", rank=6))
         reports = evaluate_model(
             surrogate.model,
-            "roi",
             surrogate.regressor,
-            6,
             dataset,
             [1, 4],
             offline_seconds=1.25,
@@ -273,7 +269,7 @@ class TestEvaluateModel:
         dataset = linear_dataset(n_t=25)
         surrogate = fit_surrogate(dataset, FitOptions("mono", rank=6))
         reports = evaluate_model(
-            surrogate.model, "mono", surrogate.regressor, 6, dataset, [2]
+            surrogate.model, surrogate.regressor, dataset, [2]
         )
         assert reports[0].extras["online_fits"] == 25
 

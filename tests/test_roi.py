@@ -1,18 +1,21 @@
 """Tests for operator interpolation."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
-from pdmd.dmd import fit_dmd
+from pdmd.dmd import fit_dmd, reconstruct
 from pdmd.errors import DataError, NumericalError
+from pdmd.latent import fit_partitioned
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
 from pdmd.regression import FitCount, RegressorSpec, combine, stencil
 from pdmd.roi import (
+    RoiModel,
     fit_roi,
     fold_operator,
     predict_roi,
@@ -30,6 +33,17 @@ def rotation(radius, angle):
 def identity_basis(rank, n_state=None):
     n_state = rank if n_state is None else n_state
     return GlobalBasis(np.eye(n_state)[:, :rank], np.ones(rank), 1.0)
+
+
+def dmd_residuals(model, latent):
+    """Per-parameter latent DMD reconstruction errors: those a ``roi``
+    model records, or those of a ``part`` model's members."""
+    if isinstance(model, RoiModel):
+        return model.train_residuals
+    return [
+        np.linalg.norm(reconstruct(member, latent.grid).state - latent.trajectory(i).state)
+        for i, member in enumerate(model.members)
+    ]
 
 
 def scaled_rotation_latents(mus, base, x0, n_t, dt=1.0):
@@ -123,7 +137,12 @@ class TestFitRoi:
             rebuilt = operator_at(model, latent.params[i])
             assert np.linalg.norm(rebuilt - reference) <= 1e-10
 
-    def test_rank_deficient_error_names_parameter_and_supported_rank(self):
+    @pytest.mark.parametrize(
+        "fit",
+        [partial(fit_roi, op_rank=3, spec=RegressorSpec("linear")), fit_partitioned],
+        ids=["roi", "part"],
+    )
+    def test_rank_deficient_error_names_parameter_and_supported_rank(self, fit):
         # three complex modes span six real dimensions, so rank 8 is
         # rank-deficient for every training parameter
         spec = SynthSpec(
@@ -133,16 +152,20 @@ class TestFitRoi:
         dataset, _ = generate(spec)
         latent = project(dataset, fit_global_basis(dataset, rank=8))
         with pytest.raises(NumericalError, match="cutoff") as info:
-            fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+            fit(latent)
         message = str(info.value)
         assert message.startswith("training parameter 0 (mu = [0.2])")
         supported = int(re.search(r"reduce the rank to (\d+)", message).group(1))
         assert supported == 6
         latent = project(dataset, fit_global_basis(dataset, rank=supported))
-        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
-        assert np.max(model.train_residuals) <= 1e-8
+        assert np.max(dmd_residuals(fit(latent), latent)) <= 1e-8
 
-    def test_rank_deficient_error_names_smallest_supported_rank(self):
+    @pytest.mark.parametrize(
+        "fit",
+        [partial(fit_roi, op_rank=2, spec=RegressorSpec("linear")), fit_partitioned],
+        ids=["roi", "part"],
+    )
+    def test_rank_deficient_error_names_smallest_supported_rank(self, fit):
         # x_k = diag(d)^k x0 spans as many directions as x0 has nonzero
         # entries: 3, 4 and 2 for the three parameters, so parameter 2
         # sets the supported rank although parameter 0 fails first
@@ -156,7 +179,7 @@ class TestFitRoi:
         params = np.array([[0.1], [0.2], [0.3]])
         latent = LatentDataset(identity_basis(4), params, latents, grid)
         with pytest.raises(NumericalError, match="cutoff") as info:
-            fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+            fit(latent)
         message = str(info.value)
         assert message.startswith("training parameter 2 (mu = [0.3])")
         assert re.search(r"reduce the rank to (\d+)", message).group(1) == "2"
