@@ -240,24 +240,24 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _prediction_instants(args, metadata) -> np.ndarray:
-    window = args.time_window
-    if window is None:
-        t0, dt, n_t = metadata["t0"], metadata["dt"], int(metadata["n_t"])
-        if dt <= 0:
-            raise DataError(
-                "model trained on a non-uniform grid; give --time-window and --nt"
-            )
-        window = (t0, t0 + dt * (n_t - 1))
+def _prediction_instants(args, metadata) -> TimeGrid:
+    """--nt instants spread over the window, else the model's lattice
+    steps from its start that lie inside it; as in ``data.restrict_time``,
+    a window must keep at least two instants."""
+    t0, dt, n_t = metadata["t0"], metadata["dt"], int(metadata["n_t"])
+    if dt <= 0 and (args.time_window is None or args.nt is None):
+        raise DataError("model trained on a non-uniform grid; give --time-window and --nt")
+    start, end = args.time_window or (t0, t0 + dt * (n_t - 1))
+    if end < start:
+        raise DataError(f"empty time window [{start}, {end}]")
     if args.nt is not None:
-        return np.linspace(window[0], window[1], args.nt)
-    dt = metadata["dt"]
-    if dt <= 0:
-        raise DataError(
-            "model trained on a non-uniform grid; give --nt to sample the window"
-        )
-    steps = int(np.floor((window[1] - window[0]) / dt + 1e-9)) + 1
-    return window[0] + dt * np.arange(max(steps, 2))
+        instants = np.linspace(start, end, args.nt)
+    else:
+        steps = int(np.floor((end - start) / dt + 1e-9)) + 1
+        instants = np.minimum(start + dt * np.arange(steps), end)
+    if not instants[-1] > instants[0]:
+        raise DataError(f"time window [{start}, {end}] keeps fewer than two instants")
+    return TimeGrid(instants)
 
 
 def cmd_predict(args) -> int:
@@ -269,11 +269,10 @@ def cmd_predict(args) -> int:
             f"query parameter has {len(mu)} components; the model expects "
             f"{archive.metadata['param_dim']}"
         )
-    instants = _prediction_instants(args, archive.metadata)
+    grid = _prediction_instants(args, archive.metadata)
     spec = spec_from_metadata(archive.metadata)
-    states, online, fits = timed_query(archive.model, mu, instants, spec)
+    states, online, fits = timed_query(archive.model, mu, grid.instants, spec)
 
-    grid = TimeGrid(instants)
     prediction = ParametricDataset(
         np.asarray(mu, dtype=float)[None, :],
         (SnapshotMatrix(states, grid),),

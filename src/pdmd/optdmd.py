@@ -16,18 +16,19 @@ data.  Data in extreme units are fit scaled by a power of two
 back, so a fit is equivariant to the data's units.
 
 One solver serves every fit.  It runs over a stack of B members of
-equal length: the B bagged trials of ``fit_bopdmd`` (whose subsets all
-keep the same number of instants), or one trajectory (``fit_optdmd``,
-``condense_ensemble``).  Each trial point takes one thin QR per member,
-basis = Q R, which gives both the inner coefficients R^-1 Q^H Y and the
-projector of the next Jacobian.  Kaufman's step is formed in Gram form
-from r x r products (``_gauss_newton``), so the 2 N_t n x 2r real
-Jacobian is never built.  Each member keeps its own damping, stall
-count, acceptance and stop, and a member whose exponentials overflow or
-whose damped system is singular fails that trial alone.  NumPy's fixed
-cost per call, not the arithmetic, dominates problems of this size
-(N_t ~ 100, r ~ 6), so one stacked call per step for all B members
-costs little more than one call for a single member.
+equal length: all bagged trials of all the trajectories given to
+``fit_ensembles`` (their subsets keep equally many instants), or one
+trajectory (``fit_optdmd``, ``condense_ensemble``).  Each trial point
+takes one thin QR per member, basis = Q R, which gives both the inner
+coefficients R^-1 Q^H Y and the projector of the next Jacobian.
+Kaufman's step is formed in Gram form from r x r products
+(``_gauss_newton``), so the 2 N_t n x 2r real Jacobian is never built.
+Each member keeps its own damping, stall count, acceptance and stop,
+and a member whose exponentials overflow or whose damped system is
+singular fails that trial alone.  NumPy's fixed cost per call, not the
+arithmetic, dominates problems of this size (N_t ~ 100, r ~ 6), so one
+stacked call per step for all B members costs little more than one
+call for a single member.
 """
 
 from __future__ import annotations
@@ -343,9 +344,12 @@ def _uniform_warm_start(x: SnapshotMatrix, rank: int):
         model = fit_dmd(embedded, rank)
     else:
         model = fit_dmd(x, rank)
-    eigs = model.eigenvalues.copy()
-    eigs[np.abs(eigs) < 1e-12] = 1e-12
-    return np.log(eigs) / grid.dt
+    return continuous_frequencies(model.eigenvalues, grid.dt)
+
+
+def continuous_frequencies(eigenvalues, dt: float) -> np.ndarray:
+    """log(lambda)/dt of DMD eigenvalues, a modulus below 1e-12 read as 1e-12."""
+    return np.log(np.where(np.abs(eigenvalues) < 1e-12, 1e-12, eigenvalues)) / dt
 
 
 def _trapezoid_warm_start(x: SnapshotMatrix, rank: int):
@@ -409,15 +413,16 @@ def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDm
     )
 
 
-def _fit_stack(trajectories, rank: int, init) -> list:
+def _fit_stack(trajectories, rank: int, inits) -> list:
     """One optimized-DMD model per trajectory, all trajectories holding
-    the same number of instants, fitted by one stacked solve.  Each
-    non-converged member warns once, in member order."""
+    the same number of instants, fitted by one stacked solve from one
+    ``init`` each (see ``_initial_omegas``).  Each non-converged member
+    warns once, in member order."""
     scaled = [_scaled(x) for x in trajectories]
     omegas, coeffs, objective, converged, n_iters = _levenberg_marquardt(
         np.array([x.grid.instants - x.grid.t0 for x, _ in scaled]),
         np.array([x.state.T.astype(complex) for x, _ in scaled]),
-        np.array([_initial_omegas(x, rank, init) for x, _ in scaled]),
+        np.array([_initial_omegas(x, rank, init) for (x, _), init in zip(scaled, inits)]),
     )
     models = [
         _model(omegas[i], coeffs[i], objective[i], exponent, x.grid.t0, converged[i], n_iters[i])
@@ -454,7 +459,7 @@ def fit_optdmd(x: SnapshotMatrix, rank: int, init=None) -> OptDmdModel:
         )
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
-    return _fit_stack([x], rank, init)[0]
+    return _fit_stack([x], rank, [init])[0]
 
 
 def _canonical_triplet(omegas, coeffs, rank):
@@ -497,52 +502,64 @@ def predict_optdmd(model: OptDmdModel, instants) -> np.ndarray:
     )
 
 
-def fit_bopdmd(
-    x: SnapshotMatrix,
-    rank: int,
-    trials: int = 20,
-    subset_fraction: float = 0.8,
-    seed: int = 0,
-) -> BaggedOptDmd:
-    """Bag optimized DMD over random time-index subsets.
+def fit_ensembles(
+    trajectories, rank: int, inits, seeds, trials: int, subset_fraction: float
+) -> list:
+    """Bagged optimized DMD of trajectories of equal length, one
+    ``BaggedOptDmd`` each, all members fitted by one ``_fit_stack`` call.
 
-    Each member sees a sorted, uniformly random subset (no replacement)
-    of the time instants.  Each member's spectrum is aligned to the
-    first member's with ``match_frequencies``, so that position j means
-    the same mode across the ensemble.
+    Trajectory k draws ``trials`` sorted, uniformly random subsets (no
+    replacement) of its instants from ``seeds[k]``; its members start from
+    ``inits[k]``, or each from its own warm start when that is None.  Each
+    member is aligned to its trajectory's first member with
+    ``match_frequencies``, so that position j means the same mode across
+    an ensemble.  One trial at fraction 1 fits each whole trajectory.
     """
     if trials < 1:
         raise DataError(f"trials must be >= 1, got {trials}")
     if not 0 < subset_fraction <= 1:
         raise DataError(f"subset fraction must lie in (0, 1], got {subset_fraction}")
-    n_keep = int(round(subset_fraction * x.n_instants))
+    if len({x.n_instants for x in trajectories}) != 1:
+        raise DataError("trajectories must hold equally many instants")
+    n_keep = int(round(subset_fraction * trajectories[0].n_instants))
     if n_keep < 2 * rank:
         raise DataError(
             f"subset of {n_keep} instants cannot support rank {rank} (need >= 2r)"
         )
-    shared_init = None
-    if x.grid.is_uniform:
-        try:
-            shared_init = _uniform_warm_start(_scaled(x)[0], rank)
-        except (DataError, NumericalError):
-            shared_init = None
-
-    rng = np.random.default_rng(seed)
-    subsets = [
-        np.sort(rng.choice(x.n_instants, size=n_keep, replace=False))
-        for _ in range(trials)
-    ]
+    subsets = []
+    for x, seed in zip(trajectories, seeds):
+        rng = np.random.default_rng(seed)
+        subsets += [
+            (x, np.sort(rng.choice(x.n_instants, size=n_keep, replace=False)))
+            for _ in range(trials)
+        ]
     members = _fit_stack(
-        [SnapshotMatrix(x.state[:, i], TimeGrid(x.grid.instants[i])) for i in subsets],
+        [SnapshotMatrix(x.state[:, i], TimeGrid(x.grid.instants[i])) for x, i in subsets],
         rank,
-        shared_init,
+        [init for init in inits for _ in range(trials)],
     )
 
-    aligned = [members[0]] + [
-        permute_triplets(member, match_frequencies(members[0].omegas, member.omegas)[0])
-        for member in members[1:]
-    ]
-    return BaggedOptDmd(tuple(aligned), subset_fraction, trials)
+    ensembles = []
+    for first in range(0, len(members), trials):
+        lead = members[first]
+        aligned = [lead] + [
+            permute_triplets(member, match_frequencies(lead.omegas, member.omegas)[0])
+            for member in members[first + 1:first + trials]
+        ]
+        ensembles.append(BaggedOptDmd(tuple(aligned), subset_fraction, trials))
+    return ensembles
+
+
+def fit_bopdmd(
+    x: SnapshotMatrix, rank: int, trials: int = 20, subset_fraction: float = 0.8, seed: int = 0
+) -> BaggedOptDmd:
+    """Bag optimized DMD over random time-index subsets of one trajectory
+    (``fit_ensembles``).  On a uniform grid all members start from the
+    whole trajectory's warm start, which raises on rank-deficient data as
+    ``fit_optdmd`` does; on a non-uniform grid each starts on its subset.
+    """
+    init = _uniform_warm_start(_scaled(x)[0], rank) if x.grid.is_uniform else None
+    return fit_ensembles([x], rank, [init], [seed], trials, subset_fraction)[0]
 
 
 def mean_omegas(ensemble: BaggedOptDmd) -> np.ndarray:

@@ -43,8 +43,9 @@ class GlobalBasis:
     energy_captured: float
 
     def __post_init__(self):
-        gram = self.modes_u.T @ self.modes_u
-        # written so that a NaN fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.modes_u.T @ self.modes_u
+        # written so that an inf or a NaN fails the test
         if not np.max(np.abs(gram - np.eye(self.rank))) <= ORTHONORMALITY_TOL:
             raise DataError("basis columns are not orthonormal")
         if not np.isfinite(self.singular_values).all():

@@ -2,7 +2,8 @@
 
 Offline: one optimized-DMD fit per training parameter in latent
 coordinates, giving triplets (modes, continuous frequencies,
-amplitudes).  Each member is aligned to its parent in a minimum
+amplitudes); one stacked solve fits them all, started on a uniform grid
+from ``part``'s DMDs.  Each member is aligned to its parent in a minimum
 spanning tree over the training parameters by least-total-distance
 frequency matching and phased to the tree's root, so the model does
 not depend on the row order; then every channel (real and imaginary
@@ -25,17 +26,19 @@ from scipy.spatial.distance import cdist
 
 from . import regression
 from .errors import ConvergenceWarning, DataError
+from .latent import fit_partitioned
 from .optdmd import (
     OptDmdModel,
     condense_ensemble,
+    continuous_frequencies,
     convergence_report,
     exponential_sum,
-    fit_bopdmd,
-    fit_optdmd,
+    fit_ensembles,
     match_frequencies,
     permute_triplets,
     project_conjugate_closure,
 )
+from .optdmd import fit_optdmd  # noqa: F401  (perfbench's test_checker rebinds it here)
 from .reduction import GlobalBasis, LatentDataset, lift
 
 
@@ -110,34 +113,35 @@ def fit_rkoi(
 ) -> RkoiModel:
     """Train the triplet-interpolation surrogate on latent trajectories.
 
-    With ``bag_trials`` > 1 each member is fit as a bagged ensemble
-    (frequencies averaged over random time subsets, modes and
-    amplitudes refit on the full trajectory), which stabilizes the
-    spectra on noisy data.  The k-th row in lexicographic order draws its
-    subsets from seed ``bag_seed + k``, and members are aligned along
-    ``alignment_tree``, so the model does not depend on the row order.
+    One ``fit_ensembles`` call fits every member.  A parameter's member is
+    one fit of its whole trajectory or, with ``bag_trials`` > 1, that many
+    fits on random time subsets condensed into one, which stabilizes the
+    spectra on noisy data.  On a uniform grid each fit starts from its
+    parameter's DMD in ``fit_partitioned``, which names a rank-deficient
+    parameter; else from its own trapezoid estimate.  The k-th row in
+    lexicographic order draws its subsets from seed ``bag_seed + k``, and
+    members are aligned along ``alignment_tree``, so the model does not
+    depend on the row order.
     """
-    rank = latent.rank
     ranked, order, parents = alignment_tree(latent.params)
-    positions = np.argsort(ranked)
-    notes = []
-    members = []
-    for i in range(latent.n_params):
-        if bag_trials > 1:
-            ensemble = fit_bopdmd(
-                latent.trajectory(i),
-                rank,
-                trials=bag_trials,
-                subset_fraction=bag_fraction,
-                seed=bag_seed + int(positions[i]),
-            )
-            fits = ensemble.members
-            member = condense_ensemble(ensemble, latent.trajectory(i))
-        else:
-            member = fit_optdmd(latent.trajectory(i), rank)
-            fits = (member,)
-        notes += [f"parameter {i}: {convergence_report(f)}" for f in fits if not f.converged]
-        members.append(member)
+    trajectories = [latent.trajectory(i) for i in range(latent.n_params)]
+    inits = [None] * latent.n_params
+    if latent.grid.is_uniform:
+        dmds = fit_partitioned(latent).members
+        inits = [continuous_frequencies(dmd.eigenvalues, dmd.dt) for dmd in dmds]
+    bagged = bag_trials > 1
+    seeds = [bag_seed + int(position) for position in np.argsort(ranked)]
+    ensembles = fit_ensembles(
+        trajectories, latent.rank, inits, seeds, bag_trials, bag_fraction if bagged else 1.0
+    )
+    notes = [
+        f"parameter {i}: {convergence_report(fit)}"
+        for i, ensemble in enumerate(ensembles) for fit in ensemble.members if not fit.converged
+    ]
+    members = [
+        condense_ensemble(ensemble, x) if bagged else ensemble.members[0]
+        for ensemble, x in zip(ensembles, trajectories)
+    ]
 
     # align each member to its tree parent so that channel j means the
     # same mode for every parameter, then share the root's phase reference

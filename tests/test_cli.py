@@ -132,7 +132,11 @@ class TestExitCodes:
         assert run_cli("bench", "--suite", str(tmp_path / "absent.cfg"),
                        "--out", str(tmp_path / "bench")) == 3
 
-    @pytest.mark.parametrize("algorithm", ["roi", "part"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [["roi"], ["part"], ["rkoi"], ["rkoi", "--bag-trials", "3"]],
+        ids=["roi", "part", "rkoi", "rkoi-bagged"],
+    )
     def test_rank_deficient_training_set_is_numerical_error(
         self, tmp_path, capsys, algorithm
     ):
@@ -143,7 +147,7 @@ class TestExitCodes:
             "--seed", "23", "--out", str(data),
         ) == 0
         capsys.readouterr()
-        assert run_cli("fit", "--data", str(data), "--algorithm", algorithm,
+        assert run_cli("fit", "--data", str(data), "--algorithm", *algorithm,
                        "--rank", "8", "--out", str(tmp_path / "m.pdmdm")) == 4
         err = capsys.readouterr().err
         assert "training parameter 0 (mu = [0.2])" in err
@@ -448,6 +452,37 @@ class TestPredict:
         prediction = read_dataset(out_path)
         assert len(prediction.grid) == 61
         assert_allclose(prediction.grid.instants[-1], 6.0)
+
+    @pytest.mark.parametrize(
+        "window, nt, message",
+        [
+            ("1,0", [], "empty time window [1.0, 0.0]"),
+            ("1,0", ["--nt", "3"], "empty time window [1.0, 0.0]"),
+            ("0,0.05", [], "time window [0.0, 0.05] keeps fewer than two instants"),
+            ("1,1", ["--nt", "3"], "time window [1.0, 1.0] keeps fewer than two instants"),
+        ],
+        ids=["reversed", "reversed-nt", "narrow", "zero-width-nt"],
+    )
+    def test_window_without_two_instants_is_data_error(
+        self, tmp_path, capsys, window, nt, message
+    ):
+        data, model = self.fit_model(tmp_path)
+        out_path = tmp_path / "pred.pdmd1"
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model), "--mu", "0.5",
+                       "--time-window", window, *nt, "--out", str(out_path)) == 3
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("window", ["0,0.3", "0.1,0.4"])
+    def test_lattice_instants_stay_inside_the_window(self, tmp_path, window):
+        data, model = self.fit_model(tmp_path)
+        out_path = tmp_path / "pred.pdmd1"
+        assert run_cli("predict", "--model", str(model), "--mu", "0.5",
+                       "--time-window", window, "--out", str(out_path)) == 0
+        instants = read_dataset(out_path).grid.instants
+        start, end = map(float, window.split(","))
+        assert len(instants) == 4 and start == instants[0] and instants[-1] <= end
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     def test_off_lattice_instants_with_continuous_model(self, tmp_path):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from pdmd import optdmd
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.errors import ConvergenceWarning, DataError, NumericalError
+from pdmd.errors import ConvergenceWarning, DataError, NumericalError, RankDeficientError
 from pdmd.optdmd import (
     _gauss_newton,
     _project,
@@ -299,24 +299,24 @@ class TestThinDataWarmStarts:
         monkeypatch.setattr(optdmd, "_trapezoid_warm_start", recording)
         return starts
 
-    def test_bagged_members_fall_back_to_a_zero_padded_trapezoid(self, monkeypatch):
-        # the delay-embedded DMD of a single decay is rank-deficient, so the
-        # shared warm start fails and each member starts on its own subset
-        starts = self.spy_trapezoid(monkeypatch)
+    def test_bagged_fit_of_rank_deficient_data_raises_as_a_single_fit(self):
+        # the delay-embedded DMD of a single decay is rank-deficient, so
+        # the shared warm start fails for the ensemble as for one fit
         x = scalar_signal(lambda t: np.exp(-0.3 * t), np.linspace(0, 4, 41))
+        with pytest.raises(RankDeficientError, match="reduce the rank to 1"):
+            fit_optdmd(x, rank=2)
+        with pytest.raises(RankDeficientError, match="reduce the rank to 1"):
+            fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=0)
+
+    def test_non_uniform_bagged_members_pad_with_zero(self, monkeypatch):
+        # one row carries one frequency; rank 2 asks for one more, and
+        # each member pads its own subset's trapezoid estimate with 0
+        starts = self.spy_trapezoid(monkeypatch)
+        x = scalar_signal(lambda t: np.exp(-0.3 * t), 4 * np.linspace(0, 1, 41) ** 1.5)
         bagged = fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=0)
         assert len(starts) == 3 and all(start[1] == 0 for start in starts)
         assert [(m.converged, m.n_iters) for m in bagged.members] == [(True, 7)] * 3
-        assert_allclose(
-            [m.omegas for m in bagged.members],
-            [
-                [-0.21227941384098326, -0.2999999999999944],
-                [-0.21692678926584769, -0.29999999999999216],
-                [-0.20725528977363125, -0.2999999999999949],
-            ],
-            rtol=0,
-            atol=1e-12,
-        )
+        assert_allclose([m.omegas[1] for m in bagged.members], -0.3, rtol=0, atol=1e-12)
 
     def test_non_uniform_fit_pads_with_a_harmonic_pair(self, monkeypatch):
         starts = self.spy_trapezoid(monkeypatch)

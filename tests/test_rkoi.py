@@ -12,7 +12,7 @@ from pdmd import rkoi as rkoi_module
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid, subset_params
 from pdmd.errors import ConvergenceWarning, DataError, ExtrapolationWarning
 from pdmd.metrics import frobenius_rel_error
-from pdmd.optdmd import fit_optdmd, predict_optdmd
+from pdmd.optdmd import BaggedOptDmd, fit_bopdmd, fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
 from pdmd.regression import FitCount, RegressorSpec, combine, stencil
@@ -102,6 +102,60 @@ class TestFitRkoi:
         latent = tone_family([0.0, 0.2], n_t=3)
         with pytest.raises(DataError):
             fit_rkoi(latent, spec=RegressorSpec("linear"))
+
+
+def noisy_latent():
+    spec = SynthSpec(
+        "exp-modes", n_h=40, n_params=5, param_range=(0.2, 0.8),
+        n_t=60, dt=0.08, noise_std=0.01, seed=23,
+    )
+    dataset, _ = generate(spec)
+    return project(dataset, fit_global_basis(dataset, 4))
+
+
+def per_parameter_fits(bag_seed):
+    """A stand-in for ``fit_ensembles`` that fits each parameter by its own
+    solver call, its own warm start and, for ascending rows, seed
+    ``bag_seed`` plus its row."""
+
+    def fits(trajectories, rank, inits, seeds, trials, subset_fraction):
+        if trials == 1:
+            return [BaggedOptDmd((fit_optdmd(x, rank),), 1.0, 1) for x in trajectories]
+        return [
+            fit_bopdmd(x, rank, trials, subset_fraction, bag_seed + k)
+            for k, x in enumerate(trajectories)
+        ]
+
+    return fits
+
+
+class TestOneStackPerFit:
+    """Every member of an rkoi fit comes from one stacked solve, with the
+    bits of its own per-parameter fit."""
+
+    @pytest.mark.parametrize("bag_trials", [1, 3])
+    def test_members_match_per_parameter_fits(self, monkeypatch, bag_trials):
+        latent = noisy_latent()
+        assert np.all(np.diff(latent.params[:, 0]) > 0)
+        stacked = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials, bag_seed=4)
+        monkeypatch.setattr(rkoi_module, "fit_ensembles", per_parameter_fits(4))
+        separate = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials, bag_seed=4)
+        assert np.array_equal(stacked.regressor.values, separate.regressor.values)
+        assert stacked.notes == separate.notes
+
+    @pytest.mark.parametrize("bag_trials", [1, 3])
+    def test_one_solver_stack_per_fit(self, monkeypatch, bag_trials):
+        stacks = []
+        original = optdmd._levenberg_marquardt
+
+        def counting(tau, data_t, omegas):
+            stacks.append(len(omegas))
+            return original(tau, data_t, omegas)
+
+        monkeypatch.setattr(optdmd, "_levenberg_marquardt", counting)
+        latent = noisy_latent()
+        fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials)
+        assert stacks == [latent.n_params * bag_trials]
 
 
 class TestPredictRkoi:
@@ -251,10 +305,10 @@ class TestAlignmentTree:
 
 def fit_rkoi_beside(monkeypatch, latent, other):
     """Fit rkoi on ``latent`` while a second thread runs ``other`` inside
-    the first member's fit.  Returns (model, [(thread name, category,
+    the members' stacked fit.  Returns (model, [(thread name, category,
     message)] for every warning shown)."""
     member_fitting, other_done = threading.Event(), threading.Event()
-    original_fit = rkoi_module.fit_optdmd
+    original_fit = rkoi_module.fit_ensembles
     waited = []
 
     def fit_after_other(*args, **kwargs):
@@ -275,7 +329,7 @@ def fit_rkoi_beside(monkeypatch, latent, other):
     def record(message, category, filename, lineno, file=None, line=None):
         shown.append((threading.current_thread().name, category, str(message)))
 
-    monkeypatch.setattr(rkoi_module, "fit_optdmd", fit_after_other)
+    monkeypatch.setattr(rkoi_module, "fit_ensembles", fit_after_other)
     worker = threading.Thread(target=run_other, name="other")
     with warnings.catch_warnings():
         warnings.simplefilter("always")

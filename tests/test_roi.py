@@ -14,6 +14,7 @@ from pdmd.latent import fit_partitioned
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
 from pdmd.regression import FitCount, RegressorSpec, combine, stencil
+from pdmd.rkoi import RkoiModel, fit_rkoi, predict_rkoi
 from pdmd.roi import (
     RoiModel,
     fit_roi,
@@ -37,9 +38,18 @@ def identity_basis(rank, n_state=None):
 
 def dmd_residuals(model, latent):
     """Per-parameter latent DMD reconstruction errors: those a ``roi``
-    model records, or those of a ``part`` model's members."""
+    model records, those of a ``part`` model's members, or an ``rkoi``
+    model's errors at the training parameters."""
     if isinstance(model, RoiModel):
         return model.train_residuals
+    if isinstance(model, RkoiModel):
+        return [
+            np.linalg.norm(
+                predict_rkoi(model, mu, latent.grid.instants)
+                - lift(latent.trajectory(i).state, latent.basis)
+            )
+            for i, mu in enumerate(latent.params)
+        ]
     return [
         np.linalg.norm(reconstruct(member, latent.grid).state - latent.trajectory(i).state)
         for i, member in enumerate(model.members)
@@ -139,8 +149,13 @@ class TestFitRoi:
 
     @pytest.mark.parametrize(
         "fit",
-        [partial(fit_roi, op_rank=3, spec=RegressorSpec("linear")), fit_partitioned],
-        ids=["roi", "part"],
+        [
+            partial(fit_roi, op_rank=3, spec=RegressorSpec("linear")),
+            fit_partitioned,
+            partial(fit_rkoi, spec=RegressorSpec("linear")),
+            partial(fit_rkoi, spec=RegressorSpec("linear"), bag_trials=3),
+        ],
+        ids=["roi", "part", "rkoi", "rkoi-bagged"],
     )
     def test_rank_deficient_error_names_parameter_and_supported_rank(self, fit):
         # three complex modes span six real dimensions, so rank 8 is
@@ -162,8 +177,13 @@ class TestFitRoi:
 
     @pytest.mark.parametrize(
         "fit",
-        [partial(fit_roi, op_rank=2, spec=RegressorSpec("linear")), fit_partitioned],
-        ids=["roi", "part"],
+        [
+            partial(fit_roi, op_rank=2, spec=RegressorSpec("linear")),
+            fit_partitioned,
+            partial(fit_rkoi, spec=RegressorSpec("linear")),
+            partial(fit_rkoi, spec=RegressorSpec("linear"), bag_trials=3),
+        ],
+        ids=["roi", "part", "rkoi", "rkoi-bagged"],
     )
     def test_rank_deficient_error_names_smallest_supported_rank(self, fit):
         # x_k = diag(d)^k x0 spans as many directions as x0 has nonzero
