@@ -5,6 +5,10 @@ tag, u32 section count, then named sections.  A section is a
 length-prefixed UTF-8 name followed by a length-prefixed payload; array
 payloads carry a dtype code, the shape, and raw little-endian bytes, so
 a save/load round trip reproduces every coefficient bit for bit.
+Version 2 is version 1 without the ``roi.train_residuals`` and
+``*.reduced_eigvecs`` sections, which no model keeps; a load reads both
+versions, and decodes those sections of a version-1 file like any other
+(so a non-finite entry is rejected) but reads nothing from them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .rkoi import RkoiModel
 from .roi import RoiModel
 
 MAGIC = b"PDMDMODEL1\n"
-VERSION = 1
+VERSION = 2
 
 _DTYPES = {0: "<f8", 1: "<c16", 2: "<i8"}
 _DTYPE_CODES = {"f": 0, "c": 1, "i": 2}
@@ -106,9 +110,9 @@ _VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
 
 
 def _regressor_sections(regressor: FittedRegressor, groups: dict) -> dict:
-    """v1 keeps one regressor per column group, under the group's prefix:
-    its channels (real, then imaginary) and entries written from the
-    sites that a load does not read: linear xs, rbf shape, poly degree."""
+    """One regressor per column group, under the group's prefix: its
+    channels (real, then imaginary) and entries written from the sites
+    that a load does not read: linear xs, rbf shape, poly degree."""
     sites, spec = regressor.sites, regressor.sites.spec
     key = _VALUE_KEYS.get(spec.kind, "weights")
     extra = {}
@@ -203,7 +207,6 @@ def _dmd_sections(prefix: str, model: DmdModel) -> dict:
         f"{prefix}.modes": model.modes,
         f"{prefix}.amplitudes": model.amplitudes,
         f"{prefix}.proj_basis": model.proj_basis,
-        f"{prefix}.reduced_eigvecs": model.reduced_eigvecs,
     }
 
 
@@ -217,7 +220,6 @@ def _read_dmd(prefix: str, sections: dict) -> DmdModel:
         dt=float(meta["dt"]),
         t0=float(meta["t0"]),
         proj_basis=_section_value(sections, f"{prefix}.proj_basis"),
-        reduced_eigvecs=_section_value(sections, f"{prefix}.reduced_eigvecs"),
     )
 
 
@@ -226,7 +228,6 @@ def _roi_sections(model: RoiModel) -> dict:
     return {
         "roi.spec": {"op_rank": model.op_rank, "dt": model.dt, "t0": model.t0},
         "roi.op_modes": model.op_modes,
-        "roi.train_residuals": model.train_residuals,
         **_regressor_sections(model.regressor, groups),
     }
 
@@ -239,7 +240,6 @@ def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
         _read_regressor(sections, "roi.coeff_reg", "roi.init_reg"),
         dt=float(meta["dt"]),
         t0=float(meta["t0"]),
-        train_residuals=_section_value(sections, "roi.train_residuals"),
     )
 
 
@@ -390,7 +390,7 @@ def load_model(path) -> ModelArchive:
         raise DataError(f"{path} is not a model archive")
     cursor.offset = len(MAGIC)
     version = cursor.u32("version")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise DataError(f"unsupported archive version {version}")
     try:
         tag = cursor.prefixed("algorithm tag").decode("utf-8")

@@ -14,6 +14,7 @@ threads; the state matrices both readers return are read-only.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -73,6 +74,16 @@ class TimeGrid:
         if not self.is_uniform:
             raise DataError("time grid is not uniform; dt undefined")
         return float(np.diff(self.instants).mean())
+
+
+def check_lattice(t0: float, dt: float | None = None) -> None:
+    """Reject a model time origin ``t0`` that is not finite and a lattice
+    step ``dt`` (None for a model continuous in time) that is not finite
+    and positive: no instant can be placed on such a lattice."""
+    if not math.isfinite(t0):
+        raise DataError(f"initial instant t0 must be finite, got {t0}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise DataError(f"lattice step dt must be finite and positive, got {dt}")
 
 
 def lattice_steps(instants, t0: float, dt: float) -> np.ndarray:

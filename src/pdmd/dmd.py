@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotMatrix, TimeGrid, lattice_steps
+from .data import SnapshotMatrix, TimeGrid, check_lattice, lattice_steps
 from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDeficientError
 from .linalg import DEFAULT_PINV_CUTOFF, SUBNORMAL_NORM, eig, scale_exponent, truncated_svd
 
@@ -30,6 +30,7 @@ class DmdModel:
     ``reduced_op`` is the operator projected onto ``proj_basis``;
     ``eigenvalues`` are discrete-time (one application per ``dt``);
     ``modes`` live in the fit space (full state or latent coordinates).
+    ``linalg.eig(reduced_op)`` gives the reduced eigenvectors.
     """
 
     reduced_op: np.ndarray
@@ -39,7 +40,9 @@ class DmdModel:
     dt: float
     t0: float
     proj_basis: np.ndarray
-    reduced_eigvecs: np.ndarray
+
+    def __post_init__(self):
+        check_lattice(self.t0, self.dt)
 
     @property
     def rank(self) -> int:
@@ -104,7 +107,6 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
         dt=x.grid.dt,
         t0=x.grid.t0,
         proj_basis=svd.modes_u,
-        reduced_eigvecs=decomp.eigenvectors,
     )
 
 

@@ -66,7 +66,6 @@ class OptDmdModel:
     Frobenius-norm residual on the training instants.
     """
 
-    rank: int
     omegas: np.ndarray
     modes: np.ndarray
     amplitudes: np.ndarray
@@ -75,6 +74,10 @@ class OptDmdModel:
     converged: bool
     n_iters: int
 
+    @property
+    def rank(self) -> int:
+        return self.omegas.size
+
 
 @dataclass(frozen=True)
 class BaggedOptDmd:
@@ -82,11 +85,14 @@ class BaggedOptDmd:
 
     members: tuple
     subset_fraction: float
-    trials: int
 
     def __post_init__(self):
-        if self.trials != len(self.members) or self.trials < 1:
-            raise DataError("trials must equal the number of members (>= 1)")
+        if not self.members:
+            raise DataError("an ensemble needs at least one member")
+
+    @property
+    def trials(self) -> int:
+        return len(self.members)
 
 
 def canonical_omega_order(omegas):
@@ -399,10 +405,8 @@ def _initial_omegas(x: SnapshotMatrix, rank: int, init) -> np.ndarray:
 def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDmdModel:
     """The model of a fit to data scaled by 2**-exponent, in the data's
     units and canonical triplet order."""
-    rank = omegas.shape[0]
-    omegas, modes, amplitudes = _canonical_triplet(omegas, coeffs, rank)
+    omegas, modes, amplitudes = _canonical_triplet(omegas, coeffs, omegas.shape[0])
     return OptDmdModel(
-        rank=rank,
         omegas=omegas,
         modes=modes,
         amplitudes=ldexp(amplitudes, exponent),
@@ -546,7 +550,7 @@ def fit_ensembles(
             permute_triplets(member, match_frequencies(lead.omegas, member.omegas)[0])
             for member in members[first + 1:first + trials]
         ]
-        ensembles.append(BaggedOptDmd(tuple(aligned), subset_fraction, trials))
+        ensembles.append(BaggedOptDmd(tuple(aligned), subset_fraction))
     return ensembles
 
 

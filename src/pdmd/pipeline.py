@@ -55,7 +55,6 @@ class FittedSurrogate:
     """A trained model plus the context needed to query and archive it."""
 
     model: object
-    algorithm: str
     regressor: RegressorSpec
     train_errors: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -106,7 +105,7 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
         "train_seconds": train_seconds,
         "mean_train_error": float(train_errors.mean()),
     }
-    return FittedSurrogate(model, options.algorithm, spec, train_errors, metadata)
+    return FittedSurrogate(model, spec, train_errors, metadata)
 
 
 def spec_from_metadata(metadata: dict) -> RegressorSpec:

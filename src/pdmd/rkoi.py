@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from . import regression
+from .data import check_lattice
 from .errors import ConvergenceWarning, DataError
 from .latent import fit_partitioned
 from .optdmd import (
@@ -60,6 +61,7 @@ class RkoiModel:
     notes: tuple = ()
 
     def __post_init__(self):
+        check_lattice(self.t0)
         rank, width = self.basis.rank, self.regressor.output_dim
         if width != rank * (rank + 2):
             raise DataError(

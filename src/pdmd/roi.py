@@ -20,11 +20,10 @@ from typing import ClassVar
 import numpy as np
 
 from . import regression
-from .data import lattice_steps
-from .dmd import reconstruct
+from .data import check_lattice, lattice_steps
 from .errors import DataError, NumericalError
 from .latent import fit_partitioned
-from .linalg import scale_exponent, truncated_svd
+from .linalg import truncated_svd
 from .reduction import GlobalBasis, LatentDataset, lift
 
 
@@ -36,9 +35,7 @@ class RoiModel:
     (column-major flattened r x r operators), one per coefficient.
     ``regressor`` maps mu to op_rank + r channels: the op_rank
     operator-mode coefficients, then the r entries of the initial latent
-    state.  ``train_residuals`` records each training parameter's latent
-    DMD reconstruction error so downstream error bounds can be checked
-    against fit quality.
+    state.
     """
 
     tag: ClassVar[str] = "roi"
@@ -48,9 +45,9 @@ class RoiModel:
     regressor: regression.FittedRegressor
     dt: float
     t0: float
-    train_residuals: np.ndarray
 
     def __post_init__(self):
+        check_lattice(self.t0, self.dt)
         rank, shape = self.basis.rank, np.shape(self.op_modes)
         width = self.regressor.output_dim
         if len(shape) != 2 or shape[0] != rank * rank or width != shape[1] + rank:
@@ -93,17 +90,11 @@ def fit_roi(
         raise DataError(f"op_rank {op_rank} out of range [1, {max_op_rank}]")
 
     operators = []
-    residuals = []
-    for model, states in zip(fit_partitioned(latent).members, latent.latents):
+    for model in fit_partitioned(latent).members:
         # rotate the reduced operator into shared latent coordinates; the
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T
         operators.append(unfold_operator(operator))
-        # an exact power-of-two scaling keeps the norm finite and normal
-        error = reconstruct(model, latent.grid).state - states
-        exponent = scale_exponent(error)
-        norm = np.linalg.norm(np.ldexp(error, -exponent))
-        residuals.append(float(np.ldexp(norm, exponent)))
 
     stacked = np.column_stack(operators)
     svd = truncated_svd(stacked, op_rank)
@@ -117,7 +108,6 @@ def fit_roi(
         regressor=regression.fit(sites, np.hstack([coefficients, initial_states])),
         dt=latent.grid.dt,
         t0=latent.grid.t0,
-        train_residuals=np.asarray(residuals),
     )
 
 

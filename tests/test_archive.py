@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,6 @@ def fixed_dmd(scale):
         dt=0.5,
         t0=1.0,
         proj_basis=np.eye(2),
-        reduced_eigvecs=np.array([[1.0, 1.0], [1j, -1j]]),
     )
 
 
@@ -85,7 +85,6 @@ def fixed_models(spec=None):
         dt=0.5,
         t0=1.0,
         proj_basis=np.eye(4)[:, :2],
-        reduced_eigvecs=np.eye(2) + 0j,
     )
     return {
         "roi": RoiModel(
@@ -97,7 +96,6 @@ def fixed_models(spec=None):
             ),
             dt=0.5,
             t0=1.0,
-            train_residuals=np.array([1e-3, 2e-3]),
         ),
         "rkoi": RkoiModel(
             basis=basis,
@@ -127,9 +125,20 @@ def fixed_models(spec=None):
 
 FIXED_METADATA = {"offline_seconds": 0.25, "rank": 2}
 
-# SHA-256 of save_model(fixed_models()[tag], path, FIXED_METADATA), taken
-# before the per-algorithm dispatch moved into the algorithm table.
+# SHA-256 of save_model(fixed_models()[tag], path, FIXED_METADATA) in
+# archive format 2
 GOLDEN_SHA256 = {
+    "roi": "a118ecf93aa74406ae3269521fcd9b81e6bea4e133c10da085a6f93bff02d0da",
+    "rkoi": "95512366c1b9d2466275f77f22f27b7e5760253d0dfcab806df3bc15bccd04d5",
+    "mono": "c789c81f0305e7a172b8359eaa8fa013c0827a2d9e78787fe918de52e91c92b2",
+    "part": "d05829a57e0f20b23fec8c0429ca0b85321d477d234e6fd1edf0050157a3fb5f",
+}
+
+# The same models in format 1, committed as written by the format-1
+# save_model (with roi.train_residuals [1e-3, 2e-3] and each DMD's
+# reduced_eigvecs), and the SHA-256 the format-1 tests held them to.
+V1_ARCHIVES = Path(__file__).parent / "data" / "archive_v1"
+GOLDEN_V1_SHA256 = {
     "roi": "172019a6066ba60b4bb0300c91d59e93d49cbad30632113384cccc65a5365bc5",
     "rkoi": "c1181850852089623aac1cbebd7b8cdbda2cae1900dbbcc8aa928628ba915246",
     "mono": "c0f154941894dab89085b59f1b02397ad1f1debafdaf23dfd4fbfc4820155b39",
@@ -144,15 +153,14 @@ KIND_SPECS = {
     "poly": RegressorSpec("poly", degree=1),
 }
 # SHA-256 of save_model(fixed_models(KIND_SPECS[kind])[tag], path,
-# FIXED_METADATA), taken while a fitted regressor still kept these entries
-# in its own coefficients
+# FIXED_METADATA) in archive format 2
 GOLDEN_KIND_SHA256 = {
-    ("roi", "rbf-gauss"): "4595386cb74250e364dd875f24639e022c4648a00f1aca48fbc77aa4a183af8e",
-    ("rkoi", "rbf-gauss"): "9016ffdae346736960cb868b30b9d0390ba6b181a946c31d5155450115614770",
-    ("roi", "rbf-tps"): "28a63e3749a329f6232fa36d4a04de68fb6cd9ffe7b6d06e178014634f2ca2d4",
-    ("rkoi", "rbf-tps"): "dbde0d5b398cfbfdd4b7131edbea67fdddc1f83546faaedaa1f385428f819c63",
-    ("roi", "poly"): "e92255ecdacceab024838ab1fba3fce9d09f7046d7011e0f7809dcc432c86566",
-    ("rkoi", "poly"): "3f9c2de81b7e4a84162c13821b01e74fce91efdff092a6f98f15196fa1efbaec",
+    ("roi", "rbf-gauss"): "fd9b12f08400e758961670763515d4f1c86e00e7467ad8c62a212e0d7ebd3ef5",
+    ("rkoi", "rbf-gauss"): "06a20ba6edec8df896d126242e131f3cc4377a10cb1c3c3e39f2f82b2506fe4c",
+    ("roi", "rbf-tps"): "0d550d084ec1ff3eee9710d9068541b2bacf8b4fcb456683883714a82966fc62",
+    ("rkoi", "rbf-tps"): "804bd86e74418eaf7ac0f77c35c355e3f1ef0fc010c2d92984d345b54b4f45ed",
+    ("roi", "poly"): "35e5c0227215a4d1e24af5b4643bbf8612ae3923609694321dd4cd4eeb047483",
+    ("rkoi", "poly"): "a87af94d4239fdf73b59872aff0717358c131290d6c8cc7fdf9da96af4ffa731",
 }
 
 
@@ -231,6 +239,33 @@ class TestFormat:
         again = tmp_path / "again.pdmdm"
         save_model(load_model(path).model, again, metadata=FIXED_METADATA)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_version_1_file_loads_and_resaves_as_version_2(
+        self, tag, fixed_archives, tmp_path
+    ):
+        path = V1_ARCHIVES / f"{tag}.pdmdm"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_V1_SHA256[tag]
+        loaded = load_model(path)
+        assert (loaded.algorithm, loaded.metadata) == (tag, FIXED_METADATA)
+        mu, instants, spec = [0.5], [1.0, 1.5, 3.5], RegressorSpec()
+        assert np.array_equal(
+            predict_surrogate(loaded.model, mu, instants, spec),
+            predict_surrogate(fixed_models()[tag], mu, instants, spec),
+        )
+        again = tmp_path / "again.pdmdm"
+        save_model(loaded.model, again, metadata=loaded.metadata)
+        assert again.read_bytes() == fixed_archives[tag]
+
+    @pytest.mark.parametrize(
+        "tag, section",
+        [("roi", "roi.train_residuals"), ("mono", "mono.stacked.reduced_eigvecs"),
+         ("part", "part.member1.reduced_eigvecs")],
+    )
+    def test_non_finite_version_1_section_rejected(self, tag, section, tmp_path, capsys):
+        raw = (V1_ARCHIVES / f"{tag}.pdmdm").read_bytes()
+        message = f"archive section {section!r} holds non-finite entries"
+        assert_tamper_rejected(raw, {section: np.full(2, np.nan)}, message, tmp_path, capsys)
 
     def test_centered_basis_rejected(self, fixed_archives, tmp_path):
         raw = fixed_archives["roi"]
@@ -551,6 +586,25 @@ class TestValidation:
         self, fixed_archives, tmp_path, capsys, tag, changes, section
     ):
         message = f"archive section {section!r} disagrees with the model's arrays"
+        assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "tag, changes, message",
+        [
+            ("roi", {"roi.spec": {"dt": 0.0}},
+             "lattice step dt must be finite and positive, got 0.0"),
+            ("part", {f"part{s}.spec": {"dt": 0.0} for s in ("", ".member0", ".member1")},
+             "lattice step dt must be finite and positive, got 0.0"),
+            ("mono", {"mono.spec": {"dt": -0.05}, "mono.stacked.spec": {"dt": -0.05}},
+             "lattice step dt must be finite and positive, got -0.05"),
+            ("rkoi", {"rkoi.spec": {"t0": float("nan")}},
+             "initial instant t0 must be finite, got nan"),
+        ],
+        ids=["roi-dt-zero", "part-dt-zero", "mono-dt-negative", "rkoi-t0-nan"],
+    )
+    def test_lattice_that_cannot_step_rejected(
+        self, fixed_archives, tmp_path, capsys, tag, changes, message
+    ):
         assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     @settings(max_examples=200, deadline=None)

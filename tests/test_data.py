@@ -14,6 +14,7 @@ from pdmd.data import (
     ParametricDataset,
     SnapshotMatrix,
     TimeGrid,
+    check_lattice,
     pdmd1_file_size,
     lattice_steps,
     read_dataset,
@@ -47,6 +48,17 @@ class TestLatticeSteps:
         message = f"instant {re.escape(str(instant))} .* beyond the int64 range"
         with pytest.raises(DataError, match=message):
             lattice_steps([0.0, instant], 0.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "t0, dt, field",
+        [(np.nan, 0.5, "t0"), (-np.inf, None, "t0"), (0.0, 0.0, "dt"),
+         (0.0, -0.5, "dt"), (0.0, np.inf, "dt"), (0.0, np.nan, "dt")],
+    )
+    def test_lattice_that_cannot_step_rejected(self, t0, dt, field):
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            check_lattice(t0, dt)
+        check_lattice(1.0, 0.5)
+        check_lattice(-1.0, None)
 
 
 class TestTimeGrid:

@@ -311,12 +311,6 @@ class TestScaleSafeBasis:
                                      reference.regressor)
         assert_allclose(np.ldexp(predicted, -exponent), expected, rtol=0,
                         atol=1e-10 * np.max(np.abs(expected)))
-        if algorithm == "roi":
-            residuals = fitted.model.train_residuals
-            assert np.all(np.isfinite(residuals))
-            data_norm = np.linalg.norm(np.hstack(dataset.states()))
-            assert_allclose(np.ldexp(residuals, -exponent),
-                            reference.model.train_residuals, rtol=0, atol=1e-10 * data_norm)
 
     @pytest.mark.parametrize("rank", [None, 2])
     def test_extreme_magnitudes_fit_or_raise_pdmd_errors(self, rank):

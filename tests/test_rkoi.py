@@ -120,7 +120,7 @@ def per_parameter_fits(bag_seed):
 
     def fits(trajectories, rank, inits, seeds, trials, subset_fraction):
         if trials == 1:
-            return [BaggedOptDmd((fit_optdmd(x, rank),), 1.0, 1) for x in trajectories]
+            return [BaggedOptDmd((fit_optdmd(x, rank),), 1.0) for x in trajectories]
         return [
             fit_bopdmd(x, rank, trials, subset_fraction, bag_seed + k)
             for k, x in enumerate(trajectories)

@@ -37,11 +37,12 @@ def identity_basis(rank, n_state=None):
 
 
 def dmd_residuals(model, latent):
-    """Per-parameter latent DMD reconstruction errors: those a ``roi``
-    model records, those of a ``part`` model's members, or an ``rkoi``
-    model's errors at the training parameters."""
+    """Per-parameter latent DMD reconstruction errors: those of a ``part``
+    model's members or of the DMDs a ``roi`` model interpolates
+    (``fit_partitioned``), or an ``rkoi`` model's errors at the training
+    parameters."""
     if isinstance(model, RoiModel):
-        return model.train_residuals
+        model = fit_partitioned(latent)
     if isinstance(model, RkoiModel):
         return [
             np.linalg.norm(
@@ -235,12 +236,13 @@ class TestPredictRoi:
     def test_training_error_bounded_by_recorded_residuals(self):
         dataset, _, latent = pipeline_latent(seed=5, n_params=4, rank=3)
         model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
+        residuals = dmd_residuals(model, latent)
         basis = latent.basis
         for i in range(dataset.n_params):
             truth = dataset.trajectories[i].state
             pred = predict_roi(model, dataset.params[i], dataset.grid.instants)
             tail = np.linalg.norm(truth - basis.modes_u @ (basis.modes_u.T @ truth))
-            bound = np.sqrt(tail**2 + model.train_residuals[i] ** 2)
+            bound = np.sqrt(tail**2 + residuals[i] ** 2)
             err = frobenius_rel_error(truth, pred)
             assert err <= bound / np.linalg.norm(truth) + 1e-9
 
