@@ -13,12 +13,14 @@ the operator- and triplet-interpolation strategies.
 ``predict_latent`` answers a block of mu rows with that one set of
 N_t regressor fits, so scoring a model at all N_p training parameters
 costs N_t fits, not N_p * N_t; a query passes its mu as one row and
-runs N_t fits.  What the fits share is done once per call: the training
-parameters are prepared once (``regression.prepare``) and the whole
-block is checked, clamped and located once (``regression.stencil``, one
-weight matrix), so an instant costs one ``regression.fit`` plus one
-``regression.combine`` for all rows, and a clamped row or an
-ill-conditioned rbf system warns once, not once per instant.
+runs N_t fits.  Everything around the fits is done once per call: the
+DMD states at all instants are laid out instant-major, so each fit reads
+one contiguous N_p x r table; the training parameters are prepared once
+(``regression.prepare``); the whole block is checked, clamped and
+located once (``regression.stencil``, one weight matrix); and the N_t
+fitted tables are joined (``regression.join``) and read for all rows
+and instants by one ``regression.combine``.  A clamped row or an
+ill-conditioned rbf system therefore warns once, not once per instant.
 """
 
 from __future__ import annotations
@@ -131,10 +133,11 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
 
     Each DMD is evaluated once at all requested instants, the training
     parameters are prepared once and the block gets one weight matrix;
-    then, for every instant, one regressor is trained on the
-    per-parameter latent states there and read at all rows.  This online
-    training, N_t fits per call whatever n is, is the contract of the
-    strategy; count it with ``regression.FitCount``.
+    then one regressor per instant is trained on the per-parameter
+    latent states there, and one read of the joined regressors gives
+    every row at every instant.  This online training, N_t fits per call
+    whatever n is, is the contract of the strategy; count it with
+    ``regression.FitCount``.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
@@ -143,14 +146,17 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
         raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
     dmds = (model.stacked_dmd,) if isinstance(model, MonolithicModel) else model.members
     steps = lattice_steps(times, dmds[0].t0, dmds[0].dt)
-    # N_p x r x N_t; a stacked state holds the parameters' r rows in turn
-    trajectories = np.stack([evaluate(dmd, steps) for dmd in dmds]).reshape(
-        len(model.params), model.basis.rank, steps.size
+    # N_t x N_p x r, one contiguous table per instant; a stacked state
+    # holds the parameters' r rows in turn
+    tables = np.concatenate([evaluate(dmd, steps).T for dmd in dmds], axis=1).reshape(
+        steps.size, len(model.params), model.basis.rank
     )
     sites = regression.prepare(spec, model.params)
     weights = regression.stencil(sites, rows)
-    latents = np.empty((rows.shape[0],) + trajectories.shape[1:])
-    for k in range(steps.size):
-        regressor = regression.fit(sites, trajectories[:, :, k])
-        latents[:, :, k] = regression.combine(weights, regressor)
-    return latents
+    if not steps.size:  # no fit to join; the rows are still checked above
+        return np.empty((rows.shape[0], model.basis.rank, 0))
+    # a generator: join copies each table as it is fitted, so the N_t small
+    # fitted tables are never all alive at once (holding them all slowed
+    # the next query's allocations)
+    regressors = (regression.fit(sites, table) for table in tables)
+    return regression.combine(weights, regression.join(regressors))

@@ -25,6 +25,11 @@ regressors on the same training parameters share it:
 
 A surrogate that regresses several quantities over mu joins them into
 one value table, so one fit trains them and one ``combine`` reads them.
+Regressors fitted one by one on the same sites are read together too:
+``join`` lays their tables side by side along a trailing K axis, and one
+``combine`` reads all K at once, n x d x K.  The latent-interpolation
+variants fit one regressor per instant this way and read all N_t with
+one ``combine``.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -140,7 +145,8 @@ class FittedRegressor:
 
     ``values`` is the one table a query reads: the value rows (linear:
     sorted), the rbf weights or the polynomial coefficients, imaginary
-    channels after the real ones when ``complex_output``."""
+    channels after the real ones when ``complex_output``.  A table made
+    by ``join`` has a trailing axis, one entry per joined regressor."""
 
     sites: Sites
     values: np.ndarray
@@ -356,13 +362,40 @@ def stencil(sites: Sites, mu) -> np.ndarray:
     return weights if mu.ndim == 2 else weights[0]
 
 
+def join(regressors) -> FittedRegressor:
+    """The regressors, all fitted on the same sites, as one whose table
+    has a trailing axis with one entry per regressor, in order; one
+    ``combine`` then reads all of them.  ``regressors`` may be a
+    generator: each table is copied as it arrives, so the regressors
+    need not all be held at once.  There must be at least one."""
+    regressors = iter(regressors)
+    first = next(regressors)
+
+    def tables():
+        yield first.values
+        for regressor in regressors:
+            if regressor.sites is not first.sites or regressor.complex_output != first.complex_output:
+                raise DataError("joined regressors must share their sites and output type")
+            yield regressor.values
+
+    values = np.fromiter(tables(), dtype=np.dtype((float, first.values.shape)))
+    values = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    return FittedRegressor(first.sites, values, first.complex_output)
+
+
 def combine(weights: np.ndarray, regressor: FittedRegressor) -> np.ndarray:
     """The regressor's value at the stencil's query, d or n x d; it must
-    be fitted on the stencil's sites.  Summed by einsum, not BLAS, so a
-    row reads the same bits alone as in a block."""
-    row = np.einsum("...m,md->...d", weights, regressor.values)
+    be fitted on the stencil's sites.  A joined regressor of K gives
+    d x K or n x d x K.  Summed by einsum, not BLAS, so a row reads the
+    same bits alone as in a block, and a joined regressor the same bits
+    as each of its parts read alone."""
+    joined = regressor.values.ndim == 3
+    row = np.einsum("...m,mdk->...dk" if joined else "...m,md->...d", weights, regressor.values)
     if regressor.complex_output:
-        return row[..., : regressor.output_dim] + 1j * row[..., regressor.output_dim :]
+        d = regressor.output_dim
+        if joined:
+            return row[..., :d, :] + 1j * row[..., d:, :]
+        return row[..., :d] + 1j * row[..., d:]
     return row
 
 

@@ -418,8 +418,9 @@ class TestWarningsOncePerQuery:
 @pytest.mark.parametrize("fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"])
 @pytest.mark.parametrize("n_rows", [1, 2, 6])
 def test_block_read_fits_and_combines_once_per_instant(fit_model, n_rows, monkeypatch):
-    """One regression.fit and one regression.combine per instant, for
-    all rows of the block at once; FitCount still reads N_t."""
+    """One regression.fit per instant, for all rows of the block at
+    once, and one regression.combine per call, for all rows and
+    instants; FitCount still reads N_t."""
     latent = swept_family(ORACLE_PARAMS[1])
     model = fit_model(latent)
     calls = {"fit": 0, "combine": 0}
@@ -440,5 +441,46 @@ def test_block_read_fits_and_combines_once_per_instant(fit_model, n_rows, monkey
     with FitCount() as fits:
         out = predict_latent(model, rows, times, RegressorSpec("linear"))
     assert out.shape == (n_rows, 2, len(times))
-    assert calls == {"fit": len(times), "combine": len(times)}
+    assert calls == {"fit": len(times), "combine": 1}
     assert fits.count == len(times)
+
+
+# einsum's summation order over the table rows can depend on their number,
+# so the reads are compared at 6 and at 10 training parameters (and poly at
+# 10 feature rows: degree 3 in two parameters)
+READ_SPECS = {
+    "linear": (RegressorSpec("linear"), 1),
+    "nearest": (RegressorSpec("nearest"), 2),
+    "rbf-gauss": (RegressorSpec("rbf-gauss"), 2),
+    "rbf-tps": (RegressorSpec("rbf-tps"), 2),
+    "poly": (RegressorSpec("poly", degree=3, ridge=1e-3), 2),
+}
+
+
+def read_params(n_params, p):
+    if p == 1:
+        return np.linspace(0.2, 0.95, n_params)[:, None]
+    return np.random.default_rng(n_params).uniform(0.1, 0.9, (n_params, p))
+
+
+@pytest.mark.parametrize("n_rows", [1, 3])
+@pytest.mark.parametrize("n_params", [6, 10])
+@pytest.mark.parametrize("kind", READ_SPECS)
+def test_one_read_matches_per_instant_loop_bit_for_bit(kind, n_params, n_rows):
+    spec, p = READ_SPECS[kind]
+    latent = swept_family(read_params(n_params, p))
+    lo, hi = latent.params.min(axis=0), latent.params.max(axis=0)
+    # inside rows, and with three rows a last one past the hull, clamped
+    rows = [0.6 * lo + 0.4 * hi, 0.2 * lo + 0.8 * hi, hi + 0.3 * (hi - lo)][:n_rows]
+    rows = np.asarray(rows)
+    for model in (fit_monolithic(latent), fit_partitioned(latent)):
+        for times in (latent.grid.instants[1::2], latent.grid.instants[:0]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = predict_latent(model, rows, times, spec)
+            assert len(caught) == (n_rows == 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtrapolationWarning)
+                want = per_instant_loop(model, rows, times, spec)
+            assert got.shape == (n_rows, 2, len(times))
+            assert np.array_equal(got, want)

@@ -14,6 +14,7 @@ from pdmd.regression import (
     combine,
     default_spec,
     fit,
+    join,
     prepare,
     stencil,
 )
@@ -226,6 +227,40 @@ class TestComplexTargets:
         ys = np.array([[1.0 + 2.0j], [3.0 - 4.0j]])
         reg = fit(prepare(RegressorSpec("linear"), xs), ys)
         assert_allclose(predict(reg, [0.5]), [2.0 - 1.0j])
+
+
+class TestJoin:
+    @pytest.mark.parametrize("kind", ["linear", "nearest", "rbf-tps", "poly"])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_one_read_matches_each_part_bit_for_bit(self, kind, complex_values):
+        xs = np.linspace(0.0, 1.0, 11)[:, None]
+        rng = np.random.default_rng(4)
+        tables = rng.standard_normal((5, 11, 3))
+        if complex_values:
+            tables = tables + 1j * rng.standard_normal(tables.shape)
+        sites = prepare(RegressorSpec(kind, degree=3, ridge=1e-3), xs)
+        regressors = [fit(sites, table) for table in tables]
+        joined = join(regressors)
+        assert joined.values.shape[-1] == len(tables)
+        assert np.array_equal(join(iter(regressors)).values, joined.values)
+        assert joined.output_dim == 3
+        for mu in ([0.37], [[0.05], [0.37], [0.99]]):
+            weights = stencil(sites, mu)
+            got = combine(weights, joined)
+            want = np.stack([combine(weights, r) for r in regressors], axis=-1)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_needs_shared_sites_and_output_type(self):
+        xs = [[0.0], [1.0]]
+        sites = prepare(RegressorSpec("linear"), xs)
+        real = fit(sites, [[1.0], [2.0]])
+        with pytest.raises(DataError, match="share"):
+            join([real, fit(prepare(RegressorSpec("linear"), xs), [[1.0], [2.0]])])
+        with pytest.raises(DataError, match="share"):
+            join([real, fit(sites, [[1.0j], [2.0]])])
+        with pytest.raises(DataError, match="share"):
+            join(fit(sites, [[1.0], [v]]) for v in (2.0, 3.0j))
 
 
 class TestFitCounter:
