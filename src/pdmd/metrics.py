@@ -11,7 +11,7 @@ errors are written as tidy ``time,value,algorithm,parameter`` rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,10 +77,25 @@ def rmse(truth, pred) -> float:
     return float(_scale_safe(lambda a, b: np.sqrt(np.mean((a - b) ** 2)), truth, pred, 1))
 
 
+def _numbers(name: str, value, kinds: str = "iuf", ndims: tuple = (0,)) -> np.ndarray:
+    """``value`` as a float array with one of ``ndims`` axes, or a
+    DataError naming the report field: a string, null, boolean, ragged
+    or wrongly nested value is not a number."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in kinds or array.ndim not in ndims:
+        what = "a number" if ndims == (0,) else "a list of numbers"
+        raise DataError(f"report field {name!r} must be {what}, got {value!r:.80}")
+    return array.astype(float)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """One evaluation record: errors plus phase timings for one
-    (algorithm, parameter) pair."""
+    (algorithm, parameter) pair.  Every field is checked here, so a
+    malformed report line is a DataError naming its field."""
 
     algorithm: str
     rank: int
@@ -93,68 +108,55 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise DataError(
                 f"unknown algorithm {self.algorithm!r}; use {tuple(ALGORITHMS)}"
             )
-        object.__setattr__(
-            self, "parameter", np.atleast_1d(np.asarray(self.parameter, dtype=float))
-        )
-        object.__setattr__(
-            self, "time_errors", np.asarray(self.time_errors, dtype=float)
-        )
-        if self.frobenius_error < 0 or self.rmse < 0 or np.any(self.time_errors < 0):
-            raise DataError("errors must be non-negative")
-        if self.offline_seconds < 0 or self.online_seconds < 0:
-            raise DataError("phase times must be non-negative")
+        if not isinstance(self.extras, dict):
+            raise DataError(f"report extras must be a mapping, got {self.extras!r}")
+        rank = int(_numbers("rank", self.rank, kinds="iu"))
+        if rank < 1:
+            raise DataError(f"report field 'rank' must be >= 1, got {rank}")
+        checked = {
+            "rank": rank,
+            "parameter": np.atleast_1d(_numbers("parameter", self.parameter, ndims=(0, 1))),
+        }
+        # the errors and the phase times
+        for name in ("frobenius_error", "time_errors", "rmse", "offline_seconds", "online_seconds"):
+            value = _numbers(name, getattr(self, name), ndims=(1,) if name == "time_errors" else (0,))
+            if np.any(value < 0):
+                raise DataError(f"report field {name!r} must be non-negative")
+            checked[name] = value if value.ndim else float(value)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+
+# the fields of a report line besides its extras, in declaration order
+REPORT_FIELDS = tuple(f.name for f in fields(EvalReport) if f.name != "extras")
 
 
 def report_to_line(report: EvalReport) -> str:
-    """Serialize one report as a single structured text line."""
-    payload = {
-        "algorithm": report.algorithm,
-        "rank": report.rank,
-        "parameter": report.parameter.tolist(),
-        "frobenius_error": report.frobenius_error,
-        "time_errors": report.time_errors.tolist(),
-        "rmse": report.rmse,
-        "offline_seconds": report.offline_seconds,
-        "online_seconds": report.online_seconds,
-    }
+    """Serialize one report as a single structured text line: its fields
+    as JSON values, then its extras as further keys."""
+    payload = {name: getattr(report, name) for name in REPORT_FIELDS}
     payload.update(report.extras)
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, default=np.ndarray.tolist)
 
 
 def report_from_line(line: str) -> EvalReport:
+    """Inverse of ``report_to_line``: a line that is not one JSON object
+    holding every field, each of its kind, is a DataError."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed report line: {exc}") from exc
-    known = {
-        "algorithm",
-        "rank",
-        "parameter",
-        "frobenius_error",
-        "time_errors",
-        "rmse",
-        "offline_seconds",
-        "online_seconds",
-    }
-    missing = known - set(payload)
+    if not isinstance(payload, dict):
+        raise DataError(f"report line is not a JSON object: {line.strip()[:80]!r}")
+    missing = [name for name in REPORT_FIELDS if name not in payload]
     if missing:
-        raise DataError(f"report line missing fields {sorted(missing)}")
-    extras = {k: v for k, v in payload.items() if k not in known}
-    return EvalReport(
-        algorithm=payload["algorithm"],
-        rank=int(payload["rank"]),
-        parameter=np.asarray(payload["parameter"], dtype=float),
-        frobenius_error=float(payload["frobenius_error"]),
-        time_errors=np.asarray(payload["time_errors"], dtype=float),
-        rmse=float(payload["rmse"]),
-        offline_seconds=float(payload["offline_seconds"]),
-        online_seconds=float(payload["online_seconds"]),
-        extras=extras,
-    )
+        raise DataError(f"report line missing fields {missing}")
+    extras = {k: v for k, v in payload.items() if k not in REPORT_FIELDS}
+    return EvalReport(**{name: payload[name] for name in REPORT_FIELDS}, extras=extras)
 
 
 def parameter_label(parameter) -> str:
@@ -163,7 +165,13 @@ def parameter_label(parameter) -> str:
 
 
 def series_rows(times, values, algorithm: str, parameter) -> list:
-    """The ``time,value,algorithm,parameter`` rows of one error series."""
+    """The ``time,value,algorithm,parameter`` rows of one error series;
+    ``times`` (a report's ``times`` extra) holds one number per value."""
+    times = _numbers("times", times, ndims=(1,))
+    if len(times) != len(values):
+        raise DataError(
+            f"report field 'times' has {len(times)} entries for {len(values)} values"
+        )
     label = parameter_label(parameter)
     return [f"{t:.17g},{v:.17g},{algorithm},{label}" for t, v in zip(times, values)]
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import regression
 from .algorithms import ALGORITHMS
-from .data import ParametricDataset, subset_params  # noqa: F401  (importable from here too)
+# perfbench/generate.py imports subset_params from here
+from .data import ParametricDataset, subset_params  # noqa: F401
 from .errors import DataError
 from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
 from .reduction import DEFAULT_ENERGY, fit_global_basis, project

@@ -9,19 +9,22 @@ imaginary channels and reassembled on prediction.
 The work is split in stages by what each one depends on, so that many
 regressors on the same training parameters share it:
 
-- ``prepare(spec, params)`` depends on the training parameters only.
-  It validates them, falls back to nearest for a single point, rejects
-  duplicates and builds what a stencil reads (the hull box, the linear
-  sort order, the rbf shape or the polynomial powers) and what a fit
-  reads (the rbf kernel system with its Cholesky factor and condition
-  number, the polynomial features and Gram matrix).
-- ``fit(sites, values)`` trains one regressor on prepared sites, which
-  it keeps as ``regressor.sites`` for the queries on it.
+- ``prepare(spec, params)`` depends on the training parameters only,
+  and is the one place that branches on the kind.  It validates them,
+  falls back to nearest for a single point, rejects duplicates and
+  builds the hull box and the kind's ``solve`` (from a value table to
+  the table a query reads: the linear row reorder, nearest's identity,
+  the rbf Cholesky solve or ``lstsq``, the polynomial ridge ``solve`` or
+  ``lstsq``) and ``weights`` (of that table's rows at query rows:
+  ``1 - w`` and ``w`` at the bracketing rows, a single 1, the rbf
+  kernel row or the polynomial feature row).
+- ``fit(sites, values)`` checks one value table and trains a regressor
+  with ``sites.solve``; it keeps the sites as ``regressor.sites`` for
+  the queries on it.
 - ``stencil(sites, mu)`` depends on the query only.  It checks mu (a
   p-vector or an n x p block), applies the extrapolation policy and
-  weighs the rows of any value table fitted on the sites: ``1 - w`` and
-  ``w`` at the bracketing rows, a single 1, the rbf kernel row or the
-  polynomial feature row; ``combine(weights, regressor)`` sums them.
+  returns ``sites.weights`` of the rows; ``combine(weights, regressor)``
+  sums the weighted rows of any regressor fitted on the sites.
 
 A surrogate that regresses several quantities over mu joins them into
 one value table, so one fit trains them and one ``combine`` reads them.
@@ -42,8 +45,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -116,27 +122,21 @@ class RegressorSpec:
 @dataclass(frozen=True)
 class Sites:
     """Training parameters prepared for every fit and query on them.
-
-    ``lo``/``hi`` bound the hull box.  The kind's fields: ``order`` and
-    ``xs`` (linear: ascending row order and sorted abscissae),
-    ``shape``, ``system`` and ``factor`` (rbf: distance scale, kernel
-    plus ridge, and its Cholesky factor or None when that fails),
-    ``powers``, ``features`` and ``gram`` (poly: monomial exponents,
-    feature matrix, and the ridge Gram matrix or None at zero ridge);
-    ``system``, ``factor``, ``features`` and ``gram`` are fit-only."""
+    ``lo``/``hi`` bound the hull box; ``solve`` maps an N_p x d value
+    table to the table a query reads, ``weights`` checked n x p query
+    rows to n x m weights over that table's rows.  The archive writes or
+    reads ``xs`` (linear: sorted abscissae), ``shape`` (rbf: distance
+    scale) and ``powers`` (poly: monomial exponents)."""
 
     spec: RegressorSpec
     params: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    order: np.ndarray | None = None
+    solve: Callable[[np.ndarray], np.ndarray]
+    weights: Callable[[np.ndarray], np.ndarray]
     xs: np.ndarray | None = None
     shape: float | None = None
-    system: np.ndarray | None = None
-    factor: tuple | None = None
     powers: list | None = None
-    features: np.ndarray | None = None
-    gram: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,16 @@ def _rbf_kernel(distances: np.ndarray, kind: str) -> np.ndarray:
 
 
 def prepare(spec: RegressorSpec, params) -> Sites:
-    """Validate the training parameters and build what every ``fit``
-    and ``stencil`` on them reads; no fitted value enters.  A single
-    point supports only a constant map, so every kind falls back to
-    nearest there; the returned sites carry the spec in effect."""
+    """Validate the training parameters and build the kind's ``solve``
+    and ``weights`` for every ``fit`` and ``stencil`` on them; no fitted
+    value enters.  A single point supports only a constant map, so every
+    kind falls back to nearest there; the returned sites carry the spec
+    in effect."""
     params = _normalize_params(params)
     n_points, p = params.shape
     if n_points == 1 and spec.kind != "nearest":
         spec = RegressorSpec(kind="nearest", extrapolation=spec.extrapolation)
-    box = (params.min(axis=0), params.max(axis=0))
+    make_sites = partial(Sites, spec, params, params.min(axis=0), params.max(axis=0))
 
     if spec.kind == "linear" and p != 1:
         raise DataError("linear interpolation supports scalar parameters only")
@@ -228,18 +229,43 @@ def prepare(spec: RegressorSpec, params) -> Sites:
                 "or add training parameters"
             )
         features = _poly_features(params, powers)
-        gram = None
         if spec.ridge > 0:
             gram = features.T @ features + spec.ridge * np.eye(len(powers))
-        return Sites(spec, params, *box, powers=powers, features=features, gram=gram)
+            def solve(table):
+                return np.linalg.solve(gram, features.T @ table)
+        else:
+            def solve(table):
+                return np.linalg.lstsq(features, table, rcond=None)[0]
+
+        return make_sites(solve, partial(_poly_features, powers=powers), powers=powers)
 
     if has_duplicate_rows(params):
         raise DataError("duplicate parameters for an interpolating regressor")
     if spec.kind == "linear":
         order = np.argsort(params[:, 0])
-        return Sites(spec, params, *box, order=order, xs=params[order, 0])
+        xs = params[order, 0]
+
+        def weights(rows):
+            x = rows[:, 0]
+            # the sorted rows bracketing x; the end segments extend past the hull
+            left = xs[1:-1].searchsorted(x, side="right")
+            weight = (x - xs[left]) / (xs[1:][left] - xs[left])
+            out = np.zeros((len(x), len(xs)))
+            flat = out.reshape(-1)  # a view: (row, left) is at row * m + left
+            at = np.arange(0, flat.size, len(xs)) + left
+            flat[at] = 1 - weight
+            flat[1:][at] = weight
+            return out
+
+        # the solves of linear and nearest are C callables: a latent
+        # query makes N_t fits, and a Python frame each would show
+        return make_sites(itemgetter(order), weights, xs=xs)
     if spec.kind == "nearest":
-        return Sites(spec, params, *box)
+        def weights(rows):
+            distances = np.linalg.norm(params - rows[:, None, :], axis=2)
+            return np.eye(n_points)[np.argmin(distances, axis=1)]
+
+        return make_sites(np.asarray, weights)
 
     shape = spec.shape
     distances = cdist(params, params)
@@ -261,8 +287,18 @@ def prepare(spec: RegressorSpec, params) -> Sites:
     try:
         factor = cho_factor(system)
     except np.linalg.LinAlgError:
-        factor = None
-    return Sites(spec, params, *box, shape=shape, system=system, factor=factor)
+        def solve(table):
+            return np.linalg.lstsq(system, table, rcond=None)[0]
+    else:
+        def solve(table):
+            # C order, as the archive stores it: a loaded regressor then
+            # reads its rows in the same summation order
+            return np.ascontiguousarray(cho_solve(factor, table))
+
+    def weights(rows):
+        return _rbf_kernel(cdist(rows, params) / shape, spec.kind)
+
+    return make_sites(solve, weights, shape=shape)
 
 
 def fit(sites: Sites, values) -> FittedRegressor:
@@ -278,26 +314,8 @@ def fit(sites: Sites, values) -> FittedRegressor:
         raise DataError(
             f"{sites.params.shape[0]} parameters but {table.shape[0]} value rows"
         )
-    kind = sites.spec.kind
-    if kind == "linear":
-        values = table[sites.order]
-    elif kind == "nearest":
-        values = table
-    elif kind in ("rbf-gauss", "rbf-tps"):
-        if sites.factor is not None:
-            # C order, as the archive stores it: a loaded regressor then
-            # reads its rows in the same summation order
-            values = np.ascontiguousarray(cho_solve(sites.factor, table))
-        else:
-            values = np.linalg.lstsq(sites.system, table, rcond=None)[0]
-    else:  # poly
-        if sites.gram is not None:
-            values = np.linalg.solve(sites.gram, sites.features.T @ table)
-        else:
-            values = np.linalg.lstsq(sites.features, table, rcond=None)[0]
-
     _record_fit()
-    return FittedRegressor(sites, values, complex_output)
+    return FittedRegressor(sites, sites.solve(table), complex_output)
 
 
 def _apply_policy(sites: Sites, rows: np.ndarray) -> np.ndarray:
@@ -329,8 +347,8 @@ def _apply_policy(sites: Sites, rows: np.ndarray) -> np.ndarray:
 def stencil(sites: Sites, mu) -> np.ndarray:
     """Weights over the rows of any value table fitted on the sites: a
     length-m row for one p-vector mu, an n x m matrix for an n x p block.
-    Checks mu, applies the extrapolation policy and locates every row,
-    once for every regressor on the sites."""
+    Checks mu, applies the extrapolation policy and weighs the rows with
+    ``sites.weights``, once for every regressor on the sites."""
     mu = np.asarray(mu, dtype=float)
     rows = mu if mu.ndim == 2 else mu.reshape(1, -1)
     p = sites.params.shape[1]
@@ -340,25 +358,7 @@ def stencil(sites: Sites, mu) -> np.ndarray:
         )
     if not ((rows >= sites.lo) & (rows <= sites.hi)).all():
         rows = _apply_policy(sites, rows)
-    kind = sites.spec.kind
-
-    if kind == "linear":
-        xs, x = sites.xs, rows[:, 0]
-        # the sorted rows bracketing x; the end segments extend past the hull
-        left = xs[1:-1].searchsorted(x, side="right")
-        weight = (x - xs[left]) / (xs[1:][left] - xs[left])
-        weights = np.zeros((len(x), len(xs)))
-        flat = weights.reshape(-1)  # a view: (row, left) is at row * m + left
-        at = np.arange(0, flat.size, len(xs)) + left
-        flat[at] = 1 - weight
-        flat[1:][at] = weight
-    elif kind == "nearest":
-        distances = np.linalg.norm(sites.params - rows[:, None, :], axis=2)
-        weights = np.eye(len(sites.params))[np.argmin(distances, axis=1)]
-    elif kind in ("rbf-gauss", "rbf-tps"):
-        weights = _rbf_kernel(cdist(rows, sites.params) / sites.shape, kind)
-    else:
-        weights = _poly_features(rows, sites.powers)
+    weights = sites.weights(rows)
     return weights if mu.ndim == 2 else weights[0]
 
 
@@ -399,7 +399,6 @@ def combine(weights: np.ndarray, regressor: FittedRegressor) -> np.ndarray:
     return row
 
 
-def default_spec(param_dim: int, extrapolation: str = "clamp") -> RegressorSpec:
+def default_spec(param_dim: int) -> RegressorSpec:
     """Package default: 1-D linear interpolation, gaussian rbf otherwise."""
-    kind = "linear" if param_dim == 1 else "rbf-gauss"
-    return RegressorSpec(kind=kind, extrapolation=extrapolation)
+    return RegressorSpec(kind="linear" if param_dim == 1 else "rbf-gauss")

@@ -396,6 +396,26 @@ class TestValidation:
         with pytest.raises(DataError, match="cannot archive"):
             save_model(object(), tmp_path / "nope.pdmdm")
 
+    def test_repeated_section_rejected(self, fixed_archives, tmp_path):
+        raw = fixed_archives["roi"]
+        offset = len(MAGIC) + 4  # magic, version
+        offset += 4 + struct.unpack_from("<I", raw, offset)[0]  # algorithm tag
+        (count,) = struct.unpack_from("<I", raw, offset)
+        first = end = offset + 4
+        for _ in range(2):  # the first section's name and payload
+            end += 4 + struct.unpack_from("<I", raw, end)[0]
+        name = raw[first + 4 : first + 4 + struct.unpack_from("<I", raw, first)[0]].decode()
+        path = tmp_path / "repeated.pdmdm"
+        path.write_bytes(raw[:offset] + struct.pack("<I", count + 1) + raw[first:end] + raw[first:])
+        with pytest.raises(DataError, match=f"duplicate archive section '{re.escape(name)}'"):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, fixed_archives, tmp_path):
+        path = tmp_path / "trailing.pdmdm"
+        path.write_bytes(fixed_archives["roi"] + b"\x00")
+        with pytest.raises(DataError, match="trailing bytes after the last archive section"):
+            load_model(path)
+
     @pytest.mark.parametrize("tag", list(ALGORITHMS))
     def test_every_truncation_rejected(self, tag, fixed_archives, tmp_path):
         raw = fixed_archives[tag]

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdmd.archive import load_model, save_model
@@ -18,7 +20,7 @@ from pdmd.data import (
     read_dataset,
     write_dataset,
 )
-from pdmd.metrics import report_from_line
+from pdmd.metrics import EvalReport, report_from_line, report_to_line
 from pdmd.synth import generate
 
 
@@ -656,6 +658,67 @@ class TestEvalAndPlotdata:
         out = tmp_path / "plot.csv"
         assert run_cli("plotdata", "--out", str(out)) == 0
         assert out.read_text() == "time,value,algorithm,parameter\n"
+
+
+def valid_report_line() -> str:
+    return report_to_line(
+        EvalReport(
+            algorithm="mono", rank=6, parameter=[0.35], frobenius_error=0.012,
+            time_errors=[0.01, 0.02, 0.03], rmse=0.004, offline_seconds=1.25,
+            online_seconds=0.002, extras={"times": [0.0, 0.1, 0.2], "online_fits": 3},
+        )
+    )
+
+
+def edited_report_line(**changes) -> str:
+    return json.dumps({**json.loads(valid_report_line()), **changes})
+
+
+class TestPlotdataMalformedReports:
+    """Every report line either plots or exits 3 naming what is wrong;
+    none ends in a traceback."""
+
+    def plot(self, tmp_path, text):
+        report = tmp_path / "report.jsonl"
+        report.write_text(text)
+        return run_cli("plotdata", "--report", str(report), "--out", str(tmp_path / "plot.csv"))
+
+    def test_valid_line_plots(self, tmp_path):
+        assert self.plot(tmp_path, valid_report_line() + "\n") == 0
+        rows = (tmp_path / "plot.csv").read_text().splitlines()
+        assert rows[1:] == ["0,0.01,mono,0.35", "0.10000000000000001,0.02,mono,0.35",
+                            "0.20000000000000001,0.029999999999999999,mono,0.35"]
+
+    @pytest.mark.parametrize(
+        "line, names",
+        [
+            ("5", "not a JSON object"),
+            ("null", "not a JSON object"),
+            (edited_report_line(rank="six"), "'rank'"),
+            (edited_report_line(frobenius_error="x"), "'frobenius_error'"),
+            (edited_report_line(parameter="abc"), "'parameter'"),
+            (edited_report_line(online_seconds=None), "'online_seconds'"),
+            (edited_report_line(time_errors=[[0.01, 0.02, 0.03]]), "'time_errors'"),
+            (edited_report_line(times=[0.0, 0.1]), "'times'"),
+        ],
+        ids=["number", "null", "rank-text", "error-text", "parameter-text",
+             "online-null", "time-errors-2d", "times-short"],
+    )
+    def test_malformed_line_exits_3_naming_the_field(self, tmp_path, capsys, line, names):
+        assert self.plot(tmp_path, line + "\n") == 3
+        assert names in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_mutated_byte_plots_or_exits_3(self, tmp_path_factory, data):
+        raw = bytearray(valid_report_line().encode())
+        position = data.draw(st.integers(0, len(raw) - 1), label="position")
+        raw[position] = data.draw(st.integers(0, 255), label="byte")
+        directory = tmp_path_factory.mktemp("report")
+        (directory / "report.jsonl").write_bytes(bytes(raw))
+        code = run_cli("plotdata", "--report", str(directory / "report.jsonl"),
+                       "--out", str(directory / "plot.csv"))
+        assert code in (0, 3)
 
 
 class TestBenchCommand:

@@ -150,6 +150,26 @@ class TestFitPartitioned:
                 atol=1e-8,
             )
 
+    def test_member_numerical_error_names_its_parameter(self, monkeypatch):
+        latent, _ = scaled_family([0.5, 1.5, 2.5])
+        failure = NumericalError("eigendecomposition failed")
+        calls = []
+
+        def fail_on_second(trajectory, rank):
+            calls.append(trajectory)
+            if len(calls) == 2:
+                raise failure
+            return fit_dmd(trajectory, rank)
+
+        monkeypatch.setattr(latent_module, "fit_dmd", fail_on_second)
+        with pytest.raises(NumericalError) as caught:
+            fit_partitioned(latent)
+        assert str(caught.value) == (
+            "training parameter 1 (mu = [1.5]): eigendecomposition failed"
+        )
+        assert caught.value.__cause__ is failure
+        assert len(calls) == 2  # raised at once, before the third member
+
 
 class TestPredictLatent:
     def test_overflowing_member_raises(self):

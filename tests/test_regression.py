@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.regression import (
@@ -321,3 +323,120 @@ class TestSpecValidation:
     def test_value_row_mismatch(self):
         with pytest.raises(DataError):
             fit(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[1.0]])
+
+
+class TestStencilChecks:
+    SITES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "mu", [[0.5], [[0.1, 0.2, 0.3]], np.zeros((1, 1, 2))], ids=["short", "wide-block", "3-d"]
+    )
+    def test_wrong_shape_rejected(self, mu):
+        sites = prepare(RegressorSpec("rbf-gauss"), self.SITES)
+        with pytest.raises(DataError, match="query must be a 2-vector or an n x 2 block"):
+            stencil(sites, mu)
+
+    @pytest.mark.parametrize("policy", ["clamp", "allow", "error"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, policy, bad):
+        sites = prepare(RegressorSpec("nearest", extrapolation=policy), self.SITES)
+        with pytest.raises(DataError, match="non-finite"):
+            stencil(sites, [[0.5, 0.5], [0.2, bad]])
+
+
+def reference_table(sites, values):
+    """The table the per-kind ``fit`` body made before each kind's solve
+    was built in ``prepare``: the reference the kind-free ``fit`` must
+    match bit for bit, C order included."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        values = np.hstack([values.real, values.imag])
+    table = values.astype(float)
+    spec, params = sites.spec, sites.params
+    if spec.kind == "linear":
+        return table[np.argsort(params[:, 0])]
+    if spec.kind == "nearest":
+        return table
+    if spec.kind == "poly":
+        features = reference_features(params, sites.powers)
+        if spec.ridge > 0:
+            gram = features.T @ features + spec.ridge * np.eye(len(sites.powers))
+            return np.linalg.solve(gram, features.T @ table)
+        return np.linalg.lstsq(features, table, rcond=None)[0]
+    system = reference_kernel(cdist(params, params) / sites.shape, spec.kind)
+    system = system + spec.ridge * np.eye(len(params))
+    try:
+        factor = cho_factor(system)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(system, table, rcond=None)[0]
+    return np.ascontiguousarray(cho_solve(factor, table))
+
+
+def reference_weights(sites, rows):
+    """The per-kind ``stencil`` body's weights at policy-applied rows."""
+    kind = sites.spec.kind
+    if kind == "linear":
+        xs, x = sites.xs, rows[:, 0]
+        left = xs[1:-1].searchsorted(x, side="right")
+        weight = (x - xs[left]) / (xs[1:][left] - xs[left])
+        weights = np.zeros((len(x), len(xs)))
+        flat = weights.reshape(-1)
+        at = np.arange(0, flat.size, len(xs)) + left
+        flat[at] = 1 - weight
+        flat[1:][at] = weight
+        return weights
+    if kind == "nearest":
+        distances = np.linalg.norm(sites.params - rows[:, None, :], axis=2)
+        return np.eye(len(sites.params))[np.argmin(distances, axis=1)]
+    if kind in ("rbf-gauss", "rbf-tps"):
+        return reference_kernel(cdist(rows, sites.params) / sites.shape, kind)
+    return reference_features(rows, sites.powers)
+
+
+def reference_features(params, powers):
+    return np.column_stack([np.prod(params**np.asarray(exp), axis=1) for exp in powers])
+
+
+def reference_kernel(distances, kind):
+    if kind == "rbf-gauss":
+        return np.exp(-(distances**2))
+    scaled = np.where(distances > 0, distances, 1.0)
+    return np.where(distances > 0, distances**2 * np.log(scaled), 0.0)
+
+
+# rbf-gauss solves through its Cholesky factor; the thin-plate kernel has
+# a zero diagonal, is never positive definite and takes the lstsq fallback
+REFERENCE_SPECS = {
+    "linear": RegressorSpec("linear"),
+    "nearest": RegressorSpec("nearest"),
+    "rbf-gauss": RegressorSpec("rbf-gauss"),
+    "rbf-tps": RegressorSpec("rbf-tps"),
+    "poly-ridge": RegressorSpec("poly", degree=3, ridge=1e-3),
+    "poly": RegressorSpec("poly", degree=2),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SPECS))
+@pytest.mark.parametrize("n_params", [7, 1])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_kind_free_fit_and_stencil_match_per_kind_reference(name, n_params, complex_values):
+    spec = REFERENCE_SPECS[name]
+    rng = np.random.default_rng(11)
+    params = rng.uniform(size=(n_params, 1 if spec.kind == "linear" else 2))  # unsorted
+    values = rng.standard_normal((n_params, 3))
+    if complex_values:
+        values = values + 1j * rng.standard_normal(values.shape)
+    sites = prepare(spec, params)
+    assert sites.spec.kind == ("nearest" if n_params == 1 else spec.kind)
+
+    table = fit(sites, values).values
+    want = reference_table(sites, values)
+    assert np.array_equal(table, want)
+    assert table.flags.c_contiguous == want.flags.c_contiguous
+
+    inside = params.mean(axis=0)
+    assert np.array_equal(stencil(sites, inside), reference_weights(sites, inside[None])[0])
+    block = np.stack([params[-1], inside, params.max(axis=0) + 0.5])  # the last row clamped
+    with pytest.warns(ExtrapolationWarning):
+        weights = stencil(sites, block)
+    assert np.array_equal(weights, reference_weights(sites, np.clip(block, sites.lo, sites.hi)))
