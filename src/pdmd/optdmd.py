@@ -28,7 +28,13 @@ and a member whose exponentials overflow or whose damped system is
 singular fails that trial alone.  NumPy's fixed cost per call, not the
 arithmetic, dominates problems of this size (N_t ~ 100, r ~ 6), so one
 stacked call per step for all B members costs little more than one
-call for a single member.
+call for a single member.  For the same reason the trial frequencies of
+all members are closed under conjugation in one pass over the stack
+(``_close_stack``), and a step makes no stack-sized temporary it can
+avoid: exponentials, residuals and the Jacobian's U are formed in place,
+the stack is passed as a view while every member is live, and a trial
+that every member takes replaces the state without a copy.  Each fresh
+B x N_t x r array costs page faults as well as its arithmetic.
 """
 
 from __future__ import annotations
@@ -110,24 +116,59 @@ def project_conjugate_closure(omegas, modes=None, amplitudes=None):
     entries are forced real.  Keeps reconstructions of real data real.
     Given the matching ``modes`` (columns) and ``amplitudes``, each pair
     of those is averaged the same way and (omegas, modes, amplitudes) is
-    returned; otherwise the omegas alone.
+    returned; otherwise the omegas alone.  A positive entry takes the
+    nearest unpaired conjugate, ties going to the lowest index.
     """
+    if (modes is None) != (amplitudes is None):
+        raise DataError("give both modes and amplitudes, or neither")
     om = np.asarray(omegas, dtype=complex).copy()
     paired = [om] if modes is None else [om, modes.copy(), amplitudes.copy()]
     pos = [i for i in range(om.size) if om[i].imag > 0]
-    neg = {i for i in range(om.size) if om[i].imag < 0}
+    neg = [i for i in range(om.size) if om[i].imag < 0]
     for i in pos:
         if not neg:
             om[i] = om[i].real
             continue
         j = min(neg, key=lambda j: abs(om[i] - np.conj(om[j])))
-        neg.discard(j)
+        neg.remove(j)
         for values in paired:
             mean = 0.5 * (values[..., i] + np.conj(values[..., j]))
             values[..., i], values[..., j] = mean, np.conj(mean)
     for j in neg:
         om[j] = om[j].real
     return om if modes is None else tuple(paired)
+
+
+def _close_stack(omegas) -> np.ndarray:
+    """``project_conjugate_closure`` of each row of a B x r stack.
+
+    The greedy pairing runs once per position, vectorized over the rows:
+    each positive entry, in index order, takes the nearest unpaired
+    conjugate (ties to the lowest index) or, with none left, is forced
+    real.  A row with a non-finite pairing distance is closed by the row
+    version, so that NaN and overflow follow its ``min`` exactly.
+    """
+    om = np.array(omegas, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = np.abs(om[:, :, None] - om[:, None, :].conj())
+    wild = ~np.isfinite(distance).all(axis=(1, 2))
+    pos = (om.imag > 0) & ~wild[:, None]
+    free = (om.imag < 0) & ~wild[:, None]  # negatives not yet paired
+    paired = np.zeros_like(pos)
+    rows = np.arange(om.shape[0])
+    for i in np.flatnonzero(pos.any(axis=0)):
+        j = np.where(free, distance[:, i], np.inf).argmin(axis=1)
+        paired[:, i] = take = pos[:, i] & free[rows, j]
+        b, j = rows[take], j[take]
+        mean = 0.5 * (om[b, i] + om[b, j].conj())
+        om[b, i] = mean
+        om[b, j] = mean.conj()
+        free[b, j] = False
+    rest = (pos & ~paired) | free
+    om[rest] = om[rest].real
+    for b in np.flatnonzero(wild):
+        om[b] = project_conjugate_closure(om[b])
+    return om
 
 
 def permute_triplets(model: OptDmdModel, perm) -> OptDmdModel:
@@ -185,6 +226,14 @@ def _solve_each(systems, rhs):
         return x, solved
 
 
+def _squared_norms(stack):
+    """Squared Frobenius norm of each member of a complex stack, summed
+    from one real buffer."""
+    squares = np.square(stack.real)
+    squares += np.square(stack.imag)
+    return np.sum(squares, axis=(1, 2))
+
+
 def _project(tau, omegas, data_t):
     """Variable projection of a stack of B members at frequencies
     ``omegas`` (B x r), with ``tau`` B x N_t and ``data_t`` B x N_t x n:
@@ -200,8 +249,9 @@ def _project(tau, omegas, data_t):
     trial point is rejected without touching the other members.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        basis = np.exp(tau[:, :, None] * omegas[:, None, :])
-        finite = np.isfinite(np.sum(basis.real**2 + basis.imag**2, axis=(1, 2)))
+        basis = tau[:, :, None] * omegas[:, None, :]
+        np.exp(basis, out=basis)
+        finite = np.isfinite(_squared_norms(basis))
         n_t, rank = basis.shape[1:]
         if not finite.all():
             # an orthonormal stand-in keeps the stacked QR finite
@@ -215,8 +265,9 @@ def _project(tau, omegas, data_t):
         if deficient.any():
             coeffs[deficient] = np.linalg.pinv(r[deficient], rcond) @ qty[deficient]
             solved |= deficient
-        residual = data_t - basis @ coeffs
-        objective = np.sum(residual.real**2 + residual.imag**2, axis=(1, 2))
+        residual = basis @ coeffs
+        np.subtract(data_t, residual, out=residual)
+        objective = _squared_norms(residual)
     objective[~(finite & solved & np.isfinite(objective))] = np.inf
     return basis, q, coeffs, residual, objective
 
@@ -236,10 +287,13 @@ def _gauss_newton(tau, basis, q, coeffs, residual):
     holds Re G on both diagonal blocks, -Im G at (2j, 2k + 1) and Im G at
     (2j + 1, 2k), and the gradient is (Re h, Im h).
     """
-    deriv = tau[:, :, None] * basis
-    u = deriv - q @ (q.conj().transpose(0, 2, 1) @ deriv)
-    gram = (u.conj().transpose(0, 2, 1) @ u) * (coeffs.conj() @ coeffs.transpose(0, 2, 1))
-    h = -np.sum(u.conj() * (residual @ coeffs.conj().transpose(0, 2, 1)), axis=1)
+    u = tau[:, :, None] * basis
+    u -= q @ (q.conj().transpose(0, 2, 1) @ u)
+    u_conj = u.conj()
+    gram = (u_conj.transpose(0, 2, 1) @ u) * (coeffs.conj() @ coeffs.transpose(0, 2, 1))
+    h = residual @ coeffs.conj().transpose(0, 2, 1)
+    np.multiply(u_conj, h, out=h)
+    h = -np.sum(h, axis=1)
     n_members, rank = h.shape
     hessian = np.empty((n_members, 2 * rank, 2 * rank))
     hessian[:, 0::2, 0::2] = gram.real
@@ -250,6 +304,12 @@ def _gauss_newton(tau, basis, q, coeffs, residual):
     grad[:, 0::2] = h.real
     grad[:, 1::2] = h.imag
     return hessian, grad
+
+
+def _rows(index, n):
+    """``index``, a sorted subset of range(n), as an index into a stack:
+    a basic slice, so a view and not a copy, when it holds every row."""
+    return slice(None) if index.size == n else index
 
 
 def _levenberg_marquardt(tau, data_t, omegas):
@@ -280,8 +340,9 @@ def _levenberg_marquardt(tau, data_t, omegas):
         if not live.size:
             break
         n_iters[live] = iteration
+        rows = _rows(live, len(active))
         hessian, grad = _gauss_newton(
-            tau[live], basis[live], q[live], coeffs[live], residual[live]
+            tau[rows], basis[rows], q[rows], coeffs[rows], residual[rows]
         )
         scale = hessian[:, diagonal, diagonal] + 1e-14
         stall = np.zeros(live.size, dtype=int)
@@ -292,12 +353,10 @@ def _levenberg_marquardt(tau, data_t, omegas):
             systems[:, diagonal, diagonal] += damping[members, None] * scale[pending]
             delta, solved = _solve_each(systems, -grad[pending, :, None])
             delta = delta[:, :, 0]
-            trial = np.array([
-                project_conjugate_closure(row)
-                for row in omegas[members] + delta[:, 0::2] + 1j * delta[:, 1::2]
-            ])
+            rows = _rows(members, len(active))
+            trial = _close_stack(omegas[rows] + delta[:, 0::2] + 1j * delta[:, 1::2])
             t_basis, t_q, t_coeffs, t_residual, t_objective = _project(
-                tau[members], trial, data_t[members]
+                tau[rows], trial, data_t[rows]
             )
             better = solved & (t_objective < objective[members])
 
@@ -306,9 +365,13 @@ def _levenberg_marquardt(tau, data_t, omegas):
             decrease = (objective[accepted] - t_objective[better]) / np.maximum(
                 objective[accepted], 1e-300
             )
-            omegas[accepted] = trial[better]
-            basis[accepted], q[accepted] = t_basis[better], t_q[better]
-            coeffs[accepted], residual[accepted] = t_coeffs[better], t_residual[better]
+            if accepted.size == len(active):
+                omegas, basis, q, coeffs, residual = trial, t_basis, t_q, t_coeffs, t_residual
+            else:
+                taken = slice(None) if better.all() else better
+                omegas[accepted] = trial[taken]
+                basis[accepted], q[accepted] = t_basis[taken], t_q[taken]
+                coeffs[accepted], residual[accepted] = t_coeffs[taken], t_residual[taken]
             objective[accepted] = t_objective[better]
             damping[accepted] /= _DAMPING_SHRINK
             done = (decrease < _TOL_OBJ) | (step < _TOL_STEP) | (
@@ -389,17 +452,15 @@ def _trapezoid_warm_start(x: SnapshotMatrix, rank: int):
 
 def _initial_omegas(x: SnapshotMatrix, rank: int, init) -> np.ndarray:
     """Starting frequencies of a fit to the scaled trajectory ``x``:
-    ``init`` when given, else a spectral warm start; closed under
-    conjugation."""
-    if init is not None:
-        omegas = np.asarray(init, dtype=complex)
-        if omegas.shape != (rank,):
-            raise DataError(f"init must hold {rank} frequencies")
-    elif x.grid.is_uniform:
-        omegas = _uniform_warm_start(x, rank)
-    else:
-        omegas = _trapezoid_warm_start(x, rank)
-    return project_conjugate_closure(omegas)
+    ``init`` when given, else a spectral warm start; not yet closed
+    under conjugation."""
+    if init is None:
+        warm_start = _uniform_warm_start if x.grid.is_uniform else _trapezoid_warm_start
+        return warm_start(x, rank)
+    omegas = np.asarray(init, dtype=complex)
+    if omegas.shape != (rank,):
+        raise DataError(f"init must hold {rank} frequencies")
+    return omegas
 
 
 def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDmdModel:
@@ -420,13 +481,13 @@ def _model(omegas, coeffs, objective, exponent, t0, converged, n_iters) -> OptDm
 def _fit_stack(trajectories, rank: int, inits) -> list:
     """One optimized-DMD model per trajectory, all trajectories holding
     the same number of instants, fitted by one stacked solve from one
-    ``init`` each (see ``_initial_omegas``).  Each non-converged member
-    warns once, in member order."""
+    ``init`` each (see ``_initial_omegas``), all closed under conjugation
+    at once.  Each non-converged member warns once, in member order."""
     scaled = [_scaled(x) for x in trajectories]
     omegas, coeffs, objective, converged, n_iters = _levenberg_marquardt(
         np.array([x.grid.instants - x.grid.t0 for x, _ in scaled]),
         np.array([x.state.T.astype(complex) for x, _ in scaled]),
-        np.array([_initial_omegas(x, rank, init) for (x, _), init in zip(scaled, inits)]),
+        _close_stack([_initial_omegas(x, rank, init) for (x, _), init in zip(scaled, inits)]),
     )
     models = [
         _model(omegas[i], coeffs[i], objective[i], exponent, x.grid.t0, converged[i], n_iters[i])
@@ -519,6 +580,11 @@ def fit_ensembles(
     ``match_frequencies``, so that position j means the same mode across
     an ensemble.  One trial at fraction 1 fits each whole trajectory.
     """
+    if not len(trajectories) == len(inits) == len(seeds):
+        raise DataError(
+            f"{len(trajectories)} trajectories need as many inits and seeds, got "
+            f"{len(inits)} inits and {len(seeds)} seeds"
+        )
     if trials < 1:
         raise DataError(f"trials must be >= 1, got {trials}")
     if not 0 < subset_fraction <= 1:

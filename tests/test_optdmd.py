@@ -11,11 +11,14 @@ from pdmd import optdmd
 from pdmd.data import SnapshotMatrix, TimeGrid
 from pdmd.errors import ConvergenceWarning, DataError, NumericalError, RankDeficientError
 from pdmd.optdmd import (
+    _close_stack,
+    _fit_stack,
     _gauss_newton,
     _project,
     _solve_each,
     condense_ensemble,
     fit_bopdmd,
+    fit_ensembles,
     fit_optdmd,
     match_frequencies,
     mean_omegas,
@@ -252,6 +255,60 @@ class TestStackedMembers:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+class TestLevenbergMarquardtPaths:
+    """A stacked member's fit is its one-member fit, bit for bit, whether
+    a trial point reads the stack through views (every member live and
+    pending) or through index copies (some members done or rejected)."""
+
+    instants = np.linspace(0, 5, 41)
+    inits = [
+        np.array([-0.3 + 1.7j, -0.3 - 1.7j]),
+        None,
+        np.array([-0.5 + 1.2j, -0.5 - 1.2j]),
+    ]
+
+    @staticmethod
+    def spy_project(monkeypatch):
+        stacks = []  # the data stack of each trial point, the full one first
+        original = optdmd._project
+
+        def recording(tau, omegas, data_t):
+            stacks.append(data_t)
+            return original(tau, omegas, data_t)
+
+        monkeypatch.setattr(optdmd, "_project", recording)
+        return stacks
+
+    @pytest.mark.parametrize("with_exact", [True, False])
+    def test_members_match_their_own_fits(self, monkeypatch, with_exact):
+        clean = two_tone(self.instants)
+        rng = np.random.default_rng(8)
+        trajectories = [
+            SnapshotMatrix(clean.state + level * rng.standard_normal(clean.state.shape), clean.grid)
+            for level in (0.02, 0.05, 0.1)
+        ]
+        inits = list(self.inits)
+        if with_exact:
+            trajectories.insert(0, clean)
+            inits.insert(0, np.array([-0.1 + 2j, -0.1 - 2j]))
+        stacks = self.spy_project(monkeypatch)
+        stacked = _fit_stack(trajectories, 2, inits)
+        views = [np.shares_memory(stack, stacks[0]) for stack in stacks[1:]]
+        # an exact member is done at the start, so no trial sees every member
+        assert any(views) != with_exact
+        assert not all(views)
+        if with_exact:
+            assert stacked[0].converged and stacked[0].n_iters == 0
+        noisy = stacked[1:] if with_exact else stacked
+        assert sorted(m.n_iters for m in noisy) == [4, 5, 8]
+        for x, init, member in zip(trajectories, inits, stacked):
+            alone = _fit_stack([x], 2, [init])[0]
+            assert np.array_equal(member.omegas, alone.omegas)
+            assert member.objective == alone.objective
+            assert member.n_iters == alone.n_iters
+            assert member.converged == alone.converged
+
+
 # A repeated-frequency init, pinned under the earlier solver, whose inner
 # solve was ``lstsq``: the minimum-norm split of a rank-deficient basis.
 REPEATED_INIT = np.array([-0.3 + 0j, -0.3])
@@ -415,6 +472,45 @@ class TestConjugateClosure:
         om = np.array([-0.1 + 2j, -0.1 - 2j, -0.4 + 0j])
         assert_allclose(project_conjugate_closure(om), om)
 
+    def test_modes_without_amplitudes_rejected(self):
+        om = np.array([-0.1 + 2.0j, -0.2 - 2.1j])
+        modes = np.eye(2, dtype=complex)
+        with pytest.raises(DataError, match="both modes and amplitudes"):
+            project_conjugate_closure(om, modes)
+        with pytest.raises(DataError, match="both modes and amplitudes"):
+            project_conjugate_closure(om, amplitudes=np.ones(2, dtype=complex))
+
+    def test_ties_go_to_the_lowest_index(self):
+        # 2 and 9 are equally near conj(1j); index 9 is past the size of a
+        # small set's hash table, so a set of candidates iterates it first
+        om = np.zeros(10, dtype=complex)
+        om[[0, 2, 9]] = 1j, 0.5 - 1j, -0.5 - 1j
+        expected = np.array([0.25 + 1j, 0.25 - 1j, -0.5])
+        assert np.array_equal(project_conjugate_closure(om)[[0, 2, 9]], expected)
+        assert np.array_equal(_close_stack(om[None])[0, [0, 2, 9]], expected)
+
+    def test_stack_matches_the_row_version(self):
+        # integer imaginary parts in [-2, 2] give ties, real entries,
+        # unmatched positives and rows without negatives; half the stacks
+        # take integer real parts too, so that distances tie exactly
+        rng = np.random.default_rng(25)
+        for trial in range(2000):
+            shape = (rng.integers(1, 21), rng.integers(1, 9))
+            imag = rng.integers(-2, 3, size=shape)
+            real = rng.integers(-2, 3, size=shape) if trial % 2 else rng.standard_normal(shape)
+            stack = real + 1j * imag
+            rows = np.array([project_conjugate_closure(row) for row in stack])
+            assert _close_stack(stack).tobytes() == rows.tobytes()
+
+    def test_stack_rows_with_non_finite_distances_follow_the_row_version(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        stack[1, 2] = np.nan
+        stack[2, 4] = complex(np.inf, -1.0)
+        stack[3, 0] = 1e308 + 1e308j  # finite, but its distances overflow
+        rows = np.array([project_conjugate_closure(row) for row in stack])
+        assert np.array_equal(_close_stack(stack), rows, equal_nan=True)
+
 
 class TestMatchFrequencies:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -485,6 +581,13 @@ class TestBagging:
         x = two_tone(np.linspace(0, 5, 20))
         with pytest.raises(DataError, match="subset"):
             fit_bopdmd(x, rank=2, trials=2, subset_fraction=0.1, seed=0)
+
+    @pytest.mark.parametrize("n_inits, n_seeds", [(3, 2), (2, 3), (2, 2)])
+    def test_lists_of_unequal_length_rejected(self, n_inits, n_seeds):
+        xs = [two_tone(np.linspace(0, 5, 41))] * 3
+        message = f"3 trajectories need as many inits and seeds, got {n_inits} inits and {n_seeds} seeds"
+        with pytest.raises(DataError, match=message):
+            fit_ensembles(xs, 2, [None] * n_inits, list(range(n_seeds)), 2, 0.8)
 
     def test_noisy_ensemble_mean_tracks_truth(self):
         rng = np.random.default_rng(17)
