@@ -19,7 +19,6 @@ from .latent import (
     fit_partitioned,
     predict_latent,
 )
-from .reduction import lift
 from .rkoi import RkoiModel, fit_rkoi, predict_rkoi
 from .roi import RoiModel, fit_roi, predict_roi
 
@@ -27,8 +26,9 @@ from .roi import RoiModel, fit_roi, predict_roi
 @dataclass(frozen=True)
 class Algorithm:
     """``fit(latent, options, spec)`` returns a model; ``predict(model,
-    mu_rows, instants, spec)`` yields its N_h x N_t states at each row of
-    the n x p block ``mu_rows``, in row order."""
+    mu_rows, instants, spec)`` answers the n x p block ``mu_rows`` in one
+    pass and returns the model's latents, one r x N_t array per row in
+    row order, for the caller to lift."""
 
     fit: Callable
     predict: Callable
@@ -52,24 +52,17 @@ def _fit_rkoi(latent, options, spec):
 
 
 def _predict_latent(model, mu_rows, instants, spec):
-    """One set of online fits serves every row; each row is lifted on
-    its own, so one N_h x N_t block is held at a time."""
-    for latent in predict_latent(model, mu_rows, instants, spec):
-        yield lift(latent, model.basis)
+    return predict_latent(model, mu_rows, instants, spec)
 
 
 ALGORITHMS = {
     RoiModel.tag: Algorithm(
         fit=_fit_roi,
-        predict=lambda model, mu_rows, instants, spec: (
-            predict_roi(model, mu, instants) for mu in mu_rows
-        ),
+        predict=lambda model, mu_rows, instants, spec: predict_roi(model, mu_rows, instants),
     ),
     RkoiModel.tag: Algorithm(
         fit=_fit_rkoi,
-        predict=lambda model, mu_rows, instants, spec: (
-            predict_rkoi(model, mu, instants) for mu in mu_rows
-        ),
+        predict=lambda model, mu_rows, instants, spec: predict_rkoi(model, mu_rows, instants),
     ),
     MonolithicModel.tag: Algorithm(
         fit=lambda latent, options, spec: fit_monolithic(latent),

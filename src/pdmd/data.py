@@ -86,6 +86,15 @@ def check_lattice(t0: float, dt: float | None = None) -> None:
         raise DataError(f"lattice step dt must be finite and positive, got {dt}")
 
 
+def parameter_rows(mu_rows) -> np.ndarray:
+    """The n x p block of parameter rows that a predictor answers, as a
+    float array; any other shape is a DataError."""
+    rows = np.asarray(mu_rows, dtype=float)
+    if rows.ndim != 2:
+        raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
+    return rows
+
+
 def lattice_steps(instants, t0: float, dt: float) -> np.ndarray:
     """Integer steps k with instants = t0 + k dt, to 1e-9 relative
     tolerance; instants off that lattice, before t0 or more steps away

@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import regression
-from .data import SnapshotMatrix, lattice_steps
+from .data import SnapshotMatrix, lattice_steps, parameter_rows
 from .dmd import DmdModel, evaluate, fit_dmd
 from .errors import DataError, NumericalError, RankDeficientError
 from .reduction import GlobalBasis, LatentDataset
@@ -141,9 +141,7 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
-    rows = np.asarray(mu_rows, dtype=float)
-    if rows.ndim != 2:
-        raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
+    rows = parameter_rows(mu_rows)
     dmds = (model.stacked_dmd,) if isinstance(model, MonolithicModel) else model.members
     steps = lattice_steps(times, dmds[0].t0, dmds[0].dt)
     # N_t x N_p x r, one contiguous table per instant; a stacked state

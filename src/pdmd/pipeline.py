@@ -17,7 +17,7 @@ from .algorithms import ALGORITHMS
 from .data import ParametricDataset, subset_params  # noqa: F401
 from .errors import DataError
 from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
-from .reduction import DEFAULT_ENERGY, fit_global_basis, project
+from .reduction import DEFAULT_ENERGY, fit_global_basis, lift, project
 from .regression import RegressorSpec
 
 
@@ -122,12 +122,15 @@ def spec_from_metadata(metadata: dict) -> RegressorSpec:
 
 def _predict_rows(model, mu_rows, instants, spec: RegressorSpec):
     """Dispatch to the model's algorithm: one N_h x N_t array per row of
-    the n x p block ``mu_rows``, yielded in row order."""
+    the n x p block ``mu_rows``, yielded in row order.  The algorithm
+    answers the whole block at once; each row is lifted as it is taken,
+    so one N_h x N_t array is held at a time."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
     algorithm = ALGORITHMS.get(getattr(model, "tag", None))
     if algorithm is None:
         raise DataError(f"cannot predict with object of type {type(model).__name__}")
-    return algorithm.predict(model, mu_rows, instants, spec)
+    latents = algorithm.predict(model, mu_rows, instants, spec)
+    return (lift(latent, model.basis) for latent in latents)
 
 
 def predict_surrogate(model, mu, instants, spec: RegressorSpec) -> np.ndarray:

@@ -8,9 +8,11 @@ spanning tree over the training parameters by least-total-distance
 frequency matching and phased to the tree's root, so the model does
 not depend on the row order; then every channel (real and imaginary
 parts of vec(modes), frequencies, amplitudes) is regressed over mu as
-one value table.  Online: read that table once at the queried mu (one
-stencil, one combine), symmetrize conjugate pairs, and sum exponentials
-at any requested time.
+one value table.  Online, ``predict_rkoi`` answers an n x p block of
+parameter rows: it reads that table once for the block (one stencil,
+one combine), then per row symmetrizes conjugate pairs and sums
+exponentials at any requested time, returning one r x N_t latent array
+per row, which the caller lifts.
 Continuous in time and free of online training.
 """
 
@@ -25,7 +27,7 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from . import regression
-from .data import check_lattice
+from .data import check_lattice, parameter_rows
 from .errors import ConvergenceWarning, DataError
 from .latent import fit_partitioned
 from .optdmd import (
@@ -40,7 +42,7 @@ from .optdmd import (
     project_conjugate_closure,
 )
 from .optdmd import fit_optdmd  # noqa: F401  (perfbench's test_checker rebinds it here)
-from .reduction import GlobalBasis, LatentDataset, lift
+from .reduction import GlobalBasis, LatentDataset
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,19 @@ def fit_rkoi(
     )
 
 
-def predict_rkoi(model: RkoiModel, mu, times) -> np.ndarray:
-    """Predicted state trajectory at mu for arbitrary (continuous) times."""
+def predict_rkoi(model: RkoiModel, mu_rows, times) -> list:
+    """Predicted latent trajectories at arbitrary (continuous) times, one
+    r x N_t array per row of the n x p block ``mu_rows``, in row order;
+    ``reduction.lift`` takes a row to state space.  One read of the
+    regressor serves the block; each row's triplets are then closed under
+    conjugation and summed on their own."""
+    rows = parameter_rows(mu_rows)
     rank = model.basis.rank
-    weights = regression.stencil(model.regressor.sites, np.ravel(mu))
-    triplets = regression.combine(weights, model.regressor)
-    modes = triplets[: rank * rank].reshape((rank, rank), order="F")
-    omegas, amps = triplets[rank * rank :].reshape(2, rank)
-    omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
-    return lift(exponential_sum(omegas, modes, amps, model.t0, times), model.basis)
+    weights = regression.stencil(model.regressor.sites, rows)
+    latents = []
+    for triplets in regression.combine(weights, model.regressor):
+        modes = triplets[: rank * rank].reshape((rank, rank), order="F")
+        omegas, amps = triplets[rank * rank :].reshape(2, rank)
+        omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)
+        latents.append(exponential_sum(omegas, modes, amps, model.t0, times))
+    return latents

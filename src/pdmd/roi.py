@@ -5,26 +5,29 @@ parameter in latent coordinates (``latent.fit_partitioned``, which also
 reports a rank-deficient training set), their operators flattened into
 columns of a matrix whose truncated SVD yields operator modes and
 per-parameter coefficients; the coefficients and the initial latent
-states are regressed over mu as one value table.  Online: read that
-table once at the queried mu (one stencil, one combine), synthesize the
-operator from the coefficients, step the latent state, lift.  No
-regressor is fitted online, so query cost does not grow with the number
-of training parameters.
+states are regressed over mu as one value table.  Online,
+``predict_roi`` answers an n x p block of parameter rows in one pass:
+it reads that table once for the block (one stencil, one combine),
+synthesizes every row's operator from its coefficients, steps all the
+latent states together and returns n x r x N_t latents, which the
+caller lifts.  No regressor is fitted online, so query cost does not
+grow with the number of training parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import regression
-from .data import check_lattice, lattice_steps
+from .data import check_lattice, lattice_steps, parameter_rows
 from .errors import DataError, NumericalError
 from .latent import fit_partitioned
 from .linalg import truncated_svd
-from .reduction import GlobalBasis, LatentDataset, lift
+from .reduction import GlobalBasis, LatentDataset
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,14 @@ def unfold_operator(op: np.ndarray) -> np.ndarray:
 
 
 def fold_operator(vec: np.ndarray) -> np.ndarray:
-    """Inverse of unfold_operator."""
+    """Inverse of unfold_operator; an n x r^2 stack of vectors folds
+    row by row into n x r x r operators.  Each operator is a view whose
+    transpose is C-contiguous."""
     vec = np.asarray(vec)
-    side = int(round(np.sqrt(vec.size)))
-    if side * side != vec.size:
-        raise DataError(f"vector of length {vec.size} is not a square operator")
-    return vec.reshape((side, side), order="F")
+    side = math.isqrt(vec.shape[-1])
+    if side * side != vec.shape[-1]:
+        raise DataError(f"vector of length {vec.shape[-1]} is not a square operator")
+    return np.swapaxes(vec.reshape(vec.shape[:-1] + (side, side)), -1, -2)
 
 
 def fit_roi(
@@ -113,37 +118,55 @@ def fit_roi(
 
 def synthesize_operator(model: RoiModel, coeffs: np.ndarray) -> np.ndarray:
     """Latent one-step operator from op_rank operator-mode coefficients,
-    the leading channels of the model's regressor read at a query."""
-    return fold_operator(model.op_modes @ coeffs)
+    the leading channels of the model's regressor read at a query; an
+    n x op_rank block of coefficients gives n x r x r operators."""
+    coeffs = np.asarray(coeffs)
+    # one matrix-vector product per row, as for a single vector
+    return fold_operator(np.matmul(model.op_modes, coeffs[..., None])[..., 0])
 
 
-def predict_roi(model: RoiModel, mu, instants) -> np.ndarray:
-    """Predicted state trajectory at mu over the given lattice instants
-    (any order, repeats allowed), stepped with the synthesized operator
-    in time order: one product per lattice step between consecutive
-    instants, and the operator's matrix power (O(log g) products) across
-    a gap of g > 1 steps.  A latent state that overflows raises
-    ``NumericalError`` naming the instant."""
+def predict_roi(model: RoiModel, mu_rows, instants) -> np.ndarray:
+    """Predicted latent trajectories over the given lattice instants (any
+    order, repeats allowed), n x r x N_t for an n x p block of parameter
+    rows; ``reduction.lift`` takes a row to state space.
+
+    One read of the regressor and one synthesis serve the block.  Every
+    row is stepped with its own operator in time order, all rows by one
+    product per lattice step between consecutive instants, and by the
+    operators' matrix powers (O(log g) products) across a gap of g > 1
+    steps.  A latent state that overflows raises ``NumericalError``
+    naming its row and the instant."""
+    rows = parameter_rows(mu_rows)
     steps = lattice_steps(instants, model.t0, model.dt)
-    weights = regression.stencil(model.regressor.sites, np.ravel(mu))
+    weights = regression.stencil(model.regressor.sites, rows)
     values = regression.combine(weights, model.regressor)
-    operator = synthesize_operator(model, values[: model.op_rank])
-    state = values[model.op_rank :]
-    latent = np.empty((state.shape[0], steps.size))
+    operators = synthesize_operator(model, values[:, : model.op_rank])
+    # rows step as row vectors, x^T <- x^T A^T: a folded operator's
+    # transpose is C-contiguous, and each product is the one a single
+    # operator applied to a column vector makes, bit for bit
+    transposed = operators.transpose(0, 2, 1)
+    state = values[:, None, model.op_rank :]  # n x 1 x r
+    states = np.empty((steps.size,) + state.shape)  # instant-major
     order = np.argsort(steps)
     current = 0
+    matmul = np.matmul  # looked up once: one call per instant, out positional
     with np.errstate(over="ignore", invalid="ignore"):
         for position, step in zip(order.tolist(), steps[order].tolist()):
             if step == current + 1:
-                state = operator @ state
+                state = matmul(state, transposed, states[position])
             elif step > current:
-                state = np.linalg.matrix_power(operator, step - current) @ state
+                power = np.linalg.matrix_power(operators, step - current)
+                state = matmul(state, power.transpose(0, 2, 1), states[position])
+            else:
+                states[position] = state
             current = step
-            latent[:, position] = state
-    if not np.isfinite(latent).all():
-        step = steps[order[~np.isfinite(latent[:, order]).all(axis=0)][0]]
+    if not np.isfinite(states).all():
+        overflowed = ~np.isfinite(states).all(axis=(2, 3))  # N_t x n
+        first = order[overflowed[order].any(axis=1)][0]
+        step = steps[first]
         raise NumericalError(
-            f"latent state overflows at instant {model.t0 + step * model.dt:g} "
-            f"(lattice step {step})"
+            f"latent state of parameter row {int(np.argmax(overflowed[first]))} "
+            f"overflows at instant {model.t0 + step * model.dt:g} (lattice step {step})"
         )
-    return lift(latent, model.basis)
+    # each row's r x N_t latents C-contiguous, the layout a one-row lift reads
+    return np.ascontiguousarray(states[:, :, 0, :].transpose(1, 2, 0))

@@ -18,6 +18,7 @@ from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import (
     ALGORITHMS,
     FitOptions,
+    _predict_rows,
     evaluate_model,
     fit_surrogate,
     predict_surrogate,
@@ -328,19 +329,49 @@ class TestTrainErrorPass:
             oracle = per_mu_train_errors(surrogate, dataset)
         assert surrogate.train_errors.tobytes() == oracle.tobytes()
 
-    @pytest.mark.parametrize("algorithm", ["mono", "part"])
+    @pytest.mark.parametrize("algorithm", ["mono", "part", "roi", "rkoi"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_row_block_equals_one_row_calls(self, case, algorithm):
+        """Each row of a block reads the bits of a one-row query, on
+        consecutive instants, every third (roi's gap path), unsorted with
+        repeats, and beyond the training window (roi's matrix powers)."""
         make, spec, rank = self.CASES[case]
         dataset = make()
-        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=rank, regressor=spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=rank, regressor=spec))
+        model, grid = surrogate.model, dataset.grid
         rows = np.vstack([dataset.params, dataset.params.mean(axis=0)])
-        times = dataset.grid.instants[::3]
-        block = predict_latent(surrogate.model, rows, times, surrogate.regressor)
-        assert block.shape == (rows.shape[0], surrogate.metadata["rank"], times.size)
-        for i, row in enumerate(rows):
-            single = predict_latent(surrogate.model, row[None], times, surrogate.regressor)
-            assert block[i].tobytes() == single[0].tobytes()
+        n_t = len(grid)
+        for times in (
+            grid.instants,
+            grid.instants[::3],
+            grid.instants[[9, 2, 2, 0, 5, 9, 1]],
+            grid.t0 + grid.dt * np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
+        ):
+            block = list(_predict_rows(model, rows, times, surrogate.regressor))
+            assert len(block) == rows.shape[0]
+            for row, states in zip(rows, block):
+                single = predict_surrogate(model, row, times, surrogate.regressor)
+                assert states.shape == (dataset.n_state, times.size)
+                assert states.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["roi", "rkoi"])
+    def test_fit_makes_one_query(self, algorithm, monkeypatch):
+        name = f"predict_{algorithm}"
+        original = getattr(algorithms, name)
+        blocks = []
+
+        def counting(model, mu_rows, instants):
+            blocks.append(np.shape(mu_rows))
+            return original(model, mu_rows, instants)
+
+        monkeypatch.setattr(algorithms, name, counting)
+        dataset = linear_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        assert blocks == [dataset.params.shape]
 
     def test_rows_must_form_a_matrix(self):
         dataset = linear_dataset()
@@ -391,10 +422,10 @@ class TestConcurrentQueries:
 
         original_roi = algorithms.predict_roi
 
-        def roi_while_mono_fits(model, mu, instants):
+        def roi_while_mono_fits(model, mu_rows, instants):
             roi_started.set()
             mono_done.wait(timeout=30)
-            return original_roi(model, mu, instants)
+            return original_roi(model, mu_rows, instants)
 
         monkeypatch.setattr(regression, "fit", fit_after_roi_starts)
         monkeypatch.setattr(algorithms, "predict_roi", roi_while_mono_fits)

@@ -14,7 +14,7 @@ from pdmd.errors import ConvergenceWarning, DataError, ExtrapolationWarning
 from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import BaggedOptDmd, fit_bopdmd, fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
-from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, project
+from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
 from pdmd.regression import FitCount, RegressorSpec, combine, stencil
 from pdmd.rkoi import alignment_tree, fit_rkoi, predict_rkoi
 from pdmd.synth import SynthSpec, generate
@@ -158,16 +158,23 @@ class TestOneStackPerFit:
         assert stacks == [latent.n_params * bag_trials]
 
 
+def states_at(model, mu, times):
+    """The model's states at one parameter vector mu: its one-row block's
+    latents, lifted."""
+    return lift(predict_rkoi(model, [mu], times)[0], model.basis)
+
+
 class TestPredictRkoi:
     def test_training_parameter_reproduced(self):
         _, _, latent = pipeline_latent(seed=2)
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        latents = predict_rkoi(model, latent.params, latent.grid.instants)
         for i in range(latent.n_params):
             member = fit_optdmd(latent.trajectory(i), latent.rank)
             reference = latent.basis.modes_u @ predict_optdmd(
                 member, latent.grid.instants
             )
-            pred = predict_rkoi(model, latent.params[i], latent.grid.instants)
+            pred = lift(latents[i], latent.basis)
             assert frobenius_rel_error(reference, pred) <= 1e-8
 
     def test_initial_instant_matches_projected_state(self):
@@ -176,7 +183,7 @@ class TestPredictRkoi:
         i = 1
         truth = dataset.trajectories[i].state[:, 0]
         projected = latent.basis.modes_u @ (latent.basis.modes_u.T @ truth)
-        pred = predict_rkoi(model, dataset.params[i], dataset.grid.t0)
+        pred = states_at(model, dataset.params[i], dataset.grid.t0)
         assert_allclose(pred, projected, atol=1e-6)
 
     def test_unseen_parameter_beyond_window(self):
@@ -184,7 +191,7 @@ class TestPredictRkoi:
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
         target = 0.25
         horizon = np.linspace(0.0, 20.0, 81)
-        pred = predict_rkoi(model, [target], horizon)
+        pred = states_at(model, [target], horizon)
         truth = np.exp(-target * horizon)[None, :]
         assert frobenius_rel_error(truth, pred) <= 1e-3
 
@@ -193,27 +200,34 @@ class TestPredictRkoi:
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pred = predict_rkoi(model, [0.15], latent.grid.instants)
+            pred = predict_rkoi(model, [[0.15]], latent.grid.instants)[0]
         assert pred.dtype.kind == "f"
 
     def test_scalar_instant_gives_vector(self):
         latent = decay_family([0.1, 0.3])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        out = predict_rkoi(model, [0.2], 1.5)
+        out = predict_rkoi(model, [[0.2]], 1.5)[0]
         assert out.shape == (1,)
 
     def test_online_phase_fits_no_regressor(self):
         latent = tone_family([0.0, 0.1, 0.2])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
         with FitCount() as fits:
-            predict_rkoi(model, [0.15], latent.grid.instants)
+            predict_rkoi(model, [[0.15]], latent.grid.instants)
         assert fits.count == 0
 
     def test_one_row_block_reads_as_its_row(self):
         latent = decay_family([0.1, 0.3])
         model = fit_rkoi(latent, spec=RegressorSpec("linear"))
-        block = predict_rkoi(model, [[0.2]], latent.grid.instants)
-        assert block.tobytes() == predict_rkoi(model, [0.2], latent.grid.instants).tobytes()
+        rows = np.array([[0.1], [0.2], [0.3]])
+        block = predict_rkoi(model, rows, latent.grid.instants)
+        assert len(block) == 3
+        for row, latents in zip(rows, block):
+            assert latents.shape == (latent.rank, len(latent.grid))
+            single = predict_rkoi(model, [row], latent.grid.instants)[0]
+            assert latents.tobytes() == single.tobytes()
+        with pytest.raises(DataError, match="n x p"):
+            predict_rkoi(model, [0.2], latent.grid.instants)
 
 
 def linear_operator_example():

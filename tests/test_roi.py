@@ -44,12 +44,12 @@ def dmd_residuals(model, latent):
     if isinstance(model, RoiModel):
         model = fit_partitioned(latent)
     if isinstance(model, RkoiModel):
+        predictions = predict_rkoi(model, latent.params, latent.grid.instants)
         return [
             np.linalg.norm(
-                predict_rkoi(model, mu, latent.grid.instants)
-                - lift(latent.trajectory(i).state, latent.basis)
+                lift(prediction, latent.basis) - lift(latent.trajectory(i).state, latent.basis)
             )
-            for i, mu in enumerate(latent.params)
+            for i, prediction in enumerate(predictions)
         ]
     return [
         np.linalg.norm(reconstruct(member, latent.grid).state - latent.trajectory(i).state)
@@ -94,10 +94,10 @@ def pipeline_latent(seed=0, n_params=5, rank=4):
 
 
 def read_at(model, mu):
-    """The regressor's channels at mu: the operator-mode coefficients,
-    then the initial latent state."""
+    """The regressor's channels at mu (a vector or a block of rows): the
+    operator-mode coefficients, then the initial latent state."""
     values = combine(stencil(model.regressor.sites, mu), model.regressor)
-    return values[: model.op_rank], values[model.op_rank :]
+    return values[..., : model.op_rank], values[..., model.op_rank :]
 
 
 def operator_at(model, mu):
@@ -105,11 +105,20 @@ def operator_at(model, mu):
     return synthesize_operator(model, read_at(model, mu)[0])
 
 
+def states_at(model, mu, instants):
+    """The model's states at one parameter vector mu: its one-row block's
+    latents, lifted."""
+    return lift(predict_roi(model, [mu], instants)[0], model.basis)
+
+
 class TestFoldUnfold:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         op = rng.standard_normal((5, 5))
         assert np.array_equal(fold_operator(unfold_operator(op)), op)
+        ops = rng.standard_normal((3, 5, 5))
+        stack = np.vstack([unfold_operator(op) for op in ops])
+        assert np.array_equal(fold_operator(stack), ops)
 
     def test_column_major_convention(self):
         op = np.array([[1.0, 3.0], [2.0, 4.0]])
@@ -231,6 +240,19 @@ class TestSynthesize:
             beyond = operator_at(model, [1.5])
         assert_allclose(beyond, operator_at(model, [0.9]), atol=1e-12)
 
+    def test_block_of_coefficients_gives_each_rows_operator(self):
+        _, _, latent = pipeline_latent(seed=3, n_params=4)
+        model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
+        coeffs = read_at(model, latent.params)[0]
+        operators = synthesize_operator(model, coeffs)
+        assert operators.shape == (latent.n_params, latent.rank, latent.rank)
+        for coeff, operator in zip(coeffs, operators):
+            single = synthesize_operator(model, coeff)
+            reference = (model.op_modes @ coeff).reshape((latent.rank, latent.rank), order="F")
+            assert single.flags.f_contiguous and operator.T.flags.c_contiguous
+            assert single.tobytes(order="A") == reference.tobytes(order="A")
+            assert operator.tobytes() == single.tobytes()
+
 
 class TestPredictRoi:
     def test_training_error_bounded_by_recorded_residuals(self):
@@ -238,9 +260,10 @@ class TestPredictRoi:
         model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
         residuals = dmd_residuals(model, latent)
         basis = latent.basis
+        latents = predict_roi(model, dataset.params, dataset.grid.instants)
         for i in range(dataset.n_params):
             truth = dataset.trajectories[i].state
-            pred = predict_roi(model, dataset.params[i], dataset.grid.instants)
+            pred = lift(latents[i], basis)
             tail = np.linalg.norm(truth - basis.modes_u @ (basis.modes_u.T @ truth))
             bound = np.sqrt(tail**2 + residuals[i] ** 2)
             err = frobenius_rel_error(truth, pred)
@@ -254,7 +277,7 @@ class TestPredictRoi:
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         target = 0.75
         horizon = np.arange(2 * n_train, dtype=float)
-        pred = predict_roi(model, [target], horizon)
+        pred = states_at(model, [target], horizon)
         op = target * base
         truth = np.empty((2, 2 * n_train))
         truth[:, 0] = [1.0, 0.0]
@@ -275,7 +298,7 @@ class TestPredictRoi:
         spectral = ((vectors * weights) @ powers.T).real
         assert_allclose(
             lift(spectral, model.basis),
-            predict_roi(model, [0.8], grid.instants),
+            states_at(model, [0.8], grid.instants),
             atol=1e-9,
         )
 
@@ -289,7 +312,7 @@ class TestPredictRoi:
         weights = np.linalg.solve(vectors, state)
         powers = values[None, :] ** steps[:, None]
         spectral = lift(((vectors * weights) @ powers.T).real, model.basis)
-        pred = predict_roi(model, [0.8], steps.astype(float))
+        pred = states_at(model, [0.8], steps.astype(float))
         assert_allclose(pred, spectral, rtol=1e-9, atol=1e-9 * np.linalg.norm(state))
 
     def test_consecutive_instants_take_one_product_per_step(self):
@@ -300,16 +323,48 @@ class TestPredictRoi:
         latent_states = [state]
         for _ in range(39):
             latent_states.append(operator @ latent_states[-1])
-        expected = lift(np.column_stack(latent_states), model.basis)
-        pred = predict_roi(model, [0.8], np.arange(40.0))
+        expected = np.column_stack(latent_states)
+        pred = predict_roi(model, [[0.8]], np.arange(40.0))[0]
         assert pred.tobytes() == expected.tobytes()
+
+    def test_block_rows_match_the_one_row_stepping_loop(self):
+        """Reference: each row's operator applied to a column state in time
+        order, with its matrix power across a gap, bit for bit."""
+        _, _, latent = pipeline_latent(seed=7, n_params=4)
+        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        rows = np.vstack([latent.params, latent.params[:2].mean(axis=0)])
+        n_t = len(latent.grid)
+        for steps in (
+            np.arange(n_t),
+            np.arange(0, n_t, 3),
+            np.array([9, 2, 2, 0, 5, 9, 1]),
+            np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
+        ):
+            block = predict_roi(model, rows, latent.grid.t0 + latent.grid.dt * steps)
+            for row, latents in zip(rows, block):
+                coeffs, state = read_at(model, row)
+                operator = synthesize_operator(model, coeffs)
+                expected = np.empty((state.size, steps.size))
+                current = 0
+                for position in np.argsort(steps):
+                    step = steps[position]
+                    if step == current + 1:
+                        state = operator @ state
+                    elif step > current:
+                        state = np.linalg.matrix_power(operator, step - current) @ state
+                    current = step
+                    expected[:, position] = state
+                assert latents.tobytes() == expected.tobytes()
 
     def test_overflowing_state_names_the_instant(self):
         latent = scaled_rotation_latents([1.5, 2.0], rotation(1.0, 0.3), [1.0, 0.0], 20)
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         # 1.8**1000 is about 1e255, 1.8**2000 beyond the double range
-        with pytest.raises(NumericalError, match="instant 2000 "):
-            predict_roi(model, [1.8], np.array([1000.0, 0.0, 1.0, 2000.0]))
+        with pytest.raises(NumericalError, match="row 0 overflows at instant 2000 "):
+            predict_roi(model, [[1.8]], np.array([1000.0, 0.0, 1.0, 2000.0]))
+        # 1.5**1300 is about 1e229, 1.8**1300 about 1e332: only row 1 overflows
+        with pytest.raises(NumericalError, match="row 1 overflows at instant 1300 "):
+            predict_roi(model, [[1.5], [1.8]], np.array([1000.0, 0.0, 1.0, 1300.0]))
 
     def test_zero_interpolated_initial_state(self):
         base = rotation(0.95, 0.4)
@@ -325,25 +380,30 @@ class TestPredictRoi:
             grid,
         )
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
-        pred = predict_roi(model, [0.5], grid.instants)
+        pred = states_at(model, [0.5], grid.instants)
         assert_allclose(pred, 0.0, atol=1e-10)
 
     def test_online_phase_fits_no_regressor(self):
         _, _, latent = pipeline_latent(seed=7, n_params=4)
         model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
         with FitCount() as fits:
-            predict_roi(model, [0.5], np.arange(0.0, 10.0, 0.5))
+            predict_roi(model, [[0.5]], np.arange(0.0, 10.0, 0.5))
         assert fits.count == 0
 
     def test_one_row_block_reads_as_its_row(self):
         _, _, latent = pipeline_latent(seed=7, n_params=4)
         model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
         instants = np.arange(0.0, 10.0, 0.5)
-        block = predict_roi(model, [[0.5]], instants)
-        assert block.tobytes() == predict_roi(model, [0.5], instants).tobytes()
+        rows = np.array([[0.3], [0.5], [0.9]])
+        block = predict_roi(model, rows, instants)
+        assert block.shape == (3, latent.rank, instants.size)
+        for row, latents in zip(rows, block):
+            assert latents.tobytes() == predict_roi(model, [row], instants)[0].tobytes()
+        with pytest.raises(DataError, match="n x p"):
+            predict_roi(model, [0.5], instants)
 
     def test_off_lattice_rejected(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
         model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
         with pytest.raises(DataError, match="lattice"):
-            predict_roi(model, [0.7], np.array([0.0, 0.5]))
+            predict_roi(model, [[0.7]], np.array([0.0, 0.5]))
