@@ -5,10 +5,30 @@ tag, u32 section count, then named sections.  A section is a
 length-prefixed UTF-8 name followed by a length-prefixed payload; array
 payloads carry a dtype code, the shape, and raw little-endian bytes, so
 a save/load round trip reproduces every coefficient bit for bit.
-Version 2 is version 1 without the ``roi.train_residuals`` and
-``*.reduced_eigvecs`` sections, which no model keeps; a load reads both
-versions, and decodes those sections of a version-1 file like any other
-(so a non-finite entry is rejected) but reads nothing from them.
+
+Format 3 writes each fact once, and a load reads every section it
+holds: a missing section, one the load does not read, or a JSON section
+with other keys than those listed is a DataError.  The sections:
+
+- ``basis.modes_u``, ``basis.singular_values`` and ``basis.spec``
+  (``energy_captured``);
+- ``regressor.spec`` (the ``RegressorSpec`` fields) and
+  ``regressor.params``, from which a load prepares the model's sites
+  once; ``roi`` and ``rkoi`` add ``regressor.values``, the table their
+  queries read, stored complex for a complex regressor;
+- per DMD, ``reduced_op``, ``eigenvalues``, ``modes``, ``amplitudes``,
+  ``proj_basis`` and ``spec`` (``dt``, ``t0``), under the prefix
+  ``mono.stacked`` or, for training parameter i, ``part.member{i}``;
+- ``roi.op_modes`` and ``roi.spec`` (``dt``, ``t0``); ``rkoi.spec``
+  (``t0``, ``notes``);
+- ``meta``, the caller's free-form metadata.
+
+History: format 1 also held ``roi.train_residuals`` and each DMD's
+``reduced_eigvecs``, which no model keeps; format 2 dropped them.  Both
+stored one regressor per quantity, copies of facts the arrays fix
+(lattices, ranks, ``mono.block_map``, channel counts) that a load
+checked against the model, and sections no load read.  A load reads
+format 3 only: an older file is a DataError that asks for a refit.
 """
 
 from __future__ import annotations
@@ -16,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,12 +44,12 @@ from .dmd import DmdModel
 from .errors import DataError
 from .latent import MonolithicModel, PartitionedModel
 from .reduction import GlobalBasis
-from .regression import FittedRegressor, RegressorSpec, prepare
+from .regression import FittedRegressor, RegressorSpec, Sites, prepare
 from .rkoi import RkoiModel
 from .roi import RoiModel
 
 MAGIC = b"PDMDMODEL1\n"
-VERSION = 2
+VERSION = 3
 
 _DTYPES = {0: "<f8", 1: "<c16", 2: "<i8"}
 _DTYPE_CODES = {"f": 0, "c": 1, "i": 2}
@@ -87,10 +107,20 @@ def _pack_sections(sections: dict) -> dict:
     return packed
 
 
-def _section_value(sections: dict, name: str):
+def _take(sections: dict, name: str):
+    """The named section's value, removed from ``sections`` as it is read."""
     if name not in sections:
         raise DataError(f"archive is missing section {name!r}")
-    return sections[name]
+    return sections.pop(name)
+
+
+def _fields(sections: dict, name: str, *keys: str) -> dict:
+    """The named JSON section, which must hold exactly ``keys``."""
+    value = _take(sections, name)
+    if not isinstance(value, dict) or sorted(value) != sorted(keys):
+        held = sorted(value) if isinstance(value, dict) else value
+        raise DataError(f"archive section {name!r} holds {held!r}, not the keys {sorted(keys)}")
+    return value
 
 
 def _decode_section(name: str, payload: bytes):
@@ -105,103 +135,46 @@ def _decode_section(name: str, payload: bytes):
     raise DataError(f"unknown payload kind {kind!r} in section {name!r}")
 
 
-# the name of the value table each kind's query reads; rbf kinds: "weights"
-_VALUE_KEYS = {"linear": "table", "nearest": "table", "poly": "beta"}
+_SPEC_KEYS = tuple(field.name for field in fields(RegressorSpec))
 
 
-def _regressor_sections(regressor: FittedRegressor, groups: dict) -> dict:
-    """One regressor per column group, under the group's prefix: its
-    channels (real, then imaginary) and entries written from the sites
-    that a load does not read: linear xs, rbf shape, poly degree."""
-    sites, spec = regressor.sites, regressor.sites.spec
-    key = _VALUE_KEYS.get(spec.kind, "weights")
-    extra = {}
-    if spec.kind == "linear":
-        extra["xs"] = sites.xs
-    elif spec.kind == "poly":
-        extra["degree"] = np.array(spec.degree)
-    elif spec.kind != "nearest":
-        extra["shape"] = np.array(sites.shape)
-    out, start = {}, 0
-    for prefix, width in groups.items():
-        columns = np.arange(start, start + width)
-        if regressor.complex_output:
-            columns = np.concatenate([columns, regressor.output_dim + columns])
-        coefficients = {key: regressor.values[:, columns], **extra}
-        out[f"{prefix}.spec"] = {
-            "kind": spec.kind,
-            "shape": spec.shape,
-            "degree": spec.degree,
-            "ridge": spec.ridge,
-            "extrapolation": spec.extrapolation,
-            "output_dim": width,
-            "complex_output": regressor.complex_output,
-            "coeff_keys": sorted(coefficients),
-        }
-        out[f"{prefix}.training_params"] = sites.params
-        for name in sorted(coefficients):
-            out[f"{prefix}.coeff.{name}"] = np.asarray(coefficients[name])
-        start += width
-    return out
+def _read_sites(sections: dict) -> Sites:
+    spec = RegressorSpec(**_fields(sections, "regressor.spec", *_SPEC_KEYS))
+    return prepare(spec, _take(sections, "regressor.params"))
 
 
-def _read_regressor(sections: dict, *prefixes: str) -> FittedRegressor:
-    """The one regressor stored as column groups under the prefixes, on
-    the sites prepared from the first group's spec and training
-    parameters (``_check_copies`` then holds every group to them); each
-    value table must fit the sites and its group's stored channel count."""
-    meta = _section_value(sections, f"{prefixes[0]}.spec")
-    spec = RegressorSpec(
-        kind=meta["kind"],
-        shape=meta["shape"],
-        degree=int(meta["degree"]),
-        ridge=float(meta["ridge"]),
-        extrapolation=meta["extrapolation"],
-    )
-    sites = prepare(spec, _section_value(sections, f"{prefixes[0]}.training_params"))
-    complex_output = bool(meta["complex_output"])
-    key = _VALUE_KEYS.get(sites.spec.kind, "weights")
-    rows = len(sites.powers) if sites.spec.kind == "poly" else sites.params.shape[0]
-    tables = []
-    for prefix in prefixes:
-        values = _section_value(sections, f"{prefix}.coeff.{key}")
-        stored = int(_section_value(sections, f"{prefix}.spec")["output_dim"])
-        width = stored * (2 if complex_output else 1)
-        if values.shape != (rows, width):
-            raise DataError(
-                f"{prefix} {key} of shape {values.shape} does not fit {rows} sites "
-                f"and {width} output channels"
-            )
-        tables.append(values)
-    if complex_output:  # the real channels of every group, then the imaginary ones
-        tables = [t[:, : t.shape[1] // 2] for t in tables] + [
-            t[:, t.shape[1] // 2 :] for t in tables
-        ]
-    return FittedRegressor(sites, np.hstack(tables), complex_output)
+def _values(regressor: FittedRegressor) -> np.ndarray:
+    """The table a query reads; a complex regressor's real and imaginary
+    channels as one complex table, so its dtype is the complex flag."""
+    values = regressor.values
+    if regressor.complex_output:
+        values = values[:, : regressor.output_dim].astype(complex)
+        values.imag = regressor.values[:, regressor.output_dim :]
+    return values
 
 
-def _basis_sections(basis: GlobalBasis) -> dict:
-    return {
-        "basis.modes_u": basis.modes_u,
-        "basis.singular_values": basis.singular_values,
-        "basis.spec": {"energy_captured": basis.energy_captured, "centered": False},
-    }
+def _read_regressor(sections: dict, sites: Sites) -> FittedRegressor:
+    values = _take(sections, "regressor.values")
+    rows = len(sites.powers) if sites.spec.kind == "poly" else len(sites.params)
+    if values.ndim != 2 or len(values) != rows:
+        raise DataError(f"regressor values of shape {values.shape} do not fit {rows} sites")
+    complex_output = values.dtype.kind == "c"
+    if complex_output:
+        values = np.hstack([values.real, values.imag])
+    return FittedRegressor(sites, values, complex_output)
 
 
 def _read_basis(sections: dict) -> GlobalBasis:
-    meta = _section_value(sections, "basis.spec")
-    if meta["centered"]:
-        raise DataError("centered bases are not supported")
     return GlobalBasis(
-        _section_value(sections, "basis.modes_u"),
-        _section_value(sections, "basis.singular_values"),
-        float(meta["energy_captured"]),
+        _take(sections, "basis.modes_u"),
+        _take(sections, "basis.singular_values"),
+        float(_fields(sections, "basis.spec", "energy_captured")["energy_captured"]),
     )
 
 
 def _dmd_sections(prefix: str, model: DmdModel) -> dict:
     return {
-        f"{prefix}.spec": {"rank": model.rank, "dt": model.dt, "t0": model.t0},
+        f"{prefix}.spec": {"dt": model.dt, "t0": model.t0},
         f"{prefix}.reduced_op": model.reduced_op,
         f"{prefix}.eigenvalues": model.eigenvalues,
         f"{prefix}.modes": model.modes,
@@ -211,98 +184,79 @@ def _dmd_sections(prefix: str, model: DmdModel) -> dict:
 
 
 def _read_dmd(prefix: str, sections: dict) -> DmdModel:
-    meta = _section_value(sections, f"{prefix}.spec")
+    lattice = _fields(sections, f"{prefix}.spec", "dt", "t0")
     return DmdModel(
-        reduced_op=_section_value(sections, f"{prefix}.reduced_op"),
-        eigenvalues=_section_value(sections, f"{prefix}.eigenvalues"),
-        modes=_section_value(sections, f"{prefix}.modes"),
-        amplitudes=_section_value(sections, f"{prefix}.amplitudes"),
-        dt=float(meta["dt"]),
-        t0=float(meta["t0"]),
-        proj_basis=_section_value(sections, f"{prefix}.proj_basis"),
+        reduced_op=_take(sections, f"{prefix}.reduced_op"),
+        eigenvalues=_take(sections, f"{prefix}.eigenvalues"),
+        modes=_take(sections, f"{prefix}.modes"),
+        amplitudes=_take(sections, f"{prefix}.amplitudes"),
+        dt=float(lattice["dt"]),
+        t0=float(lattice["t0"]),
+        proj_basis=_take(sections, f"{prefix}.proj_basis"),
     )
 
 
 def _roi_sections(model: RoiModel) -> dict:
-    groups = {"roi.coeff_reg": model.op_rank, "roi.init_reg": model.basis.rank}
     return {
-        "roi.spec": {"op_rank": model.op_rank, "dt": model.dt, "t0": model.t0},
+        "roi.spec": {"dt": model.dt, "t0": model.t0},
         "roi.op_modes": model.op_modes,
-        **_regressor_sections(model.regressor, groups),
+        "regressor.values": _values(model.regressor),
     }
 
 
-def _read_roi(sections: dict, basis: GlobalBasis) -> RoiModel:
-    meta = _section_value(sections, "roi.spec")
+def _read_roi(sections: dict, basis: GlobalBasis, sites: Sites) -> RoiModel:
+    lattice = _fields(sections, "roi.spec", "dt", "t0")
     return RoiModel(
         basis,
-        _section_value(sections, "roi.op_modes"),
-        _read_regressor(sections, "roi.coeff_reg", "roi.init_reg"),
-        dt=float(meta["dt"]),
-        t0=float(meta["t0"]),
+        _take(sections, "roi.op_modes"),
+        _read_regressor(sections, sites),
+        dt=float(lattice["dt"]),
+        t0=float(lattice["t0"]),
     )
 
 
 def _rkoi_sections(model: RkoiModel) -> dict:
-    rank = model.basis.rank
-    groups = {"rkoi.mode_reg": rank * rank, "rkoi.omega_reg": rank, "rkoi.amp_reg": rank}
     return {
         "rkoi.spec": {"t0": model.t0, "notes": list(model.notes)},
-        **_regressor_sections(model.regressor, groups),
+        "regressor.values": _values(model.regressor),
     }
 
 
-def _read_rkoi(sections: dict, basis: GlobalBasis) -> RkoiModel:
-    meta = _section_value(sections, "rkoi.spec")
+def _read_rkoi(sections: dict, basis: GlobalBasis, sites: Sites) -> RkoiModel:
+    meta = _fields(sections, "rkoi.spec", "t0", "notes")
     return RkoiModel(
         basis,
-        _read_regressor(sections, "rkoi.mode_reg", "rkoi.omega_reg", "rkoi.amp_reg"),
+        _read_regressor(sections, sites),
         t0=float(meta["t0"]),
         notes=tuple(meta["notes"]),
     )
 
 
 def _mono_sections(model: MonolithicModel) -> dict:
-    dmd, rank = model.stacked_dmd, model.basis.rank
-    return {
-        "mono.spec": {"dt": dmd.dt, "t0": dmd.t0},
-        "mono.params": model.params,
-        "mono.block_map": rank * np.add.outer(np.arange(len(model.params)), [0, 1]),
-        **_dmd_sections("mono.stacked", dmd),
-    }
+    return _dmd_sections("mono.stacked", model.stacked_dmd)
 
 
-def _read_mono(sections: dict, basis: GlobalBasis) -> MonolithicModel:
-    return MonolithicModel(
-        basis=basis,
-        stacked_dmd=_read_dmd("mono.stacked", sections),
-        params=_section_value(sections, "mono.params"),
-    )
+def _read_mono(sections: dict, basis: GlobalBasis, sites: Sites) -> MonolithicModel:
+    return MonolithicModel(basis, _read_dmd("mono.stacked", sections), sites)
 
 
 def _part_sections(model: PartitionedModel) -> dict:
-    lattice = model.members[0]
-    sections = {
-        "part.spec": {"dt": lattice.dt, "t0": lattice.t0, "n_members": len(model.members)},
-        "part.params": model.params,
-    }
+    sections = {}
     for i, member in enumerate(model.members):
         sections.update(_dmd_sections(f"part.member{i}", member))
     return sections
 
 
-def _read_part(sections: dict, basis: GlobalBasis) -> PartitionedModel:
-    meta = _section_value(sections, "part.spec")
+def _read_part(sections: dict, basis: GlobalBasis, sites: Sites) -> PartitionedModel:
     members = tuple(
-        _read_dmd(f"part.member{i}", sections) for i in range(int(meta["n_members"]))
+        _read_dmd(f"part.member{i}", sections) for i in range(len(sites.params))
     )
-    return PartitionedModel(
-        basis=basis, members=members, params=_section_value(sections, "part.params")
-    )
+    return PartitionedModel(basis, members, sites)
 
 
-# Section layout of each algorithm, keyed by the tag its model class
-# carries: (model -> named sections, (sections, basis) -> model).
+# Section layout of each algorithm beyond the basis and the regressor's
+# sites, keyed by the tag its model class carries: (model -> named
+# sections, (sections, basis, sites) -> model).
 _LAYOUTS = {
     RoiModel.tag: (_roi_sections, _read_roi),
     RkoiModel.tag: (_rkoi_sections, _read_rkoi),
@@ -318,23 +272,15 @@ def _write_prefixed(handle, data: bytes) -> None:
 
 def _model_sections(tag: str, model) -> dict:
     to_sections, _ = _LAYOUTS[tag]
-    return {**_basis_sections(model.basis), **to_sections(model)}
-
-
-def _check_copies(sections: dict, tag: str, model) -> None:
-    """Every section the model would be written as must hold what the
-    archive holds: a stored copy of a fact the arrays fix (a lattice, a
-    block map, a channel count) that disagrees with them is a DataError."""
-    for name, value in _model_sections(tag, model).items():
-        stored = _section_value(sections, name)
-        if value is stored:  # the model keeps the array as it was read
-            continue
-        if isinstance(value, np.ndarray):  # written with at least one axis
-            agrees = np.array_equal(stored, np.atleast_1d(value))
-        else:
-            agrees = stored == value
-        if not agrees:
-            raise DataError(f"archive section {name!r} disagrees with the model's arrays")
+    basis = model.basis
+    return {
+        "basis.modes_u": basis.modes_u,
+        "basis.singular_values": basis.singular_values,
+        "basis.spec": {"energy_captured": basis.energy_captured},
+        "regressor.spec": vars(model.sites.spec),
+        "regressor.params": model.sites.params,
+        **to_sections(model),
+    }
 
 
 def save_model(model, path, metadata: dict | None = None) -> None:
@@ -390,8 +336,11 @@ def load_model(path) -> ModelArchive:
         raise DataError(f"{path} is not a model archive")
     cursor.offset = len(MAGIC)
     version = cursor.u32("version")
-    if version not in (1, VERSION):
-        raise DataError(f"unsupported archive version {version}")
+    if version != VERSION:
+        raise DataError(
+            f"{path}: archive format {version} is not read by this pdmd version, "
+            f"which reads format {VERSION} only; refit the model with pdmd fit"
+        )
     try:
         tag = cursor.prefixed("algorithm tag").decode("utf-8")
         sections = {}
@@ -405,10 +354,14 @@ def load_model(path) -> ModelArchive:
         if tag not in _LAYOUTS:
             raise DataError(f"unknown algorithm tag {tag!r}")
         _, from_sections = _LAYOUTS[tag]
-        model = from_sections(sections, _read_basis(sections))
-        _check_copies(sections, tag, model)
-        metadata = _section_value(sections, "meta")
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        # undecodable UTF-8 or JSON, missing spec keys, mistyped values
+        model = from_sections(sections, _read_basis(sections), _read_sites(sections))
+        metadata = _take(sections, "meta")
+        if sections:
+            raise DataError(
+                f"archive section {min(sections)!r} is not read by a format-{VERSION} "
+                f"{tag} model"
+            )
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        # undecodable UTF-8 or JSON, mistyped values, JSON where an array belongs
         raise DataError(f"malformed archive {path}: {exc!r}") from exc
     return ModelArchive(tag, model, metadata)

@@ -257,7 +257,7 @@ def _run_scenario(scenario: Scenario, out_dir: str) -> ScenarioResult:
         for idx in range(test_ds.n_params):
             truth = test_ds.trajectories[idx].state
             mu = test_ds.params[idx]
-            pred, online, fits = timed_query(fitted.model, mu, instants, fitted.regressor)
+            pred, online, fits = timed_query(fitted.model, mu, instants)
             eps = time_rel_error(truth, pred)
             forecast = (
                 frobenius_rel_error(truth[:, beyond], pred[:, beyond])

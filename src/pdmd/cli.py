@@ -47,13 +47,7 @@ from .options import (
     parse_pair,
     uint_option,
 )
-from .pipeline import (
-    FitOptions,
-    evaluate_model,
-    fit_surrogate,
-    spec_from_metadata,
-    timed_query,
-)
+from .pipeline import FitOptions, evaluate_model, fit_surrogate, timed_query
 from .synth import SynthSpec, generate, spec_to_json
 
 EXIT_SCENARIO_FAILED = 5
@@ -175,7 +169,8 @@ def _require(args, dest, flag):
 
 
 # the fit metadata (written by pipeline.fit_surrogate) that predict and
-# eval read, with the types they read it as
+# eval require, with the types it is written with; they read the
+# lattice (t0, dt, n_t) and offline_seconds, the model holds the rest
 _NUMBER = (int, float)
 _FIT_METADATA = {"t0": _NUMBER, "dt": _NUMBER, "offline_seconds": _NUMBER, "ridge": _NUMBER,
                  "n_t": int, "param_dim": int, "rank": int, "poly_degree": int,
@@ -264,14 +259,8 @@ def cmd_predict(args) -> int:
     model_path = _require(args, "model", "model")
     mu = _require(args, "mu", "mu")
     archive = _load_fitted(model_path)
-    if len(mu) != int(archive.metadata["param_dim"]):
-        raise DataError(
-            f"query parameter has {len(mu)} components; the model expects "
-            f"{archive.metadata['param_dim']}"
-        )
     grid = _prediction_instants(args, archive.metadata)
-    spec = spec_from_metadata(archive.metadata)
-    states, online, fits = timed_query(archive.model, mu, grid.instants, spec)
+    states, online, fits = timed_query(archive.model, mu, grid.instants)
 
     prediction = ParametricDataset(
         np.asarray(mu, dtype=float)[None, :],
@@ -301,11 +290,9 @@ def cmd_eval(args) -> int:
     reports = []
     for path in model_paths:
         archive = _load_fitted(path)
-        spec = spec_from_metadata(archive.metadata)
         reports.extend(
             evaluate_model(
                 archive.model,
-                spec,
                 dataset,
                 indices,
                 offline_seconds=float(archive.metadata["offline_seconds"]),

@@ -10,17 +10,20 @@ evaluated at the queried mu.  Online cost therefore grows with the
 number of training parameters and requested instants, in contrast to
 the operator- and triplet-interpolation strategies.
 
-``predict_latent`` answers a block of mu rows with that one set of
-N_t regressor fits, so scoring a model at all N_p training parameters
-costs N_t fits, not N_p * N_t; a query passes its mu as one row and
-runs N_t fits.  Everything around the fits is done once per call: the
-DMD states at all instants are laid out instant-major, so each fit reads
-one contiguous N_p x r table; the training parameters are prepared once
-(``regression.prepare``); the whole block is checked, clamped and
-located once (``regression.stencil``, one weight matrix); and the N_t
-fitted tables are joined (``regression.join``) and read for all rows
-and instants by one ``regression.combine``.  A clamped row or an
-ill-conditioned rbf system therefore warns once, not once per instant.
+A model holds its training parameters as prepared ``regression.Sites``,
+built once when it is fitted or loaded, so its regressor is part of the
+model and no query prepares them again.  ``predict_latent`` answers a
+block of mu rows with one set of N_t regressor fits on those sites, so
+scoring a model at all N_p training parameters costs N_t fits, not
+N_p * N_t; a query passes its mu as one row and runs N_t fits.
+Everything around the fits is done once per call: the DMD states at all
+instants are laid out instant-major, so each fit reads one contiguous
+N_p x r table; the whole block is checked, clamped and located once
+(``regression.stencil``, one weight matrix); and the N_t fitted tables
+are joined (``regression.join``) and read for all rows and instants by
+one ``regression.combine``.  A clamped row therefore warns once, not
+once per instant, and an ill-conditioned rbf system warns when the
+sites are prepared, not at a query.
 """
 
 from __future__ import annotations
@@ -41,32 +44,36 @@ from .reduction import GlobalBasis, LatentDataset
 class MonolithicModel:
     """One DMD over the vertically stacked latent trajectories: rows
     i r to (i + 1) r of its state are training parameter i's latent
-    state, and its lattice is the model's."""
+    state, and its lattice is the model's.  ``sites`` are the training
+    parameters prepared for the model's regressor."""
 
     tag: ClassVar[str] = "mono"
 
     basis: GlobalBasis
     stacked_dmd: DmdModel
-    params: np.ndarray
+    sites: regression.Sites
 
     def __post_init__(self):
         rows = self.stacked_dmd.modes.shape[0]
-        if rows != len(self.params) * self.basis.rank:
+        n_params = len(self.sites.params)
+        if rows != n_params * self.basis.rank:
             raise DataError(
-                f"stacked DMD has {rows} state rows, not {len(self.params)} "
+                f"stacked DMD has {rows} state rows, not {n_params} "
                 f"parameters times basis rank {self.basis.rank}"
             )
 
 
 @dataclass(frozen=True)
 class PartitionedModel:
-    """One DMD per training parameter, on one shared time lattice."""
+    """One DMD per training parameter, on one shared time lattice;
+    ``sites`` are the training parameters prepared for the model's
+    regressor."""
 
     tag: ClassVar[str] = "part"
 
     basis: GlobalBasis
     members: tuple
-    params: np.ndarray
+    sites: regression.Sites
 
     def __post_init__(self):
         ranks = {member.rank for member in self.members}
@@ -75,15 +82,17 @@ class PartitionedModel:
         if len(ranks) != 1 or len(steps) != 1 or len(starts) != 1:
             raise DataError("members must share rank and time lattice")
         rows = {member.modes.shape[0] for member in self.members}
-        if len(self.members) != len(self.params) or rows != {self.basis.rank}:
+        n_params = len(self.sites.params)
+        if len(self.members) != n_params or rows != {self.basis.rank}:
             raise DataError(
                 f"{len(self.members)} members of state rows {sorted(rows)} do not "
-                f"fit {len(self.params)} parameters at basis rank {self.basis.rank}"
+                f"fit {n_params} parameters at basis rank {self.basis.rank}"
             )
 
 
-def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
-    """Single DMD on the r*N_p stacked latent state.
+def fit_monolithic(latent: LatentDataset, sites: regression.Sites) -> MonolithicModel:
+    """Single DMD on the r*N_p stacked latent state; ``sites`` are the
+    latent parameters prepared for the model's regressor.
 
     The rank keeps the full stacked dimension, clipped only when the
     trajectory cannot support it (too few instants or rank-deficient
@@ -94,16 +103,17 @@ def fit_monolithic(latent: LatentDataset) -> MonolithicModel:
     supported = int(np.sum(spectrum > 1e-10 * spectrum[0]))
     stacked_rank = min(stacked.shape[0], len(latent.grid) - 1, supported)
     model = fit_dmd(SnapshotMatrix(stacked, latent.grid), stacked_rank)
-    return MonolithicModel(basis=latent.basis, stacked_dmd=model, params=latent.params)
+    return MonolithicModel(basis=latent.basis, stacked_dmd=model, sites=sites)
 
 
 def _parameter_label(latent: LatentDataset, index: int) -> str:
     return f"training parameter {index} (mu = {latent.params[index].tolist()})"
 
 
-def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
-    """Independent DMD per parameter at the full latent rank; ``roi``
-    interpolates these members' operators.  A ``NumericalError`` names its
+def fit_partitioned(latent: LatentDataset, sites: regression.Sites) -> PartitionedModel:
+    """Independent DMD per parameter at the full latent rank, with
+    ``sites`` the latent parameters prepared for the model's regressor;
+    ``roi`` interpolates these members' operators.  A ``NumericalError`` names its
     parameter at once; rank deficiency is reported after the loop, naming
     the parameter with the smallest supported rank."""
     members = []
@@ -124,16 +134,16 @@ def fit_partitioned(latent: LatentDataset) -> PartitionedModel:
             f"{len(deficient)} of them are rank-deficient)",
             supported,
         ) from exc
-    return PartitionedModel(latent.basis, tuple(members), latent.params)
+    return PartitionedModel(latent.basis, tuple(members), sites)
 
 
-def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.ndarray:
+def predict_latent(model, mu_rows, times) -> np.ndarray:
     """Predicted latent trajectories over lattice instants, n x r x N_t
     for an n x p block of parameter rows.
 
-    Each DMD is evaluated once at all requested instants, the training
-    parameters are prepared once and the block gets one weight matrix;
-    then one regressor per instant is trained on the per-parameter
+    Each DMD is evaluated once at all requested instants and the block
+    gets one weight matrix on the model's sites; then one regressor per
+    instant is trained on the per-parameter
     latent states there, and one read of the joined regressors gives
     every row at every instant.  This online training, N_t fits per call
     whatever n is, is the contract of the strategy; count it with
@@ -147,14 +157,13 @@ def predict_latent(model, mu_rows, times, spec: regression.RegressorSpec) -> np.
     # N_t x N_p x r, one contiguous table per instant; a stacked state
     # holds the parameters' r rows in turn
     tables = np.concatenate([evaluate(dmd, steps).T for dmd in dmds], axis=1).reshape(
-        steps.size, len(model.params), model.basis.rank
+        steps.size, len(model.sites.params), model.basis.rank
     )
-    sites = regression.prepare(spec, model.params)
-    weights = regression.stencil(sites, rows)
+    weights = regression.stencil(model.sites, rows)
     if not steps.size:  # no fit to join; the rows are still checked above
         return np.empty((rows.shape[0], model.basis.rank, 0))
     # a generator: join copies each table as it is fitted, so the N_t small
     # fitted tables are never all alive at once (holding them all slowed
     # the next query's allocations)
-    regressors = (regression.fit(sites, table) for table in tables)
+    regressors = (regression.fit(model.sites, table) for table in tables)
     return regression.combine(weights, regression.join(regressors))

@@ -53,7 +53,9 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FittedSurrogate:
-    """A trained model plus the context needed to query and archive it."""
+    """A trained model plus the context needed to query and archive it.
+    ``regressor`` is ``model.sites.spec``; it stays only while
+    perfbench's worker reads it, and goes with ``spec_from_metadata``."""
 
     model: object
     regressor: RegressorSpec
@@ -62,11 +64,13 @@ class FittedSurrogate:
 
 
 def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurrogate:
-    """Run the full offline pipeline: basis, projection, algorithm fit.
+    """Run the full offline pipeline: basis, projection, the training
+    parameters prepared once for the model's regressor, algorithm fit.
 
     An explicit rank wins; otherwise the basis keeps the smallest rank
     capturing the requested (or default) energy fraction of the stacked
-    snapshots."""
+    snapshots.  The metadata's regressor keys are the model's own spec
+    (``nearest`` for a single training parameter)."""
     spec = options.regressor
     if spec is None:
         spec = regression.default_spec(dataset.param_dim)
@@ -78,17 +82,19 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     )
     latent = project(dataset, basis)
     basis_done = time.perf_counter()
-    model = ALGORITHMS[options.algorithm].fit(latent, options, spec)
+    sites = regression.prepare(spec, latent.params)
+    model = ALGORITHMS[options.algorithm].fit(latent, options, sites)
     basis_seconds = basis_done - started
     train_seconds = time.perf_counter() - basis_done
 
-    predictions = _predict_rows(model, dataset.params, dataset.grid.instants, spec)
+    predictions = _predict_rows(model, dataset.params, dataset.grid.instants)
     train_errors = np.array(
         [
             frobenius_rel_error(trajectory.state, prediction)
             for trajectory, prediction in zip(dataset.trajectories, predictions)
         ]
     )
+    spec = model.sites.spec
     metadata = {
         "algorithm": options.algorithm,
         "rank": basis.rank,
@@ -110,7 +116,9 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
 
 
 def spec_from_metadata(metadata: dict) -> RegressorSpec:
-    """Rebuild the regressor configuration recorded at fit time."""
+    """The regressor configuration recorded at fit time.  A model holds
+    its own (``model.sites.spec``); this stays only while perfbench's
+    worker passes it to ``predict_surrogate``."""
     return RegressorSpec(
         kind=metadata["regressor"],
         shape=metadata["rbf_shape"],
@@ -120,38 +128,58 @@ def spec_from_metadata(metadata: dict) -> RegressorSpec:
     )
 
 
-def _predict_rows(model, mu_rows, instants, spec: RegressorSpec):
+def _algorithm(model):
+    algorithm = ALGORITHMS.get(getattr(model, "tag", None))
+    if algorithm is None:
+        raise DataError(f"cannot predict with object of type {type(model).__name__}")
+    return algorithm
+
+
+def _predict_rows(model, mu_rows, instants):
     """Dispatch to the model's algorithm: one N_h x N_t array per row of
     the n x p block ``mu_rows``, yielded in row order.  The algorithm
     answers the whole block at once; each row is lifted as it is taken,
     so one N_h x N_t array is held at a time."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
-    algorithm = ALGORITHMS.get(getattr(model, "tag", None))
-    if algorithm is None:
-        raise DataError(f"cannot predict with object of type {type(model).__name__}")
-    latents = algorithm.predict(model, mu_rows, instants, spec)
+    latents = _algorithm(model).predict(model, mu_rows, instants)
     return (lift(latent, model.basis) for latent in latents)
 
 
-def predict_surrogate(model, mu, instants, spec: RegressorSpec) -> np.ndarray:
-    """The model's N_h x N_t states at one parameter vector mu."""
+def predict_surrogate(model, mu, instants, spec: RegressorSpec | None = None) -> np.ndarray:
+    """The model's N_h x N_t states at one parameter vector mu, a
+    p-vector (or a number when p = 1) for the model's p training
+    parameter dimensions.
+
+    ``spec`` is transitional: the model holds its regressor, and a given
+    ``spec`` must equal ``model.sites.spec``.  It stays only while
+    perfbench's worker passes it, and goes with ``spec_from_metadata``
+    and ``FittedSurrogate.regressor``."""
+    _algorithm(model)  # a model of a known family, so it holds sites
+    sites = model.sites
+    if spec is not None and spec != sites.spec:
+        raise DataError(f"regressor {spec} is not the model's own, {sites.spec}")
     row = np.atleast_1d(np.asarray(mu, dtype=float))
-    return next(_predict_rows(model, row[None], instants, spec))
+    p = sites.params.shape[1]
+    if row.shape != (p,):
+        raise DataError(
+            f"query parameter of shape {np.shape(mu)} does not fit the model's "
+            f"parameter dimension {p}"
+        )
+    return next(_predict_rows(model, row[None], instants))
 
 
-def timed_query(model, mu, instants, spec: RegressorSpec) -> tuple:
+def timed_query(model, mu, instants) -> tuple:
     """One query: (states, wall seconds, regressor fits it ran).  The
     count covers this call only, whatever other threads do meanwhile."""
     with regression.FitCount() as fits:
         started = time.perf_counter()
-        states = predict_surrogate(model, mu, instants, spec)
+        states = predict_surrogate(model, mu, instants)
         seconds = time.perf_counter() - started
     return states, seconds, fits.count
 
 
 def evaluate_model(
     model,
-    spec: RegressorSpec,
     dataset: ParametricDataset,
     indices,
     offline_seconds: float = 0.0,
@@ -166,9 +194,7 @@ def evaluate_model(
                 f"test index {i} outside the dataset range [0, {dataset.n_params})"
             )
         truth = dataset.trajectories[i].state
-        pred, online, fits = timed_query(
-            model, dataset.params[i], dataset.grid.instants, spec
-        )
+        pred, online, fits = timed_query(model, dataset.params[i], dataset.grid.instants)
         reports.append(
             EvalReport(
                 algorithm=model.tag,

@@ -124,9 +124,9 @@ class Sites:
     """Training parameters prepared for every fit and query on them.
     ``lo``/``hi`` bound the hull box; ``solve`` maps an N_p x d value
     table to the table a query reads, ``weights`` checked n x p query
-    rows to n x m weights over that table's rows.  The archive writes or
-    reads ``xs`` (linear: sorted abscissae), ``shape`` (rbf: distance
-    scale) and ``powers`` (poly: monomial exponents)."""
+    rows to n x m weights over that table's rows.  ``xs`` (linear: sorted
+    abscissae), ``shape`` (rbf: the distance scale in effect) and
+    ``powers`` (poly: monomial exponents) describe the prepared kind."""
 
     spec: RegressorSpec
     params: np.ndarray

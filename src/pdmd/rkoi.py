@@ -71,6 +71,10 @@ class RkoiModel:
                 f"basis rank {rank} needs {rank * (rank + 2)}"
             )
 
+    @property
+    def sites(self) -> regression.Sites:
+        return self.regressor.sites
+
 
 def alignment_tree(params) -> tuple:
     """Minimum spanning tree over the Euclidean distances between
@@ -110,12 +114,13 @@ def _rephase(member: OptDmdModel, lead_rows: np.ndarray) -> OptDmdModel:
 
 def fit_rkoi(
     latent: LatentDataset,
-    spec: regression.RegressorSpec,
+    sites: regression.Sites,
     bag_trials: int = 1,
     bag_fraction: float = 0.8,
     bag_seed: int = 0,
 ) -> RkoiModel:
-    """Train the triplet-interpolation surrogate on latent trajectories.
+    """Train the triplet-interpolation surrogate on latent trajectories;
+    ``sites`` are the latent parameters prepared for its regressor.
 
     One ``fit_ensembles`` call fits every member.  A parameter's member is
     one fit of its whole trajectory or, with ``bag_trials`` > 1, that many
@@ -131,7 +136,7 @@ def fit_rkoi(
     trajectories = [latent.trajectory(i) for i in range(latent.n_params)]
     inits = [None] * latent.n_params
     if latent.grid.is_uniform:
-        dmds = fit_partitioned(latent).members
+        dmds = fit_partitioned(latent, sites).members
         inits = [continuous_frequencies(dmd.eigenvalues, dmd.dt) for dmd in dmds]
     bagged = bag_trials > 1
     seeds = [bag_seed + int(position) for position in np.argsort(ranked)]
@@ -173,7 +178,6 @@ def fit_rkoi(
          for m in aligned]
     )
 
-    sites = regression.prepare(spec, latent.params)
     return RkoiModel(
         basis=latent.basis,
         regressor=regression.fit(sites, table),

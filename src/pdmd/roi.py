@@ -63,6 +63,10 @@ class RoiModel:
     def op_rank(self) -> int:
         return self.op_modes.shape[1]
 
+    @property
+    def sites(self) -> regression.Sites:
+        return self.regressor.sites
+
 
 def unfold_operator(op: np.ndarray) -> np.ndarray:
     """Flatten an r x r operator into an r^2 vector, column-major."""
@@ -85,9 +89,10 @@ def fold_operator(vec: np.ndarray) -> np.ndarray:
 def fit_roi(
     latent: LatentDataset,
     op_rank: int,
-    spec: regression.RegressorSpec,
+    sites: regression.Sites,
 ) -> RoiModel:
-    """Train the operator-interpolation surrogate on latent trajectories."""
+    """Train the operator-interpolation surrogate on latent trajectories;
+    ``sites`` are the latent parameters prepared for its regressor."""
     if not latent.grid.is_uniform:
         raise DataError("operator interpolation requires a uniform time grid")
     max_op_rank = min(latent.rank**2, latent.n_params)
@@ -95,7 +100,7 @@ def fit_roi(
         raise DataError(f"op_rank {op_rank} out of range [1, {max_op_rank}]")
 
     operators = []
-    for model in fit_partitioned(latent).members:
+    for model in fit_partitioned(latent, sites).members:
         # rotate the reduced operator into shared latent coordinates; the
         # projection basis is square at full rank, so this is exact
         operator = model.proj_basis @ model.reduced_op @ model.proj_basis.T
@@ -106,7 +111,6 @@ def fit_roi(
     coefficients = (svd.modes_u.T @ stacked).T  # N_p x r_a
     initial_states = np.vstack([lat[:, 0] for lat in latent.latents])
 
-    sites = regression.prepare(spec, latent.params)
     return RoiModel(
         basis=latent.basis,
         op_modes=svd.modes_u,

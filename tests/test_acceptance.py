@@ -32,7 +32,7 @@ from pdmd.optdmd import (
 )
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, timed_query
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
-from pdmd.regression import RegressorSpec, combine, stencil
+from pdmd.regression import RegressorSpec, combine, prepare, stencil
 from pdmd.roi import synthesize_operator
 from pdmd.synth import ExpMode, SynthSpec, generate
 
@@ -188,7 +188,7 @@ def test_operator_family_exactness():
             op_err, np.linalg.norm(lifted - true_op) / np.linalg.norm(true_op)
         )
         pred = predict_surrogate(
-            surrogate.model, [mu], dataset.grid.instants, surrogate.regressor
+            surrogate.model, [mu], dataset.grid.instants
         )
         pred_err = max(
             pred_err,
@@ -234,7 +234,7 @@ def test_smooth_family_accuracy_and_refinement():
             dataset, oracle = generate(spec)
             surrogate = fit_surrogate(dataset, FitOptions("rkoi", rank=rank))
             pred = predict_surrogate(
-                surrogate.model, [mu_star], dataset.grid.instants, surrogate.regressor
+                surrogate.model, [mu_star], dataset.grid.instants
             )
             truth = oracle.trajectory(mu_star, dataset.grid.instants)
             errors.append(frobenius_rel_error(truth, pred))
@@ -269,7 +269,8 @@ def test_latent_variant_consistency():
         grid,
     )
 
-    mono = fit_monolithic(latent)
+    sites = prepare(RegressorSpec("linear"), latent.params)
+    mono = fit_monolithic(latent, sites)
     assert mono.stacked_dmd.rank == 4
     rebuilt = reconstruct(mono.stacked_dmd, grid).state
     slice_err = 0.0
@@ -278,13 +279,12 @@ def test_latent_variant_consistency():
         standalone = reconstruct(fit_dmd(latent.trajectory(i), 2), grid).state
         slice_err = max(slice_err, frobenius_rel_error(standalone, rebuilt[lo:hi]))
 
-    spec = RegressorSpec("linear")
     train_err = 0.0
-    for model in (mono, fit_partitioned(latent)):
+    for model in (mono, fit_partitioned(latent, sites)):
         for i in range(latent.n_params):
             member = fit_dmd(latent.trajectory(i), 2)
             reference = lift(reconstruct(member, grid).state, basis)
-            pred = lift(predict_latent(model, latent.params[i : i + 1], grid.instants, spec)[0], basis)
+            pred = lift(predict_latent(model, latent.params[i : i + 1], grid.instants)[0], basis)
             train_err = max(train_err, frobenius_rel_error(reference, pred))
 
     _verdict(
@@ -338,7 +338,7 @@ def median_query_seconds(scenario) -> dict:
         fitted = fit_surrogate(train, options)
         for mu in test.params:
             times = [
-                timed_query(fitted.model, mu, dataset.grid.instants, fitted.regressor)[1]
+                timed_query(fitted.model, mu, dataset.grid.instants)[1]
                 for _ in range(QUERY_REPEATS)
             ]
             seconds[parameter_label(mu), algorithm] = float(np.median(times))
@@ -402,10 +402,10 @@ def test_round_trips_and_determinism(suite_outcome, tmp_path):
     loaded = load_model(model_a)
     save_model(loaded.model, model_b, metadata=loaded.metadata)
     before = predict_surrogate(
-        surrogate.model, [0.5], dataset.grid.instants, surrogate.regressor
+        surrogate.model, [0.5], dataset.grid.instants
     )
     after = predict_surrogate(
-        loaded.model, [0.5], dataset.grid.instants, surrogate.regressor
+        loaded.model, [0.5], dataset.grid.instants
     )
     model_ok = model_a.read_bytes() == model_b.read_bytes() and np.array_equal(
         before, after

@@ -14,8 +14,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdmd.algorithms import ALGORITHMS
-from pdmd.archive import MAGIC, ModelArchive, _encode_array, load_model, save_model
+from pdmd.archive import (
+    MAGIC,
+    VERSION,
+    ModelArchive,
+    _encode_array,
+    _encode_json,
+    load_model,
+    save_model,
+)
 from pdmd.cli import main
+from pdmd.data import read_dataset
 from pdmd.dmd import DmdModel
 from pdmd.errors import DataError, IllConditionedWarning, PdmdError, PdmdWarning
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
@@ -70,13 +79,15 @@ def fixed_dmd(scale):
 
 def fixed_models(spec=None):
     """One model of each kind built from fixed arrays: no fitting, so no
-    LAPACK result reaches the archive bytes.  ``roi`` and ``rkoi`` read a
-    regressor of ``spec`` if given, else a linear and a nearest one."""
+    LAPACK result reaches the archive bytes.  Every model reads a
+    regressor of ``spec`` if given; else ``rkoi`` a nearest one and the
+    others a linear one."""
     basis = GlobalBasis(
         np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]), np.array([3.0, 0.5]), 0.875
     )
     roi_spec = spec or RegressorSpec("linear")
     rkoi_spec = spec or RegressorSpec("nearest", extrapolation="allow")
+    sites = prepare(roi_spec, FIXED_PARAMS)
     stacked = DmdModel(
         reduced_op=np.array([[0.5, 0.0], [0.0, 0.25]]),
         eigenvalues=np.array([0.5 + 0j, 0.25 + 0j]),
@@ -110,15 +121,11 @@ def fixed_models(spec=None):
             t0=1.0,
             notes=("parameter 1: fixed note",),
         ),
-        "mono": MonolithicModel(
-            basis=basis,
-            stacked_dmd=stacked,
-            params=FIXED_PARAMS,
-        ),
+        "mono": MonolithicModel(basis=basis, stacked_dmd=stacked, sites=sites),
         "part": PartitionedModel(
             basis=basis,
             members=(fixed_dmd(1.0), fixed_dmd(0.5)),
-            params=FIXED_PARAMS,
+            sites=sites,
         ),
     }
 
@@ -126,17 +133,18 @@ def fixed_models(spec=None):
 FIXED_METADATA = {"offline_seconds": 0.25, "rank": 2}
 
 # SHA-256 of save_model(fixed_models()[tag], path, FIXED_METADATA) in
-# archive format 2
+# archive format 3
 GOLDEN_SHA256 = {
-    "roi": "a118ecf93aa74406ae3269521fcd9b81e6bea4e133c10da085a6f93bff02d0da",
-    "rkoi": "95512366c1b9d2466275f77f22f27b7e5760253d0dfcab806df3bc15bccd04d5",
-    "mono": "c789c81f0305e7a172b8359eaa8fa013c0827a2d9e78787fe918de52e91c92b2",
-    "part": "d05829a57e0f20b23fec8c0429ca0b85321d477d234e6fd1edf0050157a3fb5f",
+    "roi": "88531aac13d161c43bfd84f9c16cd37e07c5b55e71fe39d948ce80a083b04ee8",
+    "rkoi": "69ace60271df43b4279a8aa67c2fc4c71e94ded6a9c23231ddef325075c2d5b0",
+    "mono": "db71dc1c1a4ad5496dcb057196c7d8707671e46a085b5b051be9c14ce6d00091",
+    "part": "85fc05ed9bf6c7827dfbd469ab0ce45a025779f9c5915ab69eb0a88c0073d62b",
 }
 
 # The same models in format 1, committed as written by the format-1
 # save_model (with roi.train_residuals [1e-3, 2e-3] and each DMD's
-# reduced_eigvecs), and the SHA-256 the format-1 tests held them to.
+# reduced_eigvecs), and the SHA-256 the format-1 tests held them to;
+# a load no longer reads them.
 V1_ARCHIVES = Path(__file__).parent / "data" / "archive_v1"
 GOLDEN_V1_SHA256 = {
     "roi": "172019a6066ba60b4bb0300c91d59e93d49cbad30632113384cccc65a5365bc5",
@@ -146,49 +154,89 @@ GOLDEN_V1_SHA256 = {
 }
 
 # regressors whose archive entries the hashes above do not reach: the rbf
-# shape, taken from the median site distance or given, and the poly degree
+# shape (None, for the median site distance, or given), the poly degree,
+# and the value tables each kind solves to
 KIND_SPECS = {
     "rbf-gauss": RegressorSpec("rbf-gauss"),
     "rbf-tps": RegressorSpec("rbf-tps", shape=0.75),
     "poly": RegressorSpec("poly", degree=1),
 }
 # SHA-256 of save_model(fixed_models(KIND_SPECS[kind])[tag], path,
-# FIXED_METADATA) in archive format 2
+# FIXED_METADATA) in archive format 3
 GOLDEN_KIND_SHA256 = {
-    ("roi", "rbf-gauss"): "fd9b12f08400e758961670763515d4f1c86e00e7467ad8c62a212e0d7ebd3ef5",
-    ("rkoi", "rbf-gauss"): "06a20ba6edec8df896d126242e131f3cc4377a10cb1c3c3e39f2f82b2506fe4c",
-    ("roi", "rbf-tps"): "0d550d084ec1ff3eee9710d9068541b2bacf8b4fcb456683883714a82966fc62",
-    ("rkoi", "rbf-tps"): "804bd86e74418eaf7ac0f77c35c355e3f1ef0fc010c2d92984d345b54b4f45ed",
-    ("roi", "poly"): "35e5c0227215a4d1e24af5b4643bbf8612ae3923609694321dd4cd4eeb047483",
-    ("rkoi", "poly"): "a87af94d4239fdf73b59872aff0717358c131290d6c8cc7fdf9da96af4ffa731",
+    ("roi", "rbf-gauss"): "97de9275e8018d71469e78a28aa4df854b6150a4b015f1704f23a71090b51625",
+    ("rkoi", "rbf-gauss"): "8d4b4569529814ed3bcb6fb2150c3153b23a648316cd97d9f27fb01df8c80729",
+    ("roi", "rbf-tps"): "743f39607e2bca9bf9aee3d9e12cf610bb11bd8b95812960f46dbf9961f8782a",
+    ("rkoi", "rbf-tps"): "27b09fa3da64ea0f695c64ab26b7f42084868d6f9edfb65f670acc0e2d1b615a",
+    ("roi", "poly"): "dfda2648e7ded58283efa6ac2f7c611168380ff2e0eb26a99e4914171b55173c",
+    ("rkoi", "poly"): "6bd9a6b79fe07bbf1fbda64b191cdbf2cf3e0ce148a661cc81bab61e0a6e25fd",
 }
 
 
-def edit_sections(raw: bytes, changes: dict) -> bytes:
-    """The archive bytes with named sections rewritten: an array replaces
-    the stored one, a dict updates the keys of the stored JSON object."""
+# a change that removes the named section
+DROP = object()
+
+
+def split_sections(raw: bytes) -> tuple:
+    """(head, [(name, payload)]) of the archive bytes, the head being the
+    magic, the version and the algorithm tag."""
     offset = len(MAGIC) + 4  # magic, version
     offset += 4 + struct.unpack_from("<I", raw, offset)[0]  # algorithm tag
+    head = raw[:offset]
     (count,) = struct.unpack_from("<I", raw, offset)
     offset += 4
-    pieces = [raw[:offset]]
+    sections = []
     for _ in range(count):
         fields = []
         for _ in range(2):  # name, payload
             length = struct.unpack_from("<I", raw, offset)[0]
             fields.append(raw[offset + 4 : offset + 4 + length])
             offset += 4 + length
-        name, payload = fields
-        change = changes.get(name.decode())
+        sections.append((fields[0].decode(), fields[1]))
+    assert offset == len(raw)
+    return head, sections
+
+
+def edit_sections(raw: bytes, changes: dict) -> bytes:
+    """The archive bytes with named sections rewritten: an array replaces
+    the stored one, a dict updates the keys of the stored JSON object and
+    ``DROP`` removes the section.  A change that names no stored section
+    is appended as a new section."""
+    head, stored = split_sections(raw)
+    added = dict(changes)
+    sections = []
+    for name, payload in stored:
+        change = added.pop(name, None)
+        if change is DROP:
+            continue
         if isinstance(change, dict):
-            stored = json.loads(payload[1:])
-            payload = b"J" + json.dumps({**stored, **change}, sort_keys=True).encode()
+            value = json.loads(payload[1:])
+            payload = b"J" + json.dumps({**value, **change}, sort_keys=True).encode()
         elif change is not None:
             payload = _encode_array(change)
-        for field in (name, payload):
+        sections.append((name, payload))
+    for name, value in added.items():
+        encode = _encode_array if isinstance(value, np.ndarray) else _encode_json
+        sections.append((name, encode(value)))
+    pieces = [head, struct.pack("<I", len(sections))]
+    for name, payload in sections:
+        for field in (name.encode(), payload):
             pieces += [struct.pack("<I", len(field)), field]
-    assert offset == len(raw)
     return b"".join(pieces)
+
+
+def assert_refit_asked(path, version, tmp_path, capsys):
+    """A file of an older format fails to load, naming its format and
+    asking for a refit, and ``pdmd predict`` on it exits 3."""
+    message = (
+        f"archive format {version} is not read by this pdmd version, which reads "
+        f"format {VERSION} only; refit the model with pdmd fit"
+    )
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--mu", "0.5",
+                 "--out", str(tmp_path / "pred.pdmd1")]) == 3
+    assert message in capsys.readouterr().err
 
 
 def assert_tamper_rejected(raw, changes, message, tmp_path, capsys):
@@ -241,40 +289,56 @@ class TestFormat:
         assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("tag", list(ALGORITHMS))
-    def test_version_1_file_loads_and_resaves_as_version_2(
-        self, tag, fixed_archives, tmp_path
-    ):
+    def test_every_section_is_read(self, tag, fixed_archives, tmp_path, capsys):
+        # the load reads every section a format-3 file holds: without any
+        # one of them the file fails to load, naming it
+        raw = fixed_archives[tag]
+        names = [name for name, _ in split_sections(raw)[1]]
+        assert "meta" in names and len(names) == len(set(names))
+        for name in names:
+            message = f"archive is missing section {name!r}"
+            assert_tamper_rejected(raw, {name: DROP}, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_version_1_file_asks_for_a_refit(self, tag, tmp_path, capsys):
         path = V1_ARCHIVES / f"{tag}.pdmdm"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_V1_SHA256[tag]
-        loaded = load_model(path)
-        assert (loaded.algorithm, loaded.metadata) == (tag, FIXED_METADATA)
-        mu, instants, spec = [0.5], [1.0, 1.5, 3.5], RegressorSpec()
-        assert np.array_equal(
-            predict_surrogate(loaded.model, mu, instants, spec),
-            predict_surrogate(fixed_models()[tag], mu, instants, spec),
-        )
-        again = tmp_path / "again.pdmdm"
-        save_model(loaded.model, again, metadata=loaded.metadata)
-        assert again.read_bytes() == fixed_archives[tag]
+        assert_refit_asked(path, 1, tmp_path, capsys)
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_version_2_file_asks_for_a_refit(self, tag, fixed_archives, tmp_path, capsys):
+        raw = bytearray(fixed_archives[tag])
+        assert raw[len(MAGIC)] == VERSION
+        raw[len(MAGIC)] = 2
+        path = tmp_path / "v2.pdmdm"
+        path.write_bytes(bytes(raw))
+        assert_refit_asked(path, 2, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "tag, section",
         [("roi", "roi.train_residuals"), ("mono", "mono.stacked.reduced_eigvecs"),
          ("part", "part.member1.reduced_eigvecs")],
     )
-    def test_non_finite_version_1_section_rejected(self, tag, section, tmp_path, capsys):
-        raw = (V1_ARCHIVES / f"{tag}.pdmdm").read_bytes()
+    def test_non_finite_version_1_section_rejected(
+        self, tag, section, fixed_archives, tmp_path, capsys
+    ):
+        # a format-1 section in a format-3 file is decoded, and so checked,
+        # before the load finds that it reads nothing from it
         message = f"archive section {section!r} holds non-finite entries"
+        raw = fixed_archives[tag]
         assert_tamper_rejected(raw, {section: np.full(2, np.nan)}, message, tmp_path, capsys)
+        message = f"archive section {section!r} is not read by a format-3 {tag} model"
+        assert_tamper_rejected(raw, {section: np.ones(2)}, message, tmp_path, capsys)
 
-    def test_centered_basis_rejected(self, fixed_archives, tmp_path):
-        raw = fixed_archives["roi"]
-        flag = b'"centered": false'
-        assert raw.count(flag) == 1
-        path = tmp_path / "centered.pdmdm"
-        path.write_bytes(raw.replace(flag, b'"centered":  true'))
-        with pytest.raises(DataError, match="centered"):
-            load_model(path)
+    def test_centered_basis_rejected(self, fixed_archives, tmp_path, capsys):
+        # format 2 wrote a "centered" flag that no load read; a file that
+        # claims a centered basis is rejected
+        message = (
+            "archive section 'basis.spec' holds ['centered', 'energy_captured'], "
+            "not the keys ['energy_captured']"
+        )
+        changes = {"basis.spec": {"centered": True}}
+        assert_tamper_rejected(fixed_archives["roi"], changes, message, tmp_path, capsys)
 
 
 def tall_dataset():
@@ -329,19 +393,38 @@ class TestRoundTrips:
         assert loaded.algorithm == tag
         assert loaded.metadata == fitted.metadata
         mu, instants = [0.45], dataset.grid.instants[:7]
-        assert np.array_equal(
-            predict_surrogate(fitted.model, mu, instants, fitted.regressor),
-            predict_surrogate(
-                loaded.model, mu, instants, spec_from_metadata(loaded.metadata)
-            ),
-        )
+        expected = predict_surrogate(fitted.model, mu, instants)
+        assert np.array_equal(predict_surrogate(loaded.model, mu, instants), expected)
+        # the transitional spec argument: the metadata's spec is the model's
+        spec = spec_from_metadata(loaded.metadata)
+        assert np.array_equal(predict_surrogate(loaded.model, mu, instants, spec), expected)
         again = tmp_path / "again.pdmdm"
         save_model(loaded.model, again, metadata=loaded.metadata)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_regressor_keys_of_meta_do_not_reach_the_model(self, tag, tmp_path):
+        # the model holds its regressor: the metadata's copy of its spec,
+        # edited in every key, moves no bit of a loaded model's answer
+        dataset, _ = make_latent(seed=1)
+        fitted = fit_surrogate(dataset, FitOptions(tag, rank=3))
+        other = {"regressor": "nearest", "rbf_shape": 2.0, "poly_degree": 3,
+                 "ridge": 0.5, "extrapolation": "error"}
+        assert all(fitted.metadata[key] != value for key, value in other.items())
+        path = tmp_path / "edited.pdmdm"
+        save_model(fitted.model, path, {**fitted.metadata, **other})
+        out = tmp_path / "pred.pdmd1"
+        assert main(["predict", "--model", str(path), "--mu", "0.45", "--out", str(out)]) == 0
+        written = read_dataset(out).trajectories[0]
+        expected = predict_surrogate(fitted.model, [0.45], written.grid.instants)
+        assert np.array_equal(written.state, expected)
+        loaded = load_model(path).model
+        assert np.array_equal(predict_surrogate(loaded, [0.45], written.grid.instants), expected)
+
     def test_saved_file_is_deterministic(self, tmp_path):
         _, latent = make_latent(seed=4)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("nearest"))
+        model = fit_roi(latent, op_rank=2, sites=prepare(RegressorSpec("nearest"), latent.params))
         first, second = tmp_path / "a.pdmdm", tmp_path / "b.pdmdm"
         save_model(model, first)
         save_model(model, second)
@@ -350,7 +433,7 @@ class TestRoundTrips:
     def test_regressor_state_preserved(self, tmp_path):
         _, latent = make_latent(seed=5)
         spec = RegressorSpec("rbf-gauss", shape=1.5, extrapolation="allow")
-        model = fit_roi(latent, op_rank=2, spec=spec)
+        model = fit_roi(latent, op_rank=2, sites=prepare(spec, latent.params))
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         loaded = load_model(path).model
@@ -372,7 +455,7 @@ class TestValidation:
 
     def test_truncated_archive_rejected(self, tmp_path):
         _, latent = make_latent(seed=6)
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, prepare(RegressorSpec("linear"), latent.params))
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         clipped = tmp_path / "clipped.pdmdm"
@@ -382,7 +465,7 @@ class TestValidation:
 
     def test_wrong_version_rejected(self, tmp_path):
         _, latent = make_latent(seed=7)
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, prepare(RegressorSpec("linear"), latent.params))
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         raw = bytearray(path.read_bytes())
@@ -460,8 +543,9 @@ class TestValidation:
             model = fixed_models(spec)[tag]
         path = tmp_path / "ill.pdmdm"
         save_model(model, path, metadata=FIXED_METADATA)
-        # the file keeps one regressor section group per quantity
-        assert path.read_bytes().count(b'"coeff_keys"') == n_groups
+        # format 2 kept one regressor per quantity (n_groups of them);
+        # format 3 keeps the one regressor the model holds
+        assert path.read_bytes().count(b"regressor.spec") == 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             loaded = load_model(path).model
@@ -473,96 +557,68 @@ class TestValidation:
         assert np.array_equal(regressors[0].values, model.regressor.values)
 
     @pytest.mark.parametrize(
-        "changes, message",
+        "tag, changes, message",
         [
             (
-                {"roi.init_reg.coeff.table": np.array([[1.0, 0.0]])},
-                "roi.init_reg table of shape (1, 2) does not fit 2 sites",
+                "roi",
+                {"regressor.values": np.array([[1.0, 0.5, 1.0, 0.0]])},
+                "regressor values of shape (1, 4) do not fit 2 sites",
             ),
             (
-                {"roi.init_reg.training_params": np.array([[0.25], [0.5]])},
-                "archive section 'roi.init_reg.training_params' disagrees",
+                "roi",
+                {"regressor.params": np.array([[0.25], [0.5], [0.75]])},
+                "regressor values of shape (2, 4) do not fit 3 sites",
             ),
             (
-                {"rkoi.amp_reg.spec": {"ridge": 0.5}},
-                "archive section 'rkoi.amp_reg.spec' disagrees",
+                "rkoi",
+                {"regressor.spec": {"kind": "poly", "degree": 3, "ridge": 0.5}},
+                "regressor values of shape (2, 8) do not fit 4 sites",
             ),
             (
-                {"rkoi.omega_reg.spec": {"complex_output": False}},
-                "archive section 'rkoi.omega_reg.spec' disagrees",
+                "rkoi",
+                {"regressor.values": np.ones((2, 16))},
+                "triplet regressor has 16 output channels, basis rank 2 needs 8",
             ),
         ],
         ids=["short-table", "other-params", "other-spec", "other-complex-flag"],
     )
     def test_regressors_off_their_sites_rejected(
-        self, fixed_archives, tmp_path, capsys, changes, message
+        self, fixed_archives, tmp_path, capsys, tag, changes, message
     ):
-        tag = next(iter(changes)).split(".")[0]
         assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     def test_stored_output_dim_off_the_table_rejected(
         self, fixed_archives, tmp_path, capsys
     ):
-        raw = fixed_archives["roi"]
-        stored = b'"output_dim": 2'
-        assert raw.count(stored) == 2
-        path = tmp_path / "tampered.pdmdm"
-        path.write_bytes(raw.replace(stored, b'"output_dim": 3', 1))
-        message = "table of shape (2, 2) does not fit 2 sites and 3 output channels"
-        with pytest.raises(DataError, match=re.escape(message)):
-            load_model(path)
-        assert main(["predict", "--model", str(path), "--mu", "0.5",
-                     "--out", str(tmp_path / "pred.pdmd1")]) == 3
-        assert message in capsys.readouterr().err
+        # the channel count is the value table's width: format 2's stored
+        # copy of it is a key no load reads
+        message = (
+            "archive section 'regressor.spec' holds ['degree', 'extrapolation', 'kind', "
+            "'output_dim', 'ridge', 'shape'], not the keys"
+        )
+        changes = {"regressor.spec": {"output_dim": 2}}
+        assert_tamper_rejected(fixed_archives["roi"], changes, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "tag, changes, message",
         [
             ("roi", {"roi.op_modes": np.ones((4, 3))}, "op_modes of shape (4, 3)"),
             ("roi", {"roi.op_modes": np.ones((9, 2))}, "op_modes of shape (9, 2)"),
-            ("roi", {"roi.spec": {"op_rank": 3}}, "section 'roi.spec' disagrees"),
-            (
-                "roi",
-                {
-                    "roi.init_reg.spec": {"output_dim": 3},
-                    "roi.init_reg.coeff.table": np.array([[1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
-                },
-                "op_modes of shape (4, 2) and 5 regressor channels",
-            ),
-            (
-                "rkoi",
-                {
-                    "rkoi.mode_reg.spec": {"output_dim": 2},
-                    "rkoi.mode_reg.coeff.table": np.array([[1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.25]]),
-                },
-                "triplet regressor has 6 output channels, basis rank 2 needs 8",
-            ),
-            (
-                "rkoi",
-                {
-                    "rkoi.omega_reg.spec": {"output_dim": 1},
-                    "rkoi.omega_reg.coeff.table": np.array([[-0.1, 1.0], [-0.2, 2.0]]),
-                },
-                "triplet regressor has 7 output channels",
-            ),
-            (
-                "rkoi",
-                {
-                    "rkoi.amp_reg.spec": {"output_dim": 3},
-                    "rkoi.amp_reg.coeff.table": np.ones((2, 6)),
-                },
-                "triplet regressor has 9 output channels",
-            ),
-            (
-                "mono",
-                {"mono.params": np.array([[0.25], [0.5], [0.75]])},
-                "stacked DMD has 4 state rows, not 3 parameters times basis rank 2",
-            ),
-            (
-                "part",
-                {"part.params": np.array([[0.25], [0.5], [0.75]])},
-                "2 members of state rows [2] do not fit 3 parameters at basis rank 2",
-            ),
+            ("roi", {"roi.spec": {"op_rank": 3}},
+             "archive section 'roi.spec' holds ['dt', 'op_rank', 't0'], not the keys"),
+            ("roi", {"regressor.values": np.ones((2, 5))},
+             "op_modes of shape (4, 2) and 5 regressor channels"),
+            ("rkoi", {"regressor.values": np.ones((2, 6)) + 1j},
+             "triplet regressor has 6 output channels, basis rank 2 needs 8"),
+            ("rkoi", {"regressor.values": np.ones((2, 7)) + 1j},
+             "triplet regressor has 7 output channels"),
+            ("rkoi", {"regressor.values": np.ones((2, 9)) + 1j},
+             "triplet regressor has 9 output channels"),
+            ("mono", {"regressor.params": np.array([[0.25], [0.5], [0.75]])},
+             "stacked DMD has 4 state rows, not 3 parameters times basis rank 2"),
+            # one member per training parameter
+            ("part", {"regressor.params": np.array([[0.25], [0.5], [0.75]])},
+             "archive is missing section 'part.member2.spec'"),
         ],
         ids=[
             "roi-op-modes-columns",
@@ -582,30 +638,39 @@ class TestValidation:
         assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
-        "tag, changes, section",
+        "tag, changes, message",
         [
-            ("mono", {"mono.spec": {"dt": 0.25}}, "mono.spec"),
-            ("mono", {"mono.spec": {"t0": 0.0}}, "mono.spec"),
-            ("mono", {"mono.block_map": np.array([[0, 1], [1, 4]])}, "mono.block_map"),
-            ("part", {"part.spec": {"dt": 0.25}}, "part.spec"),
-            ("part", {"part.spec": {"t0": 0.0}}, "part.spec"),
-            ("mono", {"mono.stacked.spec": {"rank": 7}}, "mono.stacked.spec"),
+            ("mono", {"mono.spec": {"dt": 0.25, "t0": 1.0}},
+             "archive section 'mono.spec' is not read by a format-3 mono model"),
+            ("mono", {"mono.spec": {"dt": 0.5, "t0": 0.0}},
+             "archive section 'mono.spec' is not read by a format-3 mono model"),
+            ("mono", {"mono.block_map": np.array([[0, 1], [1, 4]])},
+             "archive section 'mono.block_map' is not read by a format-3 mono model"),
+            ("part", {"part.spec": {"dt": 0.25, "t0": 1.0, "n_members": 2}},
+             "archive section 'part.spec' is not read by a format-3 part model"),
+            ("part", {"part.spec": {"dt": 0.5, "t0": 0.0, "n_members": 2}},
+             "archive section 'part.spec' is not read by a format-3 part model"),
+            ("mono", {"mono.stacked.spec": {"rank": 7}},
+             "archive section 'mono.stacked.spec' holds ['dt', 'rank', 't0'], not the keys"),
             ("part", {"part.member0.spec": {"rank": 7}, "part.member1.spec": {"rank": 7}},
-             "part.member0.spec"),
+             "archive section 'part.member0.spec' holds ['dt', 'rank', 't0'], not the keys"),
             ("roi", {"roi.coeff_reg.spec": {"output_dim": 1},
                      "roi.init_reg.spec": {"output_dim": 3},
                      "roi.coeff_reg.coeff.table": np.array([[1.0], [0.75]]),
                      "roi.init_reg.coeff.table": np.array([[0.5, 1.0, 0.0], [0.25, 0.5, 0.5]])},
-             "roi.coeff_reg.spec"),
-            ("roi", {"roi.init_reg.coeff.xs": np.array([0.25, 0.5])}, "roi.init_reg.coeff.xs"),
+             "archive section 'roi.coeff_reg.coeff.table' is not read by a format-3 roi model"),
+            ("roi", {"roi.init_reg.coeff.xs": np.array([0.25, 0.75])},
+             "archive section 'roi.init_reg.coeff.xs' is not read by a format-3 roi model"),
         ],
         ids=["mono-dt", "mono-t0", "mono-block-map", "part-dt", "part-t0",
              "mono-dmd-rank", "part-member-ranks", "roi-groups-shifted", "roi-xs"],
     )
     def test_stored_copies_off_the_arrays_rejected(
-        self, fixed_archives, tmp_path, capsys, tag, changes, section
+        self, fixed_archives, tmp_path, capsys, tag, changes, message
     ):
-        message = f"archive section {section!r} disagrees with the model's arrays"
+        # format 2 stored copies of facts the arrays fix and checked them
+        # against the model; format 3 stores none, and a load rejects a
+        # stored copy, agreeing or not, as a section or key it does not read
         assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
@@ -613,9 +678,9 @@ class TestValidation:
         [
             ("roi", {"roi.spec": {"dt": 0.0}},
              "lattice step dt must be finite and positive, got 0.0"),
-            ("part", {f"part{s}.spec": {"dt": 0.0} for s in ("", ".member0", ".member1")},
+            ("part", {f"part.member{i}.spec": {"dt": 0.0} for i in range(2)},
              "lattice step dt must be finite and positive, got 0.0"),
-            ("mono", {"mono.spec": {"dt": -0.05}, "mono.stacked.spec": {"dt": -0.05}},
+            ("mono", {"mono.stacked.spec": {"dt": -0.05}},
              "lattice step dt must be finite and positive, got -0.05"),
             ("rkoi", {"rkoi.spec": {"t0": float("nan")}},
              "initial instant t0 must be finite, got nan"),
@@ -653,6 +718,6 @@ class TestValidation:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", PdmdWarning)
             try:
-                predict_surrogate(archive.model, [0.5], [1.0, 1.5, 2.0], RegressorSpec())
+                predict_surrogate(archive.model, [0.5], [1.0, 1.5, 2.0])
             except PdmdError:
                 pass

@@ -524,10 +524,13 @@ class TestPredict:
                        "--out", str(tmp_path / "model.pdmdm")) == 3
         assert "raise --rbf-shape" in capsys.readouterr().err
 
-    def test_wrong_parameter_dimension_is_data_error(self, tmp_path):
+    def test_wrong_parameter_dimension_is_data_error(self, tmp_path, capsys):
         data, model = self.fit_model(tmp_path)
+        capsys.readouterr()
         assert run_cli("predict", "--model", str(model), "--mu", "0.5,0.5",
                        "--out", str(tmp_path / "pred.pdmd1")) == 3
+        assert ("query parameter of shape (2,) does not fit the model's parameter "
+                "dimension 1") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["predict", "--mu", "0.5"],

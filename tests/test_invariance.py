@@ -57,7 +57,7 @@ def predictions(data, algorithm):
     queries = (params[:-1] + params[1:]) / 2
     return np.stack(
         [
-            predict_surrogate(fitted.model, mu, data.grid.instants, fitted.regressor)
+            predict_surrogate(fitted.model, mu, data.grid.instants)
             for mu in queries
         ]
     )

@@ -72,28 +72,33 @@ def advance(model, step):
     return (model.modes @ (model.eigenvalues**step * model.amplitudes)).real
 
 
-def per_step_prediction(model, mu, times, spec):
+def sites_for(latent, spec=RegressorSpec("linear")):
+    return regression.prepare(spec, latent.params)
+
+
+def per_step_prediction(model, mu, times):
     """Reference oracle for predict_latent: every DMD advanced separately
-    to each requested instant, then one regressor fit per instant."""
+    to each requested instant, then one regressor fit per instant on the
+    model's training parameters, prepared afresh."""
     lattice = model.stacked_dmd if isinstance(model, MonolithicModel) else model.members[0]
     steps = lattice_steps(times, lattice.t0, lattice.dt)
     columns = []
     for step in steps:
         if isinstance(model, MonolithicModel):
             # the stacked state holds each parameter's rows in turn
-            states = advance(model.stacked_dmd, step).reshape(len(model.params), -1)
+            states = advance(model.stacked_dmd, step).reshape(len(model.sites.params), -1)
         else:
             states = np.vstack([advance(member, step) for member in model.members])
-        sites = regression.prepare(spec, model.params)
+        sites = regression.prepare(model.sites.spec, model.sites.params)
         regressor = regression.fit(sites, states)
         columns.append(regression.combine(regression.stencil(sites, mu), regressor))
     return lift(np.column_stack(columns), model.basis)
 
 
-def predict_one(model, mu, times, spec):
+def predict_one(model, mu, times):
     """State trajectory at one parameter vector: predict_latent on a
     one-row block, lifted."""
-    return lift(predict_latent(model, [mu], times, spec)[0], model.basis)
+    return lift(predict_latent(model, [mu], times)[0], model.basis)
 
 
 class TestFitMonolithic:
@@ -102,7 +107,7 @@ class TestFitMonolithic:
         single = LatentDataset(
             latent.basis, latent.params[:1], latent.latents[:1], latent.grid
         )
-        model = fit_monolithic(single)
+        model = fit_monolithic(single, sites_for(single))
         reference = fit_dmd(single.trajectory(0), 2)
         assert_allclose(
             model.stacked_dmd.eigenvalues, reference.eigenvalues, atol=1e-12
@@ -110,21 +115,21 @@ class TestFitMonolithic:
 
     def test_decoupled_blocks_give_union_spectrum(self):
         latent, ops = two_block_family()
-        model = fit_monolithic(latent)
+        model = fit_monolithic(latent, sites_for(latent))
         expected = np.concatenate([np.linalg.eigvals(op) for op in ops])
         got = np.sort_complex(model.stacked_dmd.eigenvalues)
         assert_allclose(got, np.sort_complex(expected), atol=1e-8)
 
     def test_full_rank_training_reconstruction(self):
         latent, _ = two_block_family()
-        model = fit_monolithic(latent)
+        model = fit_monolithic(latent, sites_for(latent))
         stacked = np.vstack(latent.latents)
         rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
         assert frobenius_rel_error(stacked, rebuilt) <= 1e-8
 
     def test_block_slices_match_standalone_fits(self):
         latent, _ = two_block_family()
-        model = fit_monolithic(latent)
+        model = fit_monolithic(latent, sites_for(latent))
         rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
         for i in range(latent.n_params):
             lo, hi = 2 * i, 2 * (i + 1)
@@ -135,14 +140,14 @@ class TestFitMonolithic:
 
     def test_rank_deficient_stack_is_clipped(self):
         latent, _ = scaled_family([0.5, 1.0, 1.5])
-        model = fit_monolithic(latent)
+        model = fit_monolithic(latent, sites_for(latent))
         assert model.stacked_dmd.rank == 2
 
 
 class TestFitPartitioned:
     def test_members_recover_spectra(self):
         latent, ops = two_block_family()
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, sites_for(latent))
         for member, op in zip(model.members, ops):
             assert_allclose(
                 np.sort_complex(member.eigenvalues),
@@ -163,7 +168,7 @@ class TestFitPartitioned:
 
         monkeypatch.setattr(latent_module, "fit_dmd", fail_on_second)
         with pytest.raises(NumericalError) as caught:
-            fit_partitioned(latent)
+            fit_partitioned(latent, sites_for(latent))
         assert str(caught.value) == (
             "training parameter 1 (mu = [1.5]): eigendecomposition failed"
         )
@@ -174,59 +179,54 @@ class TestFitPartitioned:
 class TestPredictLatent:
     def test_overflowing_member_raises(self):
         latent, _ = two_block_family()
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, sites_for(latent))
         grown = replace(model.members[1], eigenvalues=np.array([1e3 + 0j, 0.5 + 0j]))
         model = replace(model, members=(model.members[0], grown))
-        spec = RegressorSpec("linear")
         times = latent.grid.instants[0] + latent.grid.dt * np.array([0.0, 50.0, 150.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflow at lattice step 150"):
-                predict_latent(model, [[0.5]], times, spec)
+                predict_latent(model, [[0.5]], times)
 
     def test_training_parameter_matches_member(self):
         latent, _ = two_block_family()
-        spec = RegressorSpec("linear")
         for model in (
-            fit_monolithic(latent),
-            fit_partitioned(latent),
+            fit_monolithic(latent, sites_for(latent)),
+            fit_partitioned(latent, sites_for(latent)),
         ):
             member = fit_dmd(latent.trajectory(1), 2)
             reference = lift(reconstruct(member, latent.grid).state, latent.basis)
-            pred = predict_one(model, latent.params[1], latent.grid.instants, spec)
+            pred = predict_one(model, latent.params[1], latent.grid.instants)
             assert frobenius_rel_error(reference, pred) <= 1e-9
 
     def test_amplitude_family_exact_at_unseen_parameter(self):
         latent, base = scaled_family([0.5, 1.0, 1.5])
-        spec = RegressorSpec("linear")
         target = 0.75
         truth = target * base
-        for model in (fit_monolithic(latent), fit_partitioned(latent)):
-            pred = predict_one(
-                model, [target], latent.grid.instants, spec
-            )
+        sites = sites_for(latent)
+        for model in (fit_monolithic(latent, sites), fit_partitioned(latent, sites)):
+            pred = predict_one(model, [target], latent.grid.instants)
             assert frobenius_rel_error(truth, pred) <= 1e-8
 
     def test_variants_agree_on_smooth_family(self):
         latent, _ = scaled_family([0.5, 1.0, 1.5])
-        spec = RegressorSpec("linear")
         times = latent.grid.instants[:10]
-        mono = predict_one(fit_monolithic(latent), [0.8], times, spec)
-        part = predict_one(fit_partitioned(latent), [0.8], times, spec)
+        mono = predict_one(fit_monolithic(latent, sites_for(latent)), [0.8], times)
+        part = predict_one(fit_partitioned(latent, sites_for(latent)), [0.8], times)
         assert_allclose(mono, part, atol=1e-7)
 
     def test_single_instant_single_column(self):
         latent, _ = scaled_family([0.5, 1.0])
-        model = fit_partitioned(latent)
-        out = predict_one(model, [0.7], latent.grid.instants[3:4], RegressorSpec("linear"))
+        model = fit_partitioned(latent, sites_for(latent))
+        out = predict_one(model, [0.7], latent.grid.instants[3:4])
         assert out.shape == (2, 1)
 
     def test_regressor_fit_per_requested_instant(self):
         latent, _ = scaled_family([0.5, 1.0, 1.5])
-        spec = RegressorSpec("linear")
-        for model in (fit_monolithic(latent), fit_partitioned(latent)):
+        sites = sites_for(latent)
+        for model in (fit_monolithic(latent, sites), fit_partitioned(latent, sites)):
             with FitCount() as fits:
-                predict_one(model, [0.8], latent.grid.instants[:5], spec)
+                predict_one(model, [0.8], latent.grid.instants[:5])
             assert fits.count == 5
 
     def test_member_order_invariance(self):
@@ -237,27 +237,24 @@ class TestPredictLatent:
             latent.latents[::-1],
             latent.grid,
         )
-        spec = RegressorSpec("linear")
         times = latent.grid.instants[:8]
         assert_allclose(
-            predict_one(fit_partitioned(latent), [0.9], times, spec),
-            predict_one(fit_partitioned(flipped), [0.9], times, spec),
+            predict_one(fit_partitioned(latent, sites_for(latent)), [0.9], times),
+            predict_one(fit_partitioned(flipped, sites_for(flipped)), [0.9], times),
             atol=1e-10,
         )
 
     def test_off_lattice_instant_rejected(self):
         latent, _ = scaled_family([0.5, 1.0])
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, sites_for(latent))
         with pytest.raises(DataError, match="lattice"):
-            predict_one(model, [0.7], np.array([0.5]), RegressorSpec("linear"))
+            predict_one(model, [0.7], np.array([0.5]))
 
     def test_single_parameter_degrades_to_nearest(self):
         latent, base = scaled_family([1.0])
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, sites_for(latent))
         with pytest.warns(Warning, match="clamped"):
-            pred = predict_one(
-                model, [3.0], latent.grid.instants, RegressorSpec("linear")
-            )
+            pred = predict_one(model, [3.0], latent.grid.instants)
         member = fit_dmd(latent.trajectory(0), 2)
         reference = lift(reconstruct(member, latent.grid).state, latent.basis)
         assert_allclose(pred, reference, atol=1e-10)
@@ -272,12 +269,11 @@ class TestPredictLatent:
 
         monkeypatch.setattr(latent_module, "evaluate", counting_evaluate)
         times = latent.grid.instants[:7]
-        spec = RegressorSpec("linear")
-        part = fit_partitioned(latent)
-        mono = fit_monolithic(latent)
+        part = fit_partitioned(latent, sites_for(latent))
+        mono = fit_monolithic(latent, sites_for(latent))
         for model, expected in ((part, part.members), (mono, [mono.stacked_dmd])):
             evaluated.clear()
-            predict_one(model, [0.8], times, spec)
+            predict_one(model, [0.8], times)
             assert [id(m) for m in evaluated] == [id(m) for m in expected]
 
 
@@ -292,8 +288,8 @@ def test_matches_per_step_oracle_on_default_suite(scenario):
         options = FitOptions(algorithm, rank=scenario.ranks[algorithm])
         fitted = fit_surrogate(train, options)
         for mu in test.params:
-            pred = predict_one(fitted.model, mu, times, fitted.regressor)
-            oracle = per_step_prediction(fitted.model, mu, times, fitted.regressor)
+            pred = predict_one(fitted.model, mu, times)
+            oracle = per_step_prediction(fitted.model, mu, times)
             assert frobenius_rel_error(oracle, pred) <= 1e-12
 
 
@@ -310,22 +306,22 @@ def swept_family(params, n_t=24):
     return LatentDataset(identity_basis(2), params, latents, grid)
 
 
-def per_instant_loop(model, rows, times, spec):
-    """Reference oracle for predict_latent: each instant prepares its
-    training parameters afresh, fits one regressor and reads every row
-    through a stencil of its own."""
+def per_instant_loop(model, rows, times):
+    """Reference oracle for predict_latent: each instant prepares the
+    model's training parameters afresh, fits one regressor and reads
+    every row through a stencil of its own."""
     lattice = model.stacked_dmd if isinstance(model, MonolithicModel) else model.members[0]
     steps = lattice_steps(times, lattice.t0, lattice.dt)
     if isinstance(model, MonolithicModel):
         stacked = dmd.evaluate(model.stacked_dmd, steps)
         rank = model.basis.rank
-        blocks = [stacked[i * rank : (i + 1) * rank] for i in range(len(model.params))]
+        blocks = [stacked[i * rank : (i + 1) * rank] for i in range(len(model.sites.params))]
     else:
         blocks = [dmd.evaluate(member, steps) for member in model.members]
     trajectories = np.stack(blocks)
     latents = np.empty((len(rows),) + trajectories.shape[1:])
     for k in range(steps.size):
-        sites = regression.prepare(spec, model.params)
+        sites = regression.prepare(model.sites.spec, model.sites.params)
         regressor = regression.fit(sites, trajectories[:, :, k])
         for i, mu in enumerate(rows):
             latents[i, :, k] = regression.combine(regression.stencil(sites, mu), regressor)
@@ -373,17 +369,18 @@ def test_matches_per_instant_loop_bit_for_bit(kind, p, policy, where, block):
     n_rows = 1 if block == "one-row" else latent.n_params
     rows = oracle_rows(latent.params, where, n_rows)
     times = latent.grid.instants[::3]
-    for model in (fit_monolithic(latent), fit_partitioned(latent)):
+    sites = sites_for(latent, spec)
+    for model in (fit_monolithic(latent, sites), fit_partitioned(latent, sites)):
         if policy == "error" and where == "outside":
             with pytest.raises(DataError, match="hull"):
-                predict_latent(model, rows, times, spec)
+                predict_latent(model, rows, times)
             with pytest.raises(DataError, match="hull"):
-                per_instant_loop(model, rows, times, spec)
+                per_instant_loop(model, rows, times)
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationWarning)
-            got = predict_latent(model, rows, times, spec)
-            want = per_instant_loop(model, rows, times, spec)
+            got = predict_latent(model, rows, times)
+            want = per_instant_loop(model, rows, times)
         assert got.shape == want.shape == (len(rows), 2, len(times))
         assert got.tobytes() == want.tobytes()
 
@@ -401,32 +398,38 @@ def count_warnings(category, call):
 class TestWarningsOncePerQuery:
     def test_clamped_query(self, fit_model):
         latent = swept_family([[0.2], [0.5], [0.8]])
-        model = fit_model(latent)
+        model = fit_model(latent, sites_for(latent))
         times = latent.grid.instants
         n_warnings = count_warnings(
             ExtrapolationWarning,
-            lambda: predict_latent(model, [[5.0]], times, RegressorSpec("linear")),
+            lambda: predict_latent(model, [[5.0]], times),
         )
         assert len(times) > 1
         assert n_warnings == 1
 
     def test_ill_conditioned_rbf_system(self, fit_model):
+        # the model's sites are prepared once, so the warning comes with
+        # them, before the fit, and no query repeats it
         latent = swept_family([[0.0], [1e-9], [1.0]])
-        model = fit_model(latent)
         spec = RegressorSpec("rbf-gauss", shape=100.0)
+        prepared = []
+        assert count_warnings(
+            IllConditionedWarning, lambda: prepared.append(sites_for(latent, spec))
+        ) == 1
+        model = fit_model(latent, prepared[0])
         n_warnings = count_warnings(
             IllConditionedWarning,
-            lambda: predict_latent(model, [[0.5]], latent.grid.instants, spec),
+            lambda: predict_latent(model, [[0.5]], latent.grid.instants),
         )
-        assert n_warnings == 1
+        assert n_warnings == 0
 
     def test_one_warning_per_clamped_row_from_predict_latent(self, fit_model):
         latent = swept_family([[0.2], [0.5], [0.8]])
-        model = fit_model(latent)
+        model = fit_model(latent, sites_for(latent))
         rows = [[5.0], [0.5], [-1.0]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            predict_latent(model, rows, latent.grid.instants, RegressorSpec("linear"))
+            predict_latent(model, rows, latent.grid.instants)
         assert [str(w.message) for w in caught] == [
             "query [5.0] clamped to hull box [0.8]",
             "query [-1.0] clamped to hull box [0.2]",
@@ -442,7 +445,7 @@ def test_block_read_fits_and_combines_once_per_instant(fit_model, n_rows, monkey
     once, and one regression.combine per call, for all rows and
     instants; FitCount still reads N_t."""
     latent = swept_family(ORACLE_PARAMS[1])
-    model = fit_model(latent)
+    model = fit_model(latent, sites_for(latent))
     calls = {"fit": 0, "combine": 0}
 
     def counted(name):
@@ -459,7 +462,7 @@ def test_block_read_fits_and_combines_once_per_instant(fit_model, n_rows, monkey
     times = latent.grid.instants[::2]
     rows = oracle_rows(latent.params, "inside", n_rows)
     with FitCount() as fits:
-        out = predict_latent(model, rows, times, RegressorSpec("linear"))
+        out = predict_latent(model, rows, times)
     assert out.shape == (n_rows, 2, len(times))
     assert calls == {"fit": len(times), "combine": 1}
     assert fits.count == len(times)
@@ -493,14 +496,15 @@ def test_one_read_matches_per_instant_loop_bit_for_bit(kind, n_params, n_rows):
     # inside rows, and with three rows a last one past the hull, clamped
     rows = [0.6 * lo + 0.4 * hi, 0.2 * lo + 0.8 * hi, hi + 0.3 * (hi - lo)][:n_rows]
     rows = np.asarray(rows)
-    for model in (fit_monolithic(latent), fit_partitioned(latent)):
+    sites = sites_for(latent, spec)
+    for model in (fit_monolithic(latent, sites), fit_partitioned(latent, sites)):
         for times in (latent.grid.instants[1::2], latent.grid.instants[:0]):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = predict_latent(model, rows, times, spec)
+                got = predict_latent(model, rows, times)
             assert len(caught) == (n_rows == 3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ExtrapolationWarning)
-                want = per_instant_loop(model, rows, times, spec)
+                want = per_instant_loop(model, rows, times)
             assert got.shape == (n_rows, 2, len(times))
             assert np.array_equal(got, want)

@@ -26,7 +26,7 @@ from pdmd.optdmd import (
     project_conjugate_closure,
 )
 from pdmd.reduction import fit_global_basis, project
-from pdmd.regression import RegressorSpec
+from pdmd.regression import RegressorSpec, prepare
 from pdmd.rkoi import fit_rkoi
 from pdmd.synth import SynthSpec, generate
 
@@ -428,8 +428,9 @@ class TestIterationCap:
         )
         dataset, _ = generate(spec)
         latent = project(dataset, fit_global_basis(dataset, 4))
+        sites = prepare(RegressorSpec("linear"), latent.params)
         with pytest.warns(ConvergenceWarning):
-            model = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=3, bag_seed=1)
+            model = fit_rkoi(latent, sites, bag_trials=3, bag_seed=1)
         assert list(model.notes) == [
             f"parameter {i}: optimized DMD stopped after 2 iterations without "
             f"meeting tolerances (objective {objective})"
@@ -447,7 +448,7 @@ class TestIterationCap:
         dataset, _ = generate(spec)
         latent = project(dataset, fit_global_basis(dataset, 4))
         with pytest.warns(ConvergenceWarning) as caught:
-            model = fit_rkoi(latent, RegressorSpec("linear"))
+            model = fit_rkoi(latent, prepare(RegressorSpec("linear"), latent.params))
         reports = [
             f"optimized DMD stopped after 2 iterations without "
             f"meeting tolerances (objective {objective})"

@@ -1,5 +1,6 @@
 """End-to-end fit/predict/evaluate plumbing shared by the CLI and benchmarks."""
 
+import re
 import sys
 import threading
 import warnings
@@ -9,10 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pdmd.data
-from pdmd import algorithms, dmd, latent as latent_module, regression
+from pdmd import algorithms, archive, dmd, latent as latent_module, regression
+from pdmd.archive import load_model, save_model
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
-from pdmd.errors import DataError, ExtrapolationWarning
+from pdmd.errors import DataError, ExtrapolationWarning, IllConditionedWarning
 from pdmd.latent import predict_latent
 from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import (
@@ -158,7 +160,6 @@ class TestFitSurrogate:
             surrogate.model,
             dataset.params[2],
             dataset.grid.instants,
-            surrogate.regressor,
         )
         assert_allclose(
             surrogate.train_errors[2],
@@ -175,7 +176,7 @@ class TestPredictSurrogate:
         for algorithm in ALGORITHMS:
             surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
             pred = predict_surrogate(
-                surrogate.model, dataset.params[1], times, surrogate.regressor
+                surrogate.model, dataset.params[1], times
             )
             assert pred.shape == (dataset.n_state, 10)
             assert np.all(np.isfinite(pred))
@@ -187,10 +188,10 @@ class TestPredictSurrogate:
         surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
         mu = dataset.params[1:3].mean(axis=0)
         instants = dataset.grid.instants
-        full = predict_surrogate(surrogate.model, mu, instants, surrogate.regressor)
+        full = predict_surrogate(surrogate.model, mu, instants)
         for columns in ([7], [12, 3]):
             pred = predict_surrogate(
-                surrogate.model, mu, instants[columns], surrogate.regressor
+                surrogate.model, mu, instants[columns]
             )
             assert pred.shape == (dataset.n_state, len(columns))
             scale = np.abs(full).max()
@@ -203,7 +204,7 @@ class TestPredictSurrogate:
         dataset = linear_dataset()
         options = FitOptions(algorithm, rank=6, regressor=RegressorSpec(kind))
         surrogate = fit_surrogate(dataset, options)
-        pred = predict_surrogate(surrogate.model, dataset.params[1], [], surrogate.regressor)
+        pred = predict_surrogate(surrogate.model, dataset.params[1], [])
         assert pred.shape == (dataset.n_state, 0)
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
@@ -214,16 +215,103 @@ class TestPredictSurrogate:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             predict_surrogate(
-                surrogate.model, [5.0], dataset.grid.instants[:5], surrogate.regressor
+                surrogate.model, [5.0], dataset.grid.instants[:5]
             )
         clamped = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
         assert len(clamped) == 1
 
     def test_unknown_model_object_rejected(self):
-        from pdmd.regression import RegressorSpec
-
         with pytest.raises(DataError, match="cannot predict"):
-            predict_surrogate(object(), np.array([0.5]), [0.0, 0.1], RegressorSpec("linear"))
+            predict_surrogate(object(), np.array([0.5]), [0.0, 0.1])
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_wrong_length_parameter_names_its_shape(self, algorithm):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        message = "query parameter of shape (2,) does not fit the model's parameter dimension 1"
+        with pytest.raises(DataError, match=re.escape(message)):
+            predict_surrogate(surrogate.model, [0.5, 0.2], dataset.grid.instants)
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_spec_argument_must_be_the_models_own(self, algorithm):
+        # the transitional spec argument may only repeat model.sites.spec
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        mu, instants = dataset.params[2], dataset.grid.instants
+        own = predict_surrogate(surrogate.model, mu, instants)
+        recorded = spec_from_metadata(surrogate.metadata)
+        assert recorded == surrogate.regressor == surrogate.model.sites.spec
+        assert np.array_equal(predict_surrogate(surrogate.model, mu, instants, recorded), own)
+        other = RegressorSpec("nearest")
+        message = f"regressor {other} is not the model's own, {recorded}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            predict_surrogate(surrogate.model, mu, instants, other)
+
+
+@pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+class TestSitesPreparedOnce:
+    """A model holds its training parameters prepared: a fit prepares
+    them once, a load once, and no query prepares them again."""
+
+    def test_prepare_runs_once_per_fit_and_load(self, algorithm, monkeypatch, tmp_path):
+        calls = []
+        original = regression.prepare
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(regression, "prepare", counted)
+        monkeypatch.setattr(archive, "prepare", counted)
+        dataset = linear_dataset()
+        fitted = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        assert len(calls) == 1
+        path = tmp_path / "model.pdmdm"
+        save_model(fitted.model, path, fitted.metadata)
+        loaded = load_model(path).model
+        assert len(calls) == 2
+        online = len(dataset.grid) if algorithm in ("mono", "part") else 0
+        for model in (fitted.model, loaded):
+            with FitCount() as fits:
+                predict_surrogate(model, dataset.params[2], dataset.grid.instants)
+            assert fits.count == online
+        assert len(calls) == 2
+
+    def test_ill_conditioned_rbf_warns_at_fit_and_load(self, algorithm, tmp_path):
+        # sites a billionth of the rbf shape apart: an ill-conditioned system
+        dataset = linear_dataset(n_params=3)
+        dataset = ParametricDataset(np.array([[0.0], [1e-9], [1.0]]), dataset.trajectories)
+        spec = RegressorSpec("rbf-gauss", shape=100.0)
+
+        def ill_conditioned(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = call()
+            return result, sum(w.category is IllConditionedWarning for w in caught)
+
+        fitted, shown = ill_conditioned(
+            lambda: fit_surrogate(dataset, FitOptions(algorithm, rank=6, regressor=spec))
+        )
+        assert shown == 1
+        path = tmp_path / "model.pdmdm"
+        save_model(fitted.model, path, fitted.metadata)
+        loaded, shown = ill_conditioned(lambda: load_model(path).model)
+        assert shown == 1
+        for model in (fitted.model, loaded):
+            _, shown = ill_conditioned(
+                lambda: predict_surrogate(model, [0.5], dataset.grid.instants)
+            )
+            assert shown == 0
+
+    def test_single_point_fit_reports_nearest(self, algorithm):
+        dataset = subset_params(linear_dataset(), [2])
+        fitted = fit_surrogate(dataset, FitOptions(algorithm, rank=2))
+        nearest = RegressorSpec("nearest")
+        assert fitted.model.sites.spec == fitted.regressor == nearest
+        assert spec_from_metadata(fitted.metadata) == nearest
 
 
 class TestEvaluateModel:
@@ -233,7 +321,6 @@ class TestEvaluateModel:
         with pytest.raises(DataError, match="range"):
             evaluate_model(
                 surrogate.model,
-                surrogate.regressor,
                 dataset,
                 [dataset.n_params],
             )
@@ -243,7 +330,6 @@ class TestEvaluateModel:
         surrogate = fit_surrogate(dataset, FitOptions("roi", rank=6))
         reports = evaluate_model(
             surrogate.model,
-            surrogate.regressor,
             dataset,
             [1, 4],
             offline_seconds=1.25,
@@ -262,7 +348,6 @@ class TestEvaluateModel:
                 surrogate.model,
                 dataset.params[idx],
                 dataset.grid.instants,
-                surrogate.regressor,
             )
             assert_allclose(report.frobenius_error, frobenius_rel_error(truth, pred))
 
@@ -270,7 +355,7 @@ class TestEvaluateModel:
         dataset = linear_dataset(n_t=25)
         surrogate = fit_surrogate(dataset, FitOptions("mono", rank=6))
         reports = evaluate_model(
-            surrogate.model, surrogate.regressor, dataset, [2]
+            surrogate.model, dataset, [2]
         )
         assert reports[0].extras["online_fits"] == 25
 
@@ -286,7 +371,6 @@ def per_mu_train_errors(surrogate, dataset):
                     surrogate.model,
                     dataset.params[i],
                     dataset.grid.instants,
-                    surrogate.regressor,
                 ),
             )
             for i in range(dataset.n_params)
@@ -349,10 +433,10 @@ class TestTrainErrorPass:
             grid.instants[[9, 2, 2, 0, 5, 9, 1]],
             grid.t0 + grid.dt * np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
         ):
-            block = list(_predict_rows(model, rows, times, surrogate.regressor))
+            block = list(_predict_rows(model, rows, times))
             assert len(block) == rows.shape[0]
             for row, states in zip(rows, block):
-                single = predict_surrogate(model, row, times, surrogate.regressor)
+                single = predict_surrogate(model, row, times)
                 assert states.shape == (dataset.n_state, times.size)
                 assert states.tobytes() == single.tobytes()
 
@@ -377,7 +461,7 @@ class TestTrainErrorPass:
         dataset = linear_dataset()
         surrogate = fit_surrogate(dataset, FitOptions("mono", rank=6))
         with pytest.raises(DataError, match="n x p"):
-            predict_latent(surrogate.model, [0.5], dataset.grid.instants, surrogate.regressor)
+            predict_latent(surrogate.model, [0.5], dataset.grid.instants)
 
     @pytest.mark.parametrize("algorithm", ["mono", "part"])
     def test_fit_costs_one_regressor_per_instant(self, algorithm, monkeypatch):
@@ -397,7 +481,7 @@ class TestTrainErrorPass:
         n_t = len(dataset.grid)
         assert fits.count == n_t
         assert sorted(evaluated) == sorted(id(m) for m in dmds)
-        _, _, online = timed_query(model, dataset.params[3], dataset.grid.instants, surrogate.regressor)
+        _, _, online = timed_query(model, dataset.params[3], dataset.grid.instants)
         assert online == n_t
 
 
@@ -434,12 +518,12 @@ class TestConcurrentQueries:
 
         def query_mono():
             try:
-                counts["mono"] = timed_query(mono.model, mu, instants, mono.regressor)[2]
+                counts["mono"] = timed_query(mono.model, mu, instants)[2]
             finally:
                 mono_done.set()
 
         def query_roi():
-            counts["roi"] = timed_query(roi.model, mu, instants, roi.regressor)[2]
+            counts["roi"] = timed_query(roi.model, mu, instants)[2]
 
         threads = [threading.Thread(target=query_mono), threading.Thread(target=query_roi)]
         for thread in threads:
@@ -461,7 +545,7 @@ class TestConcurrentQueries:
             surrogate = models[algorithm]
             for i in range(dataset.n_params):
                 fits = timed_query(
-                    surrogate.model, dataset.params[i], dataset.grid.instants, surrogate.regressor
+                    surrogate.model, dataset.params[i], dataset.grid.instants
                 )[2]
                 reported.append((algorithm, fits))
 

@@ -303,12 +303,10 @@ class TestScaleSafeBasis:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit_surrogate(scaled_dataset(dataset, exponent), options)
-            predicted = predict_surrogate(fitted.model, mu, dataset.grid.instants,
-                                          fitted.regressor)
+            predicted = predict_surrogate(fitted.model, mu, dataset.grid.instants)
         assert np.isfinite(fitted.metadata["mean_train_error"])
         assert_allclose(fitted.train_errors, reference.train_errors, rtol=0, atol=1e-10)
-        expected = predict_surrogate(reference.model, mu, dataset.grid.instants,
-                                     reference.regressor)
+        expected = predict_surrogate(reference.model, mu, dataset.grid.instants)
         assert_allclose(np.ldexp(predicted, -exponent), expected, rtol=0,
                         atol=1e-10 * np.max(np.abs(expected)))
 

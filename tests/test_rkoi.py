@@ -15,9 +15,13 @@ from pdmd.metrics import frobenius_rel_error
 from pdmd.optdmd import BaggedOptDmd, fit_bopdmd, fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
-from pdmd.regression import FitCount, RegressorSpec, combine, stencil
+from pdmd.regression import FitCount, RegressorSpec, combine, prepare, stencil
 from pdmd.rkoi import alignment_tree, fit_rkoi, predict_rkoi
 from pdmd.synth import SynthSpec, generate
+
+
+def linear_sites(latent):
+    return prepare(RegressorSpec("linear"), latent.params)
 
 
 def identity_basis(rank, n_state=None):
@@ -70,7 +74,7 @@ def omegas_at(model, mu):
 class TestFitRkoi:
     def test_single_parameter_constant_surrogate(self):
         latent = decay_family([0.2])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         member = fit_optdmd(latent.trajectory(0), 1)
         assert_allclose(omegas_at(model, [0.2]), member.omegas, atol=1e-10)
         for mu in ([0.05], [0.9]):
@@ -80,13 +84,13 @@ class TestFitRkoi:
 
     def test_decay_rate_interpolates(self):
         latent = decay_family([0.1, 0.2, 0.3])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         omega = omegas_at(model, [0.25])
         assert_allclose(omega.real, [-0.25], atol=1e-4)
 
     def test_tone_frequency_interpolates(self):
         latent = tone_family([0.0, 0.2])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         omegas = omegas_at(model, [0.1])
         assert_allclose(np.sort(omegas.imag), [-1.1, 1.1], atol=1e-3)
         assert_allclose(omegas.real, 0.0, atol=1e-3)
@@ -95,13 +99,13 @@ class TestFitRkoi:
         latent = tone_family([0.0, 0.1, 0.2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+            model = fit_rkoi(latent, linear_sites(latent))
         assert model.notes == ()
 
     def test_too_few_instants_rejected(self):
         latent = tone_family([0.0, 0.2], n_t=3)
         with pytest.raises(DataError):
-            fit_rkoi(latent, spec=RegressorSpec("linear"))
+            fit_rkoi(latent, linear_sites(latent))
 
 
 def noisy_latent():
@@ -137,9 +141,10 @@ class TestOneStackPerFit:
     def test_members_match_per_parameter_fits(self, monkeypatch, bag_trials):
         latent = noisy_latent()
         assert np.all(np.diff(latent.params[:, 0]) > 0)
-        stacked = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials, bag_seed=4)
+        sites = linear_sites(latent)
+        stacked = fit_rkoi(latent, sites, bag_trials=bag_trials, bag_seed=4)
         monkeypatch.setattr(rkoi_module, "fit_ensembles", per_parameter_fits(4))
-        separate = fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials, bag_seed=4)
+        separate = fit_rkoi(latent, sites, bag_trials=bag_trials, bag_seed=4)
         assert np.array_equal(stacked.regressor.values, separate.regressor.values)
         assert stacked.notes == separate.notes
 
@@ -154,7 +159,7 @@ class TestOneStackPerFit:
 
         monkeypatch.setattr(optdmd, "_levenberg_marquardt", counting)
         latent = noisy_latent()
-        fit_rkoi(latent, RegressorSpec("linear"), bag_trials=bag_trials)
+        fit_rkoi(latent, linear_sites(latent), bag_trials=bag_trials)
         assert stacks == [latent.n_params * bag_trials]
 
 
@@ -167,7 +172,7 @@ def states_at(model, mu, times):
 class TestPredictRkoi:
     def test_training_parameter_reproduced(self):
         _, _, latent = pipeline_latent(seed=2)
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         latents = predict_rkoi(model, latent.params, latent.grid.instants)
         for i in range(latent.n_params):
             member = fit_optdmd(latent.trajectory(i), latent.rank)
@@ -179,7 +184,7 @@ class TestPredictRkoi:
 
     def test_initial_instant_matches_projected_state(self):
         dataset, _, latent = pipeline_latent(seed=4)
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         i = 1
         truth = dataset.trajectories[i].state[:, 0]
         projected = latent.basis.modes_u @ (latent.basis.modes_u.T @ truth)
@@ -188,7 +193,7 @@ class TestPredictRkoi:
 
     def test_unseen_parameter_beyond_window(self):
         latent = decay_family([0.1, 0.2, 0.3], n_t=40, dt=0.25)
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         target = 0.25
         horizon = np.linspace(0.0, 20.0, 81)
         pred = states_at(model, [target], horizon)
@@ -197,7 +202,7 @@ class TestPredictRkoi:
 
     def test_prediction_is_real_without_residual_warning(self):
         latent = tone_family([0.0, 0.1, 0.2])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred = predict_rkoi(model, [[0.15]], latent.grid.instants)[0]
@@ -205,20 +210,20 @@ class TestPredictRkoi:
 
     def test_scalar_instant_gives_vector(self):
         latent = decay_family([0.1, 0.3])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         out = predict_rkoi(model, [[0.2]], 1.5)[0]
         assert out.shape == (1,)
 
     def test_online_phase_fits_no_regressor(self):
         latent = tone_family([0.0, 0.1, 0.2])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         with FitCount() as fits:
             predict_rkoi(model, [[0.15]], latent.grid.instants)
         assert fits.count == 0
 
     def test_one_row_block_reads_as_its_row(self):
         latent = decay_family([0.1, 0.3])
-        model = fit_rkoi(latent, spec=RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         rows = np.array([[0.1], [0.2], [0.3]])
         block = predict_rkoi(model, rows, latent.grid.instants)
         assert len(block) == 3
@@ -253,7 +258,7 @@ class TestRowOrder:
             rows = subset_params(dataset, order)
             fitted = fit_surrogate(rows, options)
             predictions.append(
-                predict_surrogate(fitted.model, mu, rows.grid.instants, fitted.regressor)
+                predict_surrogate(fitted.model, mu, rows.grid.instants)
             )
         for prediction in predictions[1:]:
             assert frobenius_rel_error(predictions[0], prediction) <= 1e-12
@@ -349,7 +354,7 @@ def fit_rkoi_beside(monkeypatch, latent, other):
         warnings.simplefilter("always")
         warnings.showwarning = record
         worker.start()
-        model = fit_rkoi(latent, RegressorSpec("linear"))
+        model = fit_rkoi(latent, linear_sites(latent))
         worker.join(timeout=60)
     assert not worker.is_alive()
     assert waited == [True]
@@ -364,7 +369,7 @@ class TestWarningsStayInTheirThread:
     def test_notes_take_nothing_from_another_threads_fit(self, monkeypatch):
         monkeypatch.setattr(optdmd, "_MAX_ITERS", 1)
         _, _, latent = pipeline_latent()
-        alone = fit_rkoi(latent, RegressorSpec("linear")).notes
+        alone = fit_rkoi(latent, linear_sites(latent)).notes
         instants = np.linspace(0, 5, 61)
         signal = np.cos(2.0 * instants) + 0.05 * np.sin(7.3 * instants)
         stopped = []

@@ -1,7 +1,6 @@
 """Tests for operator interpolation."""
 
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from pdmd.errors import DataError, NumericalError
 from pdmd.latent import fit_partitioned
 from pdmd.metrics import frobenius_rel_error
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
-from pdmd.regression import FitCount, RegressorSpec, combine, stencil
+from pdmd.regression import FitCount, RegressorSpec, combine, prepare, stencil
 from pdmd.rkoi import RkoiModel, fit_rkoi, predict_rkoi
 from pdmd.roi import (
     RoiModel,
@@ -31,6 +30,10 @@ def rotation(radius, angle):
     return radius * np.array([[c, -s], [s, c]])
 
 
+def linear_sites(latent):
+    return prepare(RegressorSpec("linear"), latent.params)
+
+
 def identity_basis(rank, n_state=None):
     n_state = rank if n_state is None else n_state
     return GlobalBasis(np.eye(n_state)[:, :rank], np.ones(rank), 1.0)
@@ -42,7 +45,7 @@ def dmd_residuals(model, latent):
     (``fit_partitioned``), or an ``rkoi`` model's errors at the training
     parameters."""
     if isinstance(model, RoiModel):
-        model = fit_partitioned(latent)
+        model = fit_partitioned(latent, model.sites)
     if isinstance(model, RkoiModel):
         predictions = predict_rkoi(model, latent.params, latent.grid.instants)
         return [
@@ -134,7 +137,7 @@ class TestFoldUnfold:
 class TestFitRoi:
     def test_single_parameter_degenerate(self):
         latent = scaled_rotation_latents([0.9], rotation(1.0, 0.4), [1.0, 0.0], 30)
-        model = fit_roi(latent, op_rank=1, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=1, sites=linear_sites(latent))
         assert model.op_rank == 1
         rebuilt = operator_at(model, [0.9])
         assert_allclose(rebuilt, latent_operator(latent, 0), atol=1e-12)
@@ -143,7 +146,7 @@ class TestFitRoi:
         base = rotation(1.0, 0.5)
         mus = [0.5, 0.6, 0.7, 0.8, 0.9]
         latent = scaled_rotation_latents(mus, base, [1.0, 0.0], 30)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         target = 0.65
         assert_allclose(
             operator_at(model, [target]), target * base, atol=1e-8
@@ -151,7 +154,7 @@ class TestFitRoi:
 
     def test_full_op_rank_reproduces_training_operators(self):
         _, _, latent = pipeline_latent(seed=3, n_params=4)
-        model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=4, sites=linear_sites(latent))
         for i in range(latent.n_params):
             reference = latent_operator(latent, i)
             rebuilt = operator_at(model, latent.params[i])
@@ -160,10 +163,10 @@ class TestFitRoi:
     @pytest.mark.parametrize(
         "fit",
         [
-            partial(fit_roi, op_rank=3, spec=RegressorSpec("linear")),
-            fit_partitioned,
-            partial(fit_rkoi, spec=RegressorSpec("linear")),
-            partial(fit_rkoi, spec=RegressorSpec("linear"), bag_trials=3),
+            lambda latent: fit_roi(latent, 3, linear_sites(latent)),
+            lambda latent: fit_partitioned(latent, linear_sites(latent)),
+            lambda latent: fit_rkoi(latent, linear_sites(latent)),
+            lambda latent: fit_rkoi(latent, linear_sites(latent), bag_trials=3),
         ],
         ids=["roi", "part", "rkoi", "rkoi-bagged"],
     )
@@ -188,10 +191,10 @@ class TestFitRoi:
     @pytest.mark.parametrize(
         "fit",
         [
-            partial(fit_roi, op_rank=2, spec=RegressorSpec("linear")),
-            fit_partitioned,
-            partial(fit_rkoi, spec=RegressorSpec("linear")),
-            partial(fit_rkoi, spec=RegressorSpec("linear"), bag_trials=3),
+            lambda latent: fit_roi(latent, 2, linear_sites(latent)),
+            lambda latent: fit_partitioned(latent, linear_sites(latent)),
+            lambda latent: fit_rkoi(latent, linear_sites(latent)),
+            lambda latent: fit_rkoi(latent, linear_sites(latent), bag_trials=3),
         ],
         ids=["roi", "part", "rkoi", "rkoi-bagged"],
     )
@@ -218,16 +221,16 @@ class TestFitRoi:
     def test_op_rank_bounds(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
         with pytest.raises(DataError):
-            fit_roi(latent, op_rank=0, spec=RegressorSpec("linear"))
+            fit_roi(latent, op_rank=0, sites=linear_sites(latent))
         with pytest.raises(DataError):
-            fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+            fit_roi(latent, op_rank=3, sites=linear_sites(latent))
 
     def test_nonuniform_grid_rejected(self):
         grid = TimeGrid(np.array([0.0, 1.0, 3.0, 4.0, 6.0]))
         latents = (np.random.default_rng(0).standard_normal((2, 5)),)
         latent = LatentDataset(identity_basis(2), np.array([[1.0]]), latents, grid)
         with pytest.raises(DataError, match="uniform"):
-            fit_roi(latent, op_rank=1, spec=RegressorSpec("nearest"))
+            fit_roi(latent, op_rank=1, sites=prepare(RegressorSpec("nearest"), latent.params))
 
 
 class TestSynthesize:
@@ -235,14 +238,14 @@ class TestSynthesize:
         base = rotation(1.0, 0.5)
         mus = [0.5, 0.7, 0.9]
         latent = scaled_rotation_latents(mus, base, [1.0, 0.0], 25)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         with pytest.warns(Warning, match="clamped"):
             beyond = operator_at(model, [1.5])
         assert_allclose(beyond, operator_at(model, [0.9]), atol=1e-12)
 
     def test_block_of_coefficients_gives_each_rows_operator(self):
         _, _, latent = pipeline_latent(seed=3, n_params=4)
-        model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=4, sites=linear_sites(latent))
         coeffs = read_at(model, latent.params)[0]
         operators = synthesize_operator(model, coeffs)
         assert operators.shape == (latent.n_params, latent.rank, latent.rank)
@@ -257,7 +260,7 @@ class TestSynthesize:
 class TestPredictRoi:
     def test_training_error_bounded_by_recorded_residuals(self):
         dataset, _, latent = pipeline_latent(seed=5, n_params=4, rank=3)
-        model = fit_roi(latent, op_rank=4, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=4, sites=linear_sites(latent))
         residuals = dmd_residuals(model, latent)
         basis = latent.basis
         latents = predict_roi(model, dataset.params, dataset.grid.instants)
@@ -274,7 +277,7 @@ class TestPredictRoi:
         mus = [0.5, 0.6, 0.7, 0.8, 0.9]
         n_train = 30
         latent = scaled_rotation_latents(mus, base, [1.0, 0.0], n_train)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         target = 0.75
         horizon = np.arange(2 * n_train, dtype=float)
         pred = states_at(model, [target], horizon)
@@ -288,7 +291,7 @@ class TestPredictRoi:
     def test_spectral_stepping_matches_multiplication(self):
         base = rotation(1.0, 0.5)
         latent = scaled_rotation_latents([0.5, 0.7, 0.9], base, [1.0, 0.0], 25)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         grid = TimeGrid(np.arange(40.0))
         # oracle: eigendecomposition powers of the synthesized operator
         coeffs, state = read_at(model, [0.8])
@@ -305,7 +308,7 @@ class TestPredictRoi:
     def test_far_lattice_query_matches_eigen_powers(self):
         # gaps of one step and of up to 1e9 steps, in any order
         latent = scaled_rotation_latents([0.5, 0.7, 0.9], rotation(1.0, 0.5), [1.0, 0.0], 25)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         steps = np.array([60, 0, 1, 2, 7, 10**9, 8, 3])
         coeffs, state = read_at(model, [0.8])
         values, vectors = np.linalg.eig(synthesize_operator(model, coeffs))
@@ -317,7 +320,7 @@ class TestPredictRoi:
 
     def test_consecutive_instants_take_one_product_per_step(self):
         latent = scaled_rotation_latents([0.5, 0.7, 0.9], rotation(1.0, 0.5), [1.0, 0.0], 25)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         coeffs, state = read_at(model, [0.8])
         operator = synthesize_operator(model, coeffs)
         latent_states = [state]
@@ -331,7 +334,7 @@ class TestPredictRoi:
         """Reference: each row's operator applied to a column state in time
         order, with its matrix power across a gap, bit for bit."""
         _, _, latent = pipeline_latent(seed=7, n_params=4)
-        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=3, sites=linear_sites(latent))
         rows = np.vstack([latent.params, latent.params[:2].mean(axis=0)])
         n_t = len(latent.grid)
         for steps in (
@@ -358,7 +361,7 @@ class TestPredictRoi:
 
     def test_overflowing_state_names_the_instant(self):
         latent = scaled_rotation_latents([1.5, 2.0], rotation(1.0, 0.3), [1.0, 0.0], 20)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         # 1.8**1000 is about 1e255, 1.8**2000 beyond the double range
         with pytest.raises(NumericalError, match="row 0 overflows at instant 2000 "):
             predict_roi(model, [[1.8]], np.array([1000.0, 0.0, 1.0, 2000.0]))
@@ -379,20 +382,20 @@ class TestPredictRoi:
             (plus, -plus),
             grid,
         )
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         pred = states_at(model, [0.5], grid.instants)
         assert_allclose(pred, 0.0, atol=1e-10)
 
     def test_online_phase_fits_no_regressor(self):
         _, _, latent = pipeline_latent(seed=7, n_params=4)
-        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=3, sites=linear_sites(latent))
         with FitCount() as fits:
             predict_roi(model, [[0.5]], np.arange(0.0, 10.0, 0.5))
         assert fits.count == 0
 
     def test_one_row_block_reads_as_its_row(self):
         _, _, latent = pipeline_latent(seed=7, n_params=4)
-        model = fit_roi(latent, op_rank=3, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=3, sites=linear_sites(latent))
         instants = np.arange(0.0, 10.0, 0.5)
         rows = np.array([[0.3], [0.5], [0.9]])
         block = predict_roi(model, rows, instants)
@@ -404,6 +407,6 @@ class TestPredictRoi:
 
     def test_off_lattice_rejected(self):
         latent = scaled_rotation_latents([0.5, 0.9], rotation(1.0, 0.3), [1.0, 0.0], 20)
-        model = fit_roi(latent, op_rank=2, spec=RegressorSpec("linear"))
+        model = fit_roi(latent, op_rank=2, sites=linear_sites(latent))
         with pytest.raises(DataError, match="lattice"):
             predict_roi(model, [[0.7]], np.array([0.0, 0.5]))
