@@ -169,12 +169,10 @@ def _require(args, dest, flag):
 
 
 # the fit metadata (written by pipeline.fit_surrogate) that predict and
-# eval require, with the types it is written with; they read the
-# lattice (t0, dt, n_t) and offline_seconds, the model holds the rest
+# eval read, with the types it is written with: the lattice (t0, dt,
+# n_t) and offline_seconds; the model holds the rest
 _NUMBER = (int, float)
-_FIT_METADATA = {"t0": _NUMBER, "dt": _NUMBER, "offline_seconds": _NUMBER, "ridge": _NUMBER,
-                 "n_t": int, "param_dim": int, "rank": int, "poly_degree": int,
-                 "regressor": str, "extrapolation": str, "rbf_shape": (*_NUMBER, type(None))}
+_FIT_METADATA = {"t0": _NUMBER, "dt": _NUMBER, "n_t": int, "offline_seconds": _NUMBER}
 
 
 def _load_fitted(path):

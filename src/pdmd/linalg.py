@@ -12,6 +12,8 @@ Conventions fixed here and relied on by every model module:
   largest-magnitude entry is real and positive.  This makes spectra
   comparable across nearby operators, which parameter interpolation
   relies on.
+
+SciPy's LAPACK wrappers load on the first tall SVD (``_householder_qr``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError
 
@@ -115,6 +116,8 @@ def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
 def _householder_qr(m):
     """LAPACK ``dgeqrf`` of a tall real matrix: R in the upper triangle,
     Q as Householder reflectors below it and in ``tau``."""
+    from scipy.linalg import lapack
+
     lwork = lapack.dgeqrf_lwork(*m.shape)[0]
     reflectors, tau, _, info = lapack.dgeqrf(m, lwork=int(lwork))
     if info != 0:  # pragma: no cover - only on invalid arguments
@@ -125,6 +128,8 @@ def _householder_qr(m):
 def _apply_q(reflectors, tau, block):
     """``Q @ [block; 0]`` for the Q of ``_householder_qr`` (``dormqr``):
     one column of Q's span per column of ``block``."""
+    from scipy.linalg import lapack
+
     padded = np.zeros((reflectors.shape[0], block.shape[1]), order="F")
     padded[: block.shape[0]] = block
     lwork = lapack.dormqr("L", "N", reflectors, tau, padded, -1)[1][0]

@@ -35,6 +35,7 @@ avoid: exponentials, residuals and the Jacobian's U are formed in place,
 the stack is passed as a view while every member is live, and a trial
 that every member takes replaces the state without a copy.  Each fresh
 B x N_t x r array costs page faults as well as its arithmetic.
+SciPy's assignment solver loads on the first ``match_frequencies`` call.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import SnapshotMatrix, TimeGrid
 from .dmd import _real_with_telemetry, fit_dmd
@@ -190,6 +190,8 @@ def match_frequencies(reference, candidate) -> tuple:
     candidate triplet matched to reference[j] to position j, and
     matched[j] is that pair's distance.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(candidate))):
         raise NumericalError("alignment failed: non-finite frequencies")
     cost = np.abs(candidate[:, None] - reference[None, :])

@@ -39,6 +39,9 @@ that thread or task only, so a timed query can report how many
 regressors it trained online (N_t for the latent-interpolation
 variants, none for operator and triplet interpolation) while other
 queries run concurrently.
+
+SciPy loads only when rbf sites are prepared: the rbf branch of
+``prepare`` imports its Cholesky solve and ``cdist`` for its closures.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from functools import partial
 from operator import itemgetter
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .data import has_duplicate_rows
 from .errors import DataError, ExtrapolationWarning, IllConditionedWarning
@@ -124,9 +125,8 @@ class Sites:
     """Training parameters prepared for every fit and query on them.
     ``lo``/``hi`` bound the hull box; ``solve`` maps an N_p x d value
     table to the table a query reads, ``weights`` checked n x p query
-    rows to n x m weights over that table's rows.  ``xs`` (linear: sorted
-    abscissae), ``shape`` (rbf: the distance scale in effect) and
-    ``powers`` (poly: monomial exponents) describe the prepared kind."""
+    rows to n x m weights over that table's rows.  ``powers`` (poly:
+    monomial exponents) describes the prepared kind."""
 
     spec: RegressorSpec
     params: np.ndarray
@@ -134,8 +134,6 @@ class Sites:
     hi: np.ndarray
     solve: Callable[[np.ndarray], np.ndarray]
     weights: Callable[[np.ndarray], np.ndarray]
-    xs: np.ndarray | None = None
-    shape: float | None = None
     powers: list | None = None
 
 
@@ -259,13 +257,16 @@ def prepare(spec: RegressorSpec, params) -> Sites:
 
         # the solves of linear and nearest are C callables: a latent
         # query makes N_t fits, and a Python frame each would show
-        return make_sites(itemgetter(order), weights, xs=xs)
+        return make_sites(itemgetter(order), weights)
     if spec.kind == "nearest":
         def weights(rows):
             distances = np.linalg.norm(params - rows[:, None, :], axis=2)
             return np.eye(n_points)[np.argmin(distances, axis=1)]
 
         return make_sites(np.asarray, weights)
+
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.spatial.distance import cdist
 
     shape = spec.shape
     distances = cdist(params, params)
@@ -298,7 +299,7 @@ def prepare(spec: RegressorSpec, params) -> Sites:
     def weights(rows):
         return _rbf_kernel(cdist(rows, params) / shape, spec.kind)
 
-    return make_sites(solve, weights, shape=shape)
+    return make_sites(solve, weights)
 
 
 def fit(sites: Sites, values) -> FittedRegressor:

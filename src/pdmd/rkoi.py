@@ -13,7 +13,9 @@ parameter rows: it reads that table once for the block (one stencil,
 one combine), then per row symmetrizes conjugate pairs and sums
 exponentials at any requested time, returning one r x N_t latent array
 per row, which the caller lifts.
-Continuous in time and free of online training.
+Continuous in time and free of online training.  SciPy loads with the
+first fit (``alignment_tree``); a query needs it only through an rbf
+regressor.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-from scipy.spatial.distance import cdist
 
 from . import regression
 from .data import check_lattice, parameter_rows
@@ -86,6 +86,9 @@ def alignment_tree(params) -> tuple:
     first from the root, the smallest row; ``parents[i]`` is row i's
     parent (-1 at the root).  For scalar mu the tree is the sorted chain.
     """
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+    from scipy.spatial.distance import cdist
+
     params = np.asarray(params, dtype=float)
     ranked = np.lexsort(params.T[::-1])
     tree = minimum_spanning_tree(cdist(params[ranked], params[ranked]))

@@ -554,14 +554,7 @@ class TestPredict:
             ("predict", "dt", "0.1"),
             ("predict", "t0", None),
             ("predict", "n_t", 40.5),
-            ("predict", "param_dim", True),
-            ("predict", "regressor", 3),
-            ("predict", "rbf_shape", "wide"),
-            ("predict", "poly_degree", 2.0),
-            ("eval", "rank", "six"),
             ("eval", "offline_seconds", [1.0]),
-            ("eval", "ridge", float("nan")),
-            ("eval", "extrapolation", None),
         ],
     )
     def test_mistyped_fit_metadata_is_data_error(
@@ -576,6 +569,55 @@ class TestPredict:
         assert run_cli(command, "--model", str(edited), *argv,
                        "--out", str(tmp_path / "out")) == 3
         assert f"archive metadata {key!r} has the invalid value" in capsys.readouterr().err
+
+    # the keys pdmd fit writes that predict and eval do not read
+    UNREAD = ("param_dim", "rank", "regressor", "rbf_shape", "poly_degree", "ridge",
+              "extrapolation")
+
+    def command_output(self, tmp_path, command, data, model):
+        argv = ["--mu", "0.5"] if command == "predict" else ["--data", str(data)]
+        out = tmp_path / f"{command}.out"
+        assert run_cli(command, "--model", str(model), *argv, "--out", str(out)) == 0
+        if command == "predict":
+            return out.read_bytes()
+        # an eval report holds the measured online time; the rest is the model's
+        return [{**json.loads(line), "online_seconds": None}
+                for line in out.read_text().splitlines()]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("predict", "param_dim", True),
+            ("predict", "regressor", 3),
+            ("predict", "rbf_shape", "wide"),
+            ("predict", "poly_degree", 2.0),
+            ("eval", "rank", "six"),
+            ("eval", "ridge", float("nan")),
+            ("eval", "extrapolation", None),
+        ],
+    )
+    def test_mistyped_unread_fit_metadata_is_ignored(self, tmp_path, command, key, value):
+        data, model = self.fit_model(tmp_path)
+        loaded = load_model(model)
+        edited = tmp_path / "edited.pdmdm"
+        save_model(loaded.model, edited, {**loaded.metadata, key: value})
+        assert (self.command_output(tmp_path, command, data, edited)
+                == self.command_output(tmp_path, command, data, model))
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("algorithm", ["roi", "rkoi", "mono", "part"])
+    def test_archive_without_unread_fit_metadata_predicts_the_same_bytes(
+        self, tmp_path, algorithm
+    ):
+        data, model = self.fit_model(tmp_path, algorithm)
+        loaded = load_model(model)
+        assert set(self.UNREAD) < set(loaded.metadata)
+        trimmed = tmp_path / "trimmed.pdmdm"
+        kept = {k: v for k, v in loaded.metadata.items() if k not in self.UNREAD}
+        save_model(loaded.model, trimmed, kept)
+        for command in ("predict", "eval"):
+            assert (self.command_output(tmp_path, command, data, trimmed)
+                    == self.command_output(tmp_path, command, data, model))
 
     def test_metadata_that_is_no_object_is_data_error(self, tmp_path, capsys):
         data, model = self.fit_model(tmp_path)

@@ -363,7 +363,7 @@ def reference_table(sites, values):
             gram = features.T @ features + spec.ridge * np.eye(len(sites.powers))
             return np.linalg.solve(gram, features.T @ table)
         return np.linalg.lstsq(features, table, rcond=None)[0]
-    system = reference_kernel(cdist(params, params) / sites.shape, spec.kind)
+    system = reference_kernel(cdist(params, params) / reference_shape(sites), spec.kind)
     system = system + spec.ridge * np.eye(len(params))
     try:
         factor = cho_factor(system)
@@ -376,7 +376,7 @@ def reference_weights(sites, rows):
     """The per-kind ``stencil`` body's weights at policy-applied rows."""
     kind = sites.spec.kind
     if kind == "linear":
-        xs, x = sites.xs, rows[:, 0]
+        xs, x = np.sort(sites.params[:, 0]), rows[:, 0]
         left = xs[1:-1].searchsorted(x, side="right")
         weight = (x - xs[left]) / (xs[1:][left] - xs[left])
         weights = np.zeros((len(x), len(xs)))
@@ -389,8 +389,18 @@ def reference_weights(sites, rows):
         distances = np.linalg.norm(sites.params - rows[:, None, :], axis=2)
         return np.eye(len(sites.params))[np.argmin(distances, axis=1)]
     if kind in ("rbf-gauss", "rbf-tps"):
-        return reference_kernel(cdist(rows, sites.params) / sites.shape, kind)
+        return reference_kernel(cdist(rows, sites.params) / reference_shape(sites), kind)
     return reference_features(rows, sites.powers)
+
+
+def reference_shape(sites):
+    """The rbf distance scale: the spec's, else the median pairwise
+    distance between the training parameters (1 if that is 0)."""
+    if sites.spec.shape is not None:
+        return sites.spec.shape
+    params = sites.params
+    distances = cdist(params, params)[~np.eye(len(params), dtype=bool)]
+    return float(np.median(distances)) or 1.0
 
 
 def reference_features(params, powers):
