@@ -5,7 +5,19 @@ left-singular subspace of the first N_t - 1 snapshots, takes its
 eigendecomposition, lifts the eigenvectors back to state space and
 solves a small least-squares problem for the mode amplitudes.  A fitted
 model is evaluated spectrally at lattice step k: state(t0 + k dt) ~=
-sum_j phi_j lambda_j^k b_j.
+sum_j phi_j lambda_j^k b_j (Schmid, J. Fluid Mech. 656, 2010).
+
+The powers lambda^k come in two regimes that reproduce NumPy's
+``lambda ** k`` bit for bit.  Below ``CPOW_STEP`` NumPy squares
+repeatedly, and so does the evaluation.  From ``CPOW_STEP`` on NumPy
+calls the C library's ``cpow``, which is ``cexp(k * clog(lambda))`` and
+so recomputes ``clog(lambda)`` at every step; the evaluation takes
+``np.exp(k * np.log(lambda))`` with one log per eigenvalue, the same
+operations on the same operands.  A zero or non-finite eigenvalue, for
+which ``cpow`` has special cases, keeps the plain power.
+``evaluate_stack`` evaluates models of equal rank and state rows (the
+members of a partitioned model) with one power call over all their
+eigenvalues and one batched product; ``evaluate`` is its one-model case.
 """
 
 from __future__ import annotations
@@ -21,6 +33,9 @@ from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDef
 from .linalg import DEFAULT_PINV_CUTOFF, SUBNORMAL_NORM, eig, scale_exponent, truncated_svd
 
 IMAG_RESIDUAL_REL_TOL = 1e-6
+# NumPy raises a complex value to an integer power below this by repeated
+# squaring, and to any other power with the C library's cpow
+CPOW_STEP = 100
 
 
 @dataclass(frozen=True)
@@ -110,27 +125,67 @@ def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
     )
 
 
+def _powers(eigenvalues: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``eigenvalues[None, :] ** steps[:, None]`` bit for bit, for complex
+    eigenvalues and integer steps >= 0, with one complex log per
+    eigenvalue serving every step from ``CPOW_STEP`` on.  The caller
+    silences overflow, invalid and divide warnings."""
+    if steps.max(initial=0) < CPOW_STEP:
+        return eigenvalues ** steps[:, None]
+    large = steps >= CPOW_STEP
+    powers = np.empty((steps.size, eigenvalues.size), complex)
+    powers[~large] = eigenvalues ** steps[~large, None]
+    logs = np.log(eigenvalues)
+    powers[large] = np.exp(steps[large, None] * logs)
+    # exp(k log 0) is NaN, not 0, and a non-finite eigenvalue has its own
+    # special cases in cpow: those keep the plain power
+    plain = ~np.isfinite(logs)
+    if plain.any():
+        powers[np.ix_(large, plain)] = eigenvalues[plain] ** steps[large, None]
+    return powers
+
+
+def evaluate_stack(models, steps) -> np.ndarray:
+    """States of a sequence of models that share their rank and state
+    rows, m x n x N_t: entry i is ``evaluate(models[i], steps)`` bit for
+    bit.  One steps check, one power call over all m r eigenvalues and
+    one batched product serve every model; each model's imaginary
+    residual is checked and warned about on its own, in order, and the
+    first model whose states overflow raises ``NumericalError`` naming
+    its first overflowing step."""
+    steps = np.atleast_1d(np.asarray(steps))
+    if not np.issubdtype(steps.dtype, np.integer):
+        raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
+    low = steps.min(initial=0)
+    if low < 0:
+        raise DataError(f"lattice steps must be >= 0, got {low}")
+    if len({model.modes.shape + model.eigenvalues.shape for model in models}) != 1:
+        raise DataError("stacked DMD models must share their rank and state rows")
+    eigenvalues = np.concatenate([model.eigenvalues for model in models], dtype=complex)
+    weighted = np.stack([model.modes * model.amplitudes for model in models])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powers = _powers(eigenvalues, steps).reshape(steps.size, len(models), models[0].rank)
+        # each model's product reads its powers transposed, as a 2-D
+        # modes @ powers.T does, so the bits are the one-model ones
+        states = weighted @ powers.transpose(1, 2, 0)
+    for model, member in zip(models, states):
+        try:
+            _real_with_telemetry(member, "evaluate")
+        except NumericalError:
+            first = steps[~np.isfinite(member).all(axis=0)].min()
+            raise NumericalError(
+                f"DMD states overflow at lattice step {first} (largest eigenvalue "
+                f"modulus {np.abs(model.eigenvalues).max():.6g})"
+            ) from None
+    return states.real
+
+
 def evaluate(model: DmdModel, steps) -> np.ndarray:
     """States at 0-based lattice steps (instants t0 + k dt), one column
     per entry of ``steps`` in the order given; steps may repeat and
     extend beyond the training window.  States that overflow raise
-    ``NumericalError``."""
-    steps = np.atleast_1d(np.asarray(steps))
-    if not np.issubdtype(steps.dtype, np.integer):
-        raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
-    if np.any(steps < 0):
-        raise DataError(f"lattice steps must be >= 0, got {steps.min()}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = model.eigenvalues[None, :] ** steps[:, None]
-        states = (model.modes * model.amplitudes) @ powers.T
-    try:
-        return _real_with_telemetry(states, "evaluate")
-    except NumericalError:
-        first = steps[~np.isfinite(states).all(axis=0)].min()
-        raise NumericalError(
-            f"DMD states overflow at lattice step {first} (largest eigenvalue "
-            f"modulus {np.abs(model.eigenvalues).max():.6g})"
-        ) from None
+    ``NumericalError``.  The one-model case of ``evaluate_stack``."""
+    return evaluate_stack((model,), steps)[0]
 
 
 def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:

@@ -16,8 +16,9 @@ model and no query prepares them again.  ``predict_latent`` answers a
 block of mu rows with one set of N_t regressor fits on those sites, so
 scoring a model at all N_p training parameters costs N_t fits, not
 N_p * N_t; a query passes its mu as one row and runs N_t fits.
-Everything around the fits is done once per call: the DMD states at all
-instants are laid out instant-major, so each fit reads one contiguous
+Everything around the fits is done once per call: one stacked
+evaluation (``dmd.evaluate_stack``) gives every DMD's states at all
+instants, laid out instant-major, so each fit reads one contiguous
 N_p x r table; the whole block is checked, clamped and located once
 (``regression.stencil``, one weight matrix); and the N_t fitted tables
 are joined (``regression.join``) and read for all rows and instants by
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import regression
 from .data import SnapshotMatrix, lattice_steps, parameter_rows
-from .dmd import DmdModel, evaluate, fit_dmd
+from .dmd import DmdModel, evaluate_stack, fit_dmd
 from .errors import DataError, NumericalError, RankDeficientError
 from .reduction import GlobalBasis, LatentDataset
 
@@ -141,9 +142,9 @@ def predict_latent(model, mu_rows, times) -> np.ndarray:
     """Predicted latent trajectories over lattice instants, n x r x N_t
     for an n x p block of parameter rows.
 
-    Each DMD is evaluated once at all requested instants and the block
-    gets one weight matrix on the model's sites; then one regressor per
-    instant is trained on the per-parameter
+    All of the model's DMDs are evaluated at all requested instants in
+    one stacked pass and the block gets one weight matrix on the model's
+    sites; then one regressor per instant is trained on the per-parameter
     latent states there, and one read of the joined regressors gives
     every row at every instant.  This online training, N_t fits per call
     whatever n is, is the contract of the strategy; count it with
@@ -156,7 +157,8 @@ def predict_latent(model, mu_rows, times) -> np.ndarray:
     steps = lattice_steps(times, dmds[0].t0, dmds[0].dt)
     # N_t x N_p x r, one contiguous table per instant; a stacked state
     # holds the parameters' r rows in turn
-    tables = np.concatenate([evaluate(dmd, steps).T for dmd in dmds], axis=1).reshape(
+    states = evaluate_stack(dmds, steps).transpose(2, 0, 1)
+    tables = np.ascontiguousarray(states).reshape(
         steps.size, len(model.sites.params), model.basis.rank
     )
     weights = regression.stencil(model.sites, rows)

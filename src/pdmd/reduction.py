@@ -18,13 +18,14 @@ through the same basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ParametricDataset, SnapshotMatrix, TimeGrid
 from .errors import DataError, NumericalError
-from .linalg import scale_exponent, truncated_svd
+from .linalg import SCALE_FREE, scale_exponent, truncated_svd
 
 ORTHONORMALITY_TOL = 1e-10
 DEFAULT_ENERGY = 0.9999
@@ -150,16 +151,27 @@ def fit_global_basis(
     (``linalg.scale_exponent``), which is exact, so that the Gram
     matrices and squared norms neither overflow nor underflow; the rank
     and energy come from the scaled spectrum and the stored singular
-    values are scaled back.
+    values are scaled back.  The trajectories' norms, which the energy
+    needs anyway, are taken first; when they bound every entry inside
+    ``linalg.SCALE_FREE`` the exponent is 0 without a scan for the peak.
     """
     states = dataset.states()
     max_rank = min(dataset.n_state, dataset.n_params * len(dataset.grid))
     if rank is not None and rank > max_rank:
         raise DataError(f"rank {rank} exceeds the data limit {max_rank}")
-    exponent = scale_exponent(*states)
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(state) for state in states]
+    # a block's largest |entry| lies between its norm / sqrt(size) and its
+    # norm: bounds one power of two inside SCALE_FREE (a margin for the
+    # norms' rounding) put the peak there without a pass to find it
+    inside = max(norms) < SCALE_FREE[1] / 2 and any(
+        norm > 2 * SCALE_FREE[0] * math.sqrt(state.size) for norm, state in zip(norms, states)
+    )
+    exponent = 0 if inside else scale_exponent(*states)
     if exponent:
         states = [np.ldexp(state, -exponent) for state in states]
-    total = float(sum(np.linalg.norm(state) ** 2 for state in states))
+        norms = [np.linalg.norm(state) for state in states]
+    total = float(sum(norm**2 for norm in norms))
     if total == 0:
         raise DataError("cannot build a basis from all-zero snapshots")
     try:

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pdmd import dmd
 from pdmd.data import SnapshotMatrix, TimeGrid
-from pdmd.dmd import DmdModel, _real_with_telemetry, evaluate, fit_dmd, reconstruct
+from pdmd.dmd import (
+    DmdModel,
+    _real_with_telemetry,
+    evaluate,
+    evaluate_stack,
+    fit_dmd,
+    reconstruct,
+)
 from pdmd.errors import DataError, ImaginaryResidualWarning, NumericalError
 from pdmd.linalg import eig
 
@@ -157,6 +165,136 @@ class TestAdvance:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflow at lattice step 103"):
                 evaluate(model, [5, 200, 103, 0])
+
+
+def assert_same_bits(actual, expected):
+    """Equal as bit patterns, so that signed zeros and NaN payloads count."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def spectrum_cases():
+    """Eigenvalues on and near the unit circle and at extreme moduli, at
+    the arguments where a complex log changes branch or vanishes: 0, +-pi
+    (exact negative reals, either sign of zero) and +-pi/2, in conjugate
+    pairs."""
+    eps = np.finfo(float).eps
+    moduli = [1.0, 1 + eps, 1 - eps / 2, 1e-300, 5e-324, 1e300, 0.97, 1.03]
+    values = []
+    for m in moduli:
+        values += [complex(m, 0.0), complex(-m, 0.0), complex(-m, -0.0), complex(0.0, m)]
+        values += [m * np.exp(1j * angle) for angle in (0.3, 2.5, np.pi / 2, np.pi)]
+    values = np.array(values)
+    return np.concatenate([values, np.conj(values)])
+
+
+class TestPowers:
+    """``_powers`` takes one complex log per eigenvalue for steps >= 100;
+    NumPy's ``**`` is the reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            np.arange(200),
+            [100, 99, 250, 3, 100, 99, 0, 250],
+            np.array([], dtype=np.int64),
+            [2**40, 2**31 + 1, 10**6, 100],
+            [5, 17, 99, 0],
+        ],
+        ids=["0-199", "unsorted-repeated", "empty", "large", "small-only"],
+    )
+    def test_equals_numpy_power(self, steps):
+        steps = np.asarray(steps, dtype=np.int64)
+        eigenvalues = spectrum_cases()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert_same_bits(dmd._powers(eigenvalues, steps), eigenvalues[None, :] ** steps[:, None])
+
+    def test_zero_and_non_finite_eigenvalues_take_the_plain_power(self):
+        nan = float("nan")
+        eigenvalues = np.array([0j, complex(-0.0, 0.0), complex(nan, 0.0), complex(0.0, nan),
+                                complex(np.inf, 0.0), complex(1.0, np.inf), 0.9 + 0.1j])
+        steps = np.array([0, 1, 99, 100, 101, 250])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert_same_bits(dmd._powers(eigenvalues, steps), eigenvalues[None, :] ** steps[:, None])
+
+
+def spectral_model(eigenvalues, modes, amplitudes):
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    return DmdModel(
+        reduced_op=np.diag(eigenvalues.real),
+        eigenvalues=eigenvalues,
+        modes=np.asarray(modes, dtype=complex),
+        amplitudes=np.asarray(amplitudes, dtype=complex),
+        dt=1.0,
+        t0=0.0,
+        proj_basis=np.eye(len(eigenvalues)),
+    )
+
+
+class TestEvaluateStack:
+    """``evaluate_stack`` gives each model's ``evaluate`` bit for bit, with
+    one steps check, one power call and one batched product."""
+
+    def test_each_model_bit_for_bit(self):
+        members = [
+            fit_dmd(linear_trajectory(rotation_decay(radius, angle), [1.0, -0.5], 40), rank=2)
+            for radius, angle in ((0.97, 0.4), (1.01, 0.2), (0.9, 1.3))
+        ]
+        steps = np.array([0, 250, 99, 100, 7, 101, 100, 3])
+        stacked = evaluate_stack(members, steps)
+        assert stacked.shape == (3, 2, steps.size)
+        for member, states in zip(members, stacked):
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = member.eigenvalues[None, :] ** steps[:, None]
+                reference = ((member.modes * member.amplitudes) @ powers.T).real
+            assert_same_bits(states, reference)
+            assert_same_bits(states, evaluate(member, steps))
+
+    def test_overflow_names_the_first_overflowing_member(self):
+        # the last member overflows sooner, but the first to overflow in
+        # member order is the one named, at its own first step
+        members = [
+            spectral_model([0.5, 0.9], np.eye(2), [1.0, 1.0]),
+            spectral_model([1e3, 0.5], np.eye(2), [1.0, 1.0]),
+            spectral_model([1e7, 0.5], np.eye(2), [1.0, 1.0]),
+        ]
+        steps = [5, 200, 103, 0, 60]
+        with pytest.raises(NumericalError) as single:
+            evaluate(members[1], steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as stacked:
+                evaluate_stack(members, steps)
+        assert "overflow at lattice step 103" in str(stacked.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_imaginary_residual_warns_once_per_member_in_order(self):
+        # a lone complex eigenvalue (no conjugate) leaves an imaginary part
+        members = [
+            spectral_model([0.9 * np.exp(0.3j)], [[1.0], [0.5]], [1.0]),
+            spectral_model([0.5], [[1.0], [2.0]], [1.0]),
+            spectral_model([0.8 * np.exp(1.1j)], [[2.0], [1.0]], [3.0]),
+        ]
+        steps = np.arange(120)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_stack(members, steps)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            for member in members:
+                evaluate(member, steps)
+        messages = [str(w.message) for w in caught if w.category is ImaginaryResidualWarning]
+        assert len(messages) == 2 and messages[0] != messages[1]
+        assert messages == [str(w.message) for w in expected]
+
+    def test_models_of_unequal_shapes_rejected(self):
+        members = [
+            spectral_model([0.5, 0.9], np.eye(2), [1.0, 1.0]),
+            spectral_model([0.5], [[1.0], [0.0]], [1.0]),
+        ]
+        with pytest.raises(DataError, match="share their rank"):
+            evaluate_stack(members, [0, 1])
 
 
 class TestReconstruct:

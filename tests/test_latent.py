@@ -263,11 +263,11 @@ class TestPredictLatent:
         latent, _ = scaled_family([0.5, 1.0, 1.5])
         evaluated = []
 
-        def counting_evaluate(model, steps):
-            evaluated.append(model)
-            return dmd.evaluate(model, steps)
+        def counting_evaluate(models, steps):
+            evaluated.extend(models)
+            return dmd.evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "evaluate", counting_evaluate)
+        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
         times = latent.grid.instants[:7]
         part = fit_partitioned(latent, sites_for(latent))
         mono = fit_monolithic(latent, sites_for(latent))

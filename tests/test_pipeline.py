@@ -469,11 +469,11 @@ class TestTrainErrorPass:
         dataset, _ = generate(scenario.synth)
         evaluated = []
 
-        def counting_evaluate(model, steps):
-            evaluated.append(id(model))
-            return dmd.evaluate(model, steps)
+        def counting_evaluate(models, steps):
+            evaluated.extend(id(model) for model in models)
+            return dmd.evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "evaluate", counting_evaluate)
+        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
         with FitCount() as fits:
             surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=scenario.ranks[algorithm]))
         model = surrogate.model

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pdmd import reduction
 from pdmd.algorithms import ALGORITHMS
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError, NumericalError
-from pdmd.linalg import select_rank
+from pdmd.linalg import scale_exponent, select_rank
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import (
     DEFAULT_ENERGY,
@@ -273,9 +274,74 @@ def scaled_dataset(dataset, exponent):
     )
 
 
+def peak_dataset(peak, layout):
+    """Two 8 x 5 blocks whose largest |entry| is ``peak``: "flat" has
+    every |entry| at the peak (the norm / sqrt(size) bound is exact), and
+    "spike" one entry holding almost all of the norm (the norm bound)."""
+    rng = np.random.default_rng(5)
+    grid = TimeGrid(np.linspace(0.0, 1.0, 5))
+    blocks = []
+    for _ in range(2):
+        if layout == "flat":
+            block = peak * rng.choice([-1.0, 1.0], (8, 5))
+        else:
+            block = peak * 1e-9 * rng.uniform(-1, 1, (8, 5))
+            block[3, 2] = peak
+        blocks.append(block)
+    return ParametricDataset(
+        np.arange(2.0)[:, None], tuple(SnapshotMatrix(block, grid) for block in blocks)
+    )
+
+
+def recorded_exponents(monkeypatch):
+    """The exponents ``fit_global_basis`` asks ``scale_exponent`` for."""
+    calls = []
+
+    def recording(*arrays):
+        calls.append(scale_exponent(*arrays))
+        return calls[-1]
+
+    monkeypatch.setattr(reduction, "scale_exponent", recording)
+    return calls
+
+
 class TestScaleSafeBasis:
     """The basis of the snapshots times a power of two is the same basis,
     and every surrogate fitted on it predicts the same scaled states."""
+
+    @pytest.mark.parametrize("layout", ["flat", "spike"])
+    @pytest.mark.parametrize(
+        "peak",
+        [2.0**127 * (1 - 2**-53), 2.0**127, 2.0**128 * (1 - 2**-53), 2.0**128,
+         2.0**-127 * (1 + 2**-52), 2.0**-127, 2.0**-128, 2.0**-128 * (1 - 2**-53), 1.0],
+    )
+    def test_exponent_skipped_only_where_it_is_zero(self, peak, layout, monkeypatch):
+        # the norms bound the peak; where they cannot place it inside
+        # SCALE_FREE, scale_exponent reads the data, so the exponent is
+        # always scale_exponent's and the basis keeps its bits
+        dataset = peak_dataset(peak, layout)
+        calls = recorded_exponents(monkeypatch)
+        fit_global_basis(dataset, None)
+        exponent = scale_exponent(*dataset.states())
+        assert calls == [exponent] or (calls == [] and exponent == 0)
+
+    def test_ordinary_data_make_no_peak_pass(self, monkeypatch):
+        calls = recorded_exponents(monkeypatch)
+        fit_global_basis(exp_modes_dataset(), None)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_and_zero_data_ask_scale_exponent(self, value, monkeypatch):
+        # a snapshot matrix rejects non-finite entries, so they are written
+        # into its array after the check
+        dataset = peak_dataset(1.0, "flat")
+        for trajectory in dataset.trajectories:
+            trajectory.state[:] = 0.0 if value == 0 else trajectory.state
+            trajectory.state[1, 1] = value
+        calls = recorded_exponents(monkeypatch)
+        with pytest.raises((DataError, NumericalError)):
+            fit_global_basis(dataset, None)
+        assert calls == [0]
 
     @pytest.mark.parametrize("exponent", [600, -600])
     @pytest.mark.parametrize("rank", [None, 4])
