@@ -64,9 +64,10 @@ class DmdModel:
         return self.eigenvalues.size
 
 
-def _real_with_telemetry(values, context):
-    values = np.asarray(values)
-    real, imag = values.real, values.imag
+def _check_imaginary(real, imag, context):
+    """Warn (at the caller's caller) when the imaginary parts of complex
+    values are large against their real parts; non-finite parts raise
+    ``NumericalError``."""
     with np.errstate(over="ignore"):
         scale = np.linalg.norm(real)
     if not SUBNORMAL_NORM <= scale < np.inf:
@@ -83,7 +84,6 @@ def _real_with_telemetry(values, context):
             ImaginaryResidualWarning,
             stacklevel=3,
         )
-    return values.real
 
 
 def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
@@ -168,11 +168,14 @@ def evaluate_stack(models, steps) -> np.ndarray:
         # each model's product reads its powers transposed, as a 2-D
         # modes @ powers.T does, so the bits are the one-model ones
         states = weighted @ powers.transpose(1, 2, 0)
-    for model, member in zip(models, states):
+    # each member's parts as contiguous slices: its norms then read the
+    # sequence that a norm of its strided parts would copy out first
+    real, imag = np.ascontiguousarray(states.real), np.ascontiguousarray(states.imag)
+    for i, model in enumerate(models):
         try:
-            _real_with_telemetry(member, "evaluate")
+            _check_imaginary(real[i], imag[i], "evaluate")
         except NumericalError:
-            first = steps[~np.isfinite(member).all(axis=0)].min()
+            first = steps[~np.isfinite(states[i]).all(axis=0)].min()
             raise NumericalError(
                 f"DMD states overflow at lattice step {first} (largest eigenvalue "
                 f"modulus {np.abs(model.eigenvalues).max():.6g})"

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import SnapshotMatrix, TimeGrid
-from .dmd import _real_with_telemetry, fit_dmd
+from .dmd import _check_imaginary, fit_dmd
 from .errors import ConvergenceWarning, DataError, NumericalError
 from .linalg import ldexp, scale_exponent, truncated_svd
 
@@ -558,8 +558,8 @@ def exponential_sum(omegas, modes, amplitudes, t0: float, instants) -> np.ndarra
     if not np.all(np.isfinite(basis)):
         raise NumericalError("prediction instants overflow the exponentials")
     states = (modes * amplitudes) @ basis.T
-    states = _real_with_telemetry(states, "exponential sum")
-    return states[:, 0] if scalar else states
+    _check_imaginary(states.real, states.imag, "exponential sum")
+    return states.real[:, 0] if scalar else states.real
 
 
 def predict_optdmd(model: OptDmdModel, instants) -> np.ndarray:

@@ -10,7 +10,7 @@ from pdmd import dmd
 from pdmd.data import SnapshotMatrix, TimeGrid
 from pdmd.dmd import (
     DmdModel,
-    _real_with_telemetry,
+    _check_imaginary,
     evaluate,
     evaluate_stack,
     fit_dmd,
@@ -288,6 +288,31 @@ class TestEvaluateStack:
         assert len(messages) == 2 and messages[0] != messages[1]
         assert messages == [str(w.message) for w in expected]
 
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_residual_check_matches_the_one_array_form(self, exponent):
+        # each member's norms read a contiguous slice of the stack's parts:
+        # the same warnings as the check on that member's complex states,
+        # in extreme units too, attributed to the caller
+        scale = 2.0**exponent
+        members = [
+            spectral_model([0.9 * np.exp(0.3j), 0.5], [[1.0, 0.0], [0.5, 1.0]], [scale, scale]),
+            spectral_model([0.5, 0.7], np.eye(2), [scale, scale]),
+            spectral_model([0.8 * np.exp(1.1j), 0.6], [[2.0, 1.0], [1.0, 0.0]], [3 * scale, 2 * scale]),
+        ]
+        steps = np.array([0, 3, 120, 7])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_stack(members, steps)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            for member in members:
+                powers = member.eigenvalues[None, :] ** steps[:, None]
+                states = (member.modes * member.amplitudes) @ powers.T
+                _check_imaginary(states.real, states.imag, "evaluate")
+        assert [w.category for w in caught] == [ImaginaryResidualWarning] * 2
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+        assert all(w.filename == __file__ for w in caught)
+
     def test_models_of_unequal_shapes_rejected(self):
         members = [
             spectral_model([0.5, 0.9], np.eye(2), [1.0, 1.0]),
@@ -375,12 +400,11 @@ class TestImaginaryTelemetry:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.warns(ImaginaryResidualWarning):
-                real = _real_with_telemetry(values, "test")
-        assert_array_equal(real, values.real)
+                _check_imaginary(values.real, values.imag, "test")
 
     @pytest.mark.parametrize("exponent", [0, 600, -600])
     def test_real_values_pass_silently(self, exponent):
         values = np.ldexp(np.arange(1.0, 13.0).reshape(3, 4), exponent) + 0j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_array_equal(_real_with_telemetry(values, "test"), values.real)
+            _check_imaginary(values.real, values.imag, "test")

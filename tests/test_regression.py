@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from pdmd.errors import DataError, ExtrapolationWarning
 from pdmd.regression import (
+    KINDS,
     FitCount,
     RegressorSpec,
     combine,
@@ -325,6 +326,41 @@ class TestSpecValidation:
             fit(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[1.0]])
 
 
+class TestFitValues:
+    """``fit`` checks each value table once and copies it only through the
+    kind's solve, so the regressor never shares the caller's memory."""
+
+    PARAMS = {"linear": [[0.3], [0.0], [1.0], [0.6]]}
+    SITES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", ["real", "complex-real", "complex-imag"])
+    def test_non_finite_rejected(self, kind, bad, part):
+        sites = prepare(RegressorSpec(kind, degree=1), self.PARAMS.get(kind, self.SITES))
+        values = np.arange(8.0).reshape(4, 2)
+        if part != "real":
+            values = values + 1j * values[::-1]
+        if part == "complex-imag":
+            values[2, 1] = complex(values[2, 1].real, bad)
+        else:
+            values[2, 1] = bad
+        with pytest.raises(DataError, match="values contain non-finite entries"):
+            fit(sites, values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("layout", ["C", "F", "vector"])
+    def test_table_not_aliased(self, kind, layout):
+        sites = prepare(RegressorSpec(kind, degree=1), self.PARAMS.get(kind, self.SITES))
+        values = np.arange(1.0, 9.0).reshape(4, 2)
+        values = {"C": values, "F": np.asfortranarray(values), "vector": values[:, 0].copy()}[layout]
+        regressor = fit(sites, values)
+        kept = regressor.values.copy()
+        values[...] = -1.0
+        assert np.array_equal(regressor.values, kept)
+        assert not np.shares_memory(regressor.values, values)
+
+
 class TestStencilChecks:
     SITES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
@@ -439,10 +475,15 @@ def test_kind_free_fit_and_stencil_match_per_kind_reference(name, n_params, comp
     sites = prepare(spec, params)
     assert sites.spec.kind == ("nearest" if n_params == 1 else spec.kind)
 
-    table = fit(sites, values).values
-    want = reference_table(sites, values)
-    assert np.array_equal(table, want)
-    assert table.flags.c_contiguous == want.flags.c_contiguous
+    # the same values in C order, in Fortran order and as a strided view
+    big = np.zeros((n_params, 21), values.dtype)
+    big[:, ::7] = values
+    for table in (values, np.asfortranarray(values), big[:, ::7]):
+        got = fit(sites, table).values
+        want = reference_table(sites, table)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
 
     inside = params.mean(axis=0)
     assert np.array_equal(stencil(sites, inside), reference_weights(sites, inside[None])[0])
