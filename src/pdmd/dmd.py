@@ -64,12 +64,13 @@ class DmdModel:
         return self.eigenvalues.size
 
 
-def _check_imaginary(real, imag, context):
-    """Warn (at the caller's caller) when the imaginary parts of complex
-    values are large against their real parts; non-finite parts raise
-    ``NumericalError``."""
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(real)
+def _imaginary_residual(real, imag, context):
+    """The warning message when the imaginary parts of complex values are
+    large against their real parts, else None; non-finite parts raise
+    ``NumericalError``.  The caller holds ``np.errstate(over="ignore")``,
+    one block for any number of calls: a norm of values near the float64
+    limit overflows to inf, and some BLAS kernels flag that overflow."""
+    scale = np.linalg.norm(real)
     if not SUBNORMAL_NORM <= scale < np.inf:
         # extreme units: compare the parts scaled by one power of two
         exponent = scale_exponent(real, imag)
@@ -79,11 +80,18 @@ def _check_imaginary(real, imag, context):
     if not (math.isfinite(scale) and math.isfinite(imag)):
         raise NumericalError(f"{context}: non-finite values")
     if imag > IMAG_RESIDUAL_REL_TOL * max(scale, 1e-300):
-        warnings.warn(
-            f"{context}: imaginary residual {imag:.3e} vs magnitude {scale:.3e}",
-            ImaginaryResidualWarning,
-            stacklevel=3,
-        )
+        return f"{context}: imaginary residual {imag:.3e} vs magnitude {scale:.3e}"
+    return None
+
+
+def _check_imaginary(real, imag, context):
+    """Warn (at the caller's caller) when the imaginary parts of complex
+    values are large against their real parts; non-finite parts raise
+    ``NumericalError``."""
+    with np.errstate(over="ignore"):
+        message = _imaginary_residual(real, imag, context)
+    if message is not None:
+        warnings.warn(message, ImaginaryResidualWarning, stacklevel=3)
 
 
 def fit_dmd(x: SnapshotMatrix, rank: int) -> DmdModel:
@@ -171,15 +179,18 @@ def evaluate_stack(models, steps) -> np.ndarray:
     # each member's parts as contiguous slices: its norms then read the
     # sequence that a norm of its strided parts would copy out first
     real, imag = np.ascontiguousarray(states.real), np.ascontiguousarray(states.imag)
-    for i, model in enumerate(models):
-        try:
-            _check_imaginary(real[i], imag[i], "evaluate")
-        except NumericalError:
-            first = steps[~np.isfinite(states[i]).all(axis=0)].min()
-            raise NumericalError(
-                f"DMD states overflow at lattice step {first} (largest eigenvalue "
-                f"modulus {np.abs(model.eigenvalues).max():.6g})"
-            ) from None
+    with np.errstate(over="ignore"):
+        for i, model in enumerate(models):
+            try:
+                message = _imaginary_residual(real[i], imag[i], "evaluate")
+            except NumericalError:
+                first = steps[~np.isfinite(states[i]).all(axis=0)].min()
+                raise NumericalError(
+                    f"DMD states overflow at lattice step {first} (largest eigenvalue "
+                    f"modulus {np.abs(model.eigenvalues).max():.6g})"
+                ) from None
+            if message is not None:
+                warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
     return states.real
 
 

@@ -16,6 +16,7 @@ from .algorithms import ALGORITHMS
 # perfbench/generate.py imports subset_params from here
 from .data import ParametricDataset, subset_params  # noqa: F401
 from .errors import DataError
+from .linalg import SUBNORMAL_NORM
 from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
 from .reduction import DEFAULT_ENERGY, fit_global_basis, lift, project
 from .regression import RegressorSpec
@@ -70,7 +71,9 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     An explicit rank wins; otherwise the basis keeps the smallest rank
     capturing the requested (or default) energy fraction of the stacked
     snapshots.  The metadata's regressor keys are the model's own spec
-    (``nearest`` for a single training parameter)."""
+    (``nearest`` for a single training parameter).  The train errors
+    come from one query of all training rows, each subtracted from its
+    truth into its own prediction (``_train_errors``)."""
     spec = options.regressor
     if spec is None:
         spec = regression.default_spec(dataset.param_dim)
@@ -87,13 +90,7 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     basis_seconds = basis_done - started
     train_seconds = time.perf_counter() - basis_done
 
-    predictions = _predict_rows(model, dataset.params, dataset.grid.instants)
-    train_errors = np.array(
-        [
-            frobenius_rel_error(trajectory.state, prediction)
-            for trajectory, prediction in zip(dataset.trajectories, predictions)
-        ]
-    )
+    train_errors = _train_errors(model, dataset)
     spec = model.sites.spec
     metadata = {
         "algorithm": options.algorithm,
@@ -143,6 +140,31 @@ def _predict_rows(model, mu_rows, instants):
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
     latents = _algorithm(model).predict(model, mu_rows, instants)
     return (lift(latent, model.basis) for latent in latents)
+
+
+def _train_errors(model, dataset: ParametricDataset) -> np.ndarray:
+    """``frobenius_rel_error`` of every training trajectory against the
+    model's answer at its parameter, from one query of all training rows.
+
+    Each row is lifted and the truth minus the prediction is taken into
+    the prediction's own array, so no second N_h x N_t array is made.
+    Where ``metrics.frobenius_rel_error`` would rescale (a norm that is
+    zero, subnormal or non-finite), the row is lifted again and scored
+    by it, so data in extreme units take the metric's own path."""
+    latents = _algorithm(model).predict(model, dataset.params, dataset.grid.instants)
+    norm = np.linalg.norm
+    errors = []
+    for trajectory, latent in zip(dataset.trajectories, latents):
+        truth = trajectory.state
+        prediction = lift(latent, model.basis)
+        with np.errstate(over="ignore"):
+            error = norm(np.subtract(truth, prediction, out=prediction))
+            denom = norm(truth)
+        if SUBNORMAL_NORM <= error < np.inf and SUBNORMAL_NORM <= denom < np.inf:
+            errors.append(float(error / denom))
+        else:
+            errors.append(frobenius_rel_error(truth, lift(latent, model.basis)))
+    return np.array(errors)
 
 
 def predict_surrogate(model, mu, instants, spec: RegressorSpec | None = None) -> np.ndarray:

@@ -7,7 +7,8 @@ never forming the N_h x N_t*N_p stack: a two-level SVD first reduces
 each trajectory A to a factor F with F F^T = A A^T to rounding (a tall
 A rotated by the eigenvectors of its small Gram matrix A^T A, a wide A
 by the QR of A^T), and the SVD of the concatenated factors gives the
-stacked matrix's left singular vectors and values to rounding.  When
+stacked matrix's left singular vectors and values to rounding; the
+tall trajectories rotate into one reused buffer.  When
 the concatenation is tall, that SVD is a Householder QR followed by the
 SVD of the small R, and only the kept left singular vectors are formed
 (``linalg.truncated_svd``).  The rank is either explicit or the
@@ -114,15 +115,21 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
     singular values below about 1e-8 of the largest come out mixed: on a
     spectrum spanning more than that, more columns may clear the cutoff
     than a QR of the block would keep (still exact, with a wider
-    second-level SVD).
+    second-level SVD).  Every tall block rotates into one buffer, made
+    once per call (and again only for a block of another shape), so a
+    basis does not fault in a fresh N_h x N_t array per trajectory; the
+    kept columns are a copy, so the next block may overwrite it.
     """
     factors = []
+    rotated = None
     for block in states:
         n_state, n_instants = block.shape
         if n_state <= n_instants:
             factors.append(np.linalg.qr(block.T, mode="r").T)
             continue
-        rotated = block @ np.linalg.eigh(block.T @ block)[1]
+        if rotated is None or rotated.shape != block.shape:
+            rotated = np.empty(block.shape)
+        np.matmul(block, np.linalg.eigh(block.T @ block)[1], out=rotated)
         norms = np.sqrt(np.einsum("ij,ij->j", rotated, rotated))
         order = np.argsort(-norms, kind="stable")
         cutoff = norms[order[0]] * max(block.shape) * np.finfo(float).eps

@@ -23,11 +23,12 @@ ALGORITHMS = ("roi", "rkoi", "mono", "part")
 SCIPY_FREE = [(tag, "linear") for tag in ALGORITHMS] + [("roi", "nearest"), ("part", "poly")]
 
 
-def run_fresh(code, *argv):
-    """Run ``code`` in a new interpreter that finds pdmd in src/ and
-    return the JSON it prints on its last line."""
+def run_fresh(code, *argv, env=None):
+    """Run ``code`` in a new interpreter that finds pdmd in src/, with
+    the variables ``env`` added to its environment only, and return the
+    JSON it prints on its last line."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
         env=env, capture_output=True, text=True, check=False,

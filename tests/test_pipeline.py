@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pdmd.data
-from pdmd import algorithms, archive, dmd, latent as latent_module, regression
+from pdmd import algorithms, archive, dmd, latent as latent_module, pipeline, regression
 from pdmd.archive import load_model, save_model
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
@@ -412,6 +412,74 @@ class TestTrainErrorPass:
             surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=rank, regressor=spec))
             oracle = per_mu_train_errors(surrogate, dataset)
         assert surrogate.train_errors.tobytes() == oracle.tobytes()
+
+    @staticmethod
+    def fit_counting_fallbacks(dataset, options, monkeypatch):
+        """The surrogate, and how many rows the pass scored through
+        ``frobenius_rel_error`` (its fallback for extreme units)."""
+        original = pipeline.frobenius_rel_error
+        scored = []
+
+        def counting(truth, pred):
+            scored.append(truth.shape)
+            return original(truth, pred)
+
+        monkeypatch.setattr(pipeline, "frobenius_rel_error", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            surrogate = fit_surrogate(dataset, options)
+        monkeypatch.undo()
+        return surrogate, len(scored)
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_dataset_read_back_from_pdmd1(self, algorithm, tmp_path, monkeypatch):
+        # PDMD1 stores each block column-major, so the trajectories read
+        # back are F-ordered views, as the benchmark reads them
+        path = tmp_path / "train.pdmd1"
+        pdmd.data.write_dataset(linear_dataset(), path)
+        dataset = pdmd.data.read_dataset(path)
+        assert all(
+            t.state.flags.f_contiguous and not t.state.flags.c_contiguous
+            for t in dataset.trajectories
+        )
+        surrogate, fallbacks = self.fit_counting_fallbacks(
+            dataset, FitOptions(algorithm, rank=6), monkeypatch
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            oracle = per_mu_train_errors(surrogate, dataset)
+        assert fallbacks == 0
+        assert surrogate.train_errors.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_extreme_units_take_the_metric_path(self, algorithm, exponent, monkeypatch):
+        base = linear_dataset()
+        dataset = ParametricDataset(
+            base.params,
+            tuple(
+                SnapshotMatrix(np.ldexp(t.state, exponent), t.grid)
+                for t in base.trajectories
+            ),
+        )
+        surrogate, fallbacks = self.fit_counting_fallbacks(
+            dataset, FitOptions(algorithm, rank=6), monkeypatch
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            oracle = per_mu_train_errors(surrogate, dataset)
+        assert fallbacks == dataset.n_params
+        assert np.all(np.isfinite(surrogate.train_errors))
+        assert surrogate.train_errors.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_fit_leaves_the_trajectories_unchanged(self, algorithm):
+        dataset = linear_dataset()
+        before = [t.state.tobytes() for t in dataset.trajectories]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        assert [t.state.tobytes() for t in dataset.trajectories] == before
 
     @pytest.mark.parametrize("algorithm", ["mono", "part", "roi", "rkoi"])
     @pytest.mark.parametrize("case", list(CASES))

@@ -237,6 +237,34 @@ class TestGramFactors:
             assert error <= 1e-13 * np.linalg.norm(block, 2) ** 2
         assert _gram_factors(states, 1).shape == (200, k * len(states))
 
+    def test_reused_rotation_buffer_matches_fresh_products(self):
+        # tall blocks of two shapes, in turn and with a wide block between,
+        # one of them F-ordered: the factors must be the ones made from a
+        # fresh block @ V for each block, byte for byte
+        rng = np.random.default_rng(11)
+        blocks = [
+            graded_block(np.geomspace(1.0, 1e-3, 8), n_state=120, seed=1),
+            np.asfortranarray(graded_block(np.geomspace(2.0, 1e-1, 5), n_state=120, seed=2)),
+            graded_block(np.geomspace(1.0, 1e-6, 12), n_state=120, n_t=20, seed=3),
+            rng.standard_normal((120, 150)),
+            graded_block(np.geomspace(3.0, 1e-2, 6), n_state=120, seed=4),
+            graded_block(np.geomspace(1.0, 1e-2, 4), n_state=120, n_t=20, seed=5),
+        ]
+
+        def fresh(block, min_columns):
+            if block.shape[0] <= block.shape[1]:
+                return np.linalg.qr(block.T, mode="r").T
+            rotated = block @ np.linalg.eigh(block.T @ block)[1]
+            norms = np.sqrt(np.einsum("ij,ij->j", rotated, rotated))
+            order = np.argsort(-norms, kind="stable")
+            cutoff = norms[order[0]] * max(block.shape) * np.finfo(float).eps
+            keep = max(int(np.count_nonzero(norms > cutoff)), min_columns)
+            return rotated[:, order[:keep]]
+
+        for min_columns in (1, 9):
+            reference = np.hstack([fresh(block, min_columns) for block in blocks])
+            assert _gram_factors(blocks, min_columns).tobytes() == reference.tobytes()
+
     def test_basis_independent_of_array_layout(self):
         dataset = exp_modes_dataset()
         aligned = fit_global_basis(dataset, None)
