@@ -34,7 +34,7 @@ _EXPORTS = {
     "pipeline": ("FitOptions", "FittedSurrogate", "evaluate_model", "fit_surrogate",
                  "predict_surrogate"),
     "reduction": ("GlobalBasis", "LatentDataset", "fit_global_basis", "lift", "project"),
-    "regression": ("FittedRegressor", "RegressorSpec"),
+    "regression": ("RegressorSpec",),
     "rkoi": ("RkoiModel", "fit_rkoi", "predict_rkoi"),
     "roi": ("RoiModel", "fit_roi", "predict_roi", "synthesize_operator"),
     "synth": ("ExpMode", "OracleHandle", "SynthSpec", "generate"),

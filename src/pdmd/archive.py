@@ -15,7 +15,7 @@ with other keys than those listed is a DataError.  The sections:
 - ``regressor.spec`` (the ``RegressorSpec`` fields) and
   ``regressor.params``, from which a load prepares the model's sites
   once; ``roi`` and ``rkoi`` add ``regressor.values``, the table their
-  queries read, stored complex for a complex regressor;
+  queries read, stored as the model holds it (complex for ``rkoi``);
 - per DMD, ``reduced_op``, ``eigenvalues``, ``modes``, ``amplitudes``,
   ``proj_basis`` and ``spec`` (``dt``, ``t0``), under the prefix
   ``mono.stacked`` or, for training parameter i, ``part.member{i}``;
@@ -44,7 +44,7 @@ from .dmd import DmdModel
 from .errors import DataError
 from .latent import MonolithicModel, PartitionedModel
 from .reduction import GlobalBasis
-from .regression import FittedRegressor, RegressorSpec, Sites, prepare
+from .regression import RegressorSpec, Sites, prepare
 from .rkoi import RkoiModel
 from .roi import RoiModel
 
@@ -143,25 +143,12 @@ def _read_sites(sections: dict) -> Sites:
     return prepare(spec, _take(sections, "regressor.params"))
 
 
-def _values(regressor: FittedRegressor) -> np.ndarray:
-    """The table a query reads; a complex regressor's real and imaginary
-    channels as one complex table, so its dtype is the complex flag."""
-    values = regressor.values
-    if regressor.complex_output:
-        values = values[:, : regressor.output_dim].astype(complex)
-        values.imag = regressor.values[:, regressor.output_dim :]
-    return values
-
-
-def _read_regressor(sections: dict, sites: Sites) -> FittedRegressor:
+def _read_regressor(sections: dict, sites: Sites) -> np.ndarray:
     values = _take(sections, "regressor.values")
     rows = len(sites.powers) if sites.spec.kind == "poly" else len(sites.params)
     if values.ndim != 2 or len(values) != rows:
         raise DataError(f"regressor values of shape {values.shape} do not fit {rows} sites")
-    complex_output = values.dtype.kind == "c"
-    if complex_output:
-        values = np.hstack([values.real, values.imag])
-    return FittedRegressor(sites, values, complex_output)
+    return values
 
 
 def _read_basis(sections: dict) -> GlobalBasis:
@@ -200,7 +187,7 @@ def _roi_sections(model: RoiModel) -> dict:
     return {
         "roi.spec": {"dt": model.dt, "t0": model.t0},
         "roi.op_modes": model.op_modes,
-        "regressor.values": _values(model.regressor),
+        "regressor.values": model.values,
     }
 
 
@@ -209,6 +196,7 @@ def _read_roi(sections: dict, basis: GlobalBasis, sites: Sites) -> RoiModel:
     return RoiModel(
         basis,
         _take(sections, "roi.op_modes"),
+        sites,
         _read_regressor(sections, sites),
         dt=float(lattice["dt"]),
         t0=float(lattice["t0"]),
@@ -218,7 +206,7 @@ def _read_roi(sections: dict, basis: GlobalBasis, sites: Sites) -> RoiModel:
 def _rkoi_sections(model: RkoiModel) -> dict:
     return {
         "rkoi.spec": {"t0": model.t0, "notes": list(model.notes)},
-        "regressor.values": _values(model.regressor),
+        "regressor.values": model.values,
     }
 
 
@@ -226,6 +214,7 @@ def _read_rkoi(sections: dict, basis: GlobalBasis, sites: Sites) -> RkoiModel:
     meta = _fields(sections, "rkoi.spec", "t0", "notes")
     return RkoiModel(
         basis,
+        sites,
         _read_regressor(sections, sites),
         t0=float(meta["t0"]),
         notes=tuple(meta["notes"]),

@@ -21,10 +21,11 @@ evaluation (``dmd.evaluate_stack``) gives every DMD's states at all
 instants, laid out instant-major, so each fit reads one contiguous
 N_p x r table; the whole block is checked, clamped and located once
 (``regression.stencil``, one weight matrix); and the N_t fitted tables
-are joined (``regression.join``) and read for all rows and instants by
-one ``regression.combine``.  A clamped row therefore warns once, not
-once per instant, and an ill-conditioned rbf system warns when the
-sites are prepared, not at a query.
+are joined (``regression.join``) along a trailing instant axis and
+read for all rows and instants by one ``regression.combine``.  A
+clamped row therefore warns once, not once per instant, and an
+ill-conditioned rbf system warns when the sites are prepared, not at a
+query.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def predict_latent(model, mu_rows, times) -> np.ndarray:
     All of the model's DMDs are evaluated at all requested instants in
     one stacked pass and the block gets one weight matrix on the model's
     sites; then one regressor per instant is trained on the per-parameter
-    latent states there, and one read of the joined regressors gives
-    every row at every instant.  This online training, N_t fits per call
+    latent states there, and one read of the joined tables gives every
+    row at every instant.  This online training, N_t fits per call
     whatever n is, is the contract of the strategy; count it with
     ``regression.FitCount``.
     """
@@ -167,5 +168,5 @@ def predict_latent(model, mu_rows, times) -> np.ndarray:
     # a generator: join copies each table as it is fitted, so the N_t small
     # fitted tables are never all alive at once (holding them all slowed
     # the next query's allocations)
-    regressors = (regression.fit(model.sites, table) for table in tables)
-    return regression.combine(weights, regression.join(regressors))
+    fitted = (regression.fit(model.sites, table) for table in tables)
+    return regression.combine(weights, regression.join(fitted))

@@ -3,8 +3,9 @@
 Every parametric surrogate delegates its mu-dependence to one of these
 kinds: 1-D piecewise-linear interpolation, nearest neighbour, radial
 basis functions (gaussian or thin-plate kernel), or ridge-regularized
-polynomials.  Complex-valued targets are regressed as separate real and
-imaginary channels and reassembled on prediction.
+polynomials.  A fitted regressor is the value table a query reads, in
+the caller's dtype: complex values are solved as real and imaginary
+float channels and stored as one complex table.
 
 The work is split in stages by what each one depends on, so that many
 regressors on the same training parameters share it:
@@ -19,25 +20,24 @@ regressors on the same training parameters share it:
   query rows: ``1 - w`` and ``w`` at the bracketing rows, a single 1,
   the rbf kernel row or the polynomial feature row).
 - ``fit(sites, values)`` checks one value table (N_p x d or an
-  N_p-vector, finite, one row per training parameter) and trains a
-  regressor with ``sites.solve``; it keeps the sites as
-  ``regressor.sites`` for the queries on it.  It copies the table only
+  N_p-vector, finite, one row per training parameter) and returns the
+  fitted table, ``sites.solve`` of it.  It copies the table only
   through the solve: a complex table is split into real and imaginary
   channels, any other table that is not contiguous float64 is converted,
-  and the solve's fresh result is the regressor's, so writing to the
-  caller's table later changes nothing.
+  and the solve's fresh result is returned, so writing to the caller's
+  table later changes nothing.
 - ``stencil(sites, mu)`` depends on the query only.  It checks mu (a
   p-vector or an n x p block), applies the extrapolation policy and
-  returns ``sites.weights`` of the rows; ``combine(weights, regressor)``
-  sums the weighted rows of any regressor fitted on the sites.
+  returns ``sites.weights`` of the rows; ``combine(weights, table)``
+  sums the weighted rows of any table fitted on the sites.
 
 A surrogate that regresses several quantities over mu joins them into
 one value table, so one fit trains them and one ``combine`` reads them.
-Regressors fitted one by one on the same sites are read together too:
-``join`` lays their tables side by side along a trailing K axis, and one
+Tables fitted one by one on the same sites are read together too:
+``join`` lays them side by side along a trailing K axis, and one
 ``combine`` reads all K at once, n x d x K.  The latent-interpolation
-variants fit one regressor per instant this way and read all N_t with
-one ``combine``.
+variants fit one table per instant this way and read all N_t with one
+``combine``.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -142,25 +142,6 @@ class Sites:
     powers: list | None = None
 
 
-@dataclass(frozen=True)
-class FittedRegressor:
-    """Trained map from p-vectors to d-vectors; immutable and reentrant.
-
-    ``values`` is the one table a query reads: the value rows (linear:
-    sorted), the rbf weights or the polynomial coefficients, imaginary
-    channels after the real ones when ``complex_output``.  A table made
-    by ``join`` has a trailing axis, one entry per joined regressor."""
-
-    sites: Sites
-    values: np.ndarray
-    complex_output: bool = False
-
-    @property
-    def output_dim(self) -> int:
-        width = self.values.shape[1]
-        return width // 2 if self.complex_output else width
-
-
 def _normalize_params(params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.ndim == 1:
@@ -170,25 +151,6 @@ def _normalize_params(params) -> np.ndarray:
     if not np.all(np.isfinite(params)):
         raise DataError("parameters contain non-finite entries")
     return params
-
-
-def _normalize_values(values) -> tuple:
-    values = np.asarray(values)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.ndim != 2:
-        raise DataError("values must form an N_p x d array")
-    # a count, not .all(): the same test at half the cost on a small table
-    if np.count_nonzero(np.isfinite(values)) != values.size:
-        raise DataError("values contain non-finite entries")
-    complex_output = values.dtype.kind == "c"
-    if complex_output:
-        values = np.hstack([values.real, values.imag])
-    # every solve returns a fresh table, so a contiguous float table needs
-    # no copy of its own; any other is converted, keeping its axis order
-    if values.dtype != np.float64 or not (values.flags.c_contiguous or values.flags.f_contiguous):
-        values = values.astype(float)
-    return values, complex_output
 
 
 def _poly_powers(p: int, degree: int) -> list:
@@ -316,21 +278,42 @@ def prepare(spec: RegressorSpec, params) -> Sites:
     return make_sites(solve, weights)
 
 
-def fit(sites: Sites, values) -> FittedRegressor:
-    """Train a regressor on the values at prepared sites, one value row
-    per training parameter.
+def fit(sites: Sites, values) -> np.ndarray:
+    """The table a query reads, trained on the values at prepared sites,
+    one value row per training parameter; complex values give a complex
+    table.
 
     Interpolating kinds (linear, nearest, rbf with zero ridge) reproduce
     their training values on prediction; the polynomial kind solves a
     ridge-regularized least-squares problem.
     """
-    table, complex_output = _normalize_values(values)
-    if table.shape[0] != sites.params.shape[0]:
-        raise DataError(
-            f"{sites.params.shape[0]} parameters but {table.shape[0]} value rows"
-        )
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2:
+        raise DataError("values must form an N_p x d array")
+    # a count, not .all(): the same test at half the cost on a small table
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise DataError("values contain non-finite entries")
+    if len(values) != len(sites.params):
+        raise DataError(f"{len(sites.params)} parameters but {len(values)} value rows")
     _record_fit()
-    return FittedRegressor(sites, sites.solve(table), complex_output)
+    complex_values = values.dtype.kind == "c"
+    if complex_values:
+        values = np.hstack([values.real, values.imag])
+    # every solve returns a fresh table, so a contiguous float table needs
+    # no copy of its own; any other is converted, keeping its axis order
+    if values.dtype != np.float64 or not (values.flags.c_contiguous or values.flags.f_contiguous):
+        values = values.astype(float)
+    solved = sites.solve(values)
+    if not complex_values:
+        return solved
+    # each channel into its own part, so the signs of zeros are kept
+    d = solved.shape[1] // 2
+    table = np.empty((len(solved), d), complex)
+    table.real = solved[:, :d]
+    table.imag = solved[:, d:]
+    return table
 
 
 def _apply_policy(sites: Sites, rows: np.ndarray) -> np.ndarray:
@@ -377,41 +360,42 @@ def stencil(sites: Sites, mu) -> np.ndarray:
     return weights if mu.ndim == 2 else weights[0]
 
 
-def join(regressors) -> FittedRegressor:
-    """The regressors, all fitted on the same sites, as one whose table
-    has a trailing axis with one entry per regressor, in order; one
-    ``combine`` then reads all of them.  ``regressors`` may be a
-    generator: each table is copied as it arrives, so the regressors
-    need not all be held at once.  There must be at least one."""
-    regressors = iter(regressors)
-    first = next(regressors)
+def join(tables) -> np.ndarray:
+    """The tables, all fitted on the same sites, stacked along a trailing
+    axis with one entry per table, in order; one ``combine`` then reads
+    all of them.  ``tables`` may be a generator: each table is copied as
+    it arrives, so they need not all be held at once.  There must be at
+    least one."""
+    tables = iter(tables)
+    first = next(tables)
 
-    def tables():
-        yield first.values
-        for regressor in regressors:
-            if regressor.sites is not first.sites or regressor.complex_output != first.complex_output:
-                raise DataError("joined regressors must share their sites and output type")
-            yield regressor.values
+    def checked():
+        yield first
+        for table in tables:
+            if table.shape != first.shape or table.dtype != first.dtype:
+                raise DataError("joined tables must share their shape and dtype")
+            yield table
 
-    values = np.fromiter(tables(), dtype=np.dtype((float, first.values.shape)))
-    values = np.ascontiguousarray(np.moveaxis(values, 0, -1))
-    return FittedRegressor(first.sites, values, first.complex_output)
+    joined = np.fromiter(checked(), dtype=np.dtype((first.dtype, first.shape)))
+    return np.ascontiguousarray(np.moveaxis(joined, 0, -1))
 
 
-def combine(weights: np.ndarray, regressor: FittedRegressor) -> np.ndarray:
-    """The regressor's value at the stencil's query, d or n x d; it must
-    be fitted on the stencil's sites.  A joined regressor of K gives
-    d x K or n x d x K.  Summed by einsum, not BLAS, so a row reads the
-    same bits alone as in a block, and a joined regressor the same bits
+def combine(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The fitted table's value at the stencil's query, d or n x d; it
+    must be fitted on the stencil's sites.  A joined table of K gives
+    d x K or n x d x K.  A complex table is summed as its interleaved
+    real and imaginary parts.  Summed by einsum, not BLAS, so a row reads
+    the same bits alone as in a block, and a joined table the same bits
     as each of its parts read alone."""
-    joined = regressor.values.ndim == 3
-    row = np.einsum("...m,mdk->...dk" if joined else "...m,md->...d", weights, regressor.values)
-    if regressor.complex_output:
-        d = regressor.output_dim
-        if joined:
-            return row[..., :d, :] + 1j * row[..., d:, :]
-        return row[..., :d] + 1j * row[..., d:]
-    return row
+    floats = table.view(float) if table.dtype.kind == "c" else table
+    # a table read as it is: the two reshapes a joined one needs cost a
+    # third of a one-row read
+    if floats.ndim == 2:
+        row = np.einsum("...m,mj->...j", weights, floats)
+    else:  # a joined table, its trailing axes read as one
+        row = np.einsum("...m,mj->...j", weights, floats.reshape(len(floats), -1))
+        row = row.reshape(row.shape[:-1] + floats.shape[1:])
+    return row if floats is table else row.view(complex)
 
 
 def default_spec(param_dim: int) -> RegressorSpec:

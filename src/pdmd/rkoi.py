@@ -6,13 +6,13 @@ amplitudes); one stacked solve fits them all, started on a uniform grid
 from ``part``'s DMDs.  Each member is aligned to its parent in a minimum
 spanning tree over the training parameters by least-total-distance
 frequency matching and phased to the tree's root, so the model does
-not depend on the row order; then every channel (real and imaginary
-parts of vec(modes), frequencies, amplitudes) is regressed over mu as
-one value table.  Online, ``predict_rkoi`` answers an n x p block of
-parameter rows: it reads that table once for the block (one stencil,
-one combine), then per row symmetrizes conjugate pairs and sums
-exponentials at any requested time, returning one r x N_t latent array
-per row, which the caller lifts.
+not depend on the row order; then every channel (vec(modes),
+frequencies, amplitudes) is regressed over mu as one complex value
+table, which the model holds with its sites.  Online, ``predict_rkoi``
+answers an n x p block of parameter rows: it reads that table once for
+the block (one stencil, one combine), then per row symmetrizes
+conjugate pairs and sums exponentials at any requested time, returning
+one r x N_t latent array per row, which the caller lifts.
 Continuous in time and free of online training.  SciPy loads with the
 first fit (``alignment_tree``); a query needs it only through an rbf
 regressor.
@@ -49,31 +49,29 @@ from .reduction import GlobalBasis, LatentDataset
 class RkoiModel:
     """Regressed spectral triplets plus the shared spatial basis.
 
-    ``regressor`` maps mu to r^2 + 2r complex channels: vec(modes),
-    column-major, then the r continuous frequencies, then the r
-    amplitudes.  ``notes`` names each fitted member (each bagged trial)
-    whose ``converged`` flag is False, and each ambiguous alignment.
+    ``values``, the complex table fitted on ``sites``, maps mu to
+    r^2 + 2r channels: vec(modes), column-major, then the r continuous
+    frequencies, then the r amplitudes.  ``notes`` names each fitted
+    member (each bagged trial) whose ``converged`` flag is False, and
+    each ambiguous alignment.
     """
 
     tag: ClassVar[str] = "rkoi"
 
     basis: GlobalBasis
-    regressor: regression.FittedRegressor
+    sites: regression.Sites
+    values: np.ndarray
     t0: float
     notes: tuple = ()
 
     def __post_init__(self):
         check_lattice(self.t0)
-        rank, width = self.basis.rank, self.regressor.output_dim
+        rank, width = self.basis.rank, self.values.shape[1]
         if width != rank * (rank + 2):
             raise DataError(
                 f"triplet regressor has {width} output channels, "
                 f"basis rank {rank} needs {rank * (rank + 2)}"
             )
-
-    @property
-    def sites(self) -> regression.Sites:
-        return self.regressor.sites
 
 
 def alignment_tree(params) -> tuple:
@@ -183,7 +181,8 @@ def fit_rkoi(
 
     return RkoiModel(
         basis=latent.basis,
-        regressor=regression.fit(sites, table),
+        sites=sites,
+        values=regression.fit(sites, table),
         t0=latent.grid.t0,
         notes=tuple(notes),
     )
@@ -193,13 +192,13 @@ def predict_rkoi(model: RkoiModel, mu_rows, times) -> list:
     """Predicted latent trajectories at arbitrary (continuous) times, one
     r x N_t array per row of the n x p block ``mu_rows``, in row order;
     ``reduction.lift`` takes a row to state space.  One read of the
-    regressor serves the block; each row's triplets are then closed under
+    value table serves the block; each row's triplets are then closed under
     conjugation and summed on their own."""
     rows = parameter_rows(mu_rows)
     rank = model.basis.rank
-    weights = regression.stencil(model.regressor.sites, rows)
+    weights = regression.stencil(model.sites, rows)
     latents = []
-    for triplets in regression.combine(weights, model.regressor):
+    for triplets in regression.combine(weights, model.values):
         modes = triplets[: rank * rank].reshape((rank, rank), order="F")
         omegas, amps = triplets[rank * rank :].reshape(2, rank)
         omegas, modes, amps = project_conjugate_closure(omegas, modes, amps)

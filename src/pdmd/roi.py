@@ -5,7 +5,8 @@ parameter in latent coordinates (``latent.fit_partitioned``, which also
 reports a rank-deficient training set), their operators flattened into
 columns of a matrix whose truncated SVD yields operator modes and
 per-parameter coefficients; the coefficients and the initial latent
-states are regressed over mu as one value table.  Online,
+states are regressed over mu as one real value table, which the model
+holds with its sites.  Online,
 ``predict_roi`` answers an n x p block of parameter rows in one pass:
 it reads that table once for the block (one stencil, one combine),
 synthesizes every row's operator from its coefficients, steps all the
@@ -36,23 +37,26 @@ class RoiModel:
 
     ``op_modes`` holds the orthonormal operator modes as columns
     (column-major flattened r x r operators), one per coefficient.
-    ``regressor`` maps mu to op_rank + r channels: the op_rank
-    operator-mode coefficients, then the r entries of the initial latent
-    state.
+    ``values``, the table fitted on ``sites``, maps mu to op_rank + r
+    real channels: the op_rank operator-mode coefficients, then the r
+    entries of the initial latent state.
     """
 
     tag: ClassVar[str] = "roi"
 
     basis: GlobalBasis
     op_modes: np.ndarray
-    regressor: regression.FittedRegressor
+    sites: regression.Sites
+    values: np.ndarray
     dt: float
     t0: float
 
     def __post_init__(self):
         check_lattice(self.t0, self.dt)
+        if np.iscomplexobj(self.op_modes) or np.iscomplexobj(self.values):
+            raise DataError("roi op_modes and regressor values must be real")
         rank, shape = self.basis.rank, np.shape(self.op_modes)
-        width = self.regressor.output_dim
+        width = self.values.shape[1]
         if len(shape) != 2 or shape[0] != rank * rank or width != shape[1] + rank:
             raise DataError(
                 f"op_modes of shape {shape} and {width} regressor channels "
@@ -62,10 +66,6 @@ class RoiModel:
     @property
     def op_rank(self) -> int:
         return self.op_modes.shape[1]
-
-    @property
-    def sites(self) -> regression.Sites:
-        return self.regressor.sites
 
 
 def unfold_operator(op: np.ndarray) -> np.ndarray:
@@ -114,7 +114,8 @@ def fit_roi(
     return RoiModel(
         basis=latent.basis,
         op_modes=svd.modes_u,
-        regressor=regression.fit(sites, np.hstack([coefficients, initial_states])),
+        sites=sites,
+        values=regression.fit(sites, np.hstack([coefficients, initial_states])),
         dt=latent.grid.dt,
         t0=latent.grid.t0,
     )
@@ -122,7 +123,7 @@ def fit_roi(
 
 def synthesize_operator(model: RoiModel, coeffs: np.ndarray) -> np.ndarray:
     """Latent one-step operator from op_rank operator-mode coefficients,
-    the leading channels of the model's regressor read at a query; an
+    the leading channels of the model's values read at a query; an
     n x op_rank block of coefficients gives n x r x r operators."""
     coeffs = np.asarray(coeffs)
     # one matrix-vector product per row, as for a single vector
@@ -134,7 +135,7 @@ def predict_roi(model: RoiModel, mu_rows, instants) -> np.ndarray:
     order, repeats allowed), n x r x N_t for an n x p block of parameter
     rows; ``reduction.lift`` takes a row to state space.
 
-    One read of the regressor and one synthesis serve the block.  Every
+    One read of the value table and one synthesis serve the block.  Every
     row is stepped with its own operator in time order, all rows by one
     product per lattice step between consecutive instants, and by the
     operators' matrix powers (O(log g) products) across a gap of g > 1
@@ -142,8 +143,8 @@ def predict_roi(model: RoiModel, mu_rows, instants) -> np.ndarray:
     naming its row and the instant."""
     rows = parameter_rows(mu_rows)
     steps = lattice_steps(instants, model.t0, model.dt)
-    weights = regression.stencil(model.regressor.sites, rows)
-    values = regression.combine(weights, model.regressor)
+    weights = regression.stencil(model.sites, rows)
+    values = regression.combine(weights, model.values)
     operators = synthesize_operator(model, values[:, : model.op_rank])
     # rows step as row vectors, x^T <- x^T A^T: a folded operator's
     # transpose is C-contiguous, and each product is the one a single

@@ -181,7 +181,7 @@ def test_operator_family_exactness():
     pred_err = 0.0
     for mu in np.linspace(0.1, 0.9, 5):
         model = surrogate.model
-        coeffs = combine(stencil(model.regressor.sites, [mu]), model.regressor)
+        coeffs = combine(stencil(model.sites, [mu]), model.values)
         lifted = u @ synthesize_operator(model, coeffs[: model.op_rank]) @ u.T
         true_op = a0 + mu * a1
         op_err = max(

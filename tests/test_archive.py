@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from pdmd.errors import DataError, IllConditionedWarning, PdmdError, PdmdWarning
 from pdmd.latent import MonolithicModel, PartitionedModel, fit_partitioned
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, spec_from_metadata
 from pdmd.reduction import GlobalBasis, _gram_factors, fit_global_basis, project
-from pdmd.regression import KINDS, FittedRegressor, RegressorSpec, prepare
+from pdmd.regression import KINDS, RegressorSpec, Sites, fit, prepare
 from pdmd.rkoi import RkoiModel
 from pdmd.roi import RoiModel, fit_roi
 from pdmd.synth import SynthSpec, generate
@@ -52,17 +53,6 @@ def make_latent(seed=0, n_params=4, rank=3):
 
 
 FIXED_PARAMS = np.array([[0.25], [0.75]])
-
-
-def fixed_regressor(table, spec=RegressorSpec("linear")):
-    return FittedRegressor(prepare(spec, FIXED_PARAMS), np.asarray(table, dtype=float))
-
-
-def fixed_complex_regressor(table, spec=RegressorSpec("nearest", extrapolation="allow")):
-    table = np.asarray(table)
-    return FittedRegressor(
-        prepare(spec, FIXED_PARAMS), np.hstack([table.real, table.imag]), True
-    )
 
 
 def fixed_dmd(scale):
@@ -101,22 +91,21 @@ def fixed_models(spec=None):
         "roi": RoiModel(
             basis=basis,
             op_modes=np.arange(8.0).reshape(4, 2) / 8,
+            sites=sites,
             # two operator-mode coefficients, then the initial state
-            regressor=fixed_regressor(
-                [[1.0, 0.5, 1.0, 0.0], [0.75, 0.25, 0.5, 0.5]], roi_spec
-            ),
+            values=np.array([[1.0, 0.5, 1.0, 0.0], [0.75, 0.25, 0.5, 0.5]]),
             dt=0.5,
             t0=1.0,
         ),
         "rkoi": RkoiModel(
             basis=basis,
+            sites=prepare(rkoi_spec, FIXED_PARAMS),
             # vec(modes), then the frequencies, then the amplitudes
-            regressor=fixed_complex_regressor(
+            values=np.array(
                 [
                     [1, 0.5j, 0.25, -1j, -0.1 + 1j, -0.1 - 1j, 1 + 1j, 1 - 1j],
                     [1, 0.25j, 0.5, -0.5j, -0.2 + 2j, -0.2 - 2j, 0.5j, -0.5j],
-                ],
-                rkoi_spec,
+                ]
             ),
             t0=1.0,
             notes=("parameter 1: fixed note",),
@@ -422,6 +411,21 @@ class TestRoundTrips:
         loaded = load_model(path).model
         assert np.array_equal(predict_surrogate(loaded, [0.45], written.grid.instants), expected)
 
+    def test_signed_zeros_of_a_complex_table_survive(self, tmp_path):
+        # fit stores the real and imaginary channels in their own parts,
+        # and the archive stores the complex table as it is
+        table = np.array(
+            [[1, 0.5j, -0.0, -1j, -0.1 + 1j, -0.1 - 1j, 1 + 1j, 1 - 1j],
+             [1, complex(0.25, -0.0), 0.5, -0.5j, -0.2 + 2j, -0.2 - 2j, 0.5j, -0.5j]]
+        )
+        sites = prepare(RegressorSpec("nearest"), FIXED_PARAMS)
+        model = replace(fixed_models()["rkoi"], sites=sites, values=fit(sites, table))
+        path = tmp_path / "zeros.pdmdm"
+        save_model(model, path)
+        for values in (model.values, load_model(path).model.values):
+            assert np.array_equal(np.signbit(values.real), np.signbit(table.real))
+            assert np.array_equal(np.signbit(values.imag), np.signbit(table.imag))
+
     def test_saved_file_is_deterministic(self, tmp_path):
         _, latent = make_latent(seed=4)
         model = fit_roi(latent, op_rank=2, sites=prepare(RegressorSpec("nearest"), latent.params))
@@ -437,13 +441,8 @@ class TestRoundTrips:
         path = tmp_path / "model.pdmdm"
         save_model(model, path)
         loaded = load_model(path).model
-        assert loaded.regressor.sites.spec == spec
-        assert_allclose(
-            loaded.regressor.values,
-            model.regressor.values,
-            atol=0,
-            rtol=0,
-        )
+        assert loaded.sites.spec == spec
+        assert_allclose(loaded.values, model.values, atol=0, rtol=0)
 
 
 class TestValidation:
@@ -550,11 +549,9 @@ class TestValidation:
             warnings.simplefilter("always")
             loaded = load_model(path).model
         assert [w.category for w in caught] == [IllConditionedWarning]
-        regressors = [
-            value for value in vars(loaded).values() if isinstance(value, FittedRegressor)
-        ]
-        assert len(regressors) == 1
-        assert np.array_equal(regressors[0].values, model.regressor.values)
+        sites = [value for value in vars(loaded).values() if isinstance(value, Sites)]
+        assert len(sites) == 1
+        assert np.array_equal(loaded.values, model.values)
 
     @pytest.mark.parametrize(
         "tag, changes, message",
@@ -586,6 +583,18 @@ class TestValidation:
         self, fixed_archives, tmp_path, capsys, tag, changes, message
     ):
         assert_tamper_rejected(fixed_archives[tag], changes, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"regressor.values": np.array([[1.0, 0.5, 1.0, 0.0], [0.75, 0.25, 0.5, 0.5j]])},
+         {"roi.op_modes": np.arange(8.0).reshape(4, 2) / 8 + 0j}],
+        ids=["values", "op-modes"],
+    )
+    def test_complex_roi_arrays_rejected(self, fixed_archives, tmp_path, capsys, changes):
+        # a roi query steps real latent states; a complex table or operator
+        # mode is refused at load, not at the query
+        message = "roi op_modes and regressor values must be real"
+        assert_tamper_rejected(fixed_archives["roi"], changes, message, tmp_path, capsys)
 
     def test_stored_output_dim_off_the_table_rejected(
         self, fixed_archives, tmp_path, capsys

@@ -68,3 +68,11 @@ def test_overflow_check_raises_its_own_error_under_haswell():
         "test_dmd.py::TestImaginaryTelemetry",
     )
     assert result["exit"] == 0, result["output"]
+
+
+@needs_haswell
+def test_archive_and_regressor_bits_hold_under_haswell():
+    # the golden archive hashes and the bit-for-bit regressor reads are
+    # pinned on this machine's kernel; they must hold on another
+    result = rerun_under("Haswell", "test_archive.py", "test_regression.py")
+    assert result["exit"] == 0, result["output"]

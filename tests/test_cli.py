@@ -1,6 +1,7 @@
 """Command-line behavior: config merging, exit codes, console reports,
 and the file formats the subcommands exchange."""
 
+import copy
 import json
 import struct
 
@@ -415,6 +416,21 @@ class TestPredict:
             "--rank", "6", "--out", str(model),
         ) == 0
         return data, model
+
+    @pytest.mark.parametrize("field", ["values", "op_modes"])
+    def test_roi_archive_with_a_complex_array_is_data_error(self, tmp_path, capsys, field):
+        _, model = self.fit_model(tmp_path)
+        archive = load_model(model)
+        # RoiModel refuses a complex array, so the archive is written from
+        # an unchecked copy of the fitted model
+        tampered = copy.copy(archive.model)
+        object.__setattr__(tampered, field, getattr(tampered, field) + 0j)
+        bad = tmp_path / "complex.pdmdm"
+        save_model(tampered, bad, archive.metadata)
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(bad), "--mu", "0.5",
+                       "--out", str(tmp_path / "pred.pdmd1")) == 3
+        assert "roi op_modes and regressor values must be real" in capsys.readouterr().err
 
     def test_training_parameter_reproduces_trajectory(self, tmp_path, capsys):
         data, model = self.fit_model(tmp_path)

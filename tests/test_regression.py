@@ -23,35 +23,42 @@ from pdmd.regression import (
 )
 
 
+def fitted(sites, values):
+    """The sites and the table fitted on them, as ``predict`` reads them."""
+    return sites, fit(sites, values)
+
+
 def predict(regressor, mu):
-    """The regressor's value at mu, read through the sites it was fitted on."""
-    return combine(stencil(regressor.sites, mu), regressor)
+    """The fitted table's value at mu, read through the sites it was
+    fitted on."""
+    sites, table = regressor
+    return combine(stencil(sites, mu), table)
 
 
 class TestLinearInterp:
     def test_midpoint(self):
-        reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
+        reg = fitted(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
         assert_allclose(predict(reg, [0.5]), [1.0])
 
     def test_training_points_reproduced(self):
         xs = np.array([[0.0], [0.3], [1.0], [2.5]])
         ys = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0], [-2.0, 4.0]])
-        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
+        reg = fitted(prepare(RegressorSpec("linear"), xs), ys)
         for x, y in zip(xs, ys):
             assert_allclose(predict(reg, x), y, atol=1e-12)
 
     def test_unsorted_input_handled(self):
         sites = prepare(RegressorSpec("linear"), [[2.0], [0.0], [1.0]])
-        reg = fit(sites, [[4.0], [0.0], [2.0]])
+        reg = fitted(sites, [[4.0], [0.0], [2.0]])
         assert_allclose(predict(reg, [1.5]), [3.0])
 
     def test_clamp_beyond_hull(self):
-        reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
+        reg = fitted(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[0.0], [2.0]])
         with pytest.warns(ExtrapolationWarning):
             assert_allclose(predict(reg, [3.0]), [2.0])
 
     def test_error_policy(self):
-        reg = fit(
+        reg = fitted(
             prepare(RegressorSpec("linear", extrapolation="error"), [[0.0], [1.0]]),
             [[0.0], [2.0]],
         )
@@ -59,7 +66,7 @@ class TestLinearInterp:
             predict(reg, [1.5])
 
     def test_allow_policy_extends_segments(self):
-        reg = fit(
+        reg = fitted(
             prepare(RegressorSpec("linear", extrapolation="allow"), [[0.0], [1.0]]),
             [[0.0], [2.0]],
         )
@@ -69,8 +76,8 @@ class TestLinearInterp:
     def test_affine_input_equivariance(self):
         xs = np.array([[0.1], [0.4], [0.9], [1.7]])
         ys = np.random.default_rng(0).standard_normal((4, 3))
-        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
-        scaled = fit(prepare(RegressorSpec("linear"), 2.0 * xs + 5.0), ys)
+        reg = fitted(prepare(RegressorSpec("linear"), xs), ys)
+        scaled = fitted(prepare(RegressorSpec("linear"), 2.0 * xs + 5.0), ys)
         for q in (0.2, 0.55, 1.3):
             assert_allclose(
                 predict(reg, [q]), predict(scaled, [2.0 * q + 5.0]), atol=1e-12
@@ -90,14 +97,14 @@ class TestLinearInterp:
 
 class TestNearest:
     def test_closest_sample_wins(self):
-        reg = fit(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[10.0], [20.0]])
+        reg = fitted(prepare(RegressorSpec("nearest"), [[0.0], [1.0]]), [[10.0], [20.0]])
         assert_allclose(predict(reg, [0.4]), [10.0])
         assert_allclose(predict(reg, [0.6]), [20.0])
 
     def test_training_point_exact(self):
         params = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         values = np.array([[1.0], [2.0], [3.0]])
-        reg = fit(prepare(RegressorSpec("nearest"), params), values)
+        reg = fitted(prepare(RegressorSpec("nearest"), params), values)
         for mu, val in zip(params, values):
             assert_allclose(predict(reg, mu), val)
 
@@ -105,7 +112,7 @@ class TestNearest:
 class TestRbf:
     def test_sine_samples(self):
         xs = np.linspace(0.0, np.pi, 5)[:, None]
-        reg = fit(prepare(RegressorSpec("rbf-gauss"), xs), np.sin(xs))
+        reg = fitted(prepare(RegressorSpec("rbf-gauss"), xs), np.sin(xs))
         mids = 0.5 * (xs[:-1] + xs[1:])
         for mid in mids:
             assert abs(predict(reg, mid)[0] - np.sin(mid[0])) <= 1e-2
@@ -115,15 +122,15 @@ class TestRbf:
         params = rng.random((6, 2))
         values = rng.standard_normal((6, 3))
         for kind in ("rbf-gauss", "rbf-tps"):
-            reg = fit(prepare(RegressorSpec(kind), params), values)
+            reg = fitted(prepare(RegressorSpec(kind), params), values)
             for mu, val in zip(params, values):
                 assert_allclose(predict(reg, mu), val, atol=1e-8)
 
     def test_explicit_shape_honored(self):
         xs = np.linspace(0, 1, 4)[:, None]
         ys = np.cos(xs)
-        wide = fit(prepare(RegressorSpec("rbf-gauss", shape=10.0), xs), ys)
-        narrow = fit(prepare(RegressorSpec("rbf-gauss", shape=0.1), xs), ys)
+        wide = fitted(prepare(RegressorSpec("rbf-gauss", shape=10.0), xs), ys)
+        narrow = fitted(prepare(RegressorSpec("rbf-gauss", shape=0.1), xs), ys)
         q = np.array([0.35])
         assert predict(wide, q)[0] != pytest.approx(predict(narrow, q)[0], abs=1e-12)
 
@@ -169,7 +176,7 @@ class TestDuplicates:
     def test_rows_sharing_a_coordinate_accepted(self, kind):
         params = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 1.0], [0.5, 2.0]])
         values = np.arange(4.0)[:, None]
-        reg = fit(prepare(RegressorSpec(kind), params), values)
+        reg = fitted(prepare(RegressorSpec(kind), params), values)
         for mu, val in zip(params, values):
             assert_allclose(predict(reg, mu), val, atol=1e-8)
 
@@ -179,7 +186,7 @@ class TestPolynomial:
         xs = np.linspace(-1, 2, 5)[:, None]
         ys = 3.0 * xs**2 - 2.0 * xs + 0.5
         spec = RegressorSpec("poly", degree=2, extrapolation="allow")
-        reg = fit(prepare(spec, xs), ys)
+        reg = fitted(prepare(spec, xs), ys)
         for q in (-0.7, 0.33, 1.9, 2.0):
             assert_allclose(predict(reg, [q]), [3 * q**2 - 2 * q + 0.5], atol=1e-10)
 
@@ -193,7 +200,7 @@ class TestPolynomial:
             + 0.5 * params[:, 0] * params[:, 1]
             + params[:, 1] ** 2
         )[:, None]
-        reg = fit(prepare(RegressorSpec("poly", degree=2), params), target)
+        reg = fitted(prepare(RegressorSpec("poly", degree=2), params), target)
         q = np.array([0.4, 0.6])
         expected = 1.0 + 2.0 * 0.4 - 0.6 + 0.5 * 0.4 * 0.6 + 0.36
         assert_allclose(predict(reg, q), [expected], atol=1e-10)
@@ -206,7 +213,7 @@ class TestPolynomial:
             )
 
     def test_underdetermined_with_ridge_allowed(self):
-        reg = fit(
+        reg = fitted(
             prepare(RegressorSpec("poly", degree=3, ridge=1e-6), [[0.0], [1.0]]),
             [[1.0], [2.0]],
         )
@@ -217,9 +224,9 @@ class TestComplexTargets:
     def test_round_trip(self):
         xs = np.linspace(0, 1, 4)[:, None]
         ys = np.exp(1j * np.pi * xs) * (1.0 + xs)
-        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
-        assert reg.complex_output
-        assert reg.output_dim == 1
+        reg = fitted(prepare(RegressorSpec("linear"), xs), ys)
+        assert reg[1].dtype == complex
+        assert reg[1].shape == (4, 1)
         for x, y in zip(xs, ys):
             got = predict(reg, x)
             assert np.iscomplexobj(got)
@@ -228,8 +235,26 @@ class TestComplexTargets:
     def test_linearity_of_channels(self):
         xs = np.array([[0.0], [1.0]])
         ys = np.array([[1.0 + 2.0j], [3.0 - 4.0j]])
-        reg = fit(prepare(RegressorSpec("linear"), xs), ys)
+        reg = fitted(prepare(RegressorSpec("linear"), xs), ys)
         assert_allclose(predict(reg, [0.5]), [2.0 - 1.0j])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_is_the_fit_of_its_parts(self, kind):
+        # the parts are fitted side by side as one real table: a least-
+        # squares solve (rbf-tps, poly at zero ridge) need not give a
+        # column the same bits in a narrower table on every BLAS kernel
+        rng = np.random.default_rng(6)
+        params = rng.uniform(size=(7, 1 if kind == "linear" else 2))
+        values = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        values[2, 1] = complex(-0.0, -0.0)
+        sites = prepare(RegressorSpec(kind, degree=1), params)
+        table = fit(sites, values)
+        parts = fit(sites, np.hstack([values.real, values.imag]))
+        assert table.dtype == complex and table.flags.c_contiguous
+        assert np.array_equal(table.real, parts[:, :3])
+        assert np.array_equal(table.imag, parts[:, 3:])
+        assert np.array_equal(np.signbit(table.real), np.signbit(parts[:, :3]))
+        assert np.array_equal(np.signbit(table.imag), np.signbit(parts[:, 3:]))
 
 
 class TestJoin:
@@ -238,32 +263,31 @@ class TestJoin:
     def test_one_read_matches_each_part_bit_for_bit(self, kind, complex_values):
         xs = np.linspace(0.0, 1.0, 11)[:, None]
         rng = np.random.default_rng(4)
-        tables = rng.standard_normal((5, 11, 3))
+        values = rng.standard_normal((5, 11, 3))
         if complex_values:
-            tables = tables + 1j * rng.standard_normal(tables.shape)
+            values = values + 1j * rng.standard_normal(values.shape)
         sites = prepare(RegressorSpec(kind, degree=3, ridge=1e-3), xs)
-        regressors = [fit(sites, table) for table in tables]
-        joined = join(regressors)
-        assert joined.values.shape[-1] == len(tables)
-        assert np.array_equal(join(iter(regressors)).values, joined.values)
-        assert joined.output_dim == 3
+        tables = [fit(sites, table) for table in values]
+        joined = join(tables)
+        assert joined.shape == tables[0].shape + (len(tables),)
+        assert joined.dtype == tables[0].dtype
+        assert np.array_equal(join(iter(tables)), joined)
         for mu in ([0.37], [[0.05], [0.37], [0.99]]):
             weights = stencil(sites, mu)
             got = combine(weights, joined)
-            want = np.stack([combine(weights, r) for r in regressors], axis=-1)
+            want = np.stack([combine(weights, table) for table in tables], axis=-1)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    def test_needs_shared_sites_and_output_type(self):
-        xs = [[0.0], [1.0]]
-        sites = prepare(RegressorSpec("linear"), xs)
+    def test_needs_one_shape_and_dtype(self):
+        sites = prepare(RegressorSpec("linear"), [[0.0], [1.0]])
         real = fit(sites, [[1.0], [2.0]])
-        with pytest.raises(DataError, match="share"):
-            join([real, fit(prepare(RegressorSpec("linear"), xs), [[1.0], [2.0]])])
         with pytest.raises(DataError, match="share"):
             join([real, fit(sites, [[1.0j], [2.0]])])
         with pytest.raises(DataError, match="share"):
             join(fit(sites, [[1.0], [v]]) for v in (2.0, 3.0j))
+        with pytest.raises(DataError, match="share"):
+            join([real, fit(sites, [[1.0, 0.0], [2.0, 0.0]])])
 
 
 class TestFitCounter:
@@ -279,7 +303,7 @@ class TestFitCounter:
 
     def test_predict_does_not_count(self):
         with FitCount() as fits:
-            reg = fit(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[1.0], [2.0]])
+            reg = fitted(prepare(RegressorSpec("linear"), [[0.0], [1.0]]), [[1.0], [2.0]])
             before = fits.count
             predict(reg, [0.5])
         assert fits.count == before
@@ -354,11 +378,11 @@ class TestFitValues:
         sites = prepare(RegressorSpec(kind, degree=1), self.PARAMS.get(kind, self.SITES))
         values = np.arange(1.0, 9.0).reshape(4, 2)
         values = {"C": values, "F": np.asfortranarray(values), "vector": values[:, 0].copy()}[layout]
-        regressor = fit(sites, values)
-        kept = regressor.values.copy()
+        table = fit(sites, values)
+        kept = table.copy()
         values[...] = -1.0
-        assert np.array_equal(regressor.values, kept)
-        assert not np.shares_memory(regressor.values, values)
+        assert np.array_equal(table, kept)
+        assert not np.shares_memory(table, values)
 
 
 class TestStencilChecks:
@@ -382,11 +406,16 @@ class TestStencilChecks:
 
 def reference_table(sites, values):
     """The table the per-kind ``fit`` body made before each kind's solve
-    was built in ``prepare``: the reference the kind-free ``fit`` must
+    was built in ``prepare``, a complex one as one complex table of its
+    real and imaginary channels: the reference the kind-free ``fit`` must
     match bit for bit, C order included."""
     values = np.asarray(values)
     if np.iscomplexobj(values):
-        values = np.hstack([values.real, values.imag])
+        d = values.shape[1]
+        channels = reference_table(sites, np.hstack([values.real, values.imag]))
+        table = np.empty((len(channels), d), complex)
+        table.real, table.imag = channels[:, :d], channels[:, d:]
+        return table
     table = values.astype(float)
     spec, params = sites.spec, sites.params
     if spec.kind == "linear":
@@ -479,7 +508,7 @@ def test_kind_free_fit_and_stencil_match_per_kind_reference(name, n_params, comp
     big = np.zeros((n_params, 21), values.dtype)
     big[:, ::7] = values
     for table in (values, np.asfortranarray(values), big[:, ::7]):
-        got = fit(sites, table).values
+        got = fit(sites, table)
         want = reference_table(sites, table)
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous

@@ -67,7 +67,7 @@ def omegas_at(model, mu):
     """The regressed continuous frequencies at mu: the r channels after
     vec(modes)."""
     rank = model.basis.rank
-    triplets = combine(stencil(model.regressor.sites, mu), model.regressor)
+    triplets = combine(stencil(model.sites, mu), model.values)
     return triplets[rank * rank : rank * (rank + 1)]
 
 
@@ -145,7 +145,7 @@ class TestOneStackPerFit:
         stacked = fit_rkoi(latent, sites, bag_trials=bag_trials, bag_seed=4)
         monkeypatch.setattr(rkoi_module, "fit_ensembles", per_parameter_fits(4))
         separate = fit_rkoi(latent, sites, bag_trials=bag_trials, bag_seed=4)
-        assert np.array_equal(stacked.regressor.values, separate.regressor.values)
+        assert np.array_equal(stacked.values, separate.values)
         assert stacked.notes == separate.notes
 
     @pytest.mark.parametrize("bag_trials", [1, 3])

@@ -97,9 +97,9 @@ def pipeline_latent(seed=0, n_params=5, rank=4):
 
 
 def read_at(model, mu):
-    """The regressor's channels at mu (a vector or a block of rows): the
+    """The fitted channels at mu (a vector or a block of rows): the
     operator-mode coefficients, then the initial latent state."""
-    values = combine(stencil(model.regressor.sites, mu), model.regressor)
+    values = combine(stencil(model.sites, mu), model.values)
     return values[..., : model.op_rank], values[..., model.op_rank :]
 
 
