@@ -18,6 +18,12 @@ which ``cpow`` has special cases, keeps the plain power.
 ``evaluate_stack`` evaluates models of equal rank and state rows (the
 members of a partitioned model) with one power call over all their
 eigenvalues and one batched product; ``evaluate`` is its one-model case.
+Its private core ``_evaluate_stack`` returns the imaginary-residual
+messages instead of warning them: a latent model keeps them with the
+states of its last query's instants and warns them at every query that
+reuses those states (``latent.predict_latent``).  Each residual check
+takes its two norms as ``np.linalg.norm`` does, a dot of the ravel, but
+without its dispatch.
 """
 
 from __future__ import annotations
@@ -64,19 +70,27 @@ class DmdModel:
         return self.eigenvalues.size
 
 
+def _norm(values: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float array bit for bit, the same dot of
+    the same ravel, without its dispatch, which costs more than the dot
+    on a member's small slice."""
+    values = values.ravel(order="K")
+    return math.sqrt(values.dot(values))
+
+
 def _imaginary_residual(real, imag, context):
     """The warning message when the imaginary parts of complex values are
     large against their real parts, else None; non-finite parts raise
     ``NumericalError``.  The caller holds ``np.errstate(over="ignore")``,
     one block for any number of calls: a norm of values near the float64
     limit overflows to inf, and some BLAS kernels flag that overflow."""
-    scale = np.linalg.norm(real)
+    scale = _norm(real)
     if not SUBNORMAL_NORM <= scale < np.inf:
         # extreme units: compare the parts scaled by one power of two
         exponent = scale_exponent(real, imag)
         scale = np.linalg.norm(np.ldexp(real, -exponent))
         imag = np.ldexp(imag, -exponent)
-    imag = np.linalg.norm(imag)
+    imag = _norm(imag)
     if not (math.isfinite(scale) and math.isfinite(imag)):
         raise NumericalError(f"{context}: non-finite values")
     if imag > IMAG_RESIDUAL_REL_TOL * max(scale, 1e-300):
@@ -153,14 +167,12 @@ def _powers(eigenvalues: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return powers
 
 
-def evaluate_stack(models, steps) -> np.ndarray:
-    """States of a sequence of models that share their rank and state
-    rows, m x n x N_t: entry i is ``evaluate(models[i], steps)`` bit for
-    bit.  One steps check, one power call over all m r eigenvalues and
-    one batched product serve every model; each model's imaginary
-    residual is checked and warned about on its own, in order, and the
+def _evaluate_stack(models, steps) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``evaluate_stack`` without its warnings: the states and the
+    imaginary-residual messages that it would warn, in model order.  The
     first model whose states overflow raises ``NumericalError`` naming
-    its first overflowing step."""
+    its first overflowing step; the messages of the models before it are
+    then not returned."""
     steps = np.atleast_1d(np.asarray(steps))
     if not np.issubdtype(steps.dtype, np.integer):
         raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
@@ -179,6 +191,7 @@ def evaluate_stack(models, steps) -> np.ndarray:
     # each member's parts as contiguous slices: its norms then read the
     # sequence that a norm of its strided parts would copy out first
     real, imag = np.ascontiguousarray(states.real), np.ascontiguousarray(states.imag)
+    messages = []
     with np.errstate(over="ignore"):
         for i, model in enumerate(models):
             try:
@@ -190,8 +203,22 @@ def evaluate_stack(models, steps) -> np.ndarray:
                     f"modulus {np.abs(model.eigenvalues).max():.6g})"
                 ) from None
             if message is not None:
-                warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
-    return states.real
+                messages.append(message)
+    return real, tuple(messages)
+
+
+def evaluate_stack(models, steps) -> np.ndarray:
+    """States of a sequence of models that share their rank and state
+    rows, m x n x N_t: entry i is ``evaluate(models[i], steps)`` bit for
+    bit.  One steps check, one power call over all m r eigenvalues and
+    one batched product serve every model; each model's imaginary
+    residual is checked and warned about on its own, in order, and the
+    first model whose states overflow raises ``NumericalError`` naming
+    its first overflowing step."""
+    states, messages = _evaluate_stack(models, steps)
+    for message in messages:
+        warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
+    return states
 
 
 def evaluate(model: DmdModel, steps) -> np.ndarray:

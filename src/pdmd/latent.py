@@ -17,7 +17,7 @@ block of mu rows with one set of N_t regressor fits on those sites, so
 scoring a model at all N_p training parameters costs N_t fits, not
 N_p * N_t; a query passes its mu as one row and runs N_t fits.
 Everything around the fits is done once per call: one stacked
-evaluation (``dmd.evaluate_stack``) gives every DMD's states at all
+evaluation (as ``dmd.evaluate_stack``) gives every DMD's states at all
 instants, laid out instant-major, so each fit reads one contiguous
 N_p x r table; the whole block is checked, clamped and located once
 (``regression.stencil``, one weight matrix); and the N_t fitted tables
@@ -26,19 +26,28 @@ read for all rows and instants by one ``regression.combine``.  A
 clamped row therefore warns once, not once per instant, and an
 ill-conditioned rbf system warns when the sites are prepared, not at a
 query.
+
+The DMD states do not depend on mu, so a model keeps the state tables
+of the lattice steps its last call asked for, with that evaluation's
+imaginary-residual messages: one read-only N_t x N_p x r float table
+(46 KB at N_t 160, N_p 6, r 6).  A call at the same steps evaluates no
+DMD; it warns the kept messages again and still runs its N_t fits.  A
+call at other steps replaces the entry, and an overflow is raised, not
+kept.  An archive, ``==`` and ``repr`` do not see the entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from . import regression
 from .data import SnapshotMatrix, lattice_steps, parameter_rows
-from .dmd import DmdModel, evaluate_stack, fit_dmd
-from .errors import DataError, NumericalError, RankDeficientError
+from .dmd import DmdModel, _evaluate_stack, fit_dmd
+from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDeficientError
 from .reduction import GlobalBasis, LatentDataset
 
 
@@ -54,6 +63,8 @@ class MonolithicModel:
     basis: GlobalBasis
     stacked_dmd: DmdModel
     sites: regression.Sites
+    # the state tables of the lattice steps last asked for (_state_tables)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = self.stacked_dmd.modes.shape[0]
@@ -76,6 +87,8 @@ class PartitionedModel:
     basis: GlobalBasis
     members: tuple
     sites: regression.Sites
+    # the state tables of the lattice steps last asked for (_state_tables)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ranks = {member.rank for member in self.members}
@@ -139,29 +152,49 @@ def fit_partitioned(latent: LatentDataset, sites: regression.Sites) -> Partition
     return PartitionedModel(latent.basis, tuple(members), sites)
 
 
+def _state_tables(model, dmds, steps) -> np.ndarray:
+    """The model's DMD states at lattice steps, N_t x N_p x r and
+    read-only, one contiguous N_p x r table per instant (a stacked state
+    holds the parameters' r rows in turn), kept with the model for the
+    steps last asked for; the evaluation's messages are warned on every
+    call.  The entry is one tuple, read once and replaced whole, so
+    threads querying one model at different steps each read a
+    consistent entry."""
+    key = steps.tobytes()  # lattice steps are int64
+    entry = model._memo.get("states")
+    if entry is None or entry[0] != key:
+        states, messages = _evaluate_stack(dmds, steps)
+        tables = np.ascontiguousarray(states.transpose(2, 0, 1)).reshape(
+            steps.size, len(model.sites.params), model.basis.rank
+        )
+        tables.flags.writeable = False
+        entry = (key, tables, messages)
+        model._memo["states"] = entry
+    for message in entry[2]:
+        # attributed to predict_latent, the evaluation's caller
+        warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
+    return entry[1]
+
+
 def predict_latent(model, mu_rows, times) -> np.ndarray:
     """Predicted latent trajectories over lattice instants, n x r x N_t
     for an n x p block of parameter rows.
 
     All of the model's DMDs are evaluated at all requested instants in
-    one stacked pass and the block gets one weight matrix on the model's
-    sites; then one regressor per instant is trained on the per-parameter
-    latent states there, and one read of the joined tables gives every
-    row at every instant.  This online training, N_t fits per call
-    whatever n is, is the contract of the strategy; count it with
-    ``regression.FitCount``.
+    one stacked pass, or not at all when the model's last call asked for
+    the same instants, and the block gets one weight matrix on the
+    model's sites; then one regressor per instant is trained on the
+    per-parameter latent states there, and one read of the joined tables
+    gives every row at every instant.  This online training, N_t fits
+    per call whatever n is, is the contract of the strategy; count it
+    with ``regression.FitCount``.
     """
     if not isinstance(model, (MonolithicModel, PartitionedModel)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     rows = parameter_rows(mu_rows)
     dmds = (model.stacked_dmd,) if isinstance(model, MonolithicModel) else model.members
     steps = lattice_steps(times, dmds[0].t0, dmds[0].dt)
-    # N_t x N_p x r, one contiguous table per instant; a stacked state
-    # holds the parameters' r rows in turn
-    states = evaluate_stack(dmds, steps).transpose(2, 0, 1)
-    tables = np.ascontiguousarray(states).reshape(
-        steps.size, len(model.sites.params), model.basis.rank
-    )
+    tables = _state_tables(model, dmds, steps)
     weights = regression.stencil(model.sites, rows)
     if not steps.size:  # no fit to join; the rows are still checked above
         return np.empty((rows.shape[0], model.basis.rank, 0))

@@ -1,5 +1,7 @@
 """Tests for latent-trajectory interpolation surrogates."""
 
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmd import dmd, latent as latent_module, regression
+from pdmd.archive import save_model
 from pdmd.bench import default_suite
 from pdmd.data import TimeGrid, lattice_steps, split_train_test
 from pdmd.dmd import fit_dmd, reconstruct
@@ -15,10 +18,12 @@ from pdmd.errors import (
     DataError,
     ExtrapolationWarning,
     IllConditionedWarning,
+    ImaginaryResidualWarning,
     NumericalError,
 )
 from pdmd.latent import (
     MonolithicModel,
+    PartitionedModel,
     fit_monolithic,
     fit_partitioned,
     predict_latent,
@@ -28,6 +33,8 @@ from pdmd.pipeline import FitOptions, fit_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
 from pdmd.regression import FitCount, RegressorSpec
 from pdmd.synth import generate
+
+from test_dmd import spectral_model
 
 
 def rotation(radius, angle):
@@ -260,21 +267,33 @@ class TestPredictLatent:
         assert_allclose(pred, reference, atol=1e-10)
 
     def test_each_dmd_evaluated_once_per_query(self, monkeypatch):
+        # and not at all when the model's last query asked for the same
+        # instants, whatever the mu
         latent, _ = scaled_family([0.5, 1.0, 1.5])
         evaluated = []
 
         def counting_evaluate(models, steps):
             evaluated.extend(models)
-            return dmd.evaluate_stack(models, steps)
+            return dmd._evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
+        monkeypatch.setattr(latent_module, "_evaluate_stack", counting_evaluate)
         times = latent.grid.instants[:7]
+        others = latent.grid.instants[2:9]
         part = fit_partitioned(latent, sites_for(latent))
         mono = fit_monolithic(latent, sites_for(latent))
         for model, expected in ((part, part.members), (mono, [mono.stacked_dmd])):
-            evaluated.clear()
-            predict_one(model, [0.8], times)
-            assert [id(m) for m in evaluated] == [id(m) for m in expected]
+            expected = [id(m) for m in expected]
+            for mu, instants, evaluates in (
+                ([0.8], times, True),
+                ([0.8], times, False),
+                ([0.6], times, False),
+                ([0.8], others, True),
+                ([0.6], others, False),
+                ([0.8], times, True),
+            ):
+                evaluated.clear()
+                predict_one(model, mu, instants)
+                assert [id(m) for m in evaluated] == (expected if evaluates else [])
 
 
 @pytest.mark.parametrize("scenario", default_suite().scenarios, ids=lambda s: s.name)
@@ -436,6 +455,139 @@ class TestWarningsOncePerQuery:
         ]
         assert all(w.category is ExtrapolationWarning for w in caught)
         assert all(w.filename == latent_module.__file__ for w in caught)
+
+
+def residual_model(fit_model):
+    """A model at three parameters and rank 2 whose DMDs leave imaginary
+    residuals: a lone complex eigenvalue (no conjugate) has no real
+    trajectory.  The partitioned model's middle member is real, so two of
+    its three members warn; the monolithic model's one DMD warns."""
+    sites = regression.prepare(RegressorSpec("linear"), np.array([[0.0], [0.5], [1.0]]))
+    if fit_model is fit_monolithic:
+        modes = [[1.0, 0.2], [0.5, 1.0], [0.3, 0.4], [1.0, 0.0], [0.2, 0.1], [0.0, 1.0]]
+        stacked = spectral_model([0.9 * np.exp(0.3j), 0.7], modes, [1.0, 2.0])
+        return MonolithicModel(identity_basis(2), stacked, sites)
+    members = (
+        spectral_model([0.9 * np.exp(0.3j)], [[1.0], [0.5]], [1.0]),
+        spectral_model([0.5], [[1.0], [2.0]], [1.0]),
+        spectral_model([0.8 * np.exp(1.1j)], [[2.0], [1.0]], [3.0]),
+    )
+    return PartitionedModel(identity_basis(2), members, sites)
+
+
+@pytest.mark.parametrize("fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"])
+class TestStatesKeptWithTheModel:
+    """A model keeps the state tables of the lattice steps that its last
+    query asked for; what a query returns, warns and raises, and what an
+    archive holds, do not depend on whether they were kept."""
+
+    def test_repeated_query_matches_the_first_and_a_fresh_model(self, fit_model):
+        latent = swept_family(ORACLE_PARAMS[2])
+        spec = ORACLE_SPECS["rbf-gauss"]
+        model = fit_model(latent, sites_for(latent, spec))
+        rows = oracle_rows(latent.params, "inside", 3)
+        times = latent.grid.instants[1::2]
+        first = predict_latent(model, rows, times)
+        again = predict_latent(model, rows, times)
+        other_rows = predict_latent(model, rows[::-1], times)
+        fresh = fit_model(latent, sites_for(latent, spec))
+        assert again.tobytes() == first.tobytes()
+        assert predict_latent(fresh, rows, times).tobytes() == first.tobytes()
+        assert other_rows.tobytes() == predict_latent(fresh, rows[::-1], times).tobytes()
+
+    def test_fit_count_reads_n_t_on_a_repeated_query(self, fit_model):
+        latent = swept_family(ORACLE_PARAMS[1])
+        model = fit_model(latent, sites_for(latent))
+        times = latent.grid.instants[:9]
+        for _ in range(3):
+            with FitCount() as fits:
+                predict_latent(model, [[0.5]], times)
+            assert fits.count == len(times)
+
+    def test_repeated_query_warns_each_imaginary_residual_again(self, fit_model):
+        model = residual_model(fit_model)
+        dmds = [model.stacked_dmd] if fit_model is fit_monolithic else list(model.members)
+        times = np.arange(0.0, 120.0, 3.0)
+        with warnings.catch_warnings(record=True) as direct:
+            warnings.simplefilter("always")
+            dmd.evaluate_stack(dmds, lattice_steps(times, 0.0, 1.0))
+        expected = [str(w.message) for w in direct]
+        assert len(expected) == (1 if fit_model is fit_monolithic else 2)
+        answers = []
+        for mu in ([[0.4]], [[0.4]], [[0.7]]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                answers.append(predict_latent(model, mu, times))
+            assert [str(w.message) for w in caught] == expected
+            assert all(w.category is ImaginaryResidualWarning for w in caught)
+            assert all(w.filename == latent_module.__file__ for w in caught)
+        assert answers[1].tobytes() == answers[0].tobytes()
+
+    def test_overflow_raises_on_every_query(self, fit_model):
+        # an overflow is not kept with the model, which still answers
+        # where its states are finite
+        latent, _ = two_block_family()
+        model = fit_model(latent, sites_for(latent))
+
+        def grown(member):
+            # every eigenvalue scaled, so conjugate pairs stay pairs
+            return replace(member, eigenvalues=1e3 * member.eigenvalues)
+
+        if fit_model is fit_monolithic:
+            model = replace(model, stacked_dmd=grown(model.stacked_dmd))
+        else:
+            model = replace(model, members=(model.members[0], grown(model.members[1])))
+        times = np.array([0.0, 50.0, 150.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(NumericalError, match="overflow at lattice step 150"):
+                    predict_latent(model, [[0.5]], times)
+            assert np.isfinite(predict_latent(model, [[0.5]], times[:2])).all()
+            with pytest.raises(NumericalError, match="overflow at lattice step 150"):
+                predict_latent(model, [[0.5]], times)
+
+    def test_a_query_leaves_the_archive_and_repr_as_they_were(self, fit_model, tmp_path):
+        latent = swept_family(ORACLE_PARAMS[1])
+        model = fit_model(latent, sites_for(latent))
+        before, after = tmp_path / "before.pdmd", tmp_path / "after.pdmd"
+        shown = repr(model)
+        save_model(model, before)
+        predict_latent(model, [[0.5]], latent.grid.instants)
+        save_model(model, after)
+        assert after.read_bytes() == before.read_bytes()
+        assert repr(model) == shown
+
+    def test_threads_at_different_instants_get_the_serial_answers(self, fit_model):
+        """More query threads than cores on one model, switching every
+        microsecond, each asking for its own instants."""
+        latent = swept_family(ORACLE_PARAMS[1])
+        model = fit_model(latent, sites_for(latent))
+        rows = oracle_rows(latent.params, "inside", 2)
+        instants = latent.grid.instants
+        windows = [instants[:3], instants[5:6], instants[::8], instants[2:4]]
+        serial = [predict_latent(fit_model(latent, sites_for(latent)), rows, w) for w in windows]
+        mismatches, done = [], []
+
+        def queries(i):
+            for _ in range(3000):
+                if not np.array_equal(predict_latent(model, rows, windows[i]), serial[i]):
+                    mismatches.append(i)
+            done.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=queries, args=(i,)) for i in range(len(windows))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == list(range(len(windows)))
+        assert mismatches == []
 
 
 @pytest.mark.parametrize("fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"])

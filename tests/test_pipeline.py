@@ -539,9 +539,9 @@ class TestTrainErrorPass:
 
         def counting_evaluate(models, steps):
             evaluated.extend(id(model) for model in models)
-            return dmd.evaluate_stack(models, steps)
+            return dmd._evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
+        monkeypatch.setattr(latent_module, "_evaluate_stack", counting_evaluate)
         with FitCount() as fits:
             surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=scenario.ranks[algorithm]))
         model = surrogate.model
