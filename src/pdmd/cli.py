@@ -236,18 +236,27 @@ def cmd_fit(args) -> int:
 def _prediction_instants(args, metadata) -> TimeGrid:
     """--nt instants spread over the window, else the model's lattice
     steps from its start that lie inside it; as in ``data.restrict_time``,
-    a window must keep at least two instants."""
+    a window must keep at least two instants, have finite bounds and
+    hold no more instants than NumPy can allocate."""
     t0, dt, n_t = metadata["t0"], metadata["dt"], int(metadata["n_t"])
     if dt <= 0 and (args.time_window is None or args.nt is None):
         raise DataError("model trained on a non-uniform grid; give --time-window and --nt")
     start, end = args.time_window or (t0, t0 + dt * (n_t - 1))
+    if not np.isfinite([start, end]).all():
+        raise DataError(f"time window [{start}, {end}] has a non-finite bound")
     if end < start:
         raise DataError(f"empty time window [{start}, {end}]")
-    if args.nt is not None:
-        instants = np.linspace(start, end, args.nt)
-    else:
-        steps = int(np.floor((end - start) / dt + 1e-9)) + 1
-        instants = np.minimum(start + dt * np.arange(steps), end)
+    try:
+        if args.nt is not None:
+            instants = np.linspace(start, end, args.nt)
+        else:
+            steps = int(np.floor((end - start) / dt + 1e-9)) + 1
+            instants = np.minimum(start + dt * np.arange(steps), end)
+    except (OverflowError, ValueError, MemoryError):
+        # an overflowing step count, or one beyond NumPy's size limit or memory
+        raise DataError(
+            f"time window [{start}, {end}] holds more instants than can be allocated"
+        ) from None
     if not instants[-1] > instants[0]:
         raise DataError(f"time window [{start}, {end}] keeps fewer than two instants")
     return TimeGrid(instants)

@@ -17,13 +17,13 @@ operations on the same operands.  A zero or non-finite eigenvalue, for
 which ``cpow`` has special cases, keeps the plain power.
 ``evaluate_stack`` evaluates models of equal rank and state rows (the
 members of a partitioned model) with one power call over all their
-eigenvalues and one batched product; ``evaluate`` is its one-model case.
-Its private core ``_evaluate_stack`` returns the imaginary-residual
-messages instead of warning them: a latent model keeps them with the
-states of its last query's instants and warns them at every query that
-reuses those states (``latent.predict_latent``).  Each residual check
-takes its two norms as ``np.linalg.norm`` does, a dot of the ravel, but
-without its dispatch.
+eigenvalues and one batched product.  It returns the imaginary-residual
+messages with the states instead of warning them: a latent model keeps
+them with the states of its last query's instants and warns them at
+every query that reuses those states (``latent.predict_latent``).
+``evaluate`` is its one-model case, and warns its message itself.  Each
+residual check takes its two norms as ``np.linalg.norm`` does, a dot of
+the ravel, but without its dispatch.
 """
 
 from __future__ import annotations
@@ -167,12 +167,15 @@ def _powers(eigenvalues: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return powers
 
 
-def _evaluate_stack(models, steps) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``evaluate_stack`` without its warnings: the states and the
-    imaginary-residual messages that it would warn, in model order.  The
-    first model whose states overflow raises ``NumericalError`` naming
-    its first overflowing step; the messages of the models before it are
-    then not returned."""
+def evaluate_stack(models, steps) -> tuple[np.ndarray, tuple[str, ...]]:
+    """States of a sequence of models that share their rank and state
+    rows, m x n x N_t, and the imaginary-residual messages of their
+    checks, in model order: entry i is ``evaluate(models[i], steps)``
+    bit for bit.  One steps check, one power call over all m r
+    eigenvalues and one batched product serve every model; each model's
+    imaginary residual is checked on its own, and the first model whose
+    states overflow raises ``NumericalError`` naming its first
+    overflowing step."""
     steps = np.atleast_1d(np.asarray(steps))
     if not np.issubdtype(steps.dtype, np.integer):
         raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
@@ -207,26 +210,16 @@ def _evaluate_stack(models, steps) -> tuple[np.ndarray, tuple[str, ...]]:
     return real, tuple(messages)
 
 
-def evaluate_stack(models, steps) -> np.ndarray:
-    """States of a sequence of models that share their rank and state
-    rows, m x n x N_t: entry i is ``evaluate(models[i], steps)`` bit for
-    bit.  One steps check, one power call over all m r eigenvalues and
-    one batched product serve every model; each model's imaginary
-    residual is checked and warned about on its own, in order, and the
-    first model whose states overflow raises ``NumericalError`` naming
-    its first overflowing step."""
-    states, messages = _evaluate_stack(models, steps)
-    for message in messages:
-        warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
-    return states
-
-
 def evaluate(model: DmdModel, steps) -> np.ndarray:
     """States at 0-based lattice steps (instants t0 + k dt), one column
     per entry of ``steps`` in the order given; steps may repeat and
     extend beyond the training window.  States that overflow raise
-    ``NumericalError``.  The one-model case of ``evaluate_stack``."""
-    return evaluate_stack((model,), steps)[0]
+    ``NumericalError``; a large imaginary residual warns.  The one-model
+    case of ``evaluate_stack``."""
+    states, messages = evaluate_stack((model,), steps)
+    for message in messages:
+        warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
+    return states[0]
 
 
 def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:

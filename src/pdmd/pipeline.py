@@ -136,8 +136,11 @@ def _predict_rows(model, mu_rows, instants):
     """Dispatch to the model's algorithm: one N_h x N_t array per row of
     the n x p block ``mu_rows``, yielded in row order.  The algorithm
     answers the whole block at once; each row is lifted as it is taken,
-    so one N_h x N_t array is held at a time."""
+    so one N_h x N_t array is held at a time.  ``instants`` must be a
+    number or a 1-D sequence."""
     instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    if instants.ndim != 1:
+        raise DataError(f"instants must form a 1-D sequence, got shape {instants.shape}")
     latents = _algorithm(model).predict(model, mu_rows, instants)
     return (lift(latent, model.basis) for latent in latents)
 

@@ -33,11 +33,11 @@ regressors on the same training parameters share it:
 
 A surrogate that regresses several quantities over mu joins them into
 one value table, so one fit trains them and one ``combine`` reads them.
-Tables fitted one by one on the same sites are read together too:
-``join`` lays them side by side along a trailing K axis, and one
-``combine`` reads all K at once, n x d x K.  The latent-interpolation
-variants fit one table per instant this way and read all N_t with one
-``combine``.
+Tables fitted one by one on the same sites are read together too: the
+caller writes them side by side into the columns of one m x (d K)
+table, and one ``combine`` reads all K at once.  The
+latent-interpolation variants fit one table per instant into such a
+table and read all N_t with one ``combine``.
 
 ``FitCount`` counts the fit() calls made inside a ``with`` block, in
 that thread or task only, so a timed query can report how many
@@ -360,41 +360,14 @@ def stencil(sites: Sites, mu) -> np.ndarray:
     return weights if mu.ndim == 2 else weights[0]
 
 
-def join(tables) -> np.ndarray:
-    """The tables, all fitted on the same sites, stacked along a trailing
-    axis with one entry per table, in order; one ``combine`` then reads
-    all of them.  ``tables`` may be a generator: each table is copied as
-    it arrives, so they need not all be held at once.  There must be at
-    least one."""
-    tables = iter(tables)
-    first = next(tables)
-
-    def checked():
-        yield first
-        for table in tables:
-            if table.shape != first.shape or table.dtype != first.dtype:
-                raise DataError("joined tables must share their shape and dtype")
-            yield table
-
-    joined = np.fromiter(checked(), dtype=np.dtype((first.dtype, first.shape)))
-    return np.ascontiguousarray(np.moveaxis(joined, 0, -1))
-
-
 def combine(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The fitted table's value at the stencil's query, d or n x d; it
-    must be fitted on the stencil's sites.  A joined table of K gives
-    d x K or n x d x K.  A complex table is summed as its interleaved
-    real and imaginary parts.  Summed by einsum, not BLAS, so a row reads
-    the same bits alone as in a block, and a joined table the same bits
-    as each of its parts read alone."""
+    must be fitted on the stencil's sites.  A complex table is summed as
+    its interleaved real and imaginary parts.  Summed by einsum, not
+    BLAS, so a row reads the same bits alone as in a block, and a column
+    the same bits as in a wider table."""
     floats = table.view(float) if table.dtype.kind == "c" else table
-    # a table read as it is: the two reshapes a joined one needs cost a
-    # third of a one-row read
-    if floats.ndim == 2:
-        row = np.einsum("...m,mj->...j", weights, floats)
-    else:  # a joined table, its trailing axes read as one
-        row = np.einsum("...m,mj->...j", weights, floats.reshape(len(floats), -1))
-        row = row.reshape(row.shape[:-1] + floats.shape[1:])
+    row = np.einsum("...m,mj->...j", weights, floats)
     return row if floats is table else row.view(complex)
 
 

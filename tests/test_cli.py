@@ -478,8 +478,11 @@ class TestPredict:
             ("1,0", ["--nt", "3"], "empty time window [1.0, 0.0]"),
             ("0,0.05", [], "time window [0.0, 0.05] keeps fewer than two instants"),
             ("1,1", ["--nt", "3"], "time window [1.0, 1.0] keeps fewer than two instants"),
+            ("nan,1", [], "time window [nan, 1.0] has a non-finite bound"),
+            ("0,inf", [], "time window [0.0, inf] has a non-finite bound"),
+            ("0,1e300", [], "time window [0.0, 1e+300] holds more instants than can be allocated"),
         ],
-        ids=["reversed", "reversed-nt", "narrow", "zero-width-nt"],
+        ids=["reversed", "reversed-nt", "narrow", "zero-width-nt", "nan", "inf", "too-many"],
     )
     def test_window_without_two_instants_is_data_error(
         self, tmp_path, capsys, window, nt, message

@@ -234,7 +234,8 @@ def spectral_model(eigenvalues, modes, amplitudes):
 
 class TestEvaluateStack:
     """``evaluate_stack`` gives each model's ``evaluate`` bit for bit, with
-    one steps check, one power call and one batched product."""
+    one steps check, one power call and one batched product, and returns
+    the imaginary-residual messages that ``evaluate`` warns."""
 
     def test_each_model_bit_for_bit(self):
         members = [
@@ -242,7 +243,8 @@ class TestEvaluateStack:
             for radius, angle in ((0.97, 0.4), (1.01, 0.2), (0.9, 1.3))
         ]
         steps = np.array([0, 250, 99, 100, 7, 101, 100, 3])
-        stacked = evaluate_stack(members, steps)
+        stacked, messages = evaluate_stack(members, steps)
+        assert messages == ()
         assert stacked.shape == (3, 2, steps.size)
         for member, states in zip(members, stacked):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -277,22 +279,24 @@ class TestEvaluateStack:
             spectral_model([0.8 * np.exp(1.1j)], [[2.0], [1.0]], [3.0]),
         ]
         steps = np.arange(120)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate_stack(members, steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, messages = evaluate_stack(members, steps)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
             for member in members:
                 evaluate(member, steps)
-        messages = [str(w.message) for w in caught if w.category is ImaginaryResidualWarning]
         assert len(messages) == 2 and messages[0] != messages[1]
-        assert messages == [str(w.message) for w in expected]
+        assert list(messages) == [str(w.message) for w in expected]
+        assert [w.category for w in expected] == [ImaginaryResidualWarning] * 2
+        # evaluate warns its message at its caller
+        assert all(w.filename == __file__ for w in expected)
 
     @pytest.mark.parametrize("exponent", [0, 600, -600])
     def test_residual_check_matches_the_one_array_form(self, exponent):
         # each member's norms read a contiguous slice of the stack's parts:
-        # the same warnings as the check on that member's complex states,
-        # in extreme units too, attributed to the caller
+        # the same messages as the check on that member's complex states
+        # warns, in extreme units too
         scale = 2.0**exponent
         members = [
             spectral_model([0.9 * np.exp(0.3j), 0.5], [[1.0, 0.0], [0.5, 1.0]], [scale, scale]),
@@ -300,18 +304,17 @@ class TestEvaluateStack:
             spectral_model([0.8 * np.exp(1.1j), 0.6], [[2.0, 1.0], [1.0, 0.0]], [3 * scale, 2 * scale]),
         ]
         steps = np.array([0, 3, 120, 7])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate_stack(members, steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, messages = evaluate_stack(members, steps)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
             for member in members:
                 powers = member.eigenvalues[None, :] ** steps[:, None]
                 states = (member.modes * member.amplitudes) @ powers.T
                 _check_imaginary(states.real, states.imag, "evaluate")
-        assert [w.category for w in caught] == [ImaginaryResidualWarning] * 2
-        assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
-        assert all(w.filename == __file__ for w in caught)
+        assert [w.category for w in expected] == [ImaginaryResidualWarning] * 2
+        assert list(messages) == [str(w.message) for w in expected]
 
     def test_models_of_unequal_shapes_rejected(self):
         members = [

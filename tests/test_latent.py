@@ -274,9 +274,9 @@ class TestPredictLatent:
 
         def counting_evaluate(models, steps):
             evaluated.extend(models)
-            return dmd._evaluate_stack(models, steps)
+            return dmd.evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "_evaluate_stack", counting_evaluate)
+        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
         times = latent.grid.instants[:7]
         others = latent.grid.instants[2:9]
         part = fit_partitioned(latent, sites_for(latent))
@@ -477,7 +477,7 @@ def residual_model(fit_model):
 
 @pytest.mark.parametrize("fit_model", [fit_monolithic, fit_partitioned], ids=["mono", "part"])
 class TestStatesKeptWithTheModel:
-    """A model keeps the state tables of the lattice steps that its last
+    """A model keeps the state tables of the instants that its last
     query asked for; what a query returns, warns and raises, and what an
     archive holds, do not depend on whether they were kept."""
 
@@ -508,10 +508,7 @@ class TestStatesKeptWithTheModel:
         model = residual_model(fit_model)
         dmds = [model.stacked_dmd] if fit_model is fit_monolithic else list(model.members)
         times = np.arange(0.0, 120.0, 3.0)
-        with warnings.catch_warnings(record=True) as direct:
-            warnings.simplefilter("always")
-            dmd.evaluate_stack(dmds, lattice_steps(times, 0.0, 1.0))
-        expected = [str(w.message) for w in direct]
+        expected = list(dmd.evaluate_stack(dmds, lattice_steps(times, 0.0, 1.0))[1])
         assert len(expected) == (1 if fit_model is fit_monolithic else 2)
         answers = []
         for mu in ([[0.4]], [[0.4]], [[0.7]]):
@@ -545,6 +542,35 @@ class TestStatesKeptWithTheModel:
                     predict_latent(model, [[0.5]], times)
             assert np.isfinite(predict_latent(model, [[0.5]], times[:2])).all()
             with pytest.raises(NumericalError, match="overflow at lattice step 150"):
+                predict_latent(model, [[0.5]], times)
+
+    def test_a_repeated_query_checks_no_lattice(self, fit_model, monkeypatch):
+        latent = swept_family(ORACLE_PARAMS[1])
+        model = fit_model(latent, sites_for(latent))
+        times = latent.grid.instants[2:7]
+        checks = []
+
+        def counting_steps(*args):
+            checks.append(args)
+            return lattice_steps(*args)
+
+        monkeypatch.setattr(latent_module, "lattice_steps", counting_steps)
+        predict_latent(model, [[0.5]], times)
+        assert len(checks) == 1
+        again = predict_latent(model, [[0.4]], times.copy())
+        assert len(checks) == 1
+        predict_latent(model, [[0.5]], times[1:])
+        assert len(checks) == 2
+        fresh = fit_model(latent, sites_for(latent))
+        assert again.tobytes() == predict_latent(fresh, [[0.4]], times).tobytes()
+
+    def test_off_lattice_instants_raise_on_every_query(self, fit_model):
+        # a failed check keeps nothing, so the same instants fail again
+        latent = swept_family(ORACLE_PARAMS[1])
+        model = fit_model(latent, sites_for(latent))
+        times = latent.grid.instants[:4] + np.array([0.0, 0.0, 0.0, 0.3])
+        for _ in range(2):
+            with pytest.raises(DataError, match="not on the lattice"):
                 predict_latent(model, [[0.5]], times)
 
     def test_a_query_leaves_the_archive_and_repr_as_they_were(self, fit_model, tmp_path):

@@ -209,6 +209,17 @@ class TestPredictSurrogate:
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_instants_must_be_a_number_or_a_sequence(self, algorithm):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        mu, instants = dataset.params[1], dataset.grid.instants
+        one = predict_surrogate(surrogate.model, mu, instants[3])
+        assert one.shape == (dataset.n_state, 1)
+        with pytest.raises(DataError, match=re.escape("1-D sequence, got shape (2, 2)")):
+            predict_surrogate(surrogate.model, mu, instants[:4].reshape(2, 2))
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_clamped_query_warns_once(self, algorithm):
         dataset = linear_dataset()
         surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
@@ -539,9 +550,9 @@ class TestTrainErrorPass:
 
         def counting_evaluate(models, steps):
             evaluated.extend(id(model) for model in models)
-            return dmd._evaluate_stack(models, steps)
+            return dmd.evaluate_stack(models, steps)
 
-        monkeypatch.setattr(latent_module, "_evaluate_stack", counting_evaluate)
+        monkeypatch.setattr(latent_module, "evaluate_stack", counting_evaluate)
         with FitCount() as fits:
             surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=scenario.ranks[algorithm]))
         model = surrogate.model

@@ -17,7 +17,6 @@ from pdmd.regression import (
     combine,
     default_spec,
     fit,
-    join,
     prepare,
     stencil,
 )
@@ -261,6 +260,8 @@ class TestJoin:
     @pytest.mark.parametrize("kind", ["linear", "nearest", "rbf-tps", "poly"])
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     def test_one_read_matches_each_part_bit_for_bit(self, kind, complex_values):
+        # tables fitted one by one, read together as the columns of one
+        # m x (d K) table, as a latent query reads its N_t fits
         xs = np.linspace(0.0, 1.0, 11)[:, None]
         rng = np.random.default_rng(4)
         values = rng.standard_normal((5, 11, 3))
@@ -268,26 +269,15 @@ class TestJoin:
             values = values + 1j * rng.standard_normal(values.shape)
         sites = prepare(RegressorSpec(kind, degree=3, ridge=1e-3), xs)
         tables = [fit(sites, table) for table in values]
-        joined = join(tables)
-        assert joined.shape == tables[0].shape + (len(tables),)
-        assert joined.dtype == tables[0].dtype
-        assert np.array_equal(join(iter(tables)), joined)
+        m = len(tables[0])
+        side_by_side = np.stack(tables, -1).reshape(m, -1)
         for mu in ([0.37], [[0.05], [0.37], [0.99]]):
             weights = stencil(sites, mu)
-            got = combine(weights, joined)
+            got = combine(weights, side_by_side)
+            got = got.reshape(got.shape[:-1] + tables[0].shape[1:] + (len(tables),))
             want = np.stack([combine(weights, table) for table in tables], axis=-1)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-
-    def test_needs_one_shape_and_dtype(self):
-        sites = prepare(RegressorSpec("linear"), [[0.0], [1.0]])
-        real = fit(sites, [[1.0], [2.0]])
-        with pytest.raises(DataError, match="share"):
-            join([real, fit(sites, [[1.0j], [2.0]])])
-        with pytest.raises(DataError, match="share"):
-            join(fit(sites, [[1.0], [v]]) for v in (2.0, 3.0j))
-        with pytest.raises(DataError, match="share"):
-            join([real, fit(sites, [[1.0, 0.0], [2.0, 0.0]])])
 
 
 class TestFitCounter:
