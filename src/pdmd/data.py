@@ -95,23 +95,37 @@ def parameter_rows(mu_rows) -> np.ndarray:
     return rows
 
 
+def instant_vector(instants) -> np.ndarray:
+    """Requested instants as a 1-D float array, a number as one instant;
+    any other shape is a DataError."""
+    instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    if instants.ndim != 1:
+        raise DataError(f"instants must form a 1-D sequence, got shape {instants.shape}")
+    return instants
+
+
 def lattice_steps(instants, t0: float, dt: float) -> np.ndarray:
     """Integer steps k with instants = t0 + k dt, to 1e-9 relative
-    tolerance; instants off that lattice, before t0 or more steps away
-    than an int64 holds are a DataError."""
-    instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    tolerance; instants that are neither a number nor 1-D, off that
+    lattice, before t0 or more steps away than an int64 holds are a
+    DataError."""
+    instants = instant_vector(instants)
     steps = (instants - t0) / dt
-    rounded = np.round(steps)
-    if np.min(rounded, initial=0) < 0:
+    rounded = steps.round()
+    if rounded.min(initial=0) < 0:
         raise DataError(f"requested instants precede the initial instant {t0}")
-    if not np.max(rounded, initial=0) < 2.0**63:  # also an inf or NaN step
+    if not rounded.max(initial=0) < 2.0**63:  # also an inf or NaN step
         far = ~(rounded < 2.0**63)
         raise DataError(
             f"instant {instants[far][0]} is {steps[far][0]:g} steps from {t0} "
             f"on the lattice {t0} + k * {dt}, beyond the int64 range"
         )
-    off = np.abs(steps - rounded) > LATTICE_REL_TOL * np.maximum(1.0, np.abs(rounded))
-    if np.any(off):
+    tolerance = np.abs(rounded)
+    np.maximum(tolerance, 1.0, out=tolerance)
+    tolerance *= LATTICE_REL_TOL
+    steps -= rounded
+    off = np.abs(steps, out=steps) > tolerance
+    if off.any():
         raise DataError(f"instant {instants[off][0]} is not on the lattice {t0} + k * {dt}")
     return rounded.astype(np.int64)
 

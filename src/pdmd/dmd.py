@@ -98,7 +98,7 @@ def _imaginary_residual(real, imag, context):
     return None
 
 
-def _check_imaginary(real, imag, context):
+def check_imaginary(real, imag, context):
     """Warn (at the caller's caller) when the imaginary parts of complex
     values are large against their real parts; non-finite parts raise
     ``NumericalError``."""

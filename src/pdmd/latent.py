@@ -20,9 +20,10 @@ Everything around the fits is done once per call: one stacked
 evaluation (``dmd.evaluate_stack``) gives every DMD's states at all
 instants, laid out instant-major, so each fit reads one contiguous
 N_p x r table; the whole block is checked, clamped and located once
-(``regression.stencil``, one weight matrix); and each fitted table is
-written into its instant's slice of one m x r x N_t table, which one
-``regression.combine`` reads for all rows and instants.  A clamped row
+(``regression.stencil``, one weight matrix); and each fitted m x r
+table is written into its instant's contiguous slot of one instant-major
+N_t x m x r table, which one copy turns into the m x r x N_t table that
+one ``regression.combine`` reads for all rows and instants.  A clamped row
 therefore warns once, not once per instant, and an ill-conditioned rbf
 system warns when the sites are prepared, not at a query.
 
@@ -46,7 +47,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import regression
-from .data import SnapshotMatrix, lattice_steps, parameter_rows
+from .data import SnapshotMatrix, instant_vector, lattice_steps, parameter_rows
 from .dmd import DmdModel, evaluate_stack, fit_dmd
 from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDeficientError
 from .reduction import GlobalBasis, LatentDataset
@@ -195,12 +196,13 @@ def predict_latent(model, mu_rows, times) -> np.ndarray:
         raise DataError(f"unsupported model type {type(model).__name__}")
     rows = parameter_rows(mu_rows)
     dmds = (model.stacked_dmd,) if isinstance(model, MonolithicModel) else model.members
-    instants = np.atleast_1d(np.asarray(times, dtype=float))
-    tables = _state_tables(model, dmds, instants)
+    tables = _state_tables(model, dmds, instant_vector(times))
     weights = regression.stencil(model.sites, rows)
-    # m rows: N_p, or poly's feature count
-    fitted = np.empty((weights.shape[-1], model.basis.rank, len(tables)))
+    # instant-major, each fit one contiguous m x r slot (m: N_p, or
+    # poly's feature count); combine reads the m x r x N_t table
+    fitted = np.empty((len(tables), weights.shape[-1], model.basis.rank))
     for k, table in enumerate(tables):
-        fitted[:, :, k] = regression.fit(model.sites, table)
+        fitted[k] = regression.fit(model.sites, table)
+    fitted = np.ascontiguousarray(fitted.transpose(1, 2, 0))
     read = regression.combine(weights, fitted.reshape(len(fitted), -1))
     return read.reshape(len(rows), *fitted.shape[1:])

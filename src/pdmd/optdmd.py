@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SnapshotMatrix, TimeGrid
-from .dmd import _check_imaginary, fit_dmd
+from .data import SnapshotMatrix, TimeGrid, instant_vector
+from .dmd import check_imaginary, fit_dmd
 from .errors import ConvergenceWarning, DataError, NumericalError
 from .linalg import ldexp, scale_exponent, truncated_svd
 
@@ -549,16 +549,17 @@ def exponential_sum(omegas, modes, amplitudes, t0: float, instants) -> np.ndarra
     """Phi exp(omega (t - t0)) b at the given instants.
 
     A scalar time yields a state vector, a vector of times an
-    N_h x N_t matrix (real part, with imaginary-residual telemetry).
+    N_h x N_t matrix (real part, with imaginary-residual telemetry);
+    instants of any other shape are a DataError.
     """
     scalar = np.isscalar(instants) or np.ndim(instants) == 0
-    instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    instants = instant_vector(instants)
     with np.errstate(over="ignore", invalid="ignore"):
         basis = np.exp((instants - t0)[:, None] * omegas[None, :])
     if not np.all(np.isfinite(basis)):
         raise NumericalError("prediction instants overflow the exponentials")
     states = (modes * amplitudes) @ basis.T
-    _check_imaginary(states.real, states.imag, "exponential sum")
+    check_imaginary(states.real, states.imag, "exponential sum")
     return states.real[:, 0] if scalar else states.real
 
 

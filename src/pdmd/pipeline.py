@@ -14,7 +14,7 @@ import numpy as np
 from . import regression
 from .algorithms import ALGORITHMS
 # perfbench/generate.py imports subset_params from here
-from .data import ParametricDataset, subset_params  # noqa: F401
+from .data import ParametricDataset, instant_vector, subset_params  # noqa: F401
 from .errors import DataError
 from .linalg import SUBNORMAL_NORM
 from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
@@ -138,10 +138,7 @@ def _predict_rows(model, mu_rows, instants):
     answers the whole block at once; each row is lifted as it is taken,
     so one N_h x N_t array is held at a time.  ``instants`` must be a
     number or a 1-D sequence."""
-    instants = np.atleast_1d(np.asarray(instants, dtype=float))
-    if instants.ndim != 1:
-        raise DataError(f"instants must form a 1-D sequence, got shape {instants.shape}")
-    latents = _algorithm(model).predict(model, mu_rows, instants)
+    latents = _algorithm(model).predict(model, mu_rows, instant_vector(instants))
     return (lift(latent, model.basis) for latent in latents)
 
 

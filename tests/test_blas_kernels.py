@@ -3,7 +3,8 @@
 NumPy's OpenBLAS is built for every x86 kernel (DYNAMIC_ARCH), and
 ``OPENBLAS_CORETYPE`` picks one when the library loads, so a test reruns
 in a fresh interpreter with the variable set for that process only.
-Haswell is the kernel an AVX2-only Intel or an AMD Zen machine runs.
+Haswell is the kernel an AVX2-only Intel or an AMD Zen machine runs;
+SandyBridge is the AVX kernel of older x86 machines.
 """
 
 import platform
@@ -75,4 +76,13 @@ def test_archive_and_regressor_bits_hold_under_haswell():
     # the golden archive hashes and the bit-for-bit regressor reads are
     # pinned on this machine's kernel; they must hold on another
     result = rerun_under("Haswell", "test_archive.py", "test_regression.py")
+    assert result["exit"] == 0, result["output"]
+
+
+@needs_haswell
+@pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge"])
+def test_roi_stepping_and_latent_fits_hold_under_other_kernels(kernel):
+    # a lone roi row steps with np.dot, a block with the batched matmul;
+    # both must give the reference loop's bits on every kernel
+    result = rerun_under(kernel, "test_roi.py::TestPredictRoi", "test_latent.py")
     assert result["exit"] == 0, result["output"]

@@ -43,6 +43,11 @@ class TestLatticeSteps:
         assert steps.dtype == np.int64
         assert steps.tolist() == [0, 3, 1]
 
+    def test_a_number_is_one_instant_and_a_2d_block_is_rejected(self):
+        assert lattice_steps(2.5, 1.0, 0.5).tolist() == [3]
+        with pytest.raises(DataError, match=re.escape("1-D sequence, got shape (2, 1)")):
+            lattice_steps([[1.0], [2.5]], 1.0, 0.5)
+
     @pytest.mark.parametrize("instant", [1e20, np.inf, np.nan])
     def test_steps_beyond_int64_rejected(self, instant):
         message = f"instant {re.escape(str(instant))} .* beyond the int64 range"

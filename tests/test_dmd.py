@@ -10,7 +10,7 @@ from pdmd import dmd
 from pdmd.data import SnapshotMatrix, TimeGrid
 from pdmd.dmd import (
     DmdModel,
-    _check_imaginary,
+    check_imaginary,
     evaluate,
     evaluate_stack,
     fit_dmd,
@@ -312,7 +312,7 @@ class TestEvaluateStack:
             for member in members:
                 powers = member.eigenvalues[None, :] ** steps[:, None]
                 states = (member.modes * member.amplitudes) @ powers.T
-                _check_imaginary(states.real, states.imag, "evaluate")
+                check_imaginary(states.real, states.imag, "evaluate")
         assert [w.category for w in expected] == [ImaginaryResidualWarning] * 2
         assert list(messages) == [str(w.message) for w in expected]
 
@@ -403,11 +403,11 @@ class TestImaginaryTelemetry:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.warns(ImaginaryResidualWarning):
-                _check_imaginary(values.real, values.imag, "test")
+                check_imaginary(values.real, values.imag, "test")
 
     @pytest.mark.parametrize("exponent", [0, 600, -600])
     def test_real_values_pass_silently(self, exponent):
         values = np.ldexp(np.arange(1.0, 13.0).reshape(3, 4), exponent) + 0j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _check_imaginary(values.real, values.imag, "test")
+            check_imaginary(values.real, values.imag, "test")

@@ -2,6 +2,7 @@
 used, and SciPy loads only where a call needs it.  Each cold check runs
 in a fresh interpreter, since this one has imported everything."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -163,3 +164,18 @@ def test_star_import_binds_exactly_all():
 def test_submodules_are_attributes():
     assert pdmd.regression is importlib.import_module("pdmd.regression")
     assert pdmd.cli.main is main
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name stays inside its module: what another pdmd module
+    # needs is public
+    private = []
+    for path in sorted((SRC / "pdmd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

@@ -220,6 +220,19 @@ class TestPredictSurrogate:
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_algorithm_predictor_rejects_2d_instants(self, algorithm):
+        # called directly, past predict_surrogate's check, right after a
+        # query at the same instants as a 1-D sequence
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        predict = ALGORITHMS[algorithm].predict
+        rows, instants = dataset.params[1:2], dataset.grid.instants[:4]
+        predict(surrogate.model, rows, instants)
+        with pytest.raises(DataError, match=re.escape("1-D sequence, got shape (2, 2)")):
+            predict(surrogate.model, rows, instants.reshape(2, 2))
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_clamped_query_warns_once(self, algorithm):
         dataset = linear_dataset()
         surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))

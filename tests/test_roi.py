@@ -330,19 +330,24 @@ class TestPredictRoi:
         pred = predict_roi(model, [[0.8]], np.arange(40.0))[0]
         assert pred.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def step_patterns(n_t):
+        """Consecutive steps, every third step, repeats out of order, and
+        gaps past the training window."""
+        return (
+            np.arange(n_t),
+            np.arange(0, n_t, 3),
+            np.array([9, 2, 2, 0, 5, 9, 1]),
+            np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
+        )
+
     def test_block_rows_match_the_one_row_stepping_loop(self):
         """Reference: each row's operator applied to a column state in time
         order, with its matrix power across a gap, bit for bit."""
         _, _, latent = pipeline_latent(seed=7, n_params=4)
         model = fit_roi(latent, op_rank=3, sites=linear_sites(latent))
         rows = np.vstack([latent.params, latent.params[:2].mean(axis=0)])
-        n_t = len(latent.grid)
-        for steps in (
-            np.arange(n_t),
-            np.arange(0, n_t, 3),
-            np.array([9, 2, 2, 0, 5, 9, 1]),
-            np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
-        ):
+        for steps in self.step_patterns(len(latent.grid)):
             block = predict_roi(model, rows, latent.grid.t0 + latent.grid.dt * steps)
             for row, latents in zip(rows, block):
                 coeffs, state = read_at(model, row)
@@ -402,6 +407,15 @@ class TestPredictRoi:
         assert block.shape == (3, latent.rank, instants.size)
         for row, latents in zip(rows, block):
             assert latents.tobytes() == predict_roi(model, [row], instants)[0].tobytes()
+        # a lone row steps as a vector: its consecutive, matrix-power,
+        # repeat and unsorted branches read as its block row
+        for steps in self.step_patterns(len(latent.grid)):
+            instants = latent.grid.t0 + latent.grid.dt * steps
+            block = predict_roi(model, rows, instants)
+            for row, latents in zip(rows, block):
+                lone = predict_roi(model, [row], instants)
+                assert lone.shape == (1, latent.rank, steps.size)
+                assert lone[0].tobytes() == latents.tobytes()
         with pytest.raises(DataError, match="n x p"):
             predict_roi(model, [0.5], instants)
 
