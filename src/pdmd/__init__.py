@@ -19,7 +19,7 @@ _EXPORTS = {
     "cli": (),
     "data": ("ParametricDataset", "SnapshotMatrix", "TimeGrid", "read_dataset",
              "split_train_test", "write_dataset"),
-    "dmd": ("DmdModel", "fit_dmd", "reconstruct"),
+    "dmd": ("DmdModel", "fit_dmd"),
     "errors": ("ConvergenceWarning", "DataError", "ExtrapolationWarning",
                "IllConditionedWarning", "ImaginaryResidualWarning", "NumericalError",
                "PdmdError", "PdmdWarning", "RankDeficientError"),
@@ -28,8 +28,8 @@ _EXPORTS = {
     "linalg": (),
     "metrics": ("EvalReport", "frobenius_rel_error", "report_from_line",
                 "report_to_line", "rmse", "time_rel_error"),
-    "optdmd": ("BaggedOptDmd", "OptDmdModel", "condense_ensemble", "fit_bopdmd",
-               "fit_optdmd", "mean_omegas", "predict_optdmd"),
+    "optdmd": ("OptDmdModel", "condense_ensemble", "fit_ensembles", "fit_optdmd",
+               "predict_optdmd"),
     "options": (),
     "pipeline": ("FitOptions", "FittedSurrogate", "evaluate_model", "fit_surrogate",
                  "predict_surrogate"),

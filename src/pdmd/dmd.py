@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotMatrix, TimeGrid, check_lattice, lattice_steps
+from .data import SnapshotMatrix, check_lattice
 from .errors import DataError, ImaginaryResidualWarning, NumericalError, RankDeficientError
 from .linalg import DEFAULT_PINV_CUTOFF, SUBNORMAL_NORM, eig, scale_exponent, truncated_svd
 
@@ -64,6 +64,22 @@ class DmdModel:
 
     def __post_init__(self):
         check_lattice(self.t0, self.dt)
+        # the shapes that evaluation reads; of proj_basis, which no query
+        # reads, only the column count
+        rank = self.rank
+        modes, basis = self.modes.shape, self.proj_basis.shape
+        if (
+            self.eigenvalues.shape != (rank,)
+            or len(modes) != 2 or modes[1] != rank
+            or self.amplitudes.shape != (rank,)
+            or self.reduced_op.shape != (rank, rank)
+            or len(basis) != 2 or basis[1] != rank
+        ):
+            raise DataError(
+                f"DMD arrays of mismatched shapes: eigenvalues {self.eigenvalues.shape}, "
+                f"modes {modes}, amplitudes {self.amplitudes.shape}, reduced_op "
+                f"{self.reduced_op.shape}, proj_basis {basis}"
+            )
 
     @property
     def rank(self) -> int:
@@ -171,12 +187,18 @@ def evaluate_stack(models, steps) -> tuple[np.ndarray, tuple[str, ...]]:
     """States of a sequence of models that share their rank and state
     rows, m x n x N_t, and the imaginary-residual messages of their
     checks, in model order: entry i is ``evaluate(models[i], steps)``
-    bit for bit.  One steps check, one power call over all m r
+    bit for bit.  ``steps`` is a number or a 1-D sequence of integers
+    >= 0, an empty one giving no columns; anything else is a DataError.
+    One steps check, one power call over all m r
     eigenvalues and one batched product serve every model; each model's
     imaginary residual is checked on its own, and the first model whose
     states overflow raises ``NumericalError`` naming its first
     overflowing step."""
     steps = np.atleast_1d(np.asarray(steps))
+    if steps.ndim != 1:
+        raise DataError(f"lattice steps must form a 1-D sequence, got shape {steps.shape}")
+    if not steps.size:
+        steps = steps.astype(int)
     if not np.issubdtype(steps.dtype, np.integer):
         raise DataError(f"lattice steps must be integers, got dtype {steps.dtype}")
     low = steps.min(initial=0)
@@ -220,14 +242,3 @@ def evaluate(model: DmdModel, steps) -> np.ndarray:
     for message in messages:
         warnings.warn(message, ImaginaryResidualWarning, stacklevel=2)
     return states[0]
-
-
-def reconstruct(model: DmdModel, grid: TimeGrid) -> SnapshotMatrix:
-    """Evaluate the model on every instant of ``grid``.
-
-    Instants must sit on the model's lattice t0 + k dt for integer
-    k >= 0; the lattice extends beyond the training window, so the same
-    call handles reconstruction and forecasting.
-    """
-    steps = lattice_steps(grid.instants, model.t0, model.dt)
-    return SnapshotMatrix(evaluate(model, steps), grid)

@@ -85,22 +85,6 @@ class OptDmdModel:
         return self.omegas.size
 
 
-@dataclass(frozen=True)
-class BaggedOptDmd:
-    """Ensemble of optimized-DMD fits on random time-index subsets."""
-
-    members: tuple
-    subset_fraction: float
-
-    def __post_init__(self):
-        if not self.members:
-            raise DataError("an ensemble needs at least one member")
-
-    @property
-    def trials(self) -> int:
-        return len(self.members)
-
-
 def canonical_omega_order(omegas):
     """Indices sorting omegas by descending real part, ties by descending
     imaginary part."""
@@ -550,10 +534,12 @@ def exponential_sum(omegas, modes, amplitudes, t0: float, instants) -> np.ndarra
 
     A scalar time yields a state vector, a vector of times an
     N_h x N_t matrix (real part, with imaginary-residual telemetry);
-    instants of any other shape are a DataError.
+    instants of any other shape, or not finite, are a DataError.
     """
     scalar = np.isscalar(instants) or np.ndim(instants) == 0
     instants = instant_vector(instants)
+    if np.count_nonzero(np.isfinite(instants)) != instants.size:
+        raise DataError(f"instants must be finite, got {instants[~np.isfinite(instants)][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         basis = np.exp((instants - t0)[:, None] * omegas[None, :])
     if not np.all(np.isfinite(basis)):
@@ -573,25 +559,34 @@ def predict_optdmd(model: OptDmdModel, instants) -> np.ndarray:
 def fit_ensembles(
     trajectories, rank: int, inits, seeds, trials: int, subset_fraction: float
 ) -> list:
-    """Bagged optimized DMD of trajectories of equal length, one
-    ``BaggedOptDmd`` each, all members fitted by one ``_fit_stack`` call.
+    """Bagged optimized DMD of trajectories of equal length, one tuple of
+    aligned members each, all members fitted by one ``_fit_stack`` call.
 
     Trajectory k draws ``trials`` sorted, uniformly random subsets (no
-    replacement) of its instants from ``seeds[k]``; its members start from
-    ``inits[k]``, or each from its own warm start when that is None.  Each
-    member is aligned to its trajectory's first member with
-    ``match_frequencies``, so that position j means the same mode across
-    an ensemble.  One trial at fraction 1 fits each whole trajectory.
+    replacement) of its instants from seed ``seeds[k]`` >= 0.  Its members
+    start from ``inits[k]``; a None init on a uniform grid stands for the
+    whole trajectory's warm start, which raises on rank-deficient data as
+    ``fit_optdmd`` does, and on a non-uniform grid for each member's own
+    estimate on its subset.  Each member is aligned to its trajectory's
+    first member with ``match_frequencies``, so that position j means the
+    same mode across an ensemble.  One trial at fraction 1 fits each
+    whole trajectory.
     """
+    if not trajectories:
+        raise DataError("fit_ensembles needs at least one trajectory")
     if not len(trajectories) == len(inits) == len(seeds):
         raise DataError(
             f"{len(trajectories)} trajectories need as many inits and seeds, got "
             f"{len(inits)} inits and {len(seeds)} seeds"
         )
+    if rank < 1:
+        raise DataError(f"rank must be >= 1, got {rank}")
     if trials < 1:
         raise DataError(f"trials must be >= 1, got {trials}")
     if not 0 < subset_fraction <= 1:
         raise DataError(f"subset fraction must lie in (0, 1], got {subset_fraction}")
+    if min(seeds) < 0:
+        raise DataError(f"seeds must be >= 0, got {min(seeds)}")
     if len({x.n_instants for x in trajectories}) != 1:
         raise DataError("trajectories must hold equally many instants")
     n_keep = int(round(subset_fraction * trajectories[0].n_instants))
@@ -599,6 +594,10 @@ def fit_ensembles(
         raise DataError(
             f"subset of {n_keep} instants cannot support rank {rank} (need >= 2r)"
         )
+    inits = [
+        _uniform_warm_start(_scaled(x)[0], rank) if init is None and x.grid.is_uniform else init
+        for x, init in zip(trajectories, inits)
+    ]
     subsets = []
     for x, seed in zip(trajectories, seeds):
         rng = np.random.default_rng(seed)
@@ -611,43 +610,27 @@ def fit_ensembles(
         rank,
         [init for init in inits for _ in range(trials)],
     )
-
     ensembles = []
     for first in range(0, len(members), trials):
         lead = members[first]
-        aligned = [lead] + [
+        ensembles.append((lead,) + tuple(
             permute_triplets(member, match_frequencies(lead.omegas, member.omegas)[0])
             for member in members[first + 1:first + trials]
-        ]
-        ensembles.append(BaggedOptDmd(tuple(aligned), subset_fraction))
+        ))
     return ensembles
 
 
-def fit_bopdmd(
-    x: SnapshotMatrix, rank: int, trials: int = 20, subset_fraction: float = 0.8, seed: int = 0
-) -> BaggedOptDmd:
-    """Bag optimized DMD over random time-index subsets of one trajectory
-    (``fit_ensembles``).  On a uniform grid all members start from the
-    whole trajectory's warm start, which raises on rank-deficient data as
-    ``fit_optdmd`` does; on a non-uniform grid each starts on its subset.
+def condense_ensemble(members, x: SnapshotMatrix) -> OptDmdModel:
+    """Collapse a bagged ensemble, a tuple of aligned members of one
+    ``fit_ensembles`` trajectory, to a single model.
+
+    Frequencies are the position-wise means of the members'; modes and
+    amplitudes are refit linearly on the full trajectory at those
+    frequencies, so the result has the same shape contract as fit_optdmd.
     """
-    init = _uniform_warm_start(_scaled(x)[0], rank) if x.grid.is_uniform else None
-    return fit_ensembles([x], rank, [init], [seed], trials, subset_fraction)[0]
-
-
-def mean_omegas(ensemble: BaggedOptDmd) -> np.ndarray:
-    """Position-wise average of the aligned member frequencies."""
-    return np.mean([member.omegas for member in ensemble.members], axis=0)
-
-
-def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
-    """Collapse a bagged ensemble to a single model.
-
-    Frequencies are the ensemble means; modes and amplitudes are refit
-    linearly on the full trajectory at those frequencies, so the result
-    has the same shape contract as fit_optdmd.
-    """
-    omegas = project_conjugate_closure(mean_omegas(ensemble))
+    if not members:
+        raise DataError("an ensemble needs at least one member")
+    omegas = project_conjugate_closure(np.mean([member.omegas for member in members], axis=0))
     x, exponent = _scaled(x)
     _, _, coeffs, _, objective = _project(
         (x.grid.instants - x.grid.t0)[None],
@@ -662,6 +645,6 @@ def condense_ensemble(ensemble: BaggedOptDmd, x: SnapshotMatrix) -> OptDmdModel:
         objective[0],
         exponent,
         x.grid.t0,
-        all(member.converged for member in ensemble.members),
-        max(member.n_iters for member in ensemble.members),
+        all(member.converged for member in members),
+        max(member.n_iters for member in members),
     )

@@ -46,6 +46,8 @@ class FitOptions:
             raise DataError(f"energy must lie in (0, 1], got {self.energy}")
         if self.op_rank is not None and self.op_rank < 1:
             raise DataError(f"op_rank must be >= 1, got {self.op_rank}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.bag_trials < 1:
             raise DataError(f"bag_trials must be >= 1, got {self.bag_trials}")
         if not 0 < self.bag_fraction <= 1:

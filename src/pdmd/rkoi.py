@@ -146,10 +146,10 @@ def fit_rkoi(
     )
     notes = [
         f"parameter {i}: {convergence_report(fit)}"
-        for i, ensemble in enumerate(ensembles) for fit in ensemble.members if not fit.converged
+        for i, ensemble in enumerate(ensembles) for fit in ensemble if not fit.converged
     ]
     members = [
-        condense_ensemble(ensemble, x) if bagged else ensemble.members[0]
+        condense_ensemble(ensemble, x) if bagged else ensemble[0]
         for ensemble, x in zip(ensembles, trajectories)
     ]
 

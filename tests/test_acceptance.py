@@ -21,15 +21,10 @@ from pdmd.data import (
     split_train_test,
     write_dataset,
 )
-from pdmd.dmd import fit_dmd, reconstruct
+from pdmd.dmd import evaluate, fit_dmd
 from pdmd.latent import fit_monolithic, fit_partitioned, predict_latent
 from pdmd.metrics import frobenius_rel_error, parameter_label, time_rel_error
-from pdmd.optdmd import (
-    fit_bopdmd,
-    fit_optdmd,
-    mean_omegas,
-    project_conjugate_closure,
-)
+from pdmd.optdmd import fit_ensembles, fit_optdmd, project_conjugate_closure
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate, timed_query
 from pdmd.reduction import GlobalBasis, LatentDataset, lift
 from pdmd.regression import RegressorSpec, combine, prepare, stencil
@@ -113,13 +108,12 @@ def test_linear_system_exactness():
         latent_path.append(d @ latent_path[-1])
     full = q @ np.column_stack(latent_path)
     train_grid = TimeGrid(dt * np.arange(n_train))
-    long_grid = TimeGrid(dt * np.arange(2 * n_train))
 
     model = fit_dmd(SnapshotMatrix(full[:, :n_train], train_grid), 6)
     eig_err = np.max(
         np.abs(np.sort_complex(model.eigenvalues) - truth_eigs) / np.abs(truth_eigs)
     )
-    forecast = reconstruct(model, long_grid).state
+    forecast = evaluate(model, np.arange(2 * n_train))
     rec_err = frobenius_rel_error(full, forecast)
     seconds = time.perf_counter() - started
     _verdict(
@@ -144,9 +138,11 @@ def test_two_tone_recovery_and_bagging():
     sigma = 0.01 * np.sqrt(np.mean(clean.state**2))
     noise = np.random.default_rng(1004).standard_normal(clean.state.shape)
     noisy = SnapshotMatrix(clean.state + sigma * noise, clean.grid)
-    ensemble = fit_bopdmd(noisy, 2, trials=20, subset_fraction=0.3, seed=4)
-    member_errs = np.array([omega_err(m.omegas) for m in ensemble.members])
-    bag_err = omega_err(project_conjugate_closure(mean_omegas(ensemble)))
+    ensemble = fit_ensembles([noisy], 2, [None], [4], 20, 0.3)[0]
+    member_errs = np.array([omega_err(m.omegas) for m in ensemble])
+    bag_err = omega_err(
+        project_conjugate_closure(np.mean([m.omegas for m in ensemble], axis=0))
+    )
     seconds = time.perf_counter() - started
     _verdict(
         2,
@@ -272,18 +268,19 @@ def test_latent_variant_consistency():
     sites = prepare(RegressorSpec("linear"), latent.params)
     mono = fit_monolithic(latent, sites)
     assert mono.stacked_dmd.rank == 4
-    rebuilt = reconstruct(mono.stacked_dmd, grid).state
+    steps = np.arange(n_t)
+    rebuilt = evaluate(mono.stacked_dmd, steps)
     slice_err = 0.0
     for i in range(latent.n_params):
         lo, hi = 2 * i, 2 * (i + 1)
-        standalone = reconstruct(fit_dmd(latent.trajectory(i), 2), grid).state
+        standalone = evaluate(fit_dmd(latent.trajectory(i), 2), steps)
         slice_err = max(slice_err, frobenius_rel_error(standalone, rebuilt[lo:hi]))
 
     train_err = 0.0
     for model in (mono, fit_partitioned(latent, sites)):
         for i in range(latent.n_params):
             member = fit_dmd(latent.trajectory(i), 2)
-            reference = lift(reconstruct(member, grid).state, basis)
+            reference = lift(evaluate(member, steps), basis)
             pred = lift(predict_latent(model, latent.params[i : i + 1], grid.instants)[0], basis)
             train_err = max(train_err, frobenius_rel_error(reference, pred))
 

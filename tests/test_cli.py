@@ -432,6 +432,35 @@ class TestPredict:
                        "--out", str(tmp_path / "pred.pdmd1")) == 3
         assert "roi op_modes and regressor values must be real" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, cut",
+        [("amplitudes", lambda a: a[:-1]), ("eigenvalues", lambda a: a[None, :]),
+         ("modes", lambda a: a[:, :-1])],
+        ids=["short-amplitudes", "2d-eigenvalues", "thin-modes"],
+    )
+    @pytest.mark.parametrize("algorithm", ["mono", "part"])
+    def test_dmd_arrays_of_mismatched_shapes_are_data_error(
+        self, tmp_path, capsys, algorithm, field, cut
+    ):
+        _, model = self.fit_model(tmp_path, algorithm)
+        archive = load_model(model)
+        # DmdModel refuses such arrays, so the archive is written from an
+        # unchecked copy of the fitted model
+        dmds = (archive.model.stacked_dmd,) if algorithm == "mono" else archive.model.members
+        dmd = copy.copy(dmds[0])
+        object.__setattr__(dmd, field, cut(getattr(dmd, field)))
+        tampered = copy.copy(archive.model)
+        if algorithm == "mono":
+            object.__setattr__(tampered, "stacked_dmd", dmd)
+        else:
+            object.__setattr__(tampered, "members", (dmd, *tampered.members[1:]))
+        bad = tmp_path / "shapes.pdmdm"
+        save_model(tampered, bad, archive.metadata)
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(bad), "--mu", "0.5",
+                       "--out", str(tmp_path / "pred.pdmd1")) == 3
+        assert "DMD arrays of mismatched shapes" in capsys.readouterr().err
+
     def test_training_parameter_reproduces_trajectory(self, tmp_path, capsys):
         data, model = self.fit_model(tmp_path)
         dataset = read_dataset(data)

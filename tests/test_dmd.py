@@ -7,14 +7,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pdmd import dmd
-from pdmd.data import SnapshotMatrix, TimeGrid
+from pdmd.data import SnapshotMatrix, TimeGrid, lattice_steps
 from pdmd.dmd import (
     DmdModel,
     check_imaginary,
     evaluate,
     evaluate_stack,
     fit_dmd,
-    reconstruct,
 )
 from pdmd.errors import DataError, ImaginaryResidualWarning, NumericalError
 from pdmd.linalg import eig
@@ -324,14 +323,55 @@ class TestEvaluateStack:
         with pytest.raises(DataError, match="share their rank"):
             evaluate_stack(members, [0, 1])
 
+    def test_2d_steps_rejected(self):
+        model = spectral_model([0.5, 0.9], np.eye(2), [1.0, 1.0])
+        with pytest.raises(DataError, match=r"1-D sequence, got shape \(2, 2\)"):
+            evaluate_stack([model], [[0, 1], [2, 3]])
+        with pytest.raises(DataError, match=r"1-D sequence, got shape \(1, 3\)"):
+            evaluate(model, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("steps", [[], ()])
+    def test_no_steps_give_no_columns(self, steps):
+        model = spectral_model([0.5, 0.9], np.eye(3)[:, :2], [1.0, 1.0])
+        assert evaluate(model, steps).shape == (3, 0)
+        states, messages = evaluate_stack([model, model], steps)
+        assert states.shape == (2, 3, 0) and messages == ()
+
+
+class TestModelShapes:
+    """A model holds the array shapes that evaluation reads: eigenvalues
+    (k,), modes n x k, amplitudes (k,), reduced_op k x k and a
+    proj_basis of k columns, whatever its rows (``spectral_model``'s has
+    k rows and its modes n)."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eigenvalues", np.array([[0.5 + 0j, 0.9 + 0j]])),
+            ("modes", np.ones((3, 1), complex)),
+            ("modes", np.ones(3, complex)),
+            ("amplitudes", np.ones(3, complex)),
+            ("amplitudes", np.ones((2, 1), complex)),
+            ("reduced_op", np.eye(3)),
+            ("proj_basis", np.eye(3)),
+        ],
+        ids=["2d-eigenvalues", "modes-columns", "1d-modes", "amplitudes-length",
+             "2d-amplitudes", "reduced-op", "proj-basis-columns"],
+    )
+    def test_mismatched_shapes_rejected(self, field, value):
+        model = spectral_model([0.5, 0.9], np.eye(3)[:, :2], [1.0, 1.0])
+        fields = {name: getattr(model, name) for name in model.__dataclass_fields__}
+        with pytest.raises(DataError, match="mismatched shapes"):
+            DmdModel(**{**fields, field: value})
+
 
 class TestReconstruct:
     def test_training_grid_exact_on_linear_data(self):
         op = rotation_decay(0.95, 0.3)
         x = linear_trajectory(op, [1.0, 0.2], 40)
         model = fit_dmd(x, rank=2)
-        rec = reconstruct(model, x.grid)
-        err = np.linalg.norm(rec.state - x.state) / np.linalg.norm(x.state)
+        rec = evaluate(model, np.arange(x.n_instants))
+        err = np.linalg.norm(rec - x.state) / np.linalg.norm(x.state)
         assert err <= 1e-8
 
     def test_truncation_error_bounded_by_tail_energy(self):
@@ -343,8 +383,8 @@ class TestReconstruct:
         x0 = q @ np.array([1.0, 0.8, 1.2, 0.9, 1e-10, 1e-10])
         x = linear_trajectory(op, x0, 60)
         model = fit_dmd(x, rank=4)
-        rec = reconstruct(model, x.grid)
-        err = np.linalg.norm(rec.state - x.state) / np.linalg.norm(x.state)
+        rec = evaluate(model, np.arange(x.n_instants))
+        err = np.linalg.norm(rec - x.state) / np.linalg.norm(x.state)
         s = np.linalg.svd(x.state[:, :-1], compute_uv=False)
         tail = np.sqrt(np.sum(s[4:] ** 2)) / np.linalg.norm(x.state)
         assert err <= tail + 1e-8
@@ -354,25 +394,24 @@ class TestReconstruct:
         x0 = np.array([1.0, 1.0])
         x = linear_trajectory(op, x0, 30)
         model = fit_dmd(x, rank=2)
-        extended = TimeGrid(np.arange(40.0))
-        rec = reconstruct(model, extended)
+        rec = evaluate(model, np.arange(40))
         truth = np.column_stack(
             [np.linalg.matrix_power(op, k) @ x0 for k in range(40)]
         )
-        err = np.linalg.norm(rec.state - truth) / np.linalg.norm(truth)
+        err = np.linalg.norm(rec - truth) / np.linalg.norm(truth)
         assert err <= 1e-6
 
     def test_off_lattice_instant_rejected(self):
         x = linear_trajectory(np.diag([0.9, 0.5]), [1.0, 1.0], 10)
         model = fit_dmd(x, rank=2)
         with pytest.raises(DataError, match="lattice"):
-            reconstruct(model, TimeGrid(np.array([0.0, 1.37])))
+            evaluate(model, lattice_steps([0.0, 1.37], model.t0, model.dt))
 
     def test_pre_initial_instant_rejected(self):
         x = linear_trajectory(np.diag([0.9, 0.5]), [1.0, 1.0], 10, t0=5.0)
         model = fit_dmd(x, rank=2)
         with pytest.raises(DataError):
-            reconstruct(model, TimeGrid(np.array([3.0, 4.0, 5.0])))
+            evaluate(model, lattice_steps([3.0, 4.0, 5.0], model.t0, model.dt))
 
 
 class TestExactOperator:

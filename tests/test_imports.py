@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -179,3 +180,54 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def perfbench_names():
+    """Every pdmd name that a perfbench source reads, as
+    (file:line, module, name): each ``from pdmd... import name`` and each
+    attribute read off a name bound to a pdmd module, a dotted chain
+    (``pdmd.data.read_dataset``) one link at a time.  The sources are
+    parsed, never imported."""
+    modules = {"pdmd", *(f"pdmd.{m.name}" for m in pkgutil.iter_modules(pdmd.__path__))}
+    names = []
+    for path in sorted((SRC.parent / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(SRC.parent)
+        bound = {}  # local name -> the pdmd module it holds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in modules:
+                        bound[alias.asname or "pdmd"] = alias.name if alias.asname else "pdmd"
+            elif isinstance(node, ast.ImportFrom) and node.module in modules and not node.level:
+                for alias in node.names:
+                    names.append((f"{where}:{node.lineno}", node.module, alias.name))
+                    if f"{node.module}.{alias.name}" in modules:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            chain, value = [], node
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if not (chain and isinstance(value, ast.Name) and value.id in bound):
+                continue
+            module = bound[value.id]
+            for attr in reversed(chain):
+                names.append((f"{where}:{node.lineno}", module, attr))
+                if f"{module}.{attr}" not in modules:
+                    break
+                module = f"{module}.{attr}"
+    return names
+
+
+def test_every_pdmd_name_the_benchmark_reads_resolves():
+    # a library change that drops or renames one of these breaks the
+    # benchmark harness; this fails first, without running it
+    names = perfbench_names()
+    assert {"spec_from_metadata", "subset_params", "fit_optdmd"} <= {n for _, _, n in names}
+    missing = [
+        f"{where} {module}.{name}"
+        for where, module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

@@ -13,7 +13,7 @@ from pdmd import dmd, latent as latent_module, regression
 from pdmd.archive import save_model
 from pdmd.bench import default_suite
 from pdmd.data import TimeGrid, lattice_steps, split_train_test
-from pdmd.dmd import fit_dmd, reconstruct
+from pdmd.dmd import evaluate, fit_dmd
 from pdmd.errors import (
     DataError,
     ExtrapolationWarning,
@@ -131,18 +131,17 @@ class TestFitMonolithic:
         latent, _ = two_block_family()
         model = fit_monolithic(latent, sites_for(latent))
         stacked = np.vstack(latent.latents)
-        rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
+        rebuilt = evaluate(model.stacked_dmd, np.arange(len(latent.grid)))
         assert frobenius_rel_error(stacked, rebuilt) <= 1e-8
 
     def test_block_slices_match_standalone_fits(self):
         latent, _ = two_block_family()
         model = fit_monolithic(latent, sites_for(latent))
-        rebuilt = reconstruct(model.stacked_dmd, latent.grid).state
+        steps = np.arange(len(latent.grid))
+        rebuilt = evaluate(model.stacked_dmd, steps)
         for i in range(latent.n_params):
             lo, hi = 2 * i, 2 * (i + 1)
-            standalone = reconstruct(
-                fit_dmd(latent.trajectory(i), 2), latent.grid
-            ).state
+            standalone = evaluate(fit_dmd(latent.trajectory(i), 2), steps)
             assert frobenius_rel_error(standalone, rebuilt[lo:hi]) <= 1e-7
 
     def test_rank_deficient_stack_is_clipped(self):
@@ -202,7 +201,7 @@ class TestPredictLatent:
             fit_partitioned(latent, sites_for(latent)),
         ):
             member = fit_dmd(latent.trajectory(1), 2)
-            reference = lift(reconstruct(member, latent.grid).state, latent.basis)
+            reference = lift(evaluate(member, np.arange(len(latent.grid))), latent.basis)
             pred = predict_one(model, latent.params[1], latent.grid.instants)
             assert frobenius_rel_error(reference, pred) <= 1e-9
 
@@ -263,7 +262,7 @@ class TestPredictLatent:
         with pytest.warns(Warning, match="clamped"):
             pred = predict_one(model, [3.0], latent.grid.instants)
         member = fit_dmd(latent.trajectory(0), 2)
-        reference = lift(reconstruct(member, latent.grid).state, latent.basis)
+        reference = lift(evaluate(member, np.arange(len(latent.grid))), latent.basis)
         assert_allclose(pred, reference, atol=1e-10)
 
     def test_each_dmd_evaluated_once_per_query(self, monkeypatch):

@@ -17,11 +17,9 @@ from pdmd.optdmd import (
     _project,
     _solve_each,
     condense_ensemble,
-    fit_bopdmd,
     fit_ensembles,
     fit_optdmd,
     match_frequencies,
-    mean_omegas,
     predict_optdmd,
     project_conjugate_closure,
 )
@@ -246,9 +244,9 @@ class TestStackedMembers:
         clean = 2.0 * np.cos(2.0 * instants) * np.exp(-0.1 * instants)
         noisy = clean + 0.05 * rng.standard_normal(clean.shape)
         x = SnapshotMatrix(noisy[None, :], TimeGrid(instants))
-        ten = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=5)
-        three = fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=5)
-        for a, b in zip(ten.members[:3], three.members):
+        ten = fit_ensembles([x], 2, [None], [5], 10, 0.8)[0]
+        three = fit_ensembles([x], 2, [None], [5], 3, 0.8)[0]
+        for a, b in zip(ten[:3], three):
             assert a.n_iters == b.n_iters and a.n_iters > 1
             assert a.converged == b.converged and a.objective == b.objective
             for field in ("omegas", "modes", "amplitudes"):
@@ -363,17 +361,32 @@ class TestThinDataWarmStarts:
         with pytest.raises(RankDeficientError, match="reduce the rank to 1"):
             fit_optdmd(x, rank=2)
         with pytest.raises(RankDeficientError, match="reduce the rank to 1"):
-            fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=0)
+            fit_ensembles([x], 2, [None], [0], 3, 0.8)[0]
 
     def test_non_uniform_bagged_members_pad_with_zero(self, monkeypatch):
         # one row carries one frequency; rank 2 asks for one more, and
         # each member pads its own subset's trapezoid estimate with 0
         starts = self.spy_trapezoid(monkeypatch)
         x = scalar_signal(lambda t: np.exp(-0.3 * t), 4 * np.linspace(0, 1, 41) ** 1.5)
-        bagged = fit_bopdmd(x, rank=2, trials=3, subset_fraction=0.8, seed=0)
+        bagged = fit_ensembles([x], 2, [None], [0], 3, 0.8)[0]
         assert len(starts) == 3 and all(start[1] == 0 for start in starts)
-        assert [(m.converged, m.n_iters) for m in bagged.members] == [(True, 7)] * 3
-        assert_allclose([m.omegas[1] for m in bagged.members], -0.3, rtol=0, atol=1e-12)
+        assert [(m.converged, m.n_iters) for m in bagged] == [(True, 7)] * 3
+        assert_allclose([m.omegas[1] for m in bagged], -0.3, rtol=0, atol=1e-12)
+
+    def test_uniform_members_start_from_the_whole_trajectory(self, monkeypatch):
+        # a None init on a uniform grid is the whole trajectory's warm
+        # start, passed once for every member
+        starts = self.spy_trapezoid(monkeypatch)
+        x = two_tone(np.linspace(0, 5, 61))
+        x = SnapshotMatrix(x.state + 0.05 * np.sin(7.3 * x.grid.instants), x.grid)
+        shared = optdmd._uniform_warm_start(optdmd._scaled(x)[0], 2)
+        default = fit_ensembles([x], 2, [None], [3], 4, 0.8)[0]
+        explicit = fit_ensembles([x], 2, [shared], [3], 4, 0.8)[0]
+        assert starts == []
+        for a, b in zip(default, explicit, strict=True):
+            assert (a.converged, a.n_iters, a.objective) == (b.converged, b.n_iters, b.objective)
+            for field in ("omegas", "modes", "amplitudes"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_non_uniform_fit_pads_with_a_harmonic_pair(self, monkeypatch):
         starts = self.spy_trapezoid(monkeypatch)
@@ -414,9 +427,9 @@ class TestIterationCap:
         x = SnapshotMatrix(x.state + 0.05 * np.sin(7.3 * x.grid.instants), x.grid)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bagged = fit_bopdmd(x, rank=2, trials=4, subset_fraction=0.8, seed=2)
-        stopped = [m for m in bagged.members if not m.converged]
-        assert stopped and all(m.n_iters == 1 for m in bagged.members)
+            bagged = fit_ensembles([x], 2, [None], [2], 4, 0.8)[0]
+        stopped = [m for m in bagged if not m.converged]
+        assert stopped and all(m.n_iters == 1 for m in bagged)
         assert len(caught) == len(stopped)
         assert all("stopped after 1 iterations" in str(w.message) for w in caught)
 
@@ -552,36 +565,36 @@ class TestBagging:
     def test_degenerate_ensemble_matches_single_fit(self):
         x = two_tone(np.linspace(0, 5, 41))
         single = fit_optdmd(x, rank=2)
-        bagged = fit_bopdmd(x, rank=2, trials=1, subset_fraction=1.0, seed=0)
-        assert bagged.trials == 1
-        assert_allclose(bagged.members[0].omegas, single.omegas, atol=1e-12)
-        assert_allclose(bagged.members[0].amplitudes, single.amplitudes, atol=1e-12)
+        bagged = fit_ensembles([x], 2, [None], [0], 1, 1.0)[0]
+        assert len(bagged) == 1
+        assert_allclose(bagged[0].omegas, single.omegas, atol=1e-12)
+        assert_allclose(bagged[0].amplitudes, single.amplitudes, atol=1e-12)
 
     def test_noiseless_members_agree(self):
         x = two_tone(np.linspace(0, 5, 61))
-        bagged = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=1)
+        bagged = fit_ensembles([x], 2, [None], [1], 10, 0.8)[0]
         truth = np.array([-0.1 + 2j, -0.1 - 2j])
-        for member in bagged.members:
+        for member in bagged:
             assert_allclose(member.omegas, truth, atol=1e-4)
 
     def test_alignment_positions_match(self):
         x = two_tone(np.linspace(0, 5, 61))
-        bagged = fit_bopdmd(x, rank=2, trials=6, subset_fraction=0.7, seed=3)
-        reference = bagged.members[0].omegas
-        for member in bagged.members[1:]:
+        bagged = fit_ensembles([x], 2, [None], [3], 6, 0.7)[0]
+        reference = bagged[0].omegas
+        for member in bagged[1:]:
             assert np.all(np.abs(member.omegas - reference) < 1e-3)
 
     def test_seed_reproducibility(self):
         x = two_tone(np.linspace(0, 5, 61))
-        a = fit_bopdmd(x, rank=2, trials=4, subset_fraction=0.8, seed=11)
-        b = fit_bopdmd(x, rank=2, trials=4, subset_fraction=0.8, seed=11)
-        for ma, mb in zip(a.members, b.members):
+        a = fit_ensembles([x], 2, [None], [11], 4, 0.8)[0]
+        b = fit_ensembles([x], 2, [None], [11], 4, 0.8)[0]
+        for ma, mb in zip(a, b):
             assert_allclose(ma.omegas, mb.omegas)
 
     def test_subset_too_small(self):
         x = two_tone(np.linspace(0, 5, 20))
         with pytest.raises(DataError, match="subset"):
-            fit_bopdmd(x, rank=2, trials=2, subset_fraction=0.1, seed=0)
+            fit_ensembles([x], 2, [None], [0], 2, 0.1)[0]
 
     @pytest.mark.parametrize("n_inits, n_seeds", [(3, 2), (2, 3), (2, 2)])
     def test_lists_of_unequal_length_rejected(self, n_inits, n_seeds):
@@ -590,15 +603,29 @@ class TestBagging:
         with pytest.raises(DataError, match=message):
             fit_ensembles(xs, 2, [None] * n_inits, list(range(n_seeds)), 2, 0.8)
 
+    def test_rank_zero_with_an_explicit_init_rejected(self):
+        x = two_tone(np.linspace(0, 5, 41))
+        with pytest.raises(DataError, match="rank must be >= 1, got 0"):
+            fit_ensembles([x], 0, [np.array([], dtype=complex)], [0], 2, 0.8)
+
+    def test_no_trajectories_rejected(self):
+        with pytest.raises(DataError, match="at least one trajectory"):
+            fit_ensembles([], 2, [], [], 2, 0.8)
+
+    def test_negative_seed_rejected(self):
+        xs = [two_tone(np.linspace(0, 5, 41))] * 2
+        with pytest.raises(DataError, match="seeds must be >= 0, got -1"):
+            fit_ensembles(xs, 2, [None, None], [0, -1], 2, 0.8)
+
     def test_noisy_ensemble_mean_tracks_truth(self):
         rng = np.random.default_rng(17)
         instants = np.linspace(0, 5, 81)
         clean = 2.0 * np.cos(2.0 * instants) * np.exp(-0.1 * instants)
         noisy = clean + 0.01 * np.std(clean) * rng.standard_normal(clean.shape)
         x = SnapshotMatrix(noisy[None, :], TimeGrid(instants))
-        bagged = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=5)
+        bagged = fit_ensembles([x], 2, [None], [5], 10, 0.8)[0]
         truth = np.array([-0.1 + 2j, -0.1 - 2j])
-        mean = mean_omegas(bagged)
+        mean = np.mean([member.omegas for member in bagged], axis=0)
         err = np.max(np.abs(np.sort_complex(mean) - np.sort_complex(truth)))
         assert err < 0.05
 
@@ -634,35 +661,33 @@ class TestNoisyBaggedConvergence:
         dataset, _ = generate(spec)
         latent = project(dataset, fit_global_basis(dataset, 6))
         for i, before in enumerate(UNPROJECTED_OBJECTIVES):
-            bagged = fit_bopdmd(
-                latent.trajectory(i), 6, trials=3, subset_fraction=0.8, seed=i
-            )
-            for member, objective in zip(bagged.members, before):
+            bagged = fit_ensembles([latent.trajectory(i)], 6, [None], [i], 3, 0.8)[0]
+            for member, objective in zip(bagged, before):
                 assert member.converged and member.n_iters <= 20, (i, member.n_iters)
                 assert member.objective <= objective * (1 + 1e-9), i
 
 
 def ensemble_mean(bagged, t):
     """Mean of the member predictions: the bagged prediction oracle."""
-    return np.mean([predict_optdmd(member, t) for member in bagged.members], axis=0)
+    return np.mean([predict_optdmd(member, t) for member in bagged], axis=0)
 
 
 class TestEnsemblePredict:
     def test_identical_members_equal_either(self):
         # with the full time grid every member fits the same data
         x = two_tone(np.linspace(0, 5, 41))
-        bagged = fit_bopdmd(x, rank=2, trials=2, subset_fraction=1.0, seed=0)
+        bagged = fit_ensembles([x], 2, [None], [0], 2, 1.0)[0]
         t = np.array([0.5, 1.5])
         assert_allclose(
             ensemble_mean(bagged, t),
-            predict_optdmd(bagged.members[0], t),
+            predict_optdmd(bagged[0], t),
             atol=1e-12,
         )
 
     def test_noiseless_ensemble_matches_truth_inside_window(self):
         instants = np.linspace(0, 5, 61)
         x = two_tone(instants)
-        bagged = fit_bopdmd(x, rank=2, trials=10, subset_fraction=0.8, seed=2)
+        bagged = fit_ensembles([x], 2, [None], [2], 10, 0.8)[0]
         t = 3.3
         truth = 2.0 * np.cos(2.0 * t) * np.exp(-0.1 * t)
         assert_allclose(ensemble_mean(bagged, t), [truth], atol=1e-4)
@@ -672,16 +697,20 @@ class TestCondense:
     def test_degenerate_ensemble_matches_single_fit(self):
         x = two_tone(np.linspace(0, 5, 41))
         single = fit_optdmd(x, rank=2)
-        bagged = fit_bopdmd(x, rank=2, trials=1, subset_fraction=1.0, seed=0)
+        bagged = fit_ensembles([x], 2, [None], [0], 1, 1.0)[0]
         condensed = condense_ensemble(bagged, x)
         assert_allclose(condensed.omegas, single.omegas, atol=1e-10)
         assert_allclose(condensed.amplitudes, single.amplitudes, atol=1e-8)
         assert_allclose(condensed.modes, single.modes, atol=1e-8)
 
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(DataError, match="at least one member"):
+            condense_ensemble((), two_tone(np.linspace(0, 5, 41)))
+
     def test_condensed_model_matches_truth(self):
         instants = np.linspace(0, 5, 61)
         x = two_tone(instants)
-        bagged = fit_bopdmd(x, rank=2, trials=8, subset_fraction=0.8, seed=3)
+        bagged = fit_ensembles([x], 2, [None], [3], 8, 0.8)[0]
         condensed = condense_ensemble(bagged, x)
         assert condensed.rank == 2
         assert_allclose(

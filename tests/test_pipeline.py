@@ -114,6 +114,10 @@ class TestResolveRank:
         with pytest.raises(DataError, match="energy"):
             FitOptions("roi", energy=1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            FitOptions("rkoi", bag_trials=3, seed=-1)
+
     @pytest.mark.parametrize(
         "field, value",
         [("bag_fraction", 0.0), ("bag_fraction", 2.0), ("bag_fraction", -0.5),
@@ -230,6 +234,15 @@ class TestPredictSurrogate:
         predict(surrogate.model, rows, instants)
         with pytest.raises(DataError, match=re.escape("1-D sequence, got shape (2, 2)")):
             predict(surrogate.model, rows, instants.reshape(2, 2))
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_non_finite_instant_is_data_error(self, algorithm, bad):
+        dataset = linear_dataset()
+        surrogate = fit_surrogate(dataset, FitOptions(algorithm, rank=6))
+        with pytest.raises(DataError):
+            predict_surrogate(surrogate.model, dataset.params[1], [dataset.grid.t0, bad])
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))

@@ -12,7 +12,7 @@ from pdmd import rkoi as rkoi_module
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid, subset_params
 from pdmd.errors import ConvergenceWarning, DataError, ExtrapolationWarning
 from pdmd.metrics import frobenius_rel_error
-from pdmd.optdmd import BaggedOptDmd, fit_bopdmd, fit_optdmd, predict_optdmd
+from pdmd.optdmd import fit_ensembles, fit_optdmd, predict_optdmd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import GlobalBasis, LatentDataset, fit_global_basis, lift, project
 from pdmd.regression import FitCount, RegressorSpec, combine, prepare, stencil
@@ -124,9 +124,9 @@ def per_parameter_fits(bag_seed):
 
     def fits(trajectories, rank, inits, seeds, trials, subset_fraction):
         if trials == 1:
-            return [BaggedOptDmd((fit_optdmd(x, rank),), 1.0) for x in trajectories]
+            return [(fit_optdmd(x, rank),) for x in trajectories]
         return [
-            fit_bopdmd(x, rank, trials, subset_fraction, bag_seed + k)
+            fit_ensembles([x], rank, [None], [bag_seed + k], trials, subset_fraction)[0]
             for k, x in enumerate(trajectories)
         ]
 
