@@ -74,8 +74,8 @@ def fit_surrogate(dataset: ParametricDataset, options: FitOptions) -> FittedSurr
     capturing the requested (or default) energy fraction of the stacked
     snapshots.  The metadata's regressor keys are the model's own spec
     (``nearest`` for a single training parameter).  The train errors
-    come from one query of all training rows, each subtracted from its
-    truth into its own prediction (``_train_errors``)."""
+    come from one query of all training rows, each lifted into one
+    reused buffer and subtracted from its truth there (``_train_errors``)."""
     spec = options.regressor
     if spec is None:
         spec = regression.default_spec(dataset.param_dim)
@@ -148,17 +148,20 @@ def _train_errors(model, dataset: ParametricDataset) -> np.ndarray:
     """``frobenius_rel_error`` of every training trajectory against the
     model's answer at its parameter, from one query of all training rows.
 
-    Each row is lifted and the truth minus the prediction is taken into
-    the prediction's own array, so no second N_h x N_t array is made.
-    Where ``metrics.frobenius_rel_error`` would rescale (a norm that is
-    zero, subnormal or non-finite), the row is lifted again and scored
-    by it, so data in extreme units take the metric's own path."""
+    Every row is lifted into one N_h x N_t buffer (the product ``lift``
+    makes, bit for bit) and the truth minus the prediction is taken in
+    place, so the pass makes one such array, not one per row.  Where
+    ``metrics.frobenius_rel_error`` would rescale (a norm that is zero,
+    subnormal or non-finite), the row is lifted again and scored by it,
+    so data in extreme units take the metric's own path."""
     latents = _algorithm(model).predict(model, dataset.params, dataset.grid.instants)
+    modes = model.basis.modes_u
+    buffer = np.empty((dataset.n_state, len(dataset.grid)))
     norm = np.linalg.norm
     errors = []
     for trajectory, latent in zip(dataset.trajectories, latents):
         truth = trajectory.state
-        prediction = lift(latent, model.basis)
+        prediction = np.matmul(modes, latent, out=buffer)
         with np.errstate(over="ignore"):
             error = norm(np.subtract(truth, prediction, out=prediction))
             denom = norm(truth)

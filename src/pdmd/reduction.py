@@ -8,13 +8,19 @@ each trajectory A to a factor F with F F^T = A A^T to rounding (a tall
 A rotated by the eigenvectors of its small Gram matrix A^T A, a wide A
 by the QR of A^T), and the SVD of the concatenated factors gives the
 stacked matrix's left singular vectors and values to rounding; the
-tall trajectories rotate into one reused buffer.  When
-the concatenation is tall, that SVD is a Householder QR followed by the
-SVD of the small R, and only the kept left singular vectors are formed
-(``linalg.truncated_svd``).  The rank is either explicit or the
-smallest that captures an energy fraction.  Every parametric surrogate
-in the package works in these latent coordinates and lifts back
-through the same basis.
+tall trajectories rotate into one reused buffer, and the kept columns
+go straight into one F-ordered array.  When the concatenation is tall,
+that SVD is a level-3 blocked Householder QR (LAPACK's ``dgeqrt``)
+factoring the array in place, then the SVD of the small R, and only the
+kept left singular vectors are formed, by the blocked apply of Q
+(``dgemqrt``; ``linalg.blocked_truncated_svd``).  A concatenation has
+tens of columns, below the width at which ``dgeqrf`` blocks, so
+``dgeqrf`` would make one pass over the N_h rows per column.  The DMD
+fits keep ``linalg.truncated_svd``'s ``dgeqrf``: the two QRs differ in
+the last bits, and a stacked DMD amplifies them.  The rank is either
+explicit or the smallest that captures an energy fraction.  Every
+parametric surrogate in the package works in these latent coordinates
+and lifts back through the same basis.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .data import ParametricDataset, SnapshotMatrix, TimeGrid
 from .errors import DataError, NumericalError
-from .linalg import SCALE_FREE, scale_exponent, truncated_svd
+from .linalg import SCALE_FREE, blocked_truncated_svd, scale_exponent
 
 ORTHONORMALITY_TOL = 1e-10
 DEFAULT_ENERGY = 0.9999
@@ -117,15 +123,21 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
     than a QR of the block would keep (still exact, with a wider
     second-level SVD).  Every tall block rotates into one buffer, made
     once per call (and again only for a block of another shape), so a
-    basis does not fault in a fresh N_h x N_t array per trajectory; the
-    kept columns are a copy, so the next block may overwrite it.
+    basis does not fault in a fresh N_h x N_t array per trajectory.  The
+    kept columns are written straight into one F-ordered array, LAPACK's
+    layout, which the blocked QR of ``fit_global_basis`` then factors in
+    place; it is reserved at the data's own width (no factor has more
+    columns than its block), and only the written columns are touched.
     """
-    factors = []
+    n_state = states[0].shape[0]
+    factors = np.empty((n_state, sum(block.shape[1] for block in states)), order="F")
+    end = 0
     rotated = None
     for block in states:
-        n_state, n_instants = block.shape
+        n_instants = block.shape[1]
         if n_state <= n_instants:
-            factors.append(np.linalg.qr(block.T, mode="r").T)
+            factors[:, end : end + n_state] = np.linalg.qr(block.T, mode="r").T
+            end += n_state
             continue
         if rotated is None or rotated.shape != block.shape:
             rotated = np.empty(block.shape)
@@ -134,8 +146,10 @@ def _gram_factors(states: list, min_columns: int) -> np.ndarray:
         order = np.argsort(-norms, kind="stable")
         cutoff = norms[order[0]] * max(block.shape) * np.finfo(float).eps
         keep = max(int(np.count_nonzero(norms > cutoff)), min_columns)
-        factors.append(rotated[:, order[:keep]])
-    return np.hstack(factors)
+        kept = rotated[:, order[:keep]]
+        factors[:, end : end + kept.shape[1]] = kept
+        end += kept.shape[1]
+    return factors[:, :end]
 
 
 def fit_global_basis(
@@ -149,8 +163,12 @@ def fit_global_basis(
     smallest rank capturing ``energy`` of the squared spectrum.  The
     basis is a two-level SVD: a rounding-level factor of each
     trajectory, then the truncated SVD of ``[F_1 | ... | F_Np]`` (for a
-    tall concatenation the QR, the SVD of R, and Q applied to the kept
-    left vectors of R only), whose spectrum also sets the energy rank.
+    tall concatenation the blocked QR ``dgeqrt``, the SVD of R, and Q
+    applied to the kept left vectors of R only by ``dgemqrt``; see
+    ``linalg.blocked_truncated_svd``), whose spectrum also sets the
+    energy rank.  The DMD SVDs keep ``dgeqrf`` (``linalg.truncated_svd``),
+    since the blocked QR moves the last bits and a stacked DMD amplifies
+    them.
     ``energy_captured`` is relative to the sum of the trajectories'
     squared Frobenius norms.
 
@@ -184,9 +202,9 @@ def fit_global_basis(
     try:
         if rank is None:
             factors = _gram_factors(states, 1)
-            svd = truncated_svd(factors, min(factors.shape), energy=energy)
+            svd = blocked_truncated_svd(factors, min(factors.shape), energy=energy)
         else:
-            svd = truncated_svd(_gram_factors(states, rank), rank)
+            svd = blocked_truncated_svd(_gram_factors(states, rank), rank)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"basis factorization failed: {exc}") from exc
     energy_captured = min(float(np.sum(svd.singular_values**2) / total), 1.0)

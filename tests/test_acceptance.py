@@ -9,7 +9,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from pdmd.archive import load_model, save_model
 from pdmd.bench import _default_window, default_suite, run_suite

@@ -86,3 +86,16 @@ def test_roi_stepping_and_latent_fits_hold_under_other_kernels(kernel):
     # both must give the reference loop's bits on every kernel
     result = rerun_under(kernel, "test_roi.py::TestPredictRoi", "test_latent.py")
     assert result["exit"] == 0, result["output"]
+
+
+@needs_haswell
+@pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge"])
+def test_blocked_second_level_holds_under_other_kernels(kernel):
+    # dgeqrt and dgemqrt take other kernels there; the basis's blocked QR
+    # must still match the dgeqrf path and write LAPACK-ordered factors
+    result = rerun_under(
+        kernel,
+        "test_reduction.py::TestBlockedSecondLevel",
+        "test_reduction.py::TestGramFactors",
+    )
+    assert result["exit"] == 0, result["output"]

@@ -11,7 +11,7 @@ from pdmd.algorithms import ALGORITHMS
 from pdmd.bench import default_suite
 from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
 from pdmd.errors import DataError, NumericalError
-from pdmd.linalg import scale_exponent, select_rank
+from pdmd.linalg import blocked_truncated_svd, scale_exponent, select_rank, truncated_svd
 from pdmd.pipeline import FitOptions, fit_surrogate, predict_surrogate
 from pdmd.reduction import (
     DEFAULT_ENERGY,
@@ -265,6 +265,15 @@ class TestGramFactors:
             reference = np.hstack([fresh(block, min_columns) for block in blocks])
             assert _gram_factors(blocks, min_columns).tobytes() == reference.tobytes()
 
+    def test_factors_are_written_in_lapack_order(self):
+        # tall and wide blocks alike land in one F-ordered array, which
+        # the blocked QR then factors without a copy
+        blocks = [FACTOR_BLOCKS["rank-6"](), np.ones((200, 250)), FACTOR_BLOCKS["noisy-full-rank"]()]
+        for states in (blocks[:1], blocks):
+            factors = _gram_factors(states, 1)
+            assert factors.flags.f_contiguous
+            assert factors.dtype == np.float64
+
     def test_basis_independent_of_array_layout(self):
         dataset = exp_modes_dataset()
         aligned = fit_global_basis(dataset, None)
@@ -290,6 +299,80 @@ class TestGramFactors:
             assert basis.rank == aligned.rank
             assert_allclose(basis.modes_u, aligned.modes_u, atol=1e-14)
             assert_allclose(basis.singular_values, aligned.singular_values, rtol=1e-14)
+
+
+TALL_GRADED = {
+    "rank-6": lambda: graded_block(np.geomspace(1.0, 1e-2, 6)),
+    "graded-1e-6": lambda: graded_block(np.geomspace(1.0, 1e-6, 30), n_state=600),
+    "noisy-full-rank": noisy_block,
+    "wide-state-shape": lambda: graded_block(np.geomspace(4.0, 1e-3, 54), n_state=2000, n_t=54),
+}
+
+
+class TestBlockedSecondLevel:
+    """The basis's tall second level (``blocked_truncated_svd``: blocked
+    QR, SVD of R, compact-WY Q) against ``truncated_svd``'s dgeqrf path."""
+
+    def pair(self, case, rank, energy=None):
+        m = TALL_GRADED[case]()
+        reference = truncated_svd(m, rank, energy=energy)
+        blocked = blocked_truncated_svd(np.asfortranarray(m), rank, energy=energy)
+        return reference, blocked
+
+    @pytest.mark.parametrize("case", list(TALL_GRADED))
+    @pytest.mark.parametrize("energy", [None, 0.9999, 1 - 1e-12])
+    def test_matches_the_householder_path(self, case, energy):
+        rank = 6 if energy is None else 30
+        reference, blocked = self.pair(case, rank, energy)
+        assert blocked.rank == reference.rank
+        # relative to each value, down to an absolute floor at rounding
+        # of the largest (a backward-stable SVD's accuracy)
+        s = reference.singular_values
+        assert_allclose(blocked.singular_values, s, rtol=1e-13, atol=1e-15 * s[0])
+        # the kept spectrum is separated, so the subspaces agree to rounding
+        cosines = np.linalg.svd(reference.modes_u.T @ blocked.modes_u, compute_uv=False)
+        assert np.min(cosines) >= 1 - 1e-13
+        assert np.linalg.norm(blocked.modes_u.T @ blocked.modes_u - np.eye(blocked.rank)) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(TALL_GRADED))
+    def test_same_sign_convention(self, case):
+        reference, blocked = self.pair(case, 6)
+        columns = np.arange(blocked.rank)
+        lead = np.argmax(np.abs(blocked.modes_u), axis=0)
+        assert np.all(blocked.modes_u[lead, columns] > 0)
+        assert np.all(np.argmax(np.abs(reference.modes_u), axis=0) == lead)
+        assert_allclose(blocked.modes_u, reference.modes_u, rtol=0, atol=1e-12)
+        assert_allclose(blocked.right_v, reference.right_v, rtol=0, atol=1e-12)
+
+    def test_wide_matrix_takes_truncated_svds_path_bit_for_bit(self):
+        m = graded_block(np.geomspace(1.0, 1e-3, 8)).T.copy()
+        for energy in (None, 0.999):
+            reference = truncated_svd(m, 8, energy=energy)
+            blocked = blocked_truncated_svd(np.asfortranarray(m), 8, energy=energy)
+            for name in ("modes_u", "singular_values", "right_v"):
+                assert getattr(blocked, name).tobytes() == getattr(reference, name).tobytes()
+
+    def test_a_c_ordered_matrix_is_left_as_it_was(self):
+        m = TALL_GRADED["rank-6"]()
+        before = m.copy()
+        blocked_truncated_svd(m, 6)
+        assert m.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("rank", [None, 4])
+    def test_basis_is_the_householder_basis_to_rounding(self, rank):
+        # exp-modes blocks of 400 x 30: a tall factor concatenation
+        spec = SynthSpec("exp-modes", n_h=400, n_params=5, param_range=(0.2, 0.8),
+                         n_t=30, dt=0.08, seed=23)
+        dataset = generate(spec)[0]
+        basis = fit_global_basis(dataset, rank)
+        factors = _gram_factors(dataset.states(), 1 if rank is None else rank)
+        assert factors.shape[0] > factors.shape[1]
+        reference = truncated_svd(
+            factors, rank or min(factors.shape), energy=None if rank else DEFAULT_ENERGY
+        )
+        assert basis.rank == reference.rank
+        assert_allclose(basis.singular_values, reference.singular_values, rtol=1e-13)
+        assert_allclose(basis.modes_u, reference.modes_u, rtol=0, atol=1e-13)
 
 
 def scaled_dataset(dataset, exponent):

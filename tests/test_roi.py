@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmd.data import ParametricDataset, SnapshotMatrix, TimeGrid
+from pdmd.data import TimeGrid
 from pdmd.dmd import evaluate, fit_dmd
 from pdmd.errors import DataError, NumericalError
 from pdmd.latent import fit_partitioned
