@@ -26,6 +26,7 @@ from .errors import DataError
 MAGIC = b"PDMD1\n"
 UNIFORM_REL_TOL = 1e-9
 LATTICE_REL_TOL = 1e-9
+FLOAT64 = np.dtype(float)
 
 
 def _finite_array(values, name, dtype=float):
@@ -86,10 +87,25 @@ def check_lattice(t0: float, dt: float | None = None) -> None:
         raise DataError(f"lattice step dt must be finite and positive, got {dt}")
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array.  Complex, non-numeric and ragged input
+    is a DataError naming ``name``, where a plain float conversion would
+    drop an imaginary part or end in a raw ValueError or TypeError."""
+    try:
+        array = np.asarray(values)
+        if array.dtype is FLOAT64:  # already float: no conversion to check
+            return array
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be real numbers: {exc}") from exc
+    raise DataError(f"{name} must be real numbers, got complex values")
+
+
 def parameter_rows(mu_rows) -> np.ndarray:
     """The n x p block of parameter rows that a predictor answers, as a
-    float array; any other shape is a DataError."""
-    rows = np.asarray(mu_rows, dtype=float)
+    float array; any other shape, and non-real input, is a DataError."""
+    rows = real_array(mu_rows, "parameter rows")
     if rows.ndim != 2:
         raise DataError(f"parameter rows must form an n x p array, got shape {rows.shape}")
     return rows
@@ -97,8 +113,8 @@ def parameter_rows(mu_rows) -> np.ndarray:
 
 def instant_vector(instants) -> np.ndarray:
     """Requested instants as a 1-D float array, a number as one instant;
-    any other shape is a DataError."""
-    instants = np.atleast_1d(np.asarray(instants, dtype=float))
+    any other shape, and non-real input, is a DataError."""
+    instants = np.atleast_1d(real_array(instants, "instants"))
     if instants.ndim != 1:
         raise DataError(f"instants must form a 1-D sequence, got shape {instants.shape}")
     return instants

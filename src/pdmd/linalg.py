@@ -13,8 +13,9 @@ Conventions fixed here and relied on by every model module:
   comparable across nearby operators, which parameter interpolation
   relies on.
 
-SciPy's LAPACK wrappers load on the first tall SVD (``_householder_qr``,
-``_blocked_qr``).
+The basis's tall SVD takes a blocked QR first (``blocked_truncated_svd``),
+and SciPy's LAPACK wrappers load on its first call; every other SVD is
+one thin SVD (``truncated_svd``).
 """
 
 from __future__ import annotations
@@ -81,20 +82,15 @@ def _fix_svd_signs(u, v):
 
 
 def truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
-    """Deterministic rank-``rank`` SVD of a real matrix.
+    """Deterministic rank-``rank`` SVD of a real matrix, from one thin SVD
+    of any shape.
 
     The returned factors are the Eckart-Young optimal rank-r approximation;
     the discarded tail energy equals ``sqrt(sum(s[rank:] ** 2))``.  With
     ``energy`` the rank kept is the smallest at most ``rank`` that
     captures that fraction of the squared spectrum (``select_rank``).
-
-    A tall matrix (more rows than columns) is first reduced by a
-    Householder QR (``dgeqrf``), ``m = Q R``; the SVD of the small R gives
-    the singular values and right vectors, and Q is applied to the kept
-    left vectors of R only (Chan, ACM TOMS 8 (1982)), so the discarded
-    left vectors are never formed.  Other shapes take one thin SVD.
     """
-    return _truncated_svd(m, rank, energy, _householder_qr)
+    return _truncated_svd(m, rank, energy, None)
 
 
 def blocked_truncated_svd(m, rank: int, energy: float | None = None) -> TruncatedSvd:
@@ -103,32 +99,33 @@ def blocked_truncated_svd(m, rank: int, energy: float | None = None) -> Truncate
 
     A tall ``m`` is reduced by LAPACK's recursive-panel blocked QR
     (``dgeqrt``, Elmroth & Gustavson, IBM J. Res. Dev. 44 (2000)) with
-    ``QR_BLOCK`` columns per block, and the kept left vectors of R are
-    taken back by its compact-WY apply (``dgemqrt``, Schreiber & Van
-    Loan, SIAM J. Sci. Stat. Comput. 10 (1989)).  ``dgeqrf`` runs the
-    unblocked, level-2 ``dgeqr2`` below about 128 columns, one pass over
-    the matrix per column; on a 10000 x 54 matrix the blocked QR is about
-    2.5x faster.  The rank selection and the sign convention are
-    ``truncated_svd``'s, but the last bits differ from it, so
-    ``truncated_svd`` keeps ``dgeqrf`` for the DMD fits, whose stacked
-    operators amplify rounding.  A tall F-ordered float64 ``m`` is
-    factored in place, so its contents are lost (any other layout is
-    copied first).  A matrix that is not tall takes ``truncated_svd``'s
-    thin SVD, bit for bit.
+    ``QR_BLOCK`` columns per block, ``m = Q R``; the SVD of the small R
+    gives the singular values and right vectors, and the kept left
+    vectors of R are taken back by Q's compact-WY apply (``dgemqrt``,
+    Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10 (1989)), so the
+    discarded left vectors are never formed.  At rank 6 a 10000 x 49
+    matrix takes about 4 ms this way and 20-25 ms by the thin SVD (one
+    BLAS thread, 2-vCPU Xeon VM).  The rank selection and the sign convention
+    are ``truncated_svd``'s, but the last bits differ from its thin SVD,
+    which the DMD fits keep, since their stacked operators amplify
+    rounding.  A tall F-ordered float64 ``m`` is factored in place, so
+    its contents are lost (any other layout is copied first).  A matrix
+    that is not tall takes ``truncated_svd``'s thin SVD, bit for bit.
     """
     return _truncated_svd(m, rank, energy, _blocked_qr)
 
 
 def _truncated_svd(m, rank, energy, tall_qr) -> TruncatedSvd:
-    """The truncated SVD of both entries: ``tall_qr(m)`` gives the R of a
-    tall ``m`` and the function that applies its Q to a block."""
+    """The truncated SVD of both entries: a tall ``m`` given a ``tall_qr``
+    is reduced by ``tall_qr(m)``, which gives its R and the function that
+    applies its Q to a block; any other ``m`` takes one thin SVD."""
     m = _as_2d(m)
     if np.iscomplexobj(m):
         raise DataError("truncated_svd expects a real matrix")
     max_rank = min(m.shape)
     if not 1 <= rank <= max_rank:
         raise DataError(f"rank {rank} out of range [1, {max_rank}]")
-    tall = m.shape[0] > m.shape[1]
+    tall = tall_qr is not None and m.shape[0] > m.shape[1]
     try:
         if tall:
             r, apply_q = tall_qr(m)
@@ -146,31 +143,11 @@ def _truncated_svd(m, rank, energy, tall_qr) -> TruncatedSvd:
     return TruncatedSvd(np.ascontiguousarray(u), s[:rank].copy(), v)
 
 
-def _householder_qr(m):
-    """LAPACK ``dgeqrf`` of a tall real matrix: its R, and the function
-    that returns ``Q @ [block; 0]`` (``dormqr``), one column of Q's span
-    per column of ``block``."""
-    from scipy.linalg import lapack
-
-    lwork = lapack.dgeqrf_lwork(*m.shape)[0]
-    reflectors, tau, _, info = lapack.dgeqrf(m, lwork=int(lwork))
-    _check_info(info, "QR factorization")
-
-    def apply_q(block):
-        padded = _padded(block, m.shape[0])
-        lwork = lapack.dormqr("L", "N", reflectors, tau, padded, -1)[1][0]
-        product, _, info = lapack.dormqr(
-            "L", "N", reflectors, tau, padded, int(lwork), overwrite_c=1
-        )
-        _check_info(info, "applying Q")
-        return product
-
-    return np.triu(reflectors[: m.shape[1]]), apply_q
-
-
 def _blocked_qr(m):
-    """``_householder_qr`` by the blocked ``dgeqrt`` and ``dgemqrt``,
-    overwriting an F-ordered float64 ``m``."""
+    """LAPACK's blocked ``dgeqrt`` of a tall real matrix, overwriting an
+    F-ordered float64 ``m``: its R, and the function that returns
+    ``Q @ [block; 0]`` (``dgemqrt``), one column of Q's span per column
+    of ``block``."""
     from scipy.linalg import lapack
 
     block_size = min(QR_BLOCK, m.shape[1])

@@ -14,7 +14,7 @@ import numpy as np
 from . import regression
 from .algorithms import ALGORITHMS
 # perfbench/generate.py imports subset_params from here
-from .data import ParametricDataset, instant_vector, subset_params  # noqa: F401
+from .data import ParametricDataset, instant_vector, real_array, subset_params  # noqa: F401
 from .errors import DataError
 from .linalg import SUBNORMAL_NORM
 from .metrics import EvalReport, frobenius_rel_error, rmse, time_rel_error
@@ -134,16 +134,6 @@ def _algorithm(model):
     return algorithm
 
 
-def _predict_rows(model, mu_rows, instants):
-    """Dispatch to the model's algorithm: one N_h x N_t array per row of
-    the n x p block ``mu_rows``, yielded in row order.  The algorithm
-    answers the whole block at once; each row is lifted as it is taken,
-    so one N_h x N_t array is held at a time.  ``instants`` must be a
-    number or a 1-D sequence."""
-    latents = _algorithm(model).predict(model, mu_rows, instant_vector(instants))
-    return (lift(latent, model.basis) for latent in latents)
-
-
 def _train_errors(model, dataset: ParametricDataset) -> np.ndarray:
     """``frobenius_rel_error`` of every training trajectory against the
     model's answer at its parameter, from one query of all training rows.
@@ -181,18 +171,19 @@ def predict_surrogate(model, mu, instants, spec: RegressorSpec | None = None) ->
     ``spec`` must equal ``model.sites.spec``.  It stays only while
     perfbench's worker passes it, and goes with ``spec_from_metadata``
     and ``FittedSurrogate.regressor``."""
-    _algorithm(model)  # a model of a known family, so it holds sites
+    algorithm = _algorithm(model)  # a model of a known family, so it holds sites
     sites = model.sites
     if spec is not None and spec != sites.spec:
         raise DataError(f"regressor {spec} is not the model's own, {sites.spec}")
-    row = np.atleast_1d(np.asarray(mu, dtype=float))
+    row = np.atleast_1d(real_array(mu, "query parameter"))
     p = sites.params.shape[1]
     if row.shape != (p,):
         raise DataError(
             f"query parameter of shape {np.shape(mu)} does not fit the model's "
             f"parameter dimension {p}"
         )
-    return next(_predict_rows(model, row[None], instants))
+    (latent,) = algorithm.predict(model, row[None], instant_vector(instants))
+    return lift(latent, model.basis)
 
 
 def timed_query(model, mu, instants) -> tuple:

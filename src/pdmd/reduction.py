@@ -13,11 +13,10 @@ go straight into one F-ordered array.  When the concatenation is tall,
 that SVD is a level-3 blocked Householder QR (LAPACK's ``dgeqrt``)
 factoring the array in place, then the SVD of the small R, and only the
 kept left singular vectors are formed, by the blocked apply of Q
-(``dgemqrt``; ``linalg.blocked_truncated_svd``).  A concatenation has
-tens of columns, below the width at which ``dgeqrf`` blocks, so
-``dgeqrf`` would make one pass over the N_h rows per column.  The DMD
-fits keep ``linalg.truncated_svd``'s ``dgeqrf``: the two QRs differ in
-the last bits, and a stacked DMD amplifies them.  The rank is either
+(``dgemqrt``; ``linalg.blocked_truncated_svd``).  Every other SVD in
+the package, the DMD fits' included, is one thin SVD
+(``linalg.truncated_svd``): the blocked QR moves the last bits, and a
+stacked DMD amplifies them.  The rank is either
 explicit or the smallest that captures an energy fraction.  Every
 parametric surrogate in the package works in these latent coordinates
 and lifts back through the same basis.
@@ -166,10 +165,9 @@ def fit_global_basis(
     tall concatenation the blocked QR ``dgeqrt``, the SVD of R, and Q
     applied to the kept left vectors of R only by ``dgemqrt``; see
     ``linalg.blocked_truncated_svd``), whose spectrum also sets the
-    energy rank.  The DMD SVDs keep ``dgeqrf`` (``linalg.truncated_svd``),
-    since the blocked QR moves the last bits and a stacked DMD amplifies
-    them.
-    ``energy_captured`` is relative to the sum of the trajectories'
+    energy rank.  The DMD SVDs are one thin SVD each
+    (``linalg.truncated_svd``), since the blocked QR moves the last bits
+    and a stacked DMD amplifies them.  ``energy_captured`` is relative to the sum of the trajectories'
     squared Frobenius norms.
 
     Snapshots in extreme units are first scaled by a power of two

@@ -27,7 +27,7 @@ regressors on the same training parameters share it:
   and the solve's fresh result is returned, so writing to the caller's
   table later changes nothing.
 - ``stencil(sites, mu)`` depends on the query only.  It checks mu (a
-  p-vector or an n x p block), applies the extrapolation policy and
+  p-vector or an n x p block of real numbers), applies the extrapolation policy and
   returns ``sites.weights`` of the rows; ``combine(weights, table)``
   sums the weighted rows of any table fitted on the sites.
 
@@ -61,7 +61,7 @@ from operator import methodcaller
 
 import numpy as np
 
-from .data import has_duplicate_rows
+from .data import has_duplicate_rows, real_array
 from .errors import DataError, ExtrapolationWarning, IllConditionedWarning
 
 KINDS = ("linear", "nearest", "rbf-gauss", "rbf-tps", "poly")
@@ -347,7 +347,7 @@ def stencil(sites: Sites, mu) -> np.ndarray:
     length-m row for one p-vector mu, an n x m matrix for an n x p block.
     Checks mu, applies the extrapolation policy and weighs the rows with
     ``sites.weights``, once for every regressor on the sites."""
-    mu = np.asarray(mu, dtype=float)
+    mu = real_array(mu, "query")
     rows = mu if mu.ndim == 2 else mu.reshape(1, -1)
     p = sites.params.shape[1]
     if mu.ndim > 2 or rows.shape[1] != p:

@@ -332,7 +332,7 @@ class TestFormat:
 
 def tall_dataset():
     """N_h = 300 rows against ~100 kept factor columns, so the basis takes
-    truncated_svd's QR-first path for tall matrices."""
+    blocked_truncated_svd's QR-first path for tall matrices."""
     spec = SynthSpec("exp-modes", n_h=300, n_params=5, param_range=(0.2, 0.8),
                      n_t=30, dt=0.08, seed=23)
     dataset, _ = generate(spec)

@@ -59,43 +59,40 @@ def rerun_under(kernel, *node_ids):
     return run_fresh(RERUN, *ids, env={"OPENBLAS_CORETYPE": kernel})
 
 
-@needs_haswell
-def test_overflow_check_raises_its_own_error_under_haswell():
-    # the Haswell ddot flags the overflow of the residual check's norm,
-    # which must stay inside the check's errstate and end in NumericalError
-    result = rerun_under(
-        "Haswell",
-        "test_dmd.py::TestEvaluateStack::test_overflow_names_the_first_overflowing_member",
-        "test_dmd.py::TestImaginaryTelemetry",
-    )
-    assert result["exit"] == 0, result["output"]
-
-
-@needs_haswell
-def test_archive_and_regressor_bits_hold_under_haswell():
-    # the golden archive hashes and the bit-for-bit regressor reads are
-    # pinned on this machine's kernel; they must hold on another
-    result = rerun_under("Haswell", "test_archive.py", "test_regression.py")
-    assert result["exit"] == 0, result["output"]
-
-
-@needs_haswell
-@pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge"])
-def test_roi_stepping_and_latent_fits_hold_under_other_kernels(kernel):
+# the tests every kernel reruns
+EVERY_KERNEL = (
     # a lone roi row steps with np.dot, a block with the batched matmul;
     # both must give the reference loop's bits on every kernel
-    result = rerun_under(kernel, "test_roi.py::TestPredictRoi", "test_latent.py")
-    assert result["exit"] == 0, result["output"]
+    "test_roi.py::TestPredictRoi",
+    "test_latent.py",
+    # dgeqrt and dgemqrt take other kernels there; the basis's blocked QR
+    # must still match the thin SVD and write LAPACK-ordered factors
+    "test_reduction.py::TestBlockedSecondLevel",
+    "test_reduction.py::TestGramFactors",
+    # truncated_svd is one thin SVD for every shape; its factors must stay
+    # NumPy's bit for bit, and the DMD fits built on them must hold
+    "test_linalg.py::TestTruncatedSvd",
+    "test_dmd.py::TestFit",
+)
+# one fresh interpreter per kernel runs all of its tests
+RERUNS = {
+    "Haswell": (
+        # the Haswell ddot flags the overflow of the residual check's norm,
+        # which must stay inside the check's errstate and end in NumericalError
+        "test_dmd.py::TestEvaluateStack::test_overflow_names_the_first_overflowing_member",
+        "test_dmd.py::TestImaginaryTelemetry",
+        # the golden archive hashes and the bit-for-bit regressor reads are
+        # pinned on this machine's kernel; they must hold on another
+        "test_archive.py",
+        "test_regression.py",
+        *EVERY_KERNEL,
+    ),
+    "SandyBridge": EVERY_KERNEL,
+}
 
 
 @needs_haswell
-@pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge"])
-def test_blocked_second_level_holds_under_other_kernels(kernel):
-    # dgeqrt and dgemqrt take other kernels there; the basis's blocked QR
-    # must still match the dgeqrf path and write LAPACK-ordered factors
-    result = rerun_under(
-        kernel,
-        "test_reduction.py::TestBlockedSecondLevel",
-        "test_reduction.py::TestGramFactors",
-    )
+@pytest.mark.parametrize("kernel", list(RERUNS))
+def test_reruns_hold_under_other_kernels(kernel):
+    result = rerun_under(kernel, *RERUNS[kernel])
     assert result["exit"] == 0, result["output"]

@@ -100,8 +100,9 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("case", list(SVD_SHAPES))
     @pytest.mark.parametrize("how", ["full-rank", "defined-rank", "energy"])
     def test_factors_match_the_thin_svd(self, case, how):
-        """The QR-first path for tall matrices and the thin SVD for the
-        rest give a full thin SVD's factors, in C order."""
+        """Every shape, tall ones included, takes one thin SVD: the factors
+        are ``np.linalg.svd(m, full_matrices=False)``'s bit for bit under
+        the sign convention, with modes in C order."""
         m, defined = SVD_SHAPES[case]
         u_ref, s_ref, vt_ref = np.linalg.svd(m, full_matrices=False)
         max_rank = min(m.shape)
@@ -111,12 +112,10 @@ class TestTruncatedSvd:
         else:
             svd = truncated_svd(m, max_rank if how == "full-rank" else defined)
         rank = svd.rank
-        assert_allclose(svd.singular_values, s_ref[:rank], rtol=1e-13, atol=1e-13 * s_ref[0])
-        assert_allclose(svd.modes_u.T @ svd.modes_u, np.eye(rank), rtol=0, atol=1e-12)
-        compared = min(rank, defined)
-        u_ref, v_ref = _signed(u_ref[:, :compared], vt_ref[:compared].T)
-        assert_allclose(svd.modes_u[:, :compared], u_ref, rtol=0, atol=1e-10)
-        assert_allclose(svd.right_v[:, :compared], v_ref, rtol=0, atol=1e-10)
+        u_ref, v_ref = _signed(u_ref[:, :rank], vt_ref[:rank].T)
+        assert svd.modes_u.tobytes() == u_ref.tobytes()
+        assert svd.singular_values.tobytes() == s_ref[:rank].tobytes()
+        assert svd.right_v.tobytes() == v_ref.tobytes()
         tail = np.sqrt(np.sum(s_ref[rank:] ** 2))
         error = np.linalg.norm(m - svd.reconstruct())
         assert_allclose(error, tail, rtol=1e-10, atol=1e-12 * s_ref[0])

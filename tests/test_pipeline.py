@@ -20,7 +20,6 @@ from pdmd.metrics import frobenius_rel_error
 from pdmd.pipeline import (
     ALGORITHMS,
     FitOptions,
-    _predict_rows,
     evaluate_model,
     fit_surrogate,
     predict_surrogate,
@@ -28,7 +27,7 @@ from pdmd.pipeline import (
     subset_params,
     timed_query,
 )
-from pdmd.reduction import fit_global_basis
+from pdmd.reduction import fit_global_basis, lift
 from pdmd.regression import FitCount, RegressorSpec
 from pdmd.synth import SynthSpec, generate
 
@@ -269,6 +268,33 @@ class TestPredictSurrogate:
         message = "query parameter of shape (2,) does not fit the model's parameter dimension 1"
         with pytest.raises(DataError, match=re.escape(message)):
             predict_surrogate(surrogate.model, [0.5, 0.2], dataset.grid.instants)
+
+    # a query value whose float conversion would drop an imaginary part or
+    # end in a raw ValueError/TypeError; instants start on the lattice
+    NON_REAL = {
+        "complex-ndarray": (lambda t: t[:4] + 0.5j, np.array([0.5 + 0.3j])),
+        "non-numeric-string": (lambda t: "soon", "half"),
+        "object": (lambda t: object(), object()),
+        "ragged": (lambda t: [t[0], [t[1], t[2]]], [[0.5], [0.4, 0.6]]),
+    }
+
+    @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("where", ["instants", "mu", "rows"])
+    @pytest.mark.parametrize("case", list(NON_REAL))
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_non_real_query_input_is_data_error(self, algorithm, case, where):
+        dataset = linear_dataset()
+        model = fit_surrogate(dataset, FitOptions(algorithm, rank=6)).model
+        bad_instants, bad_mu = self.NON_REAL[case]
+        mu, instants = dataset.params[1], dataset.grid.instants
+        with pytest.raises(DataError, match="must be real numbers"):
+            if where == "instants":
+                predict_surrogate(model, mu, bad_instants(instants))
+            elif where == "mu":
+                predict_surrogate(model, bad_mu, instants)
+            else:  # the algorithm's predictor, past predict_surrogate
+                rows = np.atleast_2d(bad_mu) if case == "complex-ndarray" else bad_mu
+                ALGORITHMS[algorithm].predict(model, rows, instants)
 
     @pytest.mark.filterwarnings("ignore::pdmd.errors.ConvergenceWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -538,9 +564,10 @@ class TestTrainErrorPass:
             grid.instants[[9, 2, 2, 0, 5, 9, 1]],
             grid.t0 + grid.dt * np.array([0, 1, n_t + 4, 2 * n_t, 3 * n_t + 1]),
         ):
-            block = list(_predict_rows(model, rows, times))
-            assert len(block) == rows.shape[0]
-            for row, states in zip(rows, block):
+            latents = ALGORITHMS[model.tag].predict(model, rows, times)
+            assert len(latents) == rows.shape[0]
+            for row, latent in zip(rows, latents):
+                states = lift(latent, model.basis)
                 single = predict_surrogate(model, row, times)
                 assert states.shape == (dataset.n_state, times.size)
                 assert states.tobytes() == single.tobytes()

@@ -311,7 +311,7 @@ TALL_GRADED = {
 
 class TestBlockedSecondLevel:
     """The basis's tall second level (``blocked_truncated_svd``: blocked
-    QR, SVD of R, compact-WY Q) against ``truncated_svd``'s dgeqrf path."""
+    QR, SVD of R, compact-WY Q) against ``truncated_svd``'s thin SVD."""
 
     def pair(self, case, rank, energy=None):
         m = TALL_GRADED[case]()

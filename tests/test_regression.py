@@ -393,6 +393,16 @@ class TestStencilChecks:
         with pytest.raises(DataError, match="non-finite"):
             stencil(sites, [[0.5, 0.5], [0.2, bad]])
 
+    @pytest.mark.parametrize(
+        "mu",
+        [np.array([0.5 + 0.1j, 0.5]), ["near", "far"], object(), [[0.5, 0.5], [0.2]]],
+        ids=["complex", "string", "object", "ragged"],
+    )
+    def test_non_real_rejected(self, mu):
+        sites = prepare(RegressorSpec("rbf-gauss"), self.SITES)
+        with pytest.raises(DataError, match="query must be real numbers"):
+            stencil(sites, mu)
+
 
 def reference_table(sites, values):
     """The table the per-kind ``fit`` body made before each kind's solve
